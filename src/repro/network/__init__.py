@@ -13,7 +13,6 @@ Figure 13 cost models.
 from repro.network.population import Population
 from repro.network.projection import Projection, connect
 from repro.network.stimulus import PatternStimulus, PoissonStimulus, Stimulus
-from repro.network.spike_queue import SpikeQueue
 from repro.network.recorder import SpikeRecord, SpikeRecorder, StateRecorder
 from repro.network.network import Network
 from repro.network.backends import Backend, ReferenceBackend, RuntimeBackend
@@ -42,7 +41,6 @@ __all__ = [
     "RuntimeBackend",
     "SimulationResult",
     "Simulator",
-    "SpikeQueue",
     "SpikeRecord",
     "SpikeRecorder",
     "StateRecorder",

@@ -2,10 +2,15 @@
 
 A projection stores its synapses in a CSR-like layout sorted by
 presynaptic neuron: ``pre_ptr[i] .. pre_ptr[i+1]`` indexes the synapses
-leaving pre-neuron ``i``, with parallel arrays for the target index,
-weight, delay (in time steps) and synapse type. This makes the synapse
-calculation phase — classify generated spikes by target and accumulate
-weights (Section II-C) — a vectorised gather/scatter.
+leaving pre-neuron ``i``. Each synapse is a ``weight`` and one int32
+**ring target** ``delay * (post.n_synapse_types * post.n) + post_idx``:
+the offset, from the head of the post population's
+:class:`~repro.routing.ring.DelayRing`, of the cell it accumulates
+into. The synapse calculation phase — classify generated spikes by
+target and accumulate weights (Section II-C) — is then a contiguous row
+copy per fired neuron and one 1-D scatter; ``delay_counts[i, d]``
+(synapses of pre-neuron ``i`` with delay ``d``) gives a fired set's
+exact per-bucket event counts without touching its synapses.
 """
 
 from __future__ import annotations
@@ -19,7 +24,12 @@ from repro.network.population import Population
 
 
 class Projection:
-    """A set of synapses from ``pre`` to ``post``."""
+    """A set of synapses from ``pre`` to ``post``.
+
+    The synapse arrays are adopted, not copied, when ``pre_idx`` arrives
+    sorted (as :func:`connect` delivers it); unsorted input is stably
+    re-sorted by presynaptic neuron.
+    """
 
     def __init__(
         self,
@@ -43,7 +53,12 @@ class Projection:
             raise ConfigurationError("pre index out of range")
         if post_idx.size and (post_idx.min() < 0 or post_idx.max() >= post.n):
             raise ConfigurationError("post index out of range")
-        if delays.size and delays.min() < 1:
+        #: Delay bounds in time steps (1 when the projection is empty).
+        #: ``min_delay`` is the routing layer's flush horizon: no spike
+        #: through this projection arrives sooner after it was generated.
+        self.min_delay = int(delays.min()) if delays.size else 1
+        self.max_delay = int(delays.max()) if delays.size else 1
+        if self.min_delay < 1:
             raise ConfigurationError("delays must be at least one time step")
         if not 0 <= syn_type < post.n_synapse_types:
             raise ConfigurationError(
@@ -53,13 +68,26 @@ class Projection:
         self.post = post
         self.syn_type = syn_type
         self.name = name or f"{pre.name}->{post.name}"
-        # Sort by presynaptic neuron and build the CSR row pointer.
-        order = np.argsort(pre_idx, kind="stable")
-        self.post_idx = post_idx[order]
-        self.weights = weights[order]
-        self.delays = delays[order]
-        counts = np.bincount(pre_idx, minlength=pre.n)
-        self.pre_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        self.n_synapses = int(pre_idx.size)
+        #: Cells per bucket of the post ring (``targets`` are encoded in it).
+        self.stride = stride = post.n_synapse_types * post.n
+        depth = self.max_delay + 1
+        if depth * stride >= 2**31:
+            raise ConfigurationError(
+                f"projection {self.name!r}: (max_delay + 1) * n_synapse_types"
+                f" * n = {depth} * {post.n_synapse_types} * {post.n} of "
+                f"{pre.name!r} -> {post.name!r} overflows int32 ring targets"
+            )
+        if np.any(pre_idx[1:] < pre_idx[:-1]):
+            order = np.argsort(pre_idx, kind="stable")
+            pre_idx, post_idx = pre_idx[order], post_idx[order]
+            weights, delays = weights[order], delays[order]
+        self.pre_ptr = np.searchsorted(pre_idx, np.arange(pre.n + 1))
+        self.targets = (delays * stride + post_idx).astype(np.int32)
+        self.weights = weights
+        self.delay_counts = np.bincount(
+            pre_idx * depth + delays, minlength=pre.n * depth
+        ).reshape(pre.n, depth)
         # Post-sorted (CSC-like) view, built lazily: plasticity rules
         # need "all synapses into neuron j" for potentiation.
         self._post_order: Optional[np.ndarray] = None
@@ -67,90 +95,76 @@ class Projection:
         self._pre_of_synapse: Optional[np.ndarray] = None
 
     @property
-    def n_synapses(self) -> int:
-        """Number of synapses in this projection."""
-        return int(self.post_idx.size)
+    def post_idx(self) -> np.ndarray:
+        """Target neuron of every synapse, decoded from ``targets``.
 
-    @property
-    def max_delay(self) -> int:
-        """Largest delay in time steps (1 when the projection is empty)."""
-        return int(self.delays.max()) if self.delays.size else 1
-
-    @property
-    def min_delay(self) -> int:
-        """Smallest delay in time steps (1 when the projection is empty).
-
-        The routing layer's flush horizon: no spike through this
-        projection can arrive sooner than ``min_delay`` steps after it
-        was generated.
+        O(n_synapses) per access: for build-time users (shard slicing,
+        the post-sorted index). Per-step code uses :meth:`post_of`.
         """
-        return int(self.delays.min()) if self.delays.size else 1
+        return self.post_of(slice(None))
+
+    @property
+    def delays(self) -> np.ndarray:
+        """Delay of every synapse in steps, decoded (O(n_synapses))."""
+        return (self.targets // self.stride).astype(np.int64)
+
+    def post_of(self, synapses) -> np.ndarray:
+        """Target neurons of the given flat synapse indices."""
+        return (self.targets[synapses] % self.post.n).astype(np.int64)
 
     def synapses_of(self, fired_pre: np.ndarray):
         """Gather the synapses of the given fired presynaptic neurons.
 
-        ``fired_pre`` is an array of presynaptic indices. Returns
-        ``(post_idx, weights, delays)`` for every outgoing synapse of
-        every fired neuron.
+        Returns ``(targets, weights, counts)``: the fired rows' ring
+        targets and weights, concatenated in ``fired_pre`` order, and
+        the per-delay event histogram :meth:`DelayRing.enqueue` adds to
+        its count ring.
         """
-        if fired_pre.size == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, np.empty(0, dtype=np.float64), empty_i
-        starts = self.pre_ptr[fired_pre]
-        ends = self.pre_ptr[fired_pre + 1]
-        lengths = ends - starts
-        total = int(lengths.sum())
-        if total == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, np.empty(0, dtype=np.float64), empty_i
-        # Build a flat index covering [starts[k], ends[k]) for each k.
-        offsets = np.repeat(ends - np.cumsum(lengths), lengths)
-        flat = offsets + np.arange(total)
-        return self.post_idx[flat], self.weights[flat], self.delays[flat]
+        # The leading empty row keeps concatenate defined when nothing fired.
+        rows = [slice(0, 0)] + [
+            slice(lo, hi)
+            for lo, hi in zip(
+                self.pre_ptr[fired_pre].tolist(),
+                self.pre_ptr[fired_pre + 1].tolist(),
+            )
+        ]
+        return (
+            np.concatenate([self.targets[row] for row in rows]),
+            np.concatenate([self.weights[row] for row in rows]),
+            self.delay_counts[fired_pre].sum(axis=0),
+        )
 
     @staticmethod
-    def _flat_range_gather(ptr, order, targets):
-        """Flat indices covering ptr-delimited groups of ``targets``."""
-        if targets.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = ptr[targets]
-        lengths = ptr[targets + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
+    def _flat_range_gather(ptr, groups):
+        """Flat indices covering the ``ptr``-delimited ``groups``."""
+        starts = ptr[groups]
+        lengths = ptr[groups + 1] - starts
         offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        flat = offsets + np.arange(total)
-        return order[flat] if order is not None else flat
+        return offsets + np.arange(offsets.size)
 
     def pre_of_synapses(self) -> np.ndarray:
         """Presynaptic neuron of every synapse (CSR row expansion)."""
         if self._pre_of_synapse is None:
-            counts = np.diff(self.pre_ptr)
             self._pre_of_synapse = np.repeat(
-                np.arange(self.pre.n, dtype=np.int64), counts
+                np.arange(self.pre.n, dtype=np.int64), np.diff(self.pre_ptr)
             )
         return self._pre_of_synapse
 
     def synapse_indices_of(self, fired_pre: np.ndarray) -> np.ndarray:
         """Flat synapse indices leaving the given presynaptic neurons."""
-        return self._flat_range_gather(self.pre_ptr, None, fired_pre)
-
-    def _ensure_post_index(self) -> None:
-        if self._post_ptr is not None:
-            return
-        order = np.argsort(self.post_idx, kind="stable")
-        counts = np.bincount(self.post_idx, minlength=self.post.n)
-        self._post_order = order.astype(np.int64)
-        self._post_ptr = np.concatenate(([0], np.cumsum(counts))).astype(
-            np.int64
-        )
+        return self._flat_range_gather(self.pre_ptr, fired_pre)
 
     def synapse_indices_into(self, fired_post: np.ndarray) -> np.ndarray:
         """Flat synapse indices arriving at the given post neurons."""
-        self._ensure_post_index()
-        return self._flat_range_gather(
-            self._post_ptr, self._post_order, fired_post
-        )
+        if self._post_ptr is None:
+            post_idx = self.post_idx
+            self._post_order = np.argsort(post_idx, kind="stable")
+            self._post_ptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(post_idx, minlength=self.post.n)))
+            )
+        return self._post_order[
+            self._flat_range_gather(self._post_ptr, fired_post)
+        ]
 
     def __repr__(self) -> str:
         return (

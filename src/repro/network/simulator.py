@@ -493,11 +493,11 @@ class Simulator:
                     fired_pre = fired_index.get(pre_name)
                     if fired_pre is None or fired_pre.size == 0:
                         continue
-                    post_idx, weights, delays = projection.synapses_of(
+                    targets, weights, counts = projection.synapses_of(
                         fired_pre
                     )
-                    post_queue.enqueue(post_idx, weights, delays, syn_type)
-                    events += post_idx.size
+                    post_queue.enqueue(targets, weights, counts, syn_type)
+                    events += targets.size
                 for rule, pre_name, post_name in plasticity:
                     rule.step(fired_index[pre_name], fired_index[post_name], dt)
                 synapse_elapsed = perf_counter() - start

@@ -205,7 +205,7 @@ class PairSTDP(PlasticityRule):
         if fired_pre.size:
             dep_synapses = projection.synapse_indices_of(fired_pre)
             if dep_synapses.size:
-                posts = projection.post_idx[dep_synapses]
+                posts = projection.post_of(dep_synapses)
                 decay = np.exp(
                     (self._y_last[posts] - now) * (dt / self.tau_minus)
                 )

@@ -1,27 +1,17 @@
 """Delay-bucketed spike routing shared by every execution path.
 
-Spike delivery used to live in ``repro.network.spike_queue`` as a
-per-population ring owned directly by the simulator. This package
-hoists that structure into a routing layer of its own so one delivery
-mechanism serves every consumer:
+One delivery mechanism serves the three-phase
+:class:`~repro.network.simulator.Simulator` loop, the event-driven
+hardware runtimes (which bind their population's ring to short-circuit
+idle classification), checkpoint capture/restore (the ring snapshot is
+the unit of in-flight-spike state) and the sharded cross-worker
+exchange (``flush_window`` / ``deposit``, batched on the min delay).
 
-* the three-phase :class:`~repro.network.simulator.Simulator` loop,
-* the event-driven hardware runtimes (which bind their population's
-  ring to short-circuit idle classification),
-* checkpoint capture/restore (the ring snapshot is the unit of
-  in-flight-spike state),
-* and, next, the sharded cross-worker spike exchange — the
-  min-delay-aware :meth:`DelayRing.flush_window` API is sized exactly
-  for the "sync every min-delay steps" batching the FPGA and
-  lazy-plasticity papers use.
-
-:class:`DelayRing` is the single-population delay-bucketed ring:
-per-synapse-type accumulation buckets indexed by
-``(step + delay) % (max_delay + 1)``, with integral per-bucket event
-counts alongside the accumulated weights. :class:`SpikeRouter` owns
-one ring per population, sized from the network's actual incoming
-delays, and is the seam the simulator, the checkpoint layer, and the
-metrics publisher all talk to.
+:class:`DelayRing` is the single-population ring of per-step
+accumulation buckets, with integral per-bucket event counts alongside
+the accumulated weights; its module states the accumulation-order
+contract every spike digest rests on. :class:`SpikeRouter` owns one
+ring per population, sized from the network's actual incoming delays.
 """
 
 from repro.routing.ring import DelayRing

@@ -2,33 +2,27 @@
 
 Output spikes propagate "after a certain number of time steps, or
 delay, associated to each synapse" (Section II-C). A :class:`DelayRing`
-holds one accumulation bucket per future step, indexed by
-``(step + delay) % (max_delay + 1)``; enqueueing a spike adds its
-synaptic weight into the bucket ``delay`` steps ahead, and each step
-the simulator consumes the current bucket as that population's
-accumulated ``(n_synapse_types, n)`` input.
+holds one ``(n_synapse_types, n)`` accumulation bucket per future step,
+plus an exact ``int64`` event count per bucket; each step the simulator
+consumes the current bucket as that population's input.
 
-Two things distinguish the ring from the legacy ``SpikeQueue`` it
-replaces:
+**Layout.** The ring is *unwrapped*: one flat float64 buffer of
+``2 * depth - 1`` buckets (``depth = max_delay + 1``) with the head in
+``[0, depth)``, so a write ``delay`` buckets ahead never wraps and a
+synapse's cell is a fixed offset from the head — the int32 ring target
+``delay * stride + post_idx`` (``stride = n_synapse_types * n``) that a
+:class:`~repro.network.projection.Projection` precomputes. Every
+``depth`` rotations the live tail is copied back to the front; buckets
+outside ``[head, head + depth)`` are always zero.
 
-* **Integral event accounting.** Alongside the float weight buckets the
-  ring keeps a per-bucket *event count* (``int64``), so "how many
-  deliveries are in flight" is an exact integer — ``pending_total()``
-  — while the accumulated weight is a separate, honestly-float
-  ``pending_weight()``. Telemetry publishes both without ever casting
-  a count through a float.
-
-* **A min-delay-aware flush window.** Every synapse into this
-  population has ``delay >= min_delay``, so once step ``t``'s enqueues
-  are done, the buckets for steps ``t .. t + min_delay`` can receive no
-  further *synaptic* traffic — a spike generated at step ``t' > t``
-  lands at ``t' + delay >= t + 1 + min_delay``. :meth:`flush_window`
-  exposes the first ``min_delay`` of those final buckets as one batch;
-  that is exactly the unit a sharded cross-worker exchange ships, so
-  workers need to synchronise only every ``min_delay`` steps instead of
-  every step. (Stimulus injection via :meth:`enqueue_now` targets only
-  the current head at its own step, so it never invalidates a window
-  taken after the stimulus phase.)
+**Accumulation-order contract.** Arrivals are added one at a time
+(``np.add.at`` on the flat buffer, the 1-D indexed loop) in the order
+presented: within a step, projections in network order; within a
+projection, fired neurons ascending; within a neuron, CSR synapse
+order. Float sums — and with them every spike digest — depend on this
+order and nothing else, so :meth:`DelayRing.deposit` (sharded replay)
+must be fed in it and any replacement of the scatter must add in it
+(``np.bincount`` into a slab was measured slower *and* sums otherwise).
 """
 
 from __future__ import annotations
@@ -58,11 +52,13 @@ class DelayRing:
         self.n_synapse_types = n_synapse_types
         self.min_delay = min_delay
         self.depth = max_delay + 1
-        self._ring = np.zeros(
-            (self.depth, n_synapse_types, n), dtype=np.float64
-        )
+        #: Cells per bucket; ring targets are ``delay * stride + post``.
+        self.stride = n_synapse_types * n
+        buckets = 2 * self.depth - 1
+        self._flat = np.zeros(buckets * self.stride, dtype=np.float64)
+        self._buckets = self._flat.reshape(buckets, n_synapse_types, n)
         #: Events accumulated per bucket (delivery multiplicity, exact).
-        self._counts = np.zeros(self.depth, dtype=np.int64)
+        self._counts = np.zeros(buckets, dtype=np.int64)
         self._head = 0
         #: Lifetime count of spike deliveries accumulated into the ring
         #: (telemetry; published as ``ring_events_enqueued_total`` and,
@@ -71,53 +67,51 @@ class DelayRing:
 
     # -- enqueue -----------------------------------------------------------
 
+    def _accumulate(self, targets, weights, syn_type: int) -> None:
+        """The one scatter: add ``weights`` at head-relative ``targets``."""
+        base = self._head * self.stride + syn_type * self.n
+        np.add.at(self._flat[base:], targets, weights)
+        self.enqueued_events += targets.size
+
     def enqueue(
         self,
-        post_idx: np.ndarray,
+        targets: np.ndarray,
         weights: np.ndarray,
-        delays: np.ndarray,
+        counts: np.ndarray,
         syn_type: int,
     ) -> None:
-        """Accumulate spike weights arriving ``delays`` steps from now."""
-        if post_idx.size == 0:
-            return
-        if np.any(delays < 1) or np.any(delays >= self.depth):
-            raise SimulationError(
-                f"delay out of range 1..{self.depth - 1} for this ring"
-            )
-        slots = (self._head + delays) % self.depth
-        np.add.at(self._ring, (slots, syn_type, post_idx), weights)
-        np.add.at(self._counts, slots, 1)
-        self.enqueued_events += post_idx.size
+        """Accumulate ``weights`` at ring ``targets`` ahead of the head.
+
+        ``targets`` are head-relative offsets ``delay * stride +
+        post_idx`` with ``1 <= delay < depth`` (checked once, when the
+        router binds a projection — not per event); ``counts[d]`` is
+        the number of them with delay ``d``.
+        """
+        self._accumulate(targets, weights, syn_type)
+        self._counts[self._head:self._head + counts.size] += counts
 
     def deposit(
         self,
-        post_idx: np.ndarray,
+        targets: np.ndarray,
         weights: np.ndarray,
-        offsets: np.ndarray,
+        counts: np.ndarray,
         syn_type: int,
+        shift: int,
     ) -> None:
-        """Accumulate weights at absolute bucket offsets from the head.
+        """:meth:`enqueue` arrivals that were generated ``shift`` steps ago.
 
-        Unlike :meth:`enqueue`, offset 0 (the current bucket) is legal:
-        a sharded barrier replays the *previous* window's spikes after
-        the fact, so an arrival that would have been enqueued ``w``
-        steps ago with delay ``d`` now lands at offset ``d - w >= 0``.
-        The accumulation is element-wise ``np.add.at``, exactly as
-        :meth:`enqueue` performs it, so a replay that presents arrivals
-        in the original enqueue order reproduces bit-identical sums.
+        A sharded barrier replays the *previous* window's spikes after
+        the fact, so an arrival with delay ``d`` now lands ``d - shift
+        >= 0`` buckets ahead (0 is the current bucket). Presented in
+        the contract order, the replay reproduces bit-identical sums.
         """
-        if post_idx.size == 0:
-            return
-        if np.any(offsets < 0) or np.any(offsets >= self.depth):
+        if counts[:shift].any():
             raise SimulationError(
-                f"deposit offset out of range 0..{self.depth - 1} "
-                "for this ring"
+                f"deposit shifted {shift} steps, past a shorter delay"
             )
-        slots = (self._head + offsets) % self.depth
-        np.add.at(self._ring, (slots, syn_type, post_idx), weights)
-        np.add.at(self._counts, slots, 1)
-        self.enqueued_events += post_idx.size
+        self._accumulate(targets - shift * self.stride, weights, syn_type)
+        late = counts[shift:]
+        self._counts[self._head:self._head + late.size] += late
 
     def enqueue_now(
         self, post_idx: np.ndarray, weights: np.ndarray, syn_type: int
@@ -129,9 +123,8 @@ class DelayRing:
         """
         if post_idx.size == 0:
             return
-        np.add.at(self._ring, (self._head, syn_type, post_idx), weights)
+        self._accumulate(post_idx, weights, syn_type)
         self._counts[self._head] += post_idx.size
-        self.enqueued_events += post_idx.size
 
     # -- consume -----------------------------------------------------------
 
@@ -140,7 +133,7 @@ class DelayRing:
 
         A live (writable) view: fault injectors mutate it in place.
         """
-        return self._ring[self._head]
+        return self._buckets[self._head]
 
     def current_events(self) -> int:
         """Deliveries accumulated into the current bucket (exact count).
@@ -153,9 +146,17 @@ class DelayRing:
 
     def rotate(self) -> None:
         """Clear the consumed bucket and advance to the next step."""
-        self._ring[self._head][:] = 0.0
-        self._counts[self._head] = 0
-        self._head = (self._head + 1) % self.depth
+        head, depth = self._head, self.depth
+        self._buckets[head] = 0.0
+        self._counts[head] = 0
+        head += 1
+        if head == depth:
+            # Compact: the live tail moves to the (all-zero) front.
+            for array in (self._buckets, self._counts):
+                array[:depth - 1] = array[depth:]
+                array[depth:] = 0
+            head = 0
+        self._head = head
 
     # -- batched flush (cross-worker exchange seam) ------------------------
 
@@ -163,6 +164,14 @@ class DelayRing:
     def flush_horizon(self) -> int:
         """Buckets per flush batch (= ``min_delay``, the sync period)."""
         return self.min_delay
+
+    def _window(self, horizon: int) -> slice:
+        horizon = horizon or self.min_delay
+        if not 1 <= horizon <= self.depth:
+            raise SimulationError(
+                f"flush horizon must be in 1..{self.depth}, got {horizon}"
+            )
+        return slice(self._head, self._head + horizon)
 
     def flush_window(self, horizon: int = 0) -> np.ndarray:
         """Copy of the next ``horizon`` buckets, in delivery order.
@@ -174,23 +183,11 @@ class DelayRing:
         min-delay contract guarantees for synaptic traffic once the
         current step's enqueues are done.
         """
-        horizon = horizon or self.min_delay
-        if not 1 <= horizon <= self.depth:
-            raise SimulationError(
-                f"flush horizon must be in 1..{self.depth}, got {horizon}"
-            )
-        slots = (self._head + np.arange(horizon)) % self.depth
-        return self._ring[slots].copy()
+        return self._buckets[self._window(horizon)].copy()
 
     def flush_events(self, horizon: int = 0) -> np.ndarray:
         """Per-bucket event counts of the flush window (``int64``)."""
-        horizon = horizon or self.min_delay
-        if not 1 <= horizon <= self.depth:
-            raise SimulationError(
-                f"flush horizon must be in 1..{self.depth}, got {horizon}"
-            )
-        slots = (self._head + np.arange(horizon)) % self.depth
-        return self._counts[slots].copy()
+        return self._counts[self._window(horizon)].copy()
 
     # -- accounting --------------------------------------------------------
 
@@ -200,40 +197,64 @@ class DelayRing:
 
     def pending_weight(self) -> float:
         """Sum of all queued weight (useful for conservation tests)."""
-        return float(self._ring.sum())
+        return float(self._flat.sum())
 
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The full ring contents and head position (checkpointing)."""
+        """The ring contents and head position (checkpointing).
+
+        The payload is the *wrapped* ``(depth, n_synapse_types, n)``
+        layout — bucket ``(head + k) % depth`` is the one consumed
+        ``k`` steps from now — that checkpoints have always carried.
+        """
+        live = slice(self._head, self._head + self.depth)
         return {
-            "ring": self._ring.copy(),
-            "counts": self._counts.copy(),
+            "ring": np.roll(self._buckets[live], self._head, axis=0),
+            "counts": np.roll(self._counts[live], self._head),
             "head": self._head,
             "min_delay": self.min_delay,
             "enqueued_events": self.enqueued_events,
         }
 
-    def restore(self, snapshot: dict) -> None:
-        """Overwrite the ring from a :meth:`snapshot`."""
-        ring = np.asarray(snapshot["ring"], dtype=np.float64)
-        if ring.shape != self._ring.shape:
+    def checked(self, snapshot: dict) -> tuple:
+        """``(ring, counts, head)`` of a payload, validated against this
+        ring's geometry; the error names the offending field."""
+        if not isinstance(snapshot, dict):
             raise SimulationError(
-                f"snapshot ring shape {ring.shape} does not match "
-                f"{self._ring.shape}"
+                "ring snapshot must be a dict, got "
+                f"{type(snapshot).__name__}"
             )
-        head = int(snapshot["head"])
-        if not 0 <= head < self.depth:
-            raise SimulationError(f"snapshot head {head} out of range")
+        for field in ("ring", "head"):
+            if field not in snapshot:
+                raise SimulationError(f"ring snapshot missing field {field!r}")
+        shape = (self.depth, self.n_synapse_types, self.n)
+        ring = np.asarray(snapshot["ring"], dtype=np.float64)
         counts = np.asarray(
             snapshot.get("counts", np.zeros(self.depth)), dtype=np.int64
         )
-        if counts.shape != self._counts.shape:
+        axes = zip(("depth", "synapse-type", "size"), ring.shape, shape)
+        wrong = [axis for axis, got, want in axes if got != want]
+        if ring.ndim != 3 or wrong or counts.shape != shape[:1]:
             raise SimulationError(
-                f"snapshot counts shape {counts.shape} does not match "
-                f"{self._counts.shape}"
+                f"ring snapshot shape {ring.shape} (counts {counts.shape}) "
+                f"does not match this ring's {shape}"
+                + (f": {wrong[0]} mismatch" if wrong else "")
             )
-        self._ring[:] = ring
-        self._counts[:] = counts
+        head = int(snapshot["head"])
+        if not 0 <= head < self.depth:
+            raise SimulationError(
+                f"snapshot head {head} out of range 0..{self.depth - 1}"
+            )
+        return ring, counts, head
+
+    def restore(self, snapshot: dict) -> None:
+        """Overwrite the ring from a :meth:`snapshot`."""
+        ring, counts, head = self.checked(snapshot)
+        live = slice(head, head + self.depth)
+        self._flat[:] = 0.0
+        self._counts[:] = 0
+        self._buckets[live] = np.roll(ring, -head, axis=0)
+        self._counts[live] = np.roll(counts, -head)
         self._head = head
         self.enqueued_events = int(snapshot.get("enqueued_events", 0))

@@ -1,12 +1,11 @@
 """SpikeRouter: every population's delay ring behind one seam.
 
 The simulator, the checkpoint layer, the fault injectors, and the
-telemetry publisher used to each walk their own dict of per-population
-spike queues. The router is that dict promoted to a first-class object
-with the three operations they all actually need — look up a ring,
-advance every ring one step, snapshot/restore the lot — plus the
-network-shape analysis that sizes each ring from the delays that can
-actually reach it.
+telemetry publisher share one object with the operations they all need
+— look up a ring, advance every ring one step, snapshot/restore the
+lot — plus the network-shape analysis that sizes each ring from the
+delays that can actually reach it and checks every projection against
+the ring it scatters into.
 
 Sizing matters twice:
 
@@ -21,50 +20,52 @@ Sizing matters twice:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.routing.ring import DelayRing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.network import Network
+    from repro.network.projection import Projection
 
 
 class SpikeRouter:
     """Owns one :class:`DelayRing` per population."""
 
     def __init__(self, rings: Dict[str, DelayRing]):
-        self._rings = dict(rings)
+        #: All rings, keyed by population name.
+        self.rings = dict(rings)
 
     @staticmethod
     def delay_bounds(network: "Network") -> Dict[str, tuple]:
         """Per-population ``(min, max)`` incoming synaptic delay bounds.
 
-        Populations with no incoming projection are absent; callers
-        default them to ``(1, 1)``. Exposed separately from
-        :meth:`from_network` because a shard slicing a population must
-        size its partial ring from the *full* network's bounds — the
-        subset of projections that happens to land on the slice could
-        otherwise disagree with the ring geometry of the whole.
+        Populations with no incoming projection are absent and default
+        to ``(1, 1)``.
         """
         bounds: Dict[str, tuple] = {}
         for projection in network.projections:
-            name = projection.post.name
-            lo, hi = bounds.get(name, (None, 1))
-            p_lo, p_hi = projection.min_delay, projection.max_delay
-            lo = p_lo if lo is None else min(lo, p_lo)
-            bounds[name] = (lo, max(hi, p_hi))
+            own = (projection.min_delay, projection.max_delay)
+            lo, hi = bounds.get(projection.post.name, own)
+            bounds[projection.post.name] = (min(lo, own[0]), max(hi, own[1]))
         return bounds
 
     @classmethod
-    def from_network(cls, network: "Network") -> "SpikeRouter":
+    def from_network(
+        cls, network: "Network", bounds: Optional[Dict[str, tuple]] = None
+    ) -> "SpikeRouter":
         """Build per-population rings sized from actual incoming delays.
 
         Populations with no incoming projection still get a minimal
         ring (depth 2, min_delay 1): stimuli inject into the current
-        bucket and the neuron phase always consumes one.
+        bucket and the neuron phase always consumes one. A shard passes
+        the *full* network's ``bounds`` for its slice network: the
+        projections that happen to land on a slice could otherwise
+        disagree with the ring geometry of the whole.
         """
-        bounds = cls.delay_bounds(network)
+        if bounds is None:
+            bounds = cls.delay_bounds(network)
         rings = {}
         for name, population in network.populations.items():
             min_delay, max_delay = bounds.get(name, (1, 1))
@@ -74,20 +75,36 @@ class SpikeRouter:
                 max_delay,
                 min_delay=min_delay,
             )
-        return cls(rings)
+        router = cls(rings)
+        router.bind(network.projections)
+        return router
+
+    def bind(self, projections: Iterable["Projection"]) -> None:
+        """Check, once, that every projection's ring targets fit its ring.
+
+        A projection encodes ``delay * stride + post_idx`` against its
+        post population's geometry; the ring adds at those offsets
+        without looking at them again. This is the delay-range check,
+        done per projection at build time instead of per event per step.
+        """
+        for projection in projections:
+            ring = self.ring(projection.post.name)
+            stride, delay = projection.stride, projection.max_delay
+            if stride != ring.stride or delay >= ring.depth:
+                raise SimulationError(
+                    f"projection {projection.name!r} (max delay {delay}, "
+                    f"bucket stride {stride}) does not fit the ring of "
+                    f"{projection.post.name!r} (delays 1..{ring.depth - 1}, "
+                    f"bucket stride {ring.stride})"
+                )
 
     # -- lookup ------------------------------------------------------------
 
-    @property
-    def rings(self) -> Dict[str, DelayRing]:
-        """All rings, keyed by population name."""
-        return self._rings
-
     def ring(self, population: str) -> DelayRing:
         try:
-            return self._rings[population]
+            return self.rings[population]
         except KeyError:
-            known = ", ".join(self._rings) or "<none>"
+            known = ", ".join(self.rings) or "<none>"
             raise SimulationError(
                 f"no ring for population {population!r}; known: {known}"
             ) from None
@@ -96,94 +113,50 @@ class SpikeRouter:
 
     def rotate_all(self) -> None:
         """Advance every ring one step (end of the simulation step)."""
-        for ring in self._rings.values():
+        for ring in self.rings.values():
             ring.rotate()
 
     # -- accounting --------------------------------------------------------
 
     def pending_total(self) -> int:
         """In-flight deliveries across all rings (exact int)."""
-        return sum(ring.pending_total() for ring in self._rings.values())
+        return sum(ring.pending_total() for ring in self.rings.values())
 
     def enqueued_total(self) -> int:
         """Lifetime deliveries accumulated across all rings."""
-        return sum(ring.enqueued_events for ring in self._rings.values())
+        return sum(ring.enqueued_events for ring in self.rings.values())
 
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, dict]:
-        return {name: ring.snapshot() for name, ring in self._rings.items()}
+        return {name: ring.snapshot() for name, ring in self.rings.items()}
 
     def restore(self, payload: Dict[str, dict]) -> None:
-        """Restore every ring, validating shape *here*, by name.
-
-        Mismatches raise with the offending population and field in the
-        message instead of surfacing as an anonymous array-shape error
-        deep inside :class:`DelayRing`.
-        """
-        missing = sorted(set(self._rings) - set(payload))
-        unexpected = sorted(set(payload) - set(self._rings))
+        """Restore every ring, or none: every payload is validated
+        (errors name the offending population and field) before any
+        ring is touched."""
+        missing = sorted(set(self.rings) - set(payload))
+        unexpected = sorted(set(payload) - set(self.rings))
         if missing or unexpected:
             raise SimulationError(
                 "router snapshot population mismatch: "
                 f"missing={missing or '[]'} unexpected={unexpected or '[]'}"
             )
-        for name, ring in self._rings.items():
-            self._validate_ring_payload(name, ring, payload[name])
-        for name, ring in self._rings.items():
-            ring.restore(payload[name])
-
-    @staticmethod
-    def _validate_ring_payload(
-        name: str, ring: DelayRing, ring_payload: dict
-    ) -> None:
-        if not isinstance(ring_payload, dict):
-            raise SimulationError(
-                f"population {name!r}: ring snapshot must be a dict, "
-                f"got {type(ring_payload).__name__}"
-            )
-        for field in ("ring", "head"):
-            if field not in ring_payload:
+        for name, ring in self.rings.items():
+            try:
+                ring.checked(payload[name])
+            except SimulationError as error:
                 raise SimulationError(
-                    f"population {name!r}: ring snapshot missing "
-                    f"field {field!r}"
-                )
-        shape = tuple(
-            int(s) for s in getattr(ring_payload["ring"], "shape", ())
-        )
-        if len(shape) != 3:
-            raise SimulationError(
-                f"population {name!r}: ring snapshot must be "
-                f"3-dimensional, got shape {shape}"
-            )
-        depth, n_syn, n = shape
-        if depth != ring.depth:
-            raise SimulationError(
-                f"population {name!r}: ring depth mismatch — snapshot "
-                f"has {depth} buckets, this router expects {ring.depth}"
-            )
-        if n_syn != ring.n_synapse_types:
-            raise SimulationError(
-                f"population {name!r}: synapse-type mismatch — snapshot "
-                f"has {n_syn}, this router expects {ring.n_synapse_types}"
-            )
-        if n != ring.n:
-            raise SimulationError(
-                f"population {name!r}: size mismatch — snapshot holds "
-                f"{n} neurons, this router expects {ring.n}"
-            )
-        head = int(ring_payload["head"])
-        if not 0 <= head < ring.depth:
-            raise SimulationError(
-                f"population {name!r}: snapshot head {head} out of "
-                f"range 0..{ring.depth - 1}"
-            )
+                    f"population {name!r}: {error}"
+                ) from None
+        for name, ring in self.rings.items():
+            ring.restore(payload[name])
 
     # -- telemetry ---------------------------------------------------------
 
     def publish_metrics(self, metrics) -> None:
         """Publish per-ring routing counters (collect-time only)."""
-        for name, ring in self._rings.items():
+        for name, ring in self.rings.items():
             labels = {"population": name}
             metrics.counter(
                 "ring_events_enqueued_total",

@@ -48,7 +48,7 @@ from repro.network.network import Network
 from repro.network.population import Population
 from repro.network.projection import Projection
 from repro.network.recorder import SpikeRecorder
-from repro.routing import DelayRing, SpikeRouter
+from repro.routing import SpikeRouter
 from repro.sharding.plan import ShardPlan
 
 #: Bumped when the per-shard snapshot payload layout changes.
@@ -122,17 +122,19 @@ class ShardRunner:
             if post_name not in self._owned:
                 continue
             lo, hi = self._owned[post_name]
-            mask = (projection.post_idx >= lo) & (projection.post_idx < hi)
+            post_idx = projection.post_idx
+            mask = (post_idx >= lo) & (post_idx < hi)
             if not mask.any():
                 continue
-            # The mask preserves the projection's flat synapse order,
-            # and Projection's stable re-sort leaves an already-sorted
-            # subsequence untouched — accumulation order is pinned.
+            # The mask preserves the projection's flat synapse order
+            # (already sorted by pre, so Projection keeps it as is) —
+            # accumulation order is pinned. Ring targets are re-encoded
+            # against the slice-sized local population.
             sub = Projection(
                 projection.pre,
                 local.populations[post_name],
                 projection.pre_of_synapses()[mask],
-                projection.post_idx[mask] - lo,
+                post_idx[mask] - lo,
                 projection.weights[mask],
                 projection.delays[mask],
                 projection.syn_type,
@@ -148,17 +150,10 @@ class ShardRunner:
         # synapses that happen to land on this slice could have a
         # narrower delay range, and ring geometry must agree across
         # shards for snapshots and replay offsets to compose.
-        bounds = SpikeRouter.delay_bounds(network)
-        rings: Dict[str, DelayRing] = {}
-        for name, (lo, hi) in self._owned.items():
-            min_delay, max_delay = bounds.get(name, (1, 1))
-            rings[name] = DelayRing(
-                hi - lo,
-                network.populations[name].n_synapse_types,
-                max_delay,
-                min_delay=min_delay,
-            )
-        self._router = SpikeRouter(rings)
+        self._router = SpikeRouter.from_network(
+            local, bounds=SpikeRouter.delay_bounds(network)
+        )
+        rings = self._router.rings
         for name, runtime in backend.runtimes.items():
             runtime.bind_ring(self._router.ring(name))
 
@@ -250,9 +245,10 @@ class ShardRunner:
 
         Canonical order — step offset major, then global projection
         order — with each arrival deposited ``delay - (length - o)``
-        buckets ahead of the (already rotated) ring head. Every delay
-        is >= ``length`` (<= the plan window), so offsets are >= 0; an
-        offset-0 deposit is a spike arriving at the very next step.
+        buckets ahead of the (already rotated) ring head, in the ring's
+        accumulation-order contract. Every delay is >= ``length`` (<=
+        the plan window), so offsets are >= 0; an offset-0 deposit is a
+        spike arriving at the very next step.
         """
         for name, per_step in merged.items():
             if len(per_step) != length:
@@ -272,9 +268,8 @@ class ShardRunner:
                 pre_fired = np.asarray(per_step[offset], dtype=np.int64)
                 if pre_fired.size == 0:
                     continue
-                post_idx, weights, delays = sub.synapses_of(pre_fired)
-                if post_idx.size:
-                    ring.deposit(post_idx, weights, delays - shift, syn_type)
+                targets, weights, counts = sub.synapses_of(pre_fired)
+                ring.deposit(targets, weights, counts, syn_type, shift)
 
     # -- snapshot / restore ------------------------------------------------
 

@@ -10,10 +10,12 @@ from repro.network import (
     PatternStimulus,
     PoissonStimulus,
     Population,
-    SpikeQueue,
+    Projection,
     SpikeRecorder,
     StateRecorder,
 )
+from repro.routing import DelayRing, SpikeRouter
+from tests.conftest import enqueue_events
 
 DT = 1e-4
 
@@ -34,11 +36,11 @@ class TestPopulation:
 
 
 class TestSpikeQueue:
+    """The per-population spike queue contract, held by ``DelayRing``."""
+
     def test_enqueue_and_deliver_after_delay(self):
-        queue = SpikeQueue(n=5, n_synapse_types=2, max_delay=3)
-        queue.enqueue(
-            np.array([2]), np.array([0.7]), np.array([2]), syn_type=0
-        )
+        queue = DelayRing(n=5, n_synapse_types=2, max_delay=3)
+        enqueue_events(queue, [2], [0.7], [2], syn_type=0)
         assert queue.current()[0, 2] == 0.0
         queue.rotate()
         assert queue.current()[0, 2] == 0.0
@@ -46,23 +48,18 @@ class TestSpikeQueue:
         assert queue.current()[0, 2] == pytest.approx(0.7)
 
     def test_enqueue_now_lands_in_current_slot(self):
-        queue = SpikeQueue(5, 2, 3)
+        queue = DelayRing(5, 2, 3)
         queue.enqueue_now(np.array([1]), np.array([0.3]), syn_type=1)
         assert queue.current()[1, 1] == pytest.approx(0.3)
 
     def test_accumulates_multiple_events_to_same_target(self):
-        queue = SpikeQueue(4, 1, 2)
-        queue.enqueue(
-            np.array([0, 0, 0]),
-            np.array([0.1, 0.2, 0.3]),
-            np.array([1, 1, 1]),
-            syn_type=0,
-        )
+        queue = DelayRing(4, 1, 2)
+        enqueue_events(queue, [0, 0, 0], [0.1, 0.2, 0.3], [1, 1, 1])
         queue.rotate()
         assert queue.current()[0, 0] == pytest.approx(0.6)
 
     def test_slot_cleared_after_rotation(self):
-        queue = SpikeQueue(3, 1, 2)
+        queue = DelayRing(3, 1, 2)
         queue.enqueue_now(np.array([0]), np.array([1.0]), 0)
         queue.rotate()
         for _ in range(3):
@@ -70,31 +67,47 @@ class TestSpikeQueue:
         assert queue.pending_total() == 0.0
 
     def test_delay_out_of_range_raises(self):
-        queue = SpikeQueue(3, 1, 2)
-        with pytest.raises(SimulationError):
-            queue.enqueue(np.array([0]), np.array([1.0]), np.array([5]), 0)
-        with pytest.raises(SimulationError):
-            queue.enqueue(np.array([0]), np.array([1.0]), np.array([0]), 0)
+        # The range check is a build-time one: a projection rejects
+        # delays below one step and ring-target overflow, and binding
+        # rejects a projection whose delays outrun the ring.
+        pre = Population("pre", 2, LIF())
+        post = Population("post", 3, LIF())
+        one = np.array([0])
+        with pytest.raises(ConfigurationError, match="at least one"):
+            Projection(pre, post, one, one, np.array([1.0]), np.array([0]), 0)
+        with pytest.raises(ConfigurationError, match="'pre'.*'post'|'post'.*'pre'"):
+            Projection(
+                pre, post, one, one, np.array([1.0]), np.array([2**30]), 0
+            )
+        late = Projection(
+            pre, post, one, one, np.array([1.0]), np.array([5]), 0
+        )
+        router = SpikeRouter({"post": DelayRing(3, post.n_synapse_types, 2)})
+        with pytest.raises(SimulationError, match="'pre->post'.*'post'"):
+            router.bind([late])
+        assert router.pending_total() == 0
 
     def test_weight_conservation(self):
-        queue = SpikeQueue(10, 2, 5)
+        queue = DelayRing(10, 2, 5)
         rng = np.random.default_rng(0)
         total = 0.0
         for _ in range(20):
             idx = rng.integers(0, 10, size=4)
             weights = rng.random(4)
             delays = rng.integers(1, 6, size=4)
-            queue.enqueue(idx, weights, delays, syn_type=0)
+            enqueue_events(queue, idx, weights, delays, syn_type=0)
             total += weights.sum()
         assert queue.pending_weight() == pytest.approx(total)
 
     def test_pending_total_counts_events_integrally(self):
-        queue = SpikeQueue(10, 2, 5)
+        queue = DelayRing(10, 2, 5)
         rng = np.random.default_rng(0)
         events = 0
         for _ in range(20):
             idx = rng.integers(0, 10, size=4)
-            queue.enqueue(idx, rng.random(4), rng.integers(1, 6, size=4), 0)
+            enqueue_events(
+                queue, idx, rng.random(4), rng.integers(1, 6, size=4)
+            )
             events += 4
         assert queue.pending_total() == events
         assert type(queue.pending_total()) is int

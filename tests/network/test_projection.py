@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.models import LIF
-from repro.network import Population, Projection, connect
+from repro.network import Population, Projection, Simulator, connect
+from repro.plasticity import PairSTDP
 
 
 def _pops(n_pre=10, n_post=20):
@@ -40,16 +41,25 @@ class TestProjection:
             delays=np.array([1, 2, 3]),
             syn_type=0,
         )
-        post_idx, weights, delays = proj.synapses_of(np.array([0, 2]))
-        assert sorted(post_idx.tolist()) == [1, 2, 3]
-        assert sorted(weights.tolist()) == [0.5, 0.6, 0.7]
-        assert sorted(delays.tolist()) == [1, 2, 3]
+        targets, weights, counts = proj.synapses_of(np.array([0, 2]))
+        # Ring targets are delay * (n_synapse_types * post.n) + post_idx,
+        # in CSR order; counts is the per-delay event histogram.
+        stride = post.n_synapse_types * post.n
+        assert targets.dtype == np.int32
+        assert targets.tolist() == [stride + 1, 2 * stride + 2, 3 * stride + 3]
+        assert weights.tolist() == [0.5, 0.6, 0.7]
+        assert counts.tolist() == [0, 1, 1, 1]
+        assert proj.synapses_of(np.array([2]))[2].tolist() == [0, 0, 0, 1]
+        assert proj.post_idx.tolist() == [1, 2, 3]
+        assert proj.delays.tolist() == [1, 2, 3]
+        assert proj.post_of(np.array([2, 0])).tolist() == [3, 1]
 
     def test_synapses_of_empty_fired(self):
         pre, post = _pops()
         proj = connect(pre, post, probability=0.5, rng=np.random.default_rng(0))
-        post_idx, weights, delays = proj.synapses_of(np.array([], dtype=np.int64))
-        assert post_idx.size == 0
+        targets, weights, counts = proj.synapses_of(np.array([], dtype=np.int64))
+        assert targets.size == 0 and weights.size == 0
+        assert not counts.any()
 
     def test_synapses_of_neuron_without_outgoing(self):
         pre, post = _pops()
@@ -62,8 +72,9 @@ class TestProjection:
             delays=np.array([1]),
             syn_type=0,
         )
-        post_idx, _, _ = proj.synapses_of(np.array([5]))
-        assert post_idx.size == 0
+        targets, _, counts = proj.synapses_of(np.array([5]))
+        assert targets.size == 0
+        assert not counts.any()
 
     def test_max_delay(self):
         pre, post = _pops()
@@ -76,6 +87,26 @@ class TestProjection:
             syn_type=0,
         )
         assert proj.max_delay == 9
+        assert proj.min_delay == 3
+
+    def test_rejects_ring_targets_beyond_int32(self):
+        # (max_delay + 1) * n_synapse_types * post.n must stay below
+        # 2**31; the error names both endpoints.
+        pre, post = _pops(2, 2**26)
+        assert post.n_synapse_types == 2
+        synapse = dict(
+            pre_idx=np.array([1]),
+            post_idx=np.array([2**26 - 1]),
+            weights=np.array([1.0]),
+            syn_type=1,
+        )
+        with pytest.raises(ConfigurationError) as error:
+            Projection(pre, post, delays=np.array([15]), **synapse)
+        assert "'pre'" in str(error.value) and "'post'" in str(error.value)
+        proj = Projection(pre, post, delays=np.array([14]), **synapse)
+        assert proj.targets.tolist() == [14 * 2**27 + 2**26 - 1]
+        assert proj.post_idx.tolist() == [2**26 - 1]
+        assert proj.delays.tolist() == [14]
 
     def test_rejects_mismatched_arrays(self):
         pre, post = _pops()
@@ -124,6 +155,57 @@ class TestProjection:
                 delays=np.array([1]),
                 syn_type=5,
             )
+
+
+class TestDerivedViews:
+    """``post_idx`` / ``delays`` are decoded O(n_synapses) views for
+    build-time users; the step loop must never touch them."""
+
+    @pytest.mark.parametrize("plastic", [False, True])
+    def test_a_run_never_decodes_the_synapse_table(
+        self, small_network, monkeypatch, plastic
+    ):
+        if plastic:
+            small_network.add_plasticity(
+                small_network.projections[0], PairSTDP(w_max=0.1)
+            )
+        decoded = []
+        for view in ("post_idx", "delays"):
+            original = getattr(Projection, view).fget
+
+            def counted(projection, view=view, original=original):
+                decoded.append((projection.name, view))
+                return original(projection)
+
+            monkeypatch.setattr(Projection, view, property(counted))
+        simulator = Simulator(small_network, seed=1)
+        assert decoded == []  # delay bounds are cached at construction
+        first = simulator.run(200)
+        assert first.total_spikes() > 0
+        assert first.phases["synapse"].operations > 0
+        # The one permitted decode: a plastic projection builds its
+        # post-sorted (CSC) index once, at its first post spike.
+        assert decoded == ([("exc->exc", "post_idx")] if plastic else [])
+        del decoded[:]
+        simulator.run(200)
+        assert decoded == []
+
+    def test_bounds_and_size_are_cached_attributes(self):
+        pre, post = _pops()
+        proj = connect(
+            pre, post, probability=0.5, delay_steps=2, delay_jitter=3,
+            rng=np.random.default_rng(1),
+        )
+        assert proj.n_synapses == proj.targets.size == proj.weights.size
+        assert (proj.min_delay, proj.max_delay) == (
+            proj.delays.min(), proj.delays.max(),
+        )
+        assert np.array_equal(
+            proj.delay_counts.sum(axis=0),
+            np.bincount(proj.delays, minlength=proj.max_delay + 1),
+        )
+        for attribute in ("n_synapses", "min_delay", "max_delay"):
+            assert attribute in vars(proj)
 
 
 class TestConnect:

@@ -1,0 +1,289 @@
+"""Property tests: spike delivery is *exactly* a per-synapse loop.
+
+``Projection.synapses_of`` + ``DelayRing.enqueue`` (and the sharded
+``DelayRing.deposit`` replay) promise to accumulate arrivals one at a
+time in the contract order — projections in network order, fired
+neurons ascending, CSR synapse order within a neuron. The reference
+below is that sentence as three nested Python loops over per-synapse
+``(pre, post, weight, delay)`` records into a dense ``(step, type,
+neuron)`` array; every comparison is ``==`` on float64, not
+``allclose``, with weights spanning enough magnitudes that any other
+summation order shows in the last bits.
+"""
+
+import os
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.network import Network, PoissonStimulus, Projection, Simulator
+from repro.network.backends import ReferenceBackend
+from repro.reliability.checkpoint import Checkpoint
+from repro.routing import DelayRing, SpikeRouter
+
+FIXTURE = os.path.join(
+    os.path.dirname(__file__), "..", "reliability", "fixtures",
+    "pre_flat_ring.ckpt",
+)
+
+_weight = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-1e-6, 1e-6, allow_nan=False),
+    st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 1.0]),
+)
+
+
+def _population(name, n, n_synapse_types):
+    # Projection and DelayRing read only these three attributes; a
+    # stand-in reaches sizes (0) and type counts (1, 3) that no model
+    # in the registry has.
+    return SimpleNamespace(name=name, n=n, n_synapse_types=n_synapse_types)
+
+
+@st.composite
+def _scenarios(draw):
+    n_types = draw(st.integers(1, 3))
+    pre_n = draw(st.integers(0, 5))
+    post_n = draw(st.integers(0, 4))
+    min_delay = draw(st.integers(1, 3))
+    max_delay = min_delay + draw(st.integers(0, 3))
+    synapse = st.tuples(
+        st.integers(0, max(pre_n - 1, 0)),
+        st.integers(0, max(post_n - 1, 0)),
+        _weight,
+        st.integers(min_delay, max_delay),
+    )
+    size = 12 if pre_n and post_n else 0
+    projections = draw(st.lists(
+        st.tuples(
+            st.integers(0, n_types - 1),
+            st.lists(synapse, max_size=size),
+            st.booleans(),  # present pre_idx sorted, as connect() does
+        ),
+        min_size=1, max_size=3,
+    ))
+    depth = max_delay + 1
+    n_steps = draw(st.integers(1, 3 * depth))
+    fired = draw(st.lists(
+        st.lists(
+            st.sets(st.integers(0, max(pre_n - 1, 0)), max_size=pre_n),
+            min_size=len(projections), max_size=len(projections),
+        ),
+        min_size=n_steps, max_size=n_steps,
+    ))
+    stimulus = draw(st.lists(
+        st.lists(
+            st.tuples(st.integers(0, n_types - 1),
+                      st.integers(0, max(post_n - 1, 0)), _weight),
+            max_size=2 if post_n else 0,
+        ),
+        min_size=n_steps, max_size=n_steps,
+    ))
+    return SimpleNamespace(
+        n_types=n_types, pre_n=pre_n, post_n=post_n, min_delay=min_delay,
+        max_delay=max_delay, depth=depth, projections=projections,
+        n_steps=n_steps, fired=fired, stimulus=stimulus,
+        rotations=draw(st.integers(0, 2 * depth)),
+        window=draw(st.integers(1, min_delay)),
+        snapshot_at=draw(st.integers(0, n_steps - 1)),
+    )
+
+
+def _build(scenario):
+    """``(projections, per-projection CSR-ordered synapse records)``."""
+    pre = _population("pre", scenario.pre_n, 1)
+    post = _population("post", scenario.post_n, scenario.n_types)
+    projections, records = [], []
+    for syn_type, synapses, presorted in scenario.projections:
+        # CSR order is a stable sort by presynaptic neuron.
+        ordered = sorted(synapses, key=lambda synapse: synapse[0])
+        given_order = ordered if presorted else synapses
+        columns = list(zip(*given_order)) or [(), (), (), ()]
+        projections.append(Projection(
+            pre, post,
+            np.array(columns[0], dtype=np.int64),
+            np.array(columns[1], dtype=np.int64),
+            np.array(columns[2], dtype=np.float64),
+            np.array(columns[3], dtype=np.int64),
+            syn_type,
+        ))
+        records.append(ordered)
+    return projections, records
+
+
+class _Loop:
+    """The contract as nested loops: dense weights and counts per step."""
+
+    def __init__(self, scenario, records):
+        self.scenario = scenario
+        self.records = records
+        horizon = scenario.n_steps + scenario.depth
+        self.dense = np.zeros((horizon, scenario.n_types, scenario.post_n))
+        self.counts = np.zeros(horizon, dtype=np.int64)
+
+    def inject(self, step):
+        for syn_type, post, weight in self.scenario.stimulus[step]:
+            self.dense[step, syn_type, post] += weight
+            self.counts[step] += 1
+
+    def deliver(self, step):
+        for (syn_type, _, _), synapses, fired in zip(
+            self.scenario.projections, self.records,
+            self.scenario.fired[step],
+        ):
+            for neuron in sorted(fired):
+                for pre, post, weight, delay in synapses:
+                    if pre == neuron:
+                        self.dense[step + delay, syn_type, post] += weight
+                        self.counts[step + delay] += 1
+
+
+def _fresh_ring(scenario):
+    return DelayRing(
+        scenario.post_n, scenario.n_types, scenario.max_delay,
+        min_delay=scenario.min_delay,
+    )
+
+
+def _rotated_ring(scenario, projections):
+    """A ring whose head sits ``rotations`` steps in, bound once."""
+    ring = _fresh_ring(scenario)
+    SpikeRouter({"post": ring}).bind(projections)
+    for _ in range(scenario.rotations):
+        ring.rotate()
+    return ring
+
+
+def _inject(ring, events):
+    for syn_type, post, weight in events:
+        ring.enqueue_now(np.array([post]), np.array([weight]), syn_type)
+
+
+def _gather(projection, fired):
+    return projection.synapses_of(np.array(sorted(fired), dtype=np.int64))
+
+
+@given(_scenarios())
+@settings(max_examples=300, deadline=None)
+def test_delivery_equals_the_per_synapse_loop(scenario):
+    projections, records = _build(scenario)
+    loop = _Loop(scenario, records)
+    rings = [_rotated_ring(scenario, projections)]
+    depth = scenario.depth
+    for step in range(scenario.n_steps):
+        if step == scenario.snapshot_at:
+            # A snapshot taken at any head carries the wrapped layout
+            # checkpoints always had, and restores into a fresh ring
+            # that then replays identically.
+            payload = rings[0].snapshot()
+            head = payload["head"]
+            assert head == (scenario.rotations + step) % depth
+            for ahead in range(depth):
+                assert np.array_equal(
+                    payload["ring"][(head + ahead) % depth],
+                    loop.dense[step + ahead],
+                )
+                assert (
+                    payload["counts"][(head + ahead) % depth]
+                    == loop.counts[step + ahead]
+                )
+            rings.append(_fresh_ring(scenario))
+            rings[1].restore(payload)
+        loop.inject(step)
+        for ring in rings:
+            _inject(ring, scenario.stimulus[step])
+            assert np.array_equal(ring.current(), loop.dense[step])
+            assert ring.current_events() == loop.counts[step]
+            for projection, fired in zip(projections, scenario.fired[step]):
+                ring.enqueue(*_gather(projection, fired), projection.syn_type)
+        loop.deliver(step)
+        for ring in rings:
+            # The ring's counts come from delay_counts; the loop's from
+            # per-synapse delays.
+            ahead = loop.counts[step:step + depth]
+            assert np.array_equal(ring.flush_events(depth), ahead)
+            assert np.array_equal(
+                ring.flush_window(depth), loop.dense[step:step + depth]
+            )
+            assert ring.pending_total() == ahead.sum()
+            assert type(ring.pending_total()) is int
+            assert ring.enqueued_events == loop.counts.sum()
+            ring.rotate()
+
+
+@given(_scenarios())
+@settings(max_examples=300, deadline=None)
+def test_deposit_replay_equals_the_per_synapse_loop(scenario):
+    # The sharded schedule: run a window of steps with no synaptic
+    # traffic, then replay the window's fired sets step-major through
+    # deposit(shift) — every legal shift 1..window occurs.
+    projections, records = _build(scenario)
+    loop = _Loop(scenario, records)
+    ring = _rotated_ring(scenario, projections)
+    depth = scenario.depth
+    step = 0
+    while step < scenario.n_steps:
+        length = min(scenario.window, scenario.n_steps - step)
+        for now in range(step, step + length):
+            loop.inject(now)
+            _inject(ring, scenario.stimulus[now])
+            assert np.array_equal(ring.current(), loop.dense[now])
+            assert ring.current_events() == loop.counts[now]
+            loop.deliver(now)
+            ring.rotate()
+        for offset in range(length):
+            for projection, fired in zip(
+                projections, scenario.fired[step + offset]
+            ):
+                ring.deposit(
+                    *_gather(projection, fired), projection.syn_type,
+                    shift=length - offset,
+                )
+        step += length
+        assert np.array_equal(
+            ring.flush_window(depth), loop.dense[step:step + depth]
+        )
+        assert np.array_equal(
+            ring.flush_events(depth), loop.counts[step:step + depth]
+        )
+
+
+def _pre_change_network():
+    rng = np.random.default_rng(11)
+    net = Network("pre-change")
+    exc = net.add_population("exc", 30, "DLIF")
+    net.add_population("inh", 8, "DLIF")
+    net.connect("exc", "exc", probability=0.2, weight=0.05, syn_type=0,
+                rng=rng, delay_steps=2, delay_jitter=5)
+    net.connect("exc", "inh", probability=0.3, weight=0.05, syn_type=0,
+                rng=rng, delay_steps=1, delay_jitter=2)
+    net.connect("inh", "exc", probability=0.3, weight=0.2, syn_type=1,
+                rng=rng, delay_steps=3)
+    net.add_stimulus(PoissonStimulus(exc, rate_hz=900.0, weight=0.12,
+                                     dt=1e-4, n_sources=10))
+    return net
+
+
+def test_checkpoint_written_before_the_flat_ring_still_resumes():
+    # fixtures/pre_flat_ring.ckpt was saved at step 151 of this network
+    # by the commit before the ring was unwrapped (wrapped 3-D ring
+    # payload, heads 7 and 3, five deliveries in flight); the digest is
+    # that commit's uninterrupted 301-step run.
+    checkpoint = Checkpoint.load(FIXTURE)
+    simulator = Simulator(_pre_change_network(), ReferenceBackend(), seed=5)
+    checkpoint.restore(simulator)
+    assert simulator.router.pending_total() == 5
+    assert {
+        name: ring.snapshot()["head"]
+        for name, ring in simulator.router.rings.items()
+    } == {"exc": 7, "inh": 3}
+    # Re-capturing reproduces the old payload array for array.
+    for name, ring in simulator.router.rings.items():
+        for key, value in ring.snapshot().items():
+            assert np.array_equal(value, checkpoint.queues[name][key]), key
+    result = simulator.run(150, spikes=checkpoint.seed_recorder())
+    assert result.spikes.total_spikes() == 176
+    assert result.spikes.digest() == (
+        "30975c65678ffabb1e7f7eb2278876ccbb7e248e13d741d468573b181a379a9c"
+    )

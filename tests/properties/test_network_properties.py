@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.models import LIF
 from repro.network import Network, PoissonStimulus, Population, Simulator
 from repro.network.projection import connect
-from repro.network.spike_queue import SpikeQueue
+from repro.routing import DelayRing
+from tests.conftest import enqueue_events
 
 DT = 1e-4
 
@@ -23,15 +24,10 @@ class TestSpikeQueueProperties:
         )
     )
     def test_every_enqueued_weight_is_delivered_exactly_once(self, events):
-        queue = SpikeQueue(n=10, n_synapse_types=1, max_delay=5)
+        queue = DelayRing(n=10, n_synapse_types=1, max_delay=5)
         total_in = 0.0
         for target, weight, delay in events:
-            queue.enqueue(
-                np.array([target]),
-                np.array([weight]),
-                np.array([delay]),
-                syn_type=0,
-            )
+            enqueue_events(queue, [target], [weight], [delay])
             total_in += weight
         delivered = 0.0
         for _ in range(6):
@@ -43,10 +39,8 @@ class TestSpikeQueueProperties:
 
     @given(st.integers(min_value=1, max_value=8))
     def test_delivery_happens_exactly_at_the_delay(self, delay):
-        queue = SpikeQueue(n=3, n_synapse_types=1, max_delay=8)
-        queue.enqueue(
-            np.array([1]), np.array([2.5]), np.array([delay]), syn_type=0
-        )
+        queue = DelayRing(n=3, n_synapse_types=1, max_delay=8)
+        enqueue_events(queue, [1], [2.5], [delay])
         for step in range(delay + 1):
             current = float(queue.current()[0, 1])
             if step == delay:

@@ -1,12 +1,11 @@
 """Property tests: DelayRing vs the legacy SpikeQueue semantics.
 
-The refactor's core promise is that moving spike delivery from the old
-per-population ``SpikeQueue`` onto the routing layer's ``DelayRing``
-changes *nothing* observable: the same ``(step, syn_type, target,
-weight)`` deliveries come out, at the same steps, in the same
-accumulated buckets. ``_LegacySpikeQueue`` below is the pre-refactor
-implementation (float ring, no event counts) kept verbatim as the
-reference; Hypothesis interleaves enqueues, stimulus injections, and
+The routing layer's core promise is that its ``DelayRing`` delivers
+exactly what the original per-population ``SpikeQueue`` did: the same
+``(step, syn_type, target, weight)`` deliveries come out, at the same
+steps, in the same accumulated buckets. ``_LegacySpikeQueue`` below is
+that original implementation (wrapped float ring, per-event delays, no
+event counts) kept verbatim as the reference; Hypothesis interleaves enqueues, stimulus injections, and
 rotations arbitrarily and compares every delivered bucket — and the
 multiset of deliveries — between the two.
 """
@@ -15,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.routing import DelayRing
+from tests.conftest import enqueue_events
 
 N = 6
 N_TYPES = 2
@@ -102,7 +102,7 @@ def test_ring_delivers_legacy_multiset(ops):
             idx = np.array([target])
             w = np.array([weight])
             d = np.array([delay])
-            ring.enqueue(idx, w, d, syn_type)
+            enqueue_events(ring, idx, w, d, syn_type)
             legacy.enqueue(idx, w, d, syn_type)
             events_in_flight += 1
         else:
@@ -139,12 +139,7 @@ def test_flush_window_equals_future_pops(ops, horizon):
         if kind == "rotate":
             ring.rotate()
         elif kind == "enqueue":
-            ring.enqueue(
-                np.array([target]),
-                np.array([weight]),
-                np.array([delay]),
-                syn_type,
-            )
+            enqueue_events(ring, [target], [weight], [delay], syn_type)
         else:
             ring.enqueue_now(np.array([target]), np.array([weight]), syn_type)
     window = ring.flush_window(horizon)
@@ -164,12 +159,7 @@ def test_snapshot_restore_preserves_future_deliveries(ops):
         if kind == "rotate":
             ring.rotate()
         elif kind == "enqueue":
-            ring.enqueue(
-                np.array([target]),
-                np.array([weight]),
-                np.array([delay]),
-                syn_type,
-            )
+            enqueue_events(ring, [target], [weight], [delay], syn_type)
         else:
             ring.enqueue_now(np.array([target]), np.array([weight]), syn_type)
     clone = DelayRing(N, N_TYPES, MAX_DELAY, min_delay=MIN_DELAY)

@@ -1,4 +1,4 @@
-"""Property test: SpikeQueue vs a brute-force dense delay model.
+"""Property test: the spike queue (DelayRing) vs a brute-force dense model.
 
 The ring buffer's contract is simple to state — a weight enqueued with
 delay ``d`` at step ``t`` appears in the input popped at step ``t+d``,
@@ -12,8 +12,11 @@ dense model immediately.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError
-from repro.network.spike_queue import SpikeQueue
+from repro.errors import ConfigurationError, SimulationError
+from repro.models import LIF
+from repro.network import Population, Projection
+from repro.routing import DelayRing, SpikeRouter
+from tests.conftest import enqueue_events
 
 N = 7
 N_TYPES = 2
@@ -49,7 +52,7 @@ _op = st.one_of(
 @given(st.lists(_op, max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_interleaved_ops_match_dense_model(ops):
-    queue = SpikeQueue(N, N_TYPES, MAX_DELAY)
+    queue = DelayRing(N, N_TYPES, MAX_DELAY)
     dense = np.zeros((HORIZON, N_TYPES, N))
     now = 0
     for kind, target, weight, delay, syn_type in ops:
@@ -58,12 +61,7 @@ def test_interleaved_ops_match_dense_model(ops):
             queue.rotate()
             now += 1
         elif kind == "enqueue":
-            queue.enqueue(
-                np.array([target]),
-                np.array([weight]),
-                np.array([delay]),
-                syn_type,
-            )
+            enqueue_events(queue, [target], [weight], [delay], syn_type)
             dense[now + delay, syn_type, target] += weight
         else:  # enqueue_now
             queue.enqueue_now(
@@ -80,18 +78,23 @@ def test_interleaved_ops_match_dense_model(ops):
 @given(st.integers(min_value=-3, max_value=12))
 @settings(max_examples=50, deadline=None)
 def test_out_of_range_delays_raise(delay):
-    queue = SpikeQueue(N, N_TYPES, MAX_DELAY)
-    idx = np.array([0])
-    weight = np.array([1.0])
-    delays = np.array([delay])
-    if 1 <= delay <= MAX_DELAY:
-        queue.enqueue(idx, weight, delays, 0)  # in range: must not raise
+    # The ring no longer looks at delays per event: a projection
+    # rejects delays below one step when it is built, and the router
+    # rejects a projection that outruns the ring when it is bound.
+    pre = Population("pre", 1, LIF())
+    post = Population("post", N, LIF())
+    assert post.n_synapse_types == N_TYPES
+    queue = DelayRing(N, N_TYPES, MAX_DELAY)
+    router = SpikeRouter({"post": queue})
+    synapse = (np.array([0]), np.array([0]), np.array([1.0]))
+    try:
+        projection = Projection(pre, post, *synapse, np.array([delay]), 0)
+        router.bind([projection])
+    except (ConfigurationError, SimulationError):
+        assert not 1 <= delay <= MAX_DELAY, f"delay {delay} is in range"
+        # A rejected projection never reached the ring.
+        assert queue.pending_total() == 0
     else:
-        try:
-            queue.enqueue(idx, weight, delays, 0)
-        except SimulationError:
-            pass
-        else:
-            raise AssertionError(f"delay {delay} accepted but out of range")
-        # A rejected enqueue must not have partially mutated the ring.
-        assert queue.pending_total() == 0.0
+        assert 1 <= delay <= MAX_DELAY, f"delay {delay} accepted"
+        queue.enqueue(*projection.synapses_of(np.array([0])), 0)
+        assert queue.pending_total() == 1

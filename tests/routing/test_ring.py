@@ -5,15 +5,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.routing import DelayRing
+from tests.conftest import enqueue_events
 
 
 def _enqueue(ring, target, weight, delay, syn_type=0):
-    ring.enqueue(
-        np.array([target]),
-        np.array([weight]),
-        np.array([delay]),
-        syn_type,
-    )
+    enqueue_events(ring, [target], [weight], [delay], syn_type)
 
 
 class TestConstruction:

@@ -7,6 +7,7 @@ from repro.errors import SimulationError
 from repro.network import Network
 from repro.routing import SpikeRouter
 from repro.telemetry import MetricsRegistry
+from tests.conftest import enqueue_events
 
 
 def _network():
@@ -47,12 +48,8 @@ class TestSizing:
 class TestStepping:
     def test_rotate_all_advances_every_ring(self):
         router = SpikeRouter.from_network(_network())
-        router.ring("a").enqueue(
-            np.array([0]), np.array([1.0]), np.array([5]), 0
-        )
-        router.ring("b").enqueue(
-            np.array([1]), np.array([2.0]), np.array([2]), 0
-        )
+        enqueue_events(router.ring("a"), [0], [1.0], [5])
+        enqueue_events(router.ring("b"), [1], [2.0], [2])
         assert router.pending_total() == 2
         assert router.enqueued_total() == 2
         for _ in range(5):
@@ -68,9 +65,7 @@ class TestStepping:
 class TestSnapshotRestore:
     def test_round_trip(self):
         router = SpikeRouter.from_network(_network())
-        router.ring("b").enqueue(
-            np.array([0, 3]), np.array([0.5, 0.25]), np.array([2, 3]), 0
-        )
+        enqueue_events(router.ring("b"), [0, 3], [0.5, 0.25], [2, 3])
         payload = router.snapshot()
         other = SpikeRouter.from_network(_network())
         other.restore(payload)
@@ -136,9 +131,7 @@ class TestSnapshotRestore:
         # state: a payload bad in one population leaves the whole
         # router untouched, not half-restored.
         router = SpikeRouter.from_network(_network())
-        router.ring("a").enqueue(
-            np.array([1]), np.array([3.0]), np.array([5]), 0
-        )
+        enqueue_events(router.ring("a"), [1], [3.0], [5])
         payload = router.snapshot()
         payload["isolated"]["head"] = 99
         before = router.ring("a").flush_window(router.ring("a").depth).copy()
@@ -152,9 +145,7 @@ class TestSnapshotRestore:
 class TestTelemetry:
     def test_publish_metrics_keeps_counts_integral(self):
         router = SpikeRouter.from_network(_network())
-        router.ring("a").enqueue(
-            np.array([0]), np.array([1.0]), np.array([5]), 0
-        )
+        enqueue_events(router.ring("a"), [0], [1.0], [5])
         metrics = MetricsRegistry()
         router.publish_metrics(metrics)
         snapshot = metrics.snapshot()
