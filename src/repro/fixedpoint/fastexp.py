@@ -44,8 +44,7 @@ def fast_exp(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """
     scalar = np.isscalar(y)
     arr = np.clip(np.asarray(y, dtype=np.float64), -_Y_MAX, _Y_MAX)
-    high = np.int64(_EXP_A * arr + _EXP_C)
-    bits = high.astype(np.int64) << 32
+    bits = (_EXP_A * arr + _EXP_C).astype(np.int64) << 32
     out = bits.view(np.float64)
     if scalar:
         return float(out)
@@ -59,7 +58,8 @@ def fx_exp(raw, fmt: FixedFormat, strict: bool = False):
     passed through the Schraudolph approximation, and the result is
     re-quantised (with saturation) into ``fmt``. Large positive inputs
     therefore saturate at ``fmt.max_value``, exactly as a fixed-point
-    output register would.
+    output register would. The approximation is finite by construction,
+    so an in-range result takes the quantiser's copy-free path.
     """
     y = fx_to_float(raw, fmt)
     return fx_from_float(fast_exp(y), fmt, strict=strict)

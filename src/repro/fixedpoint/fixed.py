@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, Optional, Union
 
 import numpy as np
@@ -62,19 +63,24 @@ class FixedFormat:
         """Bits in the integer portion (includes the sign bit if signed)."""
         return self.total_bits - self.frac_bits
 
-    @property
+    # ``scale``/``raw_min``/``raw_max`` are read on every saturation
+    # check, so they are computed once per format object (cached in the
+    # instance dict, which ``frozen`` does not guard; equality, hashing
+    # and ``repr`` still see the three fields only).
+
+    @cached_property
     def scale(self) -> int:
         """The scaling factor ``2 ** frac_bits``."""
         return 1 << self.frac_bits
 
-    @property
+    @cached_property
     def raw_min(self) -> int:
         """Smallest representable raw integer."""
         if self.signed:
             return -(1 << (self.total_bits - 1))
         return 0
 
-    @property
+    @cached_property
     def raw_max(self) -> int:
         """Largest representable raw integer."""
         if self.signed:
@@ -218,27 +224,30 @@ def _saturate_array(
     strict: bool,
     stats: Optional[SaturationStats] = None,
 ) -> np.ndarray:
-    if strict:
-        if np.any(raw > fmt.raw_max) or np.any(raw < fmt.raw_min):
-            raise FixedPointOverflowError(f"array value saturates format {fmt}")
+    """The one vector saturation routine.
+
+    Counts are exact: every call records ``raw.size`` checked values
+    and the number actually clipped, per format. An array already
+    inside ``[raw_min, raw_max]`` — all but a handful of calls on the
+    registry workloads — is screened by its two extremes and **returned
+    itself, not copied**; a caller that stores the result must own
+    ``raw`` (every ``fx_*`` helper passes a fresh or scratch array).
+    Only an out-of-range array pays the compare/count/clip passes, and
+    gets a clipped copy back.
+    """
+    lo, hi = fmt.raw_min, fmt.raw_max
+    sink = None if strict else (stats if stats is not None else _ACTIVE_SINK)
+    if raw.size == 0 or (raw.min() >= lo and raw.max() <= hi):
+        if sink is not None:
+            sink.record(fmt, raw.size, 0)
         return raw
-    sink = stats if stats is not None else _ACTIVE_SINK
+    if strict:
+        raise FixedPointOverflowError(f"array value saturates format {fmt}")
     if sink is not None:
-        over = int(np.count_nonzero(raw > fmt.raw_max))
-        under = int(np.count_nonzero(raw < fmt.raw_min))
+        over = int(np.count_nonzero(raw > hi))
+        under = int(np.count_nonzero(raw < lo))
         sink.record(fmt, raw.size, over + under)
-    return np.clip(raw, fmt.raw_min, fmt.raw_max)
-
-
-def _saturate(
-    raw: RawLike,
-    fmt: FixedFormat,
-    strict: bool,
-    stats: Optional[SaturationStats] = None,
-) -> RawLike:
-    if isinstance(raw, np.ndarray):
-        return _saturate_array(raw, fmt, strict, stats)
-    return _saturate_scalar(int(raw), fmt, strict, stats)
+    return np.clip(raw, lo, hi)
 
 
 def fx_saturate(
@@ -252,26 +261,39 @@ def fx_saturate(
     The public face of the internal saturation helpers: the membrane
     truncation write-back (Section IV-B1) uses this so clamps against
     the narrow 24-bit store are counted like every other saturation.
+    An in-range array is returned as is, not copied.
     """
-    return _saturate(raw, fmt, strict, stats)
+    if isinstance(raw, np.ndarray):
+        return _saturate_array(raw, fmt, strict, stats)
+    return _saturate_scalar(int(raw), fmt, strict, stats)
 
 
 def fx_from_float(value, fmt: FixedFormat, strict: bool = False) -> RawLike:
     """Quantise a float (or float array) to raw fixed-point integers.
 
-    Rounds to nearest (ties away from zero, matching hardware rounders)
-    and saturates to the format range unless ``strict``.
+    Rounds to nearest and saturates to the format range unless
+    ``strict``. The two paths break ``k + 0.5`` ties differently, and
+    both rules are pinned (``tests/fixedpoint/test_fixed.py``):
+
+    * a **scalar** rounds ties *away from zero* (a hardware rounder on
+      sign-magnitude constants): ``-0.625`` in Q13.2 is raw ``-3``;
+    * an **array** rounds ties *up*, ``floor(x * scale + 0.5)``:
+      ``-0.625`` in Q13.2 is raw ``-2``. This is the path every
+      simulated input takes, so spike digests depend on it.
     """
     # Pre-clamp to twice the representable range so the float->int cast
     # cannot overflow int64 for huge inputs (e.g. a saturating exp);
     # the clamped value still trips strict-mode overflow detection.
     lo, hi = 2.0 * fmt.min_value - 1.0, 2.0 * fmt.max_value + 1.0
     if isinstance(value, np.ndarray):
-        arr = np.nan_to_num(
-            np.asarray(value, dtype=np.float64), nan=0.0, posinf=hi, neginf=lo
-        )
-        raw = np.floor(np.clip(arr, lo, hi) * fmt.scale + 0.5)
-        raw = raw.astype(np.int64)
+        arr = np.asarray(value, dtype=np.float64)
+        # min()/max() propagate NaN, so one test screens NaN, +/-inf and
+        # out-of-clamp values; finite in-clamp arrays skip the copies.
+        if arr.size and not (arr.min() >= lo and arr.max() <= hi):
+            arr = np.clip(
+                np.nan_to_num(arr, nan=0.0, posinf=hi, neginf=lo), lo, hi
+            )
+        raw = np.floor(arr * fmt.scale + 0.5).astype(np.int64)
         return _saturate_array(raw, fmt, strict)
     clamped = min(max(float(value), lo), hi)
     if clamped != clamped:  # NaN

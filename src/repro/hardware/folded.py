@@ -3,8 +3,9 @@
 Where the baseline Flexon instantiates every data path, the folded
 design shares one multiplier, one adder and one exponential unit, and
 schedules each feature's sub-operations over them with control signals
-(Section V-B). This model interprets assembled
-:class:`~repro.hardware.microcode.Microprogram` objects:
+(Section V-B). This model executes assembled
+:class:`~repro.hardware.microcode.Microprogram` objects, lowered once
+per neuron array into a flat plan (compile once, step many):
 
 * **stage 1** executes the control signals — each is one pass through
   the shared MUL-ADD(-EXP) with operands selected per Table IV — and
@@ -22,7 +23,7 @@ makes its simulation take an extra cycle, exactly as Section V-B notes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,9 +32,7 @@ from repro.features import Feature
 from repro.fixedpoint import (
     MEMBRANE_FORMAT,
     FixedFormat,
-    fx_add,
     fx_exp,
-    fx_mul,
     fx_saturate,
 )
 from repro.hardware import datapaths as dp
@@ -51,7 +50,15 @@ from repro.hardware.microcode import Microprogram
 
 
 class FoldedFlexonNeuron:
-    """A vectorised array of folded Flexon neurons running one program."""
+    """A vectorised array of folded Flexon neurons running one program.
+
+    The program is lowered **once**, at construction, into a flat plan
+    of resolved ops (see :meth:`_lower`); :meth:`step` executes that
+    plan over three preallocated int64 scratch rows. The register file
+    ``regs`` and the refractory counter ``cnt`` are only ever written
+    in place, so the row views the plan holds stay bound across
+    :meth:`restore` and fault injection.
+    """
 
     def __init__(
         self,
@@ -69,76 +76,123 @@ class FoldedFlexonNeuron:
             self.cnt = None
         #: Total pipeline cycles consumed so far (all neurons).
         self.total_cycles = 0
+        # Scratch rows: the MUL output, the tmp latch, the accumulator v'.
+        self._prod, self._tmp, self._acc = np.empty((3, n), dtype=np.int64)
+        self._plan = self._lower(program)
+        # Spike-triggered jumps as (register row, raw increment); signs
+        # mirror FlexonNeuron (RR conductances grow on fire).
+        c = program.constants
+        if Feature.RR in program.features:
+            jumps = ((STATE_W, c.b), (STATE_R, c.q_r))
+        elif program.features.has_adaptation_state:
+            jumps = ((STATE_W, -c.b),)
+        else:
+            jumps = ()
+        self._jumps = tuple((self.regs[s], jump) for s, jump in jumps)
 
     @property
     def cycles_per_neuron(self) -> int:
         """Pipeline occupancy of one neuron update."""
         return self.program.cycles_per_neuron
 
+    def _lower(self, program: Microprogram) -> Tuple[tuple, ...]:
+        """Resolve each control signal into one plan op.
+
+        An op is ``(mul_constant, state_row, b, b_arg, exp, s_wr,
+        v_acc)``: the raw MUL constant (``None`` selects ``tmp``), a
+        view of the state register row, the ADD operand mode with its
+        resolved argument (raw constant for ``CONSTANT``, input row for
+        ``INPUT``), and the three flags. Order, operands and saturation
+        points are the control signals' own.
+        """
+        plan = []
+        for signal in program.signals:
+            mul_constant = (
+                program.mul_constants[signal.ca]
+                if signal.a == AOperand.CONSTANT
+                else None
+            )
+            b = BOperand(signal.b)
+            if b is BOperand.CONSTANT:
+                b_arg = program.add_constants[signal.cb]
+            elif b is BOperand.INPUT:
+                b_arg = signal.syn_type
+            else:
+                b_arg = None
+            plan.append(
+                (
+                    mul_constant,
+                    self.regs[signal.s],
+                    b,
+                    b_arg,
+                    signal.exp,
+                    signal.s_wr,
+                    signal.v_acc,
+                )
+            )
+        return tuple(plan)
+
     def step(self, raw_inputs: np.ndarray) -> np.ndarray:
         """Advance every neuron one time step; return the fired mask."""
-        program = self.program
-        c = program.constants
+        c = self.program.constants
         fmt = c.fmt
         if raw_inputs.shape != (c.n_synapse_types, self.n):
             raise SimulationError(
                 f"expected inputs of shape {(c.n_synapse_types, self.n)}, "
                 f"got {raw_inputs.shape}"
             )
-        if self.cnt is not None:
-            gated = dp.ArPath.gate(raw_inputs, self.cnt)
+        cnt = self.cnt
+        if cnt is not None:
+            gated = dp.ArPath.gate(raw_inputs, cnt)
         else:
             gated = raw_inputs
 
-        # -- stage 1: execute the control signals --------------------------
-        acc = np.zeros(self.n, dtype=np.int64)
-        tmp = np.zeros(self.n, dtype=np.int64)
-        for signal in program.signals:
-            if signal.a == AOperand.CONSTANT:
-                mul_operand = program.mul_constants[signal.ca]
-            else:
-                mul_operand = tmp
-            product = fx_mul(mul_operand, self.regs[signal.s], fmt)
-            if signal.b == BOperand.ZERO:
-                out = product
-            elif signal.b == BOperand.CONSTANT:
-                out = fx_add(product, program.add_constants[signal.cb], fmt)
-            elif signal.b == BOperand.INPUT:
-                out = fx_add(product, gated[signal.syn_type], fmt)
-            elif signal.b == BOperand.TMP:
-                out = fx_add(product, tmp, fmt)
-            else:  # LEAK: clamped -V_leak of the selected state register
-                leak = np.minimum(
-                    c.v_leak, np.maximum(self.regs[signal.s], 0)
-                )
-                out = fx_add(product, -leak, fmt)
-            if signal.exp:
+        # -- stage 1: execute the plan -------------------------------------
+        # Each result lands in a scratch row; ``fx_saturate`` hands the
+        # row back when nothing clipped and a clipped copy otherwise, so
+        # ``tmp``/``acc`` below name whichever holds the live value.
+        frac_bits = fmt.frac_bits
+        prod_row, tmp_row, acc_row = self._prod, self._tmp, self._acc
+        tmp_row.fill(0)
+        acc_row.fill(0)
+        tmp, acc = tmp_row, acc_row
+        for mul_constant, state, b, b_arg, exp, s_wr, v_acc in self._plan:
+            row = tmp_row if b is BOperand.ZERO else prod_row
+            np.multiply(tmp if mul_constant is None else mul_constant, state, out=row)
+            np.right_shift(row, frac_bits, out=row)
+            out = fx_saturate(row, fmt)
+            if b is not BOperand.ZERO:
+                if b is BOperand.CONSTANT:
+                    np.add(out, b_arg, out=tmp_row)
+                elif b is BOperand.INPUT:
+                    np.add(out, gated[b_arg], out=tmp_row)
+                elif b is BOperand.TMP:
+                    np.add(out, tmp, out=tmp_row)
+                else:  # LEAK: clamped -V_leak of the selected state register
+                    np.maximum(state, 0, out=tmp_row)
+                    np.minimum(tmp_row, c.v_leak, out=tmp_row)
+                    np.subtract(out, tmp_row, out=tmp_row)
+                out = fx_saturate(tmp_row, fmt)
+            if exp:
                 out = fx_exp(out, fmt)
             tmp = out
-            if signal.s_wr:
-                self.regs[signal.s] = out
-            if signal.v_acc:
-                acc = fx_add(acc, out, fmt)
+            if s_wr:
+                state[...] = out
+            if v_acc:
+                np.add(acc, out, out=acc_row)
+                acc = fx_saturate(acc_row, fmt)
 
         # -- stage 2: fire, reset, write back --------------------------------
-        features = program.features
         fired = acc > c.threshold
-        v_next = np.where(fired, np.int64(c.v_reset), acc)
+        np.copyto(acc, c.v_reset, where=fired)
         if self.membrane_format is not None:
-            v_next = fx_saturate(v_next, self.membrane_format)
-        self.regs[STATE_V] = v_next
-        # Jump signs mirror FlexonNeuron (RR conductances grow on fire).
-        if Feature.RR in features:
-            self.regs[STATE_W] = self.regs[STATE_W] + np.where(fired, c.b, 0)
-            self.regs[STATE_R] = self.regs[STATE_R] + np.where(
-                fired, c.q_r, 0
-            )
-        elif features.has_adaptation_state:
-            self.regs[STATE_W] = self.regs[STATE_W] - np.where(fired, c.b, 0)
-        if self.cnt is not None:
-            cnt = dp.ArPath.tick(self.cnt)
+            acc = fx_saturate(acc, self.membrane_format)
+        self.regs[STATE_V] = acc
+        for row, jump in self._jumps:
+            np.add(row, jump, out=row, where=fired)
+        if cnt is not None:
+            cnt[...] = dp.ArPath.tick(cnt)
             cnt[fired] = c.cnt_max
-            self.cnt = cnt
         self.total_cycles += self.n * self.cycles_per_neuron
         return fired
 
@@ -180,12 +234,15 @@ class FoldedFlexonNeuron:
                 f"snapshot register shape {regs.shape} does not match "
                 f"{self.regs.shape}"
             )
-        self.regs = regs.copy()
         cnt = snapshot["cnt"]
-        if (cnt is None) != (self.cnt is None):
+        if (cnt is None) != (self.cnt is None) or (
+            cnt is not None and np.shape(cnt) != self.cnt.shape
+        ):
             raise SimulationError(
                 "snapshot refractory counter does not match this program"
             )
+        # In place: the step plan holds views of these rows.
+        self.regs[...] = regs
         if cnt is not None:
-            self.cnt = np.asarray(cnt, dtype=np.int64).copy()
+            self.cnt[...] = cnt
         self.total_cycles = int(snapshot["total_cycles"])

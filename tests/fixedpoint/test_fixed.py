@@ -9,12 +9,16 @@ from repro.fixedpoint import (
     MEMBRANE_FORMAT,
     Fixed,
     FixedFormat,
+    SaturationStats,
     fx_add,
+    fx_exp,
     fx_from_float,
     fx_mul,
     fx_neg,
+    fx_saturate,
     fx_sub,
     fx_to_float,
+    observe_saturation,
 )
 
 
@@ -102,6 +106,64 @@ class TestConversion:
         raw = fx_from_float(values, FLEXON_FORMAT)
         assert isinstance(raw, np.ndarray)
         np.testing.assert_allclose(fx_to_float(raw, FLEXON_FORMAT), values)
+
+
+class TestTieBreaking:
+    """The scalar and array quantisers break k + 0.5 ties differently.
+
+    The array rule is on the digest-bearing input path, so neither may
+    drift: Q13.2 has scale 4, making x = (k + 0.5) / 4 an exact tie.
+    """
+
+    FMT = FixedFormat(16, 2)
+    TIES = [k + 0.5 for k in range(-6, 6)]  # -5.5 .. 5.5, in LSBs
+
+    def test_scalar_ties_round_away_from_zero(self):
+        for tie in self.TIES:
+            expected = int(np.sign(tie) * np.ceil(abs(tie)))
+            assert fx_from_float(tie / 4, self.FMT) == expected, tie
+        assert fx_from_float(-0.625, self.FMT) == -3
+
+    def test_array_ties_round_half_up(self):
+        values = np.array(self.TIES) / 4
+        raw = fx_from_float(values, self.FMT)
+        assert raw.tolist() == [int(np.floor(t + 0.5)) for t in self.TIES]
+        assert fx_from_float(np.array([-0.625]), self.FMT)[0] == -2
+
+    def test_array_rule_is_the_same_on_the_slow_branch(self):
+        # One non-finite element sends the whole array through the
+        # nan_to_num/clip branch; the finite ties must round alike.
+        values = np.array(self.TIES + [np.nan, np.inf, -np.inf]) / 4
+        raw = fx_from_float(values, self.FMT)
+        assert raw[:-3].tolist() == [int(np.floor(t + 0.5)) for t in self.TIES]
+        assert raw[-3:].tolist() == [0, self.FMT.raw_max, self.FMT.raw_min]
+
+
+class TestEmptyArrays:
+    """Size-0 arrays pass through every vector helper, checking nothing."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda e, fmt: fx_saturate(e, fmt),
+            lambda e, fmt: fx_saturate(e, fmt, strict=True),
+            lambda e, fmt: fx_from_float(e.astype(np.float64), fmt),
+            lambda e, fmt: fx_add(e, e, fmt),
+            lambda e, fmt: fx_add(e, 3, fmt),
+            lambda e, fmt: fx_sub(e, e, fmt),
+            lambda e, fmt: fx_neg(e, fmt),
+            lambda e, fmt: fx_mul(e, e, fmt),
+            lambda e, fmt: fx_exp(e, fmt),
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_in_empty_out(self, op, shape):
+        stats = SaturationStats()
+        empty = np.zeros(shape, dtype=np.int64)
+        with observe_saturation(stats):
+            out = op(empty, FLEXON_FORMAT)
+        assert out.shape == shape and out.dtype == np.int64
+        assert stats.checked == 0 and stats.total_clipped == 0
 
 
 class TestArithmetic:

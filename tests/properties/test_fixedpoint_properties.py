@@ -1,19 +1,26 @@
 """Property-based tests for the fixed-point substrate."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import FixedPointOverflowError
 from repro.fixedpoint import (
     FLEXON_FORMAT,
+    MEMBRANE_FORMAT,
     FixedFormat,
+    SaturationStats,
     fast_exp,
     fx_add,
     fx_from_float,
     fx_mul,
     fx_neg,
+    fx_saturate,
     fx_sub,
     fx_to_float,
 )
+from repro.hardware.compiler import FlexonCompiler
+from repro.models.registry import create_model
 
 FMT = FLEXON_FORMAT
 
@@ -115,6 +122,83 @@ class TestArithmeticProperties:
             np.array([a], dtype=np.int64), np.array([b], dtype=np.int64), FMT
         )
         assert int(vec[0]) == fx_mul(a, b, FMT)
+
+
+def _raw_arrays(fmt):
+    """int64 arrays salted with the rails and their first neighbours."""
+    rails = st.sampled_from(
+        [fmt.raw_max, fmt.raw_max + 1, fmt.raw_min, fmt.raw_min - 1]
+    )
+    anywhere = st.integers(min_value=-(2**40), max_value=2**40)
+    inside = st.integers(min_value=fmt.raw_min, max_value=fmt.raw_max)
+    return st.one_of(
+        st.lists(inside, max_size=40),  # the in-range fast path
+        st.lists(st.one_of(rails, inside, anywhere), max_size=40),
+    ).map(lambda values: np.array(values, dtype=np.int64))
+
+
+formats = st.sampled_from([FLEXON_FORMAT, MEMBRANE_FORMAT, FixedFormat(8, 4)])
+
+
+class TestSaturationAccountingProperties:
+    """``fx_saturate`` on arrays == count over, count under, clip."""
+
+    @given(st.data(), formats)
+    def test_values_and_counts_equal_the_reference(self, data, fmt):
+        raw = data.draw(_raw_arrays(fmt))
+        over = int(np.count_nonzero(raw > fmt.raw_max))
+        under = int(np.count_nonzero(raw < fmt.raw_min))
+        expected = np.clip(raw, fmt.raw_min, fmt.raw_max)
+
+        stats = SaturationStats()
+        out = fx_saturate(raw.copy(), fmt, stats=stats)
+        assert np.array_equal(out, expected)
+        assert stats.checked == raw.size
+        clipped = over + under
+        assert stats.clipped == ({fmt: clipped} if clipped else {})
+
+    @given(st.data(), formats)
+    def test_strict_raises_exactly_when_something_is_out_of_range(
+        self, data, fmt
+    ):
+        raw = data.draw(_raw_arrays(fmt))
+        stats = SaturationStats()
+        if np.any(raw > fmt.raw_max) or np.any(raw < fmt.raw_min):
+            with pytest.raises(FixedPointOverflowError):
+                fx_saturate(raw.copy(), fmt, strict=True, stats=stats)
+        else:
+            out = fx_saturate(raw.copy(), fmt, strict=True, stats=stats)
+            assert np.array_equal(out, raw)
+        assert stats.checked == 0  # strict mode asserts, it does not count
+
+    @given(
+        st.sampled_from(["LIF", "LLIF", "DLIF", "Izhikevich", "AdEx"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_neuron_state_never_aliases_caller_arrays(
+        self, model, folded, seed
+    ):
+        # In-range arrays come back uncopied, so a stored result could
+        # alias what the caller handed in. Twin neurons see the same
+        # inputs; one twin's caller scribbles over everything it owns
+        # (inputs, returned mask) after each step. States must agree.
+        compiled = FlexonCompiler().compile(create_model(model), 1e-4)
+        make = compiled.instantiate_folded if folded else compiled.instantiate_flexon
+        clean, scribbled = make(6), make(6)
+        rng = np.random.default_rng(seed)
+        n_types = compiled.constants.n_synapse_types
+        for _ in range(40):
+            weights = (rng.random((n_types, 6)) < 0.3) * rng.uniform(0.1, 1.0)
+            raw = fx_from_float(weights * compiled.weight_scale, FLEXON_FORMAT)
+            expected = clean.step(raw.copy())
+            fired = scribbled.step(raw)
+            assert np.array_equal(fired, expected)
+            raw[...] = FLEXON_FORMAT.raw_max
+            fired[...] = True
+            for name, values in clean.snapshot().items():
+                assert np.array_equal(values, scribbled.snapshot()[name]), name
 
 
 class TestFastExpProperties:

@@ -4,13 +4,16 @@ For random small networks, killing a simulation at a random step and
 resuming a fresh simulator from the checkpoint must reproduce the
 uninterrupted run exactly — spike trains and final state, bit for bit —
 on the compiled-engine, dict-state-solver, and Flexon hardware
-backends.
+backends. The folded backend binds its step plan to register-file row
+views at construction, so it additionally pins that a restore writes
+through them: cycle counts and saturation accounting match too.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware.backend import FlexonBackend
+from repro.fixedpoint import SaturationStats
+from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
 from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
@@ -24,6 +27,7 @@ BACKENDS = {
     "reference": lambda: ReferenceBackend("Euler"),
     "engine-off": lambda: ReferenceBackend("Euler", use_engine=False),
     "flexon": lambda: FlexonBackend(DT),
+    "folded": lambda: FoldedFlexonBackend(DT),
 }
 
 
@@ -65,7 +69,7 @@ def _final_state(simulator):
     seed=st.integers(min_value=0, max_value=2**31),
     kill_at=st.integers(min_value=1, max_value=STEPS - 1),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=20, deadline=None)
 def test_resumed_run_is_bit_identical(backend, seed, kill_at):
     make = BACKENDS[backend]
 
@@ -86,7 +90,22 @@ def test_resumed_run_is_bit_identical(backend, seed, kill_at):
     )
 
     assert result.spikes.result("p").spike_pairs() == whole_spikes
+    assert result.spikes.digest() == whole_result.spikes.digest()
     resumed_state = _final_state(resumed)
     for name, variables in whole_state.items():
         for variable, values in variables.items():
             assert np.array_equal(values, resumed_state[name][variable])
+
+    # Hardware extras: the interrupted halves add up to the whole run.
+    whole_runtime = whole.backend.runtime("p")
+    if hasattr(whole_runtime, "saturation_stats"):
+        stitched = SaturationStats()
+        stitched.merge(first.diagnostics.saturation["p"])
+        stitched.merge(resumed.backend.runtime("p").saturation_stats)
+        assert stitched == whole_runtime.saturation_stats
+    if backend == "folded":
+        assert (
+            resumed.backend.runtime("p").neuron.total_cycles
+            == whole_runtime.neuron.total_cycles
+            == STEPS * whole_runtime.n * whole_runtime.cycles_per_neuron
+        )

@@ -9,6 +9,7 @@ from repro.network.backends import ReferenceBackend
 from repro.network.simulator import Simulator
 from repro.reliability import (
     BitFlipFault,
+    Checkpoint,
     FaultInjector,
     InputPerturbFault,
     SpikeDropFault,
@@ -67,6 +68,35 @@ class TestFaultInjector:
         for flip in flips:
             assert flip.domain == "fixed"
             assert 0 <= flip.bit < fmt.total_bits
+
+    @pytest.mark.parametrize("variable", ["v", "cnt"])
+    def test_flip_after_restore_reaches_the_folded_step_plan(
+        self, small_network, variable
+    ):
+        # The folded plan binds register-row views at construction; a
+        # restore must write through them, or a later upset in the
+        # (replaced) register file would never reach the datapath.
+        donor = _simulator(small_network, FoldedFlexonBackend(DT))
+        donor.run(40)
+        checkpoint = Checkpoint.capture(donor)
+        clean = _simulator(small_network, FoldedFlexonBackend(DT))
+        upset = _simulator(small_network, FoldedFlexonBackend(DT))
+        checkpoint.restore(clean)
+        checkpoint.restore(upset)
+        flips = FaultInjector(upset, seed=6).flip_state_bits(
+            "exc", n_flips=12, variable=variable
+        )
+        hit = sorted({flip.neuron for flip in flips})
+        stored = upset.backend.runtime("exc").state()[variable][hit].copy()
+        clean.run(1)
+        upset.run(1)
+        after = upset.backend.runtime("exc").state()[variable][hit]
+        # The corrupted words were computed on (decayed / ticked), not
+        # left sitting in a register file the datapath no longer reads.
+        assert not np.array_equal(after, stored)
+        assert not np.array_equal(
+            after, clean.backend.runtime("exc").state()[variable][hit]
+        )
 
     def test_variable_filter_is_respected(self, small_network):
         simulator = _simulator(small_network)
