@@ -11,11 +11,16 @@ same contract:
   structure-of-arrays state with reusable scratch buffers. This is the
   compile-once/step-many discipline of GeNN-style simulators, and it is
   bit-identical to ``FeatureModel.step``.
-* :class:`SolverRuntime` — the general path: dict-of-arrays state
-  advanced by a :class:`~repro.solvers.Solver` (forward Euler calling
+* :class:`SolverRuntime` — the general path: named state advanced by
+  a :class:`~repro.solvers.Solver` (forward Euler calling
   ``model.step``, or RKF45 keeping its smooth/jump split). Models the
-  plan compiler cannot express (Hodgkin-Huxley, native Izhikevich) run
-  here.
+  plan compilers cannot express (Hodgkin-Huxley, native Izhikevich) run
+  here on dict-of-arrays state, and so does every population under
+  ``ReferenceBackend(use_engine=False)``. Under RKF45,
+  :meth:`SolverRuntime.lowered` is the adaptive fast path: the same
+  runtime and solver, with the state re-seated onto the stepper's SoA
+  block and a compiled :class:`~repro.engine.plan.FlowPlan` evaluated
+  in place — bit-identical to ``model.derivatives``.
 * ``HardwareRuntime`` (in :mod:`repro.hardware.backend`) — quantises
   inputs and steps a Flexon / folded-Flexon array model.
 
@@ -26,16 +31,24 @@ Registering a new backend therefore means implementing one
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import CheckpointError, NumericsError, SimulationError
 from repro.features import Feature
 from repro.models.base import NeuronModel, State
 from repro.models.feature_model import FeatureModel
-from repro.engine.plan import StepPlan, compile_step_plan, supports_step_plan
+from repro.engine.plan import (
+    FlowPlan,
+    StepPlan,
+    compile_flow_plan,
+    compile_step_plan,
+    supports_step_plan,
+)
 from repro.solvers.base import Solver
+from repro.solvers.rkf45 import RKF45Solver, RKF45Stepper
 
 #: Absolute state value beyond which a float runtime is considered
 #: divergent. The shift-and-scale normalisation keeps healthy membrane
@@ -398,10 +411,21 @@ class CompiledRuntime(PopulationRuntime):
 
 
 class SolverRuntime(PopulationRuntime):
-    """Dict-state fallback: a software solver advancing ``model.step``
-    (Euler) or the smooth/jump split (RKF45). This is the seed
-    reference-backend path, kept verbatim for models without a step
-    plan and for adaptive integration.
+    """A software solver advancing one population's named state.
+
+    Built plainly, the state is the model's dict of arrays and every
+    step is ``solver.advance(model, state, ...)`` — forward Euler
+    calling ``model.step``, or RKF45's smooth/jump split evaluating
+    ``model.derivatives`` on dict snapshots. Any model runs here
+    (Hodgkin-Huxley, native Izhikevich), and for feature models this is
+    the oracle: ``ReferenceBackend(use_engine=False)`` selects it.
+
+    :meth:`lowered` builds the same runtime on a compiled
+    :class:`~repro.engine.plan.FlowPlan` instead: the integrated
+    variables become rows of the RKF45 stepper's own ``(n_vars, n)``
+    block and the jump / derivative / fire-reset kernels run in place
+    over preallocated scratch. Spikes, state bytes, evaluation counts
+    and checkpoints are bit-identical between the two.
     """
 
     def __init__(self, name: str, n: int, model: NeuronModel, solver: Solver):
@@ -409,9 +433,211 @@ class SolverRuntime(PopulationRuntime):
         self.model = model
         self.solver = solver
         self._state = model.initial_state(n)
+        #: The compiled flow plan (None on the dict-state path).
+        self.flow_plan: Optional[FlowPlan] = None
+        self._flow_step: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+
+    @classmethod
+    def lowered(
+        cls, name: str, n: int, model: FeatureModel, solver: RKF45Solver
+    ) -> "SolverRuntime":
+        """A runtime whose RKF45 steps execute ``model``'s flow plan."""
+        if not isinstance(solver, RKF45Solver):
+            raise SimulationError(
+                f"a flow plan needs the RKF45 solver, got {solver.name!r}"
+            )
+        runtime = cls(name, n, model, solver)
+        runtime._lower(compile_flow_plan(model))
+        return runtime
+
+    def _lower(self, plan: FlowPlan) -> None:
+        """Re-seat the state onto a stepper block and close the plan's
+        constants over in-place kernels; all feature dispatch happens
+        here, once. Each kernel mirrors its ``FeatureModel`` method
+        operation for operation (that is the bit-identity contract),
+        with two exact rewrites: ``-x / tau`` is computed as
+        ``x / -tau`` (IEEE division is sign-symmetric) and ``0 + x`` as
+        ``x + 0``. Every ufunc call is same-shape or array-with-scalar:
+        a broadcast or mixed-dtype call would make numpy allocate
+        iterator buffers on every evaluation.
+        """
+        n = self.n
+        n_types = plan.n_synapse_types
+        types = range(n_types)
+        solver = self.solver
+        stepper = RKF45Stepper((len(plan.flow_names), n), plan.flow_names)
+        block = stepper.y
+        rows = iter(block)
+        state: State = {
+            name: np.zeros(n) if name == "cnt" else next(rows)
+            for name in plan.state_names
+        }
+        for name, values in self._state.items():
+            state[name][:] = values
+        self._state = state
+        self.flow_plan = plan
+
+        # Row layout of the block (FeatureSet.state_variables order):
+        # v, then g per type, then (COBA) y per type, then w, then r.
+        kernel_kind, adaptation = plan.kernel, plan.adaptation
+        conductance = kernel_kind != "CUB"
+        g_row = 1
+        y_row = 1 + n_types
+        w_row = plan.flow_names.index("w") if adaptation else None
+        r_row = plan.flow_names.index("r") if adaptation == "RR" else None
+        v = block[0]
+        g = block[g_row:g_row + n_types] if conductance else None
+        ys = block[y_row:y_row + n_types] if kernel_kind == "COBA" else None
+        w = block[w_row] if w_row is not None else None
+        r = block[r_row] if r_row is not None else None
+        cnt = state.get("cnt")
+
+        # Preallocated scratch, reused by every evaluation.
+        use_ar = plan.use_ar
+        refractory = np.empty(n, dtype=bool) if use_ar else None
+        gate = np.empty(n) if use_ar else None
+        gated = np.empty((n_types, n)) if use_ar else None
+        tmp = np.empty(n)
+        tmp2 = np.empty(n) if plan.use_qdi else None
+        fired = np.empty(n, dtype=bool)
+
+        use_rev, use_qdi, use_exi = plan.use_rev, plan.use_qdi, plan.use_exi
+        tau, v_rest, theta, v_c = plan.tau, plan.v_rest, plan.theta, plan.v_c
+        delta_t, exi_cap = plan.delta_t, plan.exi_cap
+        threshold, reset_voltage = plan.threshold, plan.reset_voltage
+        tau_w, tau_r, a, v_w = plan.tau_w, plan.tau_r, plan.a, plan.v_w
+        v_rr, v_ar, b, q_r = plan.v_rr, plan.v_ar, plan.b, plan.q_r
+        tau_g, v_g = plan.tau_g, plan.v_g
+        refractory_steps = self.model.parameters.refractory_steps
+
+        def jump(inputs: np.ndarray) -> None:
+            """``FeatureModel.apply_input_jumps``."""
+            nonlocal g, ys, v
+            if use_ar:
+                np.less_equal(cnt, 0.0, out=refractory)
+                np.copyto(gate, refractory)  # 1.0 where input is let in
+                for i in types:
+                    np.multiply(inputs[i], gate, out=gated[i])
+                inputs = gated
+            if kernel_kind == "COBA":
+                ys += inputs
+            elif kernel_kind == "COBE":
+                g += inputs
+            else:
+                for i in types:
+                    v += inputs[i]
+
+        def flow(_t: float, y: np.ndarray, out: np.ndarray) -> None:
+            """``FeatureModel.derivatives``: ``y`` -> ``out``, both
+            ``(n_vars, n)`` blocks of the stepper (never the same)."""
+            nonlocal tmp
+            yv = y[0]
+            drive = out[0]  # accumulates syn, then the drive, then dv/dt
+            for i in types if conductance else ():
+                yg = y[g_row + i]
+                if kernel_kind == "COBA":
+                    yy = y[y_row + i]
+                    np.divide(yy, -tau_g[i], out=out[y_row + i])
+                    out_g = out[g_row + i]
+                    np.multiply(yy, math.e, out=out_g)
+                    out_g -= yg
+                    out_g /= tau_g[i]
+                else:
+                    np.divide(yg, -tau_g[i], out=out[g_row + i])
+                if use_rev:
+                    np.subtract(v_g[i], yv, out=tmp)
+                    tmp *= yg
+                    contribution = tmp
+                else:
+                    contribution = yg
+                # syn accumulates from zero, one synapse type at a time
+                if i == 0:
+                    np.add(contribution, 0.0, out=drive)
+                else:
+                    drive += contribution
+            np.subtract(v_rest, yv, out=tmp)
+            if conductance:
+                drive += tmp
+            else:  # CUB: inputs are jumps on v, syn is identically zero
+                np.add(tmp, 0.0, out=drive)
+            if use_qdi:
+                np.subtract(v_c, yv, out=tmp2)
+                tmp *= tmp2
+                drive += tmp
+            if use_exi:
+                np.subtract(yv, theta, out=tmp)
+                tmp /= delta_t
+                np.minimum(tmp, exi_cap, out=tmp)
+                np.exp(tmp, out=tmp)
+                tmp *= delta_t
+                drive += tmp
+            if adaptation == "RR":
+                yw, yr = y[w_row], y[r_row]
+                np.subtract(v_rr, yv, out=tmp)
+                tmp *= yr
+                drive += tmp
+                np.subtract(v_ar, yv, out=tmp)
+                tmp *= yw
+                drive += tmp
+                np.divide(yw, -tau_w, out=out[w_row])
+                np.divide(yr, -tau_r, out=out[r_row])
+            elif adaptation == "SBT":
+                yw = y[w_row]
+                drive += yw
+                out_w = out[w_row]
+                np.subtract(yv, v_w, out=out_w)
+                out_w *= a
+                out_w -= yw
+                out_w /= tau_w
+            elif adaptation == "ADT":
+                yw = y[w_row]
+                drive += yw
+                np.divide(yw, -tau_w, out=out[w_row])
+            drive /= tau
+
+        def fire(dt: float) -> np.ndarray:
+            """``FeatureModel.fire_and_reset``."""
+            np.greater(v, threshold, out=fired)
+            v[fired] = reset_voltage
+            if adaptation == "RR":
+                w[fired] += b
+                r[fired] += q_r
+            elif adaptation is not None:
+                w[fired] -= b
+            if use_ar:
+                np.subtract(cnt, 1.0, out=cnt)
+                np.maximum(cnt, 0.0, out=cnt)
+                cnt[fired] = float(refractory_steps(dt))
+            return fired
+
+        def step(inputs: np.ndarray, dt: float) -> np.ndarray:
+            if inputs.shape != (n_types, n):
+                raise SimulationError(
+                    f"expected inputs of shape {(n_types, n)}, "
+                    f"got {inputs.shape}"
+                )
+            jump(inputs)
+            solver.integrate(stepper, flow, dt)
+            return fire(dt)
+
+        self._flow_step = step
 
     def advance(self, inputs: np.ndarray, dt: float) -> np.ndarray:
-        return self.solver.advance(self.model, self._state, inputs, dt)
+        try:
+            if self._flow_step is not None:
+                return self._flow_step(inputs, dt)
+            return self.solver.advance(self.model, self._state, inputs, dt)
+        except NumericsError as error:
+            if error.population:
+                raise
+            step = self.solver.advances
+            raise NumericsError(
+                f"population {self.name!r}, step {step}: {error}",
+                population=self.name,
+                step=step,
+                variable=error.variable,
+                indices=error.indices,
+            ) from error
 
     def state(self) -> State:
         return self._state

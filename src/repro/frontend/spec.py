@@ -43,6 +43,7 @@ from repro.network.backends import Backend, ReferenceBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.stimulus import PatternStimulus, PoissonStimulus
+from repro.solvers import canonical_solver_name
 
 _POPULATION_KEYS = {"name", "n", "model", "parameters"}
 _PROJECTION_KEYS = {
@@ -310,7 +311,10 @@ def build_backend(spec: Dict) -> Backend:
 
     name = spec.get("backend", "reference")
     dt = _as_float(spec.get("dt", 1e-4), "top-level 'dt'")
-    solver = spec.get("solver", "Euler")
+    try:
+        solver = canonical_solver_name(spec.get("solver", "Euler"))
+    except ConfigurationError as error:
+        raise ConfigurationError(f"top-level 'solver': {error}") from None
     if name == "reference":
         return ReferenceBackend(solver)
     if name == "flexon":

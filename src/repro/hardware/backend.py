@@ -26,15 +26,15 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.runtime import PopulationRuntime, SolverRuntime
+from repro.engine.runtime import PopulationRuntime
 from repro.errors import CheckpointError, SimulationError
 from repro.fixedpoint import SaturationStats, fx_from_float, observe_saturation
 from repro.hardware.compiler import CompiledModel, FlexonCompiler
 from repro.hardware.flexon import FlexonNeuron
 from repro.models.base import State
-from repro.network.backends import RuntimeBackend
+from repro.network.backends import RuntimeBackend, software_solver_runtime
 from repro.network.population import Population
-from repro.solvers import create_solver
+from repro.solvers import canonical_solver_name
 
 
 class HardwareRuntime(PopulationRuntime):
@@ -186,7 +186,7 @@ class HybridBackend(RuntimeBackend):
     ):
         super().__init__()
         self.dt = dt
-        self.solver_name = solver
+        self.solver_name = canonical_solver_name(solver)
         self.folded = folded
         self.compiler = compiler if compiler is not None else FlexonCompiler()
         self.offloaded: Dict[str, bool] = {}
@@ -204,12 +204,7 @@ class HybridBackend(RuntimeBackend):
                 population.name, population.n, compiled, self.dt, self.folded
             )
         self.offloaded[population.name] = False
-        return SolverRuntime(
-            population.name,
-            population.n,
-            model,
-            create_solver(self.solver_name),
-        )
+        return software_solver_runtime(population, self.solver_name)
 
     def offloaded_fraction(self) -> float:
         """Fraction of neurons running on the digital-neuron array."""

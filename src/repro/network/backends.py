@@ -17,8 +17,12 @@ stand-in for Brian/NEST. With the Euler solver it compiles each
 supported population into a
 :class:`~repro.engine.runtime.CompiledRuntime` step plan (the
 compile-once/step-many fast path, bit-identical to ``model.step``);
-RKF45 populations and models without a plan run on the dict-state
-:class:`~repro.engine.runtime.SolverRuntime` exactly as before.
+with RKF45 it lowers each supported population's continuous dynamics
+into a flow plan run in place on the one RKF45 stepper
+(:meth:`~repro.engine.runtime.SolverRuntime.lowered`, bit-identical to
+``model.derivatives``). Models without a plan, and every population
+under ``use_engine=False``, run on the dict-state
+:class:`~repro.engine.runtime.SolverRuntime`.
 """
 
 from __future__ import annotations
@@ -33,12 +37,48 @@ from repro.engine.runtime import (
     PopulationRuntime,
     SolverRuntime,
 )
-from repro.engine.plan import supports_step_plan
+from repro.engine.plan import supports_flow_plan, supports_step_plan
 from repro.errors import ConfigurationError, SimulationError
-from repro.models.base import State
+from repro.features import Feature
+from repro.models.base import NeuronModel, State
 from repro.network.network import Network
 from repro.network.population import Population
-from repro.solvers import create_solver
+from repro.solvers import canonical_solver_name, create_solver
+
+
+def software_solver_runtime(
+    population: Population, solver_name: str, lowered: bool = False
+) -> SolverRuntime:
+    """One population on a software solver, checked at build time.
+
+    RKF45 integrates a model's continuous form between step boundaries,
+    so a model without one (LID's linear decay is inherently discrete;
+    a model may define no ``derivatives`` or no separate fire/reset
+    phase) is rejected here rather than by a ``NotImplementedError``
+    on step 0. ``lowered`` asks for the flow-plan path where the model
+    supports it.
+    """
+    model = population.model
+    solver = create_solver(solver_name)
+    if solver.name == "RKF45":
+        reason = None
+        if Feature.LID in getattr(model, "features", ()):
+            reason = "its LID feature (linear decay) has no continuous form"
+        elif type(model).derivatives is NeuronModel.derivatives:
+            reason = "it defines no continuous dynamics"
+        elif type(model).fire_and_reset is NeuronModel.fire_and_reset:
+            reason = "it defines no separate fire/reset phase"
+        if reason is not None:
+            raise ConfigurationError(
+                f"population {population.name!r}: model {model.name!r} "
+                f"cannot be integrated with RKF45 — {reason}; "
+                'use solver: "Euler"'
+            )
+        if lowered and supports_flow_plan(model):
+            return SolverRuntime.lowered(
+                population.name, population.n, model, solver
+            )
+    return SolverRuntime(population.name, population.n, model, solver)
 
 
 class Backend(abc.ABC):
@@ -132,9 +172,11 @@ class ReferenceBackend(RuntimeBackend):
     One runtime per population (they keep independent evaluation
     counters). The solver kind applies network-wide, which matches how
     Table I labels each workload "Euler" or "RKF45". ``use_engine``
-    selects between the compiled step-plan fast path (default) and the
-    historical dict-state solver path; the two produce identical spike
-    trains, and the flag exists so benchmarks can compare them.
+    selects between the compiled fast path (default: a step plan under
+    Euler, a flow plan under RKF45) and the dict-state solver path
+    (``model.step`` / ``model.derivatives`` on dicts of arrays); the
+    two are bit-identical, and the flag exists so tests and benchmarks
+    can use the dict-state path as the oracle.
 
     ``fault_policy`` decides what happens when a compiled population's
     state goes numerically bad mid-run: ``"propagate"`` (default) lets
@@ -160,24 +202,21 @@ class ReferenceBackend(RuntimeBackend):
                 f"unknown fault_policy {fault_policy!r} "
                 f"(choose from {', '.join(self.FAULT_POLICIES)})"
             )
-        self.solver_name = solver
+        self.solver_name = canonical_solver_name(solver)
         self.use_engine = use_engine
         self.fault_policy = fault_policy
-        self.name = f"reference-{solver.lower()}"
+        self.name = f"reference-{self.solver_name.lower()}"
 
     def _solver_runtime(self, population: Population) -> SolverRuntime:
-        return SolverRuntime(
-            population.name,
-            population.n,
-            population.model,
-            create_solver(self.solver_name),
+        return software_solver_runtime(
+            population, self.solver_name, lowered=self.use_engine
         )
 
     def build_runtime(self, population: Population) -> PopulationRuntime:
         model = population.model
         if (
             self.use_engine
-            and self.solver_name.lower() == "euler"
+            and self.solver_name == "Euler"
             and supports_step_plan(model)
         ):
             compiled = CompiledRuntime(population.name, population.n, model)

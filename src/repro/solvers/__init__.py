@@ -8,11 +8,36 @@ breakdown — RKF45 multiplies the neuron-computation cost by its stage
 evaluations — so both are implemented here.
 """
 
+from repro.errors import ConfigurationError
 from repro.solvers.base import Solver
 from repro.solvers.euler import EulerSolver
 from repro.solvers.rkf45 import RKF45Solver, rkf45_integrate
 
-__all__ = ["EulerSolver", "RKF45Solver", "Solver", "rkf45_integrate"]
+__all__ = [
+    "SOLVER_NAMES",
+    "EulerSolver",
+    "RKF45Solver",
+    "Solver",
+    "canonical_solver_name",
+    "create_solver",
+    "rkf45_integrate",
+]
+
+#: The Table I solver names, as spelled there.
+SOLVER_NAMES = (EulerSolver.name, RKF45Solver.name)
+
+
+def canonical_solver_name(solver: str) -> str:
+    """``solver`` in its Table I spelling, or a configuration error
+    listing the choices — for callers that take the name from a user
+    (backends, the JSON front end), so a typo fails where it is given
+    rather than inside ``prepare``."""
+    for name in SOLVER_NAMES:
+        if isinstance(solver, str) and solver.lower() == name.lower():
+            return name
+    raise ConfigurationError(
+        f"unknown solver {solver!r} (choose from {', '.join(SOLVER_NAMES)})"
+    )
 
 
 def create_solver(name: str) -> Solver:

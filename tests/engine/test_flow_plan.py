@@ -1,0 +1,274 @@
+"""The RKF45 flow plan is bit-identical to the dict-state oracle.
+
+``SolverRuntime.lowered`` (what ``ReferenceBackend("RKF45")`` builds)
+runs a compiled ``FlowPlan`` in place on the RKF45 stepper;
+``SolverRuntime(...)`` (what ``use_engine=False`` builds) evaluates
+``FeatureModel.derivatives`` on dict snapshots through the same
+stepper. These tests pin state bytes, fired masks, evaluation counts
+and checkpoints equal across the two, over the feature lattice and on
+the registry workloads that reject substeps.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.engine import SolverRuntime
+from repro.engine.plan import compile_flow_plan, supports_flow_plan
+from repro.errors import SimulationError
+from repro.features import Feature, FeatureSet
+from repro.models import LLIF, ModelParameters
+from repro.models.feature_model import FeatureModel
+from repro.models.hh import HodgkinHuxley
+from repro.models.registry import create_model
+from repro.network.backends import ReferenceBackend
+from repro.network.network import Network
+from repro.network.simulator import Simulator
+from repro.reliability import Checkpoint
+from repro.solvers import EulerSolver, RKF45Solver
+from repro.workloads import build_workload, get_spec, workload_names
+
+DT = 1e-4
+
+RKF45_WORKLOADS = [
+    name for name in workload_names() if get_spec(name).solver == "RKF45"
+]
+
+
+@st.composite
+def continuous_feature_sets(draw):
+    """The valid feature lattice minus LID (EXD/LID, QDI/EXI, CUB/REV
+    and SBT=>ADT respected by construction)."""
+    features = {Feature.EXD}
+    kernel = draw(st.sampled_from([None, Feature.CUB, Feature.COBE, Feature.COBA]))
+    if kernel is not None:
+        features.add(kernel)
+    if kernel in (Feature.COBE, Feature.COBA) and draw(st.booleans()):
+        features.add(Feature.REV)
+    initiation = draw(st.sampled_from([None, Feature.QDI, Feature.EXI]))
+    if initiation is not None:
+        features.add(initiation)
+    features.update(
+        draw(
+            st.sampled_from(
+                [
+                    (),
+                    (Feature.ADT,),
+                    (Feature.ADT, Feature.SBT),
+                    (Feature.RR,),
+                    (Feature.RR, Feature.ADT, Feature.SBT),
+                ]
+            )
+        )
+    )
+    if draw(st.booleans()):
+        features.add(Feature.AR)
+    return FeatureSet(features)
+
+
+def _parameters(n_types):
+    return ModelParameters(
+        n_synapse_types=n_types,
+        tau_g=(5e-3, 10e-3, 2e-3)[:n_types],
+        v_g=(4.33, -1.0, 2.0)[:n_types],
+    )
+
+
+def _runtime_pair(model, n):
+    return (
+        SolverRuntime.lowered("p", n, model, RKF45Solver()),
+        SolverRuntime("p", n, model, RKF45Solver()),
+    )
+
+
+class TestFlowPlanProperty:
+    @given(
+        continuous_feature_sets(),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([0, 1, 7, 300]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_plan_equals_dict_state_path(self, features, n_types, n, seed):
+        model = FeatureModel(features, _parameters(n_types))
+        planned, oracle = _runtime_pair(model, n)
+        rng = np.random.default_rng(seed)
+        # A spread-out start, including neurons already refractory.
+        start = {}
+        for name in model.state_variable_names():
+            if name == "cnt":
+                start[name] = rng.integers(0, 4, n).astype(np.float64)
+            elif name == "v":
+                start[name] = rng.uniform(-0.2, 1.1, n)
+            else:
+                start[name] = rng.uniform(0.0, 0.3, n)
+        planned.load_state(start)
+        oracle.load_state(start)
+        for _ in range(50):
+            inputs = (rng.random((n_types, n)) < 0.15) * rng.uniform(
+                0.0, 0.4, (n_types, n)
+            )
+            fired_plan = planned.advance(inputs.copy(), DT).copy()
+            fired_dict = oracle.advance(inputs.copy(), DT)
+            np.testing.assert_array_equal(fired_plan, fired_dict)
+        assert list(planned.state()) == list(oracle.state())
+        for name, values in oracle.state().items():
+            assert planned.state()[name].tobytes() == values.tobytes(), name
+        assert planned.solver.evaluations == oracle.solver.evaluations
+        assert planned.solver.advances == oracle.solver.advances == 50
+
+
+class TestFlowPlanSelection:
+    def test_reference_backend_lowers_feature_models_under_rkf45(self):
+        network = Network("sel")
+        network.add_population("dlif", 5, "DLIF")
+        network.add_population("adex", 5, "AdEx_COBA")
+        backend = ReferenceBackend("RKF45")
+        backend.prepare(network)
+        for runtime in backend.runtimes.values():
+            assert isinstance(runtime, SolverRuntime)
+            assert runtime.flow_plan is not None
+            assert runtime.snapshot()["kind"] == "solver"
+
+    def test_use_engine_false_keeps_the_dict_state_oracle(self):
+        network = Network("sel")
+        network.add_population("dlif", 5, "DLIF")
+        backend = ReferenceBackend("RKF45", use_engine=False)
+        backend.prepare(network)
+        assert backend.runtimes["dlif"].flow_plan is None
+
+    def test_models_without_the_canonical_flow_are_not_lowered(self):
+        class Tweaked(FeatureModel):
+            def derivatives(self, state):
+                return super().derivatives(state)
+
+        dlif = create_model("DLIF")
+        assert supports_flow_plan(dlif)
+        assert not supports_flow_plan(Tweaked(dlif.features))
+        assert not supports_flow_plan(LLIF())
+        assert not supports_flow_plan(HodgkinHuxley())
+        with pytest.raises(ValueError, match="no flow plan"):
+            compile_flow_plan(LLIF())
+
+    def test_lowering_needs_the_rkf45_solver(self):
+        with pytest.raises(SimulationError, match="RKF45"):
+            SolverRuntime.lowered("p", 3, create_model("DLIF"), EulerSolver())
+
+    def test_cnt_is_state_but_not_integrated(self):
+        plan = compile_flow_plan(create_model("DLIF"))
+        assert plan.state_names == ("v", "g0", "g1", "cnt")
+        assert plan.flow_names == ("v", "g0", "g1")
+        runtime = SolverRuntime.lowered("p", 4, create_model("DLIF"), RKF45Solver())
+        assert list(runtime.state()) == ["v", "g0", "g1", "cnt"]
+
+    def test_wrong_input_shape_is_rejected(self):
+        runtime = SolverRuntime.lowered("p", 4, create_model("DLIF"), RKF45Solver())
+        with pytest.raises(SimulationError, match="shape"):
+            runtime.advance(np.zeros((2, 5)), DT)
+
+
+def _run(name, scale, seed, steps, use_engine):
+    network = build_workload(name, scale=scale, seed=seed)
+    backend = ReferenceBackend("RKF45", use_engine=use_engine)
+    simulator = Simulator(network, backend, dt=DT, seed=seed + 1)
+    result = simulator.run(steps)
+    state = {
+        (population, variable): values.tobytes()
+        for population in network.populations
+        for variable, values in backend.state_of(population).items()
+    }
+    return result, state, simulator
+
+
+class TestRegistryWorkloads:
+    @pytest.mark.parametrize("name", RKF45_WORKLOADS)
+    def test_all_rkf45_workloads_match_at_small_scale(self, name):
+        plan, plan_state, _ = _run(name, 0.05, 1, 300, use_engine=True)
+        oracle, oracle_state, _ = _run(name, 0.05, 1, 300, use_engine=False)
+        assert plan.spikes.digest() == oracle.spikes.digest()
+        assert plan.evaluations_per_step == oracle.evaluations_per_step
+        assert plan_state == oracle_state
+
+    @pytest.mark.parametrize(
+        "name, exc_evaluations",
+        [("Destexhe-UpDown", 165.75), ("Destexhe-LTS", 82.5)],
+    )
+    def test_rejected_substeps_match(self, name, exc_evaluations):
+        """The workloads that reject substeps: the whole-population
+        accept/reject and the step-size controller must agree too."""
+        plan, plan_state, _ = _run(name, 0.1, 3, 400, use_engine=True)
+        oracle, oracle_state, _ = _run(name, 0.1, 3, 400, use_engine=False)
+        assert plan.evaluations_per_step["exc"] == exc_evaluations
+        assert plan.evaluations_per_step == oracle.evaluations_per_step
+        assert plan.total_spikes() > 0
+        assert plan.spikes.digest() == oracle.spikes.digest()
+        assert plan_state == oracle_state
+
+
+class TestCheckpointAcrossPaths:
+    STEPS, KILL_AT = 400, 170
+
+    def _network(self):
+        return build_workload("Destexhe-LTS", scale=0.05, seed=2)
+
+    def _simulator(self, use_engine):
+        return Simulator(
+            self._network(),
+            ReferenceBackend("RKF45", use_engine=use_engine),
+            dt=DT,
+            seed=3,
+        )
+
+    @pytest.mark.parametrize("first, second", [(False, True), (True, False)])
+    def test_checkpoint_restores_into_the_other_path(self, first, second, tmp_path):
+        uninterrupted = self._simulator(True)
+        expected = uninterrupted.run(self.STEPS)
+
+        simulator = self._simulator(first)
+        head = simulator.run(self.KILL_AT)
+        path = str(tmp_path / "cross.ckpt")
+        Checkpoint.capture(simulator, spikes=head.spikes).save(path)
+
+        checkpoint = Checkpoint.load(path)
+        resumed = self._simulator(second)
+        checkpoint.restore(resumed)
+        tail = resumed.run(
+            self.STEPS - self.KILL_AT, spikes=checkpoint.seed_recorder()
+        )
+        assert tail.spikes.digest() == expected.spikes.digest()
+        for name, runtime in uninterrupted.backend.runtimes.items():
+            other = resumed.backend.runtimes[name]
+            assert other.solver.evaluations == runtime.solver.evaluations
+            for variable, values in runtime.state().items():
+                assert other.state()[variable].tobytes() == values.tobytes()
+
+    def test_checkpoint_bytes_do_not_depend_on_the_path(self, tmp_path):
+        files = []
+        for use_engine in (True, False):
+            simulator = self._simulator(use_engine)
+            result = simulator.run(self.KILL_AT)
+            path = tmp_path / f"engine-{use_engine}.ckpt"
+            Checkpoint.capture(simulator, spikes=result.spikes).save(str(path))
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
+
+def test_steady_state_advance_allocates_less_than_one_state_row():
+    """A reintroduced per-step temporary (one ``(n,)`` float row is
+    32 kB at n = 4,000) fails here rather than in a benchmark."""
+    n = 4000
+    runtime = SolverRuntime.lowered("p", n, create_model("AdEx_COBA"), RKF45Solver())
+    rng = np.random.default_rng(5)
+    inputs = (rng.random((2, n)) < 0.1) * 0.05
+    runtime.advance(inputs, DT)
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        runtime.advance(inputs, DT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline < n * 8

@@ -174,6 +174,33 @@ class TestFrontendCommands:
         assert main(["simulate", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            ({"solver": "RK4"}, "unknown solver 'RK4'"),
+            ({"solver": "RKF45", "model": "LLIF"}, "LID"),
+        ],
+    )
+    def test_simulate_bad_solver_is_a_one_line_configuration_error(
+        self, tmp_path, capsys, overrides, needle
+    ):
+        import json
+
+        spec = {
+            "backend": "reference",
+            "solver": overrides["solver"],
+            "populations": [
+                {"name": "p", "n": 5, "model": overrides.get("model", "DLIF")}
+            ],
+        }
+        path = tmp_path / "solver.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", str(path), "--steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the banner
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestTelemetryCli:
     BASE = ["run", "Brunel", "--backend", "reference", "--solver", "Euler",

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.engine import SolverRuntime
+from repro.errors import ConfigurationError, NumericsError, SimulationError
+from repro.frontend import build_backend, build_simulation
+from repro.hardware.backend import HybridBackend
 from repro.models import LIF, AdEx, ModelParameters
 from repro.models.feature_model import FeatureModel
 from repro.features import Feature, FeatureSet
+from repro.network.backends import ReferenceBackend
+from repro.network.network import Network
 from repro.solvers import EulerSolver, RKF45Solver, create_solver
-from repro.solvers.rkf45 import rkf45_integrate
+from repro.solvers.rkf45 import RKF45Stepper, rkf45_integrate
 
 DT = 1e-4
 
@@ -22,6 +27,25 @@ class TestCreateSolver:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             create_solver("RK4")
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: ReferenceBackend("RK4"),
+            lambda: HybridBackend(solver="RK4"),
+            lambda: build_backend({"backend": "reference", "solver": "RK4"}),
+            lambda: build_backend({"backend": "folded", "solver": "RK4"}),
+            lambda: build_backend({"solver": 4}),
+        ],
+    )
+    def test_backends_reject_unknown_solver_where_it_is_given(self, construct):
+        with pytest.raises(ConfigurationError, match="Euler, RKF45"):
+            construct()
+
+    def test_solver_name_is_case_insensitive_and_canonicalised(self):
+        assert ReferenceBackend("rkf45").solver_name == "RKF45"
+        assert ReferenceBackend("rkf45").name == "reference-rkf45"
+        assert HybridBackend(solver="EULER").solver_name == "Euler"
 
 
 class TestEulerSolver:
@@ -84,8 +108,47 @@ class TestRKF45Integrate:
         assert y1[0] == 3.0
         assert evaluations == 0
 
+    def test_does_not_write_into_y0(self):
+        y0 = np.array([1.0, 2.0])
+        y1, _ = rkf45_integrate(lambda t, y: -y, y0, 0.0, 0.1)
+        assert y1 is not y0
+        np.testing.assert_array_equal(y0, [1.0, 2.0])
+
+    def test_stepper_advances_its_own_block_in_place(self):
+        start = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        stepper = RKF45Stepper(start.shape)
+        stepper.y[:] = start
+        block = stepper.y
+
+        def flow(_t, y, out):
+            np.negative(y, out=out)
+
+        evaluations = stepper.integrate(flow, 0.0, 0.1, rtol=1e-9, atol=1e-12)
+        assert stepper.y is block
+        assert evaluations % 6 == 0
+        np.testing.assert_allclose(block[0], np.exp(-0.1) * np.arange(1, 4), rtol=1e-8)
+        # ... and is the integrator behind the functional form.
+        expected, count = rkf45_integrate(
+            lambda t, y: -y, start, 0.0, 0.1, rtol=1e-9, atol=1e-12
+        )
+        assert count == evaluations
+        assert expected.tobytes() == block.tobytes()
+
+    def test_non_finite_state_fails_on_the_first_attempt(self):
+        calls = []
+
+        def rhs(_t, y):
+            calls.append(1)
+            return -y
+
+        with pytest.raises(NumericsError, match="not finite") as info:
+            rkf45_integrate(rhs, np.array([1.0, np.nan, 2.0]), 0.0, 1.0)
+        assert len(calls) == 6  # one attempted substep, not 10,000
+        assert info.value.variable == "y"
+        assert info.value.indices == (1,)
+
     def test_max_steps_exceeded_raises(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="within 3 substeps"):
             rkf45_integrate(
                 lambda t, y: -1e9 * y,
                 np.array([1.0]),
@@ -149,10 +212,61 @@ class TestRKF45Solver:
     def test_lid_has_no_continuous_form(self):
         from repro.models import LLIF
 
+        # Solver level: the model refuses to produce derivatives.
         model = LLIF()
         solver = RKF45Solver()
         with pytest.raises(NotImplementedError):
             solver.advance(model, model.initial_state(1), np.zeros((2, 1)), DT)
+        # Backend level: rejected at prepare(), naming what to change.
+        network = Network("lid")
+        network.add_population("leaky", 4, "LLIF")
+        for backend in (
+            ReferenceBackend("RKF45"),
+            ReferenceBackend("RKF45", use_engine=False),
+        ):
+            with pytest.raises(ConfigurationError) as info:
+                backend.prepare(network)
+            message = str(info.value)
+            for needle in ("'leaky'", "'LLIF'", "LID", 'solver: "Euler"'):
+                assert needle in message
+        # ... and before a front-end run prints anything.
+        with pytest.raises(ConfigurationError, match="LID"):
+            build_simulation(
+                {
+                    "backend": "reference",
+                    "solver": "RKF45",
+                    "populations": [{"name": "leaky", "n": 4, "model": "LLIF"}],
+                }
+            )
+        ReferenceBackend("Euler").prepare(network)  # the remedy works
+
+    def test_hybrid_rejects_rkf45_on_a_model_without_fire_reset(self):
+        network = Network("hh")
+        network.add_population("hh", 3, "HH")
+        with pytest.raises(ConfigurationError, match="fire/reset"):
+            HybridBackend(solver="RKF45").prepare(network)
+        HybridBackend(solver="Euler").prepare(network)
+
+    @pytest.mark.parametrize("use_engine", [True, False])
+    def test_nan_state_raises_structured_error_at_once(self, use_engine):
+        network = Network("nan")
+        network.add_population("pop", 50, "DLIF")
+        backend = ReferenceBackend("RKF45", use_engine=use_engine)
+        backend.prepare(network)
+        inputs = np.zeros((2, 50))
+        for _ in range(3):
+            backend.advance("pop", inputs, DT)
+        backend.state_of("pop")["g1"][[7, 31]] = np.nan
+        runtime = backend.runtimes["pop"]
+        before = runtime.solver.evaluations
+        with pytest.raises(NumericsError) as info:
+            backend.advance("pop", inputs, DT)
+        error = info.value
+        assert (error.population, error.step, error.variable) == ("pop", 3, "g1")
+        assert error.indices == (7, 31)
+        assert "'pop'" in str(error) and "step 3" in str(error)
+        assert runtime.solver.evaluations == before  # nothing charged
+        assert isinstance(runtime, SolverRuntime)
 
     def test_conductance_jump_goes_to_g(self):
         model = FeatureModel(
