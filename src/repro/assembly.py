@@ -1,0 +1,154 @@
+"""Run assembly: how a run description becomes a simulator.
+
+Every path that executes a Table I workload — ``repro run`` (single and
+sharded), the ``sweep`` job worker, the shard worker, the coordinator's
+degrade rerun, ``repro profile``, the front-end and the experiment
+helpers — describes the run with the same six fields
+(``workload, backend, scale, seed, dt, solver``; exactly what
+:class:`~repro.supervision.job.JobSpec` carries) and turns them into a
+network, a prepared backend and a stimulus seed *here*, so the two
+decisions below have one owner:
+
+**The backend table.** :func:`make_backend` maps a backend name
+(:data:`BACKENDS`) to an instance. Callers keep their own accepted
+subset through their ``choices`` / validation; the construction is not
+repeated.
+
+**The seed contract.** The network builds with ``seed``, the stimulus
+RNG of whatever steps it (``Simulator``, ``ShardRunner``,
+``simulate_sharded``) with ``seed + 1`` — computed in :func:`assemble`
+and nowhere else. That is what makes a plain run, a resumed run, a
+supervised job and every shard of a sharded run produce bit-identical
+spikes for the same ``(workload, scale, seed, steps)``.
+
+Heavy imports (the hardware model, the simulator) stay inside the
+functions: spawned workers and ``repro workloads`` import this module
+without paying for them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from repro.errors import ConfigurationError
+
+__all__ = [
+    "BACKENDS",
+    "DT",
+    "RunAssembly",
+    "assemble",
+    "assemble_job",
+    "check_run_request",
+    "make_backend",
+]
+
+#: Paper time step (matches ``repro.workloads.builders.DT``).
+DT = 1e-4
+
+#: Every backend name the repo knows. ``solver`` is the dict-state
+#: reference path (``ReferenceBackend(use_engine=False)``), the oracle
+#: the engine is pinned against and the circuit breaker's degrade target.
+BACKENDS = (
+    "reference", "solver", "flexon", "folded", "event-driven", "hybrid",
+)
+
+
+def make_backend(name: str, dt: float = DT, solver: str = "Euler"):
+    """A fresh, unprepared backend for one of :data:`BACKENDS`."""
+    if name in ("reference", "solver"):
+        from repro.network.backends import ReferenceBackend
+
+        return ReferenceBackend(solver, use_engine=name == "reference")
+    if name == "flexon":
+        from repro.hardware.backend import FlexonBackend
+
+        return FlexonBackend(dt)
+    if name == "folded":
+        from repro.hardware.backend import FoldedFlexonBackend
+
+        return FoldedFlexonBackend(dt)
+    if name == "event-driven":
+        from repro.hardware.event_driven import EventDrivenFlexonBackend
+
+        return EventDrivenFlexonBackend(dt)
+    if name == "hybrid":
+        from repro.hardware.backend import HybridBackend
+
+        return HybridBackend(dt, solver=solver)
+    raise ConfigurationError(
+        f"unknown backend {name!r}; choose from {', '.join(BACKENDS)}"
+    )
+
+
+@dataclass(frozen=True)
+class RunAssembly:
+    """A built network plus everything needed to step it."""
+
+    network: object
+    backend_name: str
+    solver: str
+    dt: float
+    #: Seed of the stimulus RNG (see the module docstring).
+    stimulus_seed: int
+
+    def backend(self):
+        """A fresh backend (each simulator / shard needs its own)."""
+        return make_backend(self.backend_name, self.dt, self.solver)
+
+    def simulator(self):
+        """A new single-process simulator over the network."""
+        from repro.network.simulator import Simulator
+
+        return Simulator(
+            self.network, self.backend(), dt=self.dt, seed=self.stimulus_seed
+        )
+
+
+def assemble(
+    workload: str,
+    backend: str = "reference",
+    scale: float = 0.05,
+    seed: int = 1,
+    dt: float = DT,
+    solver: Optional[str] = None,
+) -> RunAssembly:
+    """Build one registry workload; ``solver=None`` is its Table I solver."""
+    from repro.workloads import build_workload, get_spec
+
+    return RunAssembly(
+        network=build_workload(workload, scale=scale, seed=seed),
+        backend_name=backend,
+        solver=solver or get_spec(workload).solver,
+        dt=dt,
+        stimulus_seed=seed + 1,
+    )
+
+
+def assemble_job(spec) -> RunAssembly:
+    """:func:`assemble` from a ``JobSpec`` (or parsed ``run`` arguments)."""
+    return assemble(
+        spec.workload, spec.backend, spec.scale, spec.seed, spec.dt,
+        spec.solver,
+    )
+
+
+def check_run_request(
+    steps: int,
+    shards: int = 0,
+    checkpoint_every: int = 0,
+    trace_max_events: Optional[int] = None,
+) -> None:
+    """Reject out-of-range run arguments before anything is built."""
+    if steps < 0:
+        raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    if shards < 0:
+        raise ConfigurationError(f"shards must be >= 0, got {shards}")
+    if checkpoint_every < 0:
+        raise ConfigurationError(
+            f"checkpoint interval must be >= 0, got {checkpoint_every}"
+        )
+    if trace_max_events is not None and trace_max_events < 0:
+        raise ConfigurationError(
+            f"trace ring capacity must be >= 0, got {trace_max_events}"
+        )

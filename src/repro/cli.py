@@ -21,7 +21,14 @@ Subcommands:
     the health layer: streaming anomaly detectors feed an alert rules
     engine whose pending/firing/resolved state is served on
     ``GET /alerts``, streamed on SSE, and recorded in the ledger
-    entry (also on ``sweep``). SIGINT/SIGTERM stop the run
+    entry (also on ``sweep``). ``--serve SPEC`` (``PORT``, ``:PORT`` or
+    ``HOST:PORT``; port 0 picks an ephemeral port, written to
+    ``--serve-port-file`` for scripts) serves ``/metrics``,
+    ``/healthz``, ``/readyz``, ``/status`` and the ``/events`` SSE
+    stream while the run (or ``sweep``) executes and for
+    ``--serve-linger`` seconds after (``inf`` = until Ctrl-C).
+    ``--shards N`` steps the same run on N crash-recoverable worker
+    processes, bit-identically. SIGINT/SIGTERM stop the run
     gracefully at the next step boundary: a final checkpoint is
     written, partial statistics land in ``--stats-json`` (marked
     ``"partial": true``), and the process exits 130 (SIGINT) or
@@ -46,34 +53,27 @@ Subcommands:
     and simulate it on the backend the spec names.
 ``example-spec``
     Print a ready-to-run front-end specification.
-``serve [WORKLOAD]``
-    Run a workload with the live observability plane attached and keep
-    serving ``/metrics``, ``/healthz``, ``/readyz``, ``/status`` and
-    the ``/events`` SSE stream until interrupted. The same plane
-    attaches to ``repro run`` / ``repro sweep`` via ``--serve SPEC``
-    (``PORT``, ``:PORT`` or ``HOST:PORT``; port 0 picks an ephemeral
-    port, written to ``--serve-port-file`` for scripts).
 ``top URL``
     Live console dashboard of a serving run or sweep (polls
     ``/status``); ``--once`` prints a single frame.
-``bench``
-    Measure steps/sec per workload, append a ``repro-bench/1`` record
-    to ``BENCH_history.jsonl``, and with ``--compare`` exit non-zero
-    when throughput regressed more than the threshold against the best
-    prior record (seeded from the committed ``BENCH_engine.json``).
-    ``--plasticity`` instead measures lazy-STDP overhead (plasticity
-    off vs lazy vs dense on Brunel and Vogels) and fails when the lazy
-    and dense spike digests diverge or nothing was actually deferred.
 ``runs``
     Query the run-provenance ledger (``ledger.jsonl``, schema
-    ``repro-ledger/1``) that ``run``/``sweep``/``bench``/``profile``
-    append to: ``list`` recent runs (``--json`` for one record per
-    line), ``show RUN_ID`` one full entry,
+    ``repro-ledger/1``) that ``run``/``sweep``/``profile`` append to:
+    ``list`` recent runs (``--json`` for one record per line),
+    ``show RUN_ID`` one full entry,
     ``diff A B`` two entries field by field (exit 1 when their spike
     digests diverge — the reproducibility alarm), and ``trace RUN_ID``
     to re-merge a sharded run's recorded span rings into a
     Perfetto-loadable trace. Run ids accept unique prefixes. Opt out
     of recording with ``--no-ledger`` on any recording command.
+
+``run``, sharded ``run``, ``sweep`` and ``profile`` share their setup:
+:mod:`repro.assembly` turns ``(workload, backend, scale, seed, dt,
+solver)`` into a network and a seeded simulator, and
+:class:`repro.runcontext.RunContext` brings the observability plane up
+before the work and writes the artifacts and the ledger entry after it.
+Throughput is measured by ``python3 bench/run.py`` (``BENCHMARK.json``),
+not by a subcommand.
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.assembly import DT
 from repro.errors import ReproError
-
-DT = 1e-4
 
 
 def _cmd_workloads(_args) -> int:
@@ -139,214 +138,83 @@ def _cmd_microcode(args) -> int:
     return 0
 
 
-def _start_plane(
-    bind: str, port_file, metrics, status, bus,
-    health_check=None, ready_check=None, ledger_path=None,
-    alerts_source=None,
-):
-    """Start the observability HTTP plane behind a ``--serve`` flag."""
-    from repro.health.resources import ResourceSampler
-    from repro.io import atomic_write_text
-    from repro.observability import ObservabilityServer, parse_serve_spec
-
-    host, port = parse_serve_spec(bind)
-    resources = ResourceSampler()
-
-    def metrics_text() -> str:
-        # Publish-at-collect: the process's own RSS/CPU/fd gauges and
-        # the bus's cumulative SSE drop tally are refreshed on each
-        # scrape, so self-telemetry costs nothing between scrapes and a
-        # slow /events consumer shows up on /metrics without touching
-        # the hot path.
-        resources.publish(metrics)
-        if bus is not None:
-            metrics.counter(
-                "sse_dropped_events_total",
-                help="SSE events dropped across all subscribers "
-                "(slow consumers lose events instead of blocking)",
-            ).set_total(bus.dropped_total)
-        # The registry is mutated by the run/supervisor threads without
-        # a lock shared with the HTTP threads; retry the (rare, benign)
-        # dict-resized-during-iteration race instead of locking the hot
-        # path.
-        for _ in range(5):
-            try:
-                return metrics.to_prometheus()
-            except RuntimeError:
-                continue
-        return ""
-
-    runs_source = None
-    if ledger_path:
-        from repro.provenance import load_ledger, runs_document
-
-        def runs_source():
-            # Re-read per request: the ledger is append-only and may
-            # be written by other concurrent repro commands.
-            return runs_document(load_ledger(ledger_path))
-
-    server = ObservabilityServer(
-        metrics_text=metrics_text,
-        status=status,
-        bus=bus,
-        health_check=health_check,
-        ready_check=ready_check,
-        host=host,
-        port=port,
-        runs_source=runs_source,
-        alerts_source=alerts_source,
-    )
-    server.start()
-    if port_file:
-        atomic_write_text(port_file, f"{server.port}\n")
-    endpoints = "/metrics /healthz /readyz /status" + (
-        " /alerts" if alerts_source is not None else ""
-    ) + (
-        " /runs" if runs_source is not None else ""
-    ) + " /events"
-    print(f"observability plane at {server.url} ({endpoints})")
-    return server
+#: ``run`` flags only one stepper honours:
+#: (flag, attribute, value when unset, why the other stepper refuses it).
+_SINGLE_ONLY = (
+    ("--resume-from", "resume_from", None,
+     "is the single-process resume path; sharded runs recover through "
+     "composite checkpoints instead (--shard-checkpoint-path)"),
+    ("--checkpoint-every/--checkpoint-path", "checkpoint_every", 0,
+     "write single-process checkpoints; a sharded run takes "
+     "--shard-checkpoint-every/--shard-checkpoint-path"),
+    ("--trace-max-events", "trace_max_events", None,
+     "bounds the single-process trace ring; a sharded --trace merges "
+     "every shard's own bounded span ring"),
+)
+_NO_SHARDS = "only applies to a sharded run (--shards 2 or more)"
+_SHARDED_ONLY = (
+    ("--chaos-shard-kill", "chaos_shard_kill", None, _NO_SHARDS),
+    ("--chaos-shard-stall", "chaos_shard_stall", None, _NO_SHARDS),
+    ("--shard-checkpoint-path", "shard_checkpoint_path", None,
+     _NO_SHARDS + "; a single-process run checkpoints with "
+     "--checkpoint-every/--checkpoint-path"),
+)
 
 
-def _linger_plane(server, bus, linger: Optional[float]) -> None:
-    """Keep the plane serving after the work, then stop it.
-
-    ``linger=None`` serves until Ctrl-C; ``linger=N`` serves N more
-    seconds; 0 stops immediately. While lingering, a 1 Hz ``tick``
-    event flows on the bus so SSE clients (and the CI smoke) always
-    observe live frames, even when they connect after the run ended.
-    """
-    import time
-
-    if server is None:
-        return
-    try:
-        if linger is not None and linger <= 0:
-            return
-        print(
-            "serving until Ctrl-C"
-            if linger is None
-            else f"serving for another {linger:g}s (Ctrl-C to stop)"
+def _job_fields(args) -> dict:
+    """The arguments ``run`` and ``sweep`` share: what the ledger records
+    and, field for field, what a ``JobSpec`` carries."""
+    return {
+        name: getattr(args, name)
+        for name in (
+            "backend", "steps", "scale", "seed", "dt", "solver", "shards"
         )
-        deadline = None if linger is None else time.monotonic() + linger
-        while deadline is None or time.monotonic() < deadline:
-            if bus is not None:
-                bus.publish("tick", {})
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        print("\nstopping")
-    finally:
-        server.stop()
+    }
 
 
-def _ledger_path(args) -> Optional[str]:
-    """The ledger file this invocation records to (None = disabled)."""
-    if getattr(args, "no_ledger", False):
-        return None
-    return getattr(args, "ledger", None)
-
-
-def _append_ledger(args, entry: dict) -> None:
-    """Append one provenance entry unless the ledger is disabled."""
-    path = _ledger_path(args)
-    if not path:
-        return
-    from repro.provenance import append_entry
-
-    try:
-        append_entry(path, entry)
-    except OSError as error:
-        print(
-            f"warning: could not record run in ledger {path!r}: {error}",
-            file=sys.stderr,
-        )
-        return
-    print(f"recorded {entry['run_id']} in ledger {path!r}")
-
-
-def _runtime_health_check(simulator, status):
-    """Probe callables for a single simulated run's /healthz and /readyz."""
-
-    def health_check():
-        for name, runtime in getattr(
-            simulator.backend, "runtimes", {}
-        ).items():
-            bad = runtime.health()
-            if bad is not None:
-                variable, indices = bad
-                return False, (
-                    f"population {name!r}: {variable} non-finite or "
-                    f"divergent in {len(indices)} neuron(s)"
-                )
-        return True, ""
-
-    def ready_check():
-        state = status.snapshot().get("state")
-        return (
-            state in ("running", "finished"),
-            f"run state is {state!r}",
-        )
-
-    return health_check, ready_check
-
-
-def _alert_manager(args, status=None, bus=None, metrics=None):
-    """Build the alert engine behind a ``--alerts`` flag (None = off)."""
-    spec = getattr(args, "alerts", None)
-    if not spec:
-        return None
-    from repro.health import AlertManager, load_alert_rules
-
-    rules = load_alert_rules(spec)
-    print(f"alerting: {len(rules)} rule(s) loaded from {spec!r}")
-    return AlertManager(rules, status=status, bus=bus, metrics=metrics)
-
-
-def _print_alert_summary(manager) -> Optional[dict]:
-    """Print the final alert tallies; returns the summary dict."""
-    if manager is None:
-        return None
-    summary = manager.summary()
-    fired = summary["fired"]
-    print(
-        f"alerts: {summary['fired_total']} fired"
-        + (f" ({', '.join(fired)})" if fired else "")
-        + f", {summary['firing']} still firing, "
-        f"{summary['resolved']} resolved"
-    )
-    return summary
-
-
-def _run_sharded(args) -> int:
-    """``repro run --shards N``: the fault-tolerant sharded path."""
-    import time
-
+def _check_run_flags(args) -> None:
+    """Range-check ``run``'s arguments and refuse flags the chosen
+    stepper (single vs sharded) would silently ignore."""
+    from repro.assembly import check_run_request
     from repro.errors import ConfigurationError
-    from repro.io import atomic_write_json, atomic_write_text
-    from repro.observability.log import new_run_id
+
+    check_run_request(
+        args.steps, args.shards, args.checkpoint_every, args.trace_max_events
+    )
+    refused = _SINGLE_ONLY if args.shards > 1 else _SHARDED_ONLY
+    for flag, attribute, unset, reason in refused:
+        if getattr(args, attribute) != unset:
+            raise ConfigurationError(f"{flag} {reason}")
+
+
+def _cmd_run(args) -> int:
+    """``repro run``: one workload, single-process or ``--shards N``.
+
+    Both paths share the flag checks, the config the ledger records,
+    the plane (:class:`~repro.runcontext.RunContext`) and its
+    write-out; they differ only in who steps — ``Simulator.run`` with
+    hooks, or the fault-tolerant ``ShardCoordinator.run``.
+    """
+    from repro.runcontext import RunContext
+    from repro.workloads import get_spec
+
+    _check_run_flags(args)
+    spec = get_spec(args.workload)
+    config = {"workload": args.workload, **_job_fields(args)}
+    ctx = RunContext(args, "run")
+    step = _run_sharded if args.shards > 1 else _run_single
+    return step(args, ctx, spec, config)
+
+
+def _run_sharded(args, ctx, spec, config: dict) -> int:
+    """Step ``repro run --shards N`` on the fault-tolerant coordinator."""
+    import time
+
     from repro.sharding import ShardChaos, ShardCoordinator
     from repro.supervision import JobSpec, RetryPolicy
     from repro.supervision.config import SupervisorConfig
-    from repro.workloads import get_spec
 
-    if args.resume_from:
-        raise ConfigurationError(
-            "--resume-from is the single-process resume path; sharded "
-            "runs recover through composite checkpoints instead "
-            "(--shard-checkpoint-path)"
-        )
-    spec = get_spec(args.workload)
-    job = JobSpec(
-        name=f"{args.workload}-x{args.shards}",
-        workload=args.workload,
-        backend=args.backend,
-        steps=args.steps,
-        scale=args.scale,
-        seed=args.seed,
-        dt=args.dt,
-        solver=args.solver,
-        shards=args.shards,
-    )
+    job = JobSpec(name=f"{args.workload}-x{args.shards}", **config)
     chaos = None
     if (
         args.chaos_shard_kill is not None
@@ -357,38 +225,8 @@ def _run_sharded(args) -> int:
             kill_epoch=args.chaos_shard_kill,
             stall_epoch=args.chaos_shard_stall,
         )
-    metrics = None
-    if args.stats_json or args.prometheus or args.serve or args.alerts:
-        from repro.telemetry import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    status = bus = server = None
-    if args.serve:
-        from repro.observability import EventBus, StatusBoard
-
-        status = StatusBoard(state="starting")
-        bus = EventBus()
-    manager = _alert_manager(args, status=status, bus=bus, metrics=metrics)
-    monitor = None
-    if manager is not None:
-        from repro.health import HealthMonitor
-
-        monitor = HealthMonitor(manager, metrics=metrics)
-    if args.serve:
-
-        def ready_check():
-            state = status.snapshot().get("state")
-            return (
-                state in ("running", "finished", "degraded"),
-                f"sharded run state is {state!r}",
-            )
-
-        server = _start_plane(
-            args.serve, args.serve_port_file, metrics, status, bus,
-            ready_check=ready_check, ledger_path=_ledger_path(args),
-            alerts_source=None if manager is None else manager.document,
-        )
-    run_id = new_run_id()
+    monitor = ctx.monitor()
+    ctx.serve("sharded run", ("running", "finished", "degraded"))
     coordinator = ShardCoordinator(
         job,
         config=SupervisorConfig(),
@@ -397,14 +235,14 @@ def _run_sharded(args) -> int:
         checkpoint_every=args.shard_checkpoint_every,
         checkpoint_path=args.shard_checkpoint_path,
         chaos=chaos,
-        metrics=metrics,
-        status_board=status,
-        event_bus=bus,
-        run_id=run_id,
+        metrics=ctx.metrics,
+        status_board=ctx.status,
+        event_bus=ctx.bus,
+        run_id=ctx.run_id,
         health=monitor,
     )
     print(f"{spec}")
-    print(f"run ID: {run_id}")
+    print(f"run ID: {ctx.run_id}")
     print(
         f"sharded x{args.shards}: barrier window "
         f"{coordinator.plan.window} step(s), "
@@ -443,119 +281,58 @@ def _run_sharded(args) -> int:
         print("degraded to single-process execution:")
         for event in result.diagnostics.degraded:
             print(f"  {event.describe()}")
-    alert_summary = _print_alert_summary(manager)
+    trace = None
     if args.trace:
-        trace_document = result.trace_document(network=args.workload)
-        atomic_write_json(args.trace, trace_document)
-        print(
-            f"wrote merged shard trace {args.trace!r} "
+        document = result.trace_document(network=args.workload)
+        trace = (
+            document,
+            f"merged shard trace {args.trace!r} "
             f"({result.n_shards} shard(s) + coordinator, "
-            f"{len(trace_document['traceEvents'])} events) — load it in "
-            f"chrome://tracing or https://ui.perfetto.dev"
+            f"{len(document['traceEvents'])} events)",
         )
-    if args.stats_json:
-        stats = result.to_stats_dict()
-        if alert_summary is not None:
-            stats["alerts"] = alert_summary
-        atomic_write_json(args.stats_json, stats)
-        print(f"wrote run statistics {args.stats_json!r}")
-    if args.prometheus:
-        atomic_write_text(args.prometheus, metrics.to_prometheus())
-        print(f"wrote Prometheus metrics {args.prometheus!r}")
-    from repro.provenance import make_entry
-
-    _append_ledger(args, make_entry(
-        "run",
-        run_id,
-        {
-            "workload": args.workload,
-            "backend": args.backend,
-            "steps": args.steps,
-            "scale": args.scale,
-            "seed": args.seed,
-            "dt": args.dt,
-            "solver": args.solver,
-            "shards": args.shards,
-        },
-        workload=args.workload,
-        backend=args.backend,
-        shards=args.shards,
-        steps=args.steps,
-        scale=args.scale,
-        seed=args.seed,
-        dt=args.dt,
-        spike_digest=result.spike_digest,
+    ctx.write_out(
+        config,
         outcome="degraded" if result.degraded else "completed",
         duration=wall_seconds,
+        stats=result.to_stats_dict() if args.stats_json else None,
+        trace=trace,
+        artifacts={"checkpoint": args.shard_checkpoint_path},
+        spike_digest=result.spike_digest,
         metrics={
             "total_spikes": result.total_spikes(),
             "restarts": result.restarts,
             "replayed_epochs": result.replayed_epochs,
         },
-        artifacts={
-            "trace": args.trace,
-            "stats_json": args.stats_json,
-            "prometheus": args.prometheus,
-            "checkpoint": args.shard_checkpoint_path,
-        },
         trace_rings=[ring.to_dict() for ring in result.rings],
-        extra=(
-            None if alert_summary is None
-            else {"alerts": alert_summary}
-        ),
-    ))
-    _linger_plane(server, bus, args.serve_linger)
+    )
     return 0
 
 
-def _cmd_run(args) -> int:
-    if args.shards > 1:
-        return _run_sharded(args)
+def _run_single(args, ctx, spec, config: dict) -> int:
+    """Step a single-process ``repro run`` on ``Simulator.run`` + hooks."""
     import time
 
+    from repro.assembly import assemble_job
     from repro.errors import CheckpointError, RunInterrupted
-    from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
-    from repro.io import atomic_write_json, atomic_write_text
-    from repro.network.backends import ReferenceBackend
-    from repro.network.simulator import Simulator
-    from repro.observability.log import new_run_id
-    from repro.reliability import Checkpoint, CheckpointHook
     from repro.supervision.interrupt import (
         EXIT_CODES,
         InterruptHook,
         graceful_signals,
     )
-    from repro.workloads import build_workload, get_spec
 
-    run_id = new_run_id()
-    ledger_config = {
-        "workload": args.workload,
-        "backend": args.backend,
-        "steps": args.steps,
-        "scale": args.scale,
-        "seed": args.seed,
-        "dt": args.dt,
-        "solver": args.solver,
-        "shards": args.shards,
-    }
-    spec = get_spec(args.workload)
-    backends = {
-        "reference": lambda: ReferenceBackend(args.solver or spec.solver),
-        "flexon": lambda: FlexonBackend(args.dt),
-        "folded": lambda: FoldedFlexonBackend(args.dt),
-    }
-    backend = backends[args.backend]()
-    network = build_workload(args.workload, scale=args.scale, seed=args.seed)
+    simulator = assemble_job(args).simulator()
+    network = simulator.network
     print(f"{spec}")
-    print(f"run ID: {run_id}")
+    print(f"run ID: {ctx.run_id}")
     print(
         f"built at scale {args.scale}: {network.n_neurons:,} neurons, "
-        f"{network.n_synapses:,} synapses; backend: {backend.name}"
+        f"{network.n_synapses:,} synapses; backend: "
+        f"{simulator.backend.name}"
     )
-    simulator = Simulator(network, backend, dt=args.dt, seed=args.seed + 1)
-
     spikes = None
     if args.resume_from:
+        from repro.reliability import Checkpoint
+
         # The rebuilt simulator must match the checkpointed one; the
         # structural signature check turns a mismatch into a clear
         # error instead of a silently wrong resume.
@@ -572,58 +349,39 @@ def _cmd_run(args) -> int:
             f"checkpoint is at step {simulator.current_step}, past the "
             f"requested {args.steps} steps"
         )
-
     hooks = []
     if args.checkpoint_every:
+        from repro.reliability import CheckpointHook
+
         hooks.append(
             CheckpointHook(
                 simulator, args.checkpoint_every, args.checkpoint_path
             )
         )
-    trace = None
+    trace_hook = None
     if args.trace:
-        from repro.telemetry import TraceHook
+        from repro.telemetry import DEFAULT_MAX_EVENTS, TraceHook
 
-        trace = (
-            TraceHook(run_id=run_id)
-            if args.trace_max_events is None
-            else TraceHook(max_events=args.trace_max_events, run_id=run_id)
+        trace_hook = TraceHook(
+            max_events=(
+                DEFAULT_MAX_EVENTS
+                if args.trace_max_events is None
+                else args.trace_max_events
+            ),
+            run_id=ctx.run_id,
         )
-        hooks.append(trace)
-    metrics = None
-    if args.stats_json or args.prometheus or args.serve or args.alerts:
-        from repro.telemetry import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    server = bus = status = None
-    if args.serve:
-        from repro.observability import EventBus, ServeHook, StatusBoard
-
-        status = StatusBoard(state="starting")
-        bus = EventBus()
-        hooks.append(ServeHook(status, bus, metrics=metrics))
-    manager = _alert_manager(args, status=status, bus=bus, metrics=metrics)
-    if manager is not None:
-        from repro.health import HealthHook
-
-        hooks.append(HealthHook(manager, simulator=simulator, metrics=metrics))
-    if args.serve:
-        health_check, ready_check = _runtime_health_check(simulator, status)
-        server = _start_plane(
-            args.serve, args.serve_port_file, metrics, status, bus,
-            health_check, ready_check, ledger_path=_ledger_path(args),
-            alerts_source=None if manager is None else manager.document,
-        )
+        hooks.append(trace_hook)
+    hooks.extend(ctx.attach(simulator))
+    ctx.serve("run")
     interrupt = InterruptHook(simulator, checkpoint_path=args.checkpoint_path)
     hooks.append(interrupt)
     wall_start = time.monotonic()
     try:
         with graceful_signals(interrupt):
             result = simulator.run(
-                remaining, hooks=hooks, spikes=spikes, metrics=metrics
+                remaining, hooks=hooks, spikes=spikes, metrics=ctx.metrics
             )
     except RunInterrupted as stop:
-        wall_seconds = time.monotonic() - wall_start
         print(
             f"\ninterrupted by {stop.signal_name} at step {stop.step}; "
             "stopping gracefully"
@@ -634,37 +392,28 @@ def _cmd_run(args) -> int:
                 f"{interrupt.checkpoint_written!r}; resume with "
                 f"--resume-from {interrupt.checkpoint_written!r}"
             )
-        if args.stats_json and interrupt.partial_stats is not None:
-            partial = dict(interrupt.partial_stats)
-            partial["run_id"] = run_id
-            atomic_write_json(args.stats_json, partial)
-            print(f"wrote partial run statistics {args.stats_json!r}")
-        from repro.provenance import make_entry
-
-        _append_ledger(args, make_entry(
-            "run",
-            run_id,
-            ledger_config,
-            workload=args.workload,
-            backend=args.backend,
-            shards=args.shards,
-            steps=stop.step,
-            scale=args.scale,
-            seed=args.seed,
-            dt=args.dt,
+        ctx.write_out(
+            config,
             outcome=f"interrupted ({stop.signal_name})",
-            duration=wall_seconds,
-            artifacts={
-                "stats_json": args.stats_json,
-                "checkpoint": interrupt.checkpoint_written,
-            },
-        ))
-        if server is not None:
-            server.stop()
+            duration=time.monotonic() - wall_start,
+            partial=True,
+            stats=(
+                None if interrupt.partial_stats is None
+                else dict(interrupt.partial_stats)
+            ),
+            stats_label="partial run statistics",
+            artifacts={"checkpoint": interrupt.checkpoint_written},
+            steps=stop.step,
+        )
         return EXIT_CODES.get(stop.signal_name, 130)
     wall_seconds = time.monotonic() - wall_start
+    from repro.supervision.job import spike_digest
+
     duration = simulator.current_step * args.dt
-    rate = result.total_spikes() / max(1, network.n_neurons) / duration
+    rate = (
+        result.total_spikes() / max(1, network.n_neurons) / duration
+        if duration > 0 else 0.0
+    )
     print(
         f"\n{result.total_spikes():,} spikes in {duration * 1e3:.0f} ms "
         f"of biological time ({rate:.1f} Hz mean rate)"
@@ -676,64 +425,37 @@ def _cmd_run(args) -> int:
         print("reliability diagnostics:")
         for line in result.diagnostics.summary().splitlines():
             print(f"  {line}")
-    alert_summary = _print_alert_summary(manager)
-    if trace is not None:
-        trace.save(args.trace)
-        print(
-            f"wrote trace {args.trace!r} "
-            f"({len(trace.to_trace_events())} events, "
-            f"{trace.dropped_events} dropped) — load it in "
-            f"chrome://tracing or https://ui.perfetto.dev"
+    trace = None
+    if trace_hook is not None:
+        document = trace_hook.trace_json()
+        trace = (
+            document,
+            f"trace {args.trace!r} ({len(document['traceEvents'])} events, "
+            f"{trace_hook.dropped_events} dropped)",
         )
-    if args.stats_json:
-        stats = result.to_stats_dict()
-        stats["run_id"] = run_id
-        atomic_write_json(args.stats_json, stats)
-        print(f"wrote run statistics {args.stats_json!r}")
-    if args.prometheus:
-        atomic_write_text(args.prometheus, metrics.to_prometheus())
-        print(f"wrote Prometheus metrics {args.prometheus!r}")
-    from repro.provenance import make_entry
-    from repro.supervision.job import spike_digest
-
-    _append_ledger(args, make_entry(
-        "run",
-        run_id,
-        ledger_config,
-        workload=args.workload,
-        backend=args.backend,
-        shards=args.shards,
-        steps=args.steps,
-        scale=args.scale,
-        seed=args.seed,
-        dt=args.dt,
-        spike_digest=spike_digest(result.spikes),
-        outcome="completed",
+    ctx.write_out(
+        config,
         duration=wall_seconds,
-        metrics={
-            "total_spikes": result.total_spikes(),
-            "mean_rate_hz": rate,
-        },
+        stats=result.to_stats_dict() if args.stats_json else None,
+        trace=trace,
         artifacts={
-            "trace": args.trace,
-            "stats_json": args.stats_json,
-            "prometheus": args.prometheus,
             "checkpoint": (
                 args.checkpoint_path if args.checkpoint_every else None
             ),
         },
-        extra=(
-            None if alert_summary is None
-            else {"alerts": alert_summary}
-        ),
-    ))
-    _linger_plane(server, bus, args.serve_linger)
+        spike_digest=spike_digest(result.spikes),
+        metrics={
+            "total_spikes": result.total_spikes(),
+            "mean_rate_hz": rate,
+        },
+    )
     return 0
 
 
 def _cmd_sweep(args) -> int:
     from repro.experiments.common import format_table
     from repro.io import atomic_write_json
+    from repro.runcontext import RunContext
     from repro.supervision import (
         JobSpec,
         RetryPolicy,
@@ -745,38 +467,15 @@ def _cmd_sweep(args) -> int:
     names = args.workloads or list(workload_names())
     for name in names:
         get_spec(name)  # fail fast on unknown workloads, before spawning
+    shared = _job_fields(args)
     jobs = [
         JobSpec(
-            name=name,
-            workload=name,
-            backend=args.backend,
-            steps=args.steps,
-            scale=args.scale,
-            seed=args.seed,
-            dt=args.dt,
-            solver=args.solver,
-            shards=args.shards,
-            chaos_kill_at_step=args.chaos_kill_at,
+            name=name, workload=name,
+            chaos_kill_at_step=args.chaos_kill_at, **shared,
         )
         for name in names
     ]
-    status = bus = server = None
-    metrics = None
-    if args.serve or args.alerts:
-        from repro.telemetry import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    if args.serve:
-        from repro.observability import EventBus, StatusBoard
-
-        status = StatusBoard(state="starting")
-        bus = EventBus()
-    manager = _alert_manager(args, status=status, bus=bus, metrics=metrics)
-    monitor = None
-    if manager is not None:
-        from repro.health import HealthMonitor
-
-        monitor = HealthMonitor(manager, metrics=metrics)
+    ctx = RunContext(args, "sweep")
     supervisor = Supervisor(
         workers=args.workers,
         retry=RetryPolicy(
@@ -791,38 +490,28 @@ def _cmd_sweep(args) -> int:
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
         seed=args.seed,
-        metrics=metrics,
-        status_board=status,
-        event_bus=bus,
+        metrics=ctx.metrics,
+        status_board=ctx.status,
+        event_bus=ctx.bus,
+        run_id=ctx.run_id,
     )
-    if args.serve:
+
+    def health_check():
         from repro.supervision.job import JOB_BACKENDS
 
-        def health_check():
-            tripped = [
-                backend for backend in JOB_BACKENDS
-                if supervisor.breaker_tripped(backend)
-            ]
-            if tripped:
-                return False, (
-                    "numerics circuit breaker open for backend(s): "
-                    + ", ".join(tripped)
-                )
-            return True, ""
-
-        def ready_check():
-            state = status.snapshot().get("state")
-            return (
-                state in ("running", "finished"),
-                f"sweep state is {state!r}",
+        tripped = [
+            backend for backend in JOB_BACKENDS
+            if supervisor.breaker_tripped(backend)
+        ]
+        if tripped:
+            return False, (
+                "numerics circuit breaker open for backend(s): "
+                + ", ".join(tripped)
             )
+        return True, ""
 
-        server = _start_plane(
-            args.serve, args.serve_port_file, metrics, status, bus,
-            health_check, ready_check, ledger_path=_ledger_path(args),
-            alerts_source=None if manager is None else manager.document,
-        )
-    print(f"sweep run ID: {supervisor.run_id}")
+    ctx.serve("sweep", health_check=health_check)
+    print(f"sweep run ID: {ctx.run_id}")
     print(
         f"supervising {len(jobs)} job(s) on backend {args.backend!r}: "
         f"deadline {args.deadline:g}s, heartbeat timeout "
@@ -835,6 +524,7 @@ def _cmd_sweep(args) -> int:
             f"chaos: workers SIGKILL themselves at step "
             f"{args.chaos_kill_at} on their first attempt"
         )
+    monitor = ctx.monitor()
     if monitor is not None:
         # The sweep has no barrier loop driving evaluations, so the
         # monitor's own cadence thread watches the shared registry.
@@ -876,86 +566,52 @@ def _cmd_sweep(args) -> int:
         f"\n{len(report.completed)}/{len(report.jobs)} jobs completed "
         f"in {report.wall_seconds:.1f}s"
     )
-    alert_summary = _print_alert_summary(manager)
-    if args.stats_json:
-        report_doc = report.to_dict()
-        if alert_summary is not None:
-            report_doc["alerts"] = alert_summary
-        atomic_write_json(args.stats_json, report_doc)
-        print(f"wrote sweep report {args.stats_json!r}")
-    if args.trace:
-        atomic_write_json(args.trace, report.trace_json())
-        print(
-            f"wrote worker-lifetime trace {args.trace!r} — load it in "
-            "chrome://tracing or https://ui.perfetto.dev"
-        )
     if args.log_json:
         atomic_write_json(args.log_json, report.log_stream())
         print(
             f"wrote merged log stream {args.log_json!r} "
             f"({len(report.log_records)} records)"
         )
-    from repro.provenance import make_entry
-
-    digests = {
-        job.name: job.spike_digest for job in report.jobs if job.spike_digest
-    }
-    _append_ledger(args, make_entry(
-        "sweep",
-        supervisor.run_id,
+    ctx.write_out(
         {
-            "workloads": names,
-            "backend": args.backend,
-            "steps": args.steps,
-            "scale": args.scale,
-            "seed": args.seed,
-            "dt": args.dt,
-            "solver": args.solver,
-            "shards": args.shards,
-            "workers": args.workers,
-            "max_retries": args.max_retries,
+            "workloads": names, **shared,
+            "workers": args.workers, "max_retries": args.max_retries,
         },
-        workload=",".join(names),
-        backend=args.backend,
-        shards=args.shards,
-        steps=args.steps,
-        scale=args.scale,
-        seed=args.seed,
-        dt=args.dt,
+        outcome="completed" if report.all_completed() else "failed",
+        duration=report.wall_seconds,
+        stats=report.to_dict() if args.stats_json else None,
+        stats_label="sweep report",
+        trace=(
+            (report.trace_json(), f"worker-lifetime trace {args.trace!r}")
+            if args.trace else None
+        ),
+        artifacts={"log_json": args.log_json},
         # One job's digest is THE digest; several jobs pin per-job
         # digests in the extra block instead.
         spike_digest=(
             report.jobs[0].spike_digest if len(report.jobs) == 1 else None
         ),
-        outcome="completed" if report.all_completed() else "failed",
-        duration=report.wall_seconds,
         metrics={
             "jobs": len(report.jobs),
             "completed": len(report.completed),
             "failed": len(report.failed),
             "retries": sum(job.retries for job in report.jobs),
         },
-        artifacts={
-            "stats_json": args.stats_json,
-            "trace": args.trace,
-            "log_json": args.log_json,
-        },
         extra={
-            "job_digests": digests,
-            **(
-                {} if alert_summary is None
-                else {"alerts": alert_summary}
-            ),
+            "job_digests": {
+                job.name: job.spike_digest
+                for job in report.jobs if job.spike_digest
+            },
         },
-    ))
-    _linger_plane(server, bus, args.serve_linger)
+    )
     return 0 if report.all_completed() else 1
 
 
 def _cmd_profile(args) -> int:
     import time
 
-    from repro.observability.log import new_run_id
+    from repro.errors import ConfigurationError
+    from repro.runcontext import RunContext
     from repro.telemetry import profile
 
     workloads = (
@@ -963,11 +619,15 @@ def _cmd_profile(args) -> int:
         if args.workloads
         else list(profile.DEFAULT_WORKLOADS)
     )
+    if not workloads:
+        raise ConfigurationError(
+            f"--workloads {args.workloads!r} names no workload"
+        )
     steps, scale, reps = args.steps, args.scale, args.reps
     if args.quick:
         steps, scale, reps = min(steps, 120), min(scale, 0.05), min(reps, 2)
-    run_id = new_run_id()
-    print(f"run ID: {run_id}")
+    ctx = RunContext(args, "profile")
+    print(f"run ID: {ctx.run_id}")
     wall_start = time.monotonic()
     payload = profile.run_profile(
         workloads,
@@ -978,7 +638,7 @@ def _cmd_profile(args) -> int:
         seed=args.seed,
         trace_path=args.trace,
         progress=print,
-        run_id=run_id,
+        run_id=ctx.run_id,
     )
     wall_seconds = time.monotonic() - wall_start
     print()
@@ -987,11 +647,7 @@ def _cmd_profile(args) -> int:
     print(f"\nwrote {args.output}")
     if args.trace:
         print(f"wrote sample trace {args.trace!r}")
-    from repro.provenance import make_entry
-
-    _append_ledger(args, make_entry(
-        "profile",
-        run_id,
+    ctx.write_out(
         {
             "workloads": workloads,
             "backend": args.backend,
@@ -1000,16 +656,10 @@ def _cmd_profile(args) -> int:
             "reps": reps,
             "seed": args.seed,
         },
-        workload=",".join(workloads),
-        backend=args.backend,
-        steps=steps,
-        scale=scale,
-        seed=args.seed,
-        outcome="completed",
         duration=wall_seconds,
-        metrics={"max_overhead_delta": payload["max_overhead_delta"]},
         artifacts={"output": args.output, "trace": args.trace},
-    ))
+        metrics={"max_overhead_delta": payload["max_overhead_delta"]},
+    )
     return 0
 
 
@@ -1114,51 +764,6 @@ def _cmd_example_spec(_args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
-    from repro.network.backends import ReferenceBackend
-    from repro.network.simulator import Simulator
-    from repro.observability import EventBus, ServeHook, StatusBoard
-    from repro.telemetry import MetricsRegistry
-    from repro.workloads import build_workload, get_spec
-
-    spec = get_spec(args.workload)
-    backends = {
-        "reference": lambda: ReferenceBackend(spec.solver),
-        "flexon": lambda: FlexonBackend(args.dt),
-        "folded": lambda: FoldedFlexonBackend(args.dt),
-    }
-    network = build_workload(args.workload, scale=args.scale, seed=args.seed)
-    simulator = Simulator(
-        network, backends[args.backend](), dt=args.dt, seed=args.seed + 1
-    )
-    metrics = MetricsRegistry()
-    status = StatusBoard(state="starting")
-    bus = EventBus()
-    health_check, ready_check = _runtime_health_check(simulator, status)
-    server = _start_plane(
-        args.bind, args.port_file, metrics, status, bus,
-        health_check, ready_check, ledger_path=args.ledger,
-    )
-    print(
-        f"simulating {args.workload!r} on {simulator.backend.name} "
-        f"({network.n_neurons:,} neurons, {args.steps:,} steps) — "
-        f"watch with: repro top {server.url}"
-    )
-    try:
-        simulator.run(
-            args.steps,
-            hooks=[ServeHook(status, bus, metrics=metrics)],
-            metrics=metrics,
-        )
-    except KeyboardInterrupt:
-        print("\nrun interrupted")
-        server.stop()
-        return 130
-    _linger_plane(server, bus, args.linger)
-    return 0
-
-
 def _cmd_top(args) -> int:
     from repro.observability.top import run_top
 
@@ -1169,250 +774,6 @@ def _cmd_top(args) -> int:
         iterations=1 if args.once else None,
         clear=not args.no_clear,
     )
-
-
-def _cmd_bench(args) -> int:
-    import time
-
-    from repro.observability import bench
-    from repro.observability.log import new_run_id
-
-    if args.plasticity:
-        return _bench_plasticity(args, bench)
-    if args.shards:
-        return _bench_sharding(args, bench)
-    workloads = (
-        [name.strip() for name in args.workloads.split(",") if name.strip()]
-        if args.workloads
-        else list(bench.engine_seed_baselines(args.engine_baseline))
-        or ["Brunel", "Izhikevich"]
-    )
-    steps, scale, reps = args.steps, args.scale, args.reps
-    if args.quick:
-        steps, scale, reps = min(steps, 120), min(scale, 0.05), min(reps, 2)
-    run_id = new_run_id()
-    print(f"run ID: {run_id}")
-    print(
-        f"benchmarking {len(workloads)} workload(s) on {args.backend!r}: "
-        f"{steps} steps at scale {scale:g}, median of {reps}"
-    )
-    wall_start = time.monotonic()
-    record = bench.make_record(
-        workloads, backend=args.backend, steps=steps, scale=scale,
-        seed=args.seed, reps=reps, progress=print, run_id=run_id,
-    )
-    wall_seconds = time.monotonic() - wall_start
-    history = bench.load_history(args.history)
-    exit_code = 0
-    if args.compare:
-        engine_seed = (
-            None
-            if args.no_engine_seed
-            else bench.engine_seed_baselines(args.engine_baseline, scale)
-        )
-        ok, lines = bench.compare_record(
-            record, history, threshold=args.threshold, engine_seed=engine_seed
-        )
-        print()
-        for line in lines:
-            print(line)
-        if not ok:
-            print(
-                f"\nFAIL: throughput regressed more than "
-                f"{100 * args.threshold:.0f}% against the best prior record"
-            )
-            exit_code = 1
-    if not args.no_append:
-        bench.append_history(args.history, record)
-        print(f"\nappended record to {args.history!r}")
-    from repro.provenance import make_entry
-
-    _append_ledger(args, make_entry(
-        "bench",
-        run_id,
-        {
-            "workloads": workloads,
-            "backend": args.backend,
-            "steps": steps,
-            "scale": scale,
-            "seed": args.seed,
-            "reps": reps,
-        },
-        workload=",".join(workloads),
-        backend=args.backend,
-        steps=steps,
-        scale=scale,
-        seed=args.seed,
-        outcome="regressed" if exit_code else "completed",
-        duration=wall_seconds,
-        metrics={
-            "steps_per_sec": {
-                name: entry["steps_per_sec"]
-                for name, entry in record["workloads"].items()
-            },
-        },
-        artifacts={"history": None if args.no_append else args.history},
-    ))
-    return exit_code
-
-
-def _bench_plasticity(args, bench) -> int:
-    """``repro bench --plasticity``: lazy-STDP overhead and pinning.
-
-    Fails (exit 1) when the lazy and dense spike digests diverge on any
-    workload — they share the same analytic event arithmetic, so any
-    difference is a bug — or when the lazy path deferred zero trace
-    updates (the laziness it exists for did not happen).
-    """
-    workloads = (
-        [name.strip() for name in args.workloads.split(",") if name.strip()]
-        if args.workloads
-        else list(bench.DEFAULT_PLASTICITY_WORKLOADS)
-    )
-    steps, scale, reps = min(args.steps, 300), args.scale, args.reps
-    if args.quick:
-        # still 300 steps: fewer and the small-scale networks are
-        # silent for the whole run, which would make the digest pin
-        # vacuous; a single rep is where the time actually goes
-        steps, scale, reps = min(steps, 300), min(scale, 0.05), 1
-    from repro.observability.log import new_run_id
-
-    run_id = new_run_id()
-    print(f"run ID: {run_id}")
-    print(
-        f"plasticity bench on {len(workloads)} workload(s): {steps} steps "
-        f"at scale {scale:g}, off vs lazy vs dense STDP"
-    )
-    record = bench.make_plasticity_record(
-        workloads, steps=steps, scale=scale,
-        seed=args.seed, reps=reps, progress=print, run_id=run_id,
-    )
-    exit_code = 0
-    for name, entry in record["plasticity"].items():
-        if not entry["digest_match"]:
-            print(
-                f"FAIL: {name}: lazy and dense STDP spike digests differ "
-                f"({entry['modes']['lazy']['digest'][:16]}… vs "
-                f"{entry['modes']['eager']['digest'][:16]}…)"
-            )
-            exit_code = 1
-        if entry["modes"]["lazy"]["deferred_updates"] <= 0:
-            print(f"FAIL: {name}: lazy STDP deferred no trace updates")
-            exit_code = 1
-    if not args.no_append:
-        bench.append_history(args.history, record)
-        print(f"\nappended plasticity record to {args.history!r}")
-    from repro.provenance import make_entry
-
-    _append_ledger(args, make_entry(
-        "bench",
-        run_id,
-        {
-            "kind": "plasticity",
-            "workloads": workloads,
-            "steps": steps,
-            "scale": scale,
-            "seed": args.seed,
-            "reps": reps,
-        },
-        workload=",".join(workloads),
-        backend="reference",
-        steps=steps,
-        scale=scale,
-        seed=args.seed,
-        outcome="failed" if exit_code else "completed",
-        metrics={
-            "digest_match": {
-                name: entry["digest_match"]
-                for name, entry in record["plasticity"].items()
-            },
-        },
-        artifacts={"history": None if args.no_append else args.history},
-        extra={"bench_kind": "plasticity"},
-    ))
-    return exit_code
-
-
-def _bench_sharding(args, bench) -> int:
-    """``repro bench --shards``: sharded scaling and digest parity.
-
-    Runs each workload single-process, then through the process-backed
-    coordinator at every requested shard count, recording wall times
-    into a ``kind: "sharding"`` history entry. Fails (exit 1) when any
-    sharded digest differs from the single-process oracle or any run
-    degraded — wall-clock speedup is recorded but never gated on.
-    """
-    from repro.errors import ConfigurationError
-
-    try:
-        shard_counts = [
-            int(part) for part in args.shards.split(",") if part.strip()
-        ]
-    except ValueError:
-        raise ConfigurationError(
-            f"--shards expects a comma-separated list of shard counts, "
-            f"got {args.shards!r}"
-        ) from None
-    workloads = (
-        [name.strip() for name in args.workloads.split(",") if name.strip()]
-        if args.workloads
-        else ["Brunel"]
-    )
-    steps, scale = min(args.steps, 400), args.scale
-    if args.quick:
-        steps, scale = min(steps, 200), min(scale, 0.05)
-    from repro.observability.log import new_run_id
-
-    run_id = new_run_id()
-    print(f"run ID: {run_id}")
-    print(
-        f"sharding bench on {len(workloads)} workload(s): {steps} steps "
-        f"at scale {scale:g}, shard counts {shard_counts}"
-    )
-    record = bench.make_sharding_record(
-        workloads, shard_counts, steps=steps, scale=scale,
-        seed=args.seed, progress=print, run_id=run_id,
-    )
-    exit_code = 0
-    for name, entry in record["sharding"].items():
-        if not entry["digest_match"]:
-            print(
-                f"FAIL: {name}: sharded spike digest diverged from the "
-                f"single-process oracle (or a run degraded)"
-            )
-            exit_code = 1
-    if not args.no_append:
-        bench.append_history(args.history, record)
-        print(f"\nappended sharding record to {args.history!r}")
-    from repro.provenance import make_entry
-
-    _append_ledger(args, make_entry(
-        "bench",
-        run_id,
-        {
-            "kind": "sharding",
-            "workloads": workloads,
-            "shard_counts": shard_counts,
-            "steps": steps,
-            "scale": scale,
-            "seed": args.seed,
-        },
-        workload=",".join(workloads),
-        backend="reference",
-        steps=steps,
-        scale=scale,
-        seed=args.seed,
-        outcome="failed" if exit_code else "completed",
-        metrics={
-            "digest_match": {
-                name: entry["digest_match"]
-                for name, entry in record["sharding"].items()
-            },
-        },
-        artifacts={"history": None if args.no_append else args.history},
-        extra={"bench_kind": "sharding"},
-    ))
-    return exit_code
 
 
 def _cmd_runs(args) -> int:
@@ -1867,53 +1228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("example-spec", help="print a ready-to-run JSON spec")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run a workload with the live observability plane attached "
-        "and keep serving until interrupted",
-    )
-    serve.add_argument(
-        "workload",
-        nargs="?",
-        default="Brunel",
-        help="Table I workload to simulate (default: Brunel)",
-    )
-    serve.add_argument(
-        "--bind",
-        default="127.0.0.1:0",
-        metavar="SPEC",
-        help="PORT, :PORT or HOST:PORT (port 0 = ephemeral; default)",
-    )
-    serve.add_argument(
-        "--port-file",
-        default=None,
-        metavar="PATH",
-        help="write the bound port here once serving (for scripts)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("reference", "flexon", "folded"),
-        default="reference",
-    )
-    serve.add_argument("--scale", type=float, default=0.05)
-    serve.add_argument("--steps", type=int, default=5000)
-    serve.add_argument("--dt", type=float, default=DT)
-    serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument(
-        "--linger",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="keep serving this long after the run "
-        "(default: until Ctrl-C)",
-    )
-    serve.add_argument(
-        "--ledger",
-        default="ledger.jsonl",
-        metavar="PATH",
-        help="run-provenance ledger served on GET /runs",
-    )
-
     top = sub.add_parser(
         "top", help="live console view of a serving run or sweep"
     )
@@ -1933,87 +1247,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append frames instead of clearing the screen",
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure steps/sec per workload, append to "
-        "BENCH_history.jsonl, and (--compare) fail on regressions",
-    )
-    bench.add_argument(
-        "--workloads",
-        default=None,
-        metavar="A,B,C",
-        help="comma-separated workload names (default: the workloads "
-        "in the committed BENCH_engine.json baseline)",
-    )
-    bench.add_argument(
-        "--backend",
-        choices=("reference", "solver", "flexon", "folded"),
-        default="reference",
-    )
-    bench.add_argument("--steps", type=int, default=400)
-    bench.add_argument("--scale", type=float, default=0.05)
-    bench.add_argument("--seed", type=int, default=5)
-    bench.add_argument("--reps", type=int, default=3)
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI preset: caps steps/scale/reps for a fast smoke bench",
-    )
-    bench.add_argument(
-        "--plasticity",
-        action="store_true",
-        help="measure lazy-STDP overhead (off vs lazy vs dense) instead "
-        "of raw throughput; fails if lazy and dense spike digests "
-        "diverge or no trace updates were deferred",
-    )
-    bench.add_argument(
-        "--shards",
-        default=None,
-        metavar="N,M",
-        help="measure sharded scaling instead of raw throughput: run "
-        "each workload through the process-backed coordinator at these "
-        "shard counts (e.g. 2,4) and fail if any digest diverges from "
-        "the single-process oracle",
-    )
-    bench.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help="the append-only JSONL throughput history",
-    )
-    bench.add_argument(
-        "--engine-baseline",
-        default="BENCH_engine.json",
-        metavar="PATH",
-        help="committed engine export seeding the comparison baseline",
-    )
-    bench.add_argument(
-        "--compare",
-        action="store_true",
-        help="exit non-zero when any workload regressed more than "
-        "--threshold vs the best prior record",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        metavar="FRACTION",
-        help="fractional steps/sec loss that fails --compare "
-        "(default 0.15)",
-    )
-    bench.add_argument(
-        "--no-engine-seed",
-        action="store_true",
-        help="compare against history only (e.g. in CI, where the "
-        "committed baseline's host is not comparable)",
-    )
-    bench.add_argument(
-        "--no-append",
-        action="store_true",
-        help="measure and compare without recording to the history",
-    )
-    _add_ledger_flags(bench)
 
     runs = sub.add_parser(
         "runs",
@@ -2036,7 +1269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_list.add_argument(
         "--kind", default=None,
-        choices=("run", "sweep", "bench", "profile"),
+        choices=("run", "sweep", "profile"),
         help="only runs of this kind",
     )
     runs_list.add_argument(
@@ -2138,9 +1371,7 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "simulate": _cmd_simulate,
     "example-spec": _cmd_example_spec,
-    "serve": _cmd_serve,
     "top": _cmd_top,
-    "bench": _cmd_bench,
     "runs": _cmd_runs,
 }
 

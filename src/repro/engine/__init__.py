@@ -23,7 +23,6 @@ from repro.engine.hooks import (
     PhaseHook,
     PhaseStats,
     PhaseTimer,
-    PhaseTrace,
 )
 from repro.engine.plan import (
     FlowPlan,
@@ -43,7 +42,6 @@ __all__ = [
     "PhaseHook",
     "PhaseStats",
     "PhaseTimer",
-    "PhaseTrace",
     "PopulationRuntime",
     "SolverRuntime",
     "StepPlan",

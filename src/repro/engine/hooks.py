@@ -27,9 +27,8 @@ metric), with a ``RuntimeWarning`` emitted so it cannot pass silently.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 #: Canonical phase order of one simulated time step (Section II-C).
 PHASES = ("stimulus", "neuron", "synapse")
@@ -115,44 +114,3 @@ class PhaseTimer(PhaseHook):
 
     def on_phase(self, phase: str, step: int, seconds: float, operations: int) -> None:
         self.phases[phase].add(seconds, operations)
-
-
-class PhaseTrace(PhaseHook):
-    """Records every phase event — a debugging/profiling aid.
-
-    Stores ``(step, phase, seconds, operations)`` tuples; useful for
-    inspecting per-step cost evolution (e.g. warm-up effects) rather
-    than run-level aggregates. ``max_events`` bounds the storage as a
-    ring buffer keeping the most recent events (default ``None`` keeps
-    everything, the historical behaviour); ``dropped_events`` counts
-    what the ring evicted.
-    """
-
-    def __init__(self, max_events: Optional[int] = None) -> None:
-        self.events: "deque[Tuple[int, str, float, int]]" = deque(
-            maxlen=max_events
-        )
-        self.max_events = max_events
-        #: Total events observed, including ones the ring evicted.
-        self.total_events = 0
-
-    def on_phase(self, phase: str, step: int, seconds: float, operations: int) -> None:
-        self.total_events += 1
-        self.events.append((step, phase, seconds, operations))
-
-    @property
-    def dropped_events(self) -> int:
-        """Events evicted by the ring buffer (0 while within capacity)."""
-        return self.total_events - len(self.events)
-
-    def steps_recorded(self) -> int:
-        """Number of distinct steps that produced at least one event."""
-        return len({step for step, *_ in self.events})
-
-    def durations_of(self, phase: str) -> List[float]:
-        """Buffered per-event durations (seconds) of one phase."""
-        return [
-            seconds
-            for _, name, seconds, _ in self.events
-            if name == phase
-        ]

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.network.backends import ReferenceBackend
-from repro.network.simulator import Simulator
-from repro.workloads import build_workload, get_spec
-from repro.workloads.builders import DT
+from repro.assembly import DT, assemble
+from repro.workloads import get_spec
 
 
 @dataclass(frozen=True)
@@ -65,16 +63,12 @@ def profile_workload(
     of the compiled step-plan path; the measured activity is identical
     (the two are spike-identical), only wall-clock differs.
     """
-    spec = get_spec(name)
-    network = build_workload(name, scale=scale, seed=seed)
-    solver_name = solver if solver is not None else spec.solver
-    simulator = Simulator(
-        network,
-        ReferenceBackend(solver_name, use_engine=use_engine),
-        dt=DT,
-        seed=seed + 1,
+    assembly = assemble(
+        name, "reference" if use_engine else "solver",
+        scale=scale, seed=seed, solver=solver,
     )
-    result = simulator.run(steps)
+    network = assembly.network
+    result = assembly.simulator().run(steps)
     duration = steps * DT
     n = network.n_neurons
     synapses = max(1, network.n_synapses)

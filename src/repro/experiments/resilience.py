@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.assembly import assemble
 from repro.engine.hooks import PhaseHook
-from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
-from repro.network.backends import Backend, ReferenceBackend
 from repro.network.simulator import Simulator
 from repro.reliability.faults import (
     BitFlipFault,
@@ -35,8 +34,6 @@ from repro.reliability.faults import (
     SpikeDropFault,
 )
 from repro.experiments.common import format_table
-from repro.workloads import build_workload
-from repro.workloads.builders import DT
 
 #: The fault scenarios, in report order.
 SCENARIOS = ("none", "bit-flip", "spike-drop", "input-perturb")
@@ -66,16 +63,6 @@ class ResilienceRow:
         if self.clean_spikes == 0:
             return 0.0 if self.faulty_spikes == 0 else float("inf")
         return abs(self.faulty_spikes - self.clean_spikes) / self.clean_spikes
-
-
-def _make_backend(kind: str) -> Backend:
-    if kind == "reference":
-        return ReferenceBackend("Euler")
-    if kind == "flexon":
-        return FlexonBackend(DT)
-    if kind == "folded":
-        return FoldedFlexonBackend(DT)
-    raise ValueError(f"unknown backend kind {kind!r}")
 
 
 def _make_faults(
@@ -116,10 +103,11 @@ def _spike_set(
     sigma: float,
 ) -> Tuple[set, int]:
     """Run one (backend, scenario) combination; return spikes + faults."""
-    network = build_workload(workload, scale=scale, seed=seed)
-    simulator = Simulator(
-        network, _make_backend(backend_kind), dt=DT, seed=seed + 1
-    )
+    # Euler on every backend: the scheme the hardware discretises.
+    simulator = assemble(
+        workload, backend_kind, scale=scale, seed=seed, solver="Euler"
+    ).simulator()
+    network = simulator.network
     population = next(iter(network.populations))
     hooks, applied = _make_faults(
         scenario, simulator, population, seed, flip_every, p_drop, sigma

@@ -21,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
-from repro.network.backends import ReferenceBackend
-from repro.network.simulator import Simulator
+from repro.assembly import assemble
 from repro.experiments.common import format_table
-from repro.workloads import build_workload, workload_names
-from repro.workloads.builders import DT
+from repro.network.simulator import Simulator
+from repro.workloads import workload_names
 
 
 @dataclass(frozen=True)
@@ -84,13 +82,10 @@ def validate_workload(
     is measured on the full (step, neuron) spike sets).
     """
     runs = {}
-    for key, backend in (
-        ("reference", ReferenceBackend("Euler")),
-        ("flexon", FlexonBackend(DT)),
-        ("folded", FoldedFlexonBackend(DT)),
-    ):
-        network = build_workload(name, scale=scale, seed=seed)
-        simulator = Simulator(network, backend, dt=DT, seed=seed + 1)
+    for key in ("reference", "flexon", "folded"):
+        simulator = assemble(
+            name, key, scale=scale, seed=seed, solver="Euler"
+        ).simulator()
         runs[key] = _spike_sets(simulator, steps)
 
     reference_set = set().union(*runs["reference"][1].values())

@@ -39,7 +39,7 @@ from typing import Dict, Tuple, Union
 from repro.errors import ConfigurationError
 from repro.models.base import ModelParameters
 from repro.models.registry import create_model
-from repro.network.backends import Backend, ReferenceBackend
+from repro.network.backends import Backend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.stimulus import PatternStimulus, PoissonStimulus
@@ -303,11 +303,7 @@ def _build_plasticity(entry: Dict, where: str):
 
 def build_backend(spec: Dict) -> Backend:
     """Instantiate the backend named by ``spec``."""
-    from repro.hardware.backend import (
-        FlexonBackend,
-        FoldedFlexonBackend,
-        HybridBackend,
-    )
+    from repro.assembly import make_backend
 
     name = spec.get("backend", "reference")
     dt = _as_float(spec.get("dt", 1e-4), "top-level 'dt'")
@@ -315,17 +311,11 @@ def build_backend(spec: Dict) -> Backend:
         solver = canonical_solver_name(spec.get("solver", "Euler"))
     except ConfigurationError as error:
         raise ConfigurationError(f"top-level 'solver': {error}") from None
-    if name == "reference":
-        return ReferenceBackend(solver)
-    if name == "flexon":
-        return FlexonBackend(dt)
-    if name == "folded":
-        return FoldedFlexonBackend(dt)
-    if name == "hybrid":
-        return HybridBackend(dt, solver=solver)
-    raise ConfigurationError(
-        f"unknown backend {name!r}; choose from {_BACKENDS}"
-    )
+    if name not in _BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {name!r}; choose from {_BACKENDS}"
+        )
+    return make_backend(name, dt, solver)
 
 
 def build_simulation(spec: Dict) -> Tuple[Simulator, Network]:

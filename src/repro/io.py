@@ -20,7 +20,7 @@ pioneered the pattern in this repo):
   payload writers;
 * :func:`atomic_write_json` — the JSON artifact writer used by
   ``repro run --stats-json``, ``repro sweep --stats-json``,
-  ``BENCH_profile.json``, and the benchmark exports.
+  and ``BENCH_profile.json``.
 """
 
 from __future__ import annotations
@@ -104,8 +104,7 @@ def atomic_write_json(
 def append_jsonl(path: PathLike, record: dict) -> None:
     """Append one JSON record as a whole line, safe under concurrency.
 
-    Append-only histories (``BENCH_history.jsonl``, ``ledger.jsonl``)
-    have a different failure model than one-shot artifacts: several
+    Append-only histories (``ledger.jsonl``) have a different failure model than one-shot artifacts: several
     processes may append at once, and none of them may clobber the
     others' lines. A read-modify-rename cycle loses lines under that
     race, so appends go through ``O_APPEND`` plus an exclusive

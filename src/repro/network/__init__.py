@@ -22,7 +22,7 @@ from repro.network.simulator import (
     SimulationResult,
     Simulator,
 )
-from repro.engine.hooks import HookError, PhaseHook, PhaseTimer, PhaseTrace
+from repro.engine.hooks import HookError, PhaseHook, PhaseTimer
 
 __all__ = [
     "Backend",
@@ -33,7 +33,6 @@ __all__ = [
     "PhaseHook",
     "PhaseStats",
     "PhaseTimer",
-    "PhaseTrace",
     "PoissonStimulus",
     "Population",
     "Projection",

@@ -26,44 +26,46 @@ serving-style plane (see DESIGN.md's "Observability plane"):
   progress into the status board, the event bus, and the metrics
   registry without taxing the hot loop when idle;
 * :mod:`repro.observability.top` — the ``repro top`` console view of
-  the ``/status`` + ``/events`` feed;
-* :mod:`repro.observability.bench` — bench regression tracking:
-  ``BENCH_history.jsonl`` append + compare-against-best (``repro
-  bench --compare`` exits non-zero on a >15 % steps/sec regression).
+  the ``/status`` + ``/events`` feed (imported by the CLI, not
+  re-exported here: it pulls in ``urllib``).
 
-The ``top`` and ``bench`` modules pull in the workload registry and
-``urllib``, so the CLI imports them lazily rather than here.
+Exports resolve lazily (PEP 562, like :mod:`repro.supervision` and
+:mod:`repro.reliability`): every ``repro run`` mints its run id from
+:mod:`repro.observability.log`, and an eager init would make that one
+import pay for ``http.server``, the hook stack and the flight recorder.
 """
 
-from repro.observability.hooks import ServeHook
-from repro.observability.log import (
-    LOG_SCHEMA,
-    StructuredLogger,
-    log_stream_document,
-    merge_records,
-    new_run_id,
-)
-from repro.observability.recorder import FLIGHT_SCHEMA, FlightRecorder
-from repro.observability.server import (
-    EVENTS_SCHEMA,
-    EventBus,
-    ObservabilityServer,
-    StatusBoard,
-    parse_serve_spec,
-)
+import importlib
 
-__all__ = [
-    "EVENTS_SCHEMA",
-    "EventBus",
-    "FLIGHT_SCHEMA",
-    "FlightRecorder",
-    "LOG_SCHEMA",
-    "ObservabilityServer",
-    "ServeHook",
-    "StatusBoard",
-    "StructuredLogger",
-    "log_stream_document",
-    "merge_records",
-    "new_run_id",
-    "parse_serve_spec",
-]
+_EXPORTS = {
+    "EVENTS_SCHEMA": "repro.observability.server",
+    "EventBus": "repro.observability.server",
+    "FLIGHT_SCHEMA": "repro.observability.recorder",
+    "FlightRecorder": "repro.observability.recorder",
+    "LOG_SCHEMA": "repro.observability.log",
+    "ObservabilityServer": "repro.observability.server",
+    "ServeHook": "repro.observability.hooks",
+    "StatusBoard": "repro.observability.server",
+    "StructuredLogger": "repro.observability.log",
+    "log_stream_document": "repro.observability.log",
+    "merge_records": "repro.observability.log",
+    "new_run_id": "repro.observability.log",
+    "parse_serve_spec": "repro.observability.server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -1,7 +1,7 @@
 """The stdlib HTTP plane: metrics, health, status, and live events.
 
-``repro serve`` (and ``--serve`` on ``repro run`` / ``repro sweep``)
-exposes a running simulation the way a production service would —
+``--serve`` on ``repro run`` / ``repro sweep`` exposes a running
+simulation the way a production service would —
 scrapeable, probeable, and streamable — using nothing beyond the
 standard library:
 

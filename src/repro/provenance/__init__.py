@@ -15,7 +15,7 @@ history:
   exchange sends to the peers' receives.
 * **Run ledger** — ``ledger.jsonl`` (schema ``repro-ledger/1``), an
   append-only, torn-line-tolerant record of every ``repro run`` /
-  ``sweep`` / ``bench`` / ``profile``: config digest, seed, backend,
+  ``sweep`` / ``profile``: config digest, seed, backend,
   shard count, spike digest, outcome, duration, metrics snapshot and
   artifact paths. Queried by ``repro runs list|show|diff|trace`` and
   served as ``GET /runs`` on the observability plane.

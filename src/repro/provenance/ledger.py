@@ -1,6 +1,6 @@
 """The run ledger: ``ledger.jsonl``, schema ``repro-ledger/1``.
 
-Every ``repro run`` / ``sweep`` / ``bench`` / ``profile`` appends one
+Every ``repro run`` / ``sweep`` / ``profile`` appends one
 entry recording what ran and what it produced: the config digest (a
 SHA-256 over the canonical JSON of the resolved configuration), seed,
 backend, shard count, the spike digest that pins bit-identity, the
@@ -8,8 +8,7 @@ outcome, wall duration, a metrics snapshot, and the paths of every
 artifact the command wrote. The file is append-only through
 :func:`repro.io.append_jsonl` (``O_APPEND`` + ``flock`` + single
 write), so concurrent commands interleave whole lines, and loads are
-torn-line-tolerant like ``BENCH_history.jsonl`` — a crash mid-append
-costs at most the final line.
+torn-line-tolerant — a crash mid-append costs at most the final line.
 
 Entries may carry the run's per-process span rings inline
 (``trace_rings``, :class:`~repro.provenance.merge.ProcessRing`
@@ -45,8 +44,7 @@ __all__ = [
 
 LEDGER_SCHEMA = "repro-ledger/1"
 
-#: Default ledger location, relative to the working directory (the
-#: same convention as ``BENCH_history.jsonl``).
+#: Default ledger location, relative to the working directory.
 DEFAULT_LEDGER_PATH = "ledger.jsonl"
 
 #: Fields ``repro runs diff`` compares, in report order.
@@ -85,11 +83,11 @@ def make_entry(
     *,
     workload: Optional[str] = None,
     backend: Optional[str] = None,
-    shards: int = 0,
-    steps: int = 0,
-    scale: float = 0.0,
-    seed: int = 0,
-    dt: float = 0.0,
+    shards: Optional[int] = None,
+    steps: Optional[int] = None,
+    scale: Optional[float] = None,
+    seed: Optional[int] = None,
+    dt: Optional[float] = None,
     spike_digest: Optional[str] = None,
     outcome: str = "completed",
     duration: float = 0.0,
@@ -98,20 +96,33 @@ def make_entry(
     trace_rings: Optional[list] = None,
     extra: Optional[dict] = None,
 ) -> dict:
-    """Build one ledger entry (pure; append with :func:`append_entry`)."""
+    """Build one ledger entry (pure; append with :func:`append_entry`).
+
+    The headline fields (``workload`` … ``dt``) default to what
+    ``config`` says under the same key — ``workload`` also to the
+    comma-joined ``config["workloads"]`` — so a caller states its
+    configuration once; pass one explicitly only where the entry
+    differs from the request (an interrupted run's ``steps``).
+    """
+
+    def headline(value, key, default):
+        return config.get(key, default) if value is None else value
+
+    if workload is None and "workloads" in config:
+        workload = ",".join(config["workloads"])
     entry = {
         "schema": LEDGER_SCHEMA,
         "run_id": run_id,
         "ts": time.time(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "kind": kind,
-        "workload": workload,
-        "backend": backend,
-        "shards": int(shards),
-        "steps": int(steps),
-        "scale": float(scale),
-        "seed": int(seed),
-        "dt": float(dt),
+        "workload": headline(workload, "workload", None),
+        "backend": headline(backend, "backend", None),
+        "shards": int(headline(shards, "shards", 0)),
+        "steps": int(headline(steps, "steps", 0)),
+        "scale": float(headline(scale, "scale", 0.0)),
+        "seed": int(headline(seed, "seed", 0)),
+        "dt": float(headline(dt, "dt", 0.0)),
         "config_digest": config_digest(config),
         "config": config,
         "spike_digest": spike_digest,

@@ -1,8 +1,8 @@
 """Per-process span rings and their dual-exit-path shipping.
 
-A :class:`SpanRecorder` is the provenance sibling of the engine's
-:class:`~repro.engine.hooks.PhaseTrace`: a bounded ring of completed
-spans, but stamped with *wall-clock* start times so rings from
+A :class:`SpanRecorder` is the provenance sibling of the telemetry
+layer's :class:`~repro.telemetry.trace.TraceHook`: a bounded ring of
+completed spans, but stamped with *wall-clock* start times so rings from
 different processes can be merged after clock-offset correction
 (monotonic clocks do not compare across processes). Each span is a
 compact dict::

@@ -1,0 +1,226 @@
+"""RunContext: one command invocation's plane, brought up and written out.
+
+``repro run`` (single-process and sharded), ``repro sweep`` and
+``repro profile`` differ in *who steps* — ``Simulator.run`` with hooks,
+``ShardCoordinator.run``, ``Supervisor.run``, the profile harness — and
+share everything around it, in this order:
+
+**Bring-up** (construction, :meth:`~RunContext.attach` or
+:meth:`~RunContext.monitor`, then :meth:`~RunContext.serve`): run id →
+metrics registry (only when a flag will read it) → ``StatusBoard`` +
+``EventBus`` (``--serve``) → ``AlertManager`` (``--alerts``) →
+``ServeHook`` / ``HealthHook`` on a simulator, or a ``HealthMonitor``
+for steppers that take no hooks → the HTTP plane.
+
+**Write-out** (:meth:`~RunContext.write_out`): alert summary →
+``--stats-json`` → ``--prometheus`` → ``--trace`` → one ledger entry
+built from the command's config dict → linger, then stop the plane.
+
+What the flags do not ask for stays unimported.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import List, Optional, Tuple
+
+__all__ = ["RunContext"]
+
+
+class RunContext:
+    """The observability plane and artifact writers of one invocation.
+
+    ``args`` is the parsed command line; flags a command does not define
+    (``profile`` has no ``--serve``) read as unset.
+    """
+
+    def __init__(self, args, kind: str) -> None:
+        from repro.observability.log import new_run_id
+
+        self.args = args
+        self.kind = kind
+        self.run_id = new_run_id()
+        self.metrics = self.status = self.bus = None
+        self.manager = self.server = self._simulator = None
+        serve, alerts = self._flag("serve"), self._flag("alerts")
+        if (
+            serve or alerts
+            or self._flag("stats_json") or self._flag("prometheus")
+        ):
+            from repro.telemetry import MetricsRegistry
+
+            self.metrics = MetricsRegistry()
+        if serve:
+            from repro.observability.server import EventBus, StatusBoard
+
+            self.status = StatusBoard(state="starting")
+            self.bus = EventBus()
+        if alerts:
+            from repro.health import AlertManager, load_alert_rules
+
+            rules = load_alert_rules(alerts)
+            print(f"alerting: {len(rules)} rule(s) loaded from {alerts!r}")
+            self.manager = AlertManager(
+                rules, status=self.status, bus=self.bus, metrics=self.metrics
+            )
+
+    def _flag(self, name: str):
+        return getattr(self.args, name, None)
+
+    @property
+    def ledger_path(self) -> Optional[str]:
+        """The ledger file this invocation records to (None = disabled)."""
+        return None if self._flag("no_ledger") else self._flag("ledger")
+
+    # -- bring-up ----------------------------------------------------------
+
+    def attach(self, simulator) -> List:
+        """The plane's hooks for a ``Simulator.run`` (may be empty)."""
+        self._simulator = simulator
+        hooks = []
+        if self.status is not None:
+            from repro.observability.hooks import ServeHook
+
+            hooks.append(ServeHook(self.status, self.bus, metrics=self.metrics))
+        if self.manager is not None:
+            from repro.health import HealthHook
+
+            hooks.append(
+                HealthHook(
+                    self.manager, simulator=simulator, metrics=self.metrics
+                )
+            )
+        return hooks
+
+    def monitor(self):
+        """A clock-driven health driver for a stepper that takes no
+        hooks (shard coordinator, supervisor); None without ``--alerts``."""
+        if self.manager is None:
+            return None
+        from repro.health import HealthMonitor
+
+        return HealthMonitor(self.manager, metrics=self.metrics)
+
+    def _runtime_health(self) -> Tuple[bool, str]:
+        """``/healthz`` of an attached simulator: every runtime finite."""
+        runtimes = getattr(self._simulator.backend, "runtimes", {})
+        for name, runtime in runtimes.items():
+            bad = runtime.health()
+            if bad is not None:
+                variable, indices = bad
+                return False, (
+                    f"population {name!r}: {variable} non-finite or "
+                    f"divergent in {len(indices)} neuron(s)"
+                )
+        return True, ""
+
+    def serve(self, what, ready_states=("running", "finished"),
+              health_check=None) -> None:
+        """Start the HTTP plane behind ``--serve`` (no-op without it).
+
+        ``what`` names the work in the ``/readyz`` message; the default
+        ``/healthz`` probes the attached simulator's runtimes.
+        """
+        if self.status is None:
+            return
+        from repro.observability.plane import start_plane
+
+        def ready_check() -> Tuple[bool, str]:
+            state = self.status.snapshot().get("state")
+            return state in ready_states, f"{what} state is {state!r}"
+
+        if health_check is None and self._simulator is not None:
+            health_check = self._runtime_health
+        self.server = start_plane(
+            self.args.serve, self.args.serve_port_file, self.metrics,
+            self.status, self.bus, health_check, ready_check,
+            ledger_path=self.ledger_path,
+            alerts_source=self.manager and self.manager.document,
+        )
+
+    # -- write-out ---------------------------------------------------------
+
+    def write_out(
+        self,
+        config: dict,
+        *,
+        outcome: str = "completed",
+        duration: float = 0.0,
+        partial: bool = False,
+        stats: Optional[dict] = None,
+        stats_label: str = "run statistics",
+        trace: Optional[Tuple[dict, str]] = None,
+        artifacts: Optional[dict] = None,
+        **entry_fields,
+    ) -> None:
+        """Write the invocation's artifacts and its one ledger entry.
+
+        ``stats`` is the ``--stats-json`` document (run id and alert
+        summary are stamped in here), ``trace`` the ``--trace`` document
+        plus the description printed after its path, ``artifacts`` files
+        the command wrote itself; ``entry_fields`` reach ``make_entry``
+        beside what ``config`` already says. ``partial`` marks a run cut
+        short: only statistics and the ledger entry are written and the
+        plane stops without lingering.
+        """
+        from repro.io import atomic_write_json, atomic_write_text
+
+        args = self.args
+        written = {}
+        summary = None
+        if self.manager is not None and not partial:
+            summary = self.manager.summary()
+            fired = summary["fired"]
+            print(
+                f"alerts: {summary['fired_total']} fired"
+                + (f" ({', '.join(fired)})" if fired else "")
+                + f", {summary['firing']} still firing, "
+                f"{summary['resolved']} resolved"
+            )
+            entry_fields["extra"] = {
+                **(entry_fields.get("extra") or {}), "alerts": summary,
+            }
+        if self._flag("stats_json") and stats is not None:
+            stats["run_id"] = self.run_id
+            if summary is not None:
+                stats["alerts"] = summary
+            atomic_write_json(args.stats_json, stats)
+            print(f"wrote {stats_label} {args.stats_json!r}")
+            written["stats_json"] = args.stats_json
+        if self._flag("prometheus") and not partial:
+            atomic_write_text(args.prometheus, self.metrics.to_prometheus())
+            print(f"wrote Prometheus metrics {args.prometheus!r}")
+            written["prometheus"] = args.prometheus
+        if trace is not None:
+            document, description = trace
+            atomic_write_json(args.trace, document, indent=None)
+            print(
+                f"wrote {description} — load it in chrome://tracing or "
+                f"https://ui.perfetto.dev"
+            )
+            written["trace"] = args.trace
+        path = self.ledger_path
+        if path:
+            from repro.provenance.ledger import append_entry, make_entry
+
+            entry = make_entry(
+                self.kind, self.run_id, config, outcome=outcome,
+                duration=duration,
+                artifacts={**written, **(artifacts or {})}, **entry_fields,
+            )
+            try:
+                append_entry(path, entry)
+            except OSError as error:
+                print(
+                    f"warning: could not record run in ledger {path!r}: "
+                    f"{error}",
+                    file=sys.stderr,
+                )
+            else:
+                print(f"recorded {self.run_id} in ledger {path!r}")
+        if self.server is not None:
+            from repro.observability.plane import linger_plane
+
+            linger_plane(
+                self.server, self.bus, 0.0 if partial else args.serve_linger
+            )

@@ -313,11 +313,9 @@ class ShardCoordinator:
     # -- plan derivation ---------------------------------------------------
 
     def _derive_plan(self):
-        from repro.workloads import build_workload
+        from repro.assembly import assemble_job
 
-        network = build_workload(
-            self.spec.workload, scale=self.spec.scale, seed=self.spec.seed
-        )
+        network = assemble_job(self.spec).network
         return network, ShardPlan(network, self.spec.shards)
 
     # -- observability helpers ---------------------------------------------
@@ -842,7 +840,7 @@ class ShardCoordinator:
         sharded run would have produced, so callers still get a correct
         result — just without the parallelism.
         """
-        from repro.supervision.worker import _build_simulator
+        from repro.assembly import assemble_job
 
         event = DegradedEvent(
             reason=degrade.reason,
@@ -864,8 +862,7 @@ class ShardCoordinator:
         )
         if self.status_board is not None:
             self.status_board.update(state="degraded")
-        simulator, _network = _build_simulator(self.spec)
-        result = simulator.run(self.spec.steps)
+        result = assemble_job(self.spec).simulator().run(self.spec.steps)
         return ShardedRunResult(
             spikes=result.spikes,
             n_steps=self.spec.steps,

@@ -55,12 +55,9 @@ import sys
 import time
 from typing import Optional
 
+from repro.assembly import assemble_job
 from repro.supervision.job import JobSpec
-from repro.supervision.worker import (
-    HEARTBEAT_INTERVAL,
-    _build_backend,
-    _redirect_output,
-)
+from repro.supervision.worker import HEARTBEAT_INTERVAL, _redirect_output
 
 __all__ = ["shard_worker_entry"]
 
@@ -96,29 +93,6 @@ class _ShardHeartbeat:
             self._broken = True
 
 
-def _build_runner(spec: JobSpec, plan_payload: dict, shard: int):
-    """Network + plan + backend + runner for one shard (deterministic).
-
-    Seeding follows the repo convention: network with ``spec.seed``,
-    runner (stimulus RNG) with ``spec.seed + 1`` — every shard holds an
-    identical RNG stream, which is what keeps full-size stimulus draws
-    in lockstep with the single-process simulator.
-    """
-    from repro.sharding.plan import ShardPlan
-    from repro.sharding.runner import ShardRunner
-    from repro.workloads import build_workload, get_spec
-
-    workload_spec = get_spec(spec.workload)
-    solver_name = spec.solver or workload_spec.solver
-    network = build_workload(spec.workload, scale=spec.scale, seed=spec.seed)
-    plan = ShardPlan.from_payload(plan_payload, network)
-    backend = _build_backend(spec, solver_name)
-    runner = ShardRunner(
-        network, plan, shard, backend, dt=spec.dt, seed=spec.seed + 1
-    )
-    return runner, plan
-
-
 def shard_worker_entry(conn, capture_path: Optional[str] = None) -> None:
     """Process target: run one shard's barrier loop against ``conn``."""
     try:
@@ -148,7 +122,8 @@ def shard_worker_entry(conn, capture_path: Optional[str] = None) -> None:
         barrier_recv_id,
         barrier_send_id,
     )
-    from repro.sharding.runner import window_digest
+    from repro.sharding.plan import ShardPlan
+    from repro.sharding.runner import ShardRunner, window_digest
 
     context = TraceContext.from_payload(payload.get("trace"))
     spans = SpanRecorder(
@@ -157,7 +132,15 @@ def shard_worker_entry(conn, capture_path: Optional[str] = None) -> None:
 
     step = -1
     try:
-        runner, plan = _build_runner(spec, payload["plan"], shard)
+        # Every shard holds the identical stimulus RNG stream, which
+        # keeps full-size stimulus draws in lockstep with the
+        # single-process simulator.
+        assembly = assemble_job(spec)
+        plan = ShardPlan.from_payload(payload["plan"], assembly.network)
+        runner = ShardRunner(
+            assembly.network, plan, shard, assembly.backend(),
+            dt=spec.dt, seed=assembly.stimulus_seed,
+        )
         if resume is not None:
             runner.restore(resume)
         step = runner.step

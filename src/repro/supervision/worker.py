@@ -62,50 +62,12 @@ import sys
 import time
 from typing import Dict, Optional
 
+from repro.assembly import assemble_job
 from repro.supervision.job import JobSpec, spike_digest
 
 #: Seconds between heartbeats (wall clock, not steps: a slow step still
 #: heartbeats every phase, a fast run does not flood the pipe).
 HEARTBEAT_INTERVAL = 0.1
-
-
-def _build_backend(spec: JobSpec, solver_name: str):
-    """The backend a job runs on (mirrors the ``repro run`` mapping)."""
-    if spec.backend == "reference":
-        from repro.network.backends import ReferenceBackend
-
-        return ReferenceBackend(solver_name)
-    if spec.backend == "solver":
-        from repro.network.backends import ReferenceBackend
-
-        return ReferenceBackend(solver_name, use_engine=False)
-    if spec.backend == "flexon":
-        from repro.hardware.backend import FlexonBackend
-
-        return FlexonBackend(spec.dt)
-    from repro.hardware.backend import FoldedFlexonBackend
-
-    return FoldedFlexonBackend(spec.dt)
-
-
-def _build_simulator(spec: JobSpec):
-    """Network + backend + simulator for one job (deterministic).
-
-    Seeding follows the repo convention (``repro run``, the profile
-    harness): the network builds with ``spec.seed``, the simulator's
-    stimulus RNG with ``spec.seed + 1`` — so a supervised job, a
-    resumed job, and a plain in-process run all produce bit-identical
-    spikes.
-    """
-    from repro.network.simulator import Simulator
-    from repro.workloads import build_workload, get_spec
-
-    workload_spec = get_spec(spec.workload)
-    solver_name = spec.solver or workload_spec.solver
-    network = build_workload(spec.workload, scale=spec.scale, seed=spec.seed)
-    backend = _build_backend(spec, solver_name)
-    simulator = Simulator(network, backend, dt=spec.dt, seed=spec.seed + 1)
-    return simulator, network
 
 
 def _profile_payload(spec: JobSpec, network, result, steps_run: int) -> dict:
@@ -289,23 +251,20 @@ def _run_sharded_inline(spec: JobSpec, heartbeat=None) -> Dict[str, object]:
     progress.
     """
     from repro.sharding.runner import simulate_sharded
-    from repro.workloads import build_workload, get_spec
 
-    workload_spec = get_spec(spec.workload)
-    solver_name = spec.solver or workload_spec.solver
-    network = build_workload(spec.workload, scale=spec.scale, seed=spec.seed)
+    assembly = assemble_job(spec)
 
     def on_epoch(epoch: int, n_epochs: int, step: int) -> None:
         if heartbeat is not None:
             heartbeat.beat(step, "barrier")
 
     result = simulate_sharded(
-        network,
+        assembly.network,
         spec.shards,
         spec.steps,
-        backend_factory=lambda: _build_backend(spec, solver_name),
+        backend_factory=assembly.backend,
         dt=spec.dt,
-        seed=spec.seed + 1,
+        seed=assembly.stimulus_seed,
         on_epoch=on_epoch,
     )
     return {
@@ -336,14 +295,16 @@ def run_job_inline(spec: JobSpec) -> Dict[str, object]:
     """
     if spec.shards > 1:
         return _run_sharded_inline(spec)
-    simulator, network = _build_simulator(spec)
+    simulator = assemble_job(spec).simulator()
     result = simulator.run(spec.steps)
     return {
         "steps": simulator.current_step,
         "total_spikes": result.total_spikes(),
         "spike_digest": spike_digest(result.spikes),
         "stats": result.to_stats_dict(),
-        "profile": _profile_payload(spec, network, result, spec.steps),
+        "profile": _profile_payload(
+            spec, simulator.network, result, spec.steps
+        ),
     }
 
 
@@ -475,7 +436,7 @@ def worker_entry(conn, capture_path: Optional[str] = None) -> None:
             done["spans"] = spans.dump()
             conn.send(("done", done))
             return
-        simulator, network = _build_simulator(spec)
+        simulator = assemble_job(spec).simulator()
         spikes = None
         resumed_from = 0
         if checkpoint_path and os.path.exists(checkpoint_path):
@@ -493,7 +454,7 @@ def worker_entry(conn, capture_path: Optional[str] = None) -> None:
                     f"fresh",
                     error=repr(error),
                 )
-                simulator, network = _build_simulator(spec)
+                simulator = assemble_job(spec).simulator()
         conn.send(
             ("started", {
                 "pid": os.getpid(),
@@ -540,7 +501,7 @@ def worker_entry(conn, capture_path: Optional[str] = None) -> None:
                 "spike_digest": spike_digest(result.spikes),
                 "stats": result.to_stats_dict(),
                 "profile": _profile_payload(
-                    spec, network, result, max(1, remaining)
+                    spec, simulator.network, result, max(1, remaining)
                 ),
                 "spans": spans.dump(),
             })

@@ -16,10 +16,10 @@ spans) — and reports:
   the Izhikevich workload; the command computes and self-reports the
   measured value, and a test pins it.
 
-The machine-readable output (``BENCH_profile.json``) uses the same
-top-level shape as ``benchmarks/export.py``'s ``BENCH_engine.json``
-(``dt``/``steps``/``scale``/``python``/``machine``/``workloads``), so
-both feed one perf-trajectory tooling path.
+The machine-readable output (``BENCH_profile.json``) carries
+``dt``/``steps``/``scale``/``python``/``machine`` beside the
+per-workload entries, so a profile names the conditions it was taken
+under.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.assembly import DT, assemble
 from repro.errors import ConfigurationError
 from repro.io import atomic_write_json
-from repro.network.simulator import Simulator
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import TraceHook
-from repro.workloads import build_workload, get_spec
 
 __all__ = [
     "DEFAULT_WORKLOADS",
@@ -49,31 +48,8 @@ __all__ = [
 
 PROFILE_SCHEMA = "repro-profile/1"
 
-#: Paper time step (matches ``repro.workloads.builders.DT``).
-DT = 1e-4
-
 #: Three Euler-solved Table I workloads spanning small/medium structure.
 DEFAULT_WORKLOADS = ("Brunel", "Izhikevich", "Nowotny et al.")
-
-
-def _make_backend(kind: str, solver: str, dt: float):
-    if kind == "reference":
-        from repro.network.backends import ReferenceBackend
-
-        return ReferenceBackend(solver)
-    if kind == "flexon":
-        from repro.hardware.backend import FlexonBackend
-
-        return FlexonBackend(dt)
-    if kind == "folded":
-        from repro.hardware.backend import FoldedFlexonBackend
-
-        return FoldedFlexonBackend(dt)
-    if kind == "event-driven":
-        from repro.hardware.event_driven import EventDrivenFlexonBackend
-
-        return EventDrivenFlexonBackend(dt)
-    raise ConfigurationError(f"unknown profile backend {kind!r}")
 
 
 def _percentiles_us(durations: Sequence[float]) -> Dict[str, float]:
@@ -120,13 +96,10 @@ def profile_workload(
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     if reps < 1:
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
-    spec = get_spec(name)
-    network = build_workload(name, scale=scale, seed=seed)
-    solver = spec.solver
-    bare = Simulator(network, _make_backend(backend, solver, dt), dt=dt, seed=seed + 1)
-    instrumented = Simulator(
-        network, _make_backend(backend, solver, dt), dt=dt, seed=seed + 1
-    )
+    assembly = assemble(name, backend, scale=scale, seed=seed, dt=dt)
+    network = assembly.network
+    bare = assembly.simulator()
+    instrumented = assembly.simulator()
 
     metrics = MetricsRegistry()
     events_per_step = 3 + len(network.populations)

@@ -2,10 +2,25 @@
 
 import pytest
 
-from repro.engine import PHASES, PhaseHook, PhaseTimer, PhaseTrace
+from repro.engine import PHASES, PhaseHook, PhaseTimer
 from repro.network import ReferenceBackend, Simulator, StateRecorder
+from repro.telemetry import TraceHook
 
 DT = 1e-4
+
+
+def _phase_trace(max_events=None):
+    """The phase-only event ring: no per-population kernel spans."""
+    return TraceHook(max_events=max_events, populations=False)
+
+
+def _steps(trace):
+    """Step index of every buffered span, oldest first."""
+    return [
+        event["args"]["step"]
+        for event in trace.to_trace_events()
+        if event["ph"] == "X"
+    ]
 
 
 class _RecordingHook(PhaseHook):
@@ -48,10 +63,11 @@ class TestPhaseHookStream:
         assert hook.steps == list(range(15))
 
     def test_phase_trace_counts_steps(self, small_network):
-        trace = PhaseTrace()
+        trace = _phase_trace()
         Simulator(small_network, dt=DT, seed=3).run(12, hooks=[trace])
-        assert trace.steps_recorded() == 12
-        assert len(trace.events) == 12 * len(PHASES)
+        steps = _steps(trace)
+        assert len(set(steps)) == 12
+        assert len(steps) == 12 * len(PHASES)
 
     def test_phase_timer_standalone_accumulates(self):
         timer = PhaseTimer()
@@ -114,28 +130,27 @@ class TestPhaseAccounting:
 
 class TestPhaseTraceRingBuffer:
     def test_unbounded_by_default(self, small_network):
-        trace = PhaseTrace()
+        trace = _phase_trace()
         Simulator(small_network, dt=DT, seed=3).run(40, hooks=[trace])
-        assert len(trace.events) == 40 * len(PHASES)
+        assert len(_steps(trace)) == 40 * len(PHASES)
         assert trace.total_events == 40 * len(PHASES)
         assert trace.dropped_events == 0
 
     def test_ring_keeps_most_recent_events(self, small_network):
-        trace = PhaseTrace(max_events=9)
+        trace = _phase_trace(max_events=9)
         Simulator(small_network, dt=DT, seed=3).run(40, hooks=[trace])
-        assert len(trace.events) == 9
         assert trace.total_events == 120
         assert trace.dropped_events == 111
         # The survivors are the last three steps' phase events.
-        assert [step for step, *_ in trace.events] == [37, 37, 37, 38, 38, 38, 39, 39, 39]
-        assert trace.steps_recorded() == 3
+        assert _steps(trace) == [37, 37, 37, 38, 38, 38, 39, 39, 39]
 
     def test_durations_of_reads_only_the_buffer(self, small_network):
-        trace = PhaseTrace(max_events=6)
+        trace = _phase_trace(max_events=6)
         Simulator(small_network, dt=DT, seed=3).run(10, hooks=[trace])
-        durations = trace.durations_of("neuron")
-        assert len(durations) == 2
-        assert all(value >= 0.0 for value in durations)
+        durations = trace.phase_durations()
+        assert set(durations) == set(PHASES)
+        assert len(durations["neuron"]) == 2
+        assert all(value >= 0.0 for value in durations["neuron"])
 
 
 class _FailingHook(PhaseHook):

@@ -73,6 +73,33 @@ class TestGracefulInterrupt:
         checkpoint = Checkpoint.load(tmp_path / "final.ckpt")
         assert checkpoint.step == stats["interrupted"]["step"]
 
+        # The interrupted run still leaves its one ledger entry, with
+        # the fields and config digest the parent commit recorded for
+        # the same arguments.
+        (entry,) = [
+            json.loads(line)
+            for line in (tmp_path / "ledger.jsonl").read_text().splitlines()
+        ]
+        assert set(entry) == {
+            "schema", "run_id", "ts", "timestamp", "kind", "workload",
+            "backend", "shards", "steps", "scale", "seed", "dt",
+            "config_digest", "config", "spike_digest", "outcome",
+            "duration", "metrics", "artifacts",
+        }
+        assert entry["config_digest"] == (
+            "6fb729a15a5b4613acb622c92eea15d8"
+            "93866118fb7a6ce5296cfc07080934a6"
+        )
+        assert entry["config"]["steps"] == 2000000
+        assert entry["steps"] == stats["interrupted"]["step"]
+        assert entry["outcome"] == "interrupted (SIGINT)"
+        assert entry["spike_digest"] is None and entry["metrics"] == {}
+        assert entry["artifacts"] == {
+            "stats_json": str(tmp_path / "stats.json"),
+            "checkpoint": str(tmp_path / "final.ckpt"),
+        }
+        assert entry["run_id"] == stats["run_id"]
+
     def test_sigterm_exits_143(self, tmp_path):
         process = _spawn_run(tmp_path)
         out = _interrupt_once_running(process, signal.SIGTERM)

@@ -1,10 +1,9 @@
-"""CLI-level observability: --serve endpoints, --log-json, serve/top/bench.
+"""CLI-level observability: --serve endpoints, --log-json, top.
 
 The in-process tests (``tests/observability/``) pin each component;
 these pin the *wiring* — that the flags on ``repro run`` / ``repro
-sweep`` / ``repro serve`` actually stand up a live plane, that ``repro
-top`` can read it, and that ``repro bench --compare`` exits the way CI
-depends on.
+sweep`` actually stand up a live plane and that ``repro top`` can read
+it.
 
 Live-server tests run the CLI in a subprocess (the plane must be up
 *while* we probe it) and discover the ephemeral port through
@@ -152,8 +151,10 @@ class TestServeFlag:
         port_file = str(tmp_path / "port")
         process = _spawn_cli(
             [
-                "serve", "Brunel", "--scale", "0.02", "--steps", "300",
-                "--port-file", port_file,
+                "run", "Brunel", "--backend", "reference",
+                "--scale", "0.02", "--steps", "300",
+                "--serve", ":0", "--serve-port-file", port_file,
+                "--serve-linger", "inf",
             ],
             cwd=str(tmp_path),
         )
@@ -180,66 +181,3 @@ class TestLogJsonWithoutServe:
         document = json.loads(open(log_path, encoding="utf-8").read())
         assert document["schema"] == "repro-log/1"
         assert document["n_records"] == len(document["records"]) > 0
-
-
-class TestBenchCommand:
-    def test_bench_seeds_then_detects_regression(self, tmp_path, capsys):
-        history = str(tmp_path / "hist.jsonl")
-        argv = [
-            "bench", "--quick",
-            "--workloads", "Brunel",
-            "--history", history,
-            "--no-engine-seed",
-        ]
-        assert main(argv) == 0
-        capsys.readouterr()
-
-        # Same measurement again, now compared: same machine, moments
-        # apart — far inside any sane threshold.
-        assert main([*argv, "--compare", "--threshold", "0.9"]) == 0
-        out = capsys.readouterr().out
-        assert "vs best" in out
-
-        # Sabotage the history with an impossible prior, and the
-        # comparison must fail with a non-zero exit.
-        record = json.loads(
-            open(history, encoding="utf-8").readline()
-        )
-        record["workloads"]["Brunel"]["steps_per_sec"] *= 1000.0
-        with open(history, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record) + "\n")
-        assert main([*argv, "--compare"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_bench_no_append_leaves_history_untouched(self, tmp_path):
-        history = str(tmp_path / "hist.jsonl")
-        code = main(
-            [
-                "bench", "--quick", "--workloads", "Brunel",
-                "--history", history, "--no-engine-seed", "--no-append",
-            ]
-        )
-        assert code == 0
-        assert not os.path.exists(history)
-
-    def test_bench_plasticity_records_overhead_and_digest(
-        self, tmp_path, capsys
-    ):
-        history = str(tmp_path / "hist.jsonl")
-        code = main(
-            [
-                "bench", "--plasticity", "--quick",
-                "--workloads", "Vogels et al.",
-                "--history", history, "--no-engine-seed",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "digests match" in out
-        record = json.loads(open(history, encoding="utf-8").readline())
-        assert record["kind"] == "plasticity"
-        entry = record["plasticity"]["Vogels et al."]
-        assert entry["digest_match"] is True
-        assert entry["modes"]["lazy"]["deferred_updates"] > 0
-        assert entry["modes"]["lazy"]["total_spikes"] > 0
-        assert set(entry["modes"]) == {"off", "lazy", "eager"}

@@ -1,0 +1,254 @@
+"""One assembly path behind run / sharded run / sweep / both workers.
+
+``repro.assembly`` owns the backend table and the seed contract
+(network seeds with ``seed``, stimulus RNG with ``seed + 1``);
+``repro.runcontext.RunContext`` owns the plane bring-up and the
+write-out. These tests pin that as behaviour: every entry point reports
+the same spike digest for the same ``(workload, scale, seed, steps)``,
+the ledger entries keep the parent commit's fields and config digests,
+arguments are validated before anything is built, and a plain launch
+imports no HTTP server.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.assembly import BACKENDS, assemble, make_backend
+from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
+from repro.provenance import config_digest, load_ledger
+from repro.supervision import JobSpec, run_job_inline, spike_digest
+
+SCALE, SEED, STEPS = 0.05, 3, 300
+
+#: Every ledger entry carries these; sharded runs add ``trace_rings``,
+#: sweeps add ``job_digests``.
+ENTRY_FIELDS = {
+    "schema", "run_id", "ts", "timestamp", "kind", "workload", "backend",
+    "shards", "steps", "scale", "seed", "dt", "config_digest", "config",
+    "spike_digest", "outcome", "duration", "metrics", "artifacts",
+}
+
+#: ``config_digest`` of the entries the parent commit wrote for
+#: ``run Brunel --backend reference --scale 0.05 --steps 300 --seed 3``
+#: (plain / ``--shards 2``) and the matching one-job ``sweep``.
+PARENT_BRUNEL_DIGESTS = {
+    "run": "74b048b7cd54295e288f4532544256c990246a922d8b420e513d30f370fbeb36",
+    "sharded": (
+        "08937408c1133b03490fcf716c526a67cad2d3b076a6da17d12a1e13140babde"
+    ),
+    "sweep": (
+        "c85094c24524420af5753b7369eaecef577ccec191826077dda4899474336cf2"
+    ),
+}
+
+
+def _run_config(workload, backend, shards):
+    return {
+        "workload": workload, "backend": backend, "steps": STEPS,
+        "scale": SCALE, "seed": SEED, "dt": 1e-4, "solver": None,
+        "shards": shards,
+    }
+
+
+@pytest.mark.parametrize(
+    "workload, backend",
+    [
+        ("Brunel", "reference"),
+        ("Izhikevich", "folded"),
+        ("Vogels et al.", "reference"),  # RKF45
+    ],
+)
+def test_one_digest_from_every_entry_point(
+    workload, backend, tmp_path, capsys
+):
+    result = assemble(
+        workload, backend, scale=SCALE, seed=SEED
+    ).simulator().run(STEPS)
+    assert result.total_spikes() > 0
+    expected = spike_digest(result.spikes)
+
+    ledger = str(tmp_path / "ledger.jsonl")
+    common = [
+        "--backend", backend, "--scale", str(SCALE), "--steps", str(STEPS),
+        "--seed", str(SEED), "--ledger", ledger,
+    ]
+
+    def stats_of(argv, name):
+        path = tmp_path / name
+        assert main([*argv, *common, "--stats-json", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    single = stats_of(["run", workload], "run.json")
+    sharded = stats_of(["run", workload, "--shards", "2"], "sharded.json")
+    sweep = stats_of(["sweep", workload], "sweep.json")
+    inline = run_job_inline(
+        JobSpec(
+            name="inline", workload=workload, backend=backend, steps=STEPS,
+            scale=SCALE, seed=SEED,
+        )
+    )
+    capsys.readouterr()
+
+    assert single["spike_digest"] == expected
+    assert sharded["spike_digest"] == expected
+    assert not sharded["degraded"]
+    assert inline["spike_digest"] == expected
+    (job,) = sweep["jobs"]
+    assert job["spike_digest"] == expected
+
+    run_entry, sharded_entry, sweep_entry = load_ledger(ledger)
+    assert set(run_entry) == ENTRY_FIELDS
+    assert set(sharded_entry) == ENTRY_FIELDS | {"trace_rings"}
+    assert set(sweep_entry) == ENTRY_FIELDS | {"job_digests"}
+    for entry, shards in ((run_entry, 0), (sharded_entry, 2)):
+        assert entry["kind"] == "run"
+        assert entry["config"] == _run_config(workload, backend, shards)
+        assert entry["config_digest"] == config_digest(entry["config"])
+        assert (entry["workload"], entry["backend"], entry["shards"]) == (
+            workload, backend, shards,
+        )
+        assert (entry["steps"], entry["scale"], entry["seed"]) == (
+            STEPS, SCALE, SEED,
+        )
+        assert entry["spike_digest"] == expected
+        assert entry["outcome"] == "completed"
+    assert sweep_entry["kind"] == "sweep"
+    assert sweep_entry["workload"] == workload
+    assert sweep_entry["config"] == {
+        "workloads": [workload], "backend": backend, "steps": STEPS,
+        "scale": SCALE, "seed": SEED, "dt": 1e-4, "solver": None,
+        "shards": 0, "workers": 1, "max_retries": 2,
+    }
+    assert sweep_entry["spike_digest"] == expected
+    assert sweep_entry["job_digests"] == {workload: expected}
+    if workload == "Brunel":
+        assert {
+            "run": run_entry["config_digest"],
+            "sharded": sharded_entry["config_digest"],
+            "sweep": sweep_entry["config_digest"],
+        } == PARENT_BRUNEL_DIGESTS
+
+
+class TestBackendTable:
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_every_name_builds(self, name):
+        assert make_backend(name, 1e-4, "Euler").name
+
+    def test_unknown_name_lists_the_table(self):
+        with pytest.raises(ConfigurationError, match="event-driven"):
+            make_backend("fpga")
+
+    def test_solver_is_the_dict_state_reference_path(self):
+        assert make_backend("reference").use_engine
+        assert not make_backend("solver").use_engine
+
+
+BANNER = "run ID:"
+
+
+class TestRunArguments:
+    """Checked once, as one ``error:`` line, before the banner."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--steps", "-3"], "steps must be >= 0"),
+            (["--trace", "t.json", "--trace-max-events", "-1"],
+             "trace ring capacity"),
+            (["--checkpoint-every", "-5"], "checkpoint interval"),
+            (["--shards", "-1"], "shards must be >= 0"),
+            (["--shards", "2", "--resume-from", "c.ckpt"],
+             "--shard-checkpoint-path"),
+            (["--shards", "2", "--checkpoint-every", "10"],
+             "--shard-checkpoint-every/--shard-checkpoint-path"),
+            (["--shards", "2", "--trace", "t.json",
+              "--trace-max-events", "10"], "--trace-max-events"),
+            (["--chaos-shard-kill", "3"], "--chaos-shard-kill"),
+            (["--chaos-shard-stall", "3"], "--chaos-shard-stall"),
+            (["--shard-checkpoint-path", "c.ckpt"],
+             "--checkpoint-every/--checkpoint-path"),
+        ],
+        ids=[
+            "steps<0", "ring<0", "ckpt<0", "shards<0", "sharded+resume",
+            "sharded+ckpt", "sharded+ring", "single+kill", "single+stall",
+            "single+shard-ckpt",
+        ],
+    )
+    def test_run_rejects(self, argv, message, capsys):
+        assert main(["run", "Brunel", "--no-ledger", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert BANNER not in captured.out
+
+    def test_zero_steps_is_a_clean_empty_run(self, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        ledger = str(tmp_path / "ledger.jsonl")
+        code = main(
+            ["run", "Brunel", "--backend", "reference", "--steps", "0",
+             "--stats-json", str(stats), "--ledger", ledger]
+        )
+        assert code == 0
+        assert "0 spikes in 0 ms" in capsys.readouterr().out
+        assert json.loads(stats.read_text())["n_steps"] == 0
+        (entry,) = load_ledger(ledger)
+        assert entry["steps"] == 0
+        assert entry["metrics"] == {"total_spikes": 0, "mean_rate_hz": 0.0}
+
+    def test_profile_with_no_workloads_named(self, capsys):
+        assert main(["profile", "--workloads", ",", "--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert "names no workload" in captured.err
+        assert BANNER not in captured.out
+
+
+def test_plain_run_imports_no_server_and_no_multiprocessing():
+    """The launch cost ``bench/`` reads as ``wall_s`` on ``brunel-small``."""
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "code = main(['run', 'Brunel', '--backend', 'reference', "
+        "'--scale', '0.02', '--steps', '5', '--no-ledger'])\n"
+        "heavy = [m for m in ('http.server', 'multiprocessing.connection', "
+        "'repro.health', 'repro.hardware') if m in sys.modules]\n"
+        "sys.exit(code or (3 if heavy else 0))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+SUBCOMMANDS = [
+    ["workloads"], ["models"], ["microcode"], ["run"], ["sweep"],
+    ["profile"], ["experiment"], ["simulate"], ["example-spec"], ["top"],
+    ["runs"], ["runs", "list"], ["runs", "show"], ["runs", "diff"],
+    ["runs", "trace"],
+]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+def test_every_subcommand_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([*command, "--help"])
+    assert exit_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_the_subcommand_list_is_complete():
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if hasattr(action, "choices") and action.dest == "command"
+    ]
+    assert set(subparsers.choices) == {
+        command[0] for command in SUBCOMMANDS
+    }

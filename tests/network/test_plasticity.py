@@ -267,6 +267,31 @@ class TestSimulatorIntegration:
         assert lazy_digest == dense_digest
         np.testing.assert_array_equal(lazy_weights, dense_weights)
 
+    def test_lazy_equals_dense_on_vogels(self):
+        """STDP on Vogels et al.'s recurrent exc->exc projection (RKF45,
+        spiking at this scale): the lazy schedule must defer work and
+        still reproduce the dense schedule's spikes bit for bit."""
+        from repro.assembly import assemble
+        from repro.supervision.job import spike_digest
+
+        def run(deferred):
+            assembly = assemble("Vogels et al.", scale=0.05, seed=5)
+            rule = PairSTDP(deferred=deferred)
+            recurrent = next(
+                projection for projection in assembly.network.projections
+                if projection.pre.name == projection.post.name == "exc"
+            )
+            assembly.network.add_plasticity(recurrent, rule)
+            result = assembly.simulator().run(300)
+            return spike_digest(result.spikes), result.total_spikes(), rule
+
+        lazy_digest, lazy_spikes, lazy = run(True)
+        dense_digest, _, dense = run(False)
+        assert lazy_digest == dense_digest
+        assert lazy_spikes > 0
+        assert lazy.deferred_updates > 0
+        assert lazy.trace_refreshes < dense.trace_refreshes
+
     def test_plasticity_metrics_published_integrally(self):
         from repro.telemetry import MetricsRegistry
 

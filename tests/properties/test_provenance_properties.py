@@ -1,7 +1,6 @@
 """Property-based tests for trace merging and the run ledger."""
 
 import json
-import os
 
 from hypothesis import given, settings, strategies as st
 

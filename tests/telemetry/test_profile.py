@@ -60,7 +60,7 @@ class TestProfilePayload:
 
     def test_shares_bench_engine_top_level_shape(self, quick_payload):
         payload, _ = quick_payload
-        # The keys benchmarks/export.py's BENCH_engine.json also carries.
+        # The conditions a profile was taken under ride beside its entries.
         assert {"dt", "steps", "scale", "python", "machine", "workloads"} <= set(
             payload
         )
