@@ -15,7 +15,7 @@ subset through their ``choices`` / validation; the construction is not
 repeated.
 
 **The seed contract.** The network builds with ``seed``, the stimulus
-RNG of whatever steps it (``Simulator``, ``ShardRunner``,
+plan of whatever steps it (``Simulator``, ``ShardRunner``,
 ``simulate_sharded``) with ``seed + 1`` — computed in :func:`assemble`
 and nowhere else. That is what makes a plain run, a resumed run, a
 supervised job and every shard of a sharded run produce bit-identical
@@ -89,7 +89,7 @@ class RunAssembly:
     backend_name: str
     solver: str
     dt: float
-    #: Seed of the stimulus RNG (see the module docstring).
+    #: Seed of the stimulus plan (see the module docstring).
     stimulus_seed: int
 
     def backend(self):

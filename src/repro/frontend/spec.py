@@ -230,9 +230,8 @@ def build_network(spec: Dict) -> Network:
                     syn_type=_as_int(
                         entry.get("syn_type", 0), f"{where}: 'syn_type'"
                     ),
-                    n_sources=_as_int(
-                        entry.get("n_sources", 1), f"{where}: 'n_sources'"
-                    ),
+                    # As written: _as_int would truncate a 2.5.
+                    n_sources=entry.get("n_sources", 1),
                 )
             )
         elif kind == "pattern":

@@ -67,6 +67,7 @@ from repro.errors import ReproError, SimulationError
 from repro.network.backends import Backend, ReferenceBackend, RuntimeBackend
 from repro.network.network import Network
 from repro.network.recorder import SpikeRecorder, StateRecorder
+from repro.network.stimulus import StimulusPlan
 from repro.reliability.diagnostics import RunDiagnostics
 from repro.routing import DelayRing, SpikeRouter
 
@@ -205,10 +206,11 @@ class Simulator:
         self.network = network
         self.backend = backend if backend is not None else ReferenceBackend()
         self.dt = dt
-        self.rng = np.random.default_rng(seed)
         self.backend.prepare(network)
         self._router = SpikeRouter.from_network(network)
         self._queues: Dict[str, DelayRing] = self._router.rings
+        #: Owns all stimulus state; ``seed`` is its whole random state.
+        self.stimulus_plan = StimulusPlan(network.stimuli, self._queues, seed)
         # Runtimes that understand the routing layer (the event-driven
         # monitors) get their population's ring bound once, so they can
         # consult exact event counts instead of scanning dense input.
@@ -242,17 +244,12 @@ class Simulator:
     def _compile_schedule(self):
         """Resolve the per-step work lists once, outside the hot loop.
 
-        Everything the loop needs per step — which queue a stimulus
-        feeds, each population's queue and size, where a projection's
-        spikes land, which recorded populations a plasticity rule
-        reads — is bound here so the loop performs no dict lookups or
-        attribute chasing of its own.
+        Everything the loop needs per step — each population's queue
+        and size, where a projection's spikes land, which recorded
+        populations a plasticity rule reads — is bound here so the loop
+        performs no dict lookups or attribute chasing of its own.
         """
         network = self.network
-        stimuli = [
-            (stimulus, self._queues[stimulus.target.name], stimulus.syn_type)
-            for stimulus in network.stimuli
-        ]
         populations = [
             (name, self._queues[name], pop.n)
             for name, pop in network.populations.items()
@@ -270,7 +267,7 @@ class Simulator:
             (rule, rule.projection.pre.name, rule.projection.post.name)
             for rule in network.plasticity_rules
         ]
-        return stimuli, populations, projections, plasticity
+        return populations, projections, plasticity
 
     @staticmethod
     def _hook_dispatch(hooks: Sequence[PhaseHook]):
@@ -384,7 +381,8 @@ class Simulator:
             if metrics is not None
             else None
         )
-        stimuli, populations, projections, plasticity = self._compile_schedule()
+        populations, projections, plasticity = self._compile_schedule()
+        inject_stimuli = self.stimulus_plan.inject
         recorder_bindings = [
             (state_recorder, state_recorder.population)
             for state_recorder in state_recorders
@@ -418,11 +416,7 @@ class Simulator:
 
                 # Phase 1: stimulus generation
                 start = perf_counter()
-                events = 0
-                for stimulus, queue, syn_type in stimuli:
-                    idx, weights = stimulus.generate(step, self.rng)
-                    queue.enqueue_now(idx, weights, syn_type)
-                    events += idx.size
+                events = inject_stimuli(step)
                 stimulus_elapsed = perf_counter() - start
                 timer_on_phase("stimulus", step, stimulus_elapsed, events)
                 for hook, callback in phase_dispatch:

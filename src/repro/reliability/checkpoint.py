@@ -7,7 +7,7 @@ A multi-hour paper-scale run must survive a crash. A
 where it stopped:
 
 * the global step index,
-* the stimulus RNG's bit-generator state,
+* the stimulus seed (with the step, the streams' whole state),
 * every population's :class:`~repro.routing.ring.DelayRing` (in-flight
   delayed spikes: per-bucket accumulated weights *and* integral event
   counts, plus the ring head and lifetime enqueue counter),
@@ -45,14 +45,9 @@ from repro.network.backends import RuntimeBackend
 from repro.network.recorder import SpikeRecorder
 from repro.network.simulator import Simulator
 
-#: Bumped whenever the on-disk payload layout changes.
-#: 1 → 2: spike queues became delay rings (snapshots gained integral
-#: per-bucket event counts, a min-delay flush horizon and the lifetime
-#: enqueue counter) and PairSTDP traces went lazy (dense ``x_pre`` /
-#: ``y_post`` arrays replaced by ``(value, last_step)`` pairs plus the
-#: rule's step clock). Version-1 files cannot express either and are
-#: rejected at restore.
-CHECKPOINT_VERSION = 2
+#: Bumped whenever the on-disk payload layout changes (3: the stimulus
+#: seed replaced the generator state); ``restore`` refuses any other.
+CHECKPOINT_VERSION = 3
 
 
 def _signature_of(simulator: Simulator) -> Dict[str, object]:
@@ -74,7 +69,7 @@ class Checkpoint:
     version: int
     signature: Dict[str, object]
     step: int
-    rng_state: Dict[str, object]
+    stimulus_seed: int
     queues: Dict[str, dict]
     runtimes: Dict[str, dict]
     plasticity: List[dict]
@@ -106,7 +101,7 @@ class Checkpoint:
             version=CHECKPOINT_VERSION,
             signature=_signature_of(simulator),
             step=simulator.current_step,
-            rng_state=simulator.rng.bit_generator.state,
+            stimulus_seed=simulator.stimulus_plan.seed,
             queues={
                 name: queue.snapshot()
                 for name, queue in simulator.queues.items()
@@ -131,15 +126,10 @@ class Checkpoint:
         shape, backend kind and dt the checkpoint was captured from.
         """
         if self.version != CHECKPOINT_VERSION:
-            detail = ""
-            if self.version == 1:
-                detail = (
-                    "; version 1 predates delay-ring event counts and "
-                    "lazy plasticity traces — re-capture from a fresh run"
-                )
             raise CheckpointError(
                 f"checkpoint version {self.version} not supported "
-                f"(expected {CHECKPOINT_VERSION}){detail}"
+                f"(expected {CHECKPOINT_VERSION}); re-capture from a "
+                "fresh run"
             )
         expected = _signature_of(simulator)
         if self.signature != expected:
@@ -162,7 +152,7 @@ class Checkpoint:
                 f"checkpoint has {len(self.plasticity)} plasticity rules, "
                 f"the network has {len(rules)}"
             )
-        simulator.rng.bit_generator.state = self.rng_state
+        simulator.stimulus_plan.restore(self.stimulus_seed)
         for name, payload in self.queues.items():
             simulator.queues[name].restore(payload)
         for name, payload in self.runtimes.items():
@@ -258,7 +248,7 @@ class CheckpointHook(PhaseHook):
     """Writes a checkpoint file every N steps during a run.
 
     Captures at step boundaries (``on_step_start``), where all state —
-    queues, runtimes, RNG — is mutually consistent. The file at
+    queues, runtimes — is mutually consistent. The file at
     ``path`` is atomically replaced each time, so it always holds the
     latest complete checkpoint.
     """

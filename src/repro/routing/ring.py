@@ -113,18 +113,24 @@ class DelayRing:
         late = counts[shift:]
         self._counts[self._head:self._head + late.size] += late
 
-    def enqueue_now(
-        self, post_idx: np.ndarray, weights: np.ndarray, syn_type: int
-    ) -> None:
+    def enqueue_now(self, post, weights, syn_type: int, events: int = 0) -> None:
         """Accumulate weights into the bucket popped at the *current* step.
 
         Used by stimulus generation, which injects into the present
-        time step before the neuron-computation phase runs.
+        time step before the neuron-computation phase runs. ``post`` is
+        an index array (one arrival each, added one at a time, so a
+        repeated index accumulates) or a slice of neurons with one of
+        ``weights`` each: ``events`` arrivals, zero elsewhere, one add.
         """
-        if post_idx.size == 0:
-            return
-        self._accumulate(post_idx, weights, syn_type)
-        self._counts[self._head] += post_idx.size
+        if isinstance(post, slice):
+            cells = self._buckets[self._head, syn_type, post]
+            np.add(cells, weights, out=cells)
+            self.enqueued_events += events
+        else:
+            events = post.size
+            if events:
+                self._accumulate(post, weights, syn_type)
+        self._counts[self._head] += events
 
     # -- consume -----------------------------------------------------------
 

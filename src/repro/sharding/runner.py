@@ -6,9 +6,10 @@ three-phase loop in *windows* of ``plan.window`` steps, with the
 synapse phase deferred to the window barrier:
 
 1. **Window** (:meth:`ShardRunner.run_window`): for each step, run the
-   stimulus phase (drawing every stimulus full-size so all shards'
-   RNG streams stay identical to each other and to the single-process
-   run, then injecting only the owned slice) and the neuron phase
+   stimulus phase (a :class:`~repro.network.stimulus.StimulusPlan`
+   restricted to the owned slices: streams are addressed by ``(step,
+   target)``, so a shard draws only its own columns and still sees
+   the single-process values) and the neuron phase
    (advance the slice runtimes, record fired indices *globally*).
    No synaptic traffic is enqueued — within a window none of it can
    arrive anyway, because every delay is >= the window (the min-delay
@@ -48,11 +49,13 @@ from repro.network.network import Network
 from repro.network.population import Population
 from repro.network.projection import Projection
 from repro.network.recorder import SpikeRecorder
+from repro.network.stimulus import StimulusPlan
 from repro.routing import SpikeRouter
 from repro.sharding.plan import ShardPlan
 
 #: Bumped when the per-shard snapshot payload layout changes.
-SHARD_SNAPSHOT_VERSION = 1
+#: 1 -> 2: the ``"rng"`` bit-generator state became ``"stimulus_seed"``.
+SHARD_SNAPSHOT_VERSION = 2
 
 #: A window payload: per owned population, one global-index array of
 #: fired neurons for each step offset inside the window.
@@ -100,10 +103,8 @@ class ShardRunner:
         self.plan = plan
         self.shard = shard
         self.dt = dt
-        self.seed = seed
         self._owned = plan.owned(shard)
         self._backend = backend
-        self.rng = np.random.default_rng(seed)
         self.recorder = SpikeRecorder()
         self._step = 0
 
@@ -158,16 +159,9 @@ class ShardRunner:
             runtime.bind_ring(self._router.ring(name))
 
         # Per-step work lists, resolved once (simulator discipline).
-        self._stimuli = []
-        for stimulus in network.stimuli:
-            target = stimulus.target.name
-            if target in self._owned:
-                lo, hi = self._owned[target]
-                ring = rings[target]
-            else:
-                lo = hi = 0
-                ring = None
-            self._stimuli.append((stimulus, ring, lo, hi, stimulus.syn_type))
+        self.stimulus_plan = StimulusPlan(
+            network.stimuli, rings, seed, owned=self._owned
+        )
         self._populations = [
             (name, rings[name], self._owned[name][0]) for name in self._owned
         ]
@@ -214,20 +208,12 @@ class ShardRunner:
         if length < 1:
             raise ShardingError(f"window length must be >= 1, got {length}")
         fired: Window = {name: [] for name, _, _ in self._populations}
-        rng = self.rng
+        inject_stimuli = self.stimulus_plan.inject
         dt = self.dt
         advance = self._backend.advance
         for _ in range(length):
             step = self._step
-            # Stimulus phase: every stimulus is drawn at full size so
-            # the RNG stream is identical on every shard; only the
-            # owned slice is injected (shifted to local indices).
-            for stimulus, ring, lo, hi, syn_type in self._stimuli:
-                idx, weights = stimulus.generate(step, rng)
-                if ring is None or idx.size == 0:
-                    continue
-                mask = (idx >= lo) & (idx < hi)
-                ring.enqueue_now(idx[mask] - lo, weights[mask], syn_type)
+            inject_stimuli(step)
             # Neuron phase, in global population order.
             for name, ring, lo in self._populations:
                 fired_mask = advance(name, ring.current(), dt)
@@ -277,16 +263,16 @@ class ShardRunner:
         """This shard's complete state at a barrier boundary.
 
         Only valid between :meth:`apply_exchange` and the next
-        :meth:`run_window` — that is the point where rings, runtimes,
-        RNG, and recorder are mutually consistent and no fired stash
-        is in flight.
+        :meth:`run_window` — that is the point where rings, runtimes
+        and recorder are mutually consistent and no fired stash is in
+        flight.
         """
         return {
             "version": SHARD_SNAPSHOT_VERSION,
             "shard": self.shard,
             "step": self._step,
             "backend": self._backend.name,
-            "rng": self.rng.bit_generator.state,
+            "stimulus_seed": self.stimulus_plan.seed,
             "rings": self._router.snapshot(),
             "runtimes": {
                 name: runtime.snapshot()
@@ -301,7 +287,8 @@ class ShardRunner:
         if version != SHARD_SNAPSHOT_VERSION:
             raise ShardingError(
                 f"shard snapshot version {version!r} not supported "
-                f"(expected {SHARD_SNAPSHOT_VERSION})"
+                f"(expected {SHARD_SNAPSHOT_VERSION}); re-capture from a "
+                "fresh run"
             )
         if payload.get("shard") != self.shard:
             raise ShardingError(
@@ -319,7 +306,7 @@ class ShardRunner:
             raise ShardingError(
                 "snapshot populations do not match this shard's"
             )
-        self.rng.bit_generator.state = payload["rng"]
+        self.stimulus_plan.restore(payload["stimulus_seed"])
         self._router.restore(payload["rings"])
         for name, runtime_payload in payload["runtimes"].items():
             runtimes[name].restore(runtime_payload)

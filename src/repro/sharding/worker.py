@@ -132,9 +132,8 @@ def shard_worker_entry(conn, capture_path: Optional[str] = None) -> None:
 
     step = -1
     try:
-        # Every shard holds the identical stimulus RNG stream, which
-        # keeps full-size stimulus draws in lockstep with the
-        # single-process simulator.
+        # Every shard is built from the same stimulus seed; its plan
+        # draws only the columns of the slices it owns.
         assembly = assemble_job(spec)
         plan = ShardPlan.from_payload(payload["plan"], assembly.network)
         runner = ShardRunner(

@@ -8,7 +8,8 @@ import pytest
 from repro.hardware.compiler import FlexonCompiler
 from repro.models.registry import create_model
 from repro.network.network import Network
-from repro.network.stimulus import PoissonStimulus
+from repro.network.stimulus import PoissonStimulus, StimulusPlan
+from repro.routing import DelayRing
 
 #: The paper's simulation time step (0.1 ms).
 DT = 1e-4
@@ -85,3 +86,25 @@ def enqueue_events(ring, post_idx, weights, delays, syn_type=0):
         np.bincount(delays, minlength=ring.depth),
         syn_type,
     )
+
+
+def stimulus_rows(stimulus, steps, seed, owned=None, first_step=0):
+    """What a plan over this one stimulus deposits, step by step.
+
+    Returns ``(rows, events, plan)``: the input rows of the stimulus's
+    synapse type (for neurons ``owned = (lo, hi)`` when given, as a
+    shard's plan sees them), the per-step event counts, and the plan.
+    """
+    target = stimulus.target
+    lo, hi = (0, target.n) if owned is None else owned
+    ring = DelayRing(hi - lo, target.n_synapse_types, max_delay=1)
+    plan = StimulusPlan(
+        [stimulus], {target.name: ring}, seed,
+        owned=None if owned is None else {target.name: owned},
+    )
+    rows, events = [], []
+    for step in range(first_step, first_step + steps):
+        events.append(plan.inject(step))
+        rows.append(ring.current()[stimulus.syn_type].copy())
+        ring.rotate()
+    return np.array(rows), events, plan

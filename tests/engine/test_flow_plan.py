@@ -191,16 +191,20 @@ class TestRegistryWorkloads:
         assert plan.evaluations_per_step == oracle.evaluations_per_step
         assert plan_state == oracle_state
 
-    @pytest.mark.parametrize(
-        "name, exc_evaluations",
-        [("Destexhe-UpDown", 165.75), ("Destexhe-LTS", 82.5)],
-    )
-    def test_rejected_substeps_match(self, name, exc_evaluations):
+    #: ``exc`` evaluations per step of the workloads that reject
+    #: substeps (> 6 means rejections happened). Literal counts follow
+    #: the stimulus stream: re-pinned 2026-10-02 with the per-stimulus
+    #: streams of PR 17 (were 165.75 / 82.5 on the shared generator).
+    #: They live here, not in the test id, so a re-pin renames no test.
+    REJECTING = {"Destexhe-UpDown": 164.175, "Destexhe-LTS": 81.285}
+
+    @pytest.mark.parametrize("name", sorted(REJECTING))
+    def test_rejected_substeps_match(self, name):
         """The workloads that reject substeps: the whole-population
         accept/reject and the step-size controller must agree too."""
         plan, plan_state, _ = _run(name, 0.1, 3, 400, use_engine=True)
         oracle, oracle_state, _ = _run(name, 0.1, 3, 400, use_engine=False)
-        assert plan.evaluations_per_step["exc"] == exc_evaluations
+        assert plan.evaluations_per_step["exc"] == self.REJECTING[name] > 6
         assert plan.evaluations_per_step == oracle.evaluations_per_step
         assert plan.total_spikes() > 0
         assert plan.spikes.digest() == oracle.spikes.digest()

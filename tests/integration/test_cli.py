@@ -201,6 +201,41 @@ class TestFrontendCommands:
         assert captured.err.startswith("error: ") and needle in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "stimulus, needle",
+        [
+            ({"kind": "poisson", "rate_hz": 100.0, "weight": 1.0,
+              "n_sources": -1}, "n_sources"),
+            ({"kind": "poisson", "rate_hz": 100.0, "weight": 1.0,
+              "n_sources": 2.5}, "n_sources"),
+            ({"kind": "poisson", "rate_hz": float("nan"), "weight": 1.0},
+             "rate must be finite"),
+            ({"kind": "poisson", "rate_hz": 100.0, "weight": float("inf")},
+             "weight must be finite"),
+            ({"kind": "pattern", "weight": 1.0, "period": 4,
+              "events": {"4": [0]}}, "never reached"),
+            ({"kind": "pattern", "weight": 1.0, "events": {"-1": [0]}},
+             "never reached"),
+        ],
+    )
+    def test_simulate_bad_stimulus_is_a_one_line_configuration_error(
+        self, tmp_path, capsys, stimulus, needle
+    ):
+        import json
+
+        spec = {
+            "backend": "reference",
+            "populations": [{"name": "p", "n": 5, "model": "DLIF"}],
+            "stimuli": [{"target": "p", **stimulus}],
+        }
+        path = tmp_path / "stimulus.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", str(path), "--steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the banner
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestTelemetryCli:
     BASE = ["run", "Brunel", "--backend", "reference", "--solver", "Euler",

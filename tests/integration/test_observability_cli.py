@@ -61,6 +61,11 @@ def _fetch(url, timeout=10.0):
 
 def _finish(process, timeout=60.0):
     """Interrupt a lingering CLI and return (exit_code, output)."""
+    # "finished" is published before the write-out (stats, ledger
+    # fsync) that precedes the linger; a SIGINT landing in that window
+    # is an unhandled KeyboardInterrupt (exit -2), which failed about
+    # one run in four of this file. Let the write-out finish first.
+    time.sleep(0.5)
     process.send_signal(signal.SIGINT)
     try:
         output = process.communicate(timeout=timeout)[0]

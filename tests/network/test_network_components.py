@@ -15,7 +15,7 @@ from repro.network import (
     StateRecorder,
 )
 from repro.routing import DelayRing, SpikeRouter
-from tests.conftest import enqueue_events
+from tests.conftest import enqueue_events, stimulus_rows
 
 DT = 1e-4
 
@@ -120,36 +120,35 @@ class TestStimuli:
     def test_poisson_rate_statistics(self):
         pop = Population("p", 200, LIF())
         stim = PoissonStimulus(pop, rate_hz=1000.0, weight=1.0, dt=DT)
-        rng = np.random.default_rng(1)
-        events = sum(
-            stim.generate(step, rng)[0].size for step in range(1000)
-        )
+        rows, events, _ = stimulus_rows(stim, 1000, seed=1)
         # Expected: 200 neurons x p=0.1 x 1000 steps = 20000.
-        assert 18000 < events < 22000
+        assert 18000 < sum(events) < 22000
+        assert np.count_nonzero(rows) == sum(events)
 
     def test_poisson_zero_rate_is_silent(self):
         pop = Population("p", 10, LIF())
         stim = PoissonStimulus(pop, rate_hz=0.0, weight=1.0, dt=DT)
-        rng = np.random.default_rng(2)
-        assert stim.generate(0, rng)[0].size == 0
+        rows, events, _ = stimulus_rows(stim, 40, seed=2)
+        assert sum(events) == 0 and not rows.any()
 
     def test_poisson_multiple_sources_stack_weight(self):
         pop = Population("p", 50, LIF())
         stim = PoissonStimulus(
             pop, rate_hz=5000.0, weight=0.5, dt=DT, n_sources=10
         )
-        rng = np.random.default_rng(3)
-        _, weights = stim.generate(0, rng)
-        assert np.any(weights > 0.5)  # some neurons get several events
+        rows, _, _ = stimulus_rows(stim, 1, seed=3)
+        assert np.any(rows[0] > 0.5)  # some neurons get several events
+        assert set(np.unique(rows[0] / 0.5)) <= set(range(11))
 
     def test_poisson_slice_targets_subset(self):
         pop = Population("p", 10, LIF())
         stim = PoissonStimulus(
             pop, rate_hz=1e6, weight=1.0, dt=DT, neuron_slice=slice(0, 3)
         )
-        rng = np.random.default_rng(4)
-        idx, _ = stim.generate(0, rng)
-        assert set(idx.tolist()) <= {0, 1, 2}
+        rows, events, _ = stimulus_rows(stim, 3, seed=4)
+        # rate * dt >= 1 clamps to p = 1: every target, every step.
+        assert events == [3, 3, 3]
+        assert np.array_equal(np.nonzero(rows[0])[0], [0, 1, 2])
 
     def test_poisson_rejects_negative_rate(self):
         pop = Population("p", 10, LIF())
@@ -159,18 +158,18 @@ class TestStimuli:
     def test_pattern_fires_at_steps(self):
         pop = Population("p", 10, LIF())
         stim = PatternStimulus(pop, {3: [1, 2]}, weight=0.5)
-        rng = np.random.default_rng(0)
-        assert stim.generate(0, rng)[0].size == 0
-        idx, weights = stim.generate(3, rng)
-        assert idx.tolist() == [1, 2]
-        assert np.all(weights == 0.5)
+        assert stim.generate(0).size == 0
+        assert stim.generate(3).tolist() == [1, 2]
+        rows, events, _ = stimulus_rows(stim, 5, seed=0)
+        assert events == [0, 0, 0, 2, 0]
+        assert np.all(rows[3, [1, 2]] == 0.5)
+        assert np.count_nonzero(rows) == 2
 
     def test_pattern_repeats_with_period(self):
         pop = Population("p", 10, LIF())
         stim = PatternStimulus(pop, {1: [0]}, weight=1.0, period=4)
-        rng = np.random.default_rng(0)
-        assert stim.generate(5, rng)[0].size == 1
-        assert stim.generate(6, rng)[0].size == 0
+        assert stim.generate(5).size == 1
+        assert stim.generate(6).size == 0
 
     def test_pattern_rejects_out_of_range_target(self):
         pop = Population("p", 4, LIF())

@@ -266,14 +266,23 @@ def _pre_change_network():
 
 
 def test_checkpoint_written_before_the_flat_ring_still_resumes():
-    # fixtures/pre_flat_ring.ckpt was saved at step 151 of this network
-    # by the commit before the ring was unwrapped (wrapped 3-D ring
-    # payload, heads 7 and 3, five deliveries in flight); the digest is
-    # that commit's uninterrupted 301-step run.
+    # fixtures/pre_flat_ring.ckpt holds step 151 of this network (seed
+    # 5, spikes included), a committed file rather than one captured by
+    # the test. Regenerated 2026-10-02 at PR 17 (checkpoint version 3:
+    # the stimulus seed replaced the bit-generator state, so the file
+    # the commit before the unwrapped ring wrote can no longer load).
+    # What it still pins: the *wrapped* ``(depth, types, n)`` ring
+    # payload with heads 7 and 3 and deliveries in flight — the layout
+    # checkpoints have carried since before the ring was unwrapped —
+    # restores into the unwrapped ring and resumes to the digest of an
+    # uninterrupted 301-step run. What it no longer can: that a stream
+    # drawn by an earlier commit continues (old literals: 5 in flight,
+    # 176 spikes, digest 30975c65...). To regenerate: run 151 steps,
+    # ``Checkpoint.capture(simulator, spikes=result.spikes).save(...)``.
     checkpoint = Checkpoint.load(FIXTURE)
     simulator = Simulator(_pre_change_network(), ReferenceBackend(), seed=5)
     checkpoint.restore(simulator)
-    assert simulator.router.pending_total() == 5
+    assert simulator.router.pending_total() == 2
     assert {
         name: ring.snapshot()["head"]
         for name, ring in simulator.router.rings.items()
@@ -283,7 +292,7 @@ def test_checkpoint_written_before_the_flat_ring_still_resumes():
         for key, value in ring.snapshot().items():
             assert np.array_equal(value, checkpoint.queues[name][key]), key
     result = simulator.run(150, spikes=checkpoint.seed_recorder())
-    assert result.spikes.total_spikes() == 176
+    assert result.spikes.total_spikes() == 178
     assert result.spikes.digest() == (
-        "30975c65678ffabb1e7f7eb2278876ccbb7e248e13d741d468573b181a379a9c"
+        "d675c3d4ac4efc77df6e5199d501d60eb7763868909c7b0ce71129e1c93d0a4e"
     )

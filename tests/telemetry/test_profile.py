@@ -110,10 +110,18 @@ class TestOverheadBudget:
         nearly empty step. Extra reps let the best-of estimator
         converge, and shared CI machines are noisy, so retry before
         failing.
+
+        2026-10-02 (PR 17): the stimulus plan made this step 1.75x
+        cheaper (185 -> 105 us), so the same ~4.5 us of telemetry is
+        0.04 of it instead of 0.023 and a single best-of-8 estimate
+        (inter-quartile range ~0.06 on a contended host) crossed 0.05
+        on half the attempts: three attempts failed 3 runs in 15 (the
+        parent 1 in 15). Same budget, same scale; 16 reps and five
+        attempts failed 0 in 15 in the same alternation, six are allowed.
         """
-        for attempt in range(3):
+        for attempt in range(6):
             entry = profile_workload(
-                "Izhikevich", steps=240, scale=0.3, reps=8, seed=7
+                "Izhikevich", steps=240, scale=0.3, reps=16, seed=7
             )
             if entry["overhead_delta"] < 0.05:
                 break
