@@ -294,7 +294,7 @@ def _build_plasticity(entry: Dict, where: str):
         )
     try:
         return PairSTDP(**entry)
-    except TypeError as error:
+    except (TypeError, ConfigurationError) as error:
         raise ConfigurationError(
             f"{where}: invalid plasticity parameters: {error}"
         ) from None

@@ -88,29 +88,20 @@ class Projection:
         self.delay_counts = np.bincount(
             pre_idx * depth + delays, minlength=pre.n * depth
         ).reshape(pre.n, depth)
-        # Post-sorted (CSC-like) view, built lazily: plasticity rules
-        # need "all synapses into neuron j" for potentiation.
-        self._post_order: Optional[np.ndarray] = None
-        self._post_ptr: Optional[np.ndarray] = None
-        self._pre_of_synapse: Optional[np.ndarray] = None
 
     @property
     def post_idx(self) -> np.ndarray:
         """Target neuron of every synapse, decoded from ``targets``.
 
-        O(n_synapses) per access: for build-time users (shard slicing,
-        the post-sorted index). Per-step code uses :meth:`post_of`.
+        O(n_synapses) per access: for build-time users (shard slicing).
+        A plastic projection's per-step code reads :class:`SynapseIndex`.
         """
-        return self.post_of(slice(None))
+        return (self.targets % self.post.n).astype(np.int64)
 
     @property
     def delays(self) -> np.ndarray:
         """Delay of every synapse in steps, decoded (O(n_synapses))."""
         return (self.targets // self.stride).astype(np.int64)
-
-    def post_of(self, synapses) -> np.ndarray:
-        """Target neurons of the given flat synapse indices."""
-        return (self.targets[synapses] % self.post.n).astype(np.int64)
 
     def synapses_of(self, fired_pre: np.ndarray):
         """Gather the synapses of the given fired presynaptic neurons.
@@ -120,56 +111,98 @@ class Projection:
         the per-delay event histogram :meth:`DelayRing.enqueue` adds to
         its count ring.
         """
-        # The leading empty row keeps concatenate defined when nothing fired.
-        rows = [slice(0, 0)] + [
-            slice(lo, hi)
-            for lo, hi in zip(
-                self.pre_ptr[fired_pre].tolist(),
-                self.pre_ptr[fired_pre + 1].tolist(),
-            )
-        ]
+        rows = _rows(self.pre_ptr, fired_pre)
         return (
             np.concatenate([self.targets[row] for row in rows]),
             np.concatenate([self.weights[row] for row in rows]),
             self.delay_counts[fired_pre].sum(axis=0),
         )
 
-    @staticmethod
-    def _flat_range_gather(ptr, groups):
-        """Flat indices covering the ``ptr``-delimited ``groups``."""
-        starts = ptr[groups]
-        lengths = ptr[groups + 1] - starts
-        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return offsets + np.arange(offsets.size)
-
-    def pre_of_synapses(self) -> np.ndarray:
-        """Presynaptic neuron of every synapse (CSR row expansion)."""
-        if self._pre_of_synapse is None:
-            self._pre_of_synapse = np.repeat(
-                np.arange(self.pre.n, dtype=np.int64), np.diff(self.pre_ptr)
-            )
-        return self._pre_of_synapse
-
-    def synapse_indices_of(self, fired_pre: np.ndarray) -> np.ndarray:
-        """Flat synapse indices leaving the given presynaptic neurons."""
-        return self._flat_range_gather(self.pre_ptr, fired_pre)
-
-    def synapse_indices_into(self, fired_post: np.ndarray) -> np.ndarray:
-        """Flat synapse indices arriving at the given post neurons."""
-        if self._post_ptr is None:
-            post_idx = self.post_idx
-            self._post_order = np.argsort(post_idx, kind="stable")
-            self._post_ptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(post_idx, minlength=self.post.n)))
-            )
-        return self._post_order[
-            self._flat_range_gather(self._post_ptr, fired_post)
-        ]
+    def pre_of_synapses(self, dtype=np.int64) -> np.ndarray:
+        """Presynaptic neuron of every synapse (CSR row expansion;
+        O(n_synapses) per call, for build-time users)."""
+        return np.repeat(np.arange(self.pre.n, dtype=dtype), np.diff(self.pre_ptr))
 
     def __repr__(self) -> str:
         return (
             f"Projection({self.name!r}, synapses={self.n_synapses}, "
             f"type={self.syn_type})"
+        )
+
+
+def _rows(ptr: np.ndarray, groups: np.ndarray) -> list:
+    """The ``ptr``-delimited rows of ``groups``, as slices."""
+    # The leading empty row keeps concatenate defined when nothing fired.
+    return [slice(0, 0)] + [
+        slice(lo, hi)
+        for lo, hi in zip(ptr[groups].tolist(), ptr[groups + 1].tolist())
+    ]
+
+
+#: Post populations up to this size sort on uint16 keys (numpy's 16-bit
+#: stable sort is a radix sort), ``SORT_BLOCK`` synapses at a time: a
+#: 2 MiB sort result and scratch reuse freed heap, per-synapse-sized
+#: ones raised the process's peak RSS.
+RADIX_KEY_LIMIT = 1 << 16
+SORT_BLOCK = 1 << 18
+
+
+class SynapseIndex:
+    """What a plasticity rule reads per step, compiled at its first one.
+
+    ``post[s]`` is the target of CSR synapse ``s``; the synapses *into*
+    neuron ``j`` fill slots ``post_ptr[j] .. post_ptr[j + 1]`` in CSR
+    order, ``order[slot]`` the synapse and ``pre[slot]`` its source.
+    ``order`` and ``pre`` are int32 and ``post`` is its own sort key
+    (uint16 up to ``RADIX_KEY_LIMIT`` neurons, int32 above): 10-12 B per
+    synapse; the build must stay under the network build's memory peak.
+    """
+
+    def __init__(self, projection: Projection):
+        n_post = projection.post.n
+        if projection.n_synapses >= 2**31:
+            raise ConfigurationError(
+                f"projection {projection.name!r} overflows int32 synapse indices"
+            )
+        self.pre_ptr = projection.pre_ptr
+        post = np.remainder(projection.targets, np.int32(n_post))
+        self.post_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(post, minlength=n_post)))
+        )
+        if n_post <= RADIX_KEY_LIMIT:
+            post = post.astype(np.uint16)  # rebinding frees the int32 decode
+        self.post = post
+        pre_of = projection.pre_of_synapses(np.int32)
+        self.order = np.empty(post.size, dtype=np.int32)
+        self.pre = np.empty(post.size, dtype=np.int32)
+        # Stable sort by target, a block of CSR order at a time: a block's
+        # synapses go behind the earlier blocks' in their neuron's slots.
+        filled = self.post_ptr[:-1].copy()
+        for lo in range(0, post.size, SORT_BLOCK):
+            perm = np.argsort(post[lo:lo + SORT_BLOCK], kind="stable")
+            keys = post[lo:lo + SORT_BLOCK].take(perm)
+            counts = np.bincount(keys, minlength=n_post)
+            ends = np.cumsum(counts)
+            # filled[j] + (rank in the sorted block - first rank of key j)
+            slots = (filled - (ends - counts)).take(keys) + np.arange(keys.size)
+            perm += lo
+            self.order[slots] = perm
+            self.pre[slots] = pre_of.take(perm)
+            filled += counts
+
+    def outgoing(self, fired_pre: np.ndarray):
+        """``(rows, post)``: the fired CSR rows as slices, their targets."""
+        rows = _rows(self.pre_ptr, fired_pre)
+        return rows, np.concatenate(
+            [self.post[row] for row in rows], dtype=np.intp
+        )
+
+    def incoming(self, fired_post: np.ndarray):
+        """``(synapses, pre)`` of the synapses into the fired neurons."""
+        rows = _rows(self.post_ptr, fired_post)
+        return (
+            np.concatenate([self.order[row] for row in rows], dtype=np.intp),
+            np.concatenate([self.pre[row] for row in rows], dtype=np.intp),
         )
 
 
@@ -219,8 +252,8 @@ def connect(
         pre_idx = pre_idx.ravel()
         post_idx = post_idx.ravel()
     elif pre.n * post.n <= 4_000_000:
-        mask = rng.random((pre.n, post.n)) < probability
-        pre_idx, post_idx = np.nonzero(mask)
+        hits = np.flatnonzero(rng.random((pre.n, post.n)) < probability)
+        pre_idx, post_idx = np.divmod(hits, post.n)
     else:
         # Large pair counts: draw each pre-neuron's out-degree
         # binomially and sample targets with replacement. Statistically

@@ -20,34 +20,32 @@ value at the last event and that event's step index, and its value
     x_i(t_last + k·dt) = x_i(t_last) · exp(-k·dt / tau)
 
 This is the lazy scheme of Bautembach et al. ("Even Faster SNN
-Simulation with Lazy+Event-driven Plasticity"): store per-neuron
-``(last_update_step, trace_value)`` pairs, decay analytically only
-when a pre/post neuron actually spikes, and defer every weight update
-to a spike event. A silent step costs *nothing* — plasticity work
-scales with spike traffic, not with neuron or synapse count.
+Simulation with Lazy+Event-driven Plasticity"): traces are decayed and
+weights updated only when a pre/post neuron actually spikes, so a
+silent step costs *nothing* and plasticity work scales with spike
+traffic, not with neuron or synapse count.
 
-:class:`PairSTDP` defaults to this deferred mode. ``deferred=False``
-selects the dense reference schedule: identical event arithmetic (the
-same analytic-decay reads, in the same order, so spike trains are
-bit-identical between the two modes by construction) plus a full
-materialisation of every trace every step — the historical per-step
-cost profile, kept as the pinned baseline the benchmark and the CI
-smoke compare the lazy path against.
-
-Weights are clipped to ``[w_min, w_max]`` after each step's updates;
-only the synapses touched by that step's events are clipped (untouched
-weights cannot leave the range they were in).
+Events run on a :class:`~repro.network.projection.SynapseIndex` the
+rule compiles at its first ``step`` (DESIGN.md, "Lazy plasticity"):
+fired rows are contiguous in CSR order (depression) and in the
+post-sorted view (potentiation), and a trace is decayed once per
+*neuron* whenever a step's reads outnumber the neurons. Each touched
+weight is written once, clipped to ``[w_min, w_max]``; a synapse
+depressed *and* potentiated in one step is clipped once, on its net
+value.
 """
 
 from __future__ import annotations
 
 import abc
+import math
+import numbers
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, SimulationError
-from repro.network.projection import Projection
+from repro.network.projection import Projection, SynapseIndex
 
 
 class PlasticityRule(abc.ABC):
@@ -113,28 +111,33 @@ class PairSTDP(PlasticityRule):
         tau_minus: float = 20e-3,
         w_min: float = 0.0,
         w_max: float = 1.0,
-        deferred: bool = True,
     ):
         super().__init__()
+        fields = dict(
+            a_plus=a_plus, a_minus=a_minus, tau_plus=tau_plus,
+            tau_minus=tau_minus, w_min=w_min, w_max=w_max,
+        )
+        for field, value in fields.items():
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ConfigurationError(
+                    f"PairSTDP: {field} must be a finite real number, got {value!r}"
+                )
+            setattr(self, field, value)
         if tau_plus <= 0 or tau_minus <= 0:
-            raise ConfigurationError("STDP time constants must be positive")
+            raise ConfigurationError("PairSTDP: tau_plus and tau_minus must be positive")
         if w_min > w_max:
-            raise ConfigurationError("w_min must not exceed w_max")
-        self.a_plus = a_plus
-        self.a_minus = a_minus
-        self.tau_plus = tau_plus
-        self.tau_minus = tau_minus
-        self.w_min = w_min
-        self.w_max = w_max
-        self.deferred = deferred
+            raise ConfigurationError("PairSTDP: w_min must not exceed w_max")
         self._x_val: Optional[np.ndarray] = None
         self._x_last: Optional[np.ndarray] = None
         self._y_val: Optional[np.ndarray] = None
         self._y_last: Optional[np.ndarray] = None
+        #: Compiled at the first :meth:`step`, never at network build.
+        self._index: Optional[SynapseIndex] = None
         self._now = 0
         self._dt: Optional[float] = None
-        #: Per-neuron trace updates skipped relative to the dense
-        #: schedule (telemetry: ``plasticity_deferred_updates_total``).
+        #: Per-neuron trace updates skipped relative to decaying every
+        #: trace every step (``plasticity_deferred_updates_total``).
         self.deferred_updates = 0
         #: Synaptic weight updates actually applied at spike events.
         self.applied_updates = 0
@@ -146,6 +149,9 @@ class PairSTDP(PlasticityRule):
     # -- attachment --------------------------------------------------------
 
     def attach(self, projection: Projection) -> None:
+        """Bind to ``projection`` and allocate the per-neuron traces. A
+        weight that *starts* outside ``[w_min, w_max]`` stays there
+        until its first event clips it: untouched weights are not read."""
         super().attach(projection)
         self._x_val = np.zeros(projection.pre.n, dtype=np.float64)
         self._x_last = np.zeros(projection.pre.n, dtype=np.int64)
@@ -158,11 +164,15 @@ class PairSTDP(PlasticityRule):
 
     # -- trace views -------------------------------------------------------
 
+    def _decayed(self, values, last, tau) -> np.ndarray:
+        """``values`` as of step ``last``, decayed analytically to now."""
+        return values * np.exp((last - self._now) * (self._dt / tau))
+
     def _materialise(self, values, last, tau) -> np.ndarray:
         """Every trace analytically decayed to the current step."""
         if self._dt is None:
             return values.copy()
-        return values * np.exp((last - self._now) * (self._dt / tau))
+        return self._decayed(values, last, tau)
 
     @property
     def pre_trace(self) -> np.ndarray:
@@ -192,99 +202,86 @@ class PairSTDP(PlasticityRule):
                 f"PairSTDP stepped with dt={dt} after dt={self._dt}; lazy "
                 "trace timestamps require a constant step size"
             )
-        projection = self.projection
-        weights = projection.weights
+        if self._index is None:
+            self._index = SynapseIndex(self.projection)
+        index = self._index
+        weights = self.projection.weights
         self._now += 1
-        now = self._now
         self.steps_seen += 1
-        n_dense = self._x_val.size + self._y_val.size
-        refreshes = 0
+        low, high = self.w_min, self.w_max
+        applied = 0
 
-        # 1. depression: pre spikes read the post traces at this step
-        dep_synapses = pot_synapses = None
+        # 1. depression: pre spikes read the post traces at this step.
+        #    A synapse whose post neuron also fired is left unclipped:
+        #    the potentiation write clips it once, on its net value.
         if fired_pre.size:
-            dep_synapses = projection.synapse_indices_of(fired_pre)
-            if dep_synapses.size:
-                posts = projection.post_of(dep_synapses)
-                decay = np.exp(
-                    (self._y_last[posts] - now) * (dt / self.tau_minus)
-                )
-                weights[dep_synapses] -= self.a_minus * (
-                    self._y_val[posts] * decay
-                )
-                refreshes += posts.size
+            rows, posts = index.outgoing(fired_pre)
+            new = np.concatenate([weights[row] for row in rows])
+            new -= self._scaled_traces(
+                self.a_minus, self._y_val, self._y_last, self.tau_minus, posts
+            )
+            unfired = True
+            if fired_post.size:
+                mask = np.ones(self._y_val.size, dtype=bool)
+                mask[fired_post] = False
+                unfired = mask.take(posts)
+            np.clip(new, low, high, out=new, where=unfired)
+            start = 0
+            for row in rows:
+                stop = start + row.stop - row.start
+                weights[row] = new[start:stop]
+                start = stop
+            applied += posts.size
 
         # 2. potentiation: post spikes read the pre traces
         if fired_post.size:
-            pot_synapses = projection.synapse_indices_into(fired_post)
-            if pot_synapses.size:
-                pres = projection.pre_of_synapses()[pot_synapses]
-                decay = np.exp(
-                    (self._x_last[pres] - now) * (dt / self.tau_plus)
-                )
-                weights[pot_synapses] += self.a_plus * (
-                    self._x_val[pres] * decay
-                )
-                refreshes += pres.size
+            synapses, pres = index.incoming(fired_post)
+            new = weights.take(synapses)
+            new += self._scaled_traces(
+                self.a_plus, self._x_val, self._x_last, self.tau_plus, pres
+            )
+            weights[synapses] = np.clip(new, low, high, out=new)
+            applied += pres.size
 
         # 3. bump the traces of the neurons that fired *this* step
         #    (after the updates: simultaneous pre/post pairs at zero
         #    time difference contribute nothing, the standard choice).
         #    A bump is the one moment a lazy trace is brought current.
         if fired_pre.size:
-            self._x_val[fired_pre] = (
-                self._x_val[fired_pre]
-                * np.exp(
-                    (self._x_last[fired_pre] - now) * (dt / self.tau_plus)
-                )
-                + 1.0
-            )
-            self._x_last[fired_pre] = now
-            refreshes += fired_pre.size
+            self._bump(self._x_val, self._x_last, self.tau_plus, fired_pre)
         if fired_post.size:
-            self._y_val[fired_post] = (
-                self._y_val[fired_post]
-                * np.exp(
-                    (self._y_last[fired_post] - now) * (dt / self.tau_minus)
-                )
-                + 1.0
-            )
-            self._y_last[fired_post] = now
-            refreshes += fired_post.size
+            self._bump(self._y_val, self._y_last, self.tau_minus, fired_post)
 
-        # 4. keep the touched weights in their representable range
-        #    (after both updates, so a synapse hit by depression *and*
-        #    potentiation this step is clipped once, on its net value)
-        applied = 0
-        for synapses in (dep_synapses, pot_synapses):
-            if synapses is not None and synapses.size:
-                applied += synapses.size
-                weights[synapses] = np.clip(
-                    weights[synapses], self.w_min, self.w_max
-                )
+        # 4. accounting: a schedule that decays every trace every step
+        #    would have done ``n_dense`` evaluations; whatever was not
+        #    read or bumped was deferred.
+        refreshes = applied + fired_pre.size + fired_post.size
         self.applied_updates += applied
+        self.trace_refreshes += refreshes
+        n_dense = self._x_val.size + self._y_val.size
+        self.deferred_updates += max(n_dense - refreshes, 0)
 
-        # 5. accounting: the dense schedule would have decayed every
-        #    trace this step; whatever we did not evaluate was deferred.
-        #    The dense reference mode materialises the full trace
-        #    arrays (same reads as above, so identical numerics — the
-        #    materialisation feeds nothing back) to pay the historical
-        #    per-step cost it models.
-        if self.deferred:
-            self.trace_refreshes += refreshes
-            if refreshes < n_dense:
-                self.deferred_updates += n_dense - refreshes
-        else:
-            self._materialise(self._x_val, self._x_last, self.tau_plus)
-            self._materialise(self._y_val, self._y_last, self.tau_minus)
-            self.trace_refreshes += refreshes + n_dense
+    def _scaled_traces(self, amplitude, values, last, tau, neurons):
+        """``amplitude * trace`` now, per entry of ``neurons``: evaluated
+        once per neuron when the reads outnumber the neurons, once per
+        read otherwise. Same bits either way — the same elementwise
+        expression on a contiguous array (never on a strided view,
+        whose ``exp`` loop may differ in the last bit)."""
+        if neurons.size > values.size:
+            return (amplitude * self._decayed(values, last, tau)).take(neurons)
+        return amplitude * self._decayed(
+            values.take(neurons), last.take(neurons), tau
+        )
+
+    def _bump(self, values, last, tau, fired) -> None:
+        values[fired] = self._decayed(values[fired], last[fired], tau) + 1.0
+        last[fired] = self._now
 
     # -- monitors ----------------------------------------------------------
 
     def mean_weight(self) -> float:
         """Mean synaptic weight (a learning-progress monitor)."""
-        if self.projection is None:
-            raise SimulationError("rule not attached to a projection")
+        self._require_attached()
         if self.projection.n_synapses == 0:
             return 0.0
         return float(self.projection.weights.mean())

@@ -8,7 +8,9 @@ import pytest
 from repro.errors import CheckpointError, ConfigurationError, SimulationError
 from repro.models import LIF
 from repro.network import Network, PatternStimulus, Population, Projection, Simulator
+from repro.network.projection import SynapseIndex
 from repro.plasticity import PairSTDP
+from tests.plasticity.reference import shadowed
 
 DT = 1e-4
 
@@ -43,6 +45,26 @@ class TestPairSTDPRule:
             PairSTDP(tau_plus=0.0)
         with pytest.raises(ConfigurationError):
             PairSTDP(w_min=1.0, w_max=0.0)
+
+    @pytest.mark.parametrize("field", ["a_plus", "a_minus", "w_min", "w_max",
+                                       "tau_plus", "tau_minus"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x",
+                                       None, True])
+    def test_rejects_non_finite_and_non_real_parameters(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PairSTDP(**{field: value})
+
+    def test_accepts_numpy_and_integer_parameters(self):
+        rule = PairSTDP(a_plus=np.float32(0.5), w_max=2, tau_plus=np.float64(0.01))
+        assert (rule.a_plus, rule.w_max, rule.tau_plus) == (0.5, 2, 0.01)
+
+    def test_weight_outside_the_range_stays_until_its_first_event(self):
+        projection = _one_to_one(weight=0.5)
+        rule = PairSTDP(w_max=0.1)
+        rule.attach(projection)
+        rule.step(_fire(0), _fire(), DT)
+        rule.step(_fire(), _fire(0), DT)
+        assert projection.weights.tolist() == [0.1, 0.5, 0.5]
 
     def test_pre_before_post_potentiates(self):
         projection = _one_to_one()
@@ -150,13 +172,26 @@ class TestPairSTDPRule:
         assert rule.trace_refreshes == 0
         assert rule.steps_seen == 10
 
-    def test_dense_mode_defers_nothing(self):
-        rule = PairSTDP(deferred=False)
-        rule.attach(_one_to_one())
-        for _ in range(10):
-            rule.step(_fire(), _fire(), DT)
-        assert rule.deferred_updates == 0
-        assert rule.trace_refreshes == 60
+    def test_dense_mode_defers_nothing(self, tmp_path, capsys):
+        """The dense reference mode is gone: no constructor argument and
+        no spec key selects another step."""
+        import json
+
+        from repro.cli import main
+        from repro.frontend import example_spec
+
+        with pytest.raises(TypeError, match="deferred"):
+            PairSTDP(deferred=False)
+        spec = example_spec()
+        spec["projections"][0]["plasticity"] = {
+            "rule": "pair_stdp", "deferred": False,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "'deferred'" in captured.err
+        assert captured.out == ""
 
     def test_restore_rejects_pre_lazy_payload(self):
         rule = PairSTDP()
@@ -174,6 +209,8 @@ class TestProjectionIndexViews:
     def test_pre_of_synapses(self):
         projection = _one_to_one()
         assert projection.pre_of_synapses().tolist() == [0, 1, 2]
+        # Build-time users only: nothing is cached on the projection.
+        assert projection.pre_of_synapses() is not projection.pre_of_synapses()
 
     def test_synapse_indices_into(self):
         pre = Population("pre", 2, LIF())
@@ -186,19 +223,21 @@ class TestProjectionIndexViews:
             delays=np.ones(3, dtype=np.int64),
             syn_type=0,
         )
-        into_1 = projection.synapse_indices_into(np.array([1]))
-        assert sorted(projection.post_idx[into_1].tolist()) == [1, 1]
-        pres = projection.pre_of_synapses()[into_1]
-        assert sorted(pres.tolist()) == [0, 1]
+        into_1, pres = SynapseIndex(projection).incoming(np.array([1]))
+        assert projection.post_idx[into_1].tolist() == [1, 1]
+        assert pres.tolist() == projection.pre_of_synapses()[into_1].tolist()
+        assert pres.tolist() == [0, 1]
 
     def test_empty_queries(self):
-        projection = _one_to_one()
-        assert projection.synapse_indices_of(_fire()).size == 0
-        assert projection.synapse_indices_into(_fire()).size == 0
+        index = SynapseIndex(_one_to_one())
+        rows, posts = index.outgoing(_fire())
+        assert posts.size == 0 and rows == [slice(0, 0)]
+        synapses, pres = index.incoming(_fire())
+        assert synapses.size == 0 and pres.size == 0
 
 
 class TestSimulatorIntegration:
-    def _learning_network(self, deferred=True):
+    def _learning_network(self):
         net = Network("stdp")
         inputs = net.add_population("inputs", 4, "LIF")
         net.add_population("output", 1, "LIF")
@@ -218,10 +257,7 @@ class TestSimulatorIntegration:
                 net.populations["output"], {3: [0]}, weight=200.0, period=40
             )
         )
-        rule = PairSTDP(
-            a_plus=0.5, a_minus=0.5, w_min=0.0, w_max=20.0,
-            deferred=deferred,
-        )
+        rule = PairSTDP(a_plus=0.5, a_minus=0.5, w_min=0.0, w_max=20.0)
         net.add_plasticity(projection, rule)
         return net, projection, rule
 
@@ -255,42 +291,34 @@ class TestSimulatorIntegration:
             net.add_plasticity(foreign, PairSTDP())
 
     def test_lazy_and_dense_runs_are_bit_identical(self):
-        from repro.supervision.job import spike_digest
-
-        def run(deferred):
-            net, projection, _ = self._learning_network(deferred=deferred)
-            result = Simulator(net, dt=DT, seed=0).run(400)
-            return spike_digest(result.spikes), projection.weights.copy()
-
-        lazy_digest, lazy_weights = run(True)
-        dense_digest, dense_weights = run(False)
-        assert lazy_digest == dense_digest
-        np.testing.assert_array_equal(lazy_weights, dense_weights)
+        """The compiled step equals the per-synapse reference inside a
+        simulator run: weight bytes, traces and counters, every step."""
+        net, projection, rule = self._learning_network()
+        reference = shadowed(rule)
+        result = Simulator(net, dt=DT, seed=0).run(400)
+        assert result.total_spikes() > 0
+        assert rule.applied_updates == reference.state["applied_updates"] > 0
+        assert rule.steps_seen == 400
 
     def test_lazy_equals_dense_on_vogels(self):
         """STDP on Vogels et al.'s recurrent exc->exc projection (RKF45,
-        spiking at this scale): the lazy schedule must defer work and
-        still reproduce the dense schedule's spikes bit for bit."""
+        spiking at this scale): the compiled step must defer work and
+        still reproduce the per-synapse reference bit for bit — every
+        step, through volleys that take the once-per-neuron branch."""
         from repro.assembly import assemble
-        from repro.supervision.job import spike_digest
 
-        def run(deferred):
-            assembly = assemble("Vogels et al.", scale=0.05, seed=5)
-            rule = PairSTDP(deferred=deferred)
-            recurrent = next(
-                projection for projection in assembly.network.projections
-                if projection.pre.name == projection.post.name == "exc"
-            )
-            assembly.network.add_plasticity(recurrent, rule)
-            result = assembly.simulator().run(300)
-            return spike_digest(result.spikes), result.total_spikes(), rule
-
-        lazy_digest, lazy_spikes, lazy = run(True)
-        dense_digest, _, dense = run(False)
-        assert lazy_digest == dense_digest
-        assert lazy_spikes > 0
-        assert lazy.deferred_updates > 0
-        assert lazy.trace_refreshes < dense.trace_refreshes
+        assembly = assemble("Vogels et al.", scale=0.05, seed=5)
+        rule = PairSTDP()
+        recurrent = next(
+            projection for projection in assembly.network.projections
+            if projection.pre.name == projection.post.name == "exc"
+        )
+        assembly.network.add_plasticity(recurrent, rule)
+        reference = shadowed(rule)
+        result = assembly.simulator().run(300)
+        assert result.total_spikes() > 0
+        assert rule.deferred_updates > 0
+        assert rule.applied_updates == reference.state["applied_updates"] > 0
 
     def test_plasticity_metrics_published_integrally(self):
         from repro.telemetry import MetricsRegistry

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.models import LIF
 from repro.network import Population, Projection, Simulator, connect
+from repro.network.projection import SynapseIndex
 from repro.plasticity import PairSTDP
 
 
@@ -52,7 +53,7 @@ class TestProjection:
         assert proj.synapses_of(np.array([2]))[2].tolist() == [0, 0, 0, 1]
         assert proj.post_idx.tolist() == [1, 2, 3]
         assert proj.delays.tolist() == [1, 2, 3]
-        assert proj.post_of(np.array([2, 0])).tolist() == [3, 1]
+        assert proj.post_idx[[2, 0]].tolist() == [3, 1]
 
     def test_synapses_of_empty_fired(self):
         pre, post = _pops()
@@ -178,14 +179,23 @@ class TestDerivedViews:
                 return original(projection)
 
             monkeypatch.setattr(Projection, view, property(counted))
+        # A plastic projection decodes ``targets`` itself, once, into
+        # the index its rule steps on.
+        build_index = SynapseIndex.__init__
+
+        def counted_build(index, projection):
+            decoded.append((projection.name, "SynapseIndex"))
+            build_index(index, projection)
+
+        monkeypatch.setattr(SynapseIndex, "__init__", counted_build)
         simulator = Simulator(small_network, seed=1)
         assert decoded == []  # delay bounds are cached at construction
         first = simulator.run(200)
         assert first.total_spikes() > 0
         assert first.phases["synapse"].operations > 0
-        # The one permitted decode: a plastic projection builds its
-        # post-sorted (CSC) index once, at its first post spike.
-        assert decoded == ([("exc->exc", "post_idx")] if plastic else [])
+        # The one permitted decode: a plastic projection compiles its
+        # synapse index once, at its rule's first step.
+        assert decoded == ([("exc->exc", "SynapseIndex")] if plastic else [])
         del decoded[:]
         simulator.run(200)
         assert decoded == []

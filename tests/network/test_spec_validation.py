@@ -123,6 +123,23 @@ class TestProjections:
         with pytest.raises(ConfigurationError, match="plasticity parameters"):
             build_network(spec)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("a_plus", float("nan")), ("w_min", float("nan")),
+         ("tau_plus", float("inf")), ("tau_plus", "x"), ("a_minus", True),
+         ("tau_minus", 0), ("w_min", 2.0), ("deferred", "no")],
+    )
+    def test_bad_plasticity_parameter_names_projection_and_field(
+        self, field, value
+    ):
+        spec = _spec()
+        spec["projections"][0]["plasticity"] = {"rule": "pair_stdp", field: value}
+        entry = spec["projections"][0]
+        where = f"projection {entry['pre']}->{entry['post']}: "
+        with pytest.raises(ConfigurationError, match=field) as raised:
+            build_network(spec)
+        assert str(raised.value).startswith(where)
+
 
 class TestStimuli:
     def test_missing_required_field(self):

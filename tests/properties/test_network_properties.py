@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.models import LIF
 from repro.network import Network, PoissonStimulus, Population, Simulator
-from repro.network.projection import connect
+from repro.network.projection import SynapseIndex, connect
 from repro.routing import DelayRing
 from tests.conftest import enqueue_events
 
@@ -79,11 +79,11 @@ class TestConnectivityProperties:
             pre, post, probability=0.3, rng=np.random.default_rng(seed)
         )
         # Every synapse reachable through the CSR view is reachable
-        # through the CSC view, and vice versa.
-        all_pre = np.arange(15)
-        all_post = np.arange(12)
-        via_pre = set(projection.synapse_indices_of(all_pre).tolist())
-        via_post = set(projection.synapse_indices_into(all_post).tolist())
+        # through the post-sorted view, and vice versa.
+        index = SynapseIndex(projection)
+        rows, _ = index.outgoing(np.arange(15))
+        via_pre = {s for row in rows for s in range(row.start, row.stop)}
+        via_post = set(index.incoming(np.arange(12))[0].tolist())
         assert via_pre == via_post == set(range(projection.n_synapses))
 
 
