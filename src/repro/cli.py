@@ -744,7 +744,8 @@ def _cmd_simulate(args) -> int:
     duration = args.steps * simulator.dt
     for name, population in network.populations.items():
         record = result.spikes.result(name)
-        rate = record.n_spikes / population.n / duration
+        # A zero-length run has no rate to divide out: report 0.0 Hz.
+        rate = record.n_spikes / population.n / duration if duration else 0.0
         print(f"  {name:12s} {record.n_spikes:8,d} spikes ({rate:7.1f} Hz)")
     if network.plasticity_rules:
         for rule in network.plasticity_rules:

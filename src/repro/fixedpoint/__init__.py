@@ -28,12 +28,14 @@ from repro.fixedpoint.fixed import (
     fx_from_float,
     fx_mul,
     fx_neg,
+    fx_record_proved,
     fx_saturate,
+    fx_saturate_enclosed,
     fx_sub,
     fx_to_float,
     observe_saturation,
 )
-from repro.fixedpoint.fastexp import fast_exp, fx_exp
+from repro.fixedpoint.fastexp import fast_exp, fx_exp, fx_exp_enclosure
 
 __all__ = [
     "FLEXON_FORMAT",
@@ -44,10 +46,13 @@ __all__ = [
     "fast_exp",
     "fx_add",
     "fx_exp",
+    "fx_exp_enclosure",
     "fx_from_float",
     "fx_mul",
     "fx_neg",
+    "fx_record_proved",
     "fx_saturate",
+    "fx_saturate_enclosed",
     "fx_sub",
     "fx_to_float",
     "observe_saturation",

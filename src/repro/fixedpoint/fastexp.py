@@ -18,7 +18,8 @@ Both a float version (:func:`fast_exp`) and a fixed-point wrapper
 
 from __future__ import annotations
 
-from typing import Union
+import math
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -63,6 +64,26 @@ def fx_exp(raw, fmt: FixedFormat, strict: bool = False):
     """
     y = fx_to_float(raw, fmt)
     return fx_from_float(fast_exp(y), fmt, strict=strict)
+
+
+def fx_exp_enclosure(lo: int, hi: int, fmt: FixedFormat) -> Tuple[int, int]:
+    """Raw bounds of :func:`fx_exp` over every raw operand in ``[lo, hi]``.
+
+    The unit is non-decreasing — ``a * y + b``, a truncation, a bit
+    pattern read as a positive double, then the monotone quantiser — so
+    its ends are the images of the ends. They are widened by the one
+    LSB rounding can move them, so the bound holds under either of
+    :func:`fx_from_float`'s tie rules, and clipped to the format the
+    quantiser saturates to.
+    """
+    ends = fast_exp(np.array([lo, hi], dtype=np.float64) / fmt.scale)
+    # Past the format the quantiser saturates; cap before scaling so a
+    # wide format's exp(700) cannot overflow the float.
+    low, high = np.minimum(ends, fmt.max_value + 1.0) * fmt.scale
+    return (
+        min(math.floor(low), fmt.raw_max),
+        min(math.floor(high) + 1, fmt.raw_max),
+    )
 
 
 def max_relative_error(lo: float = -1.0, hi: float = 1.0, samples: int = 10001) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -266,6 +266,48 @@ def fx_saturate(
     if isinstance(raw, np.ndarray):
         return _saturate_array(raw, fmt, strict, stats)
     return _saturate_scalar(int(raw), fmt, strict, stats)
+
+
+def fx_saturate_enclosed(
+    raw: np.ndarray, fmt: FixedFormat, lo: int, hi: int
+) -> Tuple[np.ndarray, int, int]:
+    """Saturate an array the caller has enclosed in ``[lo, hi]``.
+
+    ``lo``/``hi`` are Python ints (no wrap) bounding the values the
+    array would hold in exact arithmetic. An enclosure inside the
+    format proves the array in range — a scan could only find
+    ``raw.size`` checked, none clipped — and such a point need not come
+    here at all: the caller keeps its array and reports the count
+    through :func:`fx_record_proved`. This is the door for every other
+    point. It goes through :func:`_saturate_array`, so counts stay
+    exact and that routine stays the only one that scans an array or
+    counts a clip.
+
+    Returns ``(array, lo, hi)`` with the enclosure of the result. A
+    product is shifted right by ``frac_bits`` before it gets here, so
+    ends within ``±2**(63 - frac_bits)`` mean the unshifted product
+    fitted int64 and the result's enclosure is the clipped one. Past
+    that the array holds whatever numpy's wrapped arithmetic computed,
+    and the result is only known to lie in the format.
+    """
+    raw_min, raw_max = fmt.raw_min, fmt.raw_max
+    wrap = 1 << (63 - fmt.frac_bits)
+    if lo < -wrap or hi >= wrap:
+        lo, hi = raw_min, raw_max
+    else:
+        lo = min(max(lo, raw_min), raw_max)
+        hi = max(min(hi, raw_max), raw_min)
+    return _saturate_array(raw, fmt, False), lo, hi
+
+
+def fx_record_proved(fmt: FixedFormat, count: int) -> None:
+    """Record ``count`` values an enclosure proved inside ``fmt``.
+
+    The accounting half of a range proof: exactly what scanning those
+    values would have recorded, ``count`` checked and none clipped.
+    """
+    if _ACTIVE_SINK is not None:
+        _ACTIVE_SINK.record(fmt, count, 0)
 
 
 def fx_from_float(value, fmt: FixedFormat, strict: bool = False) -> RawLike:

@@ -100,6 +100,19 @@ class HardwareRuntime(PopulationRuntime):
                 "Values the fixed-point datapaths clipped.",
                 {"population": self.name, "format": fmt.describe()},
             ).set_total(clipped)
+        if self.folded:
+            # Did the range proof ever fail on this run, and where?
+            population = {"population": self.name}
+            metrics.counter(
+                "fixedpoint_saturation_proved_total",
+                "Saturation points an enclosure proved in range.",
+                population,
+            ).set_total(self.neuron.points_proved)
+            metrics.counter(
+                "fixedpoint_saturation_scanned_total",
+                "Saturation points that had to scan their array.",
+                population,
+            ).set_total(self.neuron.points_scanned)
 
     def snapshot(self) -> Dict[str, object]:
         return {"kind": "hardware", "neuron": self.neuron.snapshot()}

@@ -33,7 +33,9 @@ from repro.fixedpoint import (
     MEMBRANE_FORMAT,
     FixedFormat,
     fx_exp,
-    fx_saturate,
+    fx_exp_enclosure,
+    fx_record_proved,
+    fx_saturate_enclosed,
 )
 from repro.hardware import datapaths as dp
 from repro.hardware.control import (
@@ -76,9 +78,23 @@ class FoldedFlexonNeuron:
             self.cnt = None
         #: Total pipeline cycles consumed so far (all neurons).
         self.total_cycles = 0
+        #: Saturation points an enclosure proved in range / had to scan.
+        #: Diagnostics only: not part of :meth:`snapshot`.
+        self.points_proved = 0
+        self.points_scanned = 0
         # Scratch rows: the MUL output, the tmp latch, the accumulator v'.
         self._prod, self._tmp, self._acc = np.empty((3, n), dtype=np.int64)
         self._plan = self._lower(program)
+        # Registers the plan reads (their ranges are scanned every step)
+        # and stage 1's saturation points per step: one per MUL, per ADD
+        # and per v' accumulation.
+        self._rows_read = tuple(
+            (s, self.regs[s]) for s in sorted({signal.s for signal in program.signals})
+        )
+        self._stage1_points = sum(
+            1 + (signal.b != BOperand.ZERO) + bool(signal.v_acc)
+            for signal in program.signals
+        )
         # Spike-triggered jumps as (register row, raw increment); signs
         # mirror FlexonNeuron (RR conductances grow on fire).
         c = program.constants
@@ -95,26 +111,32 @@ class FoldedFlexonNeuron:
         """Pipeline occupancy of one neuron update."""
         return self.program.cycles_per_neuron
 
+    @property
+    def points_per_step(self) -> int:
+        """Saturation points of one step: stage 1's plus the write-back."""
+        return self._stage1_points + (self.membrane_format is not None)
+
     def _lower(self, program: Microprogram) -> Tuple[tuple, ...]:
         """Resolve each control signal into one plan op.
 
-        An op is ``(mul_constant, state_row, b, b_arg, exp, s_wr,
-        v_acc)``: the raw MUL constant (``None`` selects ``tmp``), a
-        view of the state register row, the ADD operand mode with its
-        resolved argument (raw constant for ``CONSTANT``, input row for
-        ``INPUT``), and the three flags. Order, operands and saturation
-        points are the control signals' own.
+        An op is ``(mul_constant, s, state_row, b, b_arg, exp, s_wr,
+        v_acc)``: the raw MUL constant (``None`` selects ``tmp``), the
+        state register's index and a view of its row, the ADD operand
+        mode with its resolved argument (raw constant for ``CONSTANT``,
+        input row for ``INPUT``), and the three flags. Order, operands
+        and saturation points are the control signals' own.
         """
         plan = []
         for signal in program.signals:
+            # Python ints: the enclosure arithmetic must not wrap.
             mul_constant = (
-                program.mul_constants[signal.ca]
+                int(program.mul_constants[signal.ca])
                 if signal.a == AOperand.CONSTANT
                 else None
             )
             b = BOperand(signal.b)
             if b is BOperand.CONSTANT:
-                b_arg = program.add_constants[signal.cb]
+                b_arg = int(program.add_constants[signal.cb])
             elif b is BOperand.INPUT:
                 b_arg = signal.syn_type
             else:
@@ -122,6 +144,7 @@ class FoldedFlexonNeuron:
             plan.append(
                 (
                     mul_constant,
+                    signal.s,
                     self.regs[signal.s],
                     b,
                     b_arg,
@@ -147,46 +170,104 @@ class FoldedFlexonNeuron:
         else:
             gated = raw_inputs
 
+        # -- enclosures ------------------------------------------------------
+        # A Python-int ``[lo, hi]`` rides beside every value below. A
+        # saturation point whose enclosure lies inside its format is
+        # proved in range: its array is not scanned, and the step records
+        # all such points at once (``fx_record_proved``). Every other
+        # point scans as it always did (``fx_saturate_enclosed``).
+        # The rows and inputs this step reads are scanned here, every
+        # step: ``restore`` and fault injection write ``regs`` through
+        # views, so a range carried over would be stale.
+        if self.n:
+            span = {s: (int(row.min()), int(row.max())) for s, row in self._rows_read}
+            in_lo, in_hi = int(gated.min()), int(gated.max())
+        else:  # no values: any enclosure holds
+            span = {s: (0, 0) for s, _ in self._rows_read}
+            in_lo = in_hi = 0
+        fmt_min, fmt_max = fmt.raw_min, fmt.raw_max
+        scanned = 0
+
         # -- stage 1: execute the plan -------------------------------------
-        # Each result lands in a scratch row; ``fx_saturate`` hands the
-        # row back when nothing clipped and a clipped copy otherwise, so
-        # ``tmp``/``acc`` below name whichever holds the live value.
+        # Each result lands in a scratch row; a saturation point hands
+        # the row back when nothing clipped and a clipped copy otherwise,
+        # so ``tmp``/``acc`` below name whichever holds the live value.
         frac_bits = fmt.frac_bits
         prod_row, tmp_row, acc_row = self._prod, self._tmp, self._acc
         tmp_row.fill(0)
         acc_row.fill(0)
         tmp, acc = tmp_row, acc_row
-        for mul_constant, state, b, b_arg, exp, s_wr, v_acc in self._plan:
+        tmp_lo = tmp_hi = acc_lo = acc_hi = 0
+        for mul_constant, s, state, b, b_arg, exp, s_wr, v_acc in self._plan:
             row = tmp_row if b is BOperand.ZERO else prod_row
-            np.multiply(tmp if mul_constant is None else mul_constant, state, out=row)
+            s_lo, s_hi = span[s]
+            if mul_constant is None:
+                np.multiply(tmp, state, out=row)
+                corners = (tmp_lo * s_lo, tmp_lo * s_hi, tmp_hi * s_lo, tmp_hi * s_hi)
+                lo, hi = min(corners), max(corners)
+            else:
+                np.multiply(mul_constant, state, out=row)
+                lo, hi = mul_constant * s_lo, mul_constant * s_hi
+                if mul_constant < 0:
+                    lo, hi = hi, lo
             np.right_shift(row, frac_bits, out=row)
-            out = fx_saturate(row, fmt)
+            # The shift floors, so it is monotone: the ends map exactly.
+            out, lo, hi = row, lo >> frac_bits, hi >> frac_bits
+            if lo < fmt_min or hi > fmt_max:
+                out, lo, hi = fx_saturate_enclosed(row, fmt, lo, hi)
+                scanned += 1
             if b is not BOperand.ZERO:
                 if b is BOperand.CONSTANT:
                     np.add(out, b_arg, out=tmp_row)
+                    lo, hi = lo + b_arg, hi + b_arg
                 elif b is BOperand.INPUT:
                     np.add(out, gated[b_arg], out=tmp_row)
+                    lo, hi = lo + in_lo, hi + in_hi
                 elif b is BOperand.TMP:
                     np.add(out, tmp, out=tmp_row)
+                    lo, hi = lo + tmp_lo, hi + tmp_hi
                 else:  # LEAK: clamped -V_leak of the selected state register
                     np.maximum(state, 0, out=tmp_row)
                     np.minimum(tmp_row, c.v_leak, out=tmp_row)
                     np.subtract(out, tmp_row, out=tmp_row)
-                out = fx_saturate(tmp_row, fmt)
+                    lo, hi = lo - max(c.v_leak, 0), hi - min(c.v_leak, 0)
+                out = tmp_row
+                if lo < fmt_min or hi > fmt_max:
+                    out, lo, hi = fx_saturate_enclosed(tmp_row, fmt, lo, hi)
+                    scanned += 1
             if exp:
                 out = fx_exp(out, fmt)
-            tmp = out
+                lo, hi = fx_exp_enclosure(lo, hi, fmt)
+            tmp, tmp_lo, tmp_hi = out, lo, hi
             if s_wr:
                 state[...] = out
+                span[s] = (lo, hi)
             if v_acc:
                 np.add(acc, out, out=acc_row)
-                acc = fx_saturate(acc_row, fmt)
+                acc, acc_lo, acc_hi = acc_row, acc_lo + lo, acc_hi + hi
+                if acc_lo < fmt_min or acc_hi > fmt_max:
+                    acc, acc_lo, acc_hi = fx_saturate_enclosed(
+                        acc_row, fmt, acc_lo, acc_hi
+                    )
+                    scanned += 1
+
+        fx_record_proved(fmt, self.n * (self._stage1_points - scanned))
 
         # -- stage 2: fire, reset, write back --------------------------------
+        membrane = self.membrane_format
         fired = acc > c.threshold
         np.copyto(acc, c.v_reset, where=fired)
-        if self.membrane_format is not None:
-            acc = fx_saturate(acc, self.membrane_format)
+        if membrane is not None:
+            # What is left is at most the threshold, or is the reset value.
+            lo = min(acc_lo, c.v_reset)
+            hi = max(min(acc_hi, c.threshold), c.v_reset)
+            if lo < membrane.raw_min or hi > membrane.raw_max:
+                acc, _, _ = fx_saturate_enclosed(acc, membrane, lo, hi)
+                scanned += 1
+            else:
+                fx_record_proved(membrane, self.n)
+        self.points_scanned += scanned
+        self.points_proved += self.points_per_step - scanned
         self.regs[STATE_V] = acc
         for row, jump in self._jumps:
             np.add(row, jump, out=row, where=fired)

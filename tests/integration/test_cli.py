@@ -168,6 +168,18 @@ class TestFrontendCommands:
         assert main(["simulate", str(path), "--steps", "100"]) == 0
         assert "mean weight" in capsys.readouterr().out
 
+    def test_simulate_zero_steps_is_a_clean_zero_hz_run(self, tmp_path, capsys):
+        import json
+
+        from repro.frontend import example_spec
+
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(example_spec()))
+        # Used to die in the rate line: spikes / n / (0 steps * dt).
+        assert main(["simulate", str(path), "--steps", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "0 spikes" in out and "0.0 Hz" in out
+
     def test_simulate_bad_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

@@ -10,7 +10,7 @@ from repro.models import LIF
 from repro.network import Network, PatternStimulus, Population, Projection, Simulator
 from repro.network.projection import SynapseIndex
 from repro.plasticity import PairSTDP
-from tests.plasticity.reference import shadowed
+from tests.oracles.pair_stdp import shadowed
 
 DT = 1e-4
 

@@ -1,0 +1,9 @@
+"""Slow, obviously-right implementations the compiled paths are held to.
+
+Each module keeps the step a lowering replaced, so tests can demand the
+same bits and the same counters from the fast path:
+
+* :mod:`tests.oracles.folded_scan` — the folded hardware step that
+  scans every saturation point (no range proof);
+* :mod:`tests.oracles.pair_stdp` — the per-synapse pair-STDP step.
+"""

@@ -10,7 +10,7 @@ from repro.network import Network, Population, Projection, Simulator
 from repro.network import projection as projection_module
 from repro.network.projection import SynapseIndex
 from repro.plasticity import PairSTDP
-from tests.plasticity.reference import ReferencePairSTDP
+from tests.oracles.pair_stdp import ReferencePairSTDP
 
 DT = 1e-4
 

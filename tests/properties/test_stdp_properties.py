@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.models import LIF
 from repro.network import Population, Projection
 from repro.plasticity import PairSTDP
-from tests.plasticity.reference import ReferencePairSTDP
+from tests.oracles.pair_stdp import ReferencePairSTDP
 
 DT = 1e-4
 

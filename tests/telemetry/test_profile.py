@@ -118,12 +118,25 @@ class TestOverheadBudget:
         on half the attempts: three attempts failed 3 runs in 15 (the
         parent 1 in 15). Same budget, same scale; 16 reps and five
         attempts failed 0 in 15 in the same alternation, six are allowed.
+
+        2026-10-05 (PR 21): each attempt threw its 16 reps away, and on
+        an idle host nine fresh single estimates still read 0.015-0.066
+        (three >= 0.05) where a best-of-30 read 0.036 (99.9 -> 103.5
+        us/step); ISSUE 21's prototype tier-1 run failed all six. The
+        estimator is "fastest bare vs fastest instrumented", which only
+        sharpens with samples, so the attempts now pool theirs: the
+        delta is taken over every rep so far. Same budget, scale, reps
+        and at most six attempts.
         """
+        bare, instrumented = [], []
         for attempt in range(6):
             entry = profile_workload(
                 "Izhikevich", steps=240, scale=0.3, reps=16, seed=7
             )
-            if entry["overhead_delta"] < 0.05:
+            bare += entry["reps"]["bare"]
+            instrumented += entry["reps"]["instrumented"]
+            delta = 1.0 - max(instrumented) / max(bare)
+            if delta < 0.05:
                 break
             time.sleep(2.0)
-        assert entry["overhead_delta"] < 0.05, entry["reps"]
+        assert delta < 0.05, (max(bare), max(instrumented), attempt + 1)
