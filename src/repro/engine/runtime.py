@@ -31,8 +31,9 @@ Registering a new backend therefore means implementing one
 from __future__ import annotations
 
 import abc
+import copy
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +65,9 @@ class PopulationRuntime(abc.ABC):
     def __init__(self, name: str, n: int) -> None:
         self.name = name
         self.n = n
+        #: The fused block this runtime is a column view of (see
+        #: :meth:`split`); ``None`` for a runtime that is stepped itself.
+        self.block: Optional["PopulationRuntime"] = None
 
     @abc.abstractmethod
     def advance(self, inputs: np.ndarray, dt: float) -> np.ndarray:
@@ -73,6 +77,30 @@ class PopulationRuntime(abc.ABC):
         The returned array may be a reused buffer: consume it (record,
         ``np.nonzero``) before the next ``advance`` call.
         """
+
+    # -- fusion seam -------------------------------------------------------
+
+    def split(
+        self, members: Sequence[Tuple[str, int, int]]
+    ) -> List["PopulationRuntime"]:
+        """One runtime of this class per ``(name, lo, hi)`` member, its
+        state the columns ``lo:hi`` of this block's storage.
+
+        A member view carries everything that is per population — name,
+        size, ``state()``, ``snapshot()`` / ``restore()``, ``health()``,
+        its metrics — and is never stepped: the block is. Only runtimes
+        whose step treats every column alike can be split; the base
+        refuses.
+        """
+        raise SimulationError(
+            f"runtime {type(self).__name__} cannot be split into members"
+        )
+
+    def _refuse_member_advance(self) -> SimulationError:
+        return SimulationError(
+            f"population {self.name!r} is stepped as part of block "
+            f"{self.block.name!r}; advance the block"
+        )
 
     @abc.abstractmethod
     def state(self) -> State:
@@ -111,6 +139,13 @@ class PopulationRuntime(abc.ABC):
             "Neurons owned by each population runtime.",
             {"population": self.name},
         ).set(self.n)
+
+    def publish_block_metrics(self, metrics) -> None:
+        """Publish what is counted per stepped block rather than per
+        population. :meth:`publish_metrics` includes it for a runtime
+        that is stepped itself; the backend calls it on a fused block,
+        whose members publish everything else under their own names.
+        """
 
     # -- reliability seam --------------------------------------------------
 
@@ -184,7 +219,7 @@ class CompiledRuntime(PopulationRuntime):
                 f"model {model.name!r} cannot be compiled to a step plan"
             )
         self.model = model
-        self.advances = 0
+        self._advances = 0
         self._plan: Optional[StepPlan] = None
         self._kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -209,13 +244,19 @@ class CompiledRuntime(PopulationRuntime):
         )
         self.r = np.zeros(n, dtype=np.float64) if Feature.RR in f else None
         self.cnt = np.zeros(n, dtype=np.float64) if Feature.AR in f else None
-        # Live float views under the canonical dict-state names.
+        self._views = self._named_views()
+        if dt is not None:
+            self._bind(dt)
+
+    def _named_views(self) -> State:
+        """Live float views of the SoA blocks under the canonical
+        dict-state names."""
         views: State = {"v": self.v}
         if self.g is not None:
-            for i in range(n_types):
+            for i in range(self._n_types):
                 views[f"g{i}"] = self.g[i]
         if self.y is not None:
-            for i in range(n_types):
+            for i in range(self._n_types):
                 views[f"y{i}"] = self.y[i]
         if self.w is not None:
             views["w"] = self.w
@@ -223,16 +264,44 @@ class CompiledRuntime(PopulationRuntime):
             views["r"] = self.r
         if self.cnt is not None:
             views["cnt"] = self.cnt
-        self._views = views
-        if dt is not None:
-            self._bind(dt)
+        return views
 
     # -- plan compilation ------------------------------------------------
+
+    def _stepped(self) -> "CompiledRuntime":
+        """The runtime whose ``advance`` moves this one's state."""
+        return self if self.block is None else self.block
 
     @property
     def plan(self) -> Optional[StepPlan]:
         """The currently bound step plan (None before first advance)."""
-        return self._plan
+        return self._stepped()._plan
+
+    @property
+    def advances(self) -> int:
+        """Steps executed so far (a member's are its block's)."""
+        return self._stepped()._advances
+
+    @advances.setter
+    def advances(self, value: int) -> None:
+        self._stepped()._advances = value
+
+    def split(
+        self, members: Sequence[Tuple[str, int, int]]
+    ) -> List["CompiledRuntime"]:
+        views = []
+        for name, lo, hi in members:
+            view = copy.copy(self)
+            view.name, view.n, view.block = name, hi - lo, self
+            for attribute in ("v", "g", "y", "w", "r", "cnt"):
+                values = getattr(self, attribute)
+                if values is not None:
+                    setattr(view, attribute, values[..., lo:hi])
+            # Named afresh, as a population of its own would be: shared
+            # key strings would change what a checkpoint's pickle memoises.
+            view._views = view._named_views()
+            views.append(view)
+        return views
 
     def _bind(self, dt: float) -> None:
         self._plan = compile_step_plan(self.model, dt)
@@ -365,6 +434,8 @@ class CompiledRuntime(PopulationRuntime):
     # -- PopulationRuntime interface --------------------------------------
 
     def advance(self, inputs: np.ndarray, dt: float) -> np.ndarray:
+        if self.block is not None:
+            raise self._refuse_member_advance()
         if self._plan is None or dt != self._plan.dt:
             self._bind(dt)
         if inputs.shape != (self._n_types, self.n):
@@ -372,7 +443,7 @@ class CompiledRuntime(PopulationRuntime):
                 f"expected inputs of shape {(self._n_types, self.n)}, "
                 f"got {inputs.shape}"
             )
-        self.advances += 1
+        self._advances += 1
         return self._kernel(inputs)
 
     def publish_metrics(self, metrics) -> None:

@@ -24,6 +24,7 @@ from repro.fixedpoint.fixed import (
     Fixed,
     FixedFormat,
     SaturationStats,
+    SegmentedStats,
     fx_add,
     fx_from_float,
     fx_mul,
@@ -43,6 +44,7 @@ __all__ = [
     "Fixed",
     "FixedFormat",
     "SaturationStats",
+    "SegmentedStats",
     "fast_exp",
     "fx_add",
     "fx_exp",

@@ -17,11 +17,15 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import FixedPointFormatError, FixedPointOverflowError
+from repro.errors import (
+    FixedPointError,
+    FixedPointFormatError,
+    FixedPointOverflowError,
+)
 
 #: Scalar or numpy array of raw fixed-point integers.
 RawLike = Union[int, np.ndarray]
@@ -140,6 +144,10 @@ class SaturationStats:
     #: Total elements examined while accounting was active.
     checked: int = 0
 
+    #: Column segments a scan that clips is counted by (none: one sink
+    #: for the whole array; see :class:`SegmentedStats`).
+    segments = ()
+
     def record(self, fmt: FixedFormat, checked: int, clipped: int) -> None:
         self.checked += checked
         if clipped:
@@ -167,6 +175,36 @@ class SaturationStats:
             )
         )
         return f"{parts} clips / {self.checked} checked"
+
+
+class SegmentedStats:
+    """The sink of several populations stepped as one array.
+
+    A fused block's arrays hold each member population in the columns
+    ``lo:hi`` of their last axis, and each member keeps its own
+    :class:`SaturationStats`. Every array a block step screens spans
+    all ``width`` columns, so a record of ``checked`` values is
+    ``checked // width`` per column and splits by member size exactly;
+    the scan that finds a clip (:func:`_saturate_array`, still the only
+    clip counter) counts it once per entry of :attr:`segments`.
+    """
+
+    def __init__(
+        self, segments: Sequence[Tuple[int, int, SaturationStats]]
+    ) -> None:
+        #: ``(lo, hi, stats)`` per member, tiling ``0:width``.
+        self.segments = tuple(segments)
+        self.width = sum(hi - lo for lo, hi, _ in self.segments)
+
+    def record(self, fmt: FixedFormat, checked: int, clipped: int) -> None:
+        per_column, rest = divmod(checked, self.width)
+        if clipped or rest:
+            raise FixedPointError(
+                f"a block of {self.width} columns cannot split a record of "
+                f"{checked} checked / {clipped} clipped values by member"
+            )
+        for lo, hi, stats in self.segments:
+            stats.checked += per_column * (hi - lo)
 
 
 #: The process-wide stats sink; ``None`` keeps the hot path untouched.
@@ -233,7 +271,8 @@ def _saturate_array(
     itself, not copied**; a caller that stores the result must own
     ``raw`` (every ``fx_*`` helper passes a fresh or scratch array).
     Only an out-of-range array pays the compare/count/clip passes, and
-    gets a clipped copy back.
+    gets a clipped copy back; under a :class:`SegmentedStats` sink that
+    count is taken per column segment, one record per member.
     """
     lo, hi = fmt.raw_min, fmt.raw_max
     sink = None if strict else (stats if stats is not None else _ACTIVE_SINK)
@@ -244,9 +283,13 @@ def _saturate_array(
     if strict:
         raise FixedPointOverflowError(f"array value saturates format {fmt}")
     if sink is not None:
-        over = int(np.count_nonzero(raw > hi))
-        under = int(np.count_nonzero(raw < lo))
-        sink.record(fmt, raw.size, over + under)
+        outside = (raw > hi) | (raw < lo)
+        if sink.segments:
+            for start, stop, member in sink.segments:
+                columns = outside[..., start:stop]
+                member.record(fmt, columns.size, int(np.count_nonzero(columns)))
+        else:
+            sink.record(fmt, raw.size, int(np.count_nonzero(outside)))
     return np.clip(raw, lo, hi)
 
 

@@ -22,17 +22,27 @@ offloaded to Flexon — the paper's mixed AdEx + HH scenario.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import copy
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.runtime import PopulationRuntime
 from repro.errors import CheckpointError, SimulationError
-from repro.fixedpoint import SaturationStats, fx_from_float, observe_saturation
+from repro.fixedpoint import (
+    SaturationStats,
+    SegmentedStats,
+    fx_from_float,
+    observe_saturation,
+)
 from repro.hardware.compiler import CompiledModel, FlexonCompiler
 from repro.hardware.flexon import FlexonNeuron
 from repro.models.base import State
-from repro.network.backends import RuntimeBackend, software_solver_runtime
+from repro.network.backends import (
+    RuntimeBackend,
+    model_key,
+    software_solver_runtime,
+)
 from repro.network.population import Population
 from repro.solvers import canonical_solver_name
 
@@ -50,6 +60,14 @@ class HardwareRuntime(PopulationRuntime):
     format in ``saturation_stats``, so a run can *report* how often the
     hardware silently saturated — the observable form of the paper's
     "chosen formats never saturate" claim.
+
+    The paper's arrays time-multiplex every logical neuron of a network
+    through one datapath, and so does a fused block: one runtime over
+    all the columns, :meth:`split` into one member per population. A
+    member's ``neuron`` is a column view of the block's, and its
+    ``saturation_stats`` are its own: the block's sink hands every
+    record to the members, ``checked`` by size and ``clipped`` by where
+    the clip fell.
     """
 
     def __init__(
@@ -67,7 +85,27 @@ class HardwareRuntime(PopulationRuntime):
         #: Per-format clip counts accumulated across every step so far.
         self.saturation_stats = SaturationStats()
 
+    def split(
+        self, members: Sequence[Tuple[str, int, int]]
+    ) -> List["HardwareRuntime"]:
+        views = []
+        for name, lo, hi in members:
+            view = copy.copy(self)
+            view.name, view.n, view.block = name, hi - lo, self
+            view.neuron = self.neuron.view(lo, hi)
+            view.saturation_stats = SaturationStats()
+            views.append(view)
+        self.saturation_stats = SegmentedStats(
+            [
+                (lo, hi, view.saturation_stats)
+                for (_, lo, hi), view in zip(members, views)
+            ]
+        )
+        return views
+
     def advance(self, inputs: np.ndarray, dt: float) -> np.ndarray:
+        if self.block is not None:
+            raise self._refuse_member_advance()
         if abs(dt - self.dt) > 1e-15:
             raise SimulationError(
                 f"backend compiled for dt={self.dt}, asked to step dt={dt}; "
@@ -100,18 +138,25 @@ class HardwareRuntime(PopulationRuntime):
                 "Values the fixed-point datapaths clipped.",
                 {"population": self.name, "format": fmt.describe()},
             ).set_total(clipped)
+        if self.block is None:
+            self.publish_block_metrics(metrics)
+
+    def publish_block_metrics(self, metrics) -> None:
+        """Counters of the stepped array as a whole. The enclosure of a
+        saturation point spans every column, so whether it was proved or
+        scanned is a fact about the block, not about a member."""
         if self.folded:
             # Did the range proof ever fail on this run, and where?
-            population = {"population": self.name}
+            block = {"population": self.name}
             metrics.counter(
                 "fixedpoint_saturation_proved_total",
                 "Saturation points an enclosure proved in range.",
-                population,
+                block,
             ).set_total(self.neuron.points_proved)
             metrics.counter(
                 "fixedpoint_saturation_scanned_total",
                 "Saturation points that had to scan their array.",
-                population,
+                block,
             ).set_total(self.neuron.points_scanned)
 
     def snapshot(self) -> Dict[str, object]:
@@ -142,15 +187,12 @@ class _HardwareBackendBase(RuntimeBackend):
         super().__init__()
         self.dt = dt
         self.compiler = compiler if compiler is not None else FlexonCompiler()
-        self.compiled: Dict[str, CompiledModel] = {}
 
-    def prepare(self, network) -> None:
-        self.compiled = {}
-        super().prepare(network)
+    def block_key(self, population: Population):
+        return model_key(population.model)
 
     def build_runtime(self, population: Population) -> PopulationRuntime:
         compiled = self.compiler.compile(population.model, self.dt)
-        self.compiled[population.name] = compiled
         return HardwareRuntime(
             population.name, population.n, compiled, self.dt, self.folded
         )
@@ -202,21 +244,30 @@ class HybridBackend(RuntimeBackend):
         self.solver_name = canonical_solver_name(solver)
         self.folded = folded
         self.compiler = compiler if compiler is not None else FlexonCompiler()
+        #: population -> whether it runs on the digital-neuron array.
         self.offloaded: Dict[str, bool] = {}
 
     def prepare(self, network) -> None:
-        self.offloaded = {}
         super().prepare(network)
+        self.offloaded = {
+            name: isinstance(runtime, HardwareRuntime)
+            for name, runtime in self.runtimes.items()
+        }
+
+    def block_key(self, population: Population):
+        # Offloaded populations share the array; the rest stay on their
+        # own software solver.
+        if self.compiler.supports(population.model):
+            return model_key(population.model)
+        return None
 
     def build_runtime(self, population: Population) -> PopulationRuntime:
         model = population.model
         if self.compiler.supports(model):
-            self.offloaded[population.name] = True
             compiled = self.compiler.compile(model, self.dt)
             return HardwareRuntime(
                 population.name, population.n, compiled, self.dt, self.folded
             )
-        self.offloaded[population.name] = False
         return software_solver_runtime(population, self.solver_name)
 
     def offloaded_fraction(self) -> float:

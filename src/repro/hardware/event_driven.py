@@ -186,9 +186,12 @@ class EventDrivenFlexonBackend(_HardwareBackendBase):
         super().__init__(dt, compiler)
         self.folded = folded
 
+    def block_key(self, population):
+        # One monitor, one ring and one activity factor per population.
+        return None
+
     def build_runtime(self, population):
         compiled = self.compiler.compile(population.model, self.dt)
-        self.compiled[population.name] = compiled
         return EventDrivenRuntime(
             population.name, population.n, compiled, self.dt, self.folded
         )

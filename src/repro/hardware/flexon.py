@@ -19,7 +19,8 @@ synapses legitimately pull below rest, and document the delta).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import copy
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -35,7 +36,10 @@ class FlexonNeuron:
 
     ``step`` performs what one hardware cycle performs for each neuron:
     consume the accumulated (already weight-pre-scaled, quantised)
-    input, update all state, and report fired neurons.
+    input, update all state, and report fired neurons. The state words
+    are allocated once and only ever written in place, so a
+    :meth:`view` of some columns, a restored snapshot and an injected
+    fault all land in the arrays the next step reads.
     """
 
     #: Cycles one neuron update occupies (the single-cycle design).
@@ -53,21 +57,26 @@ class FlexonNeuron:
         self.n = n
         self.membrane_format = membrane_format
         self.state: Dict[str, np.ndarray] = {
-            "v": np.zeros(n, dtype=np.int64)
+            name: np.zeros(n, dtype=np.int64) for name in self._variables()
         }
-        n_types = constants.n_synapse_types
+
+    def _variables(self) -> Iterator[str]:
+        """The state words this feature set keeps, in storage order."""
+        features = self.features
+        n_types = self.constants.n_synapse_types
+        yield "v"
         if features.uses_conductance:
             for i in range(n_types):
-                self.state[f"g{i}"] = np.zeros(n, dtype=np.int64)
+                yield f"g{i}"
         if Feature.COBA in features:
             for i in range(n_types):
-                self.state[f"y{i}"] = np.zeros(n, dtype=np.int64)
+                yield f"y{i}"
         if features.has_adaptation_state:
-            self.state["w"] = np.zeros(n, dtype=np.int64)
+            yield "w"
         if Feature.RR in features:
-            self.state["r"] = np.zeros(n, dtype=np.int64)
+            yield "r"
         if Feature.AR in features:
-            self.state["cnt"] = np.zeros(n, dtype=np.int64)
+            yield "cnt"
 
     # -- one hardware cycle -----------------------------------------------
 
@@ -111,11 +120,11 @@ class FlexonNeuron:
                 g_new, y_new = dp.CobaPath.update(
                     self.state[f"g{i}"], self.state[f"y{i}"], gated[i], i, c
                 )
-                self.state[f"g{i}"] = g_new
-                self.state[f"y{i}"] = y_new
+                self.state[f"g{i}"][...] = g_new
+                self.state[f"y{i}"][...] = y_new
             elif Feature.COBE in f:
                 g_new = dp.CobePath.update(self.state[f"g{i}"], gated[i], i, c)
-                self.state[f"g{i}"] = g_new
+                self.state[f"g{i}"][...] = g_new
             else:
                 continue
             if use_rev:
@@ -128,16 +137,16 @@ class FlexonNeuron:
             w_new, r_new, contribution = dp.RrPath.update(
                 self.state["w"], self.state["r"], v, c
             )
-            self.state["w"] = w_new
-            self.state["r"] = r_new
+            self.state["w"][...] = w_new
+            self.state["r"][...] = r_new
             acc = fx_add(acc, contribution, fmt)
         elif Feature.SBT in f:
             w_new = dp.SbtPath.update(self.state["w"], v, c)
-            self.state["w"] = w_new
+            self.state["w"][...] = w_new
             acc = fx_add(acc, w_new, fmt)
         elif Feature.ADT in f:
             w_new = dp.AdtPath.decay(self.state["w"], c)
-            self.state["w"] = w_new
+            self.state["w"][...] = w_new
             acc = fx_add(acc, w_new, fmt)
 
         # 4. spike initiation (EXI placed at the top of the adder tree,
@@ -152,19 +161,29 @@ class FlexonNeuron:
         v_next = np.where(fired, np.int64(c.v_reset), acc)
         if self.membrane_format is not None:
             v_next = fx_saturate(v_next, self.membrane_format)
-        self.state["v"] = v_next
+        v[...] = v_next
         # RR-mode jumps grow the reversal-coupled w/r conductances (see
         # the FeatureModel.step commentary); direct-coupled w shrinks.
         if Feature.RR in f:
-            self.state["w"] = self.state["w"] + np.where(fired, c.b, 0)
-            self.state["r"] = self.state["r"] + np.where(fired, c.q_r, 0)
+            self.state["w"] += np.where(fired, c.b, 0)
+            self.state["r"] += np.where(fired, c.q_r, 0)
         elif f.has_adaptation_state:
-            self.state["w"] = self.state["w"] - np.where(fired, c.b, 0)
+            self.state["w"] -= np.where(fired, c.b, 0)
         if Feature.AR in f:
-            cnt = dp.ArPath.tick(self.state["cnt"])
+            cnt = self.state["cnt"]
+            cnt[...] = dp.ArPath.tick(cnt)
             cnt[fired] = c.cnt_max
-            self.state["cnt"] = cnt
         return fired
+
+    def view(self, lo: int, hi: int) -> "FlexonNeuron":
+        """The neurons ``lo:hi`` of this array as an array of their own,
+        over the same state words."""
+        view = copy.copy(self)
+        view.n = hi - lo
+        # Fresh name strings per view, as a separate array would have
+        # (shared keys would change a checkpoint's pickle memo).
+        view.state = {name: self.state[name][lo:hi] for name in self._variables()}
+        return view
 
     # -- host-side views -------------------------------------------------------
 
@@ -191,4 +210,9 @@ class FlexonNeuron:
                 f"neuron state {sorted(self.state)}"
             )
         for name, raw in snapshot.items():
-            self.state[name] = np.asarray(raw, dtype=np.int64).copy()
+            if np.shape(raw) != self.state[name].shape:
+                raise SimulationError(
+                    f"snapshot of {name!r} has shape {np.shape(raw)}, "
+                    f"expected {self.state[name].shape}"
+                )
+            self.state[name][...] = raw

@@ -59,7 +59,8 @@ class FoldedFlexonNeuron:
     plan over three preallocated int64 scratch rows. The register file
     ``regs`` and the refractory counter ``cnt`` are only ever written
     in place, so the row views the plan holds stay bound across
-    :meth:`restore` and fault injection.
+    :meth:`restore` and fault injection — and so does a :meth:`view` of
+    some of the array's columns.
     """
 
     def __init__(
@@ -76,9 +77,10 @@ class FoldedFlexonNeuron:
             self.cnt = np.zeros(n, dtype=np.int64)
         else:
             self.cnt = None
-        #: Total pipeline cycles consumed so far (all neurons).
-        self.total_cycles = 0
-        #: Saturation points an enclosure proved in range / had to scan.
+        #: Time steps executed so far.
+        self.steps = 0
+        #: Saturation points an enclosure proved in range / had to scan,
+        #: over the whole array (the enclosure is array-wide).
         #: Diagnostics only: not part of :meth:`snapshot`.
         self.points_proved = 0
         self.points_scanned = 0
@@ -110,6 +112,16 @@ class FoldedFlexonNeuron:
     def cycles_per_neuron(self) -> int:
         """Pipeline occupancy of one neuron update."""
         return self.program.cycles_per_neuron
+
+    @property
+    def total_cycles(self) -> int:
+        """Pipeline cycles consumed so far by this array's neurons."""
+        return self.steps * self.n * self.cycles_per_neuron
+
+    def view(self, lo: int, hi: int) -> "FoldedFlexonNeuron":
+        """The neurons ``lo:hi`` of this array as an array of their own,
+        over the same registers (see :class:`_FoldedColumns`)."""
+        return _FoldedColumns(self, lo, hi)
 
     @property
     def points_per_step(self) -> int:
@@ -274,7 +286,7 @@ class FoldedFlexonNeuron:
         if cnt is not None:
             cnt[...] = dp.ArPath.tick(cnt)
             cnt[fired] = c.cnt_max
-        self.total_cycles += self.n * self.cycles_per_neuron
+        self.steps += 1
         return fired
 
     # -- host-side views -------------------------------------------------------
@@ -326,4 +338,42 @@ class FoldedFlexonNeuron:
         self.regs[...] = regs
         if cnt is not None:
             self.cnt[...] = cnt
-        self.total_cycles = int(snapshot["total_cycles"])
+        self.steps = int(snapshot["total_cycles"]) // max(
+            1, self.n * self.cycles_per_neuron
+        )
+
+
+class _FoldedColumns(FoldedFlexonNeuron):
+    """Neurons ``lo:hi`` of a :class:`FoldedFlexonNeuron` array.
+
+    State, not a pipeline: ``regs`` and ``cnt`` are column views of the
+    array's, so ``float_state`` / ``snapshot`` / ``restore`` and fault
+    injection see exactly these neurons; the step count (and with it
+    ``total_cycles``) and the array-wide proof counters read through;
+    only the array steps.
+    """
+
+    def __init__(self, array: FoldedFlexonNeuron, lo: int, hi: int):
+        self.array = array
+        self.program = array.program
+        self.membrane_format = array.membrane_format
+        self.n = hi - lo
+        self.regs = array.regs[:, lo:hi]
+        self.cnt = None if array.cnt is None else array.cnt[lo:hi]
+
+    @property
+    def steps(self) -> int:
+        return self.array.steps
+
+    @steps.setter
+    def steps(self, value: int) -> None:
+        self.array.steps = value
+
+    points_proved = property(lambda self: self.array.points_proved)
+    points_scanned = property(lambda self: self.array.points_scanned)
+    points_per_step = property(lambda self: self.array.points_per_step)
+
+    def step(self, raw_inputs: np.ndarray) -> np.ndarray:
+        raise SimulationError(
+            "these neurons are columns of a larger array; step the array"
+        )

@@ -6,11 +6,20 @@ GeNN), or on a digital-neuron array. A :class:`Backend` owns the state
 of every population and advances it one step at a time.
 
 Since the engine refactor every backend in the repo executes through
-one seam: :class:`RuntimeBackend` materialises a
-:class:`~repro.engine.runtime.PopulationRuntime` per population at
-``prepare`` time, and ``advance``/``state_of`` simply delegate to it.
+one seam: :class:`RuntimeBackend` materialises
+:class:`~repro.engine.runtime.PopulationRuntime` objects at ``prepare``
+time, and ``advance``/``state_of`` simply delegate to them.
 Registering a new backend means subclassing :class:`RuntimeBackend`
 and implementing the single ``build_runtime`` hook.
+
+What is stepped is a :class:`Block`: populations with equal models
+(:func:`model_key`) share one runtime over all their columns and one
+``advance`` call per step, the way the paper's arrays time-multiplex
+every logical neuron through one datapath; ``runtimes[name]`` is then a
+member view of that block (:meth:`PopulationRuntime.split`), so
+everything per population keeps its name and shape. A population with
+no equal, or on a runtime whose step is not column-wise, is a block of
+one and is its own runtime. See DESIGN.md, "Blocks".
 
 :class:`ReferenceBackend` is the float64 software backend — our
 stand-in for Brian/NEST. With the Euler solver it compiles each
@@ -28,7 +37,9 @@ under ``use_engine=False``, run on the dict-state
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +52,7 @@ from repro.engine.plan import supports_flow_plan, supports_step_plan
 from repro.errors import ConfigurationError, SimulationError
 from repro.features import Feature
 from repro.models.base import NeuronModel, State
+from repro.models.feature_model import FeatureModel
 from repro.network.network import Network
 from repro.network.population import Population
 from repro.solvers import canonical_solver_name, create_solver
@@ -81,6 +93,35 @@ def software_solver_runtime(
     return SolverRuntime(population.name, population.n, model, solver)
 
 
+@dataclass(frozen=True)
+class Block:
+    """What one ``advance`` call steps: its name and the populations in
+    it, each as ``(population, lo, hi)`` — its columns of the block's
+    input and fired mask. A block of one is named for its population;
+    a fused block joins its members' names with ``+``."""
+
+    name: str
+    members: Tuple[Tuple[str, int, int], ...]
+
+    @property
+    def n(self) -> int:
+        """Neurons the block updates per step."""
+        return self.members[-1][2]
+
+
+def model_key(model: NeuronModel) -> Optional[Hashable]:
+    """What two populations must have equal to step as one block.
+
+    Equal class, features and parameters lower to the same plan
+    constants, so one kernel over both populations' columns performs
+    each population's own arithmetic. Models outside the feature
+    family have no such key and never fuse.
+    """
+    if isinstance(model, FeatureModel):
+        return type(model), model.features, model.parameters
+    return None
+
+
 class Backend(abc.ABC):
     """Owns population state and runs the neuron-computation phase."""
 
@@ -93,9 +134,19 @@ class Backend(abc.ABC):
     def prepare(self, network: Network) -> None:
         """Allocate state for every population of ``network``."""
 
+    @property
+    def blocks(self) -> List[Block]:
+        """The neuron phase's schedule, in stepping order: by default
+        one block per population."""
+        return [
+            Block(name, ((name, 0, population.n),))
+            for name, population in self.network.populations.items()
+        ]
+
     @abc.abstractmethod
     def advance(self, population: str, inputs: np.ndarray, dt: float) -> np.ndarray:
-        """Advance one population one step; return the fired mask."""
+        """Advance one block (see :attr:`blocks`) one step; return the
+        fired mask over its columns."""
 
     @abc.abstractmethod
     def state_of(self, population: str) -> State:
@@ -116,25 +167,61 @@ class Backend(abc.ABC):
 class RuntimeBackend(Backend):
     """Base class for backends that execute through population runtimes.
 
-    ``prepare`` builds one :class:`PopulationRuntime` per population via
-    the subclass's :meth:`build_runtime` hook; everything else is shared
-    delegation (with the same error behaviour the seed backends had).
+    ``prepare`` groups the populations into blocks by
+    :meth:`block_key`, in network order, and builds one
+    :class:`PopulationRuntime` per block via the subclass's
+    :meth:`build_runtime` hook; everything else is shared delegation
+    (with the same error behaviour the seed backends had).
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._runtimes: Dict[str, PopulationRuntime] = {}
+        self._blocks: List[Block] = []
+        self._block_runtimes: Dict[str, PopulationRuntime] = {}
 
     @abc.abstractmethod
     def build_runtime(self, population: Population) -> PopulationRuntime:
-        """Materialise the execution engine for one population."""
+        """Materialise the execution engine for one population — or for
+        the populations of one block, presented as one."""
+
+    def block_key(self, population: Population) -> Optional[Hashable]:
+        """Populations with equal keys step as one block; ``None`` (the
+        default) keeps a population in a block of its own. A backend
+        returns :func:`model_key` exactly where :meth:`build_runtime`
+        yields a runtime that can :meth:`~PopulationRuntime.split`."""
+        return None
 
     def prepare(self, network: Network) -> None:
         self.network = network
-        self._runtimes = {
-            name: self.build_runtime(population)
-            for name, population in network.populations.items()
-        }
+        groups: Dict[Hashable, List[Population]] = {}
+        for population in network.populations.values():
+            key = self.block_key(population)
+            # Without a key a population is a group of its own.
+            groups.setdefault(population if key is None else key, []).append(
+                population
+            )
+        runtimes: Dict[str, PopulationRuntime] = {}
+        self._blocks = []
+        self._block_runtimes = {}
+        for populations in groups.values():
+            name = "+".join(p.name for p in populations)
+            bounds = list(accumulate((p.n for p in populations), initial=0))
+            members = tuple(
+                (p.name, lo, hi)
+                for p, lo, hi in zip(populations, bounds, bounds[1:])
+            )
+            if len(populations) == 1:
+                runtime = runtimes[name] = self.build_runtime(populations[0])
+            else:
+                runtime = self.build_runtime(
+                    Population(name, bounds[-1], populations[0].model)
+                )
+                for member, view in zip(populations, runtime.split(members)):
+                    runtimes[member.name] = view
+            self._blocks.append(Block(name, members))
+            self._block_runtimes[name] = runtime
+        self._runtimes = {name: runtimes[name] for name in network.populations}
 
     def runtime(self, population: str) -> PopulationRuntime:
         """The live runtime of one population (errors match the seed)."""
@@ -152,8 +239,23 @@ class RuntimeBackend(Backend):
         """All population runtimes, keyed by population name."""
         return self._runtimes
 
+    @property
+    def blocks(self) -> List[Block]:
+        return self._blocks
+
+    @property
+    def block_runtimes(self) -> Dict[str, PopulationRuntime]:
+        """The runtimes ``advance`` steps, keyed by block name: a
+        population's own runtime, or the block its view is cut from."""
+        return self._block_runtimes
+
     def advance(self, population: str, inputs: np.ndarray, dt: float) -> np.ndarray:
-        return self.runtime(population).advance(inputs, dt)
+        runtime = self._block_runtimes.get(population)
+        if runtime is None:
+            # Not a block: a fused member's view refuses (naming its
+            # block); anything else is unknown or not prepared.
+            runtime = self.runtime(population)
+        return runtime.advance(inputs, dt)
 
     def state_of(self, population: str) -> State:
         return self.runtime(population).state()
@@ -164,13 +266,18 @@ class RuntimeBackend(Backend):
     def publish_metrics(self, metrics) -> None:
         for runtime in self._runtimes.values():
             runtime.publish_metrics(metrics)
+        for block in self._blocks:
+            if len(block.members) > 1:  # a block of one spoke above
+                self._block_runtimes[block.name].publish_block_metrics(metrics)
 
 
 class ReferenceBackend(RuntimeBackend):
     """Float64 software backend — our stand-in for Brian/NEST.
 
-    One runtime per population (they keep independent evaluation
-    counters). The solver kind applies network-wide, which matches how
+    Populations with equal models that compile to a step plan run as
+    one :class:`~repro.engine.runtime.CompiledRuntime` block; every
+    other population has a runtime (and evaluation counters) of its
+    own. The solver kind applies network-wide, which matches how
     Table I labels each workload "Euler" or "RKF45". ``use_engine``
     selects between the compiled fast path (default: a step plan under
     Euler, a flow plan under RKF45) and the dict-state solver path
@@ -212,13 +319,24 @@ class ReferenceBackend(RuntimeBackend):
             population, self.solver_name, lowered=self.use_engine
         )
 
-    def build_runtime(self, population: Population) -> PopulationRuntime:
-        model = population.model
-        if (
+    def _compiles(self, model: NeuronModel) -> bool:
+        return (
             self.use_engine
             and self.solver_name == "Euler"
             and supports_step_plan(model)
-        ):
+        )
+
+    def block_key(self, population: Population) -> Optional[Hashable]:
+        # Only bare step plans fuse. An RKF45 stepper accepts or rejects
+        # a substep for all its columns at once, the dict-state solver
+        # is the oracle, and a FallbackRuntime re-seats one population.
+        if self._compiles(population.model) and self.fault_policy != "fallback":
+            return model_key(population.model)
+        return None
+
+    def build_runtime(self, population: Population) -> PopulationRuntime:
+        model = population.model
+        if self._compiles(model):
             compiled = CompiledRuntime(population.name, population.n, model)
             if self.fault_policy == "fallback":
                 # Imported here: the reliability package reaches back

@@ -4,9 +4,11 @@ Each simulated time step runs:
 
 1. **Stimulus generation** — external sources forge spikes and inject
    them into their target populations' current input slots.
-2. **Neuron computation** — every population's backend consumes its
+2. **Neuron computation** — the backend consumes every population's
    accumulated input, updates internal state, and reports which neurons
-   fired. (This is the phase Flexon accelerates.)
+   fired, one ``advance`` call per *block* of populations that share a
+   model (:func:`advance_blocks`). (This is the phase Flexon
+   accelerates.)
 3. **Synapse calculation** — the fired spikes are classified by target
    neuron through each projection, and their synaptic weights are
    accumulated into the input slots ``delay`` steps ahead.
@@ -33,8 +35,8 @@ Two observability seams ride on the loop without taxing it when off:
 * ``hooks`` are dispatched through per-callback lists built once per
   run from which callbacks each hook actually overrides, so a hook
   that only implements ``on_run_end`` costs nothing per step.
-  Per-population kernel spans (``on_population``) are only timed while
-  a span-consuming hook is attached. Hook failures follow the
+  Kernel spans (``on_population``, one per block per step) are only
+  timed while a span-consuming hook is attached. Hook failures follow the
   semantics pinned in :mod:`repro.engine.hooks`: structured
   ``ReproError``\\ s propagate after the phase is closed, anything else
   is isolated into ``SimulationResult.hook_errors``.
@@ -52,7 +54,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +79,71 @@ __all__ = [
     "PhaseStats",
     "SimulationResult",
     "Simulator",
+    "advance_blocks",
+    "bind_blocks",
 ]
+
+#: One bound block: its name, its size, the callable that returns this
+#: step's ``(n_synapse_types, n)`` input, and its ``(population, lo,
+#: hi)`` members.
+BoundBlock = Tuple[str, int, Callable[[], np.ndarray], tuple]
+
+
+def bind_blocks(backend: Backend, rings: Dict[str, DelayRing]) -> List[BoundBlock]:
+    """Bind the backend's block schedule to the populations' rings.
+
+    A block of one reads its ring's current bucket as is. A fused block
+    gets one preallocated input over all its columns, and each step
+    copies every member's bucket into that member's columns.
+    """
+
+    def gathered(members) -> Callable[[], np.ndarray]:
+        first = rings[members[0][0]]
+        inputs = np.empty((first.n_synapse_types, members[-1][2]))
+        parts = [
+            (rings[name].current, inputs[:, lo:hi]) for name, lo, hi in members
+        ]
+
+        def gather() -> np.ndarray:
+            for current, columns in parts:
+                columns[...] = current()
+            return inputs
+
+        return gather
+
+    return [
+        (
+            block.name,
+            block.n,
+            rings[block.name].current
+            if len(block.members) == 1
+            else gathered(block.members),
+            block.members,
+        )
+        for block in backend.blocks
+    ]
+
+
+def advance_blocks(
+    advance: Callable[[str, np.ndarray, float], np.ndarray],
+    blocks: Sequence[BoundBlock],
+    dt: float,
+    fired_index: Dict[str, np.ndarray],
+    on_block: Optional[Callable[[str, float, int], None]] = None,
+) -> None:
+    """The neuron phase: one ``advance`` per block, then every member
+    population's fired indices cut from the block's one mask into
+    ``fired_index``. ``on_block(name, seconds, updates)`` receives each
+    block's kernel span; the clock is only read when it is given.
+    """
+    for name, n_block, gather, members in blocks:
+        if on_block is not None:
+            start = time.perf_counter()
+        fired = advance(name, gather(), dt)
+        if on_block is not None:
+            on_block(name, time.perf_counter() - start, n_block)
+        for population, lo, hi in members:
+            fired_index[population] = np.nonzero(fired[lo:hi])[0]
 
 
 @dataclass
@@ -96,6 +162,9 @@ class SimulationResult:
     spikes: SpikeRecorder
     phases: Dict[str, PhaseStats]
     evaluations_per_step: Dict[str, float] = field(default_factory=dict)
+    #: The neuron phase's schedule: block name -> member populations, in
+    #: stepping order (kernel spans are per block).
+    blocks: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: Wall-clock spent sampling state recorders; charged to no phase.
     recording_seconds: float = 0.0
     #: What the reliability layer observed: solver fallbacks and
@@ -244,16 +313,13 @@ class Simulator:
     def _compile_schedule(self):
         """Resolve the per-step work lists once, outside the hot loop.
 
-        Everything the loop needs per step — each population's queue
-        and size, where a projection's spikes land, which recorded
+        Everything the loop needs per step — each block's input and
+        members, where a projection's spikes land, which recorded
         populations a plasticity rule reads — is bound here so the loop
         performs no dict lookups or attribute chasing of its own.
         """
         network = self.network
-        populations = [
-            (name, self._queues[name], pop.n)
-            for name, pop in network.populations.items()
-        ]
+        blocks = bind_blocks(self.backend, self._queues)
         projections = [
             (
                 projection,
@@ -267,7 +333,7 @@ class Simulator:
             (rule, rule.projection.pre.name, rule.projection.post.name)
             for rule in network.plasticity_rules
         ]
-        return populations, projections, plasticity
+        return blocks, projections, plasticity
 
     @staticmethod
     def _hook_dispatch(hooks: Sequence[PhaseHook]):
@@ -381,7 +447,9 @@ class Simulator:
             if metrics is not None
             else None
         )
-        populations, projections, plasticity = self._compile_schedule()
+        blocks, projections, plasticity = self._compile_schedule()
+        populations = tuple(self.network.populations)
+        n_neurons = self.network.n_neurons
         inject_stimuli = self.stimulus_plan.inject
         recorder_bindings = [
             (state_recorder, state_recorder.population)
@@ -392,6 +460,15 @@ class Simulator:
         perf_counter = time.perf_counter
         dt = self.dt
         backend_advance = self.backend.advance
+
+        def emit_span(block: str, seconds: float, updates: int) -> None:
+            for hook, callback in span_dispatch:
+                try:
+                    callback(block, step, seconds, updates)
+                except ReproError:
+                    raise
+                except Exception as error:
+                    failures.append((hook, "on_population", error))
 
         for hook in dispatch["on_run_start"]:
             try:
@@ -427,45 +504,23 @@ class Simulator:
                     except Exception as error:
                         failures.append((hook, "on_phase", error))
 
-                # Phase 2: neuron computation. The span-timed variant
-                # duplicates the loop body so the common no-span path
-                # pays zero extra clock reads.
+                # Phase 2: neuron computation, one kernel call per block.
                 start = perf_counter()
-                updates = 0
-                if span_dispatch:
-                    for name, queue, n_pop in populations:
-                        pop_start = perf_counter()
-                        fired = backend_advance(name, queue.current(), dt)
-                        pop_elapsed = perf_counter() - pop_start
-                        fired_index[name] = np.nonzero(fired)[0]
-                        if record_spikes:
-                            recorder.record_indices(
-                                name, step, fired_index[name]
-                            )
-                        updates += n_pop
-                        for hook, callback in span_dispatch:
-                            try:
-                                callback(name, step, pop_elapsed, n_pop)
-                            except ReproError:
-                                raise
-                            except Exception as error:
-                                failures.append(
-                                    (hook, "on_population", error)
-                                )
-                else:
-                    for name, queue, n_pop in populations:
-                        fired = backend_advance(name, queue.current(), dt)
-                        fired_index[name] = np.nonzero(fired)[0]
-                        if record_spikes:
-                            recorder.record_indices(
-                                name, step, fired_index[name]
-                            )
-                        updates += n_pop
+                advance_blocks(
+                    backend_advance,
+                    blocks,
+                    dt,
+                    fired_index,
+                    emit_span if span_dispatch else None,
+                )
+                if record_spikes:
+                    for name in populations:
+                        recorder.record_indices(name, step, fired_index[name])
                 neuron_elapsed = perf_counter() - start
-                timer_on_phase("neuron", step, neuron_elapsed, updates)
+                timer_on_phase("neuron", step, neuron_elapsed, n_neurons)
                 for hook, callback in phase_dispatch:
                     try:
-                        callback("neuron", step, neuron_elapsed, updates)
+                        callback("neuron", step, neuron_elapsed, n_neurons)
                     except ReproError:
                         raise
                     except Exception as error:
@@ -518,7 +573,7 @@ class Simulator:
 
         evaluations = {
             name: self.backend.evaluations_per_step(name)
-            for name, _, _ in populations
+            for name in populations
         }
         diagnostics = self._collect_diagnostics()
         if metrics is not None:
@@ -539,6 +594,10 @@ class Simulator:
             spikes=recorder,
             phases=timer.phases,
             evaluations_per_step=evaluations,
+            blocks={
+                name: tuple(member for member, _, _ in members)
+                for name, _, _, members in blocks
+            },
             recording_seconds=recording_seconds,
             diagnostics=diagnostics,
             hook_errors=hook_errors,

@@ -9,11 +9,13 @@ optionally — gauge metrics (``GET /metrics``).
 Hot-loop discipline: ``on_phase`` appends one float to a bounded deque
 and reads the monotonic clock once; everything else (percentiles,
 status snapshots, SSE publishing) happens at most once per
-``publish_interval`` seconds, on the simulation thread. Per-population
-kernel spans cost the simulator extra clock reads, so they are opt-in
-(``population_spans=True``); without them the per-population view
-falls back to neuron counts scaled by the run's steps/sec, which is
-exact for the fixed-work-per-step phases this simulator runs.
+``publish_interval`` seconds, on the simulation thread. Kernel spans
+cost the simulator extra clock reads, so they are opt-in
+(``population_spans=True``). They arrive one per *block* — the
+populations one ``advance`` call steps — so with them the view shows
+block rows (``exc+inh``); without them it shows one row per population,
+neuron counts scaled by the run's steps/sec, which is exact for the
+fixed-work-per-step phases this simulator runs.
 """
 
 from __future__ import annotations
@@ -66,8 +68,10 @@ class ServeHook(PhaseHook):
         self._phase_durations: Dict[str, Deque[float]] = {
             phase: deque(maxlen=window) for phase in PHASES
         }
-        self._population_durations: Dict[str, Deque[float]] = {}
         self._population_sizes: Dict[str, int] = {}
+        #: Kernel spans and update counts, keyed by block name.
+        self._block_durations: Dict[str, Deque[float]] = {}
+        self._block_sizes: Dict[str, int] = {}
         self._last_publish = 0.0
         self._window_anchor = 0.0
         self._window_steps = 0
@@ -87,6 +91,8 @@ class ServeHook(PhaseHook):
             name: population.n
             for name, population in network.populations.items()
         }
+        self._block_durations = {}
+        self._block_sizes = {}
         self.status.update(
             state="running",
             network=network.name,
@@ -124,10 +130,11 @@ class ServeHook(PhaseHook):
     def on_population(
         self, population: str, step: int, seconds: float, operations: int
     ) -> None:
-        durations = self._population_durations.get(population)
+        durations = self._block_durations.get(population)
         if durations is None:
             durations = deque(maxlen=self._window)
-            self._population_durations[population] = durations
+            self._block_durations[population] = durations
+            self._block_sizes[population] = operations
         durations.append(seconds)
 
     def on_run_end(self, result) -> None:
@@ -164,14 +171,15 @@ class ServeHook(PhaseHook):
             for name, durations in self._phase_durations.items()
         }
         populations: Dict[str, dict] = {}
-        for name, n in self._population_sizes.items():
+        # Block rows once spans have named the blocks.
+        for name, n in (self._block_sizes or self._population_sizes).items():
             entry: Dict[str, float] = {
                 "neurons": n,
                 # Fixed work per step: every neuron updates every step,
                 # so ops/sec is exactly n x the run's step rate.
                 "ops_per_sec": n * self._steps_per_sec,
             }
-            spans = self._population_durations.get(name)
+            spans = self._block_durations.get(name)
             if spans:
                 entry["p50_us"] = _percentile_us(spans, 0.50)
                 entry["p95_us"] = _percentile_us(spans, 0.95)

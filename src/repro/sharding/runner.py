@@ -49,6 +49,7 @@ from repro.network.network import Network
 from repro.network.population import Population
 from repro.network.projection import Projection
 from repro.network.recorder import SpikeRecorder
+from repro.network.simulator import advance_blocks, bind_blocks
 from repro.network.stimulus import StimulusPlan
 from repro.routing import SpikeRouter
 from repro.sharding.plan import ShardPlan
@@ -162,9 +163,10 @@ class ShardRunner:
         self.stimulus_plan = StimulusPlan(
             network.stimuli, rings, seed, owned=self._owned
         )
-        self._populations = [
-            (name, rings[name], self._owned[name][0]) for name in self._owned
-        ]
+        self._populations = [(name, self._owned[name][0]) for name in self._owned]
+        # The neuron phase is the simulator's, over the blocks the
+        # backend compiled for the slice-sized local network.
+        self._blocks = bind_blocks(backend, rings)
         self._replay = [
             (pre_name, sub, rings[post_name], sub.syn_type)
             for pre_name, sub, post_name in replay
@@ -207,17 +209,18 @@ class ShardRunner:
         """
         if length < 1:
             raise ShardingError(f"window length must be >= 1, got {length}")
-        fired: Window = {name: [] for name, _, _ in self._populations}
+        fired: Window = {name: [] for name, _ in self._populations}
         inject_stimuli = self.stimulus_plan.inject
         dt = self.dt
         advance = self._backend.advance
+        local: Dict[str, np.ndarray] = {}
         for _ in range(length):
             step = self._step
             inject_stimuli(step)
-            # Neuron phase, in global population order.
-            for name, ring, lo in self._populations:
-                fired_mask = advance(name, ring.current(), dt)
-                idx = np.nonzero(fired_mask)[0] + lo
+            advance_blocks(advance, self._blocks, dt, local)
+            # Fired indices leave the shard global, in population order.
+            for name, lo in self._populations:
+                idx = local[name] + lo
                 self.recorder.record_indices(name, step, idx)
                 fired[name].append(idx)
             self._router.rotate_all()

@@ -4,7 +4,7 @@ Runs registry workloads repeatedly — once bare, once with *all*
 telemetry attached (metrics registry, trace hook, per-population kernel
 spans) — and reports:
 
-* per-phase and per-population **p50/p95 wall time** (from the trace
+* per-phase and per-block **p50/p95 wall time** (from the trace
   hook's per-event durations) and **ops/sec** (from the metrics
   registry's phase counters — the profiler dogfoods the layer it
   measures);
@@ -102,7 +102,8 @@ def profile_workload(
     instrumented = assembly.simulator()
 
     metrics = MetricsRegistry()
-    events_per_step = 3 + len(network.populations)
+    # Three phase events and one kernel span per block, every step.
+    events_per_step = 3 + len(instrumented.backend.blocks)
     trace = TraceHook(max_events=steps * events_per_step, run_id=run_id)
     perf_counter = time.perf_counter
 
@@ -168,11 +169,15 @@ def profile_workload(
         )
         phase_stats[phase] = entry
 
+    # Kernel spans are per block: a row is one ``advance`` call, named
+    # for the populations it steps.
     population_stats: Dict[str, dict] = {}
-    for population, durations in sorted(trace.population_durations().items()):
-        entry = _percentiles_us(durations)
-        entry["neurons"] = network.populations[population].n
-        population_stats[population] = entry
+    durations = trace.population_durations()
+    for block in instrumented.backend.blocks:
+        entry = _percentiles_us(durations.get(block.name, ()))
+        entry["neurons"] = block.n
+        entry["members"] = [name for name, _, _ in block.members]
+        population_stats[block.name] = entry
 
     return {
         "backend": last_result.backend_name,

@@ -1,12 +1,13 @@
 """TraceHook: the simulator's event stream as a Chrome/Perfetto trace.
 
 The :class:`~repro.engine.hooks.PhaseHook` stream already carries every
-per-phase duration; this hook turns it — plus the per-population kernel
-spans the simulator emits when a hook asks for them — into Trace Event
-Format JSON that loads directly in ``chrome://tracing`` or Perfetto
-(https://ui.perfetto.dev). One run becomes a timeline: the three phases
-on the "simulator" track, each population's neuron-kernel spans on its
-own named track underneath.
+per-phase duration; this hook turns it — plus the kernel spans the
+simulator emits, one per block per step, when a hook asks for them —
+into Trace Event Format JSON that loads directly in ``chrome://tracing``
+or Perfetto (https://ui.perfetto.dev). One run becomes a timeline: the
+three phases on the "simulator" track, each block's neuron-kernel spans
+(``exc+inh`` for populations stepped as one, a lone population under
+its own name) on its own named track underneath.
 
 The hot path stores only what the event stream hands it — a compact
 ``(kind, name, seconds, step, operations)`` tuple per span, no clock
@@ -42,7 +43,7 @@ from repro.engine.hooks import PhaseHook
 __all__ = ["DEFAULT_MAX_EVENTS", "TraceHook"]
 
 #: Default ring-buffer capacity. Three phase events per step plus one
-#: span per population per step; at ~5 events/step this keeps the last
+#: span per block per step; at ~5 events/step this keeps the last
 #: ~40k steps of a run in roughly 20 MB of tuples.
 DEFAULT_MAX_EVENTS = 200_000
 
@@ -56,12 +57,11 @@ _KERNEL = 1
 
 
 class TraceHook(PhaseHook):
-    """Records phase and per-population spans as Trace Event JSON.
+    """Records phase and per-block kernel spans as Trace Event JSON.
 
     ``max_events`` bounds the ring buffer (``None`` = unbounded);
-    ``populations`` controls whether per-population kernel spans are
-    requested from the simulator (they add two clock reads per
-    population per step).
+    ``populations`` controls whether kernel spans are requested from
+    the simulator (they add two clock reads per block per step).
     """
 
     def __init__(
@@ -105,7 +105,7 @@ class TraceHook(PhaseHook):
         # Lifetime accounting happens here, once per run, so the
         # per-event callbacks stay a single bounded append.
         self.total_events += result.n_steps * (
-            3 + (len(result.evaluations_per_step) if self.wants_population_spans else 0)
+            3 + (len(result.blocks) if self.wants_population_spans else 0)
         )
 
     # -- export ------------------------------------------------------------
@@ -233,7 +233,7 @@ class TraceHook(PhaseHook):
         return out
 
     def population_durations(self) -> Dict[str, List[float]]:
-        """Buffered kernel-span durations (seconds) keyed by population."""
+        """Buffered kernel-span durations (seconds) keyed by block."""
         out: Dict[str, List[float]] = {}
         for kind, name, seconds, _, _ in self._events:
             if kind == _KERNEL:

@@ -266,12 +266,16 @@ class _SpanHook(PhaseHook):
 class TestPopulationSpans:
     def test_span_hook_sees_every_population_every_step(self, small_network):
         hook = _SpanHook()
-        Simulator(small_network, dt=DT, seed=3).run(10, hooks=[hook])
-        assert len(hook.spans) == 10 * len(small_network.populations)
-        assert {name for name, *_ in hook.spans} == set(small_network.populations)
+        result = Simulator(small_network, dt=DT, seed=3).run(10, hooks=[hook])
+        # One span per block per step, and the blocks hold every
+        # population once: here exc and inh share a model and a block.
+        populations = small_network.populations
+        assert result.blocks == {"exc+inh": ("exc", "inh")}
+        assert len(hook.spans) == 10 * len(result.blocks)
+        assert {name for name, *_ in hook.spans} == set(result.blocks)
         assert all(seconds >= 0.0 for _, _, seconds, _ in hook.spans)
         assert all(
-            operations == small_network.populations[name].n
+            operations == sum(populations[m].n for m in result.blocks[name])
             for name, _, _, operations in hook.spans
         )
 

@@ -190,8 +190,9 @@ def _counters(simulator):
 
 
 def _points(simulator):
+    # Proof counters belong to the stepped array: one per block.
     proved = scanned = per_step = 0
-    for runtime in simulator.backend.runtimes.values():
+    for runtime in simulator.backend.block_runtimes.values():
         proved += runtime.neuron.points_proved
         scanned += runtime.neuron.points_scanned
         per_step += runtime.neuron.points_per_step
@@ -237,9 +238,9 @@ class TestRegistryWorkloads:
 
         def total(family):
             values = result.metrics[family]["values"]
-            assert {entry["labels"]["population"] for entry in values} == set(
-                network.populations
-            )
+            assert {entry["labels"]["population"] for entry in values} == {
+                block.name for block in simulator.backend.blocks
+            }
             return sum(entry["value"] for entry in values)
 
         proved, scanned, per_step = _points(simulator)

@@ -84,11 +84,16 @@ class TestServeHookLiveRun:
             assert "p50_us" not in entry
 
     def test_population_spans_when_requested(self):
-        _, simulator = _simulator()
+        network, simulator = _simulator()
         status, bus, hook = _serve_hook(population_spans=True)
         assert hook.wants_population_spans is True
         simulator.run(5, record_spikes=False, hooks=[hook])
-        for entry in status.snapshot()["populations"].values():
+        # Spans are per block, so the rows are: Brunel's exc and inh
+        # share a model and are stepped by one call.
+        rows = status.snapshot()["populations"]
+        assert set(rows) == {"exc+inh"}
+        assert rows["exc+inh"]["neurons"] == network.n_neurons
+        for entry in rows.values():
             assert entry["p50_us"] >= 0.0
             assert entry["p95_us"] >= entry["p50_us"]
 

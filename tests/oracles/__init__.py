@@ -5,5 +5,7 @@ same bits and the same counters from the fast path:
 
 * :mod:`tests.oracles.folded_scan` — the folded hardware step that
   scans every saturation point (no range proof);
-* :mod:`tests.oracles.pair_stdp` — the per-synapse pair-STDP step.
+* :mod:`tests.oracles.pair_stdp` — the per-synapse pair-STDP step;
+* :mod:`tests.oracles.unfused` — one runtime and one ``advance`` call
+  per population (no fused blocks).
 """

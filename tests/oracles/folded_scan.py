@@ -71,7 +71,7 @@ class ScanningFoldedNeuron(FoldedFlexonNeuron):
         if cnt is not None:
             cnt[...] = dp.ArPath.tick(cnt)
             cnt[fired] = c.cnt_max
-        self.total_cycles += self.n * self.cycles_per_neuron
+        self.steps += 1
         return fired
 
 

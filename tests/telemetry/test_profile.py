@@ -46,6 +46,19 @@ class TestProfilePayload:
             for stats in entry["populations"].values():
                 assert stats["p95_us"] >= stats["p50_us"] >= 0.0
                 assert stats["neurons"] > 0
+            # Rows are kernel spans, one per block: each names its
+            # members, and together they hold every neuron once.
+            assert sum(
+                stats["neurons"] for stats in entry["populations"].values()
+            ) == entry["neurons"]
+            for name, stats in entry["populations"].items():
+                assert name == "+".join(stats["members"])
+        assert set(payload["workloads"]["Brunel"]["populations"]) == {"exc+inh"}
+        # The ring holds one rep exactly: 3 phase events + 1 block span
+        # per step, over the warm-up and two instrumented reps.
+        brunel = payload["workloads"]["Brunel"]
+        assert brunel["trace_events"] == 3 * 40 * 4
+        assert brunel["trace_dropped_events"] == 2 * 40 * 4
 
     def test_steps_per_sec_and_reps_recorded(self, quick_payload):
         payload, _ = quick_payload

@@ -49,15 +49,18 @@ class TestTraceStructure:
         network, trace = brunel_trace
         events = trace.to_trace_events()
         kernels = [e for e in events if e.get("cat") == "kernel"]
-        assert {e["name"] for e in kernels} == set(network.populations)
-        assert len(kernels) == 40 * len(network.populations)
+        # One span per block per step: Brunel's exc and inh share a
+        # model, so one ``advance`` call steps both.
+        assert set(network.populations) == {"exc", "inh"}
+        assert {e["name"] for e in kernels} == {"exc+inh"}
+        assert len(kernels) == 40
+        assert {e["args"]["operations"] for e in kernels} == {network.n_neurons}
         thread_names = {
             e["args"]["name"]
             for e in events
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        for population in network.populations:
-            assert f"pop:{population}" in thread_names
+        assert "pop:exc+inh" in thread_names
         # Kernel spans live on their own tracks, not the phase track.
         phase_tids = {e["tid"] for e in events if e.get("cat") == "phase"}
         kernel_tids = {e["tid"] for e in kernels}
@@ -124,8 +127,9 @@ class TestRingBuffer:
         phases = trace.phase_durations()
         assert set(phases) == {"stimulus", "neuron", "synapse"}
         assert all(len(v) == 10 for v in phases.values())
-        populations = trace.population_durations()
-        assert set(populations) == {"exc", "inh"}
+        blocks = trace.population_durations()
+        assert set(blocks) == {"exc+inh"}
+        assert len(blocks["exc+inh"]) == 10
 
 
 class TestTraceWithMetrics:
