@@ -23,12 +23,50 @@ from repro.errors import ConfigurationError
 from repro.network.population import Population
 
 
-class Projection:
-    """A set of synapses from ``pre`` to ``post``.
+#: Synapses per block of the build. Rows are encoded, self-connections
+#: dropped, index draws narrowed and shard slices cut a block at a time
+#: over scratch that stays in cache; a buffer size, in no digest.
+BUILD_BLOCK = 1 << 17
+#: Pair counts up to this draw every pair; above it ``connect`` samples
+#: out-degrees and targets.
+DENSE_PAIR_LIMIT = 4_000_000
 
-    The synapse arrays are adopted, not copied, when ``pre_idx`` arrives
-    sorted (as :func:`connect` delivers it); unsorted input is stably
-    re-sorted by presynaptic neuron.
+
+def _row_blocks(pre_ptr: np.ndarray):
+    """Cut a CSR table into runs of whole rows holding at most
+    ``BUILD_BLOCK`` synapses (a longer row is a block of its own).
+
+    Yields ``(first, last, synapses, row_of)``: the block's rows, its
+    synapse slice and, per synapse, its row counted from ``first``.
+    """
+    n_rows, first = pre_ptr.size - 1, 0
+    while first < n_rows:
+        last = n_rows
+        if pre_ptr[last] - pre_ptr[first] > BUILD_BLOCK:  # more than one left
+            reach = pre_ptr[first] + BUILD_BLOCK
+            last = int(np.searchsorted(pre_ptr, reach, side="right")) - 1
+            last = max(last, first + 1)
+        lengths = pre_ptr[first + 1:last + 1] - pre_ptr[first:last]
+        synapses = slice(int(pre_ptr[first]), int(pre_ptr[last]))
+        yield first, last, synapses, np.arange(last - first).repeat(lengths)
+        first = last
+
+
+def _integers(name: str, field: str, values) -> np.ndarray:
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"projection {name!r}: {field} must be integers, not {array.dtype}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
+class Projection:
+    """A set of synapses from ``pre`` to ``post``, given as COO arrays.
+
+    ``weights`` is adopted, not copied, when ``pre_idx`` arrives sorted;
+    unsorted input is stably re-sorted by presynaptic neuron. Either way
+    the table is encoded by :meth:`from_rows`, as :func:`connect`'s is.
     """
 
     def __init__(
@@ -42,10 +80,11 @@ class Projection:
         syn_type: int,
         name: Optional[str] = None,
     ):
-        pre_idx = np.asarray(pre_idx, dtype=np.int64)
-        post_idx = np.asarray(post_idx, dtype=np.int64)
+        label = name or f"{pre.name}->{post.name}"
+        pre_idx = _integers(label, "pre_idx", pre_idx)
+        post_idx = _integers(label, "post_idx", post_idx)
+        delays = _integers(label, "delays", delays)
         weights = np.asarray(weights, dtype=np.float64)
-        delays = np.asarray(delays, dtype=np.int64)
         sizes = {pre_idx.size, post_idx.size, weights.size, delays.size}
         if len(sizes) != 1:
             raise ConfigurationError("synapse arrays must have equal length")
@@ -53,6 +92,43 @@ class Projection:
             raise ConfigurationError("pre index out of range")
         if post_idx.size and (post_idx.min() < 0 or post_idx.max() >= post.n):
             raise ConfigurationError("post index out of range")
+        if not np.isfinite(weights).all():
+            raise ConfigurationError(f"projection {label!r}: weights must be finite")
+        if np.any(pre_idx[1:] < pre_idx[:-1]):
+            order = np.argsort(pre_idx, kind="stable")
+            post_idx, weights, delays = post_idx[order], weights[order], delays[order]
+        counts = np.bincount(pre_idx, minlength=pre.n)
+        post_idx = post_idx.astype(np.int32)
+        self._encode(pre, post, counts, post_idx, weights, delays, syn_type, label)
+
+    @classmethod
+    def from_rows(
+        cls, pre: Population, post: Population, counts: np.ndarray,
+        post_idx: np.ndarray, weights: np.ndarray, delays: np.ndarray,
+        syn_type: int, name: Optional[str] = None,
+    ) -> "Projection":
+        """A projection from synapses already in CSR order, ``counts[i]``
+        of them leaving pre-neuron ``i``.
+
+        The arrays are adopted: int32 ``post_idx`` (in range) is
+        overwritten with the ring targets, float64 ``weights`` becomes
+        the weight table; ``delays`` is read once, a block at a time
+        (any integer dtype, or a broadcast scalar).
+        """
+        self = cls.__new__(cls)
+        self._encode(pre, post, counts, post_idx, weights, delays, syn_type, name)
+        return self
+
+    def _encode(self, pre, post, counts, targets, weights, delays, syn_type, name):
+        self.pre = pre
+        self.post = post
+        self.syn_type = syn_type
+        self.name = name or f"{pre.name}->{post.name}"
+        self.n_synapses = int(targets.size)
+        self.pre_ptr = np.zeros(pre.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.pre_ptr[1:])
+        if not self.pre_ptr[-1] == targets.size == weights.size == delays.size:
+            raise ConfigurationError("synapse arrays must have equal length")
         #: Delay bounds in time steps (1 when the projection is empty).
         #: ``min_delay`` is the routing layer's flush horizon: no spike
         #: through this projection arrives sooner after it was generated.
@@ -64,11 +140,6 @@ class Projection:
             raise ConfigurationError(
                 f"synapse type {syn_type} out of range for {post.name!r}"
             )
-        self.pre = pre
-        self.post = post
-        self.syn_type = syn_type
-        self.name = name or f"{pre.name}->{post.name}"
-        self.n_synapses = int(pre_idx.size)
         #: Cells per bucket of the post ring (``targets`` are encoded in it).
         self.stride = stride = post.n_synapse_types * post.n
         depth = self.max_delay + 1
@@ -78,24 +149,44 @@ class Projection:
                 f" * n = {depth} * {post.n_synapse_types} * {post.n} of "
                 f"{pre.name!r} -> {post.name!r} overflows int32 ring targets"
             )
-        if np.any(pre_idx[1:] < pre_idx[:-1]):
-            order = np.argsort(pre_idx, kind="stable")
-            pre_idx, post_idx = pre_idx[order], post_idx[order]
-            weights, delays = weights[order], delays[order]
-        self.pre_ptr = np.searchsorted(pre_idx, np.arange(pre.n + 1))
-        self.targets = (delays * stride + post_idx).astype(np.int32)
+        self.targets = targets
         self.weights = weights
-        self.delay_counts = np.bincount(
-            pre_idx * depth + delays, minlength=pre.n * depth
-        ).reshape(pre.n, depth)
+        self.delay_counts = np.empty((pre.n, depth), dtype=np.int64)
+        for first, last, synapses, row_of in _row_blocks(self.pre_ptr):
+            delay = delays[synapses].astype(np.int64)
+            row_of *= depth
+            row_of += delay
+            self.delay_counts[first:last] = np.bincount(
+                row_of, minlength=(last - first) * depth
+            ).reshape(last - first, depth)
+            delay *= stride
+            delay += targets[synapses]
+            targets[synapses] = delay
+
+    def restricted_to(self, post: Population, lo: int, name: str) -> "Projection":
+        """The synapses onto post-neurons ``lo .. lo + post.n``, in this
+        projection's order, as a projection onto the slice-sized ``post``
+        (copied and re-encoded against it a block at a time)."""
+        counts = np.empty(self.pre.n, dtype=np.int64)
+        post_idx, weights, delays = [], [], []
+        for first, last, synapses, row_of in _row_blocks(self.pre_ptr):
+            delay, cell = np.divmod(self.targets[synapses], self.stride)
+            cell = cell % self.post.n - lo
+            mine = np.flatnonzero((cell >= 0) & (cell < post.n))
+            counts[first:last] = np.bincount(row_of[mine], minlength=last - first)
+            post_idx.append(cell[mine])
+            weights.append(self.weights[synapses][mine])
+            delays.append(delay[mine])
+        return Projection.from_rows(
+            self.pre, post, counts, np.concatenate(post_idx),
+            np.concatenate(weights), np.concatenate(delays), self.syn_type, name,
+        )
 
     @property
     def post_idx(self) -> np.ndarray:
-        """Target neuron of every synapse, decoded from ``targets``.
-
-        O(n_synapses) per access: for build-time users (shard slicing).
-        A plastic projection's per-step code reads :class:`SynapseIndex`.
-        """
+        """Target neuron of every synapse, decoded from ``targets``
+        (O(n_synapses) per access, for tests and measurement; a plastic
+        projection's per-step code reads :class:`SynapseIndex`)."""
         return (self.targets % self.post.n).astype(np.int64)
 
     @property
@@ -155,7 +246,8 @@ class SynapseIndex:
     order, ``order[slot]`` the synapse and ``pre[slot]`` its source.
     ``order`` and ``pre`` are int32 and ``post`` is its own sort key
     (uint16 up to ``RADIX_KEY_LIMIT`` neurons, int32 above): 10-12 B per
-    synapse; the build must stay under the network build's memory peak.
+    synapse at rest. Building it is the largest transient of a plastic
+    run now that the network build streams: at most 24 B per synapse.
     """
 
     def __init__(self, projection: Projection):
@@ -226,35 +318,32 @@ def connect(
     ``weight`` (clipped to keep the sign) and delays uniformly from
     ``delay_steps .. delay_steps + delay_jitter``.
     """
+    where = f"connect({pre.name!r} -> {post.name!r})"
     if not 0.0 <= probability <= 1.0:
         raise ConfigurationError(f"probability must be in [0, 1], got {probability}")
     for field, value in (("delay_steps", delay_steps), ("delay_jitter", delay_jitter)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigurationError(
-                f"connect({pre.name!r} -> {post.name!r}): {field} must be "
-                f"an integer, got {value!r}"
+                f"{where}: {field} must be an integer, got {value!r}"
             )
     if delay_steps < 1:
-        raise ConfigurationError(
-            f"connect({pre.name!r} -> {post.name!r}): delay_steps must be "
-            f">= 1, got {delay_steps}"
-        )
+        raise ConfigurationError(f"{where}: delay_steps must be >= 1, got {delay_steps}")
     if delay_jitter < 0:
         raise ConfigurationError(
-            f"connect({pre.name!r} -> {post.name!r}): delay_jitter must be "
-            f">= 0, got {delay_jitter}"
+            f"{where}: delay_jitter must be >= 0, got {delay_jitter}"
+        )
+    if not np.isfinite(weight):
+        raise ConfigurationError(f"{where}: weight must be finite, got {weight}")
+    if not 0.0 <= weight_std < np.inf:
+        raise ConfigurationError(
+            f"{where}: weight_std must be finite and >= 0, got {weight_std}"
         )
     rng = rng if rng is not None else np.random.default_rng(0)
-    if probability >= 1.0:
-        pre_idx, post_idx = np.meshgrid(
-            np.arange(pre.n), np.arange(post.n), indexing="ij"
-        )
-        pre_idx = pre_idx.ravel()
-        post_idx = post_idx.ravel()
-    elif pre.n * post.n <= 4_000_000:
-        hits = np.flatnonzero(rng.random((pre.n, post.n)) < probability)
-        pre_idx, post_idx = np.divmod(hits, post.n)
-    else:
+    # Every call on ``rng`` below (order, size, dtype) is part of every
+    # digest; ``BUILD_BLOCK`` only cuts a call into chunks, which draw
+    # the same stream.
+    no_self = pre is post and not allow_self
+    if probability < 1.0 and pre.n * post.n > DENSE_PAIR_LIMIT:
         # Large pair counts: draw each pre-neuron's out-degree
         # binomially and sample targets with replacement. Statistically
         # this allows the occasional duplicate synapse (two synapses
@@ -262,12 +351,29 @@ def connect(
         # memory stays proportional to the synapse count instead of
         # the pair count.
         counts = rng.binomial(post.n, probability, size=pre.n)
-        pre_idx = np.repeat(np.arange(pre.n), counts)
-        post_idx = rng.integers(0, post.n, size=int(counts.sum()))
-    if pre is post and not allow_self:
-        keep = pre_idx != post_idx
-        pre_idx, post_idx = pre_idx[keep], post_idx[keep]
-    n_syn = pre_idx.size
+        post_idx = _draw_integers(rng, 0, post.n, int(counts.sum()), np.int32)
+        if no_self:
+            post_idx = _drop_self(counts, post_idx)
+    else:
+        # Every pair, a block of rows at a time: all of them, or the
+        # ones a uniform draw per pair selects.
+        counts = np.empty(pre.n, dtype=np.int64)
+        columns = []
+        step = max(1, BUILD_BLOCK // post.n)
+        for first in range(0, pre.n, step):
+            n_rows = min(step, pre.n - first)
+            if probability < 1.0:
+                hit = rng.random((n_rows, post.n)) < probability
+            else:
+                hit = np.ones((n_rows, post.n), dtype=bool)
+            if no_self:  # (r, first + r) is flat first + r * (post.n + 1)
+                hit.ravel()[first::post.n + 1] = False
+            row_of, column = np.divmod(np.flatnonzero(hit), post.n)
+            counts[first:first + n_rows] = np.bincount(row_of, minlength=n_rows)
+            columns.append(column.astype(np.int32))
+        post_idx = columns[0] if len(columns) == 1 else np.concatenate(columns)
+        del columns  # or the pieces outlive the draws below
+    n_syn = post_idx.size
     if weight_std > 0.0:
         weights = rng.normal(weight, weight_std, size=n_syn)
         if weight >= 0:
@@ -277,11 +383,37 @@ def connect(
     else:
         weights = np.full(n_syn, weight, dtype=np.float64)
     if delay_jitter > 0:
-        delays = rng.integers(
-            delay_steps, delay_steps + delay_jitter + 1, size=n_syn
+        longest = delay_steps + delay_jitter
+        delays = _draw_integers(
+            rng, delay_steps, longest + 1, n_syn, np.min_scalar_type(longest)
         )
     else:
-        delays = np.full(n_syn, delay_steps, dtype=np.int64)
-    return Projection(
-        pre, post, pre_idx, post_idx, weights, delays, syn_type, name=name
+        delays = np.broadcast_to(np.int64(delay_steps), n_syn)
+    return Projection.from_rows(
+        pre, post, counts, post_idx, weights, delays, syn_type, name=name
     )
+
+
+def _draw_integers(rng, low, high, size, dtype) -> np.ndarray:
+    """``rng.integers(low, high, size)`` narrowed to ``dtype``, drawn
+    ``BUILD_BLOCK`` values at a time."""
+    out = np.empty(size, dtype=dtype)
+    for first in range(0, size, BUILD_BLOCK):
+        n = min(BUILD_BLOCK, size - first)
+        out[first:first + n] = rng.integers(low, high, size=n)
+    return out
+
+
+def _drop_self(counts: np.ndarray, post_idx: np.ndarray) -> np.ndarray:
+    """Drop the synapses onto their own row's neuron: ``post_idx`` is
+    compacted in place (its kept prefix returned), ``counts`` updated."""
+    kept = 0
+    pre_ptr = np.concatenate(([0], np.cumsum(counts)))
+    for first, last, synapses, row_of in _row_blocks(pre_ptr):
+        block = post_idx[synapses]
+        own = block == row_of + first
+        counts[first:last] -= np.bincount(row_of[own], minlength=last - first)
+        block = block[~own]
+        post_idx[kept:kept + block.size] = block
+        kept += block.size
+    return post_idx[:kept]

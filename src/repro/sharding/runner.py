@@ -123,25 +123,16 @@ class ShardRunner:
             post_name = projection.post.name
             if post_name not in self._owned:
                 continue
-            lo, hi = self._owned[post_name]
-            post_idx = projection.post_idx
-            mask = (post_idx >= lo) & (post_idx < hi)
-            if not mask.any():
-                continue
-            # The mask preserves the projection's flat synapse order
-            # (already sorted by pre, so Projection keeps it as is) —
-            # accumulation order is pinned. Ring targets are re-encoded
+            # The slice keeps the projection's flat synapse order —
+            # accumulation order is pinned — with ring targets encoded
             # against the slice-sized local population.
-            sub = Projection(
-                projection.pre,
+            sub = projection.restricted_to(
                 local.populations[post_name],
-                projection.pre_of_synapses()[mask],
-                post_idx[mask] - lo,
-                projection.weights[mask],
-                projection.delays[mask],
-                projection.syn_type,
+                self._owned[post_name][0],
                 name=f"{projection.name}[shard{shard}]",
             )
+            if not sub.n_synapses:
+                continue
             local.projections.append(sub)
             replay.append((projection.pre.name, sub, post_name))
 

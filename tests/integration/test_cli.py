@@ -248,6 +248,38 @@ class TestFrontendCommands:
         assert captured.err.startswith("error: ") and needle in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            ({"weight_std": -1.0}, "weight_std must be finite and >= 0"),
+            ({"weight_std": float("nan")}, "weight_std must be finite and >= 0"),
+            ({"weight": float("nan")}, "weight must be finite"),
+            ({"weight": float("inf")}, "weight must be finite"),
+        ],
+    )
+    def test_simulate_bad_weights_are_a_one_line_configuration_error(
+        self, tmp_path, capsys, overrides, needle
+    ):
+        # These used to build a NaN (or jitter-free) table and run to
+        # "0 spikes", exit 0.
+        import json
+
+        spec = {
+            "backend": "reference",
+            "populations": [{"name": "p", "n": 5, "model": "DLIF"}],
+            "projections": [
+                {"pre": "p", "post": "p", "probability": 0.5, **overrides}
+            ],
+        }
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", str(path), "--steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the banner
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert "'p' -> 'p'" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestTelemetryCli:
     BASE = ["run", "Brunel", "--backend", "reference", "--solver", "Euler",

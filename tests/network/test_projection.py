@@ -1,11 +1,14 @@
 """Tests for projections and the connect() builder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.models import LIF
 from repro.network import Population, Projection, Simulator, connect
+from repro.network import projection as projection_module
 from repro.network.projection import SynapseIndex
 from repro.plasticity import PairSTDP
 
@@ -143,6 +146,34 @@ class TestProjection:
                 weights=np.array([1.0]),
                 delays=np.array([0]),
                 syn_type=0,
+            )
+
+    def test_rejects_float_indices_and_delays(self):
+        # They used to be truncated to ints without a word.
+        pre, post = _pops()
+        good = dict(
+            pre_idx=np.array([0, 1]), post_idx=np.array([0, 1]),
+            weights=np.array([1.0, 1.0]), delays=np.array([1, 1]),
+        )
+        for field in ("pre_idx", "post_idx", "delays"):
+            bad = dict(good, **{field: np.array([0.5, 1.5])})
+            with pytest.raises(ConfigurationError, match=f"'pre->post'.*{field}"):
+                Projection(pre, post, syn_type=0, **bad)
+        empty = [np.array([])] * 4  # numpy's empty default is float64
+        assert Projection(pre, post, *empty, syn_type=0).n_synapses == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        pre, post = _pops()
+        with pytest.raises(ConfigurationError, match="'named'.*weights"):
+            Projection(
+                pre, post,
+                pre_idx=np.array([0, 1]),
+                post_idx=np.array([0, 1]),
+                weights=np.array([1.0, bad]),
+                delays=np.array([1, 1]),
+                syn_type=0,
+                name="named",
             )
 
     def test_rejects_bad_synapse_type(self):
@@ -301,3 +332,50 @@ class TestConnect:
         )
         assert proj.min_delay == 2
         assert proj.max_delay == 2
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("weight", np.nan), ("weight", np.inf), ("weight", -np.inf),
+         ("weight_std", -0.1), ("weight_std", np.nan), ("weight_std", np.inf)],
+    )
+    def test_rejects_bad_weight_fields(self, field, bad):
+        # NaN / inf weights used to build a NaN / inf table, a negative
+        # or NaN spread was taken for "no jitter".
+        pre, post = _pops()
+        with pytest.raises(ConfigurationError, match=f"'pre' -> 'post'.*{field} "):
+            connect(pre, post, probability=0.5, **{field: bad})
+
+
+class TestBuildMemory:
+    """``connect`` holds the int32 index, the weights and a narrow delay
+    array (13 B/synapse for Brunel's 10..20-step delays) plus block-sized
+    scratch: nothing table-sized beyond what the generator returns. The
+    whole-array build it replaced peaked at 45 B/synapse (sampled) and
+    90 B/synapse (dense: the pair matrix and its hit mask)."""
+
+    ALLOWANCE = 8 * projection_module.BUILD_BLOCK * 8  # eight int64 blocks
+
+    @staticmethod
+    def _peak(n, probability):
+        pre, post = Population("pre", n, LIF()), Population("post", n, LIF())
+        rng = np.random.default_rng(2)
+        tracemalloc.start()
+        try:
+            built = connect(
+                pre, post, probability=probability, weight=0.4, weight_std=0.04,
+                delay_steps=10, delay_jitter=10, rng=rng,
+            )
+            return built, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sampled_path_peaks_under_24_bytes_per_synapse(self):
+        built, peak = self._peak(3000, 0.2)  # 9 M pairs: out-degree sampling
+        assert built.n_synapses > 1_500_000
+        assert peak <= 24 * built.n_synapses + self.ALLOWANCE
+
+    def test_dense_path_is_bounded_by_the_block_not_the_pair_matrix(self):
+        built, peak = self._peak(2000, 0.02)  # 4 M pairs, 80 k synapses
+        assert 2000 * 2000 <= projection_module.DENSE_PAIR_LIMIT
+        assert peak <= 24 * built.n_synapses + self.ALLOWANCE
+        assert peak < 2000 * 2000 * 8 // 2  # the pair matrix alone is 32 MB

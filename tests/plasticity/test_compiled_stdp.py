@@ -106,8 +106,8 @@ class TestSynapseIndex:
 
     def test_memory_budget(self, monkeypatch):
         """Resident: 12 B per synapse + O(neurons). Building: at most
-        24 B per synapse live at once, so the index never lifts the
-        process peak above the network build's."""
+        24 B per synapse live at once (the network build streams at
+        13-20, so this is a plastic run's largest transient)."""
         n, n_synapses = 2_000, 200_000
         projection = _random_projection(n, n, n_synapses, seed=4)
         # The sort block is the build's constant part (40 B per block
