@@ -1,9 +1,8 @@
 """Run assembly: how a run description becomes a simulator.
 
-Every path that executes a Table I workload — ``repro run`` (single and
-sharded), the ``sweep`` job worker, the shard worker, the coordinator's
-degrade rerun, ``repro profile``, the front-end and the experiment
-helpers — describes the run with the same six fields
+Every path that executes a Table I workload — ``repro run``, the
+``sweep`` job worker, ``repro profile``, the front-end and the
+experiment helpers — describes the run with the same six fields
 (``workload, backend, scale, seed, dt, solver``; exactly what
 :class:`~repro.supervision.job.JobSpec` carries) and turns them into a
 network, a prepared backend and a stimulus seed *here*, so the two
@@ -18,8 +17,8 @@ repeated.
 plan of whatever steps it (``Simulator``, ``ShardRunner``,
 ``simulate_sharded``) with ``seed + 1`` — computed in :func:`assemble`
 and nowhere else. That is what makes a plain run, a resumed run, a
-supervised job and every shard of a sharded run produce bit-identical
-spikes for the same ``(workload, scale, seed, steps)``.
+supervised job and every slice of ``simulate_sharded`` produce
+bit-identical spikes for the same ``(workload, scale, seed, steps)``.
 
 Heavy imports (the hardware model, the simulator) stay inside the
 functions: spawned workers and ``repro workloads`` import this module
@@ -135,15 +134,12 @@ def assemble_job(spec) -> RunAssembly:
 
 def check_run_request(
     steps: int,
-    shards: int = 0,
     checkpoint_every: int = 0,
     trace_max_events: Optional[int] = None,
 ) -> None:
     """Reject out-of-range run arguments before anything is built."""
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
-    if shards < 0:
-        raise ConfigurationError(f"shards must be >= 0, got {shards}")
     if checkpoint_every < 0:
         raise ConfigurationError(
             f"checkpoint interval must be >= 0, got {checkpoint_every}"

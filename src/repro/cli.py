@@ -27,12 +27,11 @@ Subcommands:
     ``/healthz``, ``/readyz``, ``/status`` and the ``/events`` SSE
     stream while the run (or ``sweep``) executes and for
     ``--serve-linger`` seconds after (``inf`` = until Ctrl-C).
-    ``--shards N`` steps the same run on N crash-recoverable worker
-    processes, bit-identically. SIGINT/SIGTERM stop the run
-    gracefully at the next step boundary: a final checkpoint is
-    written, partial statistics land in ``--stats-json`` (marked
-    ``"partial": true``), and the process exits 130 (SIGINT) or
-    143 (SIGTERM) instead of printing a traceback.
+    SIGINT/SIGTERM stop the run gracefully at the next step boundary:
+    a final checkpoint is written, partial statistics land in
+    ``--stats-json`` (marked ``"partial": true``), and the process
+    exits 130 (SIGINT) or 143 (SIGTERM) instead of printing a
+    traceback.
 ``sweep [WORKLOAD ...]``
     Run workloads as supervised, process-isolated jobs: per-job
     wall-clock deadlines (``--deadline``), heartbeat watchdog
@@ -60,14 +59,13 @@ Subcommands:
     Query the run-provenance ledger (``ledger.jsonl``, schema
     ``repro-ledger/1``) that ``run``/``sweep``/``profile`` append to:
     ``list`` recent runs (``--json`` for one record per line),
-    ``show RUN_ID`` one full entry,
+    ``show RUN_ID`` one full entry and
     ``diff A B`` two entries field by field (exit 1 when their spike
-    digests diverge — the reproducibility alarm), and ``trace RUN_ID``
-    to re-merge a sharded run's recorded span rings into a
-    Perfetto-loadable trace. Run ids accept unique prefixes. Opt out
-    of recording with ``--no-ledger`` on any recording command.
+    digests diverge — the reproducibility alarm). Run ids accept
+    unique prefixes. Opt out of recording with ``--no-ledger`` on any
+    recording command.
 
-``run``, sharded ``run``, ``sweep`` and ``profile`` share their setup:
+``run``, ``sweep`` and ``profile`` share their setup:
 :mod:`repro.assembly` turns ``(workload, backend, scale, seed, dt,
 solver)`` into a network and a seeded simulator, and
 :class:`repro.runcontext.RunContext` brings the observability plane up
@@ -138,188 +136,39 @@ def _cmd_microcode(args) -> int:
     return 0
 
 
-#: ``run`` flags only one stepper honours:
-#: (flag, attribute, value when unset, why the other stepper refuses it).
-_SINGLE_ONLY = (
-    ("--resume-from", "resume_from", None,
-     "is the single-process resume path; sharded runs recover through "
-     "composite checkpoints instead (--shard-checkpoint-path)"),
-    ("--checkpoint-every/--checkpoint-path", "checkpoint_every", 0,
-     "write single-process checkpoints; a sharded run takes "
-     "--shard-checkpoint-every/--shard-checkpoint-path"),
-    ("--trace-max-events", "trace_max_events", None,
-     "bounds the single-process trace ring; a sharded --trace merges "
-     "every shard's own bounded span ring"),
-)
-_NO_SHARDS = "only applies to a sharded run (--shards 2 or more)"
-_SHARDED_ONLY = (
-    ("--chaos-shard-kill", "chaos_shard_kill", None, _NO_SHARDS),
-    ("--chaos-shard-stall", "chaos_shard_stall", None, _NO_SHARDS),
-    ("--shard-checkpoint-path", "shard_checkpoint_path", None,
-     _NO_SHARDS + "; a single-process run checkpoints with "
-     "--checkpoint-every/--checkpoint-path"),
-)
-
-
 def _job_fields(args) -> dict:
     """The arguments ``run`` and ``sweep`` share: what the ledger records
     and, field for field, what a ``JobSpec`` carries."""
     return {
         name: getattr(args, name)
-        for name in (
-            "backend", "steps", "scale", "seed", "dt", "solver", "shards"
-        )
+        for name in ("backend", "steps", "scale", "seed", "dt", "solver")
     }
 
 
-def _check_run_flags(args) -> None:
-    """Range-check ``run``'s arguments and refuse flags the chosen
-    stepper (single vs sharded) would silently ignore."""
-    from repro.assembly import check_run_request
-    from repro.errors import ConfigurationError
-
-    check_run_request(
-        args.steps, args.shards, args.checkpoint_every, args.trace_max_events
-    )
-    refused = _SINGLE_ONLY if args.shards > 1 else _SHARDED_ONLY
-    for flag, attribute, unset, reason in refused:
-        if getattr(args, attribute) != unset:
-            raise ConfigurationError(f"{flag} {reason}")
+#: ``repro-ledger/1`` keeps its key set: entries have always stated a
+#: shard count in their config, and the config digest covers every key,
+#: so runs (all single-process now) keep stating the 0 they always did.
+_NO_SHARDS = {"shards": 0}
 
 
 def _cmd_run(args) -> int:
-    """``repro run``: one workload, single-process or ``--shards N``.
-
-    Both paths share the flag checks, the config the ledger records,
-    the plane (:class:`~repro.runcontext.RunContext`) and its
-    write-out; they differ only in who steps — ``Simulator.run`` with
-    hooks, or the fault-tolerant ``ShardCoordinator.run``.
-    """
-    from repro.runcontext import RunContext
-    from repro.workloads import get_spec
-
-    _check_run_flags(args)
-    spec = get_spec(args.workload)
-    config = {"workload": args.workload, **_job_fields(args)}
-    ctx = RunContext(args, "run")
-    step = _run_sharded if args.shards > 1 else _run_single
-    return step(args, ctx, spec, config)
-
-
-def _run_sharded(args, ctx, spec, config: dict) -> int:
-    """Step ``repro run --shards N`` on the fault-tolerant coordinator."""
+    """``repro run``: one workload on ``Simulator.run`` + hooks."""
     import time
 
-    from repro.sharding import ShardChaos, ShardCoordinator
-    from repro.supervision import JobSpec, RetryPolicy
-    from repro.supervision.config import SupervisorConfig
-
-    job = JobSpec(name=f"{args.workload}-x{args.shards}", **config)
-    chaos = None
-    if (
-        args.chaos_shard_kill is not None
-        or args.chaos_shard_stall is not None
-    ):
-        chaos = ShardChaos(
-            shard=args.chaos_shard,
-            kill_epoch=args.chaos_shard_kill,
-            stall_epoch=args.chaos_shard_stall,
-        )
-    monitor = ctx.monitor()
-    ctx.serve("sharded run", ("running", "finished", "degraded"))
-    coordinator = ShardCoordinator(
-        job,
-        config=SupervisorConfig(),
-        retry=RetryPolicy(max_retries=args.shard_max_restarts),
-        barrier_timeout=args.barrier_timeout,
-        checkpoint_every=args.shard_checkpoint_every,
-        checkpoint_path=args.shard_checkpoint_path,
-        chaos=chaos,
-        metrics=ctx.metrics,
-        status_board=ctx.status,
-        event_bus=ctx.bus,
-        run_id=ctx.run_id,
-        health=monitor,
-    )
-    print(f"{spec}")
-    print(f"run ID: {ctx.run_id}")
-    print(
-        f"sharded x{args.shards}: barrier window "
-        f"{coordinator.plan.window} step(s), "
-        f"{coordinator.n_epochs} epoch(s), composite checkpoint every "
-        f"{args.shard_checkpoint_every} epoch(s), barrier timeout "
-        f"{args.barrier_timeout:g}s, {args.shard_max_restarts} "
-        f"restart(s) per shard"
-    )
-    if chaos is not None:
-        print(
-            f"chaos: shard {chaos.shard} "
-            + (
-                f"SIGKILLs itself after epoch {chaos.kill_epoch}'s window"
-                if chaos.kill_epoch is not None
-                else f"stalls silently at epoch {chaos.stall_epoch}"
-            )
-        )
-    wall_start = time.monotonic()
-    try:
-        result = coordinator.run()
-    finally:
-        if monitor is not None:
-            monitor.finish()
-    wall_seconds = time.monotonic() - wall_start
-    duration = result.n_steps * args.dt
-    print(
-        f"\n{result.total_spikes():,} spikes in {duration * 1e3:.0f} ms "
-        f"of biological time across {result.n_shards} shard(s)"
-    )
-    print(f"spike digest: {result.spike_digest}")
-    print(
-        f"restarts per shard: {result.restarts} "
-        f"({result.replayed_epochs} epoch(s) replayed)"
-    )
-    if result.degraded:
-        print("degraded to single-process execution:")
-        for event in result.diagnostics.degraded:
-            print(f"  {event.describe()}")
-    trace = None
-    if args.trace:
-        document = result.trace_document(network=args.workload)
-        trace = (
-            document,
-            f"merged shard trace {args.trace!r} "
-            f"({result.n_shards} shard(s) + coordinator, "
-            f"{len(document['traceEvents'])} events)",
-        )
-    ctx.write_out(
-        config,
-        outcome="degraded" if result.degraded else "completed",
-        duration=wall_seconds,
-        stats=result.to_stats_dict() if args.stats_json else None,
-        trace=trace,
-        artifacts={"checkpoint": args.shard_checkpoint_path},
-        spike_digest=result.spike_digest,
-        metrics={
-            "total_spikes": result.total_spikes(),
-            "restarts": result.restarts,
-            "replayed_epochs": result.replayed_epochs,
-        },
-        trace_rings=[ring.to_dict() for ring in result.rings],
-    )
-    return 0
-
-
-def _run_single(args, ctx, spec, config: dict) -> int:
-    """Step a single-process ``repro run`` on ``Simulator.run`` + hooks."""
-    import time
-
-    from repro.assembly import assemble_job
+    from repro.assembly import assemble_job, check_run_request
     from repro.errors import CheckpointError, RunInterrupted
+    from repro.runcontext import RunContext
     from repro.supervision.interrupt import (
         EXIT_CODES,
         InterruptHook,
         graceful_signals,
     )
+    from repro.workloads import get_spec
 
+    check_run_request(args.steps, args.checkpoint_every, args.trace_max_events)
+    spec = get_spec(args.workload)
+    config = {"workload": args.workload, **_job_fields(args), **_NO_SHARDS}
+    ctx = RunContext(args, "run")
     simulator = assemble_job(args).simulator()
     network = simulator.network
     print(f"{spec}")
@@ -526,8 +375,8 @@ def _cmd_sweep(args) -> int:
         )
     monitor = ctx.monitor()
     if monitor is not None:
-        # The sweep has no barrier loop driving evaluations, so the
-        # monitor's own cadence thread watches the shared registry.
+        # The supervisor takes no hooks, so the monitor's own cadence
+        # thread watches the shared registry.
         monitor.start()
     try:
         report = supervisor.run(jobs)
@@ -574,7 +423,7 @@ def _cmd_sweep(args) -> int:
         )
     ctx.write_out(
         {
-            "workloads": names, **shared,
+            "workloads": names, **shared, **_NO_SHARDS,
             "workers": args.workers, "max_retries": args.max_retries,
         },
         outcome="completed" if report.all_completed() else "failed",
@@ -782,11 +631,9 @@ def _cmd_runs(args) -> int:
     import json
 
     from repro.provenance import (
-        ProcessRing,
         diff_entries,
         find_entry,
         load_ledger,
-        merge_rings,
         runs_document,
     )
 
@@ -848,64 +695,37 @@ def _cmd_runs(args) -> int:
     if args.action == "show":
         entry = find_entry(entries, args.run_id)
         shown = dict(entry)
-        rings = shown.pop("trace_rings", None)
-        if rings is not None:
-            if args.full:
-                shown["trace_rings"] = rings
-            else:
-                shown["trace_rings"] = (
-                    f"<{len(rings)} ring(s) omitted; --full to include, "
-                    f"'repro runs trace' to merge>"
-                )
+        # Entries recorded by the retired sharded run carry their
+        # processes' span rings inline.
+        rings = shown.get("trace_rings")
+        if rings is not None and not args.full:
+            shown["trace_rings"] = (
+                f"<{len(rings)} ring(s) omitted; --full to include>"
+            )
         print(json.dumps(shown, indent=2))
         return 0
 
-    if args.action == "diff":
-        a = find_entry(entries, args.run_a)
-        b = find_entry(entries, args.run_b)
-        print(f"a: {a['run_id']}  ({a.get('timestamp')})")
-        print(f"b: {b['run_id']}  ({b.get('timestamp')})")
-        differences = diff_entries(a, b)
-        if not differences:
-            print("entries are identical across all compared fields")
-        for field, left, right in differences:
-            print(f"  {field:14s} {left!r:>34}  ->  {right!r}")
-        digest_a, digest_b = a.get("spike_digest"), b.get("spike_digest")
-        if digest_a and digest_b:
-            if digest_a != digest_b:
-                print(
-                    "\nSPIKE DIGEST DIVERGENCE: the two runs produced "
-                    "different spike trains"
-                )
-                return 1
-            print("\nspike digests match: bit-identical spike trains")
-        else:
-            print("\nspike digest not recorded for both runs; not compared")
-        return 0
-
-    # args.action == "trace"
-    from repro.io import atomic_write_json
-
-    entry = find_entry(entries, args.run_id)
-    rings = entry.get("trace_rings")
-    if not rings:
-        raise ReproError(
-            f"ledger entry {entry['run_id']} carries no trace rings "
-            "(only sharded `repro run --shards N` records them)"
-        )
-    document = merge_rings(
-        [ProcessRing.from_dict(ring) for ring in rings],
-        run_id=str(entry.get("run_id", "")),
-        network=entry.get("workload"),
-    )
-    output = args.output or f"{entry['run_id']}-trace.json"
-    atomic_write_json(output, document)
-    print(
-        f"wrote merged trace {output!r} "
-        f"({document['otherData']['n_tracks']} track(s), "
-        f"{len(document['traceEvents'])} events) — load it in "
-        f"chrome://tracing or https://ui.perfetto.dev"
-    )
+    # args.action == "diff"
+    a = find_entry(entries, args.run_a)
+    b = find_entry(entries, args.run_b)
+    print(f"a: {a['run_id']}  ({a.get('timestamp')})")
+    print(f"b: {b['run_id']}  ({b.get('timestamp')})")
+    differences = diff_entries(a, b)
+    if not differences:
+        print("entries are identical across all compared fields")
+    for field, left, right in differences:
+        print(f"  {field:14s} {left!r:>34}  ->  {right!r}")
+    digest_a, digest_b = a.get("spike_digest"), b.get("spike_digest")
+    if digest_a and digest_b:
+        if digest_a != digest_b:
+            print(
+                "\nSPIKE DIGEST DIVERGENCE: the two runs produced "
+                "different spike trains"
+            )
+            return 1
+        print("\nspike digests match: bit-identical spike trains")
+    else:
+        print("\nspike digest not recorded for both runs; not compared")
     return 0
 
 
@@ -937,65 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, default=1000)
     run.add_argument("--dt", type=float, default=DT)
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="partition the network across N crash-recoverable worker "
-        "processes synchronised at min-delay barriers (0/1 = off); "
-        "spikes are bit-identical to the single-process run",
-    )
-    run.add_argument(
-        "--barrier-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="kill and restart a shard with no traffic for this long",
-    )
-    run.add_argument(
-        "--shard-checkpoint-every",
-        type=int,
-        default=1,
-        metavar="EPOCHS",
-        help="composite-checkpoint interval in barrier epochs",
-    )
-    run.add_argument(
-        "--shard-checkpoint-path",
-        default=None,
-        metavar="PATH",
-        help="atomically persist each composite checkpoint here",
-    )
-    run.add_argument(
-        "--shard-max-restarts",
-        type=int,
-        default=2,
-        metavar="N",
-        help="restarts per shard before degrading to single-process",
-    )
-    run.add_argument(
-        "--chaos-shard-kill",
-        type=int,
-        default=None,
-        metavar="EPOCH",
-        help="chaos: the --chaos-shard SIGKILLs itself after computing "
-        "EPOCH's window (exercises restart + replay; used by CI)",
-    )
-    run.add_argument(
-        "--chaos-shard-stall",
-        type=int,
-        default=None,
-        metavar="EPOCH",
-        help="chaos: the --chaos-shard hangs silently at EPOCH "
-        "(exercises the barrier stall detector)",
-    )
-    run.add_argument(
-        "--chaos-shard",
-        type=int,
-        default=0,
-        metavar="ID",
-        help="which shard the chaos flags target (default 0)",
-    )
     run.add_argument(
         "--checkpoint-every",
         type=int,
@@ -1115,15 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.05,
         metavar="SECONDS",
         help="watchdog poll cadence on the worker pipe",
-    )
-    sweep.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run each job's network partitioned across N in-process "
-        "shards inside its worker (0/1 = off); digests stay "
-        "bit-identical to single-process execution",
     )
     sweep.add_argument(
         "--checkpoint-every",
@@ -1291,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_show.add_argument(
         "--full", action="store_true",
-        help="include the inline trace rings (large)",
+        help="include the inline span rings an old entry may carry",
     )
     runs_diff = runs_sub.add_parser(
         "diff",
@@ -1300,16 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_diff.add_argument("run_a", help="run id or unique prefix")
     runs_diff.add_argument("run_b", help="run id or unique prefix")
-    runs_trace = runs_sub.add_parser(
-        "trace",
-        help="re-merge a run's recorded span rings into a "
-        "Perfetto-loadable trace file",
-    )
-    runs_trace.add_argument("run_id", help="full run id or unique prefix")
-    runs_trace.add_argument(
-        "--output", "-o", default=None, metavar="OUT.json",
-        help="trace file to write (default: <run_id>-trace.json)",
-    )
     return parser
 
 

@@ -121,14 +121,12 @@ class SupervisionError(ReproError):
 
 
 class ShardingError(SupervisionError):
-    """Raised when a sharded run's coordination protocol breaks.
+    """Raised when a ``ShardRunner`` is driven out of protocol.
 
-    Covers wire-protocol violations between the shard coordinator and
-    its workers (out-of-order barrier epochs, malformed exchange
-    payloads) and determinism violations (a restarted shard re-sending
-    a window whose digest differs from the one the surviving shards
-    already consumed). Misconfigurations — a bad shard count, an
-    unsupported network — raise :class:`ConfigurationError` instead.
+    Covers a window of no steps and an exchange that is missing a
+    population or has the wrong number of steps. Misconfigurations — a
+    bad shard count, an unsupported network — raise
+    :class:`ConfigurationError` instead.
     """
 
 

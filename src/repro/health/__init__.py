@@ -24,7 +24,6 @@ from repro.health.detectors import (
     HealthSignal,
     SaturationDetector,
     SpikeRateDetector,
-    StragglerDetector,
 )
 from repro.health.resources import (
     ResourceSampler,
@@ -47,7 +46,6 @@ __all__ = [
     "ResourceSampler",
     "SaturationDetector",
     "SpikeRateDetector",
-    "StragglerDetector",
     "declare_process_metrics",
     "load_alert_rules",
     "parse_alert_rules",

@@ -29,8 +29,7 @@ Two drivers evaluate the manager:
   (one deque-free counter bump per step; detectors, registry reads,
   and the state machine run at most once per ``publish_interval``);
 * :class:`HealthMonitor` — a clock-throttled driver for contexts with
-  no phase stream: the shard coordinator ticks it from its barrier
-  loop, and ``repro sweep`` runs it on a background thread.
+  no phase stream: ``repro sweep`` runs it on a background thread.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.health.detectors import (
     HealthSignal,
     SaturationDetector,
     SpikeRateDetector,
-    StragglerDetector,
 )
 from repro.health.resources import ResourceSampler
 
@@ -79,6 +77,12 @@ _OPS: Dict[str, Callable[[float, float], bool]] = {
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
 }
+
+#: Detector families a rule may select (the ``HealthSignal.detector``
+#: values anything in this package emits).
+_DETECTORS = (
+    SpikeRateDetector.name, SaturationDetector.name, EventMonitor.name,
+)
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,11 @@ class AlertRule:
             raise ConfigurationError(
                 f"alert rule {self.name!r} must select exactly one of "
                 f"'detector' or 'metric'"
+            )
+        if self.detector and self.detector not in _DETECTORS:
+            raise ConfigurationError(
+                f"alert rule {self.name!r}: unknown detector "
+                f"{self.detector!r} (known: {', '.join(_DETECTORS)})"
             )
         if self.op not in _OPS:
             raise ConfigurationError(
@@ -277,9 +286,8 @@ class Alert:
 class AlertManager:
     """Runs every rule's state machine over each evaluation's inputs.
 
-    Thread-safe: the sharded path evaluates from the coordinator loop
-    while HTTP threads read :meth:`document`, and the sweep path
-    evaluates from a background thread.
+    Thread-safe: ``repro sweep`` evaluates from the monitor's
+    background thread while HTTP threads read :meth:`document`.
     """
 
     def __init__(
@@ -619,33 +627,26 @@ class HealthHook(PhaseHook):
         for population, stats in diagnostics.saturation.items():
             self.saturation.observe(population, stats.total_clipped)
         self.events.observe("fallback", len(diagnostics.fallbacks))
-        self.events.observe("degraded", len(diagnostics.degraded))
 
 
 class HealthMonitor:
     """Clock-throttled health driver for non-PhaseHook contexts.
 
-    The shard coordinator feeds :meth:`barrier_wait` /
-    :meth:`resource_sample` inline and calls :meth:`tick` from its
-    barrier loop; ``repro sweep`` instead calls :meth:`start` to tick
-    from a daemon thread while the supervisor blocks. Both paths end
-    with :meth:`finish`, which forces a final evaluation so
-    no-longer-true conditions resolve before the summary is recorded.
+    ``repro sweep`` calls :meth:`start` to tick from a daemon thread
+    while the supervisor blocks, and ends with :meth:`finish`, which
+    forces a final evaluation so no-longer-true conditions resolve
+    before the summary is recorded.
     """
 
     def __init__(
         self,
         manager: AlertManager,
-        straggler: Optional[StragglerDetector] = None,
         event_monitor: Optional[EventMonitor] = None,
         resources: Optional[ResourceSampler] = None,
         metrics=None,
         interval: float = DEFAULT_EVAL_INTERVAL,
     ) -> None:
         self.manager = manager
-        self.straggler = (
-            straggler if straggler is not None else StragglerDetector()
-        )
         self.events = (
             event_monitor if event_monitor is not None else EventMonitor()
         )
@@ -661,21 +662,6 @@ class HealthMonitor:
 
     # -- inputs ------------------------------------------------------------
 
-    def barrier_wait(self, shard, wait_seconds: float) -> None:
-        with self._lock:
-            self.straggler.observe(shard, wait_seconds)
-        if wait_seconds > self.straggler.min_seconds:
-            # A wait this long is already alert-worthy, and barrier
-            # epochs can complete in milliseconds — waiting for the
-            # next throttled tick could let the peak age out of the
-            # detector's window before any rule ever sees it. Healthy
-            # waits never cross the floor, so the hot path is safe.
-            self.tick(force=True)
-
-    def resource_sample(self, shard, sample: dict) -> None:
-        with self._lock:
-            self.straggler.attribute(shard, sample)
-
     def event_total(self, kind: str, total: int) -> None:
         with self._lock:
             self.events.observe(kind, total)
@@ -688,7 +674,7 @@ class HealthMonitor:
             if not force and now - self._last_eval < self.interval:
                 return
             self._last_eval = now
-            signals = self.straggler.signals() + self.events.signals()
+            signals = self.events.signals()
         if self.metrics is not None:
             self.resources.publish(self.metrics)
         self.manager.evaluate(now, signals, metrics=self.metrics)

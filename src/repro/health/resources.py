@@ -9,18 +9,15 @@ Every read degrades gracefully — a platform without a source reports
 ``0.0`` / ``None`` for that field rather than raising — so the sampler
 is safe to run unconditionally on any POSIX-ish host.
 
-The same sampler serves three consumers:
+The same sampler serves two consumers:
 
 * the main process publishes the standard ``process_*`` families on
   its own ``/metrics`` exposition (:func:`declare_process_metrics`
   pins the names, types, and help strings — the golden exposition
   test locks them byte-for-byte);
-* supervision and sharding workers attach ``rss_bytes`` /
-  ``cpu_seconds`` to their heartbeat messages, so the parent exposes
-  per-job / per-shard gauges without a second wire protocol;
-* the health layer's straggler detector uses the shipped samples to
-  *attribute* barrier skew (a slow shard that is also swapping looks
-  different from one starved of CPU).
+* supervision workers attach ``rss_bytes`` / ``cpu_seconds`` to their
+  heartbeat messages, so the parent exposes per-job gauges without a
+  second wire protocol.
 """
 
 from __future__ import annotations

@@ -3,19 +3,17 @@
 Every ``repro run`` / ``sweep`` / ``profile`` appends one
 entry recording what ran and what it produced: the config digest (a
 SHA-256 over the canonical JSON of the resolved configuration), seed,
-backend, shard count, the spike digest that pins bit-identity, the
+backend, the spike digest that pins bit-identity, the
 outcome, wall duration, a metrics snapshot, and the paths of every
 artifact the command wrote. The file is append-only through
 :func:`repro.io.append_jsonl` (``O_APPEND`` + ``flock`` + single
 write), so concurrent commands interleave whole lines, and loads are
 torn-line-tolerant — a crash mid-append costs at most the final line.
 
-Entries may carry the run's per-process span rings inline
-(``trace_rings``, :class:`~repro.provenance.merge.ProcessRing`
-dicts with clock offsets already estimated) so ``repro runs trace
-RUN_ID`` can re-merge the Perfetto document later without re-running
-anything; rings are bounded (the span recorders cap their windows),
-which keeps entries to tens of kilobytes.
+``shards`` stays in the key set (headline and ``config``) because
+entries written by the retired sharded ``run`` carry a count there and
+a config digest covers every key; every run is single-process now and
+records 0.
 """
 
 from __future__ import annotations
@@ -83,7 +81,6 @@ def make_entry(
     *,
     workload: Optional[str] = None,
     backend: Optional[str] = None,
-    shards: Optional[int] = None,
     steps: Optional[int] = None,
     scale: Optional[float] = None,
     seed: Optional[int] = None,
@@ -93,7 +90,6 @@ def make_entry(
     duration: float = 0.0,
     metrics: Optional[dict] = None,
     artifacts: Optional[dict] = None,
-    trace_rings: Optional[list] = None,
     extra: Optional[dict] = None,
 ) -> dict:
     """Build one ledger entry (pure; append with :func:`append_entry`).
@@ -118,7 +114,7 @@ def make_entry(
         "kind": kind,
         "workload": headline(workload, "workload", None),
         "backend": headline(backend, "backend", None),
-        "shards": int(headline(shards, "shards", 0)),
+        "shards": int(config.get("shards", 0)),
         "steps": int(headline(steps, "steps", 0)),
         "scale": float(headline(scale, "scale", 0.0)),
         "seed": int(headline(seed, "seed", 0)),
@@ -135,8 +131,6 @@ def make_entry(
             if value
         },
     }
-    if trace_rings:
-        entry["trace_rings"] = trace_rings
     if extra:
         entry.update(extra)
     return entry

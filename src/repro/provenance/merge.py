@@ -1,9 +1,9 @@
-"""Merging per-process span rings into one Chrome/Perfetto trace.
+"""Per-process span rings on the parent's clock.
 
 Clock-offset correction
 -----------------------
 Worker spans are stamped with the worker's own ``time.time()``; the
-parent timeline is the coordinator's clock. For a true offset ``d``
+parent timeline is the supervisor's clock. For a true offset ``d``
 (``worker_clock = parent_clock + d``) and one-way pipe latency
 ``l >= 0``, a handshake message sent at worker time ``s`` and received
 at parent time ``r`` satisfies ``r = (s - d) + l``, i.e.
@@ -13,33 +13,19 @@ yields a lower bound on ``d``; the estimate is the *maximum* of
 sample with the smallest latency), and corrected spans use
 ``ts - d_hat``, leaving a residual error of at most the minimum
 observed latency. On one host the clocks agree and the correction is
-just the pipe latency, but the machinery is what keeps merged tracks
-honest if a future transport crosses machines — and what the property
-tests drive with adversarial synthetic offsets.
+just the pipe latency.
 
-Track layout
-------------
-One Perfetto *thread* track per process incarnation (``pid: 1`` with
-distinct ``tid``s, matching the telemetry TraceHook's convention), a
-``process_name`` metadata record naming the run, and one
-``thread_name`` record per track. Spans become ``ph: "X"`` complete
-events; ``flow_out``/``flow_in`` markers become ``ph: "s"``/``"f"``
-flow events anchored at the span's end/start, which is what draws the
-barrier-exchange arrows between shard tracks.
+A :class:`ProcessRing` is one worker incarnation's ring with its
+estimate attached; the supervisor's sweep trace draws each as its own
+Perfetto thread track.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-__all__ = [
-    "ProcessRing",
-    "barrier_recv_id",
-    "barrier_send_id",
-    "estimate_offset",
-    "merge_rings",
-]
+__all__ = ["ProcessRing", "estimate_offset"]
 
 
 def estimate_offset(samples: Iterable[Tuple[float, float]]) -> float:
@@ -58,24 +44,14 @@ def estimate_offset(samples: Iterable[Tuple[float, float]]) -> float:
     return 0.0 if best is None else best
 
 
-def barrier_send_id(epoch: int, shard: int, n_shards: int) -> int:
-    """Flow id of shard ``shard``'s window send for ``epoch``."""
-    return (epoch * n_shards + shard) * 2
-
-
-def barrier_recv_id(epoch: int, shard: int, n_shards: int) -> int:
-    """Flow id of shard ``shard``'s exchange receive for ``epoch``."""
-    return (epoch * n_shards + shard) * 2 + 1
-
-
 @dataclass
 class ProcessRing:
     """One process incarnation's span ring, ready to merge.
 
-    ``offset`` is the clock-offset estimate for this process (0 for
-    the coordinator itself); ``spans`` use the recorder's compact
-    format. ``from_dump`` adapts a ``SpanRecorder`` dump shipped over
-    the pipe or recovered from a sidecar.
+    ``offset`` is the clock-offset estimate for this process;
+    ``spans`` use the recorder's compact format. ``from_dump`` adapts a
+    ``SpanRecorder`` dump shipped over the pipe or recovered from a
+    sidecar.
     """
 
     label: str
@@ -83,27 +59,6 @@ class ProcessRing:
     offset: float = 0.0
     spans: List[dict] = field(default_factory=list)
     dropped: int = 0
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (what ledger entries store as ``trace_rings``)."""
-        return {
-            "label": self.label,
-            "pid": self.pid,
-            "offset": self.offset,
-            "spans": list(self.spans),
-            "dropped": self.dropped,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "ProcessRing":
-        """Rebuild a ring from its :meth:`to_dict` form."""
-        return ProcessRing(
-            label=str(payload.get("label", "process")),
-            pid=int(payload.get("pid", 0)),
-            offset=float(payload.get("offset", 0.0)),
-            spans=list(payload.get("spans", ())),
-            dropped=int(payload.get("dropped", 0)),
-        )
 
     @staticmethod
     def from_dump(
@@ -119,114 +74,3 @@ class ProcessRing:
             spans=list(dump.get("spans", ())),
             dropped=int(dump.get("dropped_spans", 0)),
         )
-
-
-def merge_rings(
-    rings: Sequence[ProcessRing],
-    run_id: str = "",
-    network: Optional[str] = None,
-) -> dict:
-    """Fuse process rings into one Chrome/Perfetto trace document.
-
-    Returns the same envelope shape the telemetry TraceHook emits
-    (``traceEvents`` + ``displayTimeUnit`` + ``otherData``), so every
-    trace artifact in the repo opens the same way in Perfetto/chrome
-    about:tracing. Timestamps are microseconds relative to the
-    earliest corrected span start; each track's events are sorted, so
-    per-track timestamps are monotone by construction.
-    """
-    corrected: List[Tuple[ProcessRing, List[dict]]] = []
-    base: Optional[float] = None
-    for ring in rings:
-        spans = sorted(
-            (dict(span) for span in ring.spans),
-            key=lambda span: float(span.get("ts", 0.0)),
-        )
-        for span in spans:
-            span["ts"] = float(span.get("ts", 0.0)) - ring.offset
-            start = span["ts"]
-            if base is None or start < base:
-                base = start
-        corrected.append((ring, spans))
-    if base is None:
-        base = 0.0
-
-    title = f"repro:{network}" if network else (run_id or "repro")
-    events: List[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": title},
-        }
-    ]
-    offsets: Dict[str, float] = {}
-    for tid, (ring, _) in enumerate(corrected, start=1):
-        label = ring.label + (f" (pid {ring.pid})" if ring.pid else "")
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": label},
-            }
-        )
-        offsets[ring.label] = ring.offset
-    for tid, (ring, spans) in enumerate(corrected, start=1):
-        for span in spans:
-            ts_us = round((span["ts"] - base) * 1e6, 3)
-            dur_us = round(float(span.get("dur", 0.0)) * 1e6, 3)
-            event = {
-                "name": span.get("name", "span"),
-                "cat": span.get("cat", "span"),
-                "ph": "X",
-                "pid": 1,
-                "tid": tid,
-                "ts": ts_us,
-                "dur": dur_us,
-            }
-            if span.get("args"):
-                event["args"] = span["args"]
-            events.append(event)
-            for flow in span.get("flow_out", ()):
-                events.append(
-                    {
-                        "name": "barrier-exchange",
-                        "cat": "barrier",
-                        "ph": "s",
-                        "id": int(flow),
-                        "pid": 1,
-                        "tid": tid,
-                        "ts": round(ts_us + dur_us, 3),
-                    }
-                )
-            for flow in span.get("flow_in", ()):
-                # Anchored at the span *end*: the flow terminates when
-                # the blocking recv returns, which keeps every arrow
-                # pointing forward in time (send end <= receive end).
-                events.append(
-                    {
-                        "name": "barrier-exchange",
-                        "cat": "barrier",
-                        "ph": "f",
-                        "bp": "e",
-                        "id": int(flow),
-                        "pid": 1,
-                        "tid": tid,
-                        "ts": round(ts_us + dur_us, 3),
-                    }
-                )
-    dropped = sum(ring.dropped for ring in rings)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "run_id": run_id,
-            "network": network,
-            "n_tracks": len(corrected),
-            "clock_offsets": offsets,
-            "dropped_spans": dropped,
-        },
-    }

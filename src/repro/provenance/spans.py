@@ -8,12 +8,7 @@ different processes can be merged after clock-offset correction
 compact dict::
 
     {"name": ..., "cat": ..., "ts": <time.time() at start>,
-     "dur": <seconds>, "args": {...},
-     "flow_out": [ids...], "flow_in": [ids...]}   # optional keys
-
-``flow_out`` / ``flow_in`` mark the span as an anchor for Perfetto
-flow arrows (barrier exchange send → peer receive); the merge turns
-them into ``ph: "s"`` / ``ph: "f"`` events.
+     "dur": <seconds>, "args": {...}}   # ``args`` optional
 
 Shipping follows the flight recorder's dual exit paths exactly:
 
@@ -32,7 +27,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from typing import List, Optional
+from typing import Optional
 
 from repro.engine.hooks import PhaseHook
 from repro.io import atomic_write_json
@@ -45,8 +40,7 @@ SPANS_SCHEMA = "repro-spans/1"
 
 #: Default ring capacity. Spans are a provenance breadcrumb, not a
 #: full profile (that is TraceHook's job): keep the recent window
-#: small enough that rings ride pipe messages and ledger entries
-#: without bloat.
+#: small enough that rings ride pipe messages without bloat.
 DEFAULT_MAX_SPANS = 512
 
 #: Minimum seconds between sidecar rewrites (heartbeat cadence).
@@ -83,17 +77,11 @@ class SpanRecorder:
         ts: float,
         dur: float,
         args: Optional[dict] = None,
-        flow_out: Optional[List[int]] = None,
-        flow_in: Optional[List[int]] = None,
     ) -> dict:
         """Append one completed span (``ts`` = wall-clock start)."""
         span = {"name": name, "cat": cat, "ts": ts, "dur": dur}
         if args:
             span["args"] = args
-        if flow_out:
-            span["flow_out"] = list(flow_out)
-        if flow_in:
-            span["flow_in"] = list(flow_in)
         self.total_spans += 1
         self.spans.append(span)
         return span

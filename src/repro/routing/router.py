@@ -14,8 +14,8 @@ Sizing matters twice:
   by short-delay projections does not carry dead buckets;
 * each ring's **min_delay** is the smallest incoming delay — the
   population's flush horizon, i.e. how many consecutive buckets are
-  final once a step's enqueues are done. A future sharded exchange
-  batches cross-worker spike traffic on exactly this horizon.
+  final once a step's enqueues are done. ``simulate_sharded`` batches
+  its fired-index exchange on exactly this horizon.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """RunContext: one command invocation's plane, brought up and written out.
 
-``repro run`` (single-process and sharded), ``repro sweep`` and
-``repro profile`` differ in *who steps* — ``Simulator.run`` with hooks,
-``ShardCoordinator.run``, ``Supervisor.run``, the profile harness — and
-share everything around it, in this order:
+``repro run``, ``repro sweep`` and ``repro profile`` differ in *who
+steps* — ``Simulator.run`` with hooks, ``Supervisor.run``, the profile
+harness — and share everything around it, in this order:
 
 **Bring-up** (construction, :meth:`~RunContext.attach` or
 :meth:`~RunContext.monitor`, then :meth:`~RunContext.serve`): run id →
@@ -43,6 +42,7 @@ class RunContext:
         self.metrics = self.status = self.bus = None
         self.manager = self.server = self._simulator = None
         serve, alerts = self._flag("serve"), self._flag("alerts")
+        self._check_serve_flags()
         if (
             serve or alerts
             or self._flag("stats_json") or self._flag("prometheus")
@@ -66,6 +66,23 @@ class RunContext:
 
     def _flag(self, name: str):
         return getattr(self.args, name, None)
+
+    def _check_serve_flags(self) -> None:
+        """Refuse serve flags the run would ignore, before the banner."""
+        from repro.errors import ConfigurationError
+
+        linger = self._flag("serve_linger") or 0.0
+        if not linger >= 0:
+            raise ConfigurationError(
+                f"--serve-linger must be >= 0 seconds, got {linger:g}"
+            )
+        port_file = self._flag("serve_port_file")
+        if not self._flag("serve") and (port_file or linger):
+            flag = "--serve-port-file" if port_file else "--serve-linger"
+            raise ConfigurationError(
+                f"{flag} only applies with --serve (there is no plane "
+                "to serve)"
+            )
 
     @property
     def ledger_path(self) -> Optional[str]:
@@ -94,7 +111,7 @@ class RunContext:
 
     def monitor(self):
         """A clock-driven health driver for a stepper that takes no
-        hooks (shard coordinator, supervisor); None without ``--alerts``."""
+        hooks (the supervisor); None without ``--alerts``."""
         if self.manager is None:
             return None
         from repro.health import HealthMonitor
@@ -114,8 +131,7 @@ class RunContext:
                 )
         return True, ""
 
-    def serve(self, what, ready_states=("running", "finished"),
-              health_check=None) -> None:
+    def serve(self, what, health_check=None) -> None:
         """Start the HTTP plane behind ``--serve`` (no-op without it).
 
         ``what`` names the work in the ``/readyz`` message; the default
@@ -127,7 +143,10 @@ class RunContext:
 
         def ready_check() -> Tuple[bool, str]:
             state = self.status.snapshot().get("state")
-            return state in ready_states, f"{what} state is {state!r}"
+            return (
+                state in ("running", "finished"),
+                f"{what} state is {state!r}",
+            )
 
         if health_check is None and self._simulator is not None:
             health_check = self._runtime_health

@@ -1,45 +1,34 @@
-"""Fault-tolerant sharded simulation: one network across workers.
+"""Sharding as a determinism oracle: one network under any partition.
 
-The layer cuts one :class:`~repro.network.network.Network` into
-contiguous per-population slices (:class:`ShardPlan`), steps each slice
-in min-delay windows with the synapse phase deferred to a barrier
-(:class:`ShardRunner`), and coordinates N crash-recoverable worker
-processes through that barrier (:class:`ShardCoordinator`) — with
-composite checkpoints, kill-and-restart recovery, and graceful
-degradation to single-process execution. The merged spike trains are
-bit-identical to the single-process simulator, including across
-restarts (property-tested).
+The question this package answers is the one a reproduction asks of
+its step loop: *are the spikes bit-identical however the populations
+are cut?* :class:`ShardPlan` cuts one
+:class:`~repro.network.network.Network` into contiguous per-population
+slices, :class:`ShardRunner` steps one slice in min-delay windows with
+the synapse phase deferred to a barrier, and :func:`simulate_sharded`
+runs every slice of a plan in this process and merges the spike trains
+— which must equal the single-process ``Simulator``'s, bit for bit
+(property-tested over 1–6 shards and three backends).
 
-:func:`simulate_sharded` runs the same protocol with every shard
-in-process — the vehicle for daemonic sweep workers and cheap
-property-test sweeps.
+Running the slices in separate processes was measured slower than one
+process at every run length on the host this repo has and was cut
+(DESIGN.md §3h holds the numbers).
 """
 
 from typing import TYPE_CHECKING
 
 _EXPORTS = {
-    "CompositeCheckpoint": "repro.sharding.checkpoint",
     "InlineShardResult": "repro.sharding.runner",
-    "ShardChaos": "repro.sharding.coordinator",
-    "ShardCoordinator": "repro.sharding.coordinator",
     "ShardPlan": "repro.sharding.plan",
     "ShardRunner": "repro.sharding.runner",
-    "ShardedRunResult": "repro.sharding.coordinator",
     "merge_spikes": "repro.sharding.runner",
     "merge_windows": "repro.sharding.runner",
     "simulate_sharded": "repro.sharding.runner",
-    "window_digest": "repro.sharding.runner",
 }
 
 __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.sharding.checkpoint import CompositeCheckpoint
-    from repro.sharding.coordinator import (
-        ShardChaos,
-        ShardCoordinator,
-        ShardedRunResult,
-    )
     from repro.sharding.plan import ShardPlan
     from repro.sharding.runner import (
         InlineShardResult,
@@ -47,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         merge_spikes,
         merge_windows,
         simulate_sharded,
-        window_digest,
     )
 
 

@@ -37,7 +37,6 @@ path never performs, and ULPs would drift.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,32 +53,9 @@ from repro.network.stimulus import StimulusPlan
 from repro.routing import SpikeRouter
 from repro.sharding.plan import ShardPlan
 
-#: Bumped when the per-shard snapshot payload layout changes.
-#: 1 -> 2: the ``"rng"`` bit-generator state became ``"stimulus_seed"``.
-SHARD_SNAPSHOT_VERSION = 2
-
 #: A window payload: per owned population, one global-index array of
 #: fired neurons for each step offset inside the window.
 Window = Dict[str, List[np.ndarray]]
-
-
-def window_digest(window: Window) -> str:
-    """SHA-256 over a window payload (restart corruption check).
-
-    A restarted shard deterministically re-produces windows the
-    surviving shards already consumed; the coordinator compares the
-    re-sent digest against the cached one, so silent divergence
-    (corrupt checkpoint, nondeterministic backend) is detected instead
-    of splitting the simulation's reality.
-    """
-    digest = hashlib.sha256()
-    for name in sorted(window):
-        digest.update(name.encode("utf-8"))
-        for fired in window[name]:
-            digest.update(b"|")
-            digest.update(np.asarray(fired, dtype=np.int64).tobytes())
-        digest.update(b";")
-    return digest.hexdigest()
 
 
 class ShardRunner:
@@ -98,8 +74,7 @@ class ShardRunner:
         if not isinstance(backend, RuntimeBackend):
             raise ConfigurationError(
                 f"backend {backend.name!r} does not expose population "
-                "runtimes and cannot run a shard (snapshots would be "
-                "impossible)"
+                "runtimes and cannot run a shard"
             )
         self.plan = plan
         self.shard = shard
@@ -142,7 +117,7 @@ class ShardRunner:
         # Rings are sized from the FULL network's delay bounds: the
         # synapses that happen to land on this slice could have a
         # narrower delay range, and ring geometry must agree across
-        # shards for snapshots and replay offsets to compose.
+        # shards for replay offsets to compose.
         self._router = SpikeRouter.from_network(
             local, bounds=SpikeRouter.delay_bounds(network)
         )
@@ -170,33 +145,19 @@ class ShardRunner:
         """Global steps simulated so far."""
         return self._step
 
-    @property
-    def router(self) -> SpikeRouter:
-        return self._router
-
-    @property
-    def backend(self) -> RuntimeBackend:
-        return self._backend
-
     def owned(self) -> Dict[str, Tuple[int, int]]:
         """This shard's non-empty ``{population: (lo, hi)}`` slices."""
         return dict(self._owned)
 
     # -- the windowed loop -------------------------------------------------
 
-    def run_window(
-        self,
-        length: int,
-        on_step: Optional[Callable[[int], None]] = None,
-    ) -> Window:
+    def run_window(self, length: int) -> Window:
         """Run ``length`` steps of stimulus + neuron phases locally.
 
         Returns the window payload: per owned population, the global
         fired indices of each step. The synapse phase is *not* run —
         it happens in :meth:`apply_exchange` once every shard's window
-        is merged. ``on_step(step)`` fires after each completed step
-        (shard workers hook throttled heartbeats on it so the watchdog
-        sees progress inside long windows).
+        is merged.
         """
         if length < 1:
             raise ShardingError(f"window length must be >= 1, got {length}")
@@ -216,8 +177,6 @@ class ShardRunner:
                 fired[name].append(idx)
             self._router.rotate_all()
             self._step += 1
-            if on_step is not None:
-                on_step(self._step)
         return fired
 
     def apply_exchange(self, merged: Window, length: int) -> None:
@@ -250,62 +209,6 @@ class ShardRunner:
                     continue
                 targets, weights, counts = sub.synapses_of(pre_fired)
                 ring.deposit(targets, weights, counts, syn_type, shift)
-
-    # -- snapshot / restore ------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """This shard's complete state at a barrier boundary.
-
-        Only valid between :meth:`apply_exchange` and the next
-        :meth:`run_window` — that is the point where rings, runtimes
-        and recorder are mutually consistent and no fired stash is in
-        flight.
-        """
-        return {
-            "version": SHARD_SNAPSHOT_VERSION,
-            "shard": self.shard,
-            "step": self._step,
-            "backend": self._backend.name,
-            "stimulus_seed": self.stimulus_plan.seed,
-            "rings": self._router.snapshot(),
-            "runtimes": {
-                name: runtime.snapshot()
-                for name, runtime in self._backend.runtimes.items()
-            },
-            "spikes": self.recorder.snapshot(),
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Overwrite a freshly built runner from a :meth:`snapshot`."""
-        version = payload.get("version")
-        if version != SHARD_SNAPSHOT_VERSION:
-            raise ShardingError(
-                f"shard snapshot version {version!r} not supported "
-                f"(expected {SHARD_SNAPSHOT_VERSION}); re-capture from a "
-                "fresh run"
-            )
-        if payload.get("shard") != self.shard:
-            raise ShardingError(
-                f"snapshot belongs to shard {payload.get('shard')!r}, "
-                f"this runner is shard {self.shard}"
-            )
-        if payload.get("backend") != self._backend.name:
-            raise ShardingError(
-                f"snapshot was captured on backend "
-                f"{payload.get('backend')!r}, this runner uses "
-                f"{self._backend.name!r}"
-            )
-        runtimes = self._backend.runtimes
-        if set(payload["runtimes"]) != set(runtimes):
-            raise ShardingError(
-                "snapshot populations do not match this shard's"
-            )
-        self.stimulus_plan.restore(payload["stimulus_seed"])
-        self._router.restore(payload["rings"])
-        for name, runtime_payload in payload["runtimes"].items():
-            runtimes[name].restore(runtime_payload)
-        self.recorder.load(payload["spikes"])
-        self._step = int(payload["step"])
 
 
 # -- merging ---------------------------------------------------------------
@@ -381,8 +284,6 @@ class InlineShardResult:
     n_shards: int
     window: int
     epochs: int
-    #: True when a simulated shard kill was recovered mid-run.
-    recovered: bool = False
 
     def total_spikes(self) -> int:
         return self.spikes.total_spikes()
@@ -399,27 +300,15 @@ def simulate_sharded(
     dt: float = 1e-4,
     seed: int = 0,
     plan: Optional[ShardPlan] = None,
-    checkpoint_every: int = 1,
-    kill_shard: Optional[int] = None,
-    kill_epoch: Optional[int] = None,
-    on_epoch: Optional[Callable[[int, int, int], None]] = None,
 ) -> InlineShardResult:
-    """Run the full barrier protocol with every shard in this process.
+    """Step ``network`` as ``n_shards`` slices in this process.
 
-    This is the same windowed-exchange-replay cycle the process-backed
-    :class:`~repro.sharding.coordinator.ShardCoordinator` drives, and
-    therefore produces the same bit-identical spikes — without spawn
-    cost. Supervised sweep workers use it (they are daemonic and may
-    not spawn grandchildren), and the Hypothesis property suite uses it
-    to sweep partition counts, seeds, and kill epochs cheaply.
-
-    ``kill_shard`` / ``kill_epoch`` simulate a crash: at the start of
-    that epoch the victim runner is discarded, rebuilt from its last
-    barrier snapshot (or from scratch), and caught up by re-running its
-    windows against the coordinator-side exchange cache — verifying
-    each re-produced window digest against the original, exactly as
-    the process coordinator does. ``on_epoch(epoch, n_epochs, step)``
-    fires after each barrier (sweep workers hook heartbeats on it).
+    Every epoch each runner steps its window, the fired-index lists are
+    merged in shard order and every runner replays the merged window
+    through its sub-projections. The merged spike trains must equal the
+    single-process ``Simulator``'s bit for bit under any partition —
+    the property ``tests/properties/test_sharding_properties.py`` and
+    ``tests/integration/test_run_assembly.py`` hold the step loop to.
     """
     factory = backend_factory or ReferenceBackend
     plan = plan if plan is not None else ShardPlan(network, n_shards)
@@ -432,50 +321,12 @@ def simulate_sharded(
         for shard in range(n_shards)
     ]
     n_epochs = plan.epochs_for(n_steps)
-    exchange_cache: Dict[int, Window] = {}
-    contrib_digests: Dict[int, List[str]] = {}
-    snapshots: Optional[List[dict]] = None
-    snapshot_epoch = -1
-    recovered = False
-
     for epoch in range(n_epochs):
         length = plan.window_length(epoch, n_steps)
-        if kill_shard is not None and epoch == kill_epoch and not recovered:
-            recovered = True
-            victim = ShardRunner(
-                network, plan, kill_shard, factory(), dt=dt, seed=seed
-            )
-            if snapshots is not None:
-                victim.restore(snapshots[kill_shard])
-            for past in range(snapshot_epoch + 1, epoch):
-                past_length = plan.window_length(past, n_steps)
-                window = victim.run_window(past_length)
-                if window_digest(window) != contrib_digests[past][kill_shard]:
-                    raise ShardingError(
-                        f"shard {kill_shard} re-produced a different "
-                        f"window for epoch {past} after restart — "
-                        "determinism violation"
-                    )
-                victim.apply_exchange(exchange_cache[past], past_length)
-            runners[kill_shard] = victim
         windows = [runner.run_window(length) for runner in runners]
         merged = merge_windows(plan, windows, length)
-        exchange_cache[epoch] = merged
-        contrib_digests[epoch] = [window_digest(w) for w in windows]
         for runner in runners:
             runner.apply_exchange(merged, length)
-        if (
-            checkpoint_every
-            and (epoch + 1) % checkpoint_every == 0
-            and epoch + 1 < n_epochs
-        ):
-            snapshots = [runner.snapshot() for runner in runners]
-            snapshot_epoch = epoch
-            for old in [e for e in exchange_cache if e <= epoch]:
-                del exchange_cache[old]
-                del contrib_digests[old]
-        if on_epoch is not None:
-            on_epoch(epoch, n_epochs, (epoch * plan.window) + length)
 
     spikes = merge_spikes([runner.recorder.snapshot() for runner in runners])
     return InlineShardResult(
@@ -484,5 +335,4 @@ def simulate_sharded(
         n_shards=n_shards,
         window=plan.window,
         epochs=n_epochs,
-        recovered=recovered,
     )

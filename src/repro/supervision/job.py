@@ -77,13 +77,6 @@ class JobSpec:
     seed: int = 1
     dt: float = 1e-4
     solver: Optional[str] = None
-    #: Partition the job's network across this many in-process shards
-    #: (0/1 = normal single-simulator execution). Supervised workers
-    #: are daemonic and cannot spawn grandchildren, so a sharded sweep
-    #: job runs the windowed barrier protocol *inside* the worker via
-    #: :func:`repro.sharding.runner.simulate_sharded` — same numerics,
-    #: same digest, no extra processes.
-    shards: int = 0
     #: Per-job wall-clock deadline; ``None`` uses the supervisor default.
     deadline_seconds: Optional[float] = None
     #: Checkpoint interval in steps; ``None`` uses the supervisor
@@ -121,10 +114,6 @@ class JobSpec:
             raise SupervisionError(
                 f"job {self.name!r}: checkpoint_every must be >= 0, "
                 f"got {self.checkpoint_every}"
-            )
-        if self.shards < 0:
-            raise SupervisionError(
-                f"job {self.name!r}: shards must be >= 0, got {self.shards}"
             )
 
     def to_payload(self) -> Dict[str, object]:
@@ -284,7 +273,7 @@ def spike_digest(recorder) -> str:
     Two runs whose digests match produced bit-identical spikes — the
     cheap cross-process stand-in for comparing the full trains, used to
     pin that a killed-and-resumed job equals an uninterrupted one, and
-    that a sharded run equals the single-process path. The hashing
+    that ``simulate_sharded`` equals the single-process path. The hashing
     itself lives on :meth:`SpikeRecorder.digest`; anything exposing the
     same ``populations()`` / ``result()`` surface hashes identically.
     """

@@ -238,63 +238,12 @@ def _make_hooks(spec: JobSpec, simulator, conn, attempt: int,
     return hooks
 
 
-def _run_sharded_inline(spec: JobSpec, heartbeat=None) -> Dict[str, object]:
-    """Run a sharded job with every shard in this process.
-
-    Supervised workers are daemonic and may not spawn grandchildren, so
-    a sweep job with ``spec.shards >= 2`` runs the windowed barrier
-    protocol in-process via :func:`repro.sharding.runner.
-    simulate_sharded` — same numerics as the process-backed coordinator,
-    bit-identical digest. Checkpoint resume is not supported on this
-    path (a retried attempt restarts from step 0). ``heartbeat``, when
-    given, is beaten once per barrier epoch so the watchdog sees
-    progress.
-    """
-    from repro.sharding.runner import simulate_sharded
-
-    assembly = assemble_job(spec)
-
-    def on_epoch(epoch: int, n_epochs: int, step: int) -> None:
-        if heartbeat is not None:
-            heartbeat.beat(step, "barrier")
-
-    result = simulate_sharded(
-        assembly.network,
-        spec.shards,
-        spec.steps,
-        backend_factory=assembly.backend,
-        dt=spec.dt,
-        seed=assembly.stimulus_seed,
-        on_epoch=on_epoch,
-    )
-    return {
-        "steps": spec.steps,
-        "resumed_from_step": 0,
-        "total_spikes": result.total_spikes(),
-        "spike_digest": result.digest(),
-        "stats": {
-            "schema": "repro-shard-run/1",
-            "n_steps": spec.steps,
-            "dt": spec.dt,
-            "n_shards": spec.shards,
-            "window": result.window,
-            "epochs": result.epochs,
-            "degraded": False,
-            "total_spikes": result.total_spikes(),
-            "spike_digest": result.digest(),
-        },
-        "profile": None,
-    }
-
-
 def run_job_inline(spec: JobSpec) -> Dict[str, object]:
     """Run a job to completion in-process, unsupervised.
 
     The uninterrupted baseline the chaos tests compare digests
     against — same build path, same seeding, no subprocess.
     """
-    if spec.shards > 1:
-        return _run_sharded_inline(spec)
     simulator = assemble_job(spec).simulator()
     result = simulator.run(spec.steps)
     return {
@@ -396,46 +345,6 @@ def worker_entry(conn, capture_path: Optional[str] = None) -> None:
 
     step = -1
     try:
-        if spec.shards > 1:
-            # Daemonic worker: run the barrier protocol in-process.
-            conn.send(
-                ("started", {
-                    "pid": os.getpid(),
-                    "attempt": attempt,
-                    "resumed_from_step": 0,
-                    "ts": time.time(),
-                })
-            )
-            log.info(
-                "worker-started",
-                f"attempt {attempt} of {spec.name!r} sharded x"
-                f"{spec.shards} on {spec.backend!r}",
-                workload=spec.workload,
-                backend=spec.backend,
-                shards=spec.shards,
-            )
-            flight.sync(force=True)
-            heartbeat = _HeartbeatHook(
-                conn, heartbeat_interval, flight=flight, spans=spans
-            )
-            inline_start = time.time()
-            done = _run_sharded_inline(spec, heartbeat=heartbeat)
-            spans.record(
-                f"sharded x{spec.shards}", "window", inline_start,
-                time.time() - inline_start,
-                args={"steps": int(done["steps"])},
-            )
-            step = int(done["steps"])
-            log.info(
-                "worker-done",
-                f"{spec.name!r} completed at step {step} "
-                f"({spec.shards} shards)",
-                steps=step,
-                total_spikes=done["total_spikes"],
-            )
-            done["spans"] = spans.dump()
-            conn.send(("done", done))
-            return
         simulator = assemble_job(spec).simulator()
         spikes = None
         resumed_from = 0

@@ -7,7 +7,6 @@ from repro.health.detectors import (
     EwmaBaseline,
     SaturationDetector,
     SpikeRateDetector,
-    StragglerDetector,
 )
 
 
@@ -128,51 +127,6 @@ class TestSaturationDetector:
         assert detector.signals() == []
         detector.observe("exc", 40)
         assert len(detector.signals()) == 1
-
-
-class TestStragglerDetector:
-    def test_one_slow_shard_among_fast_peers_signals(self):
-        detector = StragglerDetector(min_seconds=0.5)
-        for _ in range(4):
-            detector.observe(0, 0.001)
-            detector.observe(1, 0.002)
-            detector.observe(2, 0.001)
-        detector.observe(1, 3.0)
-        (signal,) = detector.signals()
-        assert signal.subject == "shard1"
-        assert signal.kind == "straggler"
-        assert signal.value == 3.0
-
-    def test_fast_jitter_below_floor_never_signals(self):
-        detector = StragglerDetector(min_seconds=0.5)
-        detector.observe(0, 0.001)
-        detector.observe(1, 0.4)  # above 4x peers, below the floor
-        assert detector.signals() == []
-
-    def test_uniformly_slow_shards_blame_nobody(self):
-        detector = StragglerDetector(skew_ratio=4.0, min_seconds=0.5)
-        for shard in range(3):
-            detector.observe(shard, 2.0)
-        # Each shard's peers are just as slow: relative test holds.
-        assert detector.signals() == []
-
-    def test_peak_ages_out_after_window_healthy_epochs(self):
-        detector = StragglerDetector(min_seconds=0.5, window=4)
-        detector.observe(0, 0.001)
-        detector.observe(1, 3.0)
-        assert detector.signals()
-        for _ in range(4):
-            detector.observe(1, 0.001)
-        assert detector.signals() == []
-
-    def test_resource_attribution_lands_in_the_message(self):
-        detector = StragglerDetector(min_seconds=0.5)
-        detector.observe(0, 0.001)
-        detector.observe(1, 3.0)
-        detector.attribute(1, {"rss_bytes": 256e6, "cpu_seconds": 1.5})
-        (signal,) = detector.signals()
-        assert "rss 256 MB" in signal.message
-        assert "cpu 1.5s" in signal.message
 
 
 class TestEventMonitor:

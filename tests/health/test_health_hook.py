@@ -39,7 +39,7 @@ class TestHealthyRun:
         assert result.alerts["fired_total"] == 0
         assert result.alerts["fired"] == []
         assert result.alerts["firing"] == 0
-        assert result.alerts["rules"] == 8
+        assert result.alerts["rules"] == 6
 
     def test_result_alerts_summary_is_attached(self):
         _, simulator = _simulator()

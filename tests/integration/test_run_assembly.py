@@ -1,4 +1,4 @@
-"""One assembly path behind run / sharded run / sweep / both workers.
+"""One assembly path behind run / sweep / its worker / the sharded oracle.
 
 ``repro.assembly`` owns the backend table and the seed contract
 (network seeds with ``seed``, stimulus RNG with ``seed + 1``);
@@ -22,12 +22,12 @@ from repro.assembly import BACKENDS, assemble, make_backend
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.provenance import config_digest, load_ledger
+from repro.sharding import simulate_sharded
 from repro.supervision import JobSpec, run_job_inline, spike_digest
 
 SCALE, SEED, STEPS = 0.05, 3, 300
 
-#: Every ledger entry carries these; sharded runs add ``trace_rings``,
-#: sweeps add ``job_digests``.
+#: Every ledger entry carries these; sweeps add ``job_digests``.
 ENTRY_FIELDS = {
     "schema", "run_id", "ts", "timestamp", "kind", "workload", "backend",
     "shards", "steps", "scale", "seed", "dt", "config_digest", "config",
@@ -36,23 +36,21 @@ ENTRY_FIELDS = {
 
 #: ``config_digest`` of the entries the parent commit wrote for
 #: ``run Brunel --backend reference --scale 0.05 --steps 300 --seed 3``
-#: (plain / ``--shards 2``) and the matching one-job ``sweep``.
+#: and the matching one-job ``sweep`` (``"shards": 0`` is part of both
+#: configs, so it stays in them as a constant).
 PARENT_BRUNEL_DIGESTS = {
     "run": "74b048b7cd54295e288f4532544256c990246a922d8b420e513d30f370fbeb36",
-    "sharded": (
-        "08937408c1133b03490fcf716c526a67cad2d3b076a6da17d12a1e13140babde"
-    ),
     "sweep": (
         "c85094c24524420af5753b7369eaecef577ccec191826077dda4899474336cf2"
     ),
 }
 
 
-def _run_config(workload, backend, shards):
+def _run_config(workload, backend):
     return {
         "workload": workload, "backend": backend, "steps": STEPS,
         "scale": SCALE, "seed": SEED, "dt": 1e-4, "solver": None,
-        "shards": shards,
+        "shards": 0,
     }
 
 
@@ -67,9 +65,8 @@ def _run_config(workload, backend, shards):
 def test_one_digest_from_every_entry_point(
     workload, backend, tmp_path, capsys
 ):
-    result = assemble(
-        workload, backend, scale=SCALE, seed=SEED
-    ).simulator().run(STEPS)
+    assembly = assemble(workload, backend, scale=SCALE, seed=SEED)
+    result = assembly.simulator().run(STEPS)
     assert result.total_spikes() > 0
     expected = spike_digest(result.spikes)
 
@@ -85,7 +82,6 @@ def test_one_digest_from_every_entry_point(
         return json.loads(path.read_text())
 
     single = stats_of(["run", workload], "run.json")
-    sharded = stats_of(["run", workload, "--shards", "2"], "sharded.json")
     sweep = stats_of(["sweep", workload], "sweep.json")
     inline = run_job_inline(
         JobSpec(
@@ -96,29 +92,32 @@ def test_one_digest_from_every_entry_point(
     capsys.readouterr()
 
     assert single["spike_digest"] == expected
-    assert sharded["spike_digest"] == expected
-    assert not sharded["degraded"]
+    for n_shards in (2, 3):
+        sharded = simulate_sharded(
+            assembly.network, n_shards, STEPS,
+            backend_factory=assembly.backend, seed=assembly.stimulus_seed,
+        )
+        assert sharded.digest() == expected
     assert inline["spike_digest"] == expected
     (job,) = sweep["jobs"]
     assert job["spike_digest"] == expected
 
-    run_entry, sharded_entry, sweep_entry = load_ledger(ledger)
+    run_entry, sweep_entry = load_ledger(ledger)
     assert set(run_entry) == ENTRY_FIELDS
-    assert set(sharded_entry) == ENTRY_FIELDS | {"trace_rings"}
     assert set(sweep_entry) == ENTRY_FIELDS | {"job_digests"}
-    for entry, shards in ((run_entry, 0), (sharded_entry, 2)):
-        assert entry["kind"] == "run"
-        assert entry["config"] == _run_config(workload, backend, shards)
-        assert entry["config_digest"] == config_digest(entry["config"])
-        assert (entry["workload"], entry["backend"], entry["shards"]) == (
-            workload, backend, shards,
-        )
-        assert (entry["steps"], entry["scale"], entry["seed"]) == (
-            STEPS, SCALE, SEED,
-        )
-        assert entry["spike_digest"] == expected
-        assert entry["outcome"] == "completed"
+    assert run_entry["kind"] == "run"
+    assert run_entry["config"] == _run_config(workload, backend)
+    assert run_entry["config_digest"] == config_digest(run_entry["config"])
+    assert (
+        run_entry["workload"], run_entry["backend"], run_entry["shards"]
+    ) == (workload, backend, 0)
+    assert (run_entry["steps"], run_entry["scale"], run_entry["seed"]) == (
+        STEPS, SCALE, SEED,
+    )
+    assert run_entry["spike_digest"] == expected
+    assert run_entry["outcome"] == "completed"
     assert sweep_entry["kind"] == "sweep"
+    assert sweep_entry["shards"] == 0
     assert sweep_entry["workload"] == workload
     assert sweep_entry["config"] == {
         "workloads": [workload], "backend": backend, "steps": STEPS,
@@ -130,7 +129,6 @@ def test_one_digest_from_every_entry_point(
     if workload == "Brunel":
         assert {
             "run": run_entry["config_digest"],
-            "sharded": sharded_entry["config_digest"],
             "sweep": sweep_entry["config_digest"],
         } == PARENT_BRUNEL_DIGESTS
 
@@ -162,22 +160,16 @@ class TestRunArguments:
             (["--trace", "t.json", "--trace-max-events", "-1"],
              "trace ring capacity"),
             (["--checkpoint-every", "-5"], "checkpoint interval"),
-            (["--shards", "-1"], "shards must be >= 0"),
-            (["--shards", "2", "--resume-from", "c.ckpt"],
-             "--shard-checkpoint-path"),
-            (["--shards", "2", "--checkpoint-every", "10"],
-             "--shard-checkpoint-every/--shard-checkpoint-path"),
-            (["--shards", "2", "--trace", "t.json",
-              "--trace-max-events", "10"], "--trace-max-events"),
-            (["--chaos-shard-kill", "3"], "--chaos-shard-kill"),
-            (["--chaos-shard-stall", "3"], "--chaos-shard-stall"),
-            (["--shard-checkpoint-path", "c.ckpt"],
-             "--checkpoint-every/--checkpoint-path"),
+            (["--serve-port-file", "p.txt"],
+             "--serve-port-file only applies with --serve"),
+            (["--serve-linger", "5"],
+             "--serve-linger only applies with --serve"),
+            (["--serve", ":0", "--serve-linger", "-1"],
+             "--serve-linger must be >= 0"),
         ],
         ids=[
-            "steps<0", "ring<0", "ckpt<0", "shards<0", "sharded+resume",
-            "sharded+ckpt", "sharded+ring", "single+kill", "single+stall",
-            "single+shard-ckpt",
+            "steps<0", "ring<0", "ckpt<0", "port-file-no-serve",
+            "linger-no-serve", "linger<0",
         ],
     )
     def test_run_rejects(self, argv, message, capsys):
@@ -185,6 +177,21 @@ class TestRunArguments:
         captured = capsys.readouterr()
         assert message in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+        assert BANNER not in captured.out
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_shards_is_no_longer_a_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "Brunel", "--no-ledger", "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
+    def test_sweep_refuses_ignored_serve_flags_too(self, capsys):
+        assert main(
+            ["sweep", "Brunel", "--no-ledger", "--serve-linger", "5"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "--serve-linger only applies with --serve" in captured.err
         assert BANNER not in captured.out
 
     def test_zero_steps_is_a_clean_empty_run(self, tmp_path, capsys):
@@ -232,7 +239,6 @@ SUBCOMMANDS = [
     ["workloads"], ["models"], ["microcode"], ["run"], ["sweep"],
     ["profile"], ["experiment"], ["simulate"], ["example-spec"], ["top"],
     ["runs"], ["runs", "list"], ["runs", "show"], ["runs", "diff"],
-    ["runs", "trace"],
 ]
 
 

@@ -365,12 +365,6 @@ class TestCheckpoint:
         data = path.read_bytes()
         for needle in (b"PCG64", b"bit_generator", b"has_uint32"):
             assert needle not in data
-        network = _stimulus_network()
-        snapshot = ShardRunner(
-            network, ShardPlan(network, 2), 0, dt=DT, seed=77
-        ).snapshot()
-        assert snapshot["stimulus_seed"] == 77 and "rng" not in snapshot
-        assert b"PCG64" not in pickle.dumps(snapshot)
 
 
 class TestValidation:

@@ -8,23 +8,15 @@ class TestPayloadRoundTrip:
         context = TraceContext(
             run_id="run-abc123",
             job_id="Brunel",
-            shard_id=None,
             attempt=2,
             parent_span="job:Brunel#a2",
         )
         rebuilt = TraceContext.from_payload(context.to_payload())
         assert rebuilt == context
 
-    def test_sharded_round_trip(self):
-        context = TraceContext(run_id="run-x", shard_id=3, attempt=1)
-        rebuilt = TraceContext.from_payload(context.to_payload())
-        assert rebuilt.shard_id == 3
-        assert rebuilt.attempt == 1
-
     def test_missing_payload_tolerated(self):
         context = TraceContext.from_payload(None)
         assert context.run_id == ""
-        assert context.shard_id is None
         assert context.attempt == 0
 
     def test_partial_payload_tolerated(self):
@@ -35,15 +27,6 @@ class TestPayloadRoundTrip:
 
 
 class TestTrackLabel:
-    def test_shard_label(self):
-        assert TraceContext("r", shard_id=1, attempt=0).track_label == (
-            "shard1#a0"
-        )
-
-    def test_shard_zero_is_a_shard(self):
-        # shard_id 0 must not fall through to the generic label
-        assert TraceContext("r", shard_id=0).track_label == "shard0#a0"
-
     def test_job_label(self):
         label = TraceContext("r", job_id="Vogels", attempt=2).track_label
         assert label == "worker:Vogels#a2"

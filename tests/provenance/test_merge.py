@@ -1,4 +1,4 @@
-"""Merging rings: clock-offset math, track layout, flow arrows."""
+"""Process rings: clock-offset math and the dump adapter."""
 
 import pytest
 
@@ -6,27 +6,8 @@ from repro.provenance import (
     ProcessRing,
     SpanRecorder,
     TraceContext,
-    barrier_recv_id,
-    barrier_send_id,
     estimate_offset,
-    merge_rings,
 )
-
-
-def _spans_by_tid(document):
-    out = {}
-    for event in document["traceEvents"]:
-        if event["ph"] == "X":
-            out.setdefault(event["tid"], []).append(event)
-    return out
-
-
-def _track_names(document):
-    return [
-        event["args"]["name"]
-        for event in document["traceEvents"]
-        if event["name"] == "thread_name"
-    ]
 
 
 class TestEstimateOffset:
@@ -46,109 +27,11 @@ class TestEstimateOffset:
         assert estimate_offset([(99.0, 100.0)]) == -1.0
 
 
-class TestBarrierIds:
-    def test_send_and_recv_ids_never_collide(self):
-        seen = set()
-        for epoch in range(4):
-            for shard in range(3):
-                seen.add(barrier_send_id(epoch, shard, 3))
-                seen.add(barrier_recv_id(epoch, shard, 3))
-        assert len(seen) == 4 * 3 * 2
-
-
 class TestProcessRing:
-    def test_dict_round_trip(self):
-        ring = ProcessRing(
-            label="shard0#a0", pid=42, offset=0.25,
-            spans=[{"name": "w", "cat": "window", "ts": 1.0, "dur": 0.5}],
-            dropped=3,
-        )
-        assert ProcessRing.from_dict(ring.to_dict()) == ring
-
     def test_from_dump_uses_context_label(self):
-        recorder = SpanRecorder(TraceContext(run_id="r", shard_id=2))
+        recorder = SpanRecorder(TraceContext(run_id="r", job_id="Brunel"))
         recorder.record("w", "window", 1.0, 0.5)
         ring = ProcessRing.from_dump(recorder.dump(), offset=0.125)
-        assert ring.label == "shard2#a0"
+        assert ring.label == "worker:Brunel#a0"
         assert ring.offset == 0.125
         assert len(ring.spans) == 1
-
-
-class TestMergeRings:
-    def test_one_track_per_ring_plus_process_name(self):
-        rings = [
-            ProcessRing("coordinator", pid=1, spans=[
-                {"name": "barrier e0", "cat": "barrier", "ts": 10.0,
-                 "dur": 0.1},
-            ]),
-            ProcessRing("shard0#a0", pid=2, spans=[
-                {"name": "window e0", "cat": "window", "ts": 9.9,
-                 "dur": 0.2},
-            ]),
-        ]
-        document = merge_rings(rings, run_id="run-m", network="Brunel")
-        assert document["otherData"]["run_id"] == "run-m"
-        assert document["otherData"]["n_tracks"] == 2
-        names = _track_names(document)
-        assert names == ["coordinator (pid 1)", "shard0#a0 (pid 2)"]
-        process_names = [
-            event for event in document["traceEvents"]
-            if event["name"] == "process_name"
-        ]
-        assert process_names[0]["args"]["name"] == "repro:Brunel"
-
-    def test_offset_correction_aligns_clocks(self):
-        # Same instant on both clocks; the worker clock reads 100s
-        # ahead. After correction both spans start at ts 0.
-        rings = [
-            ProcessRing("parent", spans=[
-                {"name": "a", "cat": "phase", "ts": 50.0, "dur": 1.0},
-            ]),
-            ProcessRing("worker", offset=100.0, spans=[
-                {"name": "b", "cat": "phase", "ts": 150.0, "dur": 1.0},
-            ]),
-        ]
-        document = merge_rings(rings)
-        spans = _spans_by_tid(document)
-        assert spans[1][0]["ts"] == spans[2][0]["ts"] == 0.0
-
-    def test_per_track_timestamps_are_monotone(self):
-        # Out-of-order input spans are sorted per ring before emission.
-        ring = ProcessRing("p", spans=[
-            {"name": "late", "cat": "phase", "ts": 5.0, "dur": 0.1},
-            {"name": "early", "cat": "phase", "ts": 1.0, "dur": 0.1},
-        ])
-        (track,) = _spans_by_tid(merge_rings([ring])).values()
-        timestamps = [event["ts"] for event in track]
-        assert timestamps == sorted(timestamps)
-
-    def test_flow_arrows_point_forward_in_time(self):
-        send_id = barrier_send_id(0, 0, 1)
-        rings = [
-            ProcessRing("shard0#a0", spans=[
-                {"name": "window e0", "cat": "window", "ts": 0.0,
-                 "dur": 1.0, "flow_out": [send_id]},
-            ]),
-            ProcessRing("coordinator", spans=[
-                {"name": "barrier e0", "cat": "barrier", "ts": 1.2,
-                 "dur": 0.3, "flow_in": [send_id]},
-            ]),
-        ]
-        events = merge_rings(rings)["traceEvents"]
-        start = next(e for e in events if e["ph"] == "s")
-        finish = next(e for e in events if e["ph"] == "f")
-        assert start["id"] == finish["id"] == send_id
-        assert finish["bp"] == "e"
-        assert start["ts"] <= finish["ts"]
-
-    def test_dropped_spans_are_summed(self):
-        rings = [
-            ProcessRing("a", dropped=2),
-            ProcessRing("b", dropped=3),
-        ]
-        assert merge_rings(rings)["otherData"]["dropped_spans"] == 5
-
-    def test_empty_rings_produce_a_valid_document(self):
-        document = merge_rings([])
-        assert document["traceEvents"][0]["name"] == "process_name"
-        assert document["otherData"]["n_tracks"] == 0

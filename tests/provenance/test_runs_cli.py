@@ -1,11 +1,23 @@
-"""``repro runs``: list/show/diff/trace against a synthetic ledger."""
+"""``repro runs``: list/show/diff against a synthetic ledger, and against
+entries the retired ``run --shards 2`` path wrote."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.provenance import append_entry, make_entry
+
+#: Two entries written at the commit before the process-backed sharded
+#: run was cut (``run Brunel --backend reference --scale 0.05 --steps
+#: 300 --seed 3``): ``--shards 2`` with a chaos kill and no restarts
+#: (``shards: 2``, ``outcome: degraded``, three ``trace_rings``), then
+#: the same run single-process.
+OLD_LEDGER = os.path.join(
+    os.path.dirname(__file__), "fixtures", "sharded_run_ledger.jsonl"
+)
+OLD_SHARDED, OLD_SINGLE = "run-7fc01ae74606", "run-6f2c2ba7738e"
 
 
 @pytest.fixture()
@@ -14,39 +26,21 @@ def ledger(tmp_path):
     append_entry(path, make_entry(
         "run", "run-aaaa11112222",
         {"workload": "Brunel", "seed": 3},
-        workload="Brunel", backend="reference", shards=0, steps=300,
+        workload="Brunel", backend="reference", steps=300,
         scale=0.05, seed=3, dt=1e-4, spike_digest="a" * 64,
         outcome="completed", duration=2.0,
     ))
     append_entry(path, make_entry(
         "run", "run-bbbb33334444",
         {"workload": "Brunel", "seed": 3, "shards": 2},
-        workload="Brunel", backend="reference", shards=2, steps=300,
+        workload="Brunel", backend="reference", steps=300,
         scale=0.05, seed=3, dt=1e-4, spike_digest="a" * 64,
         outcome="completed", duration=3.0,
-        trace_rings=[
-            {
-                "label": "coordinator", "pid": 1, "offset": 0.0,
-                "spans": [
-                    {"name": "barrier e0", "cat": "barrier", "ts": 1.0,
-                     "dur": 0.1, "flow_in": [0]},
-                ],
-                "dropped": 0,
-            },
-            {
-                "label": "shard0#a0", "pid": 2, "offset": 0.5,
-                "spans": [
-                    {"name": "window e0", "cat": "window", "ts": 1.2,
-                     "dur": 0.3, "flow_out": [0]},
-                ],
-                "dropped": 0,
-            },
-        ],
     ))
     append_entry(path, make_entry(
         "run", "run-cccc55556666",
         {"workload": "Brunel", "seed": 99},
-        workload="Brunel", backend="reference", shards=0, steps=300,
+        workload="Brunel", backend="reference", steps=300,
         scale=0.05, seed=99, dt=1e-4, spike_digest="c" * 64,
         outcome="completed", duration=2.0,
     ))
@@ -104,15 +98,20 @@ class TestShow:
         assert entry["run_id"] == "run-aaaa11112222"
         assert entry["spike_digest"] == "a" * 64
 
-    def test_show_omits_rings_unless_full(self, ledger, capsys):
-        assert main(["runs", "--ledger", ledger, "show", "run-bbbb"]) == 0
+    def test_show_omits_rings_unless_full(self, capsys):
+        # Only entries of the retired sharded run carry span rings.
+        assert main(["runs", "--ledger", OLD_LEDGER, "show", OLD_SHARDED]) == 0
         entry = json.loads(capsys.readouterr().out)
-        assert "omitted" in entry["trace_rings"]
+        assert entry["shards"] == entry["config"]["shards"] == 2
+        assert entry["outcome"] == "degraded"
+        assert "3 ring(s) omitted" in entry["trace_rings"]
         assert main(
-            ["runs", "--ledger", ledger, "show", "run-bbbb", "--full"]
+            ["runs", "--ledger", OLD_LEDGER, "show", OLD_SHARDED, "--full"]
         ) == 0
-        entry = json.loads(capsys.readouterr().out)
-        assert len(entry["trace_rings"]) == 2
+        rings = json.loads(capsys.readouterr().out)["trace_rings"]
+        assert [ring["label"] for ring in rings] == [
+            "coordinator", "shard0#a0", "shard1#a0",
+        ]
 
     def test_unknown_id_exits_2(self, ledger, capsys):
         assert main(["runs", "--ledger", ledger, "show", "run-zz"]) == 2
@@ -141,26 +140,24 @@ class TestDiff:
         assert "ambiguous" in capsys.readouterr().err
 
 
-class TestTrace:
-    def test_remerges_recorded_rings(self, ledger, tmp_path, capsys):
-        out_path = str(tmp_path / "merged.json")
-        assert main(
-            ["runs", "--ledger", ledger, "trace", "run-bbbb",
-             "-o", out_path]
-        ) == 0
-        document = json.load(open(out_path))
-        tracks = [
-            event["args"]["name"]
-            for event in document["traceEvents"]
-            if event["name"] == "thread_name"
-        ]
-        assert tracks == ["coordinator (pid 1)", "shard0#a0 (pid 2)"]
-        phases = {event["ph"] for event in document["traceEvents"]}
-        assert {"s", "f"} <= phases  # the barrier flow arrow survived
-        assert document["otherData"]["run_id"] == "run-bbbb33334444"
+class TestEntriesOfTheRetiredShardedRun:
+    def test_list_shows_the_shard_count_and_outcome(self, capsys):
+        assert main(["runs", "--ledger", OLD_LEDGER, "list"]) == 0
+        out = capsys.readouterr().out
+        assert "2 of 2 run(s)" in out
+        (sharded,) = [line for line in out.splitlines() if OLD_SHARDED in line]
+        assert "degraded" in sharded and " 2 " in sharded
 
-    def test_entry_without_rings_exits_2(self, ledger, capsys):
+    def test_diff_against_the_single_process_entry(self, capsys):
         assert main(
-            ["runs", "--ledger", ledger, "trace", "run-aaaa"]
-        ) == 2
-        assert "no trace rings" in capsys.readouterr().err
+            ["runs", "--ledger", OLD_LEDGER, "diff", OLD_SINGLE, OLD_SHARDED]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "shards" in out and "outcome" in out
+        assert "spike digests match" in out
+
+    def test_trace_is_no_longer_a_runs_action(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runs", "--ledger", OLD_LEDGER, "trace", OLD_SHARDED])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -97,26 +97,3 @@ class TestValidation:
         plan = ShardPlan(_network(), 2)
         with pytest.raises(ConfigurationError, match="exc"):
             plan.slice_of("nope", 0)
-
-
-class TestPayload:
-    def test_round_trip(self):
-        network = _network()
-        plan = ShardPlan(network, 3)
-        rebuilt = ShardPlan.from_payload(plan.to_payload(), network)
-        assert rebuilt.bounds == plan.bounds
-        assert rebuilt.window == plan.window
-        assert rebuilt.signature() == plan.signature()
-
-    def test_payload_for_wrong_network_rejected(self):
-        plan = ShardPlan(_network(), 3)
-        other = _network(n_exc=31)
-        with pytest.raises(ConfigurationError, match="does not describe"):
-            ShardPlan.from_payload(plan.to_payload(), other)
-
-    def test_unknown_version_rejected(self):
-        network = _network()
-        payload = ShardPlan(network, 2).to_payload()
-        payload["version"] = 99
-        with pytest.raises(ConfigurationError, match="version"):
-            ShardPlan.from_payload(payload, network)

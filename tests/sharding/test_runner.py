@@ -14,7 +14,6 @@ from repro.sharding import (
     merge_spikes,
     merge_windows,
     simulate_sharded,
-    window_digest,
 )
 
 DT = 1e-4
@@ -70,72 +69,8 @@ class TestBitIdentity:
         assert result.epochs == -(-steps // result.window)
         assert result.digest() == digest
 
-    @pytest.mark.parametrize("kill_epoch", [0, 3, 17])
-    def test_kill_and_recover_preserves_digest(self, kill_epoch):
-        steps = 90
-        digest, _ = _single_digest(steps)
-        result = simulate_sharded(
-            _network(), 3, steps, dt=DT, seed=SEED,
-            kill_shard=1, kill_epoch=kill_epoch,
-        )
-        assert result.recovered
-        assert result.digest() == digest
-
-    def test_sparse_checkpoints_still_recover(self):
-        steps = 90
-        digest, _ = _single_digest(steps)
-        result = simulate_sharded(
-            _network(), 2, steps, dt=DT, seed=SEED,
-            checkpoint_every=5, kill_shard=0, kill_epoch=13,
-        )
-        assert result.recovered
-        assert result.digest() == digest
-
 
 class TestRunnerMechanics:
-    def test_snapshot_restore_round_trip(self):
-        network = _network()
-        plan = ShardPlan(network, 2)
-        runner = ShardRunner(
-            network, plan, 0, ReferenceBackend(), dt=DT, seed=SEED
-        )
-        peer = ShardRunner(
-            network, plan, 1, ReferenceBackend(), dt=DT, seed=SEED
-        )
-        for epoch in range(4):
-            windows = [
-                runner.run_window(plan.window), peer.run_window(plan.window)
-            ]
-            merged = merge_windows(plan, windows, plan.window)
-            runner.apply_exchange(merged, plan.window)
-            peer.apply_exchange(merged, plan.window)
-        payload = runner.snapshot()
-
-        rebuilt = ShardRunner(
-            _network(), ShardPlan(_network(), 2), 0,
-            ReferenceBackend(), dt=DT, seed=SEED,
-        )
-        rebuilt.restore(payload)
-        assert rebuilt.step == runner.step
-        # Both evolve identically from the restore point.
-        left = runner.run_window(plan.window)
-        right = rebuilt.run_window(plan.window)
-        assert window_digest(left) == window_digest(right)
-
-    def test_restore_rejects_wrong_shard(self):
-        network = _network()
-        plan = ShardPlan(network, 2)
-        runner = ShardRunner(
-            network, plan, 0, ReferenceBackend(), dt=DT, seed=SEED
-        )
-        payload = runner.snapshot()
-        other = ShardRunner(
-            _network(), ShardPlan(_network(), 2), 1,
-            ReferenceBackend(), dt=DT, seed=SEED,
-        )
-        with pytest.raises(ShardingError, match="shard"):
-            other.restore(payload)
-
     def test_exchange_length_mismatch_rejected(self):
         network = _network()
         plan = ShardPlan(network, 2)
