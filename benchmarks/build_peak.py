@@ -9,7 +9,9 @@ n_synapses``: what the build added to the process's peak, per synapse.
 The tables rest at 12 B/synapse and ``connect`` streams them at 13-20
 (DESIGN.md, "Build"), so CI holds ``Brunel 2.0`` under 24; the
 whole-array build this replaced read about 29 there, the freed
-temporaries of one projection being reused by the next.
+temporaries of one projection being reused by the next. A constant
+table (``weight_std=0``) stores one weight and rests at 4, so CI holds
+``Potjans-Diesmann 2.0`` (all constant; reads 5.2) under 8.
 """
 
 from __future__ import annotations

@@ -136,10 +136,13 @@ def check_run_request(
     steps: int,
     checkpoint_every: int = 0,
     trace_max_events: Optional[int] = None,
+    seed: int = 0,
 ) -> None:
     """Reject out-of-range run arguments before anything is built."""
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if checkpoint_every < 0:
         raise ConfigurationError(
             f"checkpoint interval must be >= 0, got {checkpoint_every}"

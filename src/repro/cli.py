@@ -165,7 +165,9 @@ def _cmd_run(args) -> int:
     )
     from repro.workloads import get_spec
 
-    check_run_request(args.steps, args.checkpoint_every, args.trace_max_events)
+    check_run_request(
+        args.steps, args.checkpoint_every, args.trace_max_events, args.seed
+    )
     spec = get_spec(args.workload)
     config = {"workload": args.workload, **_job_fields(args), **_NO_SHARDS}
     ctx = RunContext(args, "run")
@@ -302,6 +304,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.assembly import check_run_request
     from repro.experiments.common import format_table
     from repro.io import atomic_write_json
     from repro.runcontext import RunContext
@@ -313,6 +316,7 @@ def _cmd_sweep(args) -> int:
     )
     from repro.workloads import get_spec, workload_names
 
+    check_run_request(args.steps, args.checkpoint_every, seed=args.seed)
     names = args.workloads or list(workload_names())
     for name in names:
         get_spec(name)  # fail fast on unknown workloads, before spawning
@@ -459,10 +463,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_profile(args) -> int:
     import time
 
+    from repro.assembly import check_run_request
     from repro.errors import ConfigurationError
     from repro.runcontext import RunContext
     from repro.telemetry import profile
 
+    check_run_request(args.steps, seed=args.seed)
     workloads = (
         [name.strip() for name in args.workloads.split(",") if name.strip()]
         if args.workloads

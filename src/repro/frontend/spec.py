@@ -147,7 +147,10 @@ def build_network(spec: Dict) -> Network:
     if not populations:
         raise ConfigurationError("spec needs at least one population")
     network = Network(spec.get("name", "network"))
-    rng = np.random.default_rng(_as_int(spec.get("seed", 0), "top-level 'seed'"))
+    seed = _as_int(spec.get("seed", 0), "top-level 'seed'")
+    if seed < 0:
+        raise ConfigurationError(f"top-level 'seed' must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     dt = _as_float(spec.get("dt", 1e-4), "top-level 'dt'")
     if dt <= 0:
         raise ConfigurationError(f"top-level 'dt' must be positive, got {dt}")

@@ -11,6 +11,11 @@ target and accumulate weights (Section II-C) — is then a contiguous row
 copy per fired neuron and one 1-D scatter; ``delay_counts[i, d]``
 (synapses of pre-neuron ``i`` with delay ``d``) gives a fired set's
 exact per-bucket event counts without touching its synapses.
+
+A **constant table** stores its weight once: ``weights`` is a read-only
+zero-stride view of one float64 (what :func:`connect` builds at
+``weight_std=0``), 4 B/synapse resident instead of 12, and the gather
+copies only ring targets.
 """
 
 from __future__ import annotations
@@ -112,8 +117,9 @@ class Projection:
 
         The arrays are adopted: int32 ``post_idx`` (in range) is
         overwritten with the ring targets, float64 ``weights`` becomes
-        the weight table; ``delays`` is read once, a block at a time
-        (any integer dtype, or a broadcast scalar).
+        the weight table (a zero-stride broadcast: a constant table);
+        ``delays`` is read once, a block at a time (any integer dtype,
+        or a broadcast scalar).
         """
         self = cls.__new__(cls)
         self._encode(pre, post, counts, post_idx, weights, delays, syn_type, name)
@@ -166,7 +172,9 @@ class Projection:
     def restricted_to(self, post: Population, lo: int, name: str) -> "Projection":
         """The synapses onto post-neurons ``lo .. lo + post.n``, in this
         projection's order, as a projection onto the slice-sized ``post``
-        (copied and re-encoded against it a block at a time)."""
+        (copied and re-encoded against it a block at a time; a constant
+        table stays constant)."""
+        constant = self.weights.strides[0] == 0
         counts = np.empty(self.pre.n, dtype=np.int64)
         post_idx, weights, delays = [], [], []
         for first, last, synapses, row_of in _row_blocks(self.pre_ptr):
@@ -175,11 +183,17 @@ class Projection:
             mine = np.flatnonzero((cell >= 0) & (cell < post.n))
             counts[first:last] = np.bincount(row_of[mine], minlength=last - first)
             post_idx.append(cell[mine])
-            weights.append(self.weights[synapses][mine])
+            if not constant:
+                weights.append(self.weights[synapses][mine])
             delays.append(delay[mine])
+        post_idx = np.concatenate(post_idx)
+        if constant:
+            weights = np.broadcast_to(self.weights[:1], post_idx.shape)
+        else:
+            weights = np.concatenate(weights)
         return Projection.from_rows(
-            self.pre, post, counts, np.concatenate(post_idx),
-            np.concatenate(weights), np.concatenate(delays), self.syn_type, name,
+            self.pre, post, counts, post_idx, weights,
+            np.concatenate(delays), self.syn_type, name,
         )
 
     @property
@@ -200,14 +214,17 @@ class Projection:
         Returns ``(targets, weights, counts)``: the fired rows' ring
         targets and weights, concatenated in ``fired_pre`` order, and
         the per-delay event histogram :meth:`DelayRing.enqueue` adds to
-        its count ring.
+        its count ring. A constant table's weights are its one weight
+        broadcast to the targets: only the targets are copied.
         """
         rows = _rows(self.pre_ptr, fired_pre)
-        return (
-            np.concatenate([self.targets[row] for row in rows]),
-            np.concatenate([self.weights[row] for row in rows]),
-            self.delay_counts[fired_pre].sum(axis=0),
-        )
+        targets = np.concatenate([self.targets[row] for row in rows])
+        weights = self.weights
+        if weights.strides[0] == 0:
+            weights = np.broadcast_to(weights[:1], targets.shape)
+        else:
+            weights = np.concatenate([weights[row] for row in rows])
+        return targets, weights, self.delay_counts[fired_pre].sum(axis=0)
 
     def pre_of_synapses(self, dtype=np.int64) -> np.ndarray:
         """Presynaptic neuron of every synapse (CSR row expansion;
@@ -315,7 +332,8 @@ def connect(
 
     Each (pre, post) pair is connected independently with the given
     probability; weights are drawn from a normal distribution around
-    ``weight`` (clipped to keep the sign) and delays uniformly from
+    ``weight`` (clipped to keep the sign), or are ``weight`` itself, a
+    constant table, at ``weight_std=0``; delays uniformly from
     ``delay_steps .. delay_steps + delay_jitter``.
     """
     where = f"connect({pre.name!r} -> {post.name!r})"
@@ -380,8 +398,8 @@ def connect(
             np.clip(weights, 0.0, None, out=weights)
         else:
             np.clip(weights, None, 0.0, out=weights)
-    else:
-        weights = np.full(n_syn, weight, dtype=np.float64)
+    else:  # a constant table: the one weight, stored once
+        weights = np.broadcast_to(np.float64(weight), n_syn)
     if delay_jitter > 0:
         longest = delay_steps + delay_jitter
         delays = _draw_integers(

@@ -151,8 +151,12 @@ class PairSTDP(PlasticityRule):
     def attach(self, projection: Projection) -> None:
         """Bind to ``projection`` and allocate the per-neuron traces. A
         weight that *starts* outside ``[w_min, w_max]`` stays there
-        until its first event clips it: untouched weights are not read."""
+        until its first event clips it: untouched weights are not read.
+        A constant table (one read-only weight) becomes a per-synapse
+        copy here, before a step or a restore can write it."""
         super().attach(projection)
+        if not projection.weights.flags.writeable:
+            projection.weights = projection.weights.copy()
         self._x_val = np.zeros(projection.pre.n, dtype=np.float64)
         self._x_last = np.zeros(projection.pre.n, dtype=np.int64)
         self._y_val = np.zeros(projection.post.n, dtype=np.float64)

@@ -166,10 +166,11 @@ class TestRunArguments:
              "--serve-linger only applies with --serve"),
             (["--serve", ":0", "--serve-linger", "-1"],
              "--serve-linger must be >= 0"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
         ids=[
             "steps<0", "ring<0", "ckpt<0", "port-file-no-serve",
-            "linger-no-serve", "linger<0",
+            "linger-no-serve", "linger<0", "seed<0",
         ],
     )
     def test_run_rejects(self, argv, message, capsys):
@@ -178,6 +179,31 @@ class TestRunArguments:
         assert message in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert BANNER not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "Brunel", "--no-ledger", "--seed", "-1"],
+            ["profile", "--quick", "--no-ledger", "--seed", "-1"],
+        ],
+        ids=["sweep", "profile"],
+    )
+    def test_a_negative_seed_is_refused_by_every_command(self, argv, capsys):
+        # numpy's default_rng raised ValueError from inside the build.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
+    def test_a_spec_with_a_negative_seed_is_refused(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "seed": -3, "populations": [{"name": "p", "n": 5, "model": "DLIF"}],
+        }))
+        assert main(["simulate", str(spec), "--steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: top-level 'seed' must be >= 0, got -3\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_shards_is_no_longer_a_flag(self, command, capsys):

@@ -346,24 +346,73 @@ class TestConnect:
             connect(pre, post, probability=0.5, **{field: bad})
 
 
+class TestConstantTable:
+    """``connect(weight_std=0)`` stores its weight once: ``weights`` is a
+    read-only zero-stride view that reads as the ``np.full`` table."""
+
+    def _constant(self, weight=-0.06, probability=0.3, **arguments):
+        pre, post = _pops(30, 40)
+        return connect(
+            pre, post, probability=probability, weight=weight, delay_steps=2,
+            delay_jitter=3, rng=np.random.default_rng(8), **arguments,
+        )
+
+    def test_weights_are_one_read_only_value(self):
+        proj = self._constant()
+        assert proj.weights.strides == (0,)
+        assert proj.weights.shape == (proj.n_synapses,)
+        assert np.asarray(proj.weights).tobytes() == (
+            np.full(proj.n_synapses, -0.06).tobytes()
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            proj.weights[0] = 1.0
+        drawn = self._constant(weight_std=0.01).weights
+        assert drawn.strides == (8,) and drawn.flags.writeable
+
+    def test_the_gather_broadcasts_the_weight_over_the_targets(self):
+        proj = self._constant(weight=0.015)
+        fired = np.array([0, 3, 4, 17])
+        targets, weights, counts = proj.synapses_of(fired)
+        assert weights.strides == (0,) and weights.shape == targets.shape
+        assert set(weights.tolist()) == {0.015}
+        materialised = Projection.__new__(Projection)
+        vars(materialised).update(vars(proj), weights=np.array(proj.weights))
+        expected = materialised.synapses_of(fired)
+        for ours, theirs in zip((targets, weights, counts), expected):
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_a_post_slice_of_a_constant_table_stays_constant(self):
+        proj = self._constant()
+        local = Population("post", 15, LIF())
+        part = proj.restricted_to(local, 20, name="part")
+        assert part.weights.strides == (0,) and not part.weights.flags.writeable
+        assert part.n_synapses == np.count_nonzero(
+            (proj.post_idx >= 20) & (proj.post_idx < 35)
+        )
+        assert set(part.weights.tolist()) == {-0.06}
+        none = self._constant(probability=0.0)
+        assert none.restricted_to(local, 20, name="none").weights.strides == (0,)
+
+
 class TestBuildMemory:
     """``connect`` holds the int32 index, the weights and a narrow delay
-    array (13 B/synapse for Brunel's 10..20-step delays) plus block-sized
-    scratch: nothing table-sized beyond what the generator returns. The
+    array (13 B/synapse for Brunel's 10..20-step delays, 5 with a constant
+    table) plus block-sized scratch: nothing table-sized beyond what the
+    generator returns. The
     whole-array build it replaced peaked at 45 B/synapse (sampled) and
     90 B/synapse (dense: the pair matrix and its hit mask)."""
 
     ALLOWANCE = 8 * projection_module.BUILD_BLOCK * 8  # eight int64 blocks
 
     @staticmethod
-    def _peak(n, probability):
+    def _peak(n, probability, weight_std=0.04):
         pre, post = Population("pre", n, LIF()), Population("post", n, LIF())
         rng = np.random.default_rng(2)
         tracemalloc.start()
         try:
             built = connect(
-                pre, post, probability=probability, weight=0.4, weight_std=0.04,
-                delay_steps=10, delay_jitter=10, rng=rng,
+                pre, post, probability=probability, weight=0.4,
+                weight_std=weight_std, delay_steps=10, delay_jitter=10, rng=rng,
             )
             return built, tracemalloc.get_traced_memory()[1]
         finally:
@@ -379,3 +428,9 @@ class TestBuildMemory:
         assert 2000 * 2000 <= projection_module.DENSE_PAIR_LIMIT
         assert peak <= 24 * built.n_synapses + self.ALLOWANCE
         assert peak < 2000 * 2000 * 8 // 2  # the pair matrix alone is 32 MB
+
+    def test_a_constant_table_builds_no_weight_array(self):
+        # 4 B index + 1 B delay per synapse; an np.full would add 8.
+        built, peak = self._peak(3000, 0.2, weight_std=0.0)
+        assert built.n_synapses > 1_500_000
+        assert peak <= 8 * built.n_synapses + self.ALLOWANCE

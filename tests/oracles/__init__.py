@@ -3,6 +3,10 @@
 Each module keeps the step a lowering replaced, so tests can demand the
 same bits and the same counters from the fast path:
 
+* :mod:`tests.oracles.coo_build` — the whole-array network build (no
+  streaming);
+* :mod:`tests.oracles.delivery` — spike delivery as a per-synapse loop
+  in the accumulation-order contract;
 * :mod:`tests.oracles.folded_scan` — the folded hardware step that
   scans every saturation point (no range proof);
 * :mod:`tests.oracles.pair_stdp` — the per-synapse pair-STDP step;

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from repro.models import LIF
-from repro.network import Network, Population, Projection, Simulator
+from repro.network import (
+    Network, PoissonStimulus, Population, Projection, Simulator, connect,
+)
 from repro.network import projection as projection_module
 from repro.network.projection import SynapseIndex
 from repro.plasticity import PairSTDP
+from repro.reliability import Checkpoint
 from tests.oracles.pair_stdp import ReferencePairSTDP
 
 DT = 1e-4
@@ -254,3 +257,53 @@ class TestCompiledStep:
         assert applied > 10_000
         assert silent_peak - before < 512  # a few Python ints, no array
         assert volley_peak - before <= 64 * applied
+
+
+class TestConstantTable:
+    """``connect(weight_std=0)`` stores one read-only weight; a rule owns
+    a per-synapse copy from ``attach`` on, so a restore before the first
+    step has an array to write."""
+
+    @staticmethod
+    def _network():
+        network = Network("constant")
+        exc = network.add_population("exc", 40, "DLIF")
+        projection = network.connect(
+            "exc", "exc", probability=0.2, weight=0.05, delay_jitter=3,
+            rng=np.random.default_rng(77),
+        )
+        network.add_plasticity(projection, PairSTDP(a_plus=0.02, w_max=0.1))
+        network.add_stimulus(
+            PoissonStimulus(exc, rate_hz=800.0, weight=0.09, dt=DT, n_sources=8)
+        )
+        return network, projection
+
+    def test_attach_gives_the_rule_its_own_writable_weights(self):
+        pre, post = Population("pre", 30, LIF()), Population("post", 20, LIF())
+        projection = connect(pre, post, probability=0.3, weight=0.05)
+        constant = projection.weights
+        assert constant.strides == (0,) and not constant.flags.writeable
+        rule = PairSTDP()
+        rule.attach(projection)
+        weights = projection.weights
+        assert weights.flags.writeable and weights.flags.owndata
+        assert weights.tobytes() == np.asarray(constant).tobytes()
+        rule.attach(projection)  # attaching again keeps the rule's array
+        assert projection.weights is weights
+
+    def test_restore_before_the_first_step_resumes_bit_identically(self):
+        network, projection = self._network()
+        whole = Simulator(network, dt=DT, seed=11)
+        first = whole.run(40)
+        checkpoint = Checkpoint.capture(whole, spikes=first.spikes)
+        halfway = projection.weights.copy()
+        rest = whole.run(40, spikes=checkpoint.seed_recorder())
+
+        network, resumed_projection = self._network()
+        resumed = Simulator(network, dt=DT, seed=11)
+        checkpoint.restore(resumed)  # writes the weights before any step
+        result = resumed.run(40, spikes=checkpoint.seed_recorder())
+        assert rest.total_spikes() > first.total_spikes() > 0
+        assert result.spikes.digest() == rest.spikes.digest()
+        assert not np.array_equal(projection.weights, halfway)  # it learned
+        assert resumed_projection.weights.tobytes() == projection.weights.tobytes()

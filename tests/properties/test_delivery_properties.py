@@ -3,24 +3,27 @@
 ``Projection.synapses_of`` + ``DelayRing.enqueue`` (and the sharded
 ``DelayRing.deposit`` replay) promise to accumulate arrivals one at a
 time in the contract order — projections in network order, fired
-neurons ascending, CSR synapse order within a neuron. The reference
-below is that sentence as three nested Python loops over per-synapse
-``(pre, post, weight, delay)`` records into a dense ``(step, type,
-neuron)`` array; every comparison is ``==`` on float64, not
-``allclose``, with weights spanning enough magnitudes that any other
-summation order shows in the last bits.
+neurons ascending, CSR synapse order within a neuron. The reference is
+``tests/oracles/delivery.py``, that sentence as three nested Python
+loops; every comparison is ``==`` on float64, not ``allclose``, with
+weights spanning enough magnitudes that any other summation order shows
+in the last bits. A constant table (one broadcast weight, what
+``connect`` builds at ``weight_std=0``) is held to the same loop and to
+its own materialised twin.
 """
 
+import copy
 import os
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.network import Network, PoissonStimulus, Projection, Simulator
+from repro.network import Network, PoissonStimulus, Projection, Simulator, connect
 from repro.network.backends import ReferenceBackend
 from repro.reliability.checkpoint import Checkpoint
 from repro.routing import DelayRing, SpikeRouter
+from tests.oracles.delivery import DeliveryLoop, csr_records
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "..", "reliability", "fixtures",
@@ -112,31 +115,12 @@ def _build(scenario):
     return projections, records
 
 
-class _Loop:
-    """The contract as nested loops: dense weights and counts per step."""
-
-    def __init__(self, scenario, records):
-        self.scenario = scenario
-        self.records = records
-        horizon = scenario.n_steps + scenario.depth
-        self.dense = np.zeros((horizon, scenario.n_types, scenario.post_n))
-        self.counts = np.zeros(horizon, dtype=np.int64)
-
-    def inject(self, step):
-        for syn_type, post, weight in self.scenario.stimulus[step]:
-            self.dense[step, syn_type, post] += weight
-            self.counts[step] += 1
-
-    def deliver(self, step):
-        for (syn_type, _, _), synapses, fired in zip(
-            self.scenario.projections, self.records,
-            self.scenario.fired[step],
-        ):
-            for neuron in sorted(fired):
-                for pre, post, weight, delay in synapses:
-                    if pre == neuron:
-                        self.dense[step + delay, syn_type, post] += weight
-                        self.counts[step + delay] += 1
+def _loop(scenario, records):
+    return DeliveryLoop(
+        [(syn_type, ordered) for (syn_type, _, _), ordered
+         in zip(scenario.projections, records)],
+        scenario.n_steps, scenario.depth, scenario.n_types, scenario.post_n,
+    )
 
 
 def _fresh_ring(scenario):
@@ -168,7 +152,7 @@ def _gather(projection, fired):
 @settings(max_examples=300, deadline=None)
 def test_delivery_equals_the_per_synapse_loop(scenario):
     projections, records = _build(scenario)
-    loop = _Loop(scenario, records)
+    loop = _loop(scenario, records)
     rings = [_rotated_ring(scenario, projections)]
     depth = scenario.depth
     for step in range(scenario.n_steps):
@@ -190,14 +174,14 @@ def test_delivery_equals_the_per_synapse_loop(scenario):
                 )
             rings.append(_fresh_ring(scenario))
             rings[1].restore(payload)
-        loop.inject(step)
+        loop.inject(step, scenario.stimulus[step])
         for ring in rings:
             _inject(ring, scenario.stimulus[step])
             assert np.array_equal(ring.current(), loop.dense[step])
             assert ring.current_events() == loop.counts[step]
             for projection, fired in zip(projections, scenario.fired[step]):
                 ring.enqueue(*_gather(projection, fired), projection.syn_type)
-        loop.deliver(step)
+        loop.deliver(step, scenario.fired[step])
         for ring in rings:
             # The ring's counts come from delay_counts; the loop's from
             # per-synapse delays.
@@ -219,18 +203,18 @@ def test_deposit_replay_equals_the_per_synapse_loop(scenario):
     # traffic, then replay the window's fired sets step-major through
     # deposit(shift) — every legal shift 1..window occurs.
     projections, records = _build(scenario)
-    loop = _Loop(scenario, records)
+    loop = _loop(scenario, records)
     ring = _rotated_ring(scenario, projections)
     depth = scenario.depth
     step = 0
     while step < scenario.n_steps:
         length = min(scenario.window, scenario.n_steps - step)
         for now in range(step, step + length):
-            loop.inject(now)
+            loop.inject(now, scenario.stimulus[now])
             _inject(ring, scenario.stimulus[now])
             assert np.array_equal(ring.current(), loop.dense[now])
             assert ring.current_events() == loop.counts[now]
-            loop.deliver(now)
+            loop.deliver(now, scenario.fired[now])
             ring.rotate()
         for offset in range(length):
             for projection, fired in zip(
@@ -247,6 +231,90 @@ def test_deposit_replay_equals_the_per_synapse_loop(scenario):
         assert np.array_equal(
             ring.flush_events(depth), loop.counts[step:step + depth]
         )
+
+
+@st.composite
+def _constant_tables(draw):
+    # No synapses (p = 0), exactly one (1 x 1, p = 1) or many, per
+    # projection; every projection into one ring of 1-3 synapse types.
+    n_types = draw(st.integers(1, 3))
+    size = draw(st.sampled_from(["none", "one", "many"]))
+    pre_n, post_n = (1, 1) if size == "one" else (
+        draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    )
+    pre = _population("pre", pre_n, 1)
+    post = _population("post", post_n, n_types)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probabilities = {"none": [0.0], "one": [1.0], "many": [0.4, 1.0]}[size]
+    projections, weights = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        weights.append(draw(_weight))
+        projections.append(connect(
+            pre, post,
+            probability=draw(st.sampled_from(probabilities)),
+            weight=weights[-1],
+            delay_steps=draw(st.integers(1, 3)),
+            delay_jitter=draw(st.integers(0, 3)),
+            syn_type=draw(st.integers(0, n_types - 1)),
+            rng=rng,
+        ))
+    depth = max(projection.max_delay for projection in projections) + 1
+    n_steps = draw(st.integers(depth, 3 * depth))  # crosses a compaction
+    fired = draw(st.lists(
+        st.lists(
+            st.sets(st.integers(0, pre_n - 1), max_size=pre_n),
+            min_size=len(projections), max_size=len(projections),
+        ),
+        min_size=n_steps, max_size=n_steps,
+    ))
+    return SimpleNamespace(
+        n_types=n_types, post_n=post_n, projections=projections,
+        weights=weights, depth=depth, n_steps=n_steps, fired=fired,
+        min_delay=min(projection.min_delay for projection in projections),
+    )
+
+
+@given(_constant_tables())
+@settings(max_examples=150, deadline=None)
+def test_a_constant_table_delivers_like_the_loop_and_its_twin(case):
+    twins = []
+    for projection, weight in zip(case.projections, case.weights):
+        weights = projection.weights
+        assert weights.strides == (0,) and not weights.flags.writeable
+        assert weights.shape == (projection.n_synapses,)
+        expected = np.full(projection.n_synapses, weight, dtype=np.float64)
+        assert np.asarray(weights).tobytes() == expected.tobytes()
+        # The same projection with its weight table materialised.
+        twin = copy.copy(projection)
+        twin.weights = np.array(weights)
+        twins.append(twin)
+    records = [(p.syn_type, csr_records(p)) for p in case.projections]
+    depth = case.depth
+    for rotations in range(depth):  # every head offset
+        rings = []
+        for tables in (case.projections, twins):
+            ring = DelayRing(
+                case.post_n, case.n_types, depth - 1, min_delay=case.min_delay
+            )
+            SpikeRouter({"post": ring}).bind(tables)
+            for _ in range(rotations):
+                ring.rotate()
+            rings.append(ring)
+        loop = DeliveryLoop(
+            records, case.n_steps, depth, case.n_types, case.post_n
+        )
+        for step in range(case.n_steps):
+            for ring, tables in zip(rings, (case.projections, twins)):
+                for projection, fired in zip(tables, case.fired[step]):
+                    ring.enqueue(*_gather(projection, fired), projection.syn_type)
+            loop.deliver(step, case.fired[step])
+            constant, materialised = (ring.flush_window(depth) for ring in rings)
+            assert constant.tobytes() == materialised.tobytes()
+            assert np.array_equal(constant, loop.dense[step:step + depth])
+            pending = [ring.pending_total() for ring in rings]
+            assert pending == [loop.counts[step:step + depth].sum()] * 2
+            for ring in rings:
+                ring.rotate()
 
 
 def _pre_change_network():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.assembly import assemble
 from repro.errors import ShardingError
 from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
@@ -60,6 +61,27 @@ class TestBitIdentity:
         assert total > 0, "silent network would make the pin vacuous"
         assert result.total_spikes() == total
         assert result.digest() == digest
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_constant_tables_shard_bit_identically(self, n_shards):
+        # Every Potjans-Diesmann projection is a constant table (one
+        # broadcast weight); the shard slices keep it one.
+        assembly = assemble("Potjans-Diesmann", scale=0.05, seed=4)
+        plan = ShardPlan(assembly.network, n_shards)
+        for shard in range(n_shards):
+            local = ShardRunner(
+                assembly.network, plan, shard, assembly.backend(),
+                dt=assembly.dt, seed=assembly.stimulus_seed,
+            ).network
+            for projection in assembly.network.projections + local.projections:
+                assert projection.weights.strides == (0,), projection.name
+        single = assembly.simulator().run(200)
+        assert single.total_spikes() > 0
+        sharded = simulate_sharded(
+            assembly.network, n_shards, 200,
+            backend_factory=assembly.backend, seed=assembly.stimulus_seed,
+        )
+        assert sharded.digest() == single.spikes.digest()
 
     def test_partial_final_window(self):
         # steps not divisible by the window: the last epoch is short.
