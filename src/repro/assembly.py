@@ -1,12 +1,11 @@
 """Run assembly: how a run description becomes a simulator.
 
-Every path that executes a Table I workload — ``repro run``, the
-``sweep`` job worker, ``repro profile``, the front-end and the
-experiment helpers — describes the run with the same six fields
-(``workload, backend, scale, seed, dt, solver``; exactly what
-:class:`~repro.supervision.job.JobSpec` carries) and turns them into a
-network, a prepared backend and a stimulus seed *here*, so the two
-decisions below have one owner:
+Every path that executes a Table I workload — ``repro run``, each job
+of ``repro sweep``, ``repro profile``, the front-end and the experiment
+helpers — describes the run with the same six fields (``workload,
+backend, scale, seed, dt, solver``) and turns them into a network, a
+prepared backend and a stimulus seed *here*, so the two decisions below
+have one owner:
 
 **The backend table.** :func:`make_backend` maps a backend name
 (:data:`BACKENDS`) to an instance. Callers keep their own accepted
@@ -17,12 +16,12 @@ repeated.
 plan of whatever steps it (``Simulator``, ``ShardRunner``,
 ``simulate_sharded``) with ``seed + 1`` — computed in :func:`assemble`
 and nowhere else. That is what makes a plain run, a resumed run, a
-supervised job and every slice of ``simulate_sharded`` produce
-bit-identical spikes for the same ``(workload, scale, seed, steps)``.
+sweep job and every slice of ``simulate_sharded`` produce bit-identical
+spikes for the same ``(workload, scale, seed, steps)``.
 
 Heavy imports (the hardware model, the simulator) stay inside the
-functions: spawned workers and ``repro workloads`` import this module
-without paying for them.
+functions: ``repro workloads`` imports this module without paying for
+them.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "DT",
     "RunAssembly",
     "assemble",
-    "assemble_job",
     "check_run_request",
     "make_backend",
 ]
@@ -47,7 +45,7 @@ DT = 1e-4
 
 #: Every backend name the repo knows. ``solver`` is the dict-state
 #: reference path (``ReferenceBackend(use_engine=False)``), the oracle
-#: the engine is pinned against and the circuit breaker's degrade target.
+#: the engine is pinned against.
 BACKENDS = (
     "reference", "solver", "flexon", "folded", "event-driven", "hybrid",
 )
@@ -124,23 +122,22 @@ def assemble(
     )
 
 
-def assemble_job(spec) -> RunAssembly:
-    """:func:`assemble` from a ``JobSpec`` (or parsed ``run`` arguments)."""
-    return assemble(
-        spec.workload, spec.backend, spec.scale, spec.seed, spec.dt,
-        spec.solver,
-    )
-
-
 def check_run_request(
     steps: int,
     checkpoint_every: int = 0,
     trace_max_events: Optional[int] = None,
     seed: int = 0,
+    min_steps: int = 0,
 ) -> None:
-    """Reject out-of-range run arguments before anything is built."""
-    if steps < 0:
-        raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    """Reject out-of-range run arguments before anything is built.
+
+    ``min_steps=1`` is for callers that divide by the step count (the
+    experiments' per-step rates) or have nothing to report without one.
+    """
+    if steps < min_steps:
+        raise ConfigurationError(
+            f"steps must be >= {min_steps}, got {steps}"
+        )
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if checkpoint_every < 0:

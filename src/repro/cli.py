@@ -33,12 +33,11 @@ Subcommands:
     exits 130 (SIGINT) or 143 (SIGTERM) instead of printing a
     traceback.
 ``sweep [WORKLOAD ...]``
-    Run workloads as supervised, process-isolated jobs: per-job
-    wall-clock deadlines (``--deadline``), heartbeat watchdog
-    (``--heartbeat-timeout``), retry with exponential backoff
-    (``--max-retries``), and checkpoint-based crash recovery
-    (``--checkpoint-every``). ``--workers N`` supervises N jobs
-    concurrently. Exits 0 only when every job completed.
+    Run workloads one after another in this process, each built and
+    stepped exactly as ``run`` would (same spike digest) with a
+    ``NumericsGuard`` attached. A job that raises a library error is
+    reported failed and the loop goes on; the sweep exits 1 if any job
+    failed. One ledger entry covers the whole sweep.
 ``profile``
     Run registry workloads bare vs. fully instrumented; report
     per-phase/per-population p50/p95 wall time, ops/sec, and the
@@ -137,8 +136,7 @@ def _cmd_microcode(args) -> int:
 
 
 def _job_fields(args) -> dict:
-    """The arguments ``run`` and ``sweep`` share: what the ledger records
-    and, field for field, what a ``JobSpec`` carries."""
+    """The arguments ``run`` and ``sweep`` share (what the ledger records)."""
     return {
         name: getattr(args, name)
         for name in ("backend", "steps", "scale", "seed", "dt", "solver")
@@ -155,7 +153,7 @@ def _cmd_run(args) -> int:
     """``repro run``: one workload on ``Simulator.run`` + hooks."""
     import time
 
-    from repro.assembly import assemble_job, check_run_request
+    from repro.assembly import assemble, check_run_request
     from repro.errors import CheckpointError, RunInterrupted
     from repro.runcontext import RunContext
     from repro.supervision.interrupt import (
@@ -171,7 +169,10 @@ def _cmd_run(args) -> int:
     spec = get_spec(args.workload)
     config = {"workload": args.workload, **_job_fields(args), **_NO_SHARDS}
     ctx = RunContext(args, "run")
-    simulator = assemble_job(args).simulator()
+    simulator = assemble(
+        args.workload, args.backend, args.scale, args.seed, args.dt,
+        args.solver,
+    ).simulator()
     network = simulator.network
     print(f"{spec}")
     print(f"run ID: {ctx.run_id}")
@@ -258,8 +259,6 @@ def _cmd_run(args) -> int:
         )
         return EXIT_CODES.get(stop.signal_name, 130)
     wall_seconds = time.monotonic() - wall_start
-    from repro.supervision.job import spike_digest
-
     duration = simulator.current_step * args.dt
     rate = (
         result.total_spikes() / max(1, network.n_neurons) / duration
@@ -294,7 +293,7 @@ def _cmd_run(args) -> int:
                 args.checkpoint_path if args.checkpoint_every else None
             ),
         },
-        spike_digest=spike_digest(result.spikes),
+        spike_digest=result.spikes.digest(),
         metrics={
             "total_spikes": result.total_spikes(),
             "mean_rate_hz": rate,
@@ -304,160 +303,93 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.assembly import check_run_request
-    from repro.experiments.common import format_table
-    from repro.io import atomic_write_json
-    from repro.runcontext import RunContext
-    from repro.supervision import (
-        JobSpec,
-        RetryPolicy,
-        Supervisor,
-        SupervisorConfig,
-    )
-    from repro.workloads import get_spec, workload_names
+    """``repro sweep``: ``run``'s assembly in a loop, one ledger entry."""
+    import time
 
-    check_run_request(args.steps, args.checkpoint_every, seed=args.seed)
+    from repro.assembly import assemble, check_run_request
+    from repro.experiments.common import format_table
+    from repro.reliability.guard import NumericsGuard
+    from repro.runcontext import RunContext
+    from repro.workloads import get_spec, workload_names
+    from repro.workloads.spec import validate_scale
+
+    check_run_request(args.steps, seed=args.seed, min_steps=1)
+    validate_scale(args.scale)
     names = args.workloads or list(workload_names())
     for name in names:
-        get_spec(name)  # fail fast on unknown workloads, before spawning
-    shared = _job_fields(args)
-    jobs = [
-        JobSpec(
-            name=name, workload=name,
-            chaos_kill_at_step=args.chaos_kill_at, **shared,
-        )
-        for name in names
-    ]
+        get_spec(name)  # fail fast on unknown workloads, before any build
     ctx = RunContext(args, "sweep")
-    supervisor = Supervisor(
-        workers=args.workers,
-        retry=RetryPolicy(
-            max_retries=args.max_retries, base_delay=args.backoff_base
-        ),
-        config=SupervisorConfig(
-            poll_interval=args.poll_interval,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
-            deadline_seconds=args.deadline,
-        ),
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        seed=args.seed,
-        metrics=ctx.metrics,
-        status_board=ctx.status,
-        event_bus=ctx.bus,
-        run_id=ctx.run_id,
-    )
-
-    def health_check():
-        from repro.supervision.job import JOB_BACKENDS
-
-        tripped = [
-            backend for backend in JOB_BACKENDS
-            if supervisor.breaker_tripped(backend)
-        ]
-        if tripped:
-            return False, (
-                "numerics circuit breaker open for backend(s): "
-                + ", ".join(tripped)
-            )
-        return True, ""
-
-    ctx.serve("sweep", health_check=health_check)
+    ctx.serve("sweep")
     print(f"sweep run ID: {ctx.run_id}")
-    print(
-        f"supervising {len(jobs)} job(s) on backend {args.backend!r}: "
-        f"deadline {args.deadline:g}s, heartbeat timeout "
-        f"{args.heartbeat_timeout:g}s, {args.max_retries} retr"
-        f"{'y' if args.max_retries == 1 else 'ies'}, checkpoint every "
-        f"{args.checkpoint_every} steps, {args.workers} worker(s)"
-    )
-    if args.chaos_kill_at is not None:
-        print(
-            f"chaos: workers SIGKILL themselves at step "
-            f"{args.chaos_kill_at} on their first attempt"
-        )
-    monitor = ctx.monitor()
-    if monitor is not None:
-        # The supervisor takes no hooks, so the monitor's own cadence
-        # thread watches the shared registry.
-        monitor.start()
-    try:
-        report = supervisor.run(jobs)
-    finally:
-        if monitor is not None:
-            monitor.finish()
-    rows = []
-    for job in report.jobs:
-        outcome = job.outcome
-        if not job.completed and job.failure_kind:
-            outcome = f"failed ({job.failure_kind})"
-        resumed = max(a.resumed_from_step for a in job.attempts)
-        rows.append(
-            (
-                job.name,
-                job.attempts[-1].backend if job.attempts else job.backend,
-                outcome,
-                len(job.attempts),
-                resumed if resumed else "-",
-                f"{job.total_spikes:,}",
-                "yes" if job.degraded else "no",
-                f"{job.wall_seconds:.1f}s",
+    print(f"running {len(names)} job(s) on backend {args.backend!r}")
+    jobs = []
+    sweep_start = time.monotonic()
+    for name in names:
+        job_start = time.monotonic()
+        job = {"name": name, "backend": args.backend}
+        try:
+            simulator = assemble(
+                name, args.backend, args.scale, args.seed, args.dt,
+                args.solver,
+            ).simulator()
+            hooks = [NumericsGuard(simulator.backend), *ctx.attach(simulator)]
+            # No ``metrics=``: the registry outlives this job, and the
+            # next workload's smaller per-population totals would read
+            # as a counter going backwards.
+            result = simulator.run(args.steps, hooks=hooks)
+        except ReproError as error:
+            print(f"job {name!r} failed: {error}")
+            job.update(outcome="failed", error=str(error))
+        else:
+            job.update(
+                outcome="completed",
+                total_spikes=result.total_spikes(),
+                spike_digest=result.spikes.digest(),
+                stats=result.to_stats_dict(),
             )
+        job["wall_seconds"] = time.monotonic() - job_start
+        jobs.append(job)
+    wall_seconds = time.monotonic() - sweep_start
+    n_failed = sum(job["outcome"] == "failed" for job in jobs)
+    rows = [
+        (
+            job["name"], job["backend"], job["outcome"],
+            f"{job['total_spikes']:,}" if "total_spikes" in job else "-",
+            f"{job['wall_seconds']:.2f}s",
         )
+        for job in jobs
+    ]
     print()
+    print(format_table(["Job", "Backend", "Outcome", "Spikes", "Wall"], rows))
     print(
-        format_table(
-            [
-                "Job", "Backend", "Outcome", "Attempts", "Resumed@",
-                "Spikes", "Degraded", "Wall",
-            ],
-            rows,
-        )
+        f"\n{len(jobs) - n_failed}/{len(jobs)} jobs completed "
+        f"in {wall_seconds:.2f}s"
     )
-    print(
-        f"\n{len(report.completed)}/{len(report.jobs)} jobs completed "
-        f"in {report.wall_seconds:.1f}s"
-    )
-    if args.log_json:
-        atomic_write_json(args.log_json, report.log_stream())
-        print(
-            f"wrote merged log stream {args.log_json!r} "
-            f"({len(report.log_records)} records)"
-        )
+    digests = {job["name"]: job["spike_digest"] for job in jobs
+               if "spike_digest" in job}
     ctx.write_out(
-        {
-            "workloads": names, **shared, **_NO_SHARDS,
-            "workers": args.workers, "max_retries": args.max_retries,
+        {"workloads": names, **_job_fields(args), **_NO_SHARDS},
+        outcome="failed" if n_failed else "completed",
+        duration=wall_seconds,
+        stats={
+            "schema": "repro-sweep/2",
+            "jobs": jobs,
+            "completed": len(jobs) - n_failed,
+            "failed": n_failed,
+            "wall_seconds": wall_seconds,
         },
-        outcome="completed" if report.all_completed() else "failed",
-        duration=report.wall_seconds,
-        stats=report.to_dict() if args.stats_json else None,
         stats_label="sweep report",
-        trace=(
-            (report.trace_json(), f"worker-lifetime trace {args.trace!r}")
-            if args.trace else None
-        ),
-        artifacts={"log_json": args.log_json},
         # One job's digest is THE digest; several jobs pin per-job
         # digests in the extra block instead.
-        spike_digest=(
-            report.jobs[0].spike_digest if len(report.jobs) == 1 else None
-        ),
+        spike_digest=digests.get(names[0]) if len(names) == 1 else None,
         metrics={
-            "jobs": len(report.jobs),
-            "completed": len(report.completed),
-            "failed": len(report.failed),
-            "retries": sum(job.retries for job in report.jobs),
+            "jobs": len(jobs),
+            "completed": len(jobs) - n_failed,
+            "failed": n_failed,
         },
-        extra={
-            "job_digests": {
-                job.name: job.spike_digest
-                for job in report.jobs if job.spike_digest
-            },
-        },
+        extra={"job_digests": digests},
     )
-    return 0 if report.all_completed() else 1
+    return 1 if n_failed else 0
 
 
 def _cmd_profile(args) -> int:
@@ -519,6 +451,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from repro.assembly import check_run_request
     from repro.experiments import (
         figure3,
         figure12,
@@ -530,6 +463,11 @@ def _cmd_experiment(args) -> int:
         table6,
         validation,
     )
+    from repro.workloads.spec import validate_scale
+
+    # Before the banner: the experiments divide by the step count.
+    check_run_request(args.steps, min_steps=1)
+    validate_scale(args.scale)
 
     def run_figure3():
         rows = figure3.run(scale=args.scale, steps=args.steps)
@@ -813,8 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run workloads as supervised, process-isolated jobs with "
-        "deadlines, retries, and checkpoint-based crash recovery",
+        help="run workloads one after another, each as `run` would, "
+        "under one ledger entry",
     )
     sweep.add_argument(
         "workloads",
@@ -835,93 +773,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--dt", type=float, default=DT)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="jobs supervised concurrently (each job retries serially)",
-    )
-    sweep.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retries per job after the first attempt",
-    )
-    sweep.add_argument(
-        "--backoff-base",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="base delay of the exponential retry backoff",
-    )
-    sweep.add_argument(
-        "--deadline",
-        type=float,
-        default=120.0,
-        metavar="SECONDS",
-        help="per-job wall-clock deadline before the watchdog kills it",
-    )
-    sweep.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=15.0,
-        metavar="SECONDS",
-        help="kill a worker whose progress heartbeats stall this long",
-    )
-    sweep.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="wall-clock interval between worker progress heartbeats",
-    )
-    sweep.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="watchdog poll cadence on the worker pipe",
-    )
-    sweep.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=50,
-        metavar="N",
-        help="worker checkpoint interval in steps (0 disables recovery)",
-    )
-    sweep.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="keep job checkpoints here (default: a temp dir per sweep)",
-    )
-    sweep.add_argument(
         "--stats-json",
         default=None,
         metavar="PATH",
-        help="write the structured sweep report (repro-sweep/1) as JSON",
-    )
-    sweep.add_argument(
-        "--trace",
-        default=None,
-        metavar="OUT.json",
-        help="write worker-lifetime spans as a Perfetto-loadable trace",
-    )
-    sweep.add_argument(
-        "--chaos-kill-at",
-        type=int,
-        default=None,
-        metavar="STEP",
-        help="inject a worker SIGKILL at STEP on each job's first "
-        "attempt (exercises the kill/resume path; used by CI)",
-    )
-    sweep.add_argument(
-        "--log-json",
-        default=None,
-        metavar="PATH",
-        help="write the merged supervisor+worker structured log stream "
-        "(repro-log/1) as JSON",
+        help="write the sweep report (repro-sweep/2: per-job outcome, "
+        "spike digest and run statistics) as JSON",
     )
     _add_serve_flags(sweep)
     _add_alert_flags(sweep)

@@ -110,17 +110,7 @@ class CheckpointError(ReliabilityError):
         self.reason = reason
 
 
-class SupervisionError(ReproError):
-    """Raised when the supervision layer is misconfigured or a sweep
-    cannot be orchestrated (duplicate job names, bad retry policy,
-    broken worker protocol). Individual *job* failures are not
-    exceptions — they are classified into ``JobReport.failure_kind``
-    (``timeout`` / ``crash`` / ``numerics`` / ``oom-like``) so a sweep
-    survives them.
-    """
-
-
-class ShardingError(SupervisionError):
+class ShardingError(ReproError):
     """Raised when a ``ShardRunner`` is driven out of protocol.
 
     Covers a window of no steps and an exchange that is missing a

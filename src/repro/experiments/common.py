@@ -91,63 +91,6 @@ def profile_workload(
     )
 
 
-def supervised_profiles(
-    names: Sequence[str],
-    scale: float = 0.05,
-    steps: int = 400,
-    seed: int = 1,
-    solver: Optional[str] = None,
-    workers: int = 1,
-    supervisor=None,
-) -> List[WorkloadProfile]:
-    """Profile workloads under process-isolated supervision.
-
-    The opt-in robust path for figure sweeps: each workload runs in its
-    own spawned worker with a deadline, heartbeat watchdog, retry with
-    backoff, and checkpoint-based crash recovery (see
-    :mod:`repro.supervision`). The activity measurements are the same
-    numbers :func:`profile_workload` produces in-process — the workers
-    use identical seeding and the reference backend — so the resulting
-    :class:`WorkloadProfile` rows are drop-in interchangeable.
-
-    Pass a preconfigured ``supervisor`` to control retries, deadlines
-    or metrics; a job that still fails after its retry budget raises
-    :class:`~repro.errors.SupervisionError` naming the failure kind.
-    """
-    from repro.errors import SupervisionError
-    from repro.supervision import JobSpec, Supervisor
-
-    if supervisor is None:
-        supervisor = Supervisor(workers=workers, seed=seed)
-    jobs = [
-        JobSpec(
-            name=name,
-            workload=name,
-            backend="reference",
-            steps=steps,
-            scale=scale,
-            seed=seed,
-            dt=DT,
-            solver=solver,
-        )
-        for name in names
-    ]
-    report = supervisor.run(jobs)
-    profiles: List[WorkloadProfile] = []
-    for job in report.jobs:
-        if not job.completed or job.profile is None:
-            worst = job.attempts[-1].error if job.attempts else ""
-            raise SupervisionError(
-                f"supervised profile of {job.name!r} failed "
-                f"({job.failure_kind}) after {len(job.attempts)} "
-                f"attempt(s): {worst}"
-            )
-        payload = dict(job.profile)
-        payload["ops_per_update"] = dict(payload["ops_per_update"])
-        profiles.append(WorkloadProfile(**payload))
-    return profiles
-
-
 def format_table(
     headers: Sequence[str], rows: Sequence[Sequence[object]]
 ) -> str:

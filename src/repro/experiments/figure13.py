@@ -130,27 +130,15 @@ def run(
     steps: int = 300,
     seed: int = 1,
     names: Optional[List[str]] = None,
-    supervised: bool = False,
 ) -> List[Figure13Row]:
-    """Regenerate Figure 13 for all (or the given) workloads.
-
-    ``supervised=True`` profiles each workload in a process-isolated,
-    deadline-guarded worker (see :func:`repro.experiments.common.
-    supervised_profiles`) instead of in-process.
-    """
+    """Regenerate Figure 13 for all (or the given) workloads."""
     names = list(names) if names is not None else workload_names()
-    if supervised:
-        from repro.experiments.common import supervised_profiles
-
-        profiles = supervised_profiles(
-            names, scale=scale, steps=steps, seed=seed
-        )
-    else:
-        profiles = [
+    return [
+        evaluate_workload(
             profile_workload(name, scale=scale, steps=steps, seed=seed)
-            for name in names
-        ]
-    return [evaluate_workload(profile) for profile in profiles]
+        )
+        for name in names
+    ]
 
 
 def geomean_speedups(rows: List[Figure13Row]) -> Dict[str, float]:

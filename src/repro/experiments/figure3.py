@@ -74,27 +74,13 @@ def run(
     steps: int = 300,
     seed: int = 1,
     names: Optional[List[str]] = None,
-    supervised: bool = False,
 ) -> List[BreakdownRow]:
-    """Regenerate Figure 3: every workload on CPU and GPU.
-
-    ``supervised=True`` measures each workload in a process-isolated,
-    deadline-guarded worker with retry and crash recovery (see
-    :func:`repro.experiments.common.supervised_profiles`) — same
-    numbers, but a hung or killed workload cannot take the sweep down.
-    """
+    """Regenerate Figure 3: every workload on CPU and GPU."""
     names = list(names) if names is not None else workload_names()
-    if supervised:
-        from repro.experiments.common import supervised_profiles
-
-        profiles = supervised_profiles(
-            names, scale=scale, steps=steps, seed=seed
-        )
-    else:
-        profiles = [
-            profile_workload(name, scale=scale, steps=steps, seed=seed)
-            for name in names
-        ]
+    profiles = [
+        profile_workload(name, scale=scale, steps=steps, seed=seed)
+        for name in names
+    ]
     rows: List[BreakdownRow] = []
     for name, profile in zip(names, profiles):
         rows.append(

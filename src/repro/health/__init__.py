@@ -4,8 +4,8 @@ The layer that turns the observability plane from a dashboard into a
 watchdog: :mod:`~repro.health.detectors` classify the live run's signal
 streams, :mod:`~repro.health.alerts` runs declarative rules with a
 pending→firing→resolved state machine over them, and
-:mod:`~repro.health.resources` samples per-process RSS/CPU/FDs for both
-the local exposition and the worker heartbeat protocol.
+:mod:`~repro.health.resources` samples per-process RSS/CPU/FDs for the
+``process_*`` exposition.
 """
 
 from repro.health.alerts import (
@@ -14,7 +14,6 @@ from repro.health.alerts import (
     AlertManager,
     AlertRule,
     HealthHook,
-    HealthMonitor,
     load_alert_rules,
     parse_alert_rules,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "EventMonitor",
     "EwmaBaseline",
     "HealthHook",
-    "HealthMonitor",
     "HealthSignal",
     "ResourceSampler",
     "SaturationDetector",

@@ -22,14 +22,12 @@ can show that a rule fired *and* recovered.
 Rules load from a JSON spec (``repro run/sweep --alerts SPEC``); see
 ``examples/alerts.json`` and :func:`parse_alert_rules` for the format.
 
-Two drivers evaluate the manager:
-
-* :class:`HealthHook` — a :class:`~repro.engine.hooks.PhaseHook` for
-  single-process runs, following ``ServeHook``'s hot-loop discipline
-  (one deque-free counter bump per step; detectors, registry reads,
-  and the state machine run at most once per ``publish_interval``);
-* :class:`HealthMonitor` — a clock-throttled driver for contexts with
-  no phase stream: ``repro sweep`` runs it on a background thread.
+:class:`HealthHook` evaluates the manager: a
+:class:`~repro.engine.hooks.PhaseHook` following ``ServeHook``'s
+hot-loop discipline (one deque-free counter bump per step; detectors,
+registry reads, and the state machine run at most once per
+``publish_interval``). ``repro sweep`` attaches a fresh one to each
+job, all feeding the one manager.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ __all__ = [
     "AlertManager",
     "AlertRule",
     "HealthHook",
-    "HealthMonitor",
     "load_alert_rules",
     "parse_alert_rules",
 ]
@@ -286,8 +283,8 @@ class Alert:
 class AlertManager:
     """Runs every rule's state machine over each evaluation's inputs.
 
-    Thread-safe: ``repro sweep`` evaluates from the monitor's
-    background thread while HTTP threads read :meth:`document`.
+    Thread-safe: the simulation thread evaluates while HTTP threads
+    read :meth:`document`.
     """
 
     def __init__(
@@ -627,82 +624,3 @@ class HealthHook(PhaseHook):
         for population, stats in diagnostics.saturation.items():
             self.saturation.observe(population, stats.total_clipped)
         self.events.observe("fallback", len(diagnostics.fallbacks))
-
-
-class HealthMonitor:
-    """Clock-throttled health driver for non-PhaseHook contexts.
-
-    ``repro sweep`` calls :meth:`start` to tick from a daemon thread
-    while the supervisor blocks, and ends with :meth:`finish`, which
-    forces a final evaluation so no-longer-true conditions resolve
-    before the summary is recorded.
-    """
-
-    def __init__(
-        self,
-        manager: AlertManager,
-        event_monitor: Optional[EventMonitor] = None,
-        resources: Optional[ResourceSampler] = None,
-        metrics=None,
-        interval: float = DEFAULT_EVAL_INTERVAL,
-    ) -> None:
-        self.manager = manager
-        self.events = (
-            event_monitor if event_monitor is not None else EventMonitor()
-        )
-        self.resources = (
-            resources if resources is not None else ResourceSampler()
-        )
-        self.metrics = metrics
-        self.interval = interval
-        self._lock = threading.Lock()
-        self._last_eval = 0.0
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-
-    # -- inputs ------------------------------------------------------------
-
-    def event_total(self, kind: str, total: int) -> None:
-        with self._lock:
-            self.events.observe(kind, total)
-
-    # -- evaluation --------------------------------------------------------
-
-    def tick(self, force: bool = False) -> None:
-        now = time.monotonic()
-        with self._lock:
-            if not force and now - self._last_eval < self.interval:
-                return
-            self._last_eval = now
-            signals = self.events.signals()
-        if self.metrics is not None:
-            self.resources.publish(self.metrics)
-        self.manager.evaluate(now, signals, metrics=self.metrics)
-
-    def finish(self) -> None:
-        """Stop any background thread and run one final evaluation."""
-        self.stop()
-        self.tick(force=True)
-
-    # -- background driving (repro sweep) ----------------------------------
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(self.interval):
-                self.tick(force=True)
-
-        self._thread = threading.Thread(
-            target=loop, name="repro-health", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None

@@ -9,15 +9,10 @@ Every read degrades gracefully — a platform without a source reports
 ``0.0`` / ``None`` for that field rather than raising — so the sampler
 is safe to run unconditionally on any POSIX-ish host.
 
-The same sampler serves two consumers:
-
-* the main process publishes the standard ``process_*`` families on
-  its own ``/metrics`` exposition (:func:`declare_process_metrics`
-  pins the names, types, and help strings — the golden exposition
-  test locks them byte-for-byte);
-* supervision workers attach ``rss_bytes`` / ``cpu_seconds`` to their
-  heartbeat messages, so the parent exposes per-job gauges without a
-  second wire protocol.
+The sampler publishes the standard ``process_*`` families on the
+process's ``/metrics`` exposition (:func:`declare_process_metrics` pins
+the names, types, and help strings — the golden exposition test locks
+them byte-for-byte).
 """
 
 from __future__ import annotations
@@ -114,8 +109,7 @@ def declare_process_metrics(metrics) -> Tuple[object, object, object]:
 class ResourceSampler:
     """Samples this process's resource usage and publishes it.
 
-    ``sample()`` returns a plain dict (what workers attach to their
-    heartbeat messages); ``publish(metrics)`` additionally lands the
+    ``sample()`` returns a plain dict; ``publish(metrics)`` also lands the
     values on the pinned ``process_*`` families. CPU seconds are
     published with ``set_total`` and clamped monotone, so a registry
     scraped mid-``getrusage``-glitch never sees a counter go down.

@@ -99,8 +99,8 @@ class SpikeRecorder:
         """SHA-256 over the full spike trains (bit-identity pinning).
 
         Two recorders whose digests match hold bit-identical spikes —
-        the cheap cross-process stand-in for comparing the full trains.
-        ``repro.supervision.job.spike_digest`` delegates here.
+        the cheap stand-in for comparing the full trains across runs,
+        processes and commits (``run``/``sweep`` stats, the ledger).
         """
         digest = hashlib.sha256()
         for population in self.populations():

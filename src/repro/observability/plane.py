@@ -36,7 +36,7 @@ def start_plane(
             help="SSE events dropped across all subscribers "
             "(slow consumers lose events instead of blocking)",
         ).set_total(bus.dropped_total)
-        # The registry is mutated by the run/supervisor threads without
+        # The registry is mutated by the simulation thread without
         # a lock shared with the HTTP threads; retry the (rare, benign)
         # dict-resized-during-iteration race instead of locking the hot
         # path.

@@ -12,7 +12,7 @@ standard library:
 ``GET /healthz``
     Liveness: 200 while the process and its runtimes are numerically
     sound, 503 with a reason otherwise (backed by the runtimes'
-    ``health()`` screens and the supervisor breaker state).
+    ``health()`` screens).
 ``GET /readyz``
     Readiness: 200 once the run/sweep has started doing work.
 ``GET /status``
@@ -32,7 +32,7 @@ standard library:
     alert rules (``--alerts`` not given).
 ``GET /events``
     A Server-Sent Events stream (schema ``repro-events/1``) of
-    phase/job/attempt events published on the :class:`EventBus`.
+    run, progress and alert events published on the :class:`EventBus`.
     Events carry ``event:`` (the type), ``id:`` (monotone sequence)
     and a JSON ``data:`` payload; keep-alive comment lines flow while
     the bus is quiet so proxies and clients can tell silence from
@@ -202,7 +202,7 @@ class _Subscription:
 class StatusBoard:
     """A thread-safe dict the run updates and ``/status`` snapshots.
 
-    Writers (the simulation/supervisor threads) call :meth:`update`
+    Writers (the simulation thread) call :meth:`update`
     with partial payloads; readers get a consistent deep-enough copy —
     top-level and one nested dict level are copied, which covers every
     payload this repo publishes.

@@ -1,11 +1,11 @@
 """``repro top``: a live console view of a serving run or sweep.
 
-Polls ``GET /status`` on an observability server (started via ``repro
-serve`` or ``--serve`` on ``repro run`` / ``repro sweep``) and renders
+Polls ``GET /status`` on an observability server (started by
+``--serve`` on ``repro run`` / ``repro sweep``) and renders
 a refreshing console dashboard: run state and throughput, per-phase
-p50/p95, per-population ops/sec, for sweeps the per-job worker states,
-attempts, retries, and breaker trips, plus the health layer's alert
-pane and the event bus's publish/drop accounting.
+p50/p95, per-population ops/sec, plus the health layer's alert pane
+and the event bus's publish/drop accounting. A sweep shows the job it
+is running.
 
 Rendering is a pure function of the status document
 (:func:`format_top`), so the view is testable without a server; the
@@ -54,7 +54,7 @@ def format_top(status: dict) -> str:
     """Render one ``/status`` snapshot as a console dashboard."""
     lines = []
     state = status.get("state", "unknown")
-    network = status.get("network") or status.get("sweep") or "?"
+    network = status.get("network") or "?"
     header = f"repro top — {network} [{state}]"
     lines.append(header)
     lines.append("=" * len(header))
@@ -95,30 +95,6 @@ def format_top(status: dict) -> str:
                 f"{_fmt_rate(entry.get('ops_per_sec', 0.0)):>9} "
                 + (f"{p50:>8.1f}us " if p50 is not None else f"{'-':>10} ")
                 + (f"{p95:>8.1f}us" if p95 is not None else f"{'-':>10}")
-            )
-
-    jobs = status.get("jobs") or {}
-    if jobs:
-        lines.append("")
-        lines.append(
-            f"{'job':<22} {'state':<12} {'backend':<10} {'attempt':>7} "
-            f"{'step':>8} {'retries':>7}"
-        )
-        for name, entry in sorted(jobs.items()):
-            lines.append(
-                f"{name:<22} {entry.get('state', '?'):<12} "
-                f"{entry.get('backend', '?'):<10} "
-                f"{entry.get('attempt', 0) + 1:>7} "
-                f"{entry.get('step', 0):>8,} "
-                f"{entry.get('retries', 0):>7}"
-            )
-        totals = status.get("sweep_totals") or {}
-        if totals:
-            lines.append(
-                f"jobs {totals.get('completed', 0)}/{totals.get('total', 0)} "
-                f"done, {totals.get('failed', 0)} failed, "
-                f"{totals.get('retries', 0)} retries, "
-                f"{totals.get('breaker_trips', 0)} breaker trip(s)"
             )
 
     alerts = status.get("alerts") or {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import uuid
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -36,6 +37,7 @@ __all__ = [
     "find_entry",
     "load_ledger",
     "make_entry",
+    "new_run_id",
     "runs_document",
     "summarize_entry",
 ]
@@ -59,6 +61,11 @@ DIFF_FIELDS = (
     "spike_digest",
     "outcome",
 )
+
+
+def new_run_id() -> str:
+    """A fresh id for one run, sweep or profile (``run-`` + 12 hex)."""
+    return "run-" + uuid.uuid4().hex[:12]
 
 
 def config_digest(config: dict) -> str:
@@ -149,9 +156,9 @@ def load_ledger(path: str) -> List[dict]:
 def find_entry(entries: Iterable[dict], run_id: str) -> dict:
     """Resolve ``run_id`` (full id or unique prefix) to one entry.
 
-    A repeated run id (e.g. a sweep and its jobs sharing one id) is
-    resolved to the *latest* matching entry; an ambiguous prefix
-    matching different ids is an error listing the candidates.
+    A repeated run id is resolved to the *latest* matching entry; an
+    ambiguous prefix matching different ids is an error listing the
+    candidates.
     """
     exact = [e for e in entries if e.get("run_id") == run_id]
     if exact:

@@ -1,15 +1,14 @@
 """RunContext: one command invocation's plane, brought up and written out.
 
-``repro run``, ``repro sweep`` and ``repro profile`` differ in *who
-steps* — ``Simulator.run`` with hooks, ``Supervisor.run``, the profile
-harness — and share everything around it, in this order:
+``repro run``, ``repro sweep`` and ``repro profile`` differ in *what
+steps* — one ``Simulator.run``, a loop of them, the profile harness —
+and share everything around it, in this order:
 
-**Bring-up** (construction, :meth:`~RunContext.attach` or
-:meth:`~RunContext.monitor`, then :meth:`~RunContext.serve`): run id →
-metrics registry (only when a flag will read it) → ``StatusBoard`` +
-``EventBus`` (``--serve``) → ``AlertManager`` (``--alerts``) →
-``ServeHook`` / ``HealthHook`` on a simulator, or a ``HealthMonitor``
-for steppers that take no hooks → the HTTP plane.
+**Bring-up** (construction, :meth:`~RunContext.attach` per simulator,
+:meth:`~RunContext.serve`): run id → metrics registry (only when a flag
+will read it) → ``StatusBoard`` + ``EventBus`` (``--serve``) →
+``AlertManager`` (``--alerts``) → ``ServeHook`` / ``HealthHook`` on each
+simulator → the HTTP plane.
 
 **Write-out** (:meth:`~RunContext.write_out`): alert summary →
 ``--stats-json`` → ``--prometheus`` → ``--trace`` → one ledger entry
@@ -34,7 +33,7 @@ class RunContext:
     """
 
     def __init__(self, args, kind: str) -> None:
-        from repro.observability.log import new_run_id
+        from repro.provenance.ledger import new_run_id
 
         self.args = args
         self.kind = kind
@@ -109,19 +108,11 @@ class RunContext:
             )
         return hooks
 
-    def monitor(self):
-        """A clock-driven health driver for a stepper that takes no
-        hooks (the supervisor); None without ``--alerts``."""
-        if self.manager is None:
-            return None
-        from repro.health import HealthMonitor
-
-        return HealthMonitor(self.manager, metrics=self.metrics)
-
     def _runtime_health(self) -> Tuple[bool, str]:
-        """``/healthz`` of an attached simulator: every runtime finite."""
-        runtimes = getattr(self._simulator.backend, "runtimes", {})
-        for name, runtime in runtimes.items():
+        """``/healthz``: every runtime of the latest attached simulator
+        finite (healthy before the first one is attached)."""
+        backend = getattr(self._simulator, "backend", None)
+        for name, runtime in getattr(backend, "runtimes", {}).items():
             bad = runtime.health()
             if bad is not None:
                 variable, indices = bad
@@ -131,11 +122,11 @@ class RunContext:
                 )
         return True, ""
 
-    def serve(self, what, health_check=None) -> None:
+    def serve(self, what) -> None:
         """Start the HTTP plane behind ``--serve`` (no-op without it).
 
-        ``what`` names the work in the ``/readyz`` message; the default
-        ``/healthz`` probes the attached simulator's runtimes.
+        ``what`` names the work in the ``/readyz`` message; ``/healthz``
+        probes the attached simulator's runtimes.
         """
         if self.status is None:
             return
@@ -148,11 +139,9 @@ class RunContext:
                 f"{what} state is {state!r}",
             )
 
-        if health_check is None and self._simulator is not None:
-            health_check = self._runtime_health
         self.server = start_plane(
             self.args.serve, self.args.serve_port_file, self.metrics,
-            self.status, self.bus, health_check, ready_check,
+            self.status, self.bus, self._runtime_health, ready_check,
             ledger_path=self.ledger_path,
             alerts_source=self.manager and self.manager.document,
         )

@@ -1,50 +1,21 @@
-"""Supervision layer: process-isolated workers that survive anything.
+"""Graceful SIGINT/SIGTERM for foreground ``repro run``.
 
-The reliability layer (checkpoints, numeric guards, fallback runtimes)
-keeps a *healthy process* honest; this package keeps the *sweep* honest
-when the process itself dies. A :class:`Supervisor` runs simulation
-jobs (:class:`JobSpec`) in spawned worker subprocesses, enforcing
-wall-clock deadlines and progress heartbeats with a watchdog, retrying
-failures with exponential backoff + jitter (:class:`RetryPolicy`),
-resuming killed jobs from their latest checkpoint bit-identically, and
-classifying every failure (``timeout`` / ``crash`` / ``numerics`` /
-``oom-like``) into structured :class:`JobReport` records. Repeated
-numerics failures trip a per-backend circuit breaker that degrades jobs
-to the verbatim solver backend — :class:`~repro.reliability.fallback.
-FallbackRuntime` semantics lifted to the job level.
-
-Entry points:
-
-* ``python -m repro sweep`` — run a registry of workloads under
-  supervision from the command line;
-* :func:`repro.experiments.common.supervised_profiles` — the opt-in
-  supervised path for figure sweeps;
-* :mod:`repro.supervision.interrupt` — graceful SIGINT/SIGTERM for
-  foreground ``repro run`` (final checkpoint + partial stats + a
-  documented exit code instead of a traceback).
+:mod:`repro.supervision.interrupt` turns an interrupt into a final
+checkpoint, partial statistics and a documented exit code instead of a
+traceback. ``repro sweep`` runs its workloads one after another in the
+calling process (see :mod:`repro.cli`); there is no process pool.
 
 Exports resolve lazily (PEP 562, like :mod:`repro.reliability`): the
-worker and supervisor import the simulator stack, and eager imports
-here would slow ``import repro`` and risk cycles.
+interrupt hook imports the engine, and an eager import here would slow
+``import repro``.
 """
 
 import importlib
 
 _EXPORTS = {
-    "AttemptReport": "repro.supervision.job",
     "EXIT_CODES": "repro.supervision.interrupt",
-    "FAILURE_KINDS": "repro.supervision.job",
     "InterruptHook": "repro.supervision.interrupt",
-    "JobReport": "repro.supervision.job",
-    "JobSpec": "repro.supervision.job",
-    "RetryPolicy": "repro.supervision.backoff",
-    "Supervisor": "repro.supervision.supervisor",
-    "SupervisorConfig": "repro.supervision.config",
-    "SweepReport": "repro.supervision.job",
     "graceful_signals": "repro.supervision.interrupt",
-    "run_job_inline": "repro.supervision.worker",
-    "spike_digest": "repro.supervision.job",
-    "worker_entry": "repro.supervision.worker",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -216,7 +216,7 @@ def run_profile(
     correlates the payload with the provenance ledger (minted when
     empty).
     """
-    from repro.observability.log import new_run_id
+    from repro.provenance.ledger import new_run_id
 
     run_id = run_id or new_run_id()
     entries: Dict[str, dict] = {}

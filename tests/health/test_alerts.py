@@ -9,7 +9,6 @@ from repro.health.alerts import (
     ALERTS_SCHEMA,
     AlertManager,
     AlertRule,
-    HealthMonitor,
     load_alert_rules,
     parse_alert_rules,
 )
@@ -264,25 +263,3 @@ class TestPublishing:
         # fired_total is cumulative, not a live count.
         assert registry.value_of("alerts_fired_total") == 1
 
-
-class TestHealthMonitor:
-    def test_event_totals_drive_event_rules(self):
-        manager = AlertManager([
-            AlertRule(name="degraded", detector="events", kind="degraded"),
-        ])
-        monitor = HealthMonitor(manager)
-        monitor.event_total("degraded", 1)
-        monitor.tick(force=True)
-        assert manager.counts()["firing"] == 1
-
-    def test_background_thread_starts_and_stops_cleanly(self):
-        manager = AlertManager([
-            AlertRule(name="degraded", detector="events", kind="degraded"),
-        ])
-        monitor = HealthMonitor(manager, interval=0.01)
-        monitor.start()
-        monitor.start()  # idempotent
-        monitor.event_total("degraded", 1)
-        monitor.finish()
-        assert monitor._thread is None
-        assert manager.summary()["fired_total"] == 1

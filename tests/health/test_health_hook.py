@@ -14,7 +14,6 @@ from repro.health import (
 )
 from repro.health.detectors import SpikeRateDetector
 from repro.network.simulator import Simulator
-from repro.supervision.job import spike_digest
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads import build_workload
 from repro.workloads.builders import DT
@@ -119,7 +118,7 @@ class TestBitIdentity:
         )
         bare = bare_sim.run(40)
         monitored = monitored_sim.run(40, hooks=[hook])
-        assert spike_digest(monitored.spikes) == spike_digest(bare.spikes)
+        assert monitored.spikes.digest() == bare.spikes.digest()
 
 
 class TestOverheadBudget:

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ALERTS = os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "alerts.json"
+)
 
 
 class TestParser:
@@ -83,6 +90,30 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "geomean latency" in out
+
+    @pytest.mark.parametrize(
+        "name, argv, message",
+        [
+            ("figure3", ["--steps", "0"], "steps must be >= 1, got 0"),
+            ("table3", ["--steps", "0"], "steps must be >= 1, got 0"),
+            ("figure13", ["--steps", "-5"], "steps must be >= 1, got -5"),
+            ("figure3", ["--scale", "0"], "scale must be positive"),
+            ("validation", ["--scale", "nan"], "scale must be positive"),
+            ("all", ["--scale", "-1"], "scale must be positive"),
+        ],
+        ids=[
+            "figure3-steps0", "table3-steps0", "figure13-steps<0",
+            "figure3-scale0", "validation-scale-nan", "all-scale<0",
+        ],
+    )
+    def test_experiment_refuses_before_any_output(
+        self, name, argv, message, capsys
+    ):
+        assert main(["experiment", name, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_experiment_resilience_small(self, capsys):
         code = main(
@@ -363,48 +394,91 @@ class TestSweepCli:
         args = build_parser().parse_args(["sweep"])
         assert args.workloads == []
         assert args.backend == "reference"
-        assert args.max_retries == 2
-        assert args.deadline == 120.0
-        assert args.checkpoint_every == 50
-        assert args.workers == 1
-        assert args.chaos_kill_at is None
+        assert (args.scale, args.steps, args.seed) == (0.05, 400, 1)
+        for gone in ("workers", "max_retries", "deadline", "chaos_kill_at"):
+            assert not hasattr(args, gone)
 
     def test_sweep_unknown_workload_fails_cleanly(self, capsys):
         assert main(["sweep", "NoSuchNet"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
-    def test_sweep_runs_supervised_jobs(self, tmp_path, capsys):
-        import json
-
+    def test_sweep_runs_jobs_in_process(self, tmp_path, capsys):
         stats = tmp_path / "sweep.json"
-        trace = tmp_path / "trace.json"
         code = main(
             ["sweep", "Nowotny et al.", "--scale", "0.05",
-             "--steps", "100", "--seed", "3",
-             "--stats-json", str(stats), "--trace", str(trace)]
+             "--steps", "100", "--seed", "3", "--no-ledger",
+             "--stats-json", str(stats)]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "1/1 jobs completed" in out
-        assert "completed" in out
         doc = json.loads(stats.read_text())
-        assert doc["schema"] == "repro-sweep/1"
-        assert doc["jobs"][0]["name"] == "Nowotny et al."
-        assert doc["jobs"][0]["outcome"] == "completed"
-        assert doc["metrics"]["supervisor_jobs_completed"]
-        trace_doc = json.loads(trace.read_text())
-        assert any(
-            event.get("ph") == "X" for event in trace_doc["traceEvents"]
-        )
+        assert doc["schema"] == "repro-sweep/2"
+        assert (doc["completed"], doc["failed"]) == (1, 0)
+        (job,) = doc["jobs"]
+        assert job["name"] == "Nowotny et al."
+        assert job["outcome"] == "completed"
+        assert job["stats"]["n_steps"] == 100
 
-    def test_sweep_chaos_kill_retries_and_resumes(self, capsys):
+    def test_a_numerics_failure_fails_one_job_and_the_loop_goes_on(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.errors import NumericsError
+        from repro.provenance import load_ledger
+        from repro.reliability import guard
+
+        guards = []
+
+        class TripsOnTheFirstJob(guard.NumericsGuard):
+            def __init__(self, backend):
+                super().__init__(backend)
+                guards.append(self)
+
+            def on_phase(self, phase, step, seconds, operations):
+                if self is guards[0] and step == 20:
+                    raise NumericsError(
+                        "membrane went NaN", population="exc", step=step
+                    )
+                super().on_phase(phase, step, seconds, operations)
+
+        monkeypatch.setattr(guard, "NumericsGuard", TripsOnTheFirstJob)
+        stats = tmp_path / "sweep.json"
+        ledger = str(tmp_path / "ledger.jsonl")
         code = main(
-            ["sweep", "Nowotny et al.", "--scale", "0.05",
-             "--steps", "100", "--seed", "3",
-             "--chaos-kill-at", "60", "--checkpoint-every", "25",
-             "--backoff-base", "0.01"]
+            ["sweep", "Brunel", "Izhikevich", "--scale", "0.05",
+             "--steps", "100", "--ledger", ledger,
+             "--stats-json", str(stats)]
         )
-        assert code == 0
+        assert code == 1
         out = capsys.readouterr().out
-        assert "chaos" in out
-        assert "1/1 jobs completed" in out
+        assert "job 'Brunel' failed: membrane went NaN" in out
+        assert "1/2 jobs completed" in out
+        failed, completed = json.loads(stats.read_text())["jobs"]
+        assert failed["outcome"] == "failed"
+        assert failed["error"] == "membrane went NaN"
+        assert "spike_digest" not in failed
+        assert completed["outcome"] == "completed"
+        (entry,) = load_ledger(ledger)
+        assert entry["outcome"] == "failed"
+        assert entry["metrics"] == {"jobs": 2, "completed": 1, "failed": 1}
+        assert list(entry["job_digests"]) == ["Izhikevich"]
+
+    @pytest.mark.parametrize(
+        "names", [["Brunel", "Vogels et al."], ["Vogels et al.", "Brunel"]],
+        ids=["brunel-first", "vogels-first"],
+    )
+    def test_jobs_share_one_plane_without_tripping_its_counters(
+        self, names, tmp_path, capsys
+    ):
+        # Vogels publishes larger per-population totals under the same
+        # labels (exc, inh) than Brunel; one registry fed by both runs
+        # would refuse the second as a counter going backwards.
+        stats = tmp_path / "sweep.json"
+        code = main(
+            ["sweep", *names, "--scale", "0.05", "--steps", "300",
+             "--no-ledger", "--alerts", ALERTS, "--stats-json", str(stats)]
+        )
+        assert code == 0, capsys.readouterr()
+        doc = json.loads(stats.read_text())
+        assert [job["outcome"] for job in doc["jobs"]] == ["completed"] * 2
+        assert doc["alerts"]["fired_total"] == 0, doc["alerts"]

@@ -1,4 +1,4 @@
-"""CLI-level observability: --serve endpoints, --log-json, top.
+"""CLI-level observability: --serve endpoints and top.
 
 The in-process tests (``tests/observability/``) pin each component;
 these pin the *wiring* — that the flags on ``repro run`` / ``repro
@@ -111,14 +111,15 @@ class TestServeFlag:
         assert code == 0, output
         assert "observability plane at" in output
 
-    def test_sweep_serve_and_log_json(self, tmp_path):
+    def test_sweep_serves_every_job_and_fires_no_alert(self, tmp_path):
         port_file = str(tmp_path / "port")
-        log_path = str(tmp_path / "logs.json")
+        stats_path = str(tmp_path / "sweep.json")
         process = _spawn_cli(
             [
-                "sweep", "Brunel", "--backend", "reference",
-                "--scale", "0.02", "--steps", "200",
-                "--log-json", log_path,
+                "sweep", "Brunel", "Vogels et al.", "--backend", "reference",
+                "--scale", "0.05", "--steps", "300",
+                "--alerts", os.path.join(REPO_ROOT, "examples", "alerts.json"),
+                "--stats-json", stats_path,
                 "--serve", ":0", "--serve-port-file", port_file,
                 "--serve-linger", "120",
             ],
@@ -128,29 +129,28 @@ class TestServeFlag:
             port = _wait_for_port(port_file, process)
             base = f"http://127.0.0.1:{port}"
             _fetch(f"{base}/healthz")
-            # Poll /status until the sweep's job table fills in.
+            # The sweep is over once its stats are written; the plane
+            # then shows the last job and keeps serving while it lingers.
             deadline = time.monotonic() + 60.0
-            status = {}
             while time.monotonic() < deadline:
-                status = json.loads(_fetch(f"{base}/status"))
-                if status.get("state") == "finished":
+                if os.path.exists(stats_path):
                     break
                 time.sleep(0.2)
+            status = json.loads(_fetch(f"{base}/status"))
             assert status.get("state") == "finished", status
-            assert status["jobs"], "job table never populated"
-            (job,) = status["jobs"].values()
-            assert job["state"] == "completed"
+            assert status["network"] == "Vogels et al."
+            alerts = json.loads(_fetch(f"{base}/alerts"))
+            assert alerts["fired_total"] == 0, alerts
         finally:
             code, output = _finish(process)
         assert code == 0, output
         assert "sweep run ID: run-" in output
-
-        document = json.loads(open(log_path, encoding="utf-8").read())
-        assert document["schema"] == "repro-log/1"
-        assert document["run_id"].startswith("run-")
-        events = [record["event"] for record in document["records"]]
-        assert events[0] == "sweep-start"
-        assert "worker-done" in events
+        assert "2/2 jobs completed" in output
+        document = json.loads(open(stats_path, encoding="utf-8").read())
+        assert [job["outcome"] for job in document["jobs"]] == [
+            "completed", "completed",
+        ]
+        assert document["alerts"]["fired_total"] == 0
 
     def test_serve_command_with_top_once(self, tmp_path):
         port_file = str(tmp_path / "port")
@@ -170,19 +170,3 @@ class TestServeFlag:
             _finish(process)
         assert code == 0
 
-
-class TestLogJsonWithoutServe:
-    def test_sweep_log_json_needs_no_server(self, tmp_path, capsys):
-        log_path = str(tmp_path / "logs.json")
-        code = main(
-            [
-                "sweep", "Brunel", "--backend", "reference",
-                "--scale", "0.02", "--steps", "150",
-                "--log-json", log_path,
-            ]
-        )
-        assert code == 0
-        assert "wrote merged log stream" in capsys.readouterr().out
-        document = json.loads(open(log_path, encoding="utf-8").read())
-        assert document["schema"] == "repro-log/1"
-        assert document["n_records"] == len(document["records"]) > 0

@@ -1,4 +1,4 @@
-"""One assembly path behind run / sweep / its worker / the sharded oracle.
+"""One assembly path behind run / sweep / the sharded oracle.
 
 ``repro.assembly`` owns the backend table and the seed contract
 (network seeds with ``seed``, stimulus RNG with ``seed + 1``);
@@ -23,7 +23,6 @@ from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.provenance import config_digest, load_ledger
 from repro.sharding import simulate_sharded
-from repro.supervision import JobSpec, run_job_inline, spike_digest
 
 SCALE, SEED, STEPS = 0.05, 3, 300
 
@@ -37,11 +36,13 @@ ENTRY_FIELDS = {
 #: ``config_digest`` of the entries the parent commit wrote for
 #: ``run Brunel --backend reference --scale 0.05 --steps 300 --seed 3``
 #: and the matching one-job ``sweep`` (``"shards": 0`` is part of both
-#: configs, so it stays in them as a constant).
+#: configs, so it stays in them as a constant). Re-pinned 2026-10-15:
+#: the sweep's config dropped ``workers`` and ``max_retries`` when the
+#: process pool went (was ``c85094c2…``); the ``run`` digest never moved.
 PARENT_BRUNEL_DIGESTS = {
     "run": "74b048b7cd54295e288f4532544256c990246a922d8b420e513d30f370fbeb36",
     "sweep": (
-        "c85094c24524420af5753b7369eaecef577ccec191826077dda4899474336cf2"
+        "18f9d836d23112f75e428a02118a96b2596f6862d0bf63957f3d25d07da96b67"
     ),
 }
 
@@ -68,7 +69,7 @@ def test_one_digest_from_every_entry_point(
     assembly = assemble(workload, backend, scale=SCALE, seed=SEED)
     result = assembly.simulator().run(STEPS)
     assert result.total_spikes() > 0
-    expected = spike_digest(result.spikes)
+    expected = result.spikes.digest()
 
     ledger = str(tmp_path / "ledger.jsonl")
     common = [
@@ -83,12 +84,6 @@ def test_one_digest_from_every_entry_point(
 
     single = stats_of(["run", workload], "run.json")
     sweep = stats_of(["sweep", workload], "sweep.json")
-    inline = run_job_inline(
-        JobSpec(
-            name="inline", workload=workload, backend=backend, steps=STEPS,
-            scale=SCALE, seed=SEED,
-        )
-    )
     capsys.readouterr()
 
     assert single["spike_digest"] == expected
@@ -98,7 +93,6 @@ def test_one_digest_from_every_entry_point(
             backend_factory=assembly.backend, seed=assembly.stimulus_seed,
         )
         assert sharded.digest() == expected
-    assert inline["spike_digest"] == expected
     (job,) = sweep["jobs"]
     assert job["spike_digest"] == expected
 
@@ -122,7 +116,7 @@ def test_one_digest_from_every_entry_point(
     assert sweep_entry["config"] == {
         "workloads": [workload], "backend": backend, "steps": STEPS,
         "scale": SCALE, "seed": SEED, "dt": 1e-4, "solver": None,
-        "shards": 0, "workers": 1, "max_retries": 2,
+        "shards": 0,
     }
     assert sweep_entry["spike_digest"] == expected
     assert sweep_entry["job_digests"] == {workload: expected}

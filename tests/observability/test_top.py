@@ -53,35 +53,6 @@ class TestFormatTop:
         assert "42.0us" in inhibitory_line
         assert "updated" in frame
 
-    def test_sweep_view_renders_jobs_and_totals(self):
-        frame = format_top(
-            {
-                "state": "running",
-                "sweep": "chaos-sweep",
-                "jobs": {
-                    "Brunel-reference": {
-                        "state": "running",
-                        "backend": "reference",
-                        "attempt": 1,
-                        "step": 120,
-                        "retries": 1,
-                    },
-                },
-                "sweep_totals": {
-                    "total": 2,
-                    "completed": 1,
-                    "failed": 0,
-                    "retries": 1,
-                    "breaker_trips": 0,
-                },
-            }
-        )
-        assert "chaos-sweep [running]" in frame
-        assert "Brunel-reference" in frame
-        # attempt is displayed 1-based
-        assert "       2" in frame or " 2 " in frame
-        assert "jobs 1/2 done, 0 failed, 1 retries, 0 breaker trip(s)" in frame
-
     def test_empty_status_still_renders_header(self):
         frame = format_top({})
         assert "? [unknown]" in frame

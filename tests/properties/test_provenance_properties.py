@@ -1,31 +1,8 @@
-"""Property-based tests for clock-offset estimation and the run ledger."""
+"""Property-based tests for the run ledger."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.provenance import (
-    append_entry,
-    estimate_offset,
-    load_ledger,
-    make_entry,
-)
-
-
-class TestMergeProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=1e6, allow_nan=False),
-                st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            ),
-            max_size=10,
-        )
-    )
-    def test_estimate_offset_is_the_max_sample_bound(self, samples):
-        offset = estimate_offset(samples)
-        if not samples:
-            assert offset == 0.0
-        else:
-            assert offset == max(sent - received for sent, received in samples)
+from repro.provenance import append_entry, load_ledger, make_entry
 
 
 def _entry(run_id):

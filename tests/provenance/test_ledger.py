@@ -1,4 +1,4 @@
-"""The run ledger: atomic appends, torn lines, lookup, diff."""
+"""The run ledger: run ids, atomic appends, torn lines, lookup, diff."""
 
 import json
 import threading
@@ -15,6 +15,7 @@ from repro.provenance import (
     find_entry,
     load_ledger,
     make_entry,
+    new_run_id,
     runs_document,
     summarize_entry,
 )
@@ -28,6 +29,17 @@ def _entry(run_id="run-a", **overrides):
     )
     kwargs.update(overrides)
     return make_entry("run", run_id, {"seed": kwargs["seed"]}, **kwargs)
+
+
+class TestRunId:
+    def test_format(self):
+        run_id = new_run_id()
+        assert run_id.startswith("run-")
+        assert len(run_id) == 4 + 12
+        int(run_id[4:], 16)  # the suffix is hex
+
+    def test_unique(self):
+        assert new_run_id() != new_run_id()
 
 
 class TestConfigDigest:

@@ -12,12 +12,7 @@ from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.stimulus import PoissonStimulus
 from repro.reliability import Checkpoint
-from repro.supervision import (
-    EXIT_CODES,
-    InterruptHook,
-    graceful_signals,
-    spike_digest,
-)
+from repro.supervision import EXIT_CODES, InterruptHook, graceful_signals
 
 DT = 1e-4
 STEPS = 120
@@ -95,7 +90,7 @@ class TestInterruptHook:
         )
 
         baseline = _simulator().run(STEPS)
-        assert spike_digest(result.spikes) == spike_digest(baseline.spikes)
+        assert result.spikes.digest() == baseline.spikes.digest()
 
     def test_no_checkpoint_path_skips_checkpoint(self):
         simulator = _simulator()
