@@ -12,12 +12,11 @@ have one owner:
 subset through their ``choices`` / validation; the construction is not
 repeated.
 
-**The seed contract.** The network builds with ``seed``, the stimulus
-plan of whatever steps it (``Simulator``, ``ShardRunner``,
-``simulate_sharded``) with ``seed + 1`` — computed in :func:`assemble`
-and nowhere else. That is what makes a plain run, a resumed run, a
-sweep job and every slice of ``simulate_sharded`` produce bit-identical
-spikes for the same ``(workload, scale, seed, steps)``.
+**The seed contract.** The network builds with ``seed``, the
+simulator's stimulus plan with ``seed + 1`` — computed in
+:func:`assemble` and nowhere else. That is what makes a plain run, a
+resumed run and a sweep job produce bit-identical spikes for the same
+``(workload, scale, seed, steps)``.
 
 Heavy imports (the hardware model, the simulator) stay inside the
 functions: ``repro workloads`` imports this module without paying for
@@ -26,6 +25,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,16 +89,13 @@ class RunAssembly:
     #: Seed of the stimulus plan (see the module docstring).
     stimulus_seed: int
 
-    def backend(self):
-        """A fresh backend (each simulator / shard needs its own)."""
-        return make_backend(self.backend_name, self.dt, self.solver)
-
     def simulator(self):
-        """A new single-process simulator over the network."""
+        """A new simulator, on a fresh backend, over the network."""
         from repro.network.simulator import Simulator
 
+        backend = make_backend(self.backend_name, self.dt, self.solver)
         return Simulator(
-            self.network, self.backend(), dt=self.dt, seed=self.stimulus_seed
+            self.network, backend, dt=self.dt, seed=self.stimulus_seed
         )
 
 
@@ -128,6 +125,7 @@ def check_run_request(
     trace_max_events: Optional[int] = None,
     seed: int = 0,
     min_steps: int = 0,
+    dt: float = DT,
 ) -> None:
     """Reject out-of-range run arguments before anything is built.
 
@@ -140,6 +138,8 @@ def check_run_request(
         )
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if checkpoint_every < 0:
         raise ConfigurationError(
             f"checkpoint interval must be >= 0, got {checkpoint_every}"

@@ -164,7 +164,8 @@ def _cmd_run(args) -> int:
     from repro.workloads import get_spec
 
     check_run_request(
-        args.steps, args.checkpoint_every, args.trace_max_events, args.seed
+        args.steps, args.checkpoint_every, args.trace_max_events, args.seed,
+        dt=args.dt,
     )
     spec = get_spec(args.workload)
     config = {"workload": args.workload, **_job_fields(args), **_NO_SHARDS}
@@ -313,7 +314,7 @@ def _cmd_sweep(args) -> int:
     from repro.workloads import get_spec, workload_names
     from repro.workloads.spec import validate_scale
 
-    check_run_request(args.steps, seed=args.seed, min_steps=1)
+    check_run_request(args.steps, seed=args.seed, min_steps=1, dt=args.dt)
     validate_scale(args.scale)
     names = args.workloads or list(workload_names())
     for name in names:

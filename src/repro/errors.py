@@ -110,16 +110,6 @@ class CheckpointError(ReliabilityError):
         self.reason = reason
 
 
-class ShardingError(ReproError):
-    """Raised when a ``ShardRunner`` is driven out of protocol.
-
-    Covers a window of no steps and an exchange that is missing a
-    population or has the wrong number of steps. Misconfigurations — a
-    bad shard count, an unsupported network — raise
-    :class:`ConfigurationError` instead.
-    """
-
-
 class RunInterrupted(ReproError):
     """Raised at a step boundary after SIGINT/SIGTERM requested a stop.
 

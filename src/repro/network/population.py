@@ -8,6 +8,8 @@ description.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 from repro.errors import ConfigurationError
 from repro.models.base import NeuronModel
 
@@ -16,6 +18,10 @@ class Population:
     """A named group of ``n`` neurons simulated with one model."""
 
     def __init__(self, name: str, n: int, model: NeuronModel):
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise ConfigurationError(
+                f"population {name!r}: size n must be an integer, got {n!r}"
+            )
         if n <= 0:
             raise ConfigurationError(f"population size must be positive, got {n}")
         if not name:

@@ -29,8 +29,8 @@ from repro.network.population import Population
 
 
 #: Synapses per block of the build. Rows are encoded, self-connections
-#: dropped, index draws narrowed and shard slices cut a block at a time
-#: over scratch that stays in cache; a buffer size, in no digest.
+#: dropped and index draws narrowed a block at a time over scratch that
+#: stays in cache; a buffer size, in no digest.
 BUILD_BLOCK = 1 << 17
 #: Pair counts up to this draw every pair; above it ``connect`` samples
 #: out-degrees and targets.
@@ -135,9 +135,8 @@ class Projection:
         np.cumsum(counts, out=self.pre_ptr[1:])
         if not self.pre_ptr[-1] == targets.size == weights.size == delays.size:
             raise ConfigurationError("synapse arrays must have equal length")
-        #: Delay bounds in time steps (1 when the projection is empty).
-        #: ``min_delay`` is the routing layer's flush horizon: no spike
-        #: through this projection arrives sooner after it was generated.
+        #: Delay bounds in time steps (1 when the projection is empty);
+        #: the router sizes the post population's ring from them.
         self.min_delay = int(delays.min()) if delays.size else 1
         self.max_delay = int(delays.max()) if delays.size else 1
         if self.min_delay < 1:
@@ -168,33 +167,6 @@ class Projection:
             delay *= stride
             delay += targets[synapses]
             targets[synapses] = delay
-
-    def restricted_to(self, post: Population, lo: int, name: str) -> "Projection":
-        """The synapses onto post-neurons ``lo .. lo + post.n``, in this
-        projection's order, as a projection onto the slice-sized ``post``
-        (copied and re-encoded against it a block at a time; a constant
-        table stays constant)."""
-        constant = self.weights.strides[0] == 0
-        counts = np.empty(self.pre.n, dtype=np.int64)
-        post_idx, weights, delays = [], [], []
-        for first, last, synapses, row_of in _row_blocks(self.pre_ptr):
-            delay, cell = np.divmod(self.targets[synapses], self.stride)
-            cell = cell % self.post.n - lo
-            mine = np.flatnonzero((cell >= 0) & (cell < post.n))
-            counts[first:last] = np.bincount(row_of[mine], minlength=last - first)
-            post_idx.append(cell[mine])
-            if not constant:
-                weights.append(self.weights[synapses][mine])
-            delays.append(delay[mine])
-        post_idx = np.concatenate(post_idx)
-        if constant:
-            weights = np.broadcast_to(self.weights[:1], post_idx.shape)
-        else:
-            weights = np.concatenate(weights)
-        return Projection.from_rows(
-            self.pre, post, counts, post_idx, weights,
-            np.concatenate(delays), self.syn_type, name,
-        )
 
     @property
     def post_idx(self) -> np.ndarray:

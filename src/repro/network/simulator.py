@@ -51,6 +51,7 @@ Two observability seams ride on the loop without taxing it when off:
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -270,8 +271,8 @@ class Simulator:
         dt: float = 1e-4,
         seed: int = 0,
     ):
-        if dt <= 0:
-            raise SimulationError(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:  # NaN fails too
+            raise SimulationError(f"dt must be positive and finite, got {dt}")
         self.network = network
         self.backend = backend if backend is not None else ReferenceBackend()
         self.dt = dt

@@ -6,22 +6,23 @@ generator, and injects them to the network to mimic external stimulus"
 configurations: :class:`PoissonStimulus` (random) and
 :class:`PatternStimulus` (pre-defined pattern). Both are immutable
 *descriptions*; everything that changes while a simulation runs lives
-in the :class:`StimulusPlan` its ``Simulator`` (or ``ShardRunner``)
-compiles from them, so two simulators can share one network.
+in the :class:`StimulusPlan` its ``Simulator`` compiles from them, so
+two simulators can share one network.
 
 **Stream addressing** (DESIGN.md 3k). Stimulus ``i`` draws from its
 own stream ``SeedSequence(seed, spawn_key=(i,))``, and uniform number
 ``step * n + j`` of it belongs to target ``j`` (of ``n``) at ``step``.
 ``PCG64.advance`` reaches any position in O(log), so a block of steps
-is one contiguous draw, a shard draws only its columns of each row and
-a resumed run seeks to ``step * n``: the seed is the whole random
-state, and the block length (:data:`BLOCK_STEPS`) changes no spike.
+is one contiguous draw and a resumed run seeks to ``step * n``: the
+seed is the whole random state, and the block length
+(:data:`BLOCK_STEPS`) changes no spike.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +50,10 @@ class Stimulus:
     """A source of externally forged spikes targeting one population."""
 
     def __init__(self, target: Population, weight: float, syn_type: int = 0):
+        if isinstance(syn_type, bool) or not isinstance(syn_type, Integral):
+            raise ConfigurationError(
+                f"syn_type must be an integer, got {syn_type!r}"
+            )
         if not 0 <= syn_type < target.n_synapse_types:
             raise ConfigurationError(
                 f"synapse type {syn_type} out of range for {target.name!r}"
@@ -157,15 +162,9 @@ class PoissonStimulus(Stimulus):
         return min(1.0, self.rate_hz * self.dt)
 
     def generate(self, feed: "_PoissonFeed", step: int) -> None:
-        """The block draw: ``feed.block[k, c]`` becomes the count of
-        target ``feed.first + c`` at ``step + k``. Whole rows are one
-        contiguous run of the stream; a shard seeks once per row."""
-        n, block = len(self.targets), feed.block
-        if block.shape[1] == n:
-            feed.counts(step * n, block.reshape(-1))
-        else:
-            for k, row in enumerate(block):
-                feed.counts((step + k) * n + feed.first, row)
+        """The block draw: ``feed.block[k, j]`` becomes the count of
+        target ``j`` at ``step + k``, one contiguous run of the stream."""
+        feed.counts(step * len(self.targets), feed.block.reshape(-1))
 
 
 class PatternStimulus(Stimulus):
@@ -189,17 +188,21 @@ class PatternStimulus(Stimulus):
         if period is not None and period <= 0:
             raise ConfigurationError(f"period must be positive, got {period}")
         self.period = period
-        self._events = {
-            int(step): np.asarray(idx, dtype=np.int64)
-            for step, idx in events.items()
-        }
-        for step, idx in self._events.items():
+        self._events = {}
+        for step, idx in events.items():
+            step, idx = int(step), np.asarray(idx)
             if step < 0 or (period is not None and step >= period):
                 raise ConfigurationError(
                     f"pattern step {step} is never reached (period {period})"
                 )
+            if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+                raise ConfigurationError(
+                    f"pattern neuron indices at step {step} must be a flat "
+                    f"list of integers, got {idx.tolist()!r}"
+                )
             if idx.size and (idx.min() < 0 or idx.max() >= target.n):
                 raise ConfigurationError(f"pattern index out of range at step {step}")
+            self._events[step] = idx.astype(np.int64, copy=False)
 
     def generate(self, step: int) -> np.ndarray:
         """The per-step lookup: target indices spiking at ``step``."""
@@ -210,26 +213,20 @@ class PatternStimulus(Stimulus):
 class _PoissonFeed:
     """Plan state of one Poisson stimulus: stream, sampler, count block."""
 
-    def __init__(self, stimulus, seed, key, ring, lo, hi, scratch):
+    def __init__(self, stimulus, seed, key, ring, scratch):
         targets = stimulus.targets
-        # Targets below ``lo`` and below ``hi`` bound the owned columns.
-        self.first, last = (
-            len(range(targets.start, min(edge, targets.stop), targets.step))
-            for edge in (lo, hi)
-        )
-        mine = targets[self.first:last]
         self.stimulus, self.ring = stimulus, ring
-        self.cells = slice(mine.start - lo, mine.stop - lo, mine.step)
+        self.cells = slice(targets.start, targets.stop, targets.step)
         self.sampler = BinomialSampler(stimulus.n_sources, stimulus.p_spike)
-        self.block = np.empty((BLOCK_STEPS, len(mine)), self.sampler.dtype)
-        self.scaled = np.empty(len(mine))
+        self.block = np.empty((BLOCK_STEPS, len(targets)), self.sampler.dtype)
+        self.scaled = np.empty(len(targets))
         #: Step of ``block[0]``; starts where no step's offset fits.
         self.start = -BLOCK_STEPS
         self._bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,)))
         self._random = np.random.Generator(self._bits).random
         self._position = 0
         self._uniforms, self._index = scratch
-        #: Uniforms drawn so far (a shard draws only its columns).
+        #: Uniforms drawn so far.
         self.drawn = 0
 
     def counts(self, position: int, out: np.ndarray) -> None:
@@ -263,15 +260,14 @@ class _PoissonFeed:
 
 
 class _PatternFeed:
-    """Plan state of one pattern stimulus: the owned neuron range."""
+    """Plan state of one pattern stimulus: its target's ring."""
 
-    def __init__(self, stimulus, ring, lo: int, hi: int):
-        self.stimulus, self.ring, self.lo, self.hi = stimulus, ring, lo, hi
+    def __init__(self, stimulus, ring):
+        self.stimulus, self.ring = stimulus, ring
 
     def inject(self, step: int) -> int:
         idx = self.stimulus.generate(step)
         if idx.size:
-            idx = idx[(idx >= self.lo) & (idx < self.hi)] - self.lo
             weights = np.full(idx.size, float(self.stimulus.weight))
             self.ring.enqueue_now(idx, weights, self.stimulus.syn_type)
         return idx.size
@@ -282,10 +278,7 @@ class StimulusPlan:
     first step, so constructing a simulator stays cheap).
 
     ``rings`` maps population names to the delay rings input is added
-    to; ``owned`` (a shard's ``{population: (lo, hi)}``) restricts the
-    plan to those neuron ranges, with rings indexed from ``lo`` — a
-    stimulus with no owned target is dropped, and nothing is drawn for
-    it. ``seed`` is the plan's whole random state: a checkpoint stores it.
+    to. ``seed`` is the plan's whole random state: a checkpoint stores it.
     """
 
     def __init__(
@@ -293,13 +286,9 @@ class StimulusPlan:
         stimuli: Sequence[Stimulus],
         rings: Mapping[str, object],
         seed: int,
-        owned: Optional[Mapping[str, Tuple[int, int]]] = None,
     ):
         self._stimuli = tuple(stimuli)
         self._rings = rings
-        self._owned = owned if owned is not None else {
-            s.target.name: (0, s.target.n) for s in self._stimuli
-        }
         self.restore(seed)
 
     def restore(self, seed: int) -> None:
@@ -314,14 +303,11 @@ class StimulusPlan:
         scratch = np.empty(CHUNK_DRAWS), np.empty(CHUNK_DRAWS, dtype=np.intp)
         self._feeds = []
         for key, stimulus in enumerate(self._stimuli):
-            lo, hi = self._owned.get(stimulus.target.name, (0, 0))
-            if lo >= hi:
-                continue
             ring = self._rings[stimulus.target.name]
             if isinstance(stimulus, PatternStimulus):
-                self._feeds.append(_PatternFeed(stimulus, ring, lo, hi).inject)
+                self._feeds.append(_PatternFeed(stimulus, ring).inject)
                 continue
-            feed = _PoissonFeed(stimulus, self.seed, key, ring, lo, hi, scratch)
+            feed = _PoissonFeed(stimulus, self.seed, key, ring, scratch)
             if feed.block.size:
                 self._poisson.append(feed)
                 self._feeds.append(feed.inject)

@@ -3,9 +3,8 @@
 One delivery mechanism serves the three-phase
 :class:`~repro.network.simulator.Simulator` loop, the event-driven
 hardware runtimes (which bind their population's ring to short-circuit
-idle classification), checkpoint capture/restore (the ring snapshot is
-the unit of in-flight-spike state) and the sharded determinism
-oracle's window replay (``deposit``, batched on the min delay).
+idle classification) and checkpoint capture/restore (the ring snapshot
+is the unit of in-flight-spike state).
 
 :class:`DelayRing` is the single-population ring of per-step
 accumulation buckets, with integral per-bucket event counts alongside

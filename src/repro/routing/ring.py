@@ -20,8 +20,7 @@ outside ``[head, head + depth)`` are always zero.
 presented: within a step, projections in network order; within a
 projection, fired neurons ascending; within a neuron, CSR synapse
 order. Float sums — and with them every spike digest — depend on this
-order and nothing else, so :meth:`DelayRing.deposit` (sharded replay)
-must be fed in it and any replacement of the scatter must add in it
+order and nothing else, so any replacement of the scatter must add in it
 (``np.bincount`` into a slab was measured slower *and* sums otherwise).
 """
 
@@ -50,6 +49,7 @@ class DelayRing:
             )
         self.n = n
         self.n_synapse_types = n_synapse_types
+        #: Smallest incoming delay; recorded in :meth:`snapshot` only.
         self.min_delay = min_delay
         self.depth = max_delay + 1
         #: Cells per bucket; ring targets are ``delay * stride + post``.
@@ -89,29 +89,6 @@ class DelayRing:
         """
         self._accumulate(targets, weights, syn_type)
         self._counts[self._head:self._head + counts.size] += counts
-
-    def deposit(
-        self,
-        targets: np.ndarray,
-        weights: np.ndarray,
-        counts: np.ndarray,
-        syn_type: int,
-        shift: int,
-    ) -> None:
-        """:meth:`enqueue` arrivals that were generated ``shift`` steps ago.
-
-        A sharded barrier replays the *previous* window's spikes after
-        the fact, so an arrival with delay ``d`` now lands ``d - shift
-        >= 0`` buckets ahead (0 is the current bucket). Presented in
-        the contract order, the replay reproduces bit-identical sums.
-        """
-        if counts[:shift].any():
-            raise SimulationError(
-                f"deposit shifted {shift} steps, past a shorter delay"
-            )
-        self._accumulate(targets - shift * self.stride, weights, syn_type)
-        late = counts[shift:]
-        self._counts[self._head:self._head + late.size] += late
 
     def enqueue_now(self, post, weights, syn_type: int, events: int = 0) -> None:
         """Accumulate weights into the bucket popped at the *current* step.
@@ -163,37 +140,6 @@ class DelayRing:
                 array[depth:] = 0
             head = 0
         self._head = head
-
-    # -- batched flush (cross-worker exchange seam) ------------------------
-
-    @property
-    def flush_horizon(self) -> int:
-        """Buckets per flush batch (= ``min_delay``, the sync period)."""
-        return self.min_delay
-
-    def _window(self, horizon: int) -> slice:
-        horizon = horizon or self.min_delay
-        if not 1 <= horizon <= self.depth:
-            raise SimulationError(
-                f"flush horizon must be in 1..{self.depth}, got {horizon}"
-            )
-        return slice(self._head, self._head + horizon)
-
-    def flush_window(self, horizon: int = 0) -> np.ndarray:
-        """Copy of the next ``horizon`` buckets, in delivery order.
-
-        ``horizon`` defaults to :attr:`flush_horizon`. The returned
-        ``(horizon, n_synapse_types, n)`` array equals the sequence of
-        :meth:`current` pops over the next ``horizon`` rotations,
-        provided no further enqueues land meanwhile — which the
-        min-delay contract guarantees for synaptic traffic once the
-        current step's enqueues are done.
-        """
-        return self._buckets[self._window(horizon)].copy()
-
-    def flush_events(self, horizon: int = 0) -> np.ndarray:
-        """Per-bucket event counts of the flush window (``int64``)."""
-        return self._counts[self._window(horizon)].copy()
 
     # -- accounting --------------------------------------------------------
 

@@ -7,20 +7,16 @@ lot — plus the network-shape analysis that sizes each ring from the
 delays that can actually reach it and checks every projection against
 the ring it scatters into.
 
-Sizing matters twice:
-
-* each ring's **depth** is the largest *incoming* delay of its
-  population (not the network-wide maximum), so a population fed only
-  by short-delay projections does not carry dead buckets;
-* each ring's **min_delay** is the smallest incoming delay — the
-  population's flush horizon, i.e. how many consecutive buckets are
-  final once a step's enqueues are done. ``simulate_sharded`` batches
-  its fired-index exchange on exactly this horizon.
+Each ring's **depth** is the largest *incoming* delay of its population
+plus one (not the network-wide maximum), so a population fed only by
+short-delay projections does not carry dead buckets; its
+``min_delay``, the smallest incoming delay, is part of the ring
+snapshot.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from repro.errors import SimulationError
 from repro.routing.ring import DelayRing
@@ -37,35 +33,19 @@ class SpikeRouter:
         #: All rings, keyed by population name.
         self.rings = dict(rings)
 
-    @staticmethod
-    def delay_bounds(network: "Network") -> Dict[str, tuple]:
-        """Per-population ``(min, max)`` incoming synaptic delay bounds.
+    @classmethod
+    def from_network(cls, network: "Network") -> "SpikeRouter":
+        """Build per-population rings sized from actual incoming delays.
 
-        Populations with no incoming projection are absent and default
-        to ``(1, 1)``.
+        Populations with no incoming projection still get a minimal
+        ring (depth 2, min_delay 1): stimuli inject into the current
+        bucket and the neuron phase always consumes one.
         """
         bounds: Dict[str, tuple] = {}
         for projection in network.projections:
             own = (projection.min_delay, projection.max_delay)
             lo, hi = bounds.get(projection.post.name, own)
             bounds[projection.post.name] = (min(lo, own[0]), max(hi, own[1]))
-        return bounds
-
-    @classmethod
-    def from_network(
-        cls, network: "Network", bounds: Optional[Dict[str, tuple]] = None
-    ) -> "SpikeRouter":
-        """Build per-population rings sized from actual incoming delays.
-
-        Populations with no incoming projection still get a minimal
-        ring (depth 2, min_delay 1): stimuli inject into the current
-        bucket and the neuron phase always consumes one. A shard passes
-        the *full* network's ``bounds`` for its slice network: the
-        projections that happen to land on a slice could otherwise
-        disagree with the ring geometry of the whole.
-        """
-        if bounds is None:
-            bounds = cls.delay_bounds(network)
         rings = {}
         for name, population in network.populations.items():
             min_delay, max_delay = bounds.get(name, (1, 1))
@@ -168,8 +148,3 @@ class SpikeRouter:
                 "In-flight deliveries awaiting their arrival step.",
                 labels,
             ).set(ring.pending_total())
-            metrics.gauge(
-                "ring_flush_horizon_steps",
-                "Min-delay flush horizon (cross-worker batch size).",
-                labels,
-            ).set(ring.flush_horizon)

@@ -88,22 +88,17 @@ def enqueue_events(ring, post_idx, weights, delays, syn_type=0):
     )
 
 
-def stimulus_rows(stimulus, steps, seed, owned=None, first_step=0):
+def stimulus_rows(stimulus, steps, seed):
     """What a plan over this one stimulus deposits, step by step.
 
     Returns ``(rows, events, plan)``: the input rows of the stimulus's
-    synapse type (for neurons ``owned = (lo, hi)`` when given, as a
-    shard's plan sees them), the per-step event counts, and the plan.
+    synapse type, the per-step event counts, and the plan.
     """
     target = stimulus.target
-    lo, hi = (0, target.n) if owned is None else owned
-    ring = DelayRing(hi - lo, target.n_synapse_types, max_delay=1)
-    plan = StimulusPlan(
-        [stimulus], {target.name: ring}, seed,
-        owned=None if owned is None else {target.name: owned},
-    )
+    ring = DelayRing(target.n, target.n_synapse_types, max_delay=1)
+    plan = StimulusPlan([stimulus], {target.name: ring}, seed)
     rows, events = [], []
-    for step in range(first_step, first_step + steps):
+    for step in range(steps):
         events.append(plan.inject(step))
         rows.append(ring.current()[stimulus.syn_type].copy())
         ring.rotate()

@@ -1,4 +1,4 @@
-"""One assembly path behind run / sweep / the sharded oracle.
+"""One assembly path behind run and sweep.
 
 ``repro.assembly`` owns the backend table and the seed contract
 (network seeds with ``seed``, stimulus RNG with ``seed + 1``);
@@ -22,7 +22,6 @@ from repro.assembly import BACKENDS, assemble, make_backend
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.provenance import config_digest, load_ledger
-from repro.sharding import simulate_sharded
 
 SCALE, SEED, STEPS = 0.05, 3, 300
 
@@ -87,12 +86,6 @@ def test_one_digest_from_every_entry_point(
     capsys.readouterr()
 
     assert single["spike_digest"] == expected
-    for n_shards in (2, 3):
-        sharded = simulate_sharded(
-            assembly.network, n_shards, STEPS,
-            backend_factory=assembly.backend, seed=assembly.stimulus_seed,
-        )
-        assert sharded.digest() == expected
     (job,) = sweep["jobs"]
     assert job["spike_digest"] == expected
 
@@ -161,10 +154,12 @@ class TestRunArguments:
             (["--serve", ":0", "--serve-linger", "-1"],
              "--serve-linger must be >= 0"),
             (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--dt", "nan"], "dt must be positive and finite, got nan"),
+            (["--dt", "inf"], "dt must be positive and finite, got inf"),
         ],
         ids=[
             "steps<0", "ring<0", "ckpt<0", "port-file-no-serve",
-            "linger-no-serve", "linger<0", "seed<0",
+            "linger-no-serve", "linger<0", "seed<0", "dt-nan", "dt-inf",
         ],
     )
     def test_run_rejects(self, argv, message, capsys):
@@ -173,6 +168,17 @@ class TestRunArguments:
         assert message in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert BANNER not in captured.out
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-1"])
+    def test_sweep_refuses_a_bad_dt_before_any_job(self, dt, capsys):
+        # A NaN step used to escape the build as a raw ValueError, and a
+        # negative one failed each job in turn with exit 1.
+        assert main(["sweep", "Brunel", "--no-ledger", "--dt", dt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: dt must be positive and finite, got {float(dt)}\n"
+        )
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -34,6 +34,11 @@ class TestPopulation:
         with pytest.raises(ConfigurationError):
             Population("p", 0, LIF())
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ConfigurationError, match="size n must be an integer"):
+            Population("c", n, LIF())
+
 
 class TestSpikeQueue:
     """The per-population spike queue contract, held by ``DelayRing``."""

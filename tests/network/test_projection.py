@@ -381,18 +381,6 @@ class TestConstantTable:
         for ours, theirs in zip((targets, weights, counts), expected):
             assert ours.tobytes() == theirs.tobytes()
 
-    def test_a_post_slice_of_a_constant_table_stays_constant(self):
-        proj = self._constant()
-        local = Population("post", 15, LIF())
-        part = proj.restricted_to(local, 20, name="part")
-        assert part.weights.strides == (0,) and not part.weights.flags.writeable
-        assert part.n_synapses == np.count_nonzero(
-            (proj.post_idx >= 20) & (proj.post_idx < 35)
-        )
-        assert set(part.weights.tolist()) == {-0.06}
-        none = self._constant(probability=0.0)
-        assert none.restricted_to(local, 20, name="none").weights.strides == (0,)
-
 
 class TestBuildMemory:
     """``connect`` holds the int32 index, the weights and a narrow delay

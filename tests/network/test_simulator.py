@@ -95,8 +95,9 @@ class TestSimulator:
             Simulator(small_network, dt=DT, seed=0).run(-1)
 
     def test_bad_dt_raises(self, small_network):
-        with pytest.raises(SimulationError):
-            Simulator(small_network, dt=0.0)
+        for dt in (0.0, -DT, float("nan"), float("inf")):
+            with pytest.raises(SimulationError, match="positive and finite"):
+                Simulator(small_network, dt=dt)
 
     def test_current_step_advances(self, small_network):
         sim = Simulator(small_network, dt=DT, seed=0)

@@ -4,9 +4,9 @@ Three contracts: the sampler is *exactly* the inverse CDF of the
 binomial (equal to ``np.searchsorted`` draw for draw, and distributed
 as the exact pmf); a stimulus's stream is addressed by ``(step,
 target)`` and by nothing else — not by how many steps are drawn at
-once, how a run is cut into ``run`` calls, which shard draws, or what
-else shares the network; and injection is one dense add per stimulus
-that books exactly the events the phase reports.
+once, how a run is cut into ``run`` calls, or what else shares the
+network; and injection is one dense add per stimulus that books exactly
+the events the phase reports.
 """
 
 import math
@@ -32,8 +32,6 @@ from repro.network.backends import ReferenceBackend
 from repro.network.stimulus import BLOCK_STEPS, BinomialSampler, StimulusPlan
 from repro.reliability.checkpoint import Checkpoint
 from repro.routing import DelayRing
-from repro.sharding import ShardPlan, simulate_sharded
-from repro.sharding.runner import ShardRunner
 from repro.workloads import build_workload, workload_names
 from tests.conftest import stimulus_rows
 
@@ -148,68 +146,18 @@ class TestStreamAddressing:
     def test_block_length_changes_no_digest(self, monkeypatch):
         network = _stimulus_network()
         expected = _digest(network, 150)
-        sharded = simulate_sharded(network, 3, 150, dt=DT, seed=3).digest()
-        assert sharded == expected
         for steps in (1, 2 * BLOCK_STEPS):
             monkeypatch.setattr(stimulus_module, "BLOCK_STEPS", steps)
             assert _digest(network, 150) == expected
-            assert simulate_sharded(
-                network, 3, 150, dt=DT, seed=3
-            ).digest() == expected
 
     def test_draws_do_not_depend_on_the_chunk_size(self, monkeypatch):
         stimulus = _stimulus_network().stimuli[0]
         expected = stimulus_rows(stimulus, 40, seed=9)[0]
         monkeypatch.setattr(stimulus_module, "CHUNK_DRAWS", 50)
-        assert np.array_equal(stimulus_rows(stimulus, 40, seed=9)[0], expected)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(1, 60),
-        slice_start=st.integers(0, 8),
-        slice_step=st.integers(1, 4),
-        bounds=st.tuples(st.integers(0, 60), st.integers(0, 60)),
-        first_step=st.integers(0, 3 * BLOCK_STEPS),
-        seed=st.integers(0, 5),
-    )
-    def test_a_shard_draws_its_columns_of_the_full_draw(
-        self, n, slice_start, slice_step, bounds, first_step, seed
-    ):
-        lo, hi = sorted(min(edge, n) for edge in bounds)
-        stimulus = PoissonStimulus(
-            Population("p", n, LIF()), rate_hz=1500.0, weight=0.25, dt=DT,
-            n_sources=4, neuron_slice=slice(slice_start, None, slice_step),
-        )
-        steps = BLOCK_STEPS + 3
-        full = stimulus_rows(stimulus, first_step + steps, seed)[0]
-        part, _, plan = stimulus_rows(stimulus, steps, seed, (lo, hi), first_step)
-        assert np.array_equal(part, full[first_step:, lo:hi])
-        # ... and pays only for them: whole blocks of its own columns.
-        owned = len([t for t in stimulus.targets if lo <= t < hi])
-        assert plan.uniforms_drawn == 2 * BLOCK_STEPS * owned
-
-    def test_shard_runners_draw_only_their_slices(self):
-        network = build_workload("Potjans-Diesmann", scale=0.05, seed=2)
-        plan = ShardPlan(network, 3)
-        drawn = []
-        for shard in range(3):
-            runner = ShardRunner(network, plan, shard, dt=DT, seed=4)
-            while runner.step <= BLOCK_STEPS:  # into the second block
-                runner.run_window(plan.window)
-            owned = runner.owned()
-            columns = sum(
-                len([t for t in stimulus.targets if lo <= t < hi])
-                for stimulus in network.stimuli
-                for lo, hi in [owned.get(stimulus.target.name, (0, 0))]
-            )
-            drawn.append(runner.stimulus_plan.uniforms_drawn)
-            assert drawn[-1] == 2 * BLOCK_STEPS * columns > 0
-        simulator = Simulator(network, dt=DT, seed=4)
-        simulator.run(runner.step)
-        assert sum(drawn) == simulator.stimulus_plan.uniforms_drawn
-        assert sum(drawn) == 2 * BLOCK_STEPS * sum(
-            len(stimulus.targets) for stimulus in network.stimuli
-        )
+        rows, _, plan = stimulus_rows(stimulus, 40, seed=9)
+        assert np.array_equal(rows, expected)
+        # Whole blocks are drawn: 40 steps take three of them.
+        assert plan.uniforms_drawn == 3 * BLOCK_STEPS * len(stimulus.targets)
 
     def test_two_simulators_share_one_network(self):
         network = _stimulus_network()
@@ -304,9 +252,6 @@ class TestInjection:
         rows = stimulus_rows(stimulus, 4, seed=0)[0]
         assert rows[2].tolist() == [0.0, 0.25, 0.0, 0.0, 0.75]
         assert not rows[[0, 1, 3]].any()
-        # A shard that owns neurons 3..4 sees the three hits on neuron 4.
-        part = stimulus_rows(stimulus, 4, seed=0, owned=(3, 5))[0]
-        assert part[2].tolist() == [0.0, 0.75]
 
     def test_steady_state_step_allocates_under_one_kilobyte(self):
         network = build_workload("Potjans-Diesmann", scale=0.5, seed=1)
@@ -382,6 +327,7 @@ class TestValidation:
             ({"weight": float("-inf")}, "weight must be finite"),
             ({"dt": 0.0}, "dt must be positive"),
             ({"neuron_slice": slice(None, None, -2)}, "ascend"),
+            ({"syn_type": 0.5}, "syn_type must be an integer"),
         ],
     )
     def test_poisson_rejects(self, kwargs, needle):
@@ -395,6 +341,15 @@ class TestValidation:
     def test_pattern_rejects_steps_that_never_come(self, events, period):
         with pytest.raises(ConfigurationError, match="never reached"):
             PatternStimulus(self.POP, events, 1.0, period=period)
+
+    @pytest.mark.parametrize(
+        "indices", [[1.7, 4.9], [[1, 2]], 3], ids=["floats", "nested", "scalar"]
+    )
+    def test_pattern_rejects_indices_that_are_not_a_flat_integer_list(
+        self, indices
+    ):
+        with pytest.raises(ConfigurationError, match="neuron indices at step 0"):
+            PatternStimulus(self.POP, {0: indices}, 1.0)
 
     def test_pattern_rejects_non_finite_weight(self):
         with pytest.raises(ConfigurationError, match="weight must be finite"):

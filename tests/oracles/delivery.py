@@ -1,9 +1,8 @@
 """Spike delivery as a per-synapse loop: the accumulation-order contract.
 
-``Projection.synapses_of`` + ``DelayRing.enqueue`` (and the sharded
-``DelayRing.deposit`` replay) promise to accumulate arrivals one at a
-time in the contract order — projections in network order, fired
-neurons ascending, CSR synapse order within a neuron. :class:`DeliveryLoop`
+``Projection.synapses_of`` + ``DelayRing.enqueue`` promise to accumulate
+arrivals one at a time in the contract order — projections in network
+order, fired neurons ascending, CSR synapse order within a neuron. :class:`DeliveryLoop`
 is that sentence as three nested Python loops over per-synapse
 ``(pre, post, weight, delay)`` records into a dense ``(step, type,
 neuron)`` array. A ring must equal it with ``==`` on float64, not

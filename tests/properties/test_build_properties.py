@@ -105,27 +105,6 @@ class TestStreamedBuild:
         for before, after in zip(given_arrays, (pre_idx, post_idx, weights, delays)):
             assert np.array_equal(before, after)
 
-    @given(connections(), st.integers(0, 23), st.integers(1, 24))
-    @settings(max_examples=100, deadline=None)
-    def test_a_post_slice_is_the_masked_table(self, case, lo, width):
-        # What a shard keeps of a projection: the synapses onto its
-        # slice, in the projection's order, encoded against the slice.
-        pre = Population("pre", case["n_pre"], LIF())
-        post = pre if case["shared"] else Population("post", case["n_post"], LIF())
-        whole = connect(
-            pre, post, rng=np.random.default_rng(case["seed"]), **case["arguments"]
-        )
-        lo = lo % post.n
-        local = Population("post", min(width, post.n - lo), LIF())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(build, "BUILD_BLOCK", case["block"])
-            part = whole.restricted_to(local, lo, name="part")
-        mask = (whole.post_idx >= lo) & (whole.post_idx < lo + local.n)
-        assert_same_tables(part, encode_coo(
-            pre, local, whole.pre_of_synapses()[mask], whole.post_idx[mask] - lo,
-            whole.weights[mask], whole.delays[mask],
-        ))
-
 
 #: ``connect`` cuts these calls into ``BUILD_BLOCK``-sized chunks (and
 #: draws ``normal`` after a chunked call); a numpy whose chunked draws

@@ -1,8 +1,7 @@
 """Property tests: spike delivery is *exactly* a per-synapse loop.
 
-``Projection.synapses_of`` + ``DelayRing.enqueue`` (and the sharded
-``DelayRing.deposit`` replay) promise to accumulate arrivals one at a
-time in the contract order — projections in network order, fired
+``Projection.synapses_of`` + ``DelayRing.enqueue`` promise to accumulate
+arrivals one at a time in the contract order — projections in network order, fired
 neurons ascending, CSR synapse order within a neuron. The reference is
 ``tests/oracles/delivery.py``, that sentence as three nested Python
 loops; every comparison is ``==`` on float64, not ``allclose``, with
@@ -88,7 +87,6 @@ def _scenarios(draw):
         max_delay=max_delay, depth=depth, projections=projections,
         n_steps=n_steps, fired=fired, stimulus=stimulus,
         rotations=draw(st.integers(0, 2 * depth)),
-        window=draw(st.integers(1, min_delay)),
         snapshot_at=draw(st.integers(0, n_steps - 1)),
     )
 
@@ -139,6 +137,17 @@ def _rotated_ring(scenario, projections):
     return ring
 
 
+def _ahead(ring):
+    """The ring's next ``depth`` buckets and their event counts, in
+    delivery order, read from its (wrapped) snapshot."""
+    payload = ring.snapshot()
+    head = payload["head"]
+    return (
+        np.roll(payload["ring"], -head, axis=0),
+        np.roll(payload["counts"], -head),
+    )
+
+
 def _inject(ring, events):
     for syn_type, post, weight in events:
         ring.enqueue_now(np.array([post]), np.array([weight]), syn_type)
@@ -186,51 +195,13 @@ def test_delivery_equals_the_per_synapse_loop(scenario):
             # The ring's counts come from delay_counts; the loop's from
             # per-synapse delays.
             ahead = loop.counts[step:step + depth]
-            assert np.array_equal(ring.flush_events(depth), ahead)
-            assert np.array_equal(
-                ring.flush_window(depth), loop.dense[step:step + depth]
-            )
+            buckets, counts = _ahead(ring)
+            assert np.array_equal(counts, ahead)
+            assert np.array_equal(buckets, loop.dense[step:step + depth])
             assert ring.pending_total() == ahead.sum()
             assert type(ring.pending_total()) is int
             assert ring.enqueued_events == loop.counts.sum()
             ring.rotate()
-
-
-@given(_scenarios())
-@settings(max_examples=300, deadline=None)
-def test_deposit_replay_equals_the_per_synapse_loop(scenario):
-    # The sharded schedule: run a window of steps with no synaptic
-    # traffic, then replay the window's fired sets step-major through
-    # deposit(shift) — every legal shift 1..window occurs.
-    projections, records = _build(scenario)
-    loop = _loop(scenario, records)
-    ring = _rotated_ring(scenario, projections)
-    depth = scenario.depth
-    step = 0
-    while step < scenario.n_steps:
-        length = min(scenario.window, scenario.n_steps - step)
-        for now in range(step, step + length):
-            loop.inject(now, scenario.stimulus[now])
-            _inject(ring, scenario.stimulus[now])
-            assert np.array_equal(ring.current(), loop.dense[now])
-            assert ring.current_events() == loop.counts[now]
-            loop.deliver(now, scenario.fired[now])
-            ring.rotate()
-        for offset in range(length):
-            for projection, fired in zip(
-                projections, scenario.fired[step + offset]
-            ):
-                ring.deposit(
-                    *_gather(projection, fired), projection.syn_type,
-                    shift=length - offset,
-                )
-        step += length
-        assert np.array_equal(
-            ring.flush_window(depth), loop.dense[step:step + depth]
-        )
-        assert np.array_equal(
-            ring.flush_events(depth), loop.counts[step:step + depth]
-        )
 
 
 @st.composite
@@ -308,7 +279,7 @@ def test_a_constant_table_delivers_like_the_loop_and_its_twin(case):
                 for projection, fired in zip(tables, case.fired[step]):
                     ring.enqueue(*_gather(projection, fired), projection.syn_type)
             loop.deliver(step, case.fired[step])
-            constant, materialised = (ring.flush_window(depth) for ring in rings)
+            constant, materialised = (_ahead(ring)[0] for ring in rings)
             assert constant.tobytes() == materialised.tobytes()
             assert np.array_equal(constant, loop.dense[step:step + depth])
             pending = [ring.pending_total() for ring in rings]

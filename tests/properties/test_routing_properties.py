@@ -125,32 +125,6 @@ def test_ring_delivers_legacy_multiset(ops):
     assert type(ring.pending_total()) is int
 
 
-@given(
-    st.lists(_op, max_size=30),
-    st.integers(1, MAX_DELAY + 1),
-)
-@settings(max_examples=150, deadline=None)
-def test_flush_window_equals_future_pops(ops, horizon):
-    # After any interleaving, a flush window of any admissible horizon
-    # is exactly the sequence of current() pops over the next
-    # ``horizon`` rotations (no enqueues in between).
-    ring = DelayRing(N, N_TYPES, MAX_DELAY, min_delay=MIN_DELAY)
-    for kind, target, weight, delay, syn_type in ops:
-        if kind == "rotate":
-            ring.rotate()
-        elif kind == "enqueue":
-            enqueue_events(ring, [target], [weight], [delay], syn_type)
-        else:
-            ring.enqueue_now(np.array([target]), np.array([weight]), syn_type)
-    window = ring.flush_window(horizon)
-    events = ring.flush_events(horizon)
-    assert window.shape[0] == horizon
-    for offset in range(horizon):
-        np.testing.assert_array_equal(window[offset], ring.current())
-        assert events[offset] == ring.current_events()
-        ring.rotate()
-
-
 @given(st.lists(_op, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_snapshot_restore_preserves_future_deliveries(ops):

@@ -70,10 +70,12 @@ class TestSnapshotRestore:
         other = SpikeRouter.from_network(_network())
         other.restore(payload)
         assert other.pending_total() == router.pending_total()
-        np.testing.assert_array_equal(
-            other.ring("b").flush_window(other.ring("b").depth),
-            router.ring("b").flush_window(router.ring("b").depth),
-        )
+        for _ in range(router.ring("b").depth):
+            np.testing.assert_array_equal(
+                other.ring("b").current(), router.ring("b").current()
+            )
+            other.rotate_all()
+            router.rotate_all()
 
     def test_restore_rejects_population_mismatch(self):
         router = SpikeRouter.from_network(_network())
@@ -134,12 +136,12 @@ class TestSnapshotRestore:
         enqueue_events(router.ring("a"), [1], [3.0], [5])
         payload = router.snapshot()
         payload["isolated"]["head"] = 99
-        before = router.ring("a").flush_window(router.ring("a").depth).copy()
+        before = router.ring("a").snapshot()
         with pytest.raises(SimulationError, match="'isolated'"):
             router.restore(payload)
-        np.testing.assert_array_equal(
-            router.ring("a").flush_window(router.ring("a").depth), before
-        )
+        after = router.ring("a").snapshot()
+        for field in ("ring", "counts", "head"):
+            np.testing.assert_array_equal(after[field], before[field])
 
 
 class TestTelemetry:
@@ -161,8 +163,3 @@ class TestTelemetry:
         }
         assert pending["a"] == 1
         assert type(pending["a"]) is int
-        horizons = {
-            entry["labels"]["population"]: entry["value"]
-            for entry in snapshot["ring_flush_horizon_steps"]["values"]
-        }
-        assert horizons["a"] == 5
