@@ -87,11 +87,16 @@ class Network:
 
         The rule (e.g. :class:`repro.plasticity.PairSTDP`) is attached
         to the projection and updated by the simulator during the
-        synapse-calculation phase of every step.
+        synapse-calculation phase of every step. A projection takes one
+        rule: a second would step its weights twice per step.
         """
         if projection not in self.projections:
             raise ConfigurationError(
                 f"projection {projection.name!r} is not part of this network"
+            )
+        if any(other.projection is projection for other in self.plasticity_rules):
+            raise ConfigurationError(
+                f"projection {projection.name!r} is already plastic"
             )
         rule.attach(projection)
         self.plasticity_rules.append(rule)

@@ -29,8 +29,9 @@ from repro.network.population import Population
 
 
 #: Synapses per block of the build. Rows are encoded, self-connections
-#: dropped and index draws narrowed a block at a time over scratch that
-#: stays in cache; a buffer size, in no digest.
+#: dropped, index draws narrowed and a :class:`SynapseIndex` decoded and
+#: sorted a block at a time over scratch that stays in cache; a buffer
+#: size, in no digest.
 BUILD_BLOCK = 1 << 17
 #: Pair counts up to this draw every pair; above it ``connect`` samples
 #: out-degrees and targets.
@@ -198,10 +199,10 @@ class Projection:
             weights = np.concatenate([weights[row] for row in rows])
         return targets, weights, self.delay_counts[fired_pre].sum(axis=0)
 
-    def pre_of_synapses(self, dtype=np.int64) -> np.ndarray:
+    def pre_of_synapses(self) -> np.ndarray:
         """Presynaptic neuron of every synapse (CSR row expansion;
-        O(n_synapses) per call, for build-time users)."""
-        return np.repeat(np.arange(self.pre.n, dtype=dtype), np.diff(self.pre_ptr))
+        O(n_synapses) per call, for tests and measurement)."""
+        return np.repeat(np.arange(self.pre.n, dtype=np.int64), np.diff(self.pre_ptr))
 
     def __repr__(self) -> str:
         return (
@@ -219,12 +220,14 @@ def _rows(ptr: np.ndarray, groups: np.ndarray) -> list:
     ]
 
 
-#: Post populations up to this size sort on uint16 keys (numpy's 16-bit
-#: stable sort is a radix sort), ``SORT_BLOCK`` synapses at a time: a
-#: 2 MiB sort result and scratch reuse freed heap, per-synapse-sized
-#: ones raised the process's peak RSS.
+#: Populations up to this size are indexed by uint16 neuron numbers,
+#: which are also the sort keys (numpy's 16-bit stable sort is a radix
+#: sort); larger ones by int32.
 RADIX_KEY_LIMIT = 1 << 16
-SORT_BLOCK = 1 << 18
+
+
+def _neuron_dtype(n: int) -> type:
+    return np.uint16 if n <= RADIX_KEY_LIMIT else np.int32
 
 
 class SynapseIndex:
@@ -233,42 +236,46 @@ class SynapseIndex:
     ``post[s]`` is the target of CSR synapse ``s``; the synapses *into*
     neuron ``j`` fill slots ``post_ptr[j] .. post_ptr[j + 1]`` in CSR
     order, ``order[slot]`` the synapse and ``pre[slot]`` its source.
-    ``order`` and ``pre`` are int32 and ``post`` is its own sort key
-    (uint16 up to ``RADIX_KEY_LIMIT`` neurons, int32 above): 10-12 B per
-    synapse at rest. Building it is the largest transient of a plastic
-    run now that the network build streams: at most 24 B per synapse.
+    ``order`` is int32, ``pre`` and ``post`` neuron numbers (uint16 up
+    to ``RADIX_KEY_LIMIT`` neurons, int32 above): 8 B per synapse at
+    rest. The build walks the table twice, a ``_row_blocks`` block at a
+    time (decode and count, then sort), so it holds no per-synapse
+    temporary: its peak is the index plus one block's scratch.
     """
 
     def __init__(self, projection: Projection):
         n_post = projection.post.n
-        if projection.n_synapses >= 2**31:
+        n_synapses = projection.n_synapses
+        if n_synapses >= 2**31:
             raise ConfigurationError(
                 f"projection {projection.name!r} overflows int32 synapse indices"
             )
         self.pre_ptr = projection.pre_ptr
-        post = np.remainder(projection.targets, np.int32(n_post))
-        self.post_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(post, minlength=n_post)))
-        )
-        if n_post <= RADIX_KEY_LIMIT:
-            post = post.astype(np.uint16)  # rebinding frees the int32 decode
-        self.post = post
-        pre_of = projection.pre_of_synapses(np.int32)
-        self.order = np.empty(post.size, dtype=np.int32)
-        self.pre = np.empty(post.size, dtype=np.int32)
+        self.post = np.empty(n_synapses, dtype=_neuron_dtype(n_post))
+        self.order = np.empty(n_synapses, dtype=np.int32)
+        self.pre = np.empty(n_synapses, dtype=_neuron_dtype(projection.pre.n))
+        counts = np.zeros(n_post, dtype=np.int64)
+        for _, _, synapses, _ in _row_blocks(self.pre_ptr):
+            keys = projection.targets[synapses] % np.int32(n_post)
+            self.post[synapses] = keys
+            counts += np.bincount(keys, minlength=n_post)
+        self.post_ptr = np.concatenate(([0], np.cumsum(counts)))
         # Stable sort by target, a block of CSR order at a time: a block's
         # synapses go behind the earlier blocks' in their neuron's slots.
         filled = self.post_ptr[:-1].copy()
-        for lo in range(0, post.size, SORT_BLOCK):
-            perm = np.argsort(post[lo:lo + SORT_BLOCK], kind="stable")
-            keys = post[lo:lo + SORT_BLOCK].take(perm)
+        for first, _, synapses, row_of in _row_blocks(self.pre_ptr):
+            keys = self.post[synapses]
+            perm = np.argsort(keys, kind="stable")
+            keys = keys.take(perm)
             counts = np.bincount(keys, minlength=n_post)
             ends = np.cumsum(counts)
             # filled[j] + (rank in the sorted block - first rank of key j)
-            slots = (filled - (ends - counts)).take(keys) + np.arange(keys.size)
-            perm += lo
+            slots = (filled - (ends - counts)).take(keys)
+            slots += np.arange(keys.size)
+            row_of += first
+            self.pre[slots] = row_of.take(perm)
+            perm += synapses.start
             self.order[slots] = perm
-            self.pre[slots] = pre_of.take(perm)
             filled += counts
 
     def outgoing(self, fired_pre: np.ndarray):

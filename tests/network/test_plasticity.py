@@ -290,6 +290,17 @@ class TestSimulatorIntegration:
         with pytest.raises(ConfigurationError):
             net.add_plasticity(foreign, PairSTDP())
 
+    @pytest.mark.parametrize("second", ["same rule", "another rule"])
+    def test_a_projection_takes_one_rule(self, second):
+        """A second rule (or the first one again) would step the
+        projection's weights twice per step; both are refused, and the
+        network keeps its one rule."""
+        net, projection, rule = self._learning_network()
+        again = rule if second == "same rule" else PairSTDP()
+        with pytest.raises(ConfigurationError, match="'inputs->output' is already plastic"):
+            net.add_plasticity(projection, again)
+        assert net.plasticity_rules == [rule]
+
     def test_lazy_and_dense_runs_are_bit_identical(self):
         """The compiled step equals the per-synapse reference inside a
         simulator run: weight bytes, traces and counters, every step."""

@@ -66,13 +66,15 @@ def _spike_pattern(projection, steps, seed):
 
 
 class TestSynapseIndex:
-    @pytest.mark.parametrize("block", [1 << 18, 7])
+    # The build walks whole rows: at a block of 1, shorter than most
+    # SHAPES rows, every row is a block of its own.
+    @pytest.mark.parametrize("block", [projection_module.BUILD_BLOCK, 7, 1])
     @pytest.mark.parametrize("radix", [True, False])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_post_sorted_view_is_the_stable_argsort(
         self, shape, radix, block, monkeypatch
     ):
-        monkeypatch.setattr(projection_module, "SORT_BLOCK", block)
+        monkeypatch.setattr(projection_module, "BUILD_BLOCK", block)
         if not radix:
             monkeypatch.setattr(projection_module, "RADIX_KEY_LIMIT", 0)
         projection = SHAPES[shape]()
@@ -85,8 +87,9 @@ class TestSynapseIndex:
         assert index.post_ptr.tolist() == [0] + np.cumsum(
             np.bincount(post_idx, minlength=projection.post.n)
         ).tolist()
-        assert index.order.dtype == index.pre.dtype == np.int32
-        assert index.post.dtype == (np.uint16 if radix else np.int32)
+        assert index.order.dtype == np.int32
+        narrow = np.uint16 if radix else np.int32
+        assert index.post.dtype == index.pre.dtype == narrow
 
     def test_radix_keys_cover_the_largest_16_bit_population(self):
         # post.n == 65,536: neuron 65,535 is the largest uint16 key.
@@ -96,6 +99,20 @@ class TestSynapseIndex:
         index = SynapseIndex(projection)
         assert index.order.tolist() == [1, 3, 0, 2]
         assert index.post_ptr[-1] == 4 and index.post_ptr[65_535] == 2
+
+    @pytest.mark.parametrize("n_pre, dtype", [
+        (projection_module.RADIX_KEY_LIMIT, np.uint16),
+        (projection_module.RADIX_KEY_LIMIT + 1, np.int32),
+    ])
+    def test_pre_is_uint16_up_to_the_radix_limit(self, n_pre, dtype):
+        # The last neuron is the largest source number either type holds.
+        projection = _projection(
+            [0, 1, n_pre - 1, n_pre - 1], [2, 0, 1, 0], n_pre, 3
+        )
+        index = SynapseIndex(projection)
+        assert index.pre.dtype == dtype
+        assert index.pre.tolist() == [1, n_pre - 1, n_pre - 1, 0]
+        assert index.post.dtype == np.uint16
 
     def test_queries_return_rows_in_fired_order(self):
         projection = SHAPES["gaps"]()
@@ -108,15 +125,15 @@ class TestSynapseIndex:
         assert pres.tolist() == [1, 2, 1, 4]
 
     def test_memory_budget(self, monkeypatch):
-        """Resident: 12 B per synapse + O(neurons). Building: at most
-        24 B per synapse live at once (the network build streams at
-        13-20, so this is a plastic run's largest transient)."""
+        """Resident: 8 B per synapse + O(neurons). Building: the index
+        plus one block's scratch and O(neurons) — no per-synapse
+        temporary (a 4 B one would break the bound)."""
         n, n_synapses = 2_000, 200_000
         projection = _random_projection(n, n, n_synapses, seed=4)
-        # The sort block is the build's constant part (40 B per block
-        # synapse); keep its ratio to the projection what it is on the
-        # 1.6 M-synapse benchmark network.
-        monkeypatch.setattr(projection_module, "SORT_BLOCK", n_synapses // 8)
+        # A sixteenth of the table per block: the scratch term (eight
+        # int64 values per block synapse) is then 4 B per synapse.
+        block = n_synapses // 16
+        monkeypatch.setattr(projection_module, "BUILD_BLOCK", block)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -129,8 +146,8 @@ class TestSynapseIndex:
             value.nbytes for name, value in vars(index).items()
             if isinstance(value, np.ndarray) and name != "pre_ptr"  # shared
         )
-        assert resident <= 12 * n_synapses + 16 * n
-        assert peak - before <= 24 * n_synapses
+        assert resident <= 8 * n_synapses + 16 * n
+        assert peak - before <= 8 * n_synapses + 64 * block + 64 * n
 
 
 class TestCompiledStep:
