@@ -17,15 +17,11 @@ Subcommands:
     Telemetry: ``--trace OUT.json`` writes a Perfetto/chrome://tracing
     timeline, ``--stats-json PATH`` dumps the run's statistics as
     JSON, ``--prometheus PATH`` writes the metrics registry in
-    Prometheus text exposition format. ``--alerts SPEC.json`` attaches
-    the health layer: streaming anomaly detectors feed an alert rules
-    engine whose pending/firing/resolved state is served on
-    ``GET /alerts``, streamed on SSE, and recorded in the ledger
-    entry (also on ``sweep``). ``--serve SPEC`` (``PORT``, ``:PORT`` or
-    ``HOST:PORT``; port 0 picks an ephemeral port, written to
-    ``--serve-port-file`` for scripts) serves ``/metrics``,
-    ``/healthz``, ``/readyz``, ``/status`` and the ``/events`` SSE
-    stream while the run (or ``sweep``) executes and for
+    Prometheus text exposition format. ``--serve SPEC`` (``PORT``,
+    ``:PORT`` or ``HOST:PORT``; port 0 picks an ephemeral port, written
+    to ``--serve-port-file`` for scripts) serves ``/metrics``,
+    ``/healthz``, ``/readyz``, ``/status`` and (with the ledger on)
+    ``/runs`` while the run (or ``sweep``) executes and for
     ``--serve-linger`` seconds after (``inf`` = until Ctrl-C).
     SIGINT/SIGTERM stop the run gracefully at the next step boundary:
     a final checkpoint is written, partial statistics land in
@@ -51,9 +47,6 @@ Subcommands:
     and simulate it on the backend the spec names.
 ``example-spec``
     Print a ready-to-run front-end specification.
-``top URL``
-    Live console dashboard of a serving run or sweep (polls
-    ``/status``); ``--once`` prints a single frame.
 ``runs``
     Query the run-provenance ledger (``ledger.jsonl``, schema
     ``repro-ledger/1``) that ``run``/``sweep``/``profile`` append to:
@@ -559,18 +552,6 @@ def _cmd_example_spec(_args) -> int:
     return 0
 
 
-def _cmd_top(args) -> int:
-    from repro.observability.top import run_top
-
-    url = args.url if "://" in args.url else "http://" + args.url
-    return run_top(
-        url,
-        interval=args.interval,
-        iterations=1 if args.once else None,
-        clear=not args.no_clear,
-    )
-
-
 def _cmd_runs(args) -> int:
     """``repro runs``: query the run-provenance ledger."""
     import json
@@ -747,7 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write run metrics in Prometheus text exposition format",
     )
     _add_serve_flags(run)
-    _add_alert_flags(run)
     _add_ledger_flags(run)
 
     sweep = sub.add_parser(
@@ -781,7 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         "spike digest and run statistics) as JSON",
     )
     _add_serve_flags(sweep)
-    _add_alert_flags(sweep)
     _add_ledger_flags(sweep)
 
     profile = sub.add_parser(
@@ -843,26 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--steps", type=int, default=1000)
 
     sub.add_parser("example-spec", help="print a ready-to-run JSON spec")
-
-    top = sub.add_parser(
-        "top", help="live console view of a serving run or sweep"
-    )
-    top.add_argument(
-        "url", help="server address (URL or HOST:PORT) printed by --serve"
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS"
-    )
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="print a single snapshot and exit (CI/script friendly)",
-    )
-    top.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append frames instead of clearing the screen",
-    )
 
     runs = sub.add_parser(
         "runs",
@@ -933,17 +892,6 @@ def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_alert_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--alerts",
-        default=None,
-        metavar="SPEC.json",
-        help="evaluate these alert rules (repro-alerts/1 JSON) against "
-        "the live run: pending -> firing after each rule's for_seconds, "
-        "served on GET /alerts and recorded in the ledger entry",
-    )
-
-
 def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--serve",
@@ -977,7 +925,6 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "simulate": _cmd_simulate,
     "example-spec": _cmd_example_spec,
-    "top": _cmd_top,
     "runs": _cmd_runs,
 }
 

@@ -77,8 +77,8 @@ class PhaseHook:
 
     #: Set False (class- or instance-level) on hooks that override
     #: ``on_population`` but do not want the simulator to pay the
-    #: per-population clock reads (e.g. a ServeHook configured without
-    #: population spans).
+    #: per-population clock reads (e.g. a TraceHook built with
+    #: ``populations=False``).
     wants_population_spans = True
 
     def on_run_start(self, network, n_steps: int) -> None:

@@ -76,6 +76,7 @@ from repro.routing import DelayRing, SpikeRouter
 
 __all__ = [
     "PHASES",
+    "RUN_STATS_SCHEMA",
     "HookError",
     "PhaseStats",
     "SimulationResult",
@@ -83,6 +84,10 @@ __all__ = [
     "advance_blocks",
     "bind_blocks",
 ]
+
+#: Schema of :meth:`SimulationResult.to_stats_dict` (``--stats-json``)
+#: and of the interrupted run's partial statistics.
+RUN_STATS_SCHEMA = "repro-run-stats/3"
 
 #: One bound block: its name, its size, the callable that returns this
 #: step's ``(n_synapse_types, n)`` input, and its ``(population, lo,
@@ -176,9 +181,6 @@ class SimulationResult:
     #: JSON snapshot of the run's metrics registry (None when the run
     #: was not passed a registry).
     metrics: Optional[Dict[str, dict]] = None
-    #: Alert summary from the health layer's :class:`HealthHook`
-    #: (None when the run carried no alert rules).
-    alerts: Optional[dict] = None
 
     @property
     def neuron_updates(self) -> int:
@@ -238,7 +240,7 @@ class SimulationResult:
         }
         counters["total_spikes"] = self.total_spikes()
         return {
-            "schema": "repro-run-stats/2",
+            "schema": RUN_STATS_SCHEMA,
             "network": self.network_name,
             "backend": self.backend_name,
             "n_steps": self.n_steps,
@@ -257,7 +259,6 @@ class SimulationResult:
             "diagnostics": self.diagnostics.to_dict(),
             "hook_errors": [asdict(error) for error in self.hook_errors],
             "metrics": self.metrics,
-            "alerts": self.alerts,
         }
 
 
@@ -689,15 +690,6 @@ class Simulator:
                 {"population": name},
             ).set(value)
         self.backend.publish_metrics(metrics)
-
-    def collect_diagnostics(self) -> RunDiagnostics:
-        """The reliability observations accumulated so far.
-
-        Public because the health layer polls this mid-run: the
-        saturation-growth and event monitors feed on live fallback and
-        clip tallies, not just the end-of-run snapshot.
-        """
-        return self._collect_diagnostics()
 
     def _collect_diagnostics(self) -> RunDiagnostics:
         """Gather reliability observations from the backend's runtimes.

@@ -6,17 +6,17 @@ written after a run ends; this package serves a run while it executes
 
 * :mod:`repro.observability.server` — a dependency-free stdlib HTTP
   server exposing ``GET /metrics`` (Prometheus text exposition),
-  ``GET /healthz`` / ``GET /readyz``, ``GET /status`` (JSON snapshot),
-  and ``GET /events`` (an SSE stream, schema ``repro-events/1``),
-  plus the :class:`~repro.observability.server.EventBus` and
-  :class:`~repro.observability.server.StatusBoard` the endpoints read;
+  ``GET /healthz`` / ``GET /readyz``, ``GET /status`` (JSON snapshot)
+  and ``GET /runs`` (the ledger), plus the
+  :class:`~repro.observability.server.StatusBoard` ``/status`` reads;
 * :mod:`repro.observability.hooks` — :class:`ServeHook`, the
   :class:`~repro.engine.hooks.PhaseHook` that feeds a live run's
-  progress into the status board, the event bus, and the metrics
-  registry without taxing the hot loop when idle;
-* :mod:`repro.observability.top` — the ``repro top`` console view of
-  the ``/status`` + ``/events`` feed (imported by the CLI, not
-  re-exported here: it pulls in ``urllib``).
+  progress into the status board and the metrics registry without
+  taxing the hot loop;
+* :mod:`repro.observability.resources` — the ``process_*`` RSS / CPU /
+  open-fd families ``/metrics`` publishes at each scrape;
+* :mod:`repro.observability.plane` — start and stop the server behind
+  ``--serve``.
 
 Exports resolve lazily (PEP 562, like :mod:`repro.supervision` and
 :mod:`repro.reliability`): an eager init would make every importer pay
@@ -26,8 +26,6 @@ for ``http.server`` and the hook stack.
 import importlib
 
 _EXPORTS = {
-    "EVENTS_SCHEMA": "repro.observability.server",
-    "EventBus": "repro.observability.server",
     "ObservabilityServer": "repro.observability.server",
     "ServeHook": "repro.observability.hooks",
     "StatusBoard": "repro.observability.server",

@@ -2,19 +2,15 @@
 
 A :class:`~repro.engine.hooks.PhaseHook` that feeds a live run's
 progress into the :class:`~repro.observability.server.StatusBoard`
-(``GET /status`` / ``repro top``), the
-:class:`~repro.observability.server.EventBus` (``GET /events``), and —
-optionally — gauge metrics (``GET /metrics``).
+(``GET /status``) and — optionally — the ``run_*`` gauges
+(``GET /metrics``).
 
 Hot-loop discipline: ``on_phase`` appends one float to a bounded deque
 and reads the monotonic clock once; everything else (percentiles,
-status snapshots, SSE publishing) happens at most once per
-``publish_interval`` seconds, on the simulation thread. Kernel spans
-cost the simulator extra clock reads, so they are opt-in
-(``population_spans=True``). They arrive one per *block* — the
-populations one ``advance`` call steps — so with them the view shows
-block rows (``exc+inh``); without them it shows one row per population,
-neuron counts scaled by the run's steps/sec, which is exact for the
+status snapshots, gauges) happens at most once per
+:data:`PUBLISH_INTERVAL` seconds, on the simulation thread. The hook
+takes no kernel spans: it shows one row per population, neuron counts
+scaled by the run's steps/sec, which is exact for the
 fixed-work-per-step phases this simulator runs.
 """
 
@@ -29,10 +25,10 @@ from repro.engine.hooks import PHASES, PhaseHook
 __all__ = ["ServeHook"]
 
 #: Per-phase rolling window of recent durations (events, not seconds).
-DEFAULT_WINDOW = 240
+WINDOW = 240
 
-#: Seconds between status/SSE publishes.
-DEFAULT_PUBLISH_INTERVAL = 0.25
+#: Seconds between status publishes.
+PUBLISH_INTERVAL = 0.25
 
 
 def _percentile_us(durations, q: float) -> float:
@@ -45,38 +41,19 @@ def _percentile_us(durations, q: float) -> float:
 
 
 class ServeHook(PhaseHook):
-    """Publishes live run progress to a status board and event bus."""
+    """Publishes live run progress to a status board and gauges."""
 
-    def __init__(
-        self,
-        status,
-        bus,
-        metrics=None,
-        publish_interval: float = DEFAULT_PUBLISH_INTERVAL,
-        window: int = DEFAULT_WINDOW,
-        population_spans: bool = False,
-    ) -> None:
+    def __init__(self, status, metrics=None) -> None:
         self.status = status
-        self.bus = bus
         self.metrics = metrics
-        self.publish_interval = publish_interval
-        #: Instance-level opt-in: the simulator only times per-population
-        #: kernel spans when a hook overriding ``on_population`` also
-        #: wants them (see ``Simulator._hook_dispatch``).
-        self.wants_population_spans = population_spans
-        self._window = window
         self._phase_durations: Dict[str, Deque[float]] = {
-            phase: deque(maxlen=window) for phase in PHASES
+            phase: deque(maxlen=WINDOW) for phase in PHASES
         }
         self._population_sizes: Dict[str, int] = {}
-        #: Kernel spans and update counts, keyed by block name.
-        self._block_durations: Dict[str, Deque[float]] = {}
-        self._block_sizes: Dict[str, int] = {}
         self._last_publish = 0.0
         self._window_anchor = 0.0
         self._window_steps = 0
         self._current_step = 0
-        self._run_steps = 0
         self._steps_per_sec = 0.0
 
     # -- PhaseHook callbacks ----------------------------------------------
@@ -86,13 +63,10 @@ class ServeHook(PhaseHook):
         self._window_anchor = now
         self._last_publish = now
         self._window_steps = 0
-        self._run_steps = 0
         self._population_sizes = {
             name: population.n
             for name, population in network.populations.items()
         }
-        self._block_durations = {}
-        self._block_sizes = {}
         self.status.update(
             state="running",
             network=network.name,
@@ -103,10 +77,6 @@ class ServeHook(PhaseHook):
                 name: {"neurons": n}
                 for name, n in self._population_sizes.items()
             },
-        )
-        self.bus.publish(
-            "run-start",
-            {"network": network.name, "n_steps": n_steps},
         )
 
     def on_step_start(self, step: int) -> None:
@@ -121,21 +91,10 @@ class ServeHook(PhaseHook):
         # The synapse phase closes a step; throttle everything beyond
         # the deque append to the publish interval.
         self._window_steps += 1
-        self._run_steps += 1
         now = time.monotonic()
-        if now - self._last_publish < self.publish_interval:
+        if now - self._last_publish < PUBLISH_INTERVAL:
             return
         self._publish(now, step)
-
-    def on_population(
-        self, population: str, step: int, seconds: float, operations: int
-    ) -> None:
-        durations = self._block_durations.get(population)
-        if durations is None:
-            durations = deque(maxlen=self._window)
-            self._block_durations[population] = durations
-            self._block_sizes[population] = operations
-        durations.append(seconds)
 
     def on_run_end(self, result) -> None:
         self._publish(time.monotonic(), self._current_step)
@@ -143,14 +102,6 @@ class ServeHook(PhaseHook):
             state="finished",
             total_spikes=result.total_spikes(),
             total_seconds=result.total_seconds,
-        )
-        self.bus.publish(
-            "run-end",
-            {
-                "network": result.network_name,
-                "steps": result.n_steps,
-                "total_spikes": result.total_spikes(),
-            },
         )
 
     # -- publishing (throttled) -------------------------------------------
@@ -170,33 +121,20 @@ class ServeHook(PhaseHook):
             }
             for name, durations in self._phase_durations.items()
         }
-        populations: Dict[str, dict] = {}
-        # Block rows once spans have named the blocks.
-        for name, n in (self._block_sizes or self._population_sizes).items():
-            entry: Dict[str, float] = {
+        populations = {
+            name: {
                 "neurons": n,
                 # Fixed work per step: every neuron updates every step,
                 # so ops/sec is exactly n x the run's step rate.
                 "ops_per_sec": n * self._steps_per_sec,
             }
-            spans = self._block_durations.get(name)
-            if spans:
-                entry["p50_us"] = _percentile_us(spans, 0.50)
-                entry["p95_us"] = _percentile_us(spans, 0.95)
-            populations[name] = entry
-
+            for name, n in self._population_sizes.items()
+        }
         self.status.update(
             current_step=step,
             steps_per_sec=self._steps_per_sec,
             phases=phases,
             populations=populations,
-        )
-        self.bus.publish(
-            "progress",
-            {
-                "step": step,
-                "steps_per_sec": round(self._steps_per_sec, 3),
-            },
         )
         if self.metrics is not None:
             self.metrics.gauge(
@@ -206,9 +144,3 @@ class ServeHook(PhaseHook):
                 "run_steps_per_sec",
                 "Simulation throughput over the recent window.",
             ).set(self._steps_per_sec)
-
-    # -- introspection (tests, repro top) ---------------------------------
-
-    @property
-    def steps_per_sec(self) -> float:
-        return self._steps_per_sec

@@ -134,10 +134,9 @@ class FaultInjector:
             if domain == "fixed":
                 values[neuron] = int(values[neuron]) ^ (1 << bit)
             else:
-                raw = np.float64(values[neuron]).view(np.int64)
-                values[neuron] = np.int64(int(raw) ^ (1 << bit)).view(
-                    np.float64
-                )
+                # Toggle the bit in place in the value's IEEE-754 word.
+                word = values[neuron:neuron + 1].view(np.uint64)
+                word ^= np.uint64(1 << bit)
             flip = BitFlip(population, name, neuron, bit, domain)
             flips.append(flip)
             self.log.append(flip)

@@ -6,13 +6,12 @@ and share everything around it, in this order:
 
 **Bring-up** (construction, :meth:`~RunContext.attach` per simulator,
 :meth:`~RunContext.serve`): run id → metrics registry (only when a flag
-will read it) → ``StatusBoard`` + ``EventBus`` (``--serve``) →
-``AlertManager`` (``--alerts``) → ``ServeHook`` / ``HealthHook`` on each
+will read it) → ``StatusBoard`` (``--serve``) → ``ServeHook`` on each
 simulator → the HTTP plane.
 
-**Write-out** (:meth:`~RunContext.write_out`): alert summary →
-``--stats-json`` → ``--prometheus`` → ``--trace`` → one ledger entry
-built from the command's config dict → linger, then stop the plane.
+**Write-out** (:meth:`~RunContext.write_out`): ``--stats-json`` →
+``--prometheus`` → ``--trace`` → one ledger entry built from the
+command's config dict → linger, then stop the plane.
 
 What the flags do not ask for stays unimported.
 """
@@ -38,30 +37,17 @@ class RunContext:
         self.args = args
         self.kind = kind
         self.run_id = new_run_id()
-        self.metrics = self.status = self.bus = None
-        self.manager = self.server = self._simulator = None
-        serve, alerts = self._flag("serve"), self._flag("alerts")
+        self.metrics = self.status = self.server = self._simulator = None
+        serve = self._flag("serve")
         self._check_serve_flags()
-        if (
-            serve or alerts
-            or self._flag("stats_json") or self._flag("prometheus")
-        ):
+        if serve or self._flag("stats_json") or self._flag("prometheus"):
             from repro.telemetry import MetricsRegistry
 
             self.metrics = MetricsRegistry()
         if serve:
-            from repro.observability.server import EventBus, StatusBoard
+            from repro.observability.server import StatusBoard
 
             self.status = StatusBoard(state="starting")
-            self.bus = EventBus()
-        if alerts:
-            from repro.health import AlertManager, load_alert_rules
-
-            rules = load_alert_rules(alerts)
-            print(f"alerting: {len(rules)} rule(s) loaded from {alerts!r}")
-            self.manager = AlertManager(
-                rules, status=self.status, bus=self.bus, metrics=self.metrics
-            )
 
     def _flag(self, name: str):
         return getattr(self.args, name, None)
@@ -93,20 +79,11 @@ class RunContext:
     def attach(self, simulator) -> List:
         """The plane's hooks for a ``Simulator.run`` (may be empty)."""
         self._simulator = simulator
-        hooks = []
-        if self.status is not None:
-            from repro.observability.hooks import ServeHook
+        if self.status is None:
+            return []
+        from repro.observability.hooks import ServeHook
 
-            hooks.append(ServeHook(self.status, self.bus, metrics=self.metrics))
-        if self.manager is not None:
-            from repro.health import HealthHook
-
-            hooks.append(
-                HealthHook(
-                    self.manager, simulator=simulator, metrics=self.metrics
-                )
-            )
-        return hooks
+        return [ServeHook(self.status, metrics=self.metrics)]
 
     def _runtime_health(self) -> Tuple[bool, str]:
         """``/healthz``: every runtime of the latest attached simulator
@@ -141,9 +118,8 @@ class RunContext:
 
         self.server = start_plane(
             self.args.serve, self.args.serve_port_file, self.metrics,
-            self.status, self.bus, self._runtime_health, ready_check,
+            self.status, self._runtime_health, ready_check,
             ledger_path=self.ledger_path,
-            alerts_source=self.manager and self.manager.document,
         )
 
     # -- write-out ---------------------------------------------------------
@@ -163,8 +139,8 @@ class RunContext:
     ) -> None:
         """Write the invocation's artifacts and its one ledger entry.
 
-        ``stats`` is the ``--stats-json`` document (run id and alert
-        summary are stamped in here), ``trace`` the ``--trace`` document
+        ``stats`` is the ``--stats-json`` document (the run id is
+        stamped in here), ``trace`` the ``--trace`` document
         plus the description printed after its path, ``artifacts`` files
         the command wrote itself; ``entry_fields`` reach ``make_entry``
         beside what ``config`` already says. ``partial`` marks a run cut
@@ -175,23 +151,8 @@ class RunContext:
 
         args = self.args
         written = {}
-        summary = None
-        if self.manager is not None and not partial:
-            summary = self.manager.summary()
-            fired = summary["fired"]
-            print(
-                f"alerts: {summary['fired_total']} fired"
-                + (f" ({', '.join(fired)})" if fired else "")
-                + f", {summary['firing']} still firing, "
-                f"{summary['resolved']} resolved"
-            )
-            entry_fields["extra"] = {
-                **(entry_fields.get("extra") or {}), "alerts": summary,
-            }
         if self._flag("stats_json") and stats is not None:
             stats["run_id"] = self.run_id
-            if summary is not None:
-                stats["alerts"] = summary
             atomic_write_json(args.stats_json, stats)
             print(f"wrote {stats_label} {args.stats_json!r}")
             written["stats_json"] = args.stats_json
@@ -229,6 +190,4 @@ class RunContext:
         if self.server is not None:
             from repro.observability.plane import linger_plane
 
-            linger_plane(
-                self.server, self.bus, 0.0 if partial else args.serve_linger
-            )
+            linger_plane(self.server, 0.0 if partial else args.serve_linger)

@@ -30,6 +30,7 @@ from typing import Dict, Iterator, Optional
 
 from repro.engine.hooks import PhaseTimer
 from repro.errors import RunInterrupted
+from repro.network.simulator import RUN_STATS_SCHEMA
 
 __all__ = ["EXIT_CODES", "InterruptHook", "graceful_signals"]
 
@@ -89,12 +90,12 @@ class InterruptHook(PhaseTimer):
         )
 
     def _partial_stats(self, signal_name: str, step: int) -> dict:
-        """A ``repro-run-stats/2``-shaped document for the partial run."""
+        """A :data:`RUN_STATS_SCHEMA` document for the partial run."""
         simulator = self.simulator
         recorder = simulator.live_spikes
         total = sum(stats.seconds for stats in self.phases.values())
         return {
-            "schema": "repro-run-stats/2",
+            "schema": RUN_STATS_SCHEMA,
             "partial": True,
             "network": simulator.network.name,
             "backend": simulator.backend.name,

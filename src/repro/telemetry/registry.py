@@ -304,45 +304,6 @@ class MetricsRegistry:
             )
         return family.child(_labels_key(labels))
 
-    # -- reads -------------------------------------------------------------
-
-    def value_of(
-        self,
-        name: str,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> Optional[float]:
-        """Sum of ``name``'s children whose labels include ``labels``.
-
-        The read side of metric-based alert rules: an empty/None label
-        set matches every child, a partial set matches the subset, and
-        histograms contribute their observation count. Returns ``None``
-        when the family is absent or nothing matches — "no data" is
-        not the same condition as "zero". Reads race benignly with the
-        single writer thread; the rare dict-resize ``RuntimeError`` is
-        retried the same way ``/metrics`` scrapes retry.
-        """
-        wanted = _labels_key(labels)
-        for _ in range(5):
-            try:
-                family = self._families.get(name)
-                if family is None:
-                    return None
-                total = 0.0
-                matched = False
-                for key, child in family.children.items():
-                    child_labels = dict(key)
-                    if any(child_labels.get(k) != v for k, v in wanted):
-                        continue
-                    matched = True
-                    if family.kind == "histogram":
-                        total += float(child.count)
-                    else:
-                        total += float(child.value)
-                return total if matched else None
-            except RuntimeError:
-                continue
-        return None
-
     # -- export ------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, dict]:

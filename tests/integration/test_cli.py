@@ -1,15 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
-import os
 
 import pytest
 
 from repro.cli import build_parser, main
-
-ALERTS = os.path.join(
-    os.path.dirname(__file__), "..", "..", "examples", "alerts.json"
-)
 
 
 class TestParser:
@@ -25,6 +20,7 @@ class TestParser:
         args = build_parser().parse_args(["run", "Brunel"])
         assert args.backend == "folded"
         assert args.scale == 0.05
+        assert not hasattr(args, "alerts")
 
 
 class TestCommands:
@@ -344,7 +340,7 @@ class TestTelemetryCli:
         path = tmp_path / "stats.json"
         assert main(self.BASE + ["--stats-json", str(path)]) == 0
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro-run-stats/2"
+        assert doc["schema"] == "repro-run-stats/3"
         assert doc["network"] == "Brunel"
         assert doc["n_steps"] == 60
         assert set(doc["phase_fractions"]) == {"stimulus", "neuron", "synapse"}
@@ -395,7 +391,9 @@ class TestSweepCli:
         assert args.workloads == []
         assert args.backend == "reference"
         assert (args.scale, args.steps, args.seed) == (0.05, 400, 1)
-        for gone in ("workers", "max_retries", "deadline", "chaos_kill_at"):
+        for gone in (
+            "workers", "max_retries", "deadline", "chaos_kill_at", "alerts",
+        ):
             assert not hasattr(args, gone)
 
     def test_sweep_unknown_workload_fails_cleanly(self, capsys):
@@ -476,9 +474,9 @@ class TestSweepCli:
         stats = tmp_path / "sweep.json"
         code = main(
             ["sweep", *names, "--scale", "0.05", "--steps", "300",
-             "--no-ledger", "--alerts", ALERTS, "--stats-json", str(stats)]
+             "--no-ledger", "--serve", ":0", "--stats-json", str(stats)]
         )
         assert code == 0, capsys.readouterr()
         doc = json.loads(stats.read_text())
         assert [job["outcome"] for job in doc["jobs"]] == ["completed"] * 2
-        assert doc["alerts"]["fired_total"] == 0, doc["alerts"]
+        assert "alerts" not in doc

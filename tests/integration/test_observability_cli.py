@@ -1,9 +1,9 @@
-"""CLI-level observability: --serve endpoints and top.
+"""CLI-level observability: the ``--serve`` endpoints.
 
 The in-process tests (``tests/observability/``) pin each component;
 these pin the *wiring* — that the flags on ``repro run`` / ``repro
-sweep`` actually stand up a live plane and that ``repro top`` can read
-it.
+sweep`` actually stand up a live plane, that it keeps serving while it
+lingers, and that serving leaves the spikes untouched.
 
 Live-server tests run the CLI in a subprocess (the plane must be up
 *while* we probe it) and discover the ephemeral port through
@@ -18,7 +18,7 @@ import sys
 import time
 import urllib.request
 
-from repro.cli import main
+from repro.assembly import assemble
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,6 +59,18 @@ def _fetch(url, timeout=10.0):
         return response.read().decode("utf-8")
 
 
+def _wait_until_finished(base, timeout=60.0):
+    """Poll ``/status`` until the run reports ``finished``; return it."""
+    deadline = time.monotonic() + timeout
+    status = {}
+    while time.monotonic() < deadline:
+        status = json.loads(_fetch(f"{base}/status"))
+        if status.get("state") == "finished":
+            break
+        time.sleep(0.1)
+    return status
+
+
 def _finish(process, timeout=60.0):
     """Interrupt a lingering CLI and return (exit_code, output)."""
     # "finished" is published before the write-out (stats, ledger
@@ -78,10 +90,12 @@ def _finish(process, timeout=60.0):
 class TestServeFlag:
     def test_run_serve_exposes_live_plane(self, tmp_path):
         port_file = str(tmp_path / "port")
+        stats_path = tmp_path / "run.json"
         process = _spawn_cli(
             [
                 "run", "Brunel", "--scale", "0.02", "--steps", "300",
-                "--backend", "reference",
+                "--backend", "reference", "--seed", "3",
+                "--stats-json", str(stats_path),
                 "--serve", ":0", "--serve-port-file", port_file,
                 "--serve-linger", "120",
             ],
@@ -94,31 +108,37 @@ class TestServeFlag:
             # sim_steps_total is published at collect time — wait for
             # the run to finish (the plane keeps serving while it
             # lingers) before scraping for it.
-            deadline = time.monotonic() + 60.0
-            status = {}
-            while time.monotonic() < deadline:
-                status = json.loads(_fetch(f"{base}/status"))
-                if status.get("state") == "finished":
-                    break
-                time.sleep(0.1)
+            status = _wait_until_finished(base)
             assert status.get("state") == "finished", status
             assert status["network"] == "Brunel"
+            assert _fetch(f"{base}/readyz") == "ok\n"
             metrics = _fetch(f"{base}/metrics")
             assert "sim_steps_total" in metrics
             assert "run_current_step" in metrics
+            assert "process_resident_memory_bytes" in metrics
+            # The ledger entry lands after "finished", before the linger.
+            deadline = time.monotonic() + 30.0
+            runs = json.loads(_fetch(f"{base}/runs"))["runs"]
+            while not runs and time.monotonic() < deadline:
+                time.sleep(0.1)
+                runs = json.loads(_fetch(f"{base}/runs"))["runs"]
+            assert [row["workload"] for row in runs] == ["Brunel"]
         finally:
             code, output = _finish(process)
         assert code == 0, output
         assert "observability plane at" in output
+        # Serving leaves the spikes untouched.
+        bare = assemble("Brunel", "reference", scale=0.02, seed=3)
+        digest = bare.simulator().run(300).spikes.digest()
+        assert json.loads(stats_path.read_text())["spike_digest"] == digest
 
-    def test_sweep_serves_every_job_and_fires_no_alert(self, tmp_path):
+    def test_sweep_serves_every_job(self, tmp_path):
         port_file = str(tmp_path / "port")
         stats_path = str(tmp_path / "sweep.json")
         process = _spawn_cli(
             [
                 "sweep", "Brunel", "Vogels et al.", "--backend", "reference",
                 "--scale", "0.05", "--steps", "300",
-                "--alerts", os.path.join(REPO_ROOT, "examples", "alerts.json"),
                 "--stats-json", stats_path,
                 "--serve", ":0", "--serve-port-file", port_file,
                 "--serve-linger", "120",
@@ -139,8 +159,6 @@ class TestServeFlag:
             status = json.loads(_fetch(f"{base}/status"))
             assert status.get("state") == "finished", status
             assert status["network"] == "Vogels et al."
-            alerts = json.loads(_fetch(f"{base}/alerts"))
-            assert alerts["fired_total"] == 0, alerts
         finally:
             code, output = _finish(process)
         assert code == 0, output
@@ -150,14 +168,13 @@ class TestServeFlag:
         assert [job["outcome"] for job in document["jobs"]] == [
             "completed", "completed",
         ]
-        assert document["alerts"]["fired_total"] == 0
 
-    def test_serve_command_with_top_once(self, tmp_path):
+    def test_linger_inf_serves_until_interrupted(self, tmp_path):
         port_file = str(tmp_path / "port")
         process = _spawn_cli(
             [
                 "run", "Brunel", "--backend", "reference",
-                "--scale", "0.02", "--steps", "300",
+                "--scale", "0.02", "--steps", "300", "--no-ledger",
                 "--serve", ":0", "--serve-port-file", port_file,
                 "--serve-linger", "inf",
             ],
@@ -165,8 +182,14 @@ class TestServeFlag:
         )
         try:
             port = _wait_for_port(port_file, process)
-            code = main(["top", f"127.0.0.1:{port}", "--once"])
+            base = f"http://127.0.0.1:{port}"
+            assert _wait_until_finished(base).get("state") == "finished"
+            # Still serving a moment later: the linger has no deadline.
+            time.sleep(1.5)
+            assert _fetch(f"{base}/healthz") == "ok\n"
         finally:
-            _finish(process)
-        assert code == 0
+            code, output = _finish(process)
+        assert code == 0, output
+        assert "serving for another infs (Ctrl-C to stop)" in output
+        assert "stopping" in output
 

@@ -249,7 +249,7 @@ def test_plain_run_imports_no_server_and_no_multiprocessing():
         "code = main(['run', 'Brunel', '--backend', 'reference', "
         "'--scale', '0.02', '--steps', '5', '--no-ledger'])\n"
         "heavy = [m for m in ('http.server', 'multiprocessing.connection', "
-        "'repro.health', 'repro.hardware') if m in sys.modules]\n"
+        "'repro.observability', 'repro.hardware') if m in sys.modules]\n"
         "sys.exit(code or (3 if heavy else 0))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -263,7 +263,7 @@ def test_plain_run_imports_no_server_and_no_multiprocessing():
 
 SUBCOMMANDS = [
     ["workloads"], ["models"], ["microcode"], ["run"], ["sweep"],
-    ["profile"], ["experiment"], ["simulate"], ["example-spec"], ["top"],
+    ["profile"], ["experiment"], ["simulate"], ["example-spec"],
     ["runs"], ["runs", "list"], ["runs", "show"], ["runs", "diff"],
 ]
 

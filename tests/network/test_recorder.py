@@ -145,7 +145,14 @@ class TestPhaseFractions:
 
         result = Simulator(small_network, dt=DT, seed=3).run(10)
         doc = result.to_stats_dict()
-        assert doc["schema"] == "repro-run-stats/2"
+        assert doc["schema"] == "repro-run-stats/3"
+        assert set(doc) == {
+            "schema", "network", "backend", "n_steps", "dt",
+            "total_seconds", "recording_seconds", "phases",
+            "phase_fractions", "counters", "spike_digest",
+            "spikes_per_population", "evaluations_per_step", "diagnostics",
+            "hook_errors", "metrics",
+        }
         assert doc["n_steps"] == 10
         assert set(doc["phase_fractions"]) == set(PHASES)
         assert doc["counters"]["total_spikes"] == result.total_spikes()

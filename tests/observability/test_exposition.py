@@ -30,7 +30,7 @@ _SAMPLE_RE = re.compile(
 
 def _representative_registry() -> MetricsRegistry:
     """The registry the golden file was generated from."""
-    from repro.health.resources import declare_process_metrics
+    from repro.observability.resources import declare_process_metrics
 
     registry = MetricsRegistry()
     # The process self-telemetry families every serving process

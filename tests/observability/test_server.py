@@ -1,4 +1,4 @@
-"""The HTTP plane: spec parsing, event bus, status board, endpoints."""
+"""The HTTP plane: spec parsing, status board, endpoints."""
 
 import json
 import socket
@@ -10,8 +10,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.observability.server import (
-    EVENTS_SCHEMA,
-    EventBus,
     ObservabilityServer,
     StatusBoard,
     parse_serve_spec,
@@ -37,64 +35,6 @@ class TestParseServeSpec:
             parse_serve_spec(bad)
 
 
-class TestEventBus:
-    def test_publish_stamps_schema_type_ts_seq(self):
-        bus = EventBus()
-        event = bus.publish("progress", {"step": 5})
-        assert event["schema"] == EVENTS_SCHEMA == "repro-events/1"
-        assert event["type"] == "progress"
-        assert event["step"] == 5
-        assert event["seq"] == 0
-        assert bus.publish("progress")["seq"] == 1
-
-    def test_subscriber_receives_events(self):
-        bus = EventBus()
-        with bus.subscribe() as subscription:
-            bus.publish("a")
-            bus.publish("b")
-            assert subscription.get(timeout=1.0)["type"] == "a"
-            assert subscription.get(timeout=1.0)["type"] == "b"
-            assert subscription.get(timeout=0.01) is None
-
-    def test_unsubscribe_on_close(self):
-        bus = EventBus()
-        subscription = bus.subscribe()
-        assert bus.subscriber_count == 1
-        subscription.close()
-        assert bus.subscriber_count == 0
-
-    def test_full_queue_drops_instead_of_blocking(self):
-        bus = EventBus(queue_depth=2)
-        with bus.subscribe() as subscription:
-            for _ in range(5):
-                bus.publish("tick")
-            # The publisher never blocked; the overflow was counted.
-            assert subscription.dropped == 3
-            assert bus.published_total == 5
-
-    def test_drop_total_survives_unsubscribe(self):
-        bus = EventBus(queue_depth=1)
-        with bus.subscribe():
-            bus.publish("a")
-            bus.publish("b")  # dropped: queue full
-        assert bus.subscriber_count == 0
-        assert bus.dropped_total == 1
-
-    def test_stats_reports_per_subscriber_drops(self):
-        bus = EventBus(queue_depth=1)
-        with bus.subscribe() as slow:
-            bus.publish("a")
-            with bus.subscribe() as fresh:
-                bus.publish("b")  # drops on slow only; fresh has room
-                stats = bus.stats()
-        assert stats["subscribers"] == 2
-        assert stats["published_total"] == 2
-        assert stats["dropped_events_total"] == 1
-        assert sorted(stats["dropped_events"]) == [0, 1]
-        assert slow.dropped == 1
-        assert fresh.dropped == 0
-
-
 class TestStatusBoard:
     def test_update_and_snapshot(self):
         status = StatusBoard(state="starting")
@@ -103,20 +43,6 @@ class TestStatusBoard:
         assert snapshot["state"] == "starting"
         assert snapshot["current_step"] == 10
         assert snapshot["updated_ts"] > 0
-
-    def test_merge_updates_one_row(self):
-        status = StatusBoard()
-        status.merge("jobs", job_a={"state": "running"})
-        status.merge("jobs", job_b={"state": "pending"})
-        assert status.snapshot()["jobs"] == {
-            "job_a": {"state": "running"},
-            "job_b": {"state": "pending"},
-        }
-
-    def test_merge_into_non_dict_rejected(self):
-        status = StatusBoard(state="running")
-        with pytest.raises(ConfigurationError):
-            status.merge("state", nested=1)
 
     def test_snapshot_isolated_from_later_updates(self):
         status = StatusBoard()
@@ -136,11 +62,9 @@ def _get(url, timeout=5.0):
 class TestObservabilityServer:
     def test_endpoints_end_to_end(self):
         status = StatusBoard(state="running")
-        bus = EventBus()
         server = ObservabilityServer(
             metrics_text=lambda: "# TYPE up gauge\nup 1\n",
             status=status,
-            bus=bus,
             port=0,
         )
         with server:
@@ -159,11 +83,15 @@ class TestObservabilityServer:
             code, body, _ = _get(f"{server.url}/status")
             snapshot = json.loads(body)
             assert snapshot["state"] == "running"
-            assert snapshot["sse"]["subscribers"] == 0
-            assert snapshot["sse"]["dropped_events_total"] == 0
+            assert set(snapshot) == {"state", "updated_ts"}
 
             code, body, _ = _get(f"{server.url}/")
             assert code == 200 and "/metrics" in body
+
+            for gone in ("/events", "/alerts"):
+                with pytest.raises(urllib.error.HTTPError) as caught:
+                    _get(f"{server.url}{gone}")
+                assert caught.value.code == 404
 
     def test_unknown_path_is_404(self):
         with ObservabilityServer(port=0) as server:
@@ -189,46 +117,6 @@ class TestObservabilityServer:
             with pytest.raises(urllib.error.HTTPError) as caught:
                 _get(f"{server.url}/readyz")
             assert caught.value.code == 503
-
-    def test_sse_stream_delivers_published_events(self):
-        bus = EventBus()
-        with ObservabilityServer(bus=bus, port=0) as server:
-            frames = []
-            done = threading.Event()
-
-            def consume():
-                request = urllib.request.urlopen(
-                    f"{server.url}/events", timeout=10.0
-                )
-                # ": stream open" comment arrives first, then frames of
-                # event:/id:/data: lines — read until a data line lands.
-                for _ in range(50):
-                    line = request.readline().decode("utf-8")
-                    if not line:
-                        break
-                    if line.strip():
-                        frames.append(line.strip())
-                    if line.startswith("data: "):
-                        break
-                request.close()
-                done.set()
-
-            thread = threading.Thread(target=consume, daemon=True)
-            thread.start()
-            # Publish until the consumer has its frames (it subscribes
-            # asynchronously, so early events may precede it).
-            for _ in range(100):
-                bus.publish("progress", {"step": 1})
-                if done.wait(timeout=0.05):
-                    break
-            assert done.is_set(), "SSE consumer never saw the event"
-            text = "\n".join(frames)
-            assert ": stream open" in text
-            assert "event: progress" in text
-            data_line = next(f for f in frames if f.startswith("data: "))
-            payload = json.loads(data_line[len("data: "):])
-            assert payload["schema"] == EVENTS_SCHEMA
-            assert payload["step"] == 1
 
     def test_runs_endpoint_serves_the_ledger_document(self):
         document = {
@@ -290,44 +178,8 @@ class TestObservabilityServer:
             probe.close()
 
 
-class TestEventBusConcurrency:
-    def test_close_mid_publish_still_tallies_the_drop(self):
-        # publish() snapshots the subscriber list under the lock but
-        # offers outside it, so a subscriber can close between the
-        # snapshot and its offer. The in-flight offer must still count
-        # the drop on the bus total even though the subscriber is gone.
-        bus = EventBus(queue_depth=1)
-        subscription = bus.subscribe()
-        bus.publish("fill")  # queue now full
-        subscription.close()
-        assert bus.subscriber_count == 0
-        subscription.offer({"type": "in-flight"})  # what publish() does
-        assert subscription.dropped == 1
-        assert bus.dropped_total == 1
-        # And the accounting is visible on the /status sse block.
-        assert bus.stats()["dropped_events_total"] == 1
-
-    def test_concurrent_publishers_never_lose_seq_or_counts(self):
-        bus = EventBus(queue_depth=4)
-        with bus.subscribe():
-            threads = [
-                threading.Thread(
-                    target=lambda: [bus.publish("tick") for _ in range(50)]
-                )
-                for _ in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            stats = bus.stats()
-        assert stats["published_total"] == 200
-        # Everything not queued was dropped — no event vanishes untallied.
-        assert stats["dropped_events_total"] == 200 - 4
-
-
 class TestStatusBoardConcurrency:
-    def test_merge_under_concurrent_writers_keeps_every_row(self):
+    def test_concurrent_updates_keep_every_key(self):
         status = StatusBoard(state="running")
         n_writers, n_rounds = 8, 50
         errors = []
@@ -335,9 +187,7 @@ class TestStatusBoardConcurrency:
         def writer(index):
             try:
                 for round_no in range(n_rounds):
-                    status.merge(
-                        "jobs", **{f"job_{index}": {"step": round_no}}
-                    )
+                    status.update(**{f"writer_{index}": {"step": round_no}})
                     status.snapshot()
             except Exception as error:  # pragma: no cover - fails the test
                 errors.append(error)
@@ -351,36 +201,9 @@ class TestStatusBoardConcurrency:
         for thread in threads:
             thread.join()
         assert not errors
-        jobs = status.snapshot()["jobs"]
-        assert set(jobs) == {f"job_{i}" for i in range(n_writers)}
-        # Every row holds its own writer's final round — no torn rows.
+        snapshot = status.snapshot()
+        # Every key holds its own writer's final round — no torn rows.
         assert all(
-            jobs[f"job_{i}"]["step"] == n_rounds - 1
+            snapshot[f"writer_{i}"] == {"step": n_rounds - 1}
             for i in range(n_writers)
         )
-
-
-class TestAlertsEndpoint:
-    def test_alerts_endpoint_serves_the_manager_document(self):
-        document = {
-            "schema": "repro-alerts/1",
-            "rules": [],
-            "counts": {"pending": 0, "firing": 1, "resolved": 0},
-            "fired_total": 1,
-            "alerts": [],
-        }
-        with ObservabilityServer(
-            alerts_source=lambda: document, port=0
-        ) as server:
-            code, body, _ = _get(f"{server.url}/alerts")
-            assert code == 200
-            assert json.loads(body) == document
-            code, body, _ = _get(f"{server.url}/")
-            assert "/alerts" in body
-
-    def test_alerts_endpoint_without_rules_is_404(self):
-        with ObservabilityServer(port=0) as server:
-            with pytest.raises(urllib.error.HTTPError) as caught:
-                _get(f"{server.url}/alerts")
-            assert caught.value.code == 404
-            assert "no alert rules" in caught.value.read().decode("utf-8")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.runtime import CompiledRuntime, SolverRuntime
 from repro.errors import SimulationError
 from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
 from repro.network.backends import ReferenceBackend
@@ -27,7 +28,48 @@ def _simulator(small_network, backend=None):
     )
 
 
+class _ScriptedDraws:
+    """Stands in for an injector's generator: hands out fixed draws."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def integers(self, high):
+        return next(self._draws)
+
+
+def _word(values, index):
+    return int(values[index:index + 1].copy().view(np.uint64)[0])
+
+
 class TestFaultInjector:
+    @pytest.mark.parametrize(
+        "backend, runtime_type",
+        [
+            (lambda: ReferenceBackend("Euler"), CompiledRuntime),
+            (lambda: ReferenceBackend("RKF45"), SolverRuntime),
+            (lambda: ReferenceBackend("Euler", use_engine=False), SolverRuntime),
+        ],
+        ids=["compiled", "solver-lowered", "solver-dict"],
+    )
+    def test_float_flip_toggles_exactly_the_drawn_bit(
+        self, small_network, backend, runtime_type
+    ):
+        # Every bit, the sign bit 63 included, toggles in the value's
+        # IEEE-754 word (a signed int64 round trip overflows on bit 63).
+        simulator = _simulator(small_network, backend())
+        simulator.run(20)
+        runtime = simulator.backend.runtime("exc")
+        assert isinstance(runtime, runtime_type)
+        injector = FaultInjector(simulator)
+        values = runtime.state()["v"]
+        for bit in range(64):
+            before = _word(values, 3)
+            injector.rng = _ScriptedDraws(0, 3, bit)
+            (flip,) = injector.flip_state_bits("exc", variable="v")
+            assert (flip.neuron, flip.bit) == (3, bit)
+            assert _word(values, 3) == before ^ (1 << bit)
+
     def test_float_flip_changes_exactly_one_value(self, small_network):
         simulator = _simulator(small_network)
         before = {
@@ -128,6 +170,14 @@ class TestSustainedFaults:
         fault = BitFlipFault(simulator, "exc", every=10, seed=4)
         simulator.run(35, hooks=[fault])
         assert len(fault.log) == 3  # steps 10, 20, 30 (not 0)
+
+    def test_a_flip_every_step_keeps_the_hook_attached(self, small_network):
+        simulator = _simulator(small_network)
+        fault = BitFlipFault(simulator, "exc", every=1, seed=4)
+        result = simulator.run(300, hooks=[fault])
+        assert result.hook_errors == []
+        assert len(fault.log) == 299
+        assert any(flip.bit == 63 for flip in fault.log)
 
     def test_bit_flip_fault_validates_interval(self, small_network):
         simulator = _simulator(small_network)

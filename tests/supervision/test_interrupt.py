@@ -67,7 +67,7 @@ class TestInterruptHook:
     def test_partial_stats_document(self, tmp_path):
         hook, _, path = self._interrupt_run(tmp_path, "SIGTERM")
         stats = hook.partial_stats
-        assert stats["schema"] == "repro-run-stats/2"
+        assert stats["schema"] == "repro-run-stats/3"
         assert stats["partial"] is True
         assert stats["n_steps"] == STOP_AT
         assert stats["interrupted"] == {
