@@ -1,8 +1,7 @@
 """Run assembly: how a run description becomes a simulator.
 
 Every path that executes a Table I workload — ``repro run``, each job
-of ``repro sweep``, ``repro profile``, the front-end and the experiment
-helpers — describes the run with the same six fields (``workload,
+of ``repro sweep``, the front-end and the experiment helpers — describes the run with the same six fields (``workload,
 backend, scale, seed, dt, solver``) and turns them into a network, a
 prepared backend and a stimulus seed *here*, so the two decisions below
 have one owner:

@@ -34,10 +34,6 @@ Subcommands:
     ``NumericsGuard`` attached. A job that raises a library error is
     reported failed and the loop goes on; the sweep exits 1 if any job
     failed. One ledger entry covers the whole sweep.
-``profile``
-    Run registry workloads bare vs. fully instrumented; report
-    per-phase/per-population p50/p95 wall time, ops/sec, and the
-    telemetry overhead delta; write ``BENCH_profile.json``.
 ``experiment NAME``
     Regenerate one paper artifact (``figure3``, ``figures4to8``,
     ``table3``, ``table5``, ``figure12``, ``table6``, ``figure13``,
@@ -49,7 +45,7 @@ Subcommands:
     Print a ready-to-run front-end specification.
 ``runs``
     Query the run-provenance ledger (``ledger.jsonl``, schema
-    ``repro-ledger/1``) that ``run``/``sweep``/``profile`` append to:
+    ``repro-ledger/1``) that ``run``/``sweep`` append to:
     ``list`` recent runs (``--json`` for one record per line),
     ``show RUN_ID`` one full entry and
     ``diff A B`` two entries field by field (exit 1 when their spike
@@ -57,13 +53,13 @@ Subcommands:
     unique prefixes. Opt out of recording with ``--no-ledger`` on any
     recording command.
 
-``run``, ``sweep`` and ``profile`` share their setup:
+``run`` and ``sweep`` share their setup:
 :mod:`repro.assembly` turns ``(workload, backend, scale, seed, dt,
 solver)`` into a network and a seeded simulator, and
 :class:`repro.runcontext.RunContext` brings the observability plane up
 before the work and writes the artifacts and the ledger entry after it.
-Throughput is measured by ``python3 bench/run.py`` (``BENCHMARK.json``),
-not by a subcommand.
+Throughput, per-phase latency and telemetry overhead are measured by
+``python3 bench/run.py`` (``BENCHMARK.json``), not by a subcommand.
 """
 
 from __future__ import annotations
@@ -148,10 +144,10 @@ def _cmd_run(args) -> int:
 
     from repro.assembly import assemble, check_run_request
     from repro.errors import CheckpointError, RunInterrupted
-    from repro.runcontext import RunContext
-    from repro.supervision.interrupt import (
+    from repro.runcontext import (
         EXIT_CODES,
         InterruptHook,
+        RunContext,
         graceful_signals,
     )
     from repro.workloads import get_spec
@@ -243,10 +239,7 @@ def _cmd_run(args) -> int:
             outcome=f"interrupted ({stop.signal_name})",
             duration=time.monotonic() - wall_start,
             partial=True,
-            stats=(
-                None if interrupt.partial_stats is None
-                else dict(interrupt.partial_stats)
-            ),
+            stats=interrupt.partial_stats(stop) if args.stats_json else None,
             stats_label="partial run statistics",
             artifacts={"checkpoint": interrupt.checkpoint_written},
             steps=stop.step,
@@ -386,64 +379,6 @@ def _cmd_sweep(args) -> int:
     return 1 if n_failed else 0
 
 
-def _cmd_profile(args) -> int:
-    import time
-
-    from repro.assembly import check_run_request
-    from repro.errors import ConfigurationError
-    from repro.runcontext import RunContext
-    from repro.telemetry import profile
-
-    check_run_request(args.steps, seed=args.seed)
-    workloads = (
-        [name.strip() for name in args.workloads.split(",") if name.strip()]
-        if args.workloads
-        else list(profile.DEFAULT_WORKLOADS)
-    )
-    if not workloads:
-        raise ConfigurationError(
-            f"--workloads {args.workloads!r} names no workload"
-        )
-    steps, scale, reps = args.steps, args.scale, args.reps
-    if args.quick:
-        steps, scale, reps = min(steps, 120), min(scale, 0.05), min(reps, 2)
-    ctx = RunContext(args, "profile")
-    print(f"run ID: {ctx.run_id}")
-    wall_start = time.monotonic()
-    payload = profile.run_profile(
-        workloads,
-        backend=args.backend,
-        steps=steps,
-        scale=scale,
-        reps=reps,
-        seed=args.seed,
-        trace_path=args.trace,
-        progress=print,
-        run_id=ctx.run_id,
-    )
-    wall_seconds = time.monotonic() - wall_start
-    print()
-    print(profile.format_profile(payload))
-    profile.write_profile(payload, args.output)
-    print(f"\nwrote {args.output}")
-    if args.trace:
-        print(f"wrote sample trace {args.trace!r}")
-    ctx.write_out(
-        {
-            "workloads": workloads,
-            "backend": args.backend,
-            "steps": steps,
-            "scale": scale,
-            "reps": reps,
-            "seed": args.seed,
-        },
-        duration=wall_seconds,
-        artifacts={"output": args.output, "trace": args.trace},
-        metrics={"max_overhead_delta": payload["max_overhead_delta"]},
-    )
-    return 0
-
-
 def _cmd_experiment(args) -> int:
     from repro.assembly import check_run_request
     from repro.experiments import (
@@ -556,13 +491,17 @@ def _cmd_runs(args) -> int:
     """``repro runs``: query the run-provenance ledger."""
     import json
 
+    from repro.errors import ConfigurationError
     from repro.provenance import (
         diff_entries,
         find_entry,
         load_ledger,
+        newest_first,
         runs_document,
     )
 
+    if args.action == "list" and args.limit < 1:
+        raise ConfigurationError(f"--limit must be >= 1, got {args.limit}")
     entries = load_ledger(args.ledger)
 
     if args.action == "list":
@@ -574,12 +513,7 @@ def _cmd_runs(args) -> int:
                 if args.workload in str(e.get("workload") or "")
             ]
         if args.json:
-            ordered = sorted(
-                entries,
-                key=lambda e: float(e.get("ts", 0.0)),
-                reverse=True,
-            )
-            for entry in ordered[: args.limit]:
+            for entry in newest_first(entries, args.limit):
                 print(json.dumps(entry, sort_keys=True))
             return 0
         document = runs_document(entries, limit=args.limit)
@@ -763,45 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serve_flags(sweep)
     _add_ledger_flags(sweep)
 
-    profile = sub.add_parser(
-        "profile",
-        help="measure per-phase/per-population latency and telemetry "
-        "overhead; write BENCH_profile.json",
-    )
-    profile.add_argument(
-        "--workloads",
-        default=None,
-        metavar="A,B,C",
-        help="comma-separated Table I workload names "
-        "(default: Brunel, Izhikevich, Nowotny et al.)",
-    )
-    profile.add_argument(
-        "--backend",
-        choices=("reference", "flexon", "folded", "event-driven"),
-        default="reference",
-    )
-    profile.add_argument("--steps", type=int, default=240)
-    profile.add_argument("--scale", type=float, default=0.1)
-    profile.add_argument("--reps", type=int, default=3)
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI preset: caps steps/scale/reps for a fast smoke profile",
-    )
-    profile.add_argument(
-        "--output",
-        default="BENCH_profile.json",
-        help="where to write the machine-readable profile",
-    )
-    profile.add_argument(
-        "--trace",
-        default=None,
-        metavar="OUT.json",
-        help="also save the first workload's instrumented trace",
-    )
-    _add_ledger_flags(profile)
-
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure"
     )
@@ -844,6 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_list.add_argument(
         "--kind", default=None,
+        # Ledgers keep entries of the retired ``repro profile`` command.
         choices=("run", "sweep", "profile"),
         help="only runs of this kind",
     )
@@ -921,7 +817,6 @@ _COMMANDS = {
     "microcode": _cmd_microcode,
     "run": _cmd_run,
     "sweep": _cmd_sweep,
-    "profile": _cmd_profile,
     "experiment": _cmd_experiment,
     "simulate": _cmd_simulate,
     "example-spec": _cmd_example_spec,

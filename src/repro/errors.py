@@ -114,12 +114,15 @@ class RunInterrupted(ReproError):
     """Raised at a step boundary after SIGINT/SIGTERM requested a stop.
 
     The graceful-interrupt hook writes a final checkpoint *before*
-    raising, captures partial run statistics, and the CLI translates
-    the exception into the documented exit code (130 for SIGINT, 143
-    for SIGTERM) instead of a raw traceback.
+    raising; ``Simulator.run`` attaches the ``SimulationResult`` of the
+    steps it finished as ``result``, and the CLI translates the
+    exception into the documented exit code (130 for SIGINT, 143 for
+    SIGTERM) instead of a raw traceback. ``step`` is the absolute step
+    the run stopped at.
     """
 
     def __init__(self, message: str, signal_name: str = "", step: int = -1):
         super().__init__(message)
         self.signal_name = signal_name
         self.step = step
+        self.result = None

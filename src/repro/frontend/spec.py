@@ -39,7 +39,7 @@ from typing import Dict, Tuple, Union
 from repro.errors import ConfigurationError
 from repro.models.base import ModelParameters
 from repro.models.registry import create_model
-from repro.network.backends import Backend
+from repro.network.backends import RuntimeBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.stimulus import PatternStimulus, PoissonStimulus
@@ -303,7 +303,7 @@ def _build_plasticity(entry: Dict, where: str):
         ) from None
 
 
-def build_backend(spec: Dict) -> Backend:
+def build_backend(spec: Dict) -> RuntimeBackend:
     """Instantiate the backend named by ``spec``."""
     from repro.assembly import make_backend
 

@@ -19,8 +19,8 @@ pioneered the pattern in this repo):
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` — one-shot
   payload writers;
 * :func:`atomic_write_json` — the JSON artifact writer used by
-  ``repro run --stats-json``, ``repro sweep --stats-json``,
-  and ``BENCH_profile.json``.
+  ``repro run --stats-json`` / ``--trace`` and ``repro sweep
+  --stats-json``.
 """
 
 from __future__ import annotations

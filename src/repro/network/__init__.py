@@ -15,7 +15,7 @@ from repro.network.projection import Projection, connect
 from repro.network.stimulus import PatternStimulus, PoissonStimulus, Stimulus
 from repro.network.recorder import SpikeRecord, SpikeRecorder, StateRecorder
 from repro.network.network import Network
-from repro.network.backends import Backend, ReferenceBackend, RuntimeBackend
+from repro.network.backends import ReferenceBackend, RuntimeBackend
 from repro.network.simulator import (
     PHASES,
     PhaseStats,
@@ -25,7 +25,6 @@ from repro.network.simulator import (
 from repro.engine.hooks import HookError, PhaseHook, PhaseTimer
 
 __all__ = [
-    "Backend",
     "HookError",
     "Network",
     "PHASES",

@@ -2,11 +2,11 @@
 
 The paper's framing is that the three phases of a time step are fixed,
 but *where* neuron computation runs differs: on the CPU/GPU (NEST,
-GeNN), or on a digital-neuron array. A :class:`Backend` owns the state
-of every population and advances it one step at a time.
+GeNN), or on a digital-neuron array. A :class:`RuntimeBackend` owns the
+state of every population and advances it one step at a time.
 
-Since the engine refactor every backend in the repo executes through
-one seam: :class:`RuntimeBackend` materialises
+Every backend in the repo executes through one seam:
+:class:`RuntimeBackend` materialises
 :class:`~repro.engine.runtime.PopulationRuntime` objects at ``prepare``
 time, and ``advance``/``state_of`` simply delegate to them.
 Registering a new backend means subclassing :class:`RuntimeBackend`
@@ -122,50 +122,9 @@ def model_key(model: NeuronModel) -> Optional[Hashable]:
     return None
 
 
-class Backend(abc.ABC):
-    """Owns population state and runs the neuron-computation phase."""
-
-    name: str = "abstract"
-
-    def __init__(self) -> None:
-        self.network: Optional[Network] = None
-
-    @abc.abstractmethod
-    def prepare(self, network: Network) -> None:
-        """Allocate state for every population of ``network``."""
-
-    @property
-    def blocks(self) -> List[Block]:
-        """The neuron phase's schedule, in stepping order: by default
-        one block per population."""
-        return [
-            Block(name, ((name, 0, population.n),))
-            for name, population in self.network.populations.items()
-        ]
-
-    @abc.abstractmethod
-    def advance(self, population: str, inputs: np.ndarray, dt: float) -> np.ndarray:
-        """Advance one block (see :attr:`blocks`) one step; return the
-        fired mask over its columns."""
-
-    @abc.abstractmethod
-    def state_of(self, population: str) -> State:
-        """A float-valued view of one population's state (for recording)."""
-
-    def evaluations_per_step(self, population: str) -> float:
-        """Solver evaluations charged per step (cost-model input)."""
-        return 1.0
-
-    def publish_metrics(self, metrics) -> None:
-        """Publish backend counters into a telemetry registry.
-
-        The base backend has nothing to report; runtime-seam backends
-        delegate to each population runtime.
-        """
-
-
-class RuntimeBackend(Backend):
-    """Base class for backends that execute through population runtimes.
+class RuntimeBackend(abc.ABC):
+    """Owns population state and runs the neuron-computation phase
+    through population runtimes.
 
     ``prepare`` groups the populations into blocks by
     :meth:`block_key`, in network order, and builds one
@@ -174,8 +133,10 @@ class RuntimeBackend(Backend):
     (with the same error behaviour the seed backends had).
     """
 
+    name: str = "abstract"
+
     def __init__(self) -> None:
-        super().__init__()
+        self.network: Optional[Network] = None
         self._runtimes: Dict[str, PopulationRuntime] = {}
         self._blocks: List[Block] = []
         self._block_runtimes: Dict[str, PopulationRuntime] = {}
@@ -193,6 +154,7 @@ class RuntimeBackend(Backend):
         return None
 
     def prepare(self, network: Network) -> None:
+        """Allocate state for every population of ``network``."""
         self.network = network
         groups: Dict[Hashable, List[Population]] = {}
         for population in network.populations.values():
@@ -241,6 +203,7 @@ class RuntimeBackend(Backend):
 
     @property
     def blocks(self) -> List[Block]:
+        """The neuron phase's schedule, in stepping order."""
         return self._blocks
 
     @property
@@ -250,6 +213,8 @@ class RuntimeBackend(Backend):
         return self._block_runtimes
 
     def advance(self, population: str, inputs: np.ndarray, dt: float) -> np.ndarray:
+        """Advance one block (see :attr:`blocks`) one step; return the
+        fired mask over its columns."""
         runtime = self._block_runtimes.get(population)
         if runtime is None:
             # Not a block: a fused member's view refuses (naming its
@@ -258,12 +223,15 @@ class RuntimeBackend(Backend):
         return runtime.advance(inputs, dt)
 
     def state_of(self, population: str) -> State:
+        """A float-valued view of one population's state (for recording)."""
         return self.runtime(population).state()
 
     def evaluations_per_step(self, population: str) -> float:
+        """Solver evaluations charged per step (cost-model input)."""
         return self.runtime(population).evaluations_per_step()
 
     def publish_metrics(self, metrics) -> None:
+        """Publish every runtime's counters into a telemetry registry."""
         for runtime in self._runtimes.values():
             runtime.publish_metrics(metrics)
         for block in self._blocks:

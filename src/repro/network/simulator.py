@@ -66,8 +66,8 @@ from repro.engine.hooks import (
     PhaseStats,
     PhaseTimer,
 )
-from repro.errors import ReproError, SimulationError
-from repro.network.backends import Backend, ReferenceBackend, RuntimeBackend
+from repro.errors import ReproError, RunInterrupted, SimulationError
+from repro.network.backends import ReferenceBackend, RuntimeBackend
 from repro.network.network import Network
 from repro.network.recorder import SpikeRecorder, StateRecorder
 from repro.network.stimulus import StimulusPlan
@@ -85,8 +85,7 @@ __all__ = [
     "bind_blocks",
 ]
 
-#: Schema of :meth:`SimulationResult.to_stats_dict` (``--stats-json``)
-#: and of the interrupted run's partial statistics.
+#: Schema of :meth:`SimulationResult.to_stats_dict` (``--stats-json``).
 RUN_STATS_SCHEMA = "repro-run-stats/3"
 
 #: One bound block: its name, its size, the callable that returns this
@@ -95,7 +94,7 @@ RUN_STATS_SCHEMA = "repro-run-stats/3"
 BoundBlock = Tuple[str, int, Callable[[], np.ndarray], tuple]
 
 
-def bind_blocks(backend: Backend, rings: Dict[str, DelayRing]) -> List[BoundBlock]:
+def bind_blocks(backend: RuntimeBackend, rings: Dict[str, DelayRing]) -> List[BoundBlock]:
     """Bind the backend's block schedule to the populations' rings.
 
     A block of one reads its ring's current bucket as is. A fused block
@@ -268,7 +267,7 @@ class Simulator:
     def __init__(
         self,
         network: Network,
-        backend: Optional[Backend] = None,
+        backend: Optional[RuntimeBackend] = None,
         dt: float = 1e-4,
         seed: int = 0,
     ):
@@ -285,9 +284,8 @@ class Simulator:
         # Runtimes that understand the routing layer (the event-driven
         # monitors) get their population's ring bound once, so they can
         # consult exact event counts instead of scanning dense input.
-        if isinstance(self.backend, RuntimeBackend):
-            for name, runtime in self.backend.runtimes.items():
-                runtime.bind_ring(self._router.ring(name))
+        for name, runtime in self.backend.runtimes.items():
+            runtime.bind_ring(self._router.ring(name))
         self._step = 0
         self._live_spikes: Optional[SpikeRecorder] = None
 
@@ -472,6 +470,42 @@ class Simulator:
                 except Exception as error:
                     failures.append((hook, "on_population", error))
 
+        def finish(steps_done: int) -> SimulationResult:
+            """The result of the steps run so far: what a finished run
+            returns and what an interrupted one carries."""
+            evaluations = {
+                name: self.backend.evaluations_per_step(name)
+                for name in populations
+            }
+            diagnostics = self._collect_diagnostics()
+            if metrics is not None:
+                self._publish_metrics(
+                    metrics,
+                    timer=timer,
+                    n_steps=steps_done,
+                    run_spikes=recorder.total_spikes() - spikes_before,
+                    recording_seconds=recording_seconds,
+                    evaluations=evaluations,
+                    hook_errors=hook_errors,
+                )
+            return SimulationResult(
+                network_name=self.network.name,
+                backend_name=self.backend.name,
+                n_steps=steps_done,
+                dt=self.dt,
+                spikes=recorder,
+                phases=timer.phases,
+                evaluations_per_step=evaluations,
+                blocks={
+                    name: tuple(member for member, _, _ in members)
+                    for name, _, _, members in blocks
+                },
+                recording_seconds=recording_seconds,
+                diagnostics=diagnostics,
+                hook_errors=hook_errors,
+                metrics=metrics.snapshot() if metrics is not None else None,
+            )
+
         for hook in dispatch["on_run_start"]:
             try:
                 hook.on_run_start(self.network, n_steps)
@@ -482,6 +516,7 @@ class Simulator:
         if failures:
             isolate_failures(self._step)
 
+        first_step = self._step
         try:
             for _ in range(n_steps):
                 step = self._step
@@ -570,41 +605,14 @@ class Simulator:
 
                 self._router.rotate_all()
                 self._step += 1
+        except RunInterrupted as stop:
+            # Raised at a step boundary: the steps before it are whole.
+            stop.result = finish(self._step - first_step)
+            raise
         finally:
             self._live_spikes = None
 
-        evaluations = {
-            name: self.backend.evaluations_per_step(name)
-            for name in populations
-        }
-        diagnostics = self._collect_diagnostics()
-        if metrics is not None:
-            self._publish_metrics(
-                metrics,
-                timer=timer,
-                n_steps=n_steps,
-                run_spikes=recorder.total_spikes() - spikes_before,
-                recording_seconds=recording_seconds,
-                evaluations=evaluations,
-                hook_errors=hook_errors,
-            )
-        result = SimulationResult(
-            network_name=self.network.name,
-            backend_name=self.backend.name,
-            n_steps=n_steps,
-            dt=self.dt,
-            spikes=recorder,
-            phases=timer.phases,
-            evaluations_per_step=evaluations,
-            blocks={
-                name: tuple(member for member, _, _ in members)
-                for name, _, _, members in blocks
-            },
-            recording_seconds=recording_seconds,
-            diagnostics=diagnostics,
-            hook_errors=hook_errors,
-            metrics=metrics.snapshot() if metrics is not None else None,
-        )
+        result = finish(n_steps)
         for hook in dispatch["on_run_end"]:
             try:
                 hook.on_run_end(result)
@@ -699,8 +707,6 @@ class Simulator:
         up to its run's end.
         """
         diagnostics = RunDiagnostics()
-        if not isinstance(self.backend, RuntimeBackend):
-            return diagnostics
         for name, runtime in self.backend.runtimes.items():
             events = getattr(runtime, "fallback_events", None)
             if events:

@@ -18,8 +18,8 @@ written after a run ends; this package serves a run while it executes
 * :mod:`repro.observability.plane` — start and stop the server behind
   ``--serve``.
 
-Exports resolve lazily (PEP 562, like :mod:`repro.supervision` and
-:mod:`repro.reliability`): an eager init would make every importer pay
+Exports resolve lazily (PEP 562, like :mod:`repro.reliability`): an
+eager init would make every importer pay
 for ``http.server`` and the hook stack.
 """
 

@@ -1,8 +1,8 @@
 """Run provenance: the durable run ledger.
 
 ``ledger.jsonl`` (schema ``repro-ledger/1``) is an append-only,
-torn-line-tolerant record of every ``repro run`` / ``sweep`` /
-``profile``: run id, config digest, seed, backend, spike digest,
+torn-line-tolerant record of every ``repro run`` / ``sweep`` (and of
+the retired ``profile``): run id, config digest, seed, backend, spike digest,
 outcome, duration, metrics snapshot and artifact paths. Queried by
 ``repro runs list|show|diff`` and served as ``GET /runs`` on the
 observability plane.
@@ -18,6 +18,7 @@ from repro.provenance.ledger import (
     load_ledger,
     make_entry,
     new_run_id,
+    newest_first,
     runs_document,
     summarize_entry,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "load_ledger",
     "make_entry",
     "new_run_id",
+    "newest_first",
     "runs_document",
     "summarize_entry",
 ]

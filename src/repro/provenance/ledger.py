@@ -1,11 +1,12 @@
 """The run ledger: ``ledger.jsonl``, schema ``repro-ledger/1``.
 
-Every ``repro run`` / ``sweep`` / ``profile`` appends one
-entry recording what ran and what it produced: the config digest (a
-SHA-256 over the canonical JSON of the resolved configuration), seed,
-backend, the spike digest that pins bit-identity, the
-outcome, wall duration, a metrics snapshot, and the paths of every
-artifact the command wrote. The file is append-only through
+Every ``repro run`` / ``sweep`` appends one entry recording what ran
+and what it produced: the config digest (a SHA-256 over the canonical
+JSON of the resolved configuration), seed, backend, the spike digest
+that pins bit-identity, the outcome, wall duration, a metrics snapshot,
+and the paths of every artifact the command wrote. Entries of the
+retired ``repro profile`` command (``kind: "profile"``) still list,
+show and diff. The file is append-only through
 :func:`repro.io.append_jsonl` (``O_APPEND`` + ``flock`` + single
 write), so concurrent commands interleave whole lines, and loads are
 torn-line-tolerant — a crash mid-append costs at most the final line.
@@ -38,6 +39,7 @@ __all__ = [
     "load_ledger",
     "make_entry",
     "new_run_id",
+    "newest_first",
     "runs_document",
     "summarize_entry",
 ]
@@ -64,7 +66,7 @@ DIFF_FIELDS = (
 
 
 def new_run_id() -> str:
-    """A fresh id for one run, sweep or profile (``run-`` + 12 hex)."""
+    """A fresh id for one run or sweep (``run-`` + 12 hex)."""
     return "run-" + uuid.uuid4().hex[:12]
 
 
@@ -212,17 +214,22 @@ def summarize_entry(entry: dict) -> dict:
     }
 
 
+def newest_first(
+    entries: Sequence[dict], limit: Optional[int] = None
+) -> List[dict]:
+    """Entries by timestamp, newest first; at most ``limit`` of them."""
+    ordered = sorted(
+        entries, key=lambda e: float(e.get("ts", 0.0)), reverse=True
+    )
+    return ordered if limit is None else ordered[:limit]
+
+
 def runs_document(
     entries: Sequence[dict], limit: Optional[int] = None
 ) -> dict:
     """The ``GET /runs`` payload: newest first, summaries only."""
-    ordered = sorted(
-        entries, key=lambda e: float(e.get("ts", 0.0)), reverse=True
-    )
-    if limit is not None:
-        ordered = ordered[:limit]
     return {
         "schema": LEDGER_SCHEMA,
         "n_runs": len(entries),
-        "runs": [summarize_entry(entry) for entry in ordered],
+        "runs": [summarize_entry(e) for e in newest_first(entries, limit)],
     }

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional
 from repro.engine.hooks import PhaseHook
 from repro.errors import CheckpointError
 from repro.io import atomic_writer
-from repro.network.backends import RuntimeBackend
 from repro.network.recorder import SpikeRecorder
 from repro.network.simulator import Simulator
 
@@ -90,11 +89,6 @@ class Checkpoint:
         ``simulator.live_spikes`` when capturing mid-run.
         """
         backend = simulator.backend
-        if not isinstance(backend, RuntimeBackend):
-            raise CheckpointError(
-                f"backend {backend.name!r} does not expose population "
-                "runtimes and cannot be checkpointed"
-            )
         if not backend.runtimes:
             raise CheckpointError("backend not prepared; nothing to capture")
         return cls(
@@ -138,10 +132,6 @@ class Checkpoint:
                 f"this simulator {expected}"
             )
         backend = simulator.backend
-        if not isinstance(backend, RuntimeBackend):
-            raise CheckpointError(
-                f"backend {backend.name!r} cannot restore a checkpoint"
-            )
         if set(self.runtimes) != set(backend.runtimes):
             raise CheckpointError(
                 "checkpointed populations do not match the backend's"
@@ -248,30 +238,24 @@ class CheckpointHook(PhaseHook):
     """Writes a checkpoint file every N steps during a run.
 
     Captures at step boundaries (``on_step_start``), where all state —
-    queues, runtimes — is mutually consistent. The file at
-    ``path`` is atomically replaced each time, so it always holds the
-    latest complete checkpoint.
+    queues, runtimes — is mutually consistent, with the spike train
+    recorded so far. The file at ``path`` is atomically replaced each
+    time, so it always holds the latest complete checkpoint.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        every: int,
-        path: str,
-        include_spikes: bool = True,
-    ) -> None:
+    def __init__(self, simulator: Simulator, every: int, path: str) -> None:
         if every < 1:
             raise CheckpointError(f"every must be >= 1, got {every}")
         self.simulator = simulator
         self.every = every
         self.path = path
-        self.include_spikes = include_spikes
         #: Checkpoints written so far.
         self.captures = 0
 
     def on_step_start(self, step: int) -> None:
         if step == 0 or step % self.every:
             return
-        spikes = self.simulator.live_spikes if self.include_spikes else None
-        Checkpoint.capture(self.simulator, spikes=spikes).save(self.path)
+        Checkpoint.capture(
+            self.simulator, spikes=self.simulator.live_spikes
+        ).save(self.path)
         self.captures += 1

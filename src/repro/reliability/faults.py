@@ -30,7 +30,6 @@ from repro.errors import SimulationError
 from repro.hardware.backend import HardwareRuntime
 from repro.hardware.control import STATE_G, STATE_R, STATE_V, STATE_W, STATE_Y
 from repro.hardware.flexon import FlexonNeuron
-from repro.network.backends import RuntimeBackend
 from repro.network.simulator import Simulator
 from repro.reliability.fallback import FallbackRuntime
 
@@ -74,13 +73,8 @@ class FaultInjector:
     """One-shot corruptions of a live simulation's state."""
 
     def __init__(self, simulator: Simulator, seed: int = 0) -> None:
-        backend = simulator.backend
-        if not isinstance(backend, RuntimeBackend):
-            raise SimulationError(
-                "fault injection needs a backend with population runtimes"
-            )
         self.simulator = simulator
-        self.backend = backend
+        self.backend = simulator.backend
         self.rng = np.random.default_rng(seed)
         #: Every fault injected so far, in order.
         self.log: List[BitFlip] = []

@@ -41,8 +41,7 @@ class NumericsGuard(PhaseHook):
     Parameters
     ----------
     backend:
-        The simulator's backend; must expose population runtimes (every
-        backend in this repo does, via :class:`RuntimeBackend`).
+        The simulator's backend.
     check_every:
         Screen only every N-th step (1 = every step). Detection latency
         grows to N steps; the per-step cost shrinks accordingly.
@@ -57,10 +56,6 @@ class NumericsGuard(PhaseHook):
         check_every: int = 1,
         limit: Optional[float] = DIVERGENCE_LIMIT,
     ) -> None:
-        if not isinstance(backend, RuntimeBackend):
-            raise SimulationError(
-                "NumericsGuard needs a backend with population runtimes"
-            )
         if check_every < 1:
             raise SimulationError(
                 f"check_every must be >= 1, got {check_every}"

@@ -1,8 +1,8 @@
 """RunContext: one command invocation's plane, brought up and written out.
 
-``repro run``, ``repro sweep`` and ``repro profile`` differ in *what
-steps* — one ``Simulator.run``, a loop of them, the profile harness —
-and share everything around it, in this order:
+``repro run`` and ``repro sweep`` differ in *what steps* — one
+``Simulator.run`` or a loop of them — and share everything around it,
+in this order:
 
 **Bring-up** (construction, :meth:`~RunContext.attach` per simulator,
 :meth:`~RunContext.serve`): run id → metrics registry (only when a flag
@@ -13,22 +13,37 @@ simulator → the HTTP plane.
 ``--prometheus`` → ``--trace`` → one ledger entry built from the
 command's config dict → linger, then stop the plane.
 
+**Interrupts** (``repro run``): :func:`graceful_signals` turns
+SIGINT/SIGTERM into :meth:`InterruptHook.request`; the hook stops the
+run at the next step boundary with a final checkpoint, and the partial
+``--stats-json`` is the finished steps' statistics
+(:meth:`InterruptHook.partial_stats`). The process exits with
+:data:`EXIT_CODES`.
+
 What the flags do not ask for stays unimported.
 """
 
 from __future__ import annotations
 
+import contextlib
+import signal
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["RunContext"]
+from repro.engine.hooks import PhaseHook
+from repro.errors import RunInterrupted
+
+__all__ = ["EXIT_CODES", "InterruptHook", "RunContext", "graceful_signals"]
+
+#: Documented process exit codes for a gracefully interrupted run.
+EXIT_CODES: Dict[str, int] = {"SIGINT": 130, "SIGTERM": 143}
 
 
 class RunContext:
     """The observability plane and artifact writers of one invocation.
 
     ``args`` is the parsed command line; flags a command does not define
-    (``profile`` has no ``--serve``) read as unset.
+    read as unset.
     """
 
     def __init__(self, args, kind: str) -> None:
@@ -191,3 +206,89 @@ class RunContext:
             from repro.observability.plane import linger_plane
 
             linger_plane(self.server, 0.0 if partial else args.serve_linger)
+
+
+class InterruptHook(PhaseHook):
+    """Stops a run cleanly once a signal handler calls :meth:`request`.
+
+    It acts at the next ``on_step_start``, the one point where queues,
+    runtimes and the stimulus plan are mutually consistent: it writes a
+    final checkpoint carrying the live spike train to
+    ``checkpoint_path`` (``None`` skips it), so a later
+    ``--resume-from`` reports the full run, and raises
+    :class:`~repro.errors.RunInterrupted`.
+    """
+
+    def __init__(self, simulator, checkpoint_path: Optional[str] = None) -> None:
+        self.simulator = simulator
+        self.checkpoint_path = checkpoint_path
+        #: Signal name once an interrupt was requested (handler-set).
+        self.requested: Optional[str] = None
+        #: Where the final checkpoint was written (None = not written).
+        self.checkpoint_written: Optional[str] = None
+
+    def request(self, signal_name: str) -> None:
+        """Ask the run to stop at the next step boundary (async-safe)."""
+        self.requested = signal_name
+
+    def on_step_start(self, step: int) -> None:
+        if self.requested is None:
+            return
+        if self.checkpoint_path is not None:
+            from repro.reliability.checkpoint import Checkpoint
+
+            Checkpoint.capture(
+                self.simulator, spikes=self.simulator.live_spikes
+            ).save(self.checkpoint_path)
+            self.checkpoint_written = self.checkpoint_path
+        raise RunInterrupted(
+            f"run interrupted by {self.requested} at step {step} "
+            f"(checkpoint: {self.checkpoint_written or 'not written'})",
+            signal_name=self.requested,
+            step=step,
+        )
+
+    def partial_stats(self, stop: RunInterrupted) -> dict:
+        """The ``--stats-json`` document of the run ``stop`` ended: the
+        finished steps' statistics, marked partial."""
+        return {
+            **stop.result.to_stats_dict(),
+            "partial": True,
+            "interrupted": {
+                "signal": stop.signal_name,
+                "step": stop.step,
+                "exit_code": EXIT_CODES.get(stop.signal_name, 130),
+                "checkpoint": self.checkpoint_written,
+            },
+        }
+
+
+@contextlib.contextmanager
+def graceful_signals(hook: InterruptHook) -> Iterator[InterruptHook]:
+    """Route SIGINT/SIGTERM into ``hook.request`` for the body's duration.
+
+    The first signal requests a graceful stop; a second signal of
+    either kind restores default behaviour and re-raises it, so an
+    unresponsive run still dies. Previous handlers are restored on
+    exit.
+    """
+    seen = {"count": 0}
+
+    def handler(signum, frame):
+        name = signal.Signals(signum).name
+        seen["count"] += 1
+        if seen["count"] > 1:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            raise KeyboardInterrupt(f"forced exit on repeated {name}")
+        hook.request(name)
+
+    previous = {
+        signal.SIGINT: signal.signal(signal.SIGINT, handler),
+        signal.SIGTERM: signal.signal(signal.SIGTERM, handler),
+    }
+    try:
+        yield hook
+    finally:
+        for signum, prior in previous.items():
+            signal.signal(signum, prior)

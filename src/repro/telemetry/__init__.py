@@ -1,6 +1,6 @@
 """The telemetry layer: one sink for everything the simulator observes.
 
-Three pieces (see DESIGN.md's "Telemetry layer"):
+Two pieces (see DESIGN.md's "Telemetry layer"):
 
 * :mod:`repro.telemetry.registry` — ``MetricsRegistry``: named
   counter/gauge/histogram families every layer publishes into,
@@ -9,13 +9,10 @@ Three pieces (see DESIGN.md's "Telemetry layer"):
 * :mod:`repro.telemetry.trace` — ``TraceHook``: the per-phase event
   stream plus per-population kernel spans as Chrome
   ``chrome://tracing`` / Perfetto Trace Event JSON, ring-buffered so
-  long runs stay memory-bounded;
-* :mod:`repro.telemetry.profile` — the ``repro profile`` harness:
-  per-phase/per-population p50/p95, ops/sec, and the measured
-  metrics-overhead delta, written as ``BENCH_profile.json``.
+  long runs stay memory-bounded.
 
-The profile harness pulls in the workload registry, so it is imported
-lazily by the CLI rather than here.
+Per-phase latency, op rates and the instruments' own overhead are
+measured by ``python3 bench/run.py --trace 1``.
 """
 
 from repro.telemetry.registry import (

@@ -27,14 +27,14 @@ Usage::
 
     trace = TraceHook()
     simulator.run(n_steps, hooks=[trace])
-    trace.save("out.json")          # load this file in Perfetto
+    document = trace.trace_json()   # write it out; load it in Perfetto
 
-or from the CLI: ``python -m repro run Brunel --trace out.json``.
+or from the CLI: ``python -m repro run Brunel --trace out.json``, which
+writes the document atomically.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -218,24 +218,3 @@ class TraceHook(PhaseHook):
                 "dropped_events": self.dropped_events,
             },
         }
-
-    def save(self, path: str) -> None:
-        """Write the trace document to ``path`` as JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.trace_json(), handle)
-
-    def phase_durations(self) -> Dict[str, List[float]]:
-        """Buffered per-event durations (seconds) keyed by phase name."""
-        out: Dict[str, List[float]] = {}
-        for kind, name, seconds, _, _ in self._events:
-            if kind == _PHASE:
-                out.setdefault(name, []).append(seconds)
-        return out
-
-    def population_durations(self) -> Dict[str, List[float]]:
-        """Buffered kernel-span durations (seconds) keyed by block."""
-        out: Dict[str, List[float]] = {}
-        for kind, name, seconds, _, _ in self._events:
-            if kind == _KERNEL:
-                out.setdefault(name, []).append(seconds)
-        return out

@@ -25,7 +25,7 @@ from repro.hardware.backend import (
 from repro.hardware.event_driven import EventDrivenFlexonBackend
 from repro.models import create_model
 from repro.models.base import ModelParameters
-from repro.network.backends import Backend, Block, ReferenceBackend
+from repro.network.backends import Block, ReferenceBackend, RuntimeBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator, bind_blocks
 from repro.network.stimulus import PoissonStimulus
@@ -323,23 +323,15 @@ class TestSchedule:
             simulator.backend.advance("nobody", inputs, DT)
 
     def test_a_plain_backend_gets_one_block_per_population(self):
-        class PerPopulation(Backend):
-            """Not a RuntimeBackend: no blocks of its own."""
+        class PerPopulation(RuntimeBackend):
+            """No ``block_key``: every population is a block of one."""
 
             name = "per-population"
 
-            def prepare(self, network):
-                self.network = network
-                self.compiled = {
-                    name: CompiledRuntime(name, population.n, population.model)
-                    for name, population in network.populations.items()
-                }
-
-            def advance(self, population, inputs, dt):
-                return self.compiled[population].advance(inputs, dt)
-
-            def state_of(self, population):
-                return self.compiled[population].state()
+            def build_runtime(self, population):
+                return CompiledRuntime(
+                    population.name, population.n, population.model
+                )
 
         backend = PerPopulation()
         result = Simulator(_two_models(), backend, dt=DT, seed=3).run(60)

@@ -354,35 +354,13 @@ class TestTelemetryCli:
         assert "sim_steps_total 60" in text
         assert 'sim_phase_seconds_total{phase="neuron"}' in text
 
-    def test_profile_quick_writes_bench_json(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_profile.json"
-        trace = tmp_path / "trace.json"
-        code = main(
-            ["profile", "--quick", "--workloads", "Brunel",
-             "--steps", "30", "--scale", "0.02",
-             "--output", str(out), "--trace", str(trace)]
-        )
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "overhead" in stdout
-        assert "budget: < 5%" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-profile/1"
-        assert payload["reps"] == 2  # --quick caps reps
-        assert "Brunel" in payload["workloads"]
-        phases = payload["workloads"]["Brunel"]["phases"]
-        assert {"stimulus", "neuron", "synapse"} <= set(phases)
-        assert json.loads(trace.read_text())["traceEvents"]
-
-    def test_profile_unknown_workload_fails_cleanly(self, tmp_path, capsys):
-        code = main(
-            ["profile", "--workloads", "NoSuchNet",
-             "--output", str(tmp_path / "x.json")]
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    def test_profile_is_no_longer_a_command(self, capsys):
+        # Cut in favour of ``bench/run.py --trace 1``, which reports
+        # every number it printed (EXPERIMENTS.md, PR 30).
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
 
 
 class TestSweepCli:

@@ -184,9 +184,9 @@ class TestRunArguments:
         "argv",
         [
             ["sweep", "Brunel", "--no-ledger", "--seed", "-1"],
-            ["profile", "--quick", "--no-ledger", "--seed", "-1"],
+            ["run", "Brunel", "--no-ledger", "--seed", "-1"],
         ],
-        ids=["sweep", "profile"],
+        ids=["sweep", "run"],
     )
     def test_a_negative_seed_is_refused_by_every_command(self, argv, capsys):
         # numpy's default_rng raised ValueError from inside the build.
@@ -234,12 +234,6 @@ class TestRunArguments:
         assert entry["steps"] == 0
         assert entry["metrics"] == {"total_spikes": 0, "mean_rate_hz": 0.0}
 
-    def test_profile_with_no_workloads_named(self, capsys):
-        assert main(["profile", "--workloads", ",", "--no-ledger"]) == 2
-        captured = capsys.readouterr()
-        assert "names no workload" in captured.err
-        assert BANNER not in captured.out
-
 
 def test_plain_run_imports_no_server_and_no_multiprocessing():
     """The launch cost ``bench/`` reads as ``wall_s`` on ``brunel-small``."""
@@ -263,7 +257,7 @@ def test_plain_run_imports_no_server_and_no_multiprocessing():
 
 SUBCOMMANDS = [
     ["workloads"], ["models"], ["microcode"], ["run"], ["sweep"],
-    ["profile"], ["experiment"], ["simulate"], ["example-spec"],
+    ["experiment"], ["simulate"], ["example-spec"],
     ["runs"], ["runs", "list"], ["runs", "show"], ["runs", "diff"],
 ]
 

@@ -1,5 +1,5 @@
 """``repro runs``: list/show/diff against a synthetic ledger, and against
-entries the retired ``run --shards 2`` path wrote."""
+entries the retired ``run --shards 2`` path and ``repro profile`` wrote."""
 
 import json
 import os
@@ -18,6 +18,14 @@ OLD_LEDGER = os.path.join(
     os.path.dirname(__file__), "fixtures", "sharded_run_ledger.jsonl"
 )
 OLD_SHARDED, OLD_SINGLE = "run-7fc01ae74606", "run-6f2c2ba7738e"
+
+#: Two entries written at the commit before ``repro profile`` was cut:
+#: ``profile --quick --workloads Brunel --seed 3``, then ``run Brunel
+#: --backend reference --scale 0.05 --steps 120 --seed 3``.
+PROFILE_LEDGER = os.path.join(
+    os.path.dirname(__file__), "fixtures", "profile_ledger.jsonl"
+)
+OLD_PROFILE, OLD_RUN = "run-23519c5c60d5", "run-c6e96bdb7772"
 
 
 @pytest.fixture()
@@ -90,6 +98,33 @@ class TestList:
         ) == 0
         assert capsys.readouterr().out.strip() == ""
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_a_limit_below_one_is_refused(
+        self, tmp_path, limit, json_flag, capsys
+    ):
+        # ``ordered[:-1]`` used to drop the oldest run without a word.
+        # The check comes before the load: a directory is no ledger.
+        assert main(
+            ["runs", "--ledger", str(tmp_path), "list", "--limit", limit,
+             *json_flag]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --limit must be >= 1, got {limit}\n"
+        assert captured.out == ""
+
+    def test_json_and_table_share_one_order(self, ledger, capsys):
+        assert main(
+            ["runs", "--ledger", ledger, "list", "--json", "--limit", "2"]
+        ) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert main(["runs", "--ledger", ledger, "list", "--limit", "2"]) == 0
+        table = capsys.readouterr().out
+        ids = [json.loads(line)["run_id"] for line in lines]
+        assert ids == ["run-cccc55556666", "run-bbbb33334444"]
+        assert table.index(ids[0]) < table.index(ids[1])
+        assert "run-aaaa11112222" not in table
+
 
 class TestShow:
     def test_show_by_prefix_prints_entry_json(self, ledger, capsys):
@@ -161,3 +196,29 @@ class TestEntriesOfTheRetiredShardedRun:
             main(["runs", "--ledger", OLD_LEDGER, "trace", OLD_SHARDED])
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestEntriesOfTheRetiredProfile:
+    def test_list_shows_the_profile_entry(self, capsys):
+        assert main(
+            ["runs", "--ledger", PROFILE_LEDGER, "list", "--kind", "profile"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "1 of 1 run(s)" in out
+        (row,) = [line for line in out.splitlines() if OLD_PROFILE in line]
+        assert "profile" in row and "Brunel" in row
+
+    def test_show_prints_the_whole_entry(self, capsys):
+        assert main(["runs", "--ledger", PROFILE_LEDGER, "show", OLD_PROFILE]) == 0
+        entry = json.loads(capsys.readouterr().out)
+        assert entry["kind"] == "profile"
+        assert entry["config"]["reps"] == 2
+        assert entry["artifacts"] == {"output": "BENCH_profile.json"}
+
+    def test_diff_against_a_run_entry(self, capsys):
+        assert main(
+            ["runs", "--ledger", PROFILE_LEDGER, "diff", OLD_PROFILE, OLD_RUN]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "kind" in out and "config_digest" in out
+        assert "spike digest not recorded for both runs" in out

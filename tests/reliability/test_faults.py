@@ -157,12 +157,6 @@ class TestFaultInjector:
         with pytest.raises(SimulationError, match="fixed point"):
             FaultInjector(simulator).inject_nan("exc")
 
-    def test_injector_needs_runtime_backend(self, small_network):
-        simulator = _simulator(small_network)
-        simulator.backend = object()
-        with pytest.raises(SimulationError):
-            FaultInjector(simulator)
-
 
 class TestSustainedFaults:
     def test_bit_flip_fault_fires_on_schedule(self, small_network):

@@ -32,10 +32,6 @@ class TestGuardClean:
         simulator.run(20, hooks=[guard])
         assert guard.checks == 2 * 4  # steps 0, 5, 10, 15
 
-    def test_rejects_backend_without_runtimes(self):
-        with pytest.raises(SimulationError):
-            NumericsGuard(object())
-
     def test_rejects_bad_check_every(self, small_network):
         simulator = _simulator(small_network)
         with pytest.raises(SimulationError):

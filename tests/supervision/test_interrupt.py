@@ -1,4 +1,7 @@
-"""Tests: graceful interrupt = clean stop + checkpoint + partial stats."""
+"""Tests: graceful interrupt = clean stop + checkpoint + partial stats.
+
+The interrupt lives beside ``RunContext`` (``repro.runcontext``).
+"""
 
 import signal
 
@@ -12,7 +15,7 @@ from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.stimulus import PoissonStimulus
 from repro.reliability import Checkpoint
-from repro.supervision import EXIT_CODES, InterruptHook, graceful_signals
+from repro.runcontext import EXIT_CODES, InterruptHook, graceful_signals
 
 DT = 1e-4
 STEPS = 120
@@ -65,18 +68,43 @@ class TestInterruptHook:
         assert error.step == STOP_AT
 
     def test_partial_stats_document(self, tmp_path):
-        hook, _, path = self._interrupt_run(tmp_path, "SIGTERM")
-        stats = hook.partial_stats
-        assert stats["schema"] == "repro-run-stats/3"
-        assert stats["partial"] is True
-        assert stats["n_steps"] == STOP_AT
-        assert stats["interrupted"] == {
+        hook, error, path = self._interrupt_run(tmp_path, "SIGTERM")
+        stats = hook.partial_stats(error)
+        assert stats.pop("partial") is True
+        assert stats.pop("interrupted") == {
             "signal": "SIGTERM",
             "step": STOP_AT,
             "exit_code": 143,
             "checkpoint": path,
         }
-        assert stats["phases"]  # real per-phase totals, not empty
+        # The rest is a finished run's document, built by the same code
+        # over the steps before the interrupt.
+        finished = _simulator().run(STOP_AT).to_stats_dict()
+        assert set(stats) == set(finished)
+        assert stats["schema"] == "repro-run-stats/3"
+        assert stats["n_steps"] == STOP_AT
+        assert stats["spike_digest"] == finished["spike_digest"]
+        assert stats["counters"] == finished["counters"]
+        assert stats["phases"]["neuron"]["operations"] == STOP_AT * 30
+
+    def test_a_resumed_run_names_the_absolute_stop_step(self, tmp_path):
+        _, _, path = self._interrupt_run(tmp_path)
+        resumed = _simulator()
+        checkpoint = Checkpoint.load(path)
+        checkpoint.restore(resumed)
+        hook = InterruptHook(resumed)
+        with pytest.raises(RunInterrupted) as excinfo:
+            resumed.run(
+                STEPS - STOP_AT,
+                hooks=[_RequestAt(hook, STOP_AT + 30), hook],
+                spikes=checkpoint.seed_recorder(),
+            )
+        stats = hook.partial_stats(excinfo.value)
+        assert stats["interrupted"]["step"] == STOP_AT + 30
+        assert stats["n_steps"] == 30
+        # The recorder carries the checkpointed prefix too.
+        straight = _simulator().run(STOP_AT + 30)
+        assert stats["spike_digest"] == straight.spikes.digest()
 
     def test_checkpoint_resumes_bit_identically(self, tmp_path):
         _, _, path = self._interrupt_run(tmp_path)
@@ -95,10 +123,11 @@ class TestInterruptHook:
     def test_no_checkpoint_path_skips_checkpoint(self):
         simulator = _simulator()
         hook = InterruptHook(simulator, checkpoint_path=None)
-        with pytest.raises(RunInterrupted):
+        with pytest.raises(RunInterrupted) as excinfo:
             simulator.run(STEPS, hooks=[_RequestAt(hook, STOP_AT), hook])
         assert hook.checkpoint_written is None
-        assert hook.partial_stats["interrupted"]["checkpoint"] is None
+        stats = hook.partial_stats(excinfo.value)
+        assert stats["interrupted"]["checkpoint"] is None
 
 
 class TestGracefulSignals:

@@ -1,155 +1,80 @@
-"""The ``repro profile`` harness: payload shape and the overhead budget."""
+"""The telemetry budget: full telemetry costs < 5 % steps/sec."""
 
-import json
+import gc
 import time
 
-import pytest
+from repro.assembly import assemble
+from repro.telemetry import MetricsRegistry, TraceHook
 
-from repro.errors import ConfigurationError
-from repro.telemetry.profile import (
-    DEFAULT_WORKLOADS,
-    PROFILE_SCHEMA,
-    format_profile,
-    profile_workload,
-    run_profile,
-    write_profile,
-)
+STEPS = 240
+REPS = 16
+ATTEMPTS = 6
+BUDGET = 0.05
 
 
-@pytest.fixture(scope="module")
-def quick_payload(tmp_path_factory):
-    """One small profile over the three default registry workloads."""
-    trace_path = tmp_path_factory.mktemp("profile") / "trace.json"
-    return (
-        run_profile(
-            workloads=DEFAULT_WORKLOADS,
-            steps=40,
-            scale=0.02,
-            reps=2,
-            trace_path=str(trace_path),
-        ),
-        trace_path,
-    )
+def _steps_per_second(simulator, telemetry):
+    start = time.perf_counter()
+    simulator.run(STEPS, record_spikes=False, **telemetry)
+    return STEPS / (time.perf_counter() - start)
 
 
-class TestProfilePayload:
-    def test_covers_three_workloads_with_phase_percentiles(self, quick_payload):
-        payload, _ = quick_payload
-        assert payload["schema"] == PROFILE_SCHEMA
-        assert len(payload["workloads"]) >= 3
-        for entry in payload["workloads"].values():
-            assert set(entry["phases"]) == {"stimulus", "neuron", "synapse"}
-            for stats in entry["phases"].values():
-                assert stats["p95_us"] >= stats["p50_us"] >= 0.0
-                assert stats["ops_per_sec"] >= 0.0
-            assert entry["populations"]
-            for stats in entry["populations"].values():
-                assert stats["p95_us"] >= stats["p50_us"] >= 0.0
-                assert stats["neurons"] > 0
-            # Rows are kernel spans, one per block: each names its
-            # members, and together they hold every neuron once.
-            assert sum(
-                stats["neurons"] for stats in entry["populations"].values()
-            ) == entry["neurons"]
-            for name, stats in entry["populations"].items():
-                assert name == "+".join(stats["members"])
-        assert set(payload["workloads"]["Brunel"]["populations"]) == {"exc+inh"}
-        # The ring holds one rep exactly: 3 phase events + 1 block span
-        # per step, over the warm-up and two instrumented reps.
-        brunel = payload["workloads"]["Brunel"]
-        assert brunel["trace_events"] == 3 * 40 * 4
-        assert brunel["trace_dropped_events"] == 2 * 40 * 4
-
-    def test_steps_per_sec_and_reps_recorded(self, quick_payload):
-        payload, _ = quick_payload
-        for entry in payload["workloads"].values():
-            assert entry["steps_per_sec"]["bare"] > 0
-            assert entry["steps_per_sec"]["instrumented"] > 0
-            assert len(entry["reps"]["bare"]) == 2
-            assert len(entry["reps"]["instrumented"]) == 2
-        assert payload["max_overhead_delta"] == max(
-            entry["overhead_delta"] for entry in payload["workloads"].values()
-        )
-
-    def test_shares_bench_engine_top_level_shape(self, quick_payload):
-        payload, _ = quick_payload
-        # The conditions a profile was taken under ride beside its entries.
-        assert {"dt", "steps", "scale", "python", "machine", "workloads"} <= set(
-            payload
-        )
-
-    def test_sample_trace_saved_for_first_workload(self, quick_payload):
-        _, trace_path = quick_payload
-        doc = json.loads(trace_path.read_text())
-        assert doc["traceEvents"]
-        assert doc["otherData"]["network"] == "Brunel"
-
-    def test_write_profile_round_trips(self, quick_payload, tmp_path):
-        payload, _ = quick_payload
-        out = tmp_path / "BENCH_profile.json"
-        write_profile(payload, out)
-        assert json.loads(out.read_text()) == payload
-
-    def test_format_profile_mentions_budget(self, quick_payload):
-        payload, _ = quick_payload
-        text = format_profile(payload)
-        assert "overhead" in text
-        assert "budget: < 5%" in text
-        for name in payload["workloads"]:
-            assert name in text
-
-
-class TestProfileValidation:
-    def test_bad_steps_and_reps_rejected(self):
-        with pytest.raises(ConfigurationError):
-            profile_workload("Brunel", steps=0)
-        with pytest.raises(ConfigurationError):
-            profile_workload("Brunel", reps=0)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            profile_workload("Brunel", backend="verilog", steps=1, reps=1)
+def _attempt(assembly, bare_samples, instrumented_samples):
+    """One attempt: two fresh simulators from ``assembly``, warmed up,
+    then ``REPS`` ABBA-ordered reps of each (GC paused, as ``timeit``
+    does)."""
+    bare, instrumented = assembly.simulator(), assembly.simulator()
+    # The trace ring holds one rep (three phases and one span per block
+    # per step), and the warm-up fills it: timed reps pay the
+    # steady-state append a long traced run pays, not heap growth.
+    events_per_step = 3 + len(instrumented.backend.blocks)
+    telemetry = {
+        "hooks": [TraceHook(max_events=STEPS * events_per_step)],
+        "metrics": MetricsRegistry(),
+    }
+    series = [
+        (bare, {}, bare_samples),
+        (instrumented, telemetry, instrumented_samples),
+    ]
+    # Warm-up: lazy plan binding, allocator, caches.
+    for simulator, kwargs, _ in series:
+        _steps_per_second(simulator, kwargs)
+    gc.disable()
+    try:
+        for rep in range(REPS):
+            for simulator, kwargs, samples in (
+                series if rep % 2 == 0 else series[::-1]
+            ):
+                samples.append(_steps_per_second(simulator, kwargs))
+    finally:
+        gc.enable()
 
 
 class TestOverheadBudget:
     def test_izhikevich_overhead_below_five_percent(self):
-        """Acceptance: full telemetry costs < 5% steps/sec on Izhikevich.
+        """Acceptance: a ``TraceHook`` plus a ``MetricsRegistry`` cost
+        < 5 % steps/sec on Izhikevich.
 
-        Uses the profile command's own self-reported delta. Telemetry
-        costs a fixed ~4 events/step, so the budget is asserted at a
-        scale where a step does substantial integration work (scale
-        0.3, 3000 neurons) — the regime long telemetered runs care
-        about; at toy scales the same fixed cost is measured against a
-        nearly empty step. Extra reps let the best-of estimator
-        converge, and shared CI machines are noisy, so retry before
-        failing.
+        Telemetry costs a fixed ~4 events/step, so the budget is held at
+        a scale where a step does substantial integration work (scale
+        0.3, 3000 neurons); at toy scales the same fixed cost is
+        measured against a nearly empty step.
 
-        2026-10-02 (PR 17): the stimulus plan made this step 1.75x
-        cheaper (185 -> 105 us), so the same ~4.5 us of telemetry is
-        0.04 of it instead of 0.023 and a single best-of-8 estimate
-        (inter-quartile range ~0.06 on a contended host) crossed 0.05
-        on half the attempts: three attempts failed 3 runs in 15 (the
-        parent 1 in 15). Same budget, same scale; 16 reps and five
-        attempts failed 0 in 15 in the same alternation, six are allowed.
-
-        2026-10-05 (PR 21): each attempt threw its 16 reps away, and on
-        an idle host nine fresh single estimates still read 0.015-0.066
-        (three >= 0.05) where a best-of-30 read 0.036 (99.9 -> 103.5
-        us/step); ISSUE 21's prototype tier-1 run failed all six. The
-        estimator is "fastest bare vs fastest instrumented", which only
-        sharpens with samples, so the attempts now pool theirs: the
-        delta is taken over every rep so far. Same budget, scale, reps
-        and at most six attempts.
+        Both simulators of an attempt come from one assembly and step
+        through identical spike dynamics, and ABBA order makes host
+        drift and position-in-pair bias hit both series alike. The
+        estimator is fastest bare vs fastest instrumented, which only
+        sharpens with samples, so attempts pool their reps instead of
+        starting over: on a contended host a single best-of-16 estimate
+        of a ~0.04 delta crossed 0.05 on half the attempts. Each attempt
+        restarts both simulators at step 0, so every attempt replays the
+        same stretch of dynamics; six pooled attempts are allowed.
         """
+        assembly = assemble("Izhikevich", "reference", scale=0.3, seed=7)
         bare, instrumented = [], []
-        for attempt in range(6):
-            entry = profile_workload(
-                "Izhikevich", steps=240, scale=0.3, reps=16, seed=7
-            )
-            bare += entry["reps"]["bare"]
-            instrumented += entry["reps"]["instrumented"]
+        for attempt in range(ATTEMPTS):
+            _attempt(assembly, bare, instrumented)
             delta = 1.0 - max(instrumented) / max(bare)
-            if delta < 0.05:
+            if delta < BUDGET:
                 break
             time.sleep(2.0)
-        assert delta < 0.05, (max(bare), max(instrumented), attempt + 1)
+        assert delta < BUDGET, (max(bare), max(instrumented), attempt + 1)

@@ -4,11 +4,21 @@ import json
 
 import pytest
 
+from repro.io import atomic_write_json
 from repro.network import Simulator
 from repro.telemetry import MetricsRegistry, TraceHook
 from repro.workloads import build_workload
 
 DT = 1e-4
+
+
+def _spans_by_name(trace, category=None):
+    """Span durations (µs) in the trace document, keyed by span name."""
+    out = {}
+    for event in trace.trace_json()["traceEvents"]:
+        if event["ph"] == "X" and category in (None, event["cat"]):
+            out.setdefault(event["name"], []).append(event["dur"])
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -92,11 +102,11 @@ class TestTraceStructure:
             assert total <= neuron[step]["dur"] + 0.01
 
     def test_save_round_trips_through_json(self, brunel_trace, tmp_path):
+        # What ``repro run --trace`` writes: the document, atomically.
         _, trace = brunel_trace
         path = tmp_path / "trace.json"
-        trace.save(str(path))
-        doc = json.loads(path.read_text())
-        assert doc["traceEvents"]
+        atomic_write_json(path, trace.trace_json(), indent=None)
+        assert json.loads(path.read_text()) == trace.trace_json()
 
 
 class TestRingBuffer:
@@ -118,16 +128,17 @@ class TestRingBuffer:
     def test_populations_false_skips_kernel_spans(self, small_network):
         trace = TraceHook(populations=False)
         Simulator(small_network, dt=DT, seed=3).run(10, hooks=[trace])
-        assert not trace.population_durations()
-        assert len([e for e in trace.to_trace_events() if e["ph"] == "X"]) == 30
+        spans = _spans_by_name(trace)
+        assert set(spans) == {"stimulus", "neuron", "synapse"}
+        assert sum(len(durations) for durations in spans.values()) == 30
 
     def test_duration_helpers_group_by_name(self, small_network):
         trace = TraceHook()
         Simulator(small_network, dt=DT, seed=3).run(10, hooks=[trace])
-        phases = trace.phase_durations()
+        phases = _spans_by_name(trace, "phase")
         assert set(phases) == {"stimulus", "neuron", "synapse"}
         assert all(len(v) == 10 for v in phases.values())
-        blocks = trace.population_durations()
+        blocks = _spans_by_name(trace, "kernel")
         assert set(blocks) == {"exc+inh"}
         assert len(blocks["exc+inh"]) == 10
 
