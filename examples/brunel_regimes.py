@@ -13,13 +13,14 @@ Run:  python examples/brunel_regimes.py
 """
 
 from repro.analysis import cv_isi, population_rate_hz, synchrony_index
+from repro.assembly import DT
 from repro.experiments.common import format_table
+from repro.frontend import build_network
 from repro.hardware import FlexonBackend
 from repro.network import Simulator
 from repro.workloads.brunel import SPEC
-from repro.workloads.builders import build_ei_network
+from repro.workloads.builders import ei_spec
 
-DT = 1e-4
 STEPS = 3000
 SCALE = 0.05
 
@@ -27,16 +28,16 @@ SCALE = 0.05
 def run_regime(g: float):
     """Simulate the Brunel topology at inhibition ratio g."""
     exc_weight = 0.4
-    network = build_ei_network(
+    spec = ei_spec(
         SPEC,
         SCALE,
-        seed=1,
         exc_weight=exc_weight,
         inh_weight=-g * exc_weight,
         stimulus_rate_hz=100.0,
         stimulus_weight=exc_weight,
         n_stimulus_sources=5,
     )
+    network = build_network({**spec, "seed": 1, "dt": DT})
     result = Simulator(network, FlexonBackend(DT), dt=DT, seed=2).run(STEPS)
     record = result.spikes.result("exc")
     n = network.populations["exc"].n

@@ -1,21 +1,20 @@
 """Run assembly: how a run description becomes a simulator.
 
 Every path that executes a Table I workload — ``repro run``, each job
-of ``repro sweep``, the front-end and the experiment helpers — describes the run with the same six fields (``workload,
-backend, scale, seed, dt, solver``) and turns them into a network, a
-prepared backend and a stimulus seed *here*, so the two decisions below
-have one owner:
+of ``repro sweep``, the front-end and the experiment helpers —
+describes the run with the same six fields (``workload, backend,
+scale, seed, dt, solver``) and turns them into a network, a prepared
+backend and a stimulus seed *here*:
 
-**The backend table.** :func:`make_backend` maps a backend name
-(:data:`BACKENDS`) to an instance. Callers keep their own accepted
-subset through their ``choices`` / validation; the construction is not
-repeated.
+**The backend table.** :data:`BACKENDS` is the one list of backend
+names: every CLI ``--backend`` takes it as its ``choices``, and
+:func:`make_backend` (which the front-end's ``build_backend`` calls)
+maps a name to an instance.
 
-**The seed contract.** The network builds with ``seed``, the
-simulator's stimulus plan with ``seed + 1`` — computed in
-:func:`assemble` and nowhere else. That is what makes a plain run, a
-resumed run and a sweep job produce bit-identical spikes for the same
-``(workload, scale, seed, steps)``.
+**The network.** :func:`assemble` builds the workload's front-end spec
+(:func:`repro.workloads.spec_for`), which also holds the seed
+contract: the network builds with ``seed``, the stimulus plan with the
+spec's ``stimulus_seed``.
 
 Heavy imports (the hardware model, the simulator) stay inside the
 functions: ``repro workloads`` imports this module without paying for
@@ -39,7 +38,7 @@ __all__ = [
     "make_backend",
 ]
 
-#: Paper time step (matches ``repro.workloads.builders.DT``).
+#: Paper time step (the 0.1 ms every workload and CLI flag defaults to).
 DT = 1e-4
 
 #: Every backend name the repo knows. ``solver`` is the dict-state
@@ -85,7 +84,7 @@ class RunAssembly:
     backend_name: str
     solver: str
     dt: float
-    #: Seed of the stimulus plan (see the module docstring).
+    #: Seed of the stimulus plan: the spec's ``stimulus_seed``.
     stimulus_seed: int
 
     def simulator(self):
@@ -107,14 +106,16 @@ def assemble(
     solver: Optional[str] = None,
 ) -> RunAssembly:
     """Build one registry workload; ``solver=None`` is its Table I solver."""
-    from repro.workloads import build_workload, get_spec
+    from repro.frontend import build_network
+    from repro.workloads import spec_for
 
+    spec = spec_for(workload, scale, seed, dt)
     return RunAssembly(
-        network=build_workload(workload, scale=scale, seed=seed),
+        network=build_network(spec),
         backend_name=backend,
-        solver=solver or get_spec(workload).solver,
+        solver=solver or spec["solver"],
         dt=dt,
-        stimulus_seed=seed + 1,
+        stimulus_seed=spec["stimulus_seed"],
     )
 
 

@@ -39,10 +39,11 @@ Subcommands:
     ``table3``, ``table5``, ``figure12``, ``table6``, ``figure13``,
     ``validation``, ``resilience``) or ``all``.
 ``simulate SPEC.json``
-    Build a network from a declarative front-end spec (Section VII-B)
-    and simulate it on the backend the spec names.
-``example-spec``
-    Print a ready-to-run front-end specification.
+    Build a network from a declarative front-end spec (Section VII-B),
+    simulate it on the backend the spec names, print its spike digest.
+``spec WORKLOAD``
+    Print a Table I workload as a front-end spec; with ``run``'s flags,
+    ``simulate`` of it reports ``run``'s spike digest.
 ``runs``
     Query the run-provenance ledger (``ledger.jsonl``, schema
     ``repro-ledger/1``) that ``run``/``sweep`` append to:
@@ -68,7 +69,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.assembly import DT
+from repro.assembly import BACKENDS, DT, check_run_request
 from repro.errors import ReproError
 
 
@@ -142,7 +143,7 @@ def _cmd_run(args) -> int:
     """``repro run``: one workload on ``Simulator.run`` + hooks."""
     import time
 
-    from repro.assembly import assemble, check_run_request
+    from repro.assembly import assemble
     from repro.errors import CheckpointError, RunInterrupted
     from repro.runcontext import (
         EXIT_CODES,
@@ -293,7 +294,7 @@ def _cmd_sweep(args) -> int:
     """``repro sweep``: ``run``'s assembly in a loop, one ledger entry."""
     import time
 
-    from repro.assembly import assemble, check_run_request
+    from repro.assembly import assemble
     from repro.experiments.common import format_table
     from repro.reliability.guard import NumericsGuard
     from repro.runcontext import RunContext
@@ -380,7 +381,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from repro.assembly import check_run_request
     from repro.experiments import (
         figure3,
         figure12,
@@ -469,6 +469,7 @@ def _cmd_simulate(args) -> int:
         # A zero-length run has no rate to divide out: report 0.0 Hz.
         rate = record.n_spikes / population.n / duration if duration else 0.0
         print(f"  {name:12s} {record.n_spikes:8,d} spikes ({rate:7.1f} Hz)")
+    print(f"spike digest: {result.spikes.digest()}")
     if network.plasticity_rules:
         for rule in network.plasticity_rules:
             print(
@@ -478,12 +479,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_example_spec(_args) -> int:
+def _cmd_spec(args) -> int:
     import json
 
-    from repro.frontend import example_spec
+    from repro.workloads import spec_for
 
-    print(json.dumps(example_spec(), indent=2))
+    check_run_request(0, seed=args.seed, dt=args.dt)
+    spec = spec_for(args.workload, args.scale, args.seed, args.dt)
+    spec.update(backend=args.backend, solver=args.solver or spec["solver"])
+    print(json.dumps(spec, indent=2))
     return 0
 
 
@@ -607,16 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one Table I workload")
     run.add_argument("workload")
-    run.add_argument(
-        "--backend",
-        choices=("reference", "flexon", "folded"),
-        default="folded",
-    )
-    run.add_argument("--solver", default=None, help="reference solver override")
-    run.add_argument("--scale", type=float, default=0.05)
+    _add_run_flags(run, backend="folded")
     run.add_argument("--steps", type=int, default=1000)
-    run.add_argument("--dt", type=float, default=DT)
-    run.add_argument("--seed", type=int, default=1)
     run.add_argument(
         "--checkpoint-every",
         type=int,
@@ -675,18 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORKLOAD",
         help="Table I workload names (default: the full registry)",
     )
-    sweep.add_argument(
-        "--backend",
-        choices=("reference", "solver", "flexon", "folded"),
-        default="reference",
-    )
-    sweep.add_argument(
-        "--solver", default=None, help="reference solver override"
-    )
-    sweep.add_argument("--scale", type=float, default=0.05)
+    _add_run_flags(sweep, backend="reference")
     sweep.add_argument("--steps", type=int, default=400)
-    sweep.add_argument("--dt", type=float, default=DT)
-    sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument(
         "--stats-json",
         default=None,
@@ -716,7 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("spec", help="path to a JSON network spec")
     simulate.add_argument("--steps", type=int, default=1000)
 
-    sub.add_parser("example-spec", help="print a ready-to-run JSON spec")
+    spec = sub.add_parser("spec", help="print a workload as a JSON spec")
+    spec.add_argument("workload")
+    _add_run_flags(spec, backend="folded")
 
     runs = sub.add_parser(
         "runs",
@@ -773,6 +761,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_run_flags(parser: argparse.ArgumentParser, backend: str) -> None:
+    """The run description ``run``, ``sweep`` and ``spec`` share."""
+    parser.add_argument("--backend", choices=BACKENDS, default=backend)
+    parser.add_argument(
+        "--solver", default=None, help="reference solver override"
+    )
+    parser.add_argument("--scale", type=float, default=0.05)
+    parser.add_argument("--dt", type=float, default=DT)
+    parser.add_argument("--seed", type=int, default=1)
+
+
 def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ledger",
@@ -819,7 +818,7 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "experiment": _cmd_experiment,
     "simulate": _cmd_simulate,
-    "example-spec": _cmd_example_spec,
+    "spec": _cmd_spec,
     "runs": _cmd_runs,
 }
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.assembly import DT
 from repro.costmodel.cpu_gpu import (
     CPU_SPEC,
     GPU_SPEC,
@@ -35,7 +36,6 @@ from repro.experiments.common import (
 from repro.hardware.array import FlexonArray, FoldedFlexonArray
 from repro.hardware.compiler import FlexonCompiler
 from repro.workloads import build_workload, get_spec, workload_names
-from repro.workloads.builders import DT
 
 
 @dataclass(frozen=True)

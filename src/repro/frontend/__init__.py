@@ -15,7 +15,6 @@ from repro.frontend.spec import (
     build_backend,
     build_network,
     build_simulation,
-    example_spec,
     load_spec,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "build_backend",
     "build_network",
     "build_simulation",
-    "example_spec",
     "load_spec",
 ]

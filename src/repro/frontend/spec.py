@@ -5,9 +5,10 @@ A specification is a plain dict (JSON-compatible)::
     {
       "name": "my-net",
       "dt": 1e-4,
-      "seed": 0,
-      "backend": "folded",            # reference|flexon|folded|hybrid
-      "solver": "Euler",              # reference/hybrid backends only
+      "seed": 0,                      # builds the network
+      "stimulus_seed": 1,             # steps the stimuli (default: seed)
+      "backend": "folded",            # any name in repro.assembly.BACKENDS
+      "solver": "Euler",              # reference/solver/hybrid only
       "populations": [
         {"name": "exc", "n": 100, "model": "DLIF",
          "parameters": {"tau": 0.02}}          # optional overrides
@@ -27,7 +28,8 @@ A specification is a plain dict (JSON-compatible)::
     }
 
 Unknown keys are rejected (typos should fail loudly), and every error
-names the offending entry.
+names the offending entry. ``repro.workloads.spec_for`` writes each
+Table I workload in this schema (``repro spec WORKLOAD`` prints one).
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ _PROJECTION_KEYS = {
 _POISSON_KEYS = {"kind", "target", "rate_hz", "weight", "n_sources", "syn_type"}
 _PATTERN_KEYS = {"kind", "target", "weight", "events", "period", "syn_type"}
 _TOP_KEYS = {
-    "name", "dt", "seed", "backend", "solver",
+    "name", "dt", "seed", "stimulus_seed", "backend", "solver",
     "populations", "projections", "stimuli",
 }
-_BACKENDS = ("reference", "flexon", "folded", "hybrid")
 
 
 def _check_keys(entry: Dict, allowed: set, where: str) -> None:
@@ -68,28 +69,31 @@ def _check_keys(entry: Dict, allowed: set, where: str) -> None:
         )
 
 
+def _number(kind: type, noun: str, value, where: str):
+    """``value`` as ``kind``, or a field-level :class:`ConfigurationError`."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{where} must be {noun}, got {value!r}")
+
+
 def _as_int(value, where: str) -> int:
-    """``value`` as an int, or a field-level :class:`ConfigurationError`."""
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{where} must be an integer, got {value!r}"
-        ) from None
+    return _number(int, "an integer", value, where)
 
 
 def _as_float(value, where: str) -> float:
-    """``value`` as a float, or a field-level :class:`ConfigurationError`."""
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{where} must be a number, got {value!r}"
-        ) from None
+    return _number(float, "a number", value, where)
+
+
+def _seed(spec: Dict, key: str) -> int:
+    """A top-level seed; ``stimulus_seed`` defaults to ``seed``."""
+    value = spec.get(key, spec.get("seed", 0))
+    seed = _as_int(value, f"top-level {key!r}")
+    if seed < 0:
+        raise ConfigurationError(f"top-level {key!r} must be >= 0, got {seed}")
+    return seed
 
 
 def _require(entry: Dict, keys, where: str) -> None:
@@ -147,10 +151,7 @@ def build_network(spec: Dict) -> Network:
     if not populations:
         raise ConfigurationError("spec needs at least one population")
     network = Network(spec.get("name", "network"))
-    seed = _as_int(spec.get("seed", 0), "top-level 'seed'")
-    if seed < 0:
-        raise ConfigurationError(f"top-level 'seed' must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(spec, "seed"))
     dt = _as_float(spec.get("dt", 1e-4), "top-level 'dt'")
     if dt <= 0:
         raise ConfigurationError(f"top-level 'dt' must be positive, got {dt}")
@@ -313,10 +314,6 @@ def build_backend(spec: Dict) -> RuntimeBackend:
         solver = canonical_solver_name(spec.get("solver", "Euler"))
     except ConfigurationError as error:
         raise ConfigurationError(f"top-level 'solver': {error}") from None
-    if name not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; choose from {_BACKENDS}"
-        )
     return make_backend(name, dt, solver)
 
 
@@ -328,32 +325,7 @@ def build_simulation(spec: Dict) -> Tuple[Simulator, Network]:
         network,
         backend,
         dt=_as_float(spec.get("dt", 1e-4), "top-level 'dt'"),
-        seed=_as_int(spec.get("seed", 0), "top-level 'seed'"),
+        seed=_seed(spec, "stimulus_seed"),
     )
     return simulator, network
 
-
-def example_spec() -> Dict:
-    """A ready-to-run specification (used by docs, tests, and the CLI)."""
-    return {
-        "name": "frontend-demo",
-        "dt": 1e-4,
-        "seed": 7,
-        "backend": "folded",
-        "populations": [
-            {"name": "exc", "n": 80, "model": "DLIF"},
-            {"name": "inh", "n": 20, "model": "DLIF"},
-        ],
-        "projections": [
-            {"pre": "exc", "post": "exc", "probability": 0.1,
-             "weight": 0.05, "syn_type": 0},
-            {"pre": "exc", "post": "inh", "probability": 0.1,
-             "weight": 0.05, "syn_type": 0},
-            {"pre": "inh", "post": "exc", "probability": 0.1,
-             "weight": 0.3, "syn_type": 1},
-        ],
-        "stimuli": [
-            {"kind": "poisson", "target": "exc", "rate_hz": 500,
-             "weight": 0.08, "n_sources": 10},
-        ],
-    }

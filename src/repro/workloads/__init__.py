@@ -1,6 +1,7 @@
 """The ten SNN workloads of Table I.
 
-Each workload module builds the network of one prior-work SNN: the same
+Each workload module describes the network of one prior-work SNN, as
+front-end spec sections (:func:`spec_for` completes them): the same
 neuron model, ODE solver, excitatory/inhibitory structure and
 neuron:synapse ratio as the paper's Table I row. Sizes are *scalable*
 (``scale=1.0`` reproduces the paper's counts; smaller scales keep CI
@@ -13,6 +14,7 @@ from repro.workloads.registry import (
     WORKLOADS,
     build_workload,
     get_spec,
+    spec_for,
     workload_names,
 )
 
@@ -21,6 +23,7 @@ __all__ = [
     "WorkloadSpec",
     "build_workload",
     "get_spec",
+    "spec_for",
     "validate_scale",
     "workload_names",
 ]

@@ -8,8 +8,9 @@ review — 80/20 random connectivity with conductance synapses.
 
 from __future__ import annotations
 
-from repro.network.network import Network
-from repro.workloads.builders import build_ei_network
+from typing import Dict
+
+from repro.workloads.builders import ei_spec
 from repro.workloads.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(
@@ -23,14 +24,10 @@ SPEC = WorkloadSpec(
 )
 
 
-def build(scale: float = 1.0, seed: int = 0) -> Network:
-    """Build the Brette et al. network at the given scale."""
-    return build_ei_network(
-        SPEC,
-        scale,
-        seed,
-        exc_weight=0.012,
+def describe(scale: float) -> Dict:
+    """Describe the Brette et al. network at the given scale."""
+    return ei_spec(
+        SPEC, scale, exc_weight=0.012,
         inh_weight=0.10,  # positive: inhibition acts through v_g[1] < 0
-        stimulus_rate_hz=300.0,
-        stimulus_weight=0.02,
+        stimulus_rate_hz=300.0, stimulus_weight=0.02,
     )

@@ -9,8 +9,9 @@ excitation ratio g; we build the g = 5 inhibition-dominated regime.
 
 from __future__ import annotations
 
-from repro.network.network import Network
-from repro.workloads.builders import build_ei_network
+from typing import Dict
+
+from repro.workloads.builders import ei_spec
 from repro.workloads.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(
@@ -24,21 +25,16 @@ SPEC = WorkloadSpec(
 )
 
 
-def build(scale: float = 1.0, seed: int = 0) -> Network:
-    """Build the Brunel network at the given scale."""
+def describe(scale: float) -> Dict:
+    """Describe the Brunel network at the given scale."""
     # IF_psc_alpha has no reversal voltages: inhibition needs negative
     # weights (the alpha-current kernel adds g directly to the drive).
     # Strong individual synapses with a weak-mean external drive put
     # the network in Brunel's fluctuation-driven asynchronous-irregular
     # state (CV of the ISI ~ 1, low population synchrony) — verified by
     # tests/network/test_analysis.py.
-    return build_ei_network(
-        SPEC,
-        scale,
-        seed,
-        exc_weight=0.4,
+    return ei_spec(
+        SPEC, scale, exc_weight=0.4,
         inh_weight=-2.0,  # g = 5
-        stimulus_rate_hz=100.0,
-        stimulus_weight=0.4,
-        n_stimulus_sources=5,
+        stimulus_rate_hz=100.0, stimulus_weight=0.4, n_stimulus_sources=5,
     )

@@ -1,92 +1,65 @@
-"""Shared topology builders for the Table I workloads.
+"""Shared topology for the Table I workloads.
 
 Most of the collected SNNs follow the cortical 80/20
 excitatory/inhibitory recipe with random connectivity and Poisson
-background drive; :func:`build_ei_network` captures that shape. The
-few structured workloads (Potjans-Diesmann's layered microcircuit)
-build their own topology on top of the same primitives.
+background drive; :func:`ei_spec` describes that shape as front-end
+spec sections. The few structured workloads (Potjans-Diesmann's
+layered microcircuit, Nowotny's olfactory circuit) write their own.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.models.base import ModelParameters
-from repro.models.registry import create_model
-from repro.network.network import Network
-from repro.network.stimulus import PoissonStimulus
 from repro.workloads.spec import WorkloadSpec, scaled_probability
 
-#: Default simulation time step (the paper's 0.1 ms).
-DT = 1e-4
 
-
-def build_ei_network(
-    spec: WorkloadSpec,
+def ei_spec(
+    workload: WorkloadSpec,
     scale: float,
-    seed: int,
     exc_weight: float,
     inh_weight: float,
     stimulus_rate_hz: float,
     stimulus_weight: float,
-    parameters: Optional[ModelParameters] = None,
-    exc_fraction: float = 0.8,
-    delay_steps: int = 10,
-    delay_jitter: int = 10,
     n_stimulus_sources: int = 10,
-) -> Network:
-    """A standard 80/20 excitatory/inhibitory random network.
+    parameters: Optional[Dict] = None,
+) -> Dict:
+    """A standard 80/20 excitatory/inhibitory random network, as the
+    ``populations``/``projections``/``stimuli`` of a front-end spec.
 
     ``exc_weight``/``inh_weight`` are in the model's input units
     (currents for CUB models, conductance jumps otherwise);
-    ``inh_weight`` is applied on synapse type 1.
+    ``inh_weight`` is applied on synapse type 1. ``parameters`` are
+    model-parameter overrides shared by both populations.
     """
-    rng = np.random.default_rng(seed)
-    network = Network(spec.name)
-    n_total = spec.scaled_neurons(scale)
-    n_exc = max(10, int(round(n_total * exc_fraction)))
-    n_inh = max(5, n_total - n_exc)
+    n_total = workload.scaled_neurons(scale)
+    n_exc = max(10, int(round(n_total * 0.8)))
+    model = {"model": workload.model_name}
+    if parameters:
+        model["parameters"] = parameters
+    p = scaled_probability(workload, scale)
 
-    def make_model():
-        return create_model(spec.model_name, parameters=parameters)
+    def projection(pre: str, post: str, weight: float, syn_type: int):
+        return {
+            "pre": pre, "post": post, "probability": p, "weight": weight,
+            "weight_std": abs(weight) * 0.1, "syn_type": syn_type,
+            "delay_steps": 10, "delay_jitter": 10,
+        }
 
-    exc = network.add_population("exc", n_exc, make_model())
-    network.add_population("inh", n_inh, make_model())
-    p = scaled_probability(spec, scale)
-    for pre, post in (("exc", "exc"), ("exc", "inh")):
-        network.connect(
-            pre,
-            post,
-            probability=p,
-            weight=exc_weight,
-            weight_std=exc_weight * 0.1,
-            syn_type=0,
-            delay_steps=delay_steps,
-            delay_jitter=delay_jitter,
-            rng=rng,
-        )
-    for pre, post in (("inh", "exc"), ("inh", "inh")):
-        network.connect(
-            pre,
-            post,
-            probability=p,
-            weight=inh_weight,
-            weight_std=abs(inh_weight) * 0.1,
-            syn_type=1,
-            delay_steps=delay_steps,
-            delay_jitter=delay_jitter,
-            rng=rng,
-        )
-    network.add_stimulus(
-        PoissonStimulus(
-            exc,
-            rate_hz=stimulus_rate_hz,
-            weight=stimulus_weight,
-            dt=DT,
-            syn_type=0,
-            n_sources=n_stimulus_sources,
-        )
-    )
-    return network
+    return {
+        "populations": [
+            {"name": "exc", "n": n_exc, **model},
+            {"name": "inh", "n": max(5, n_total - n_exc), **model},
+        ],
+        "projections": [
+            projection("exc", "exc", exc_weight, 0),
+            projection("exc", "inh", exc_weight, 0),
+            projection("inh", "exc", inh_weight, 1),
+            projection("inh", "inh", inh_weight, 1),
+        ],
+        "stimuli": [
+            {"kind": "poisson", "target": "exc", "rate_hz": stimulus_rate_hz,
+             "weight": stimulus_weight, "n_sources": n_stimulus_sources,
+             "syn_type": 0},
+        ],
+    }

@@ -18,9 +18,9 @@ Flexon wins on latency for exactly these two workloads (Section VI-C).
 
 from __future__ import annotations
 
-from repro.models.base import ModelParameters
-from repro.network.network import Network
-from repro.workloads.builders import build_ei_network
+from typing import Dict
+
+from repro.workloads.builders import ei_spec
 from repro.workloads.spec import WorkloadSpec
 
 LTS_SPEC = WorkloadSpec(
@@ -30,7 +30,6 @@ LTS_SPEC = WorkloadSpec(
     model_name="AdEx",
     solver="RKF45",
     framework="NEST",
-    n_synapse_types=3,
     description="thalamocortical network with LTS interneurons",
 )
 
@@ -41,50 +40,39 @@ UPDOWN_SPEC = WorkloadSpec(
     model_name="AdEx",
     solver="RKF45",
     framework="NEST",
-    n_synapse_types=3,
     description="AdEx variation alternating Up and Down states",
 )
 
 
-def _adex_parameters(tau_w: float, a: float, b: float) -> ModelParameters:
-    return ModelParameters(
-        tau=20e-3,
-        n_synapse_types=3,
-        tau_g=(5e-3, 100e-3, 10e-3),  # AMPA, NMDA, GABA
-        v_g=(4.33, 4.33, -1.0),
-        delta_t=0.133,
-        v_theta=2.0,
-        tau_w=tau_w,
-        a=a,
-        v_w=0.0,
-        b=b,
-        t_ref=2.5e-3,
-    )
+def _adex_parameters(tau_w: float, a: float, b: float) -> Dict:
+    return {
+        "tau": 20e-3,
+        "n_synapse_types": 3,
+        "tau_g": (5e-3, 100e-3, 10e-3),  # AMPA, NMDA, GABA
+        "v_g": (4.33, 4.33, -1.0),
+        "delta_t": 0.133,
+        "v_theta": 2.0,
+        "tau_w": tau_w,
+        "a": a,
+        "v_w": 0.0,
+        "b": b,
+        "t_ref": 2.5e-3,
+    }
 
 
-def build_lts(scale: float = 1.0, seed: int = 0) -> Network:
+def describe_lts(scale: float) -> Dict:
     """Destexhe-LTS: rebound-prone AdEx with strong subthreshold a."""
-    return build_ei_network(
-        LTS_SPEC,
-        scale,
-        seed,
-        exc_weight=0.02,
-        inh_weight=0.40,
-        stimulus_rate_hz=400.0,
-        stimulus_weight=0.18,
+    return ei_spec(
+        LTS_SPEC, scale, exc_weight=0.02, inh_weight=0.40,
+        stimulus_rate_hz=400.0, stimulus_weight=0.18,
         parameters=_adex_parameters(tau_w=200e-3, a=-0.08, b=0.05),
     )
 
 
-def build_updown(scale: float = 1.0, seed: int = 0) -> Network:
+def describe_updown(scale: float) -> Dict:
     """Destexhe-UpDown: slow, strong spike-triggered adaptation."""
-    return build_ei_network(
-        UPDOWN_SPEC,
-        scale,
-        seed,
-        exc_weight=0.04,
-        inh_weight=0.20,
-        stimulus_rate_hz=250.0,
-        stimulus_weight=0.09,
+    return ei_spec(
+        UPDOWN_SPEC, scale, exc_weight=0.04, inh_weight=0.20,
+        stimulus_rate_hz=250.0, stimulus_weight=0.09,
         parameters=_adex_parameters(tau_w=500e-3, a=-0.02, b=0.12),
     )

@@ -8,8 +8,9 @@ inhibitory cells at 80/20 and dense random coupling (p = 0.1).
 
 from __future__ import annotations
 
-from repro.network.network import Network
-from repro.workloads.builders import build_ei_network
+from typing import Dict
+
+from repro.workloads.builders import ei_spec
 from repro.workloads.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(
@@ -23,15 +24,9 @@ SPEC = WorkloadSpec(
 )
 
 
-def build(scale: float = 1.0, seed: int = 0) -> Network:
-    """Build the Izhikevich network at the given scale."""
-    return build_ei_network(
-        SPEC,
-        scale,
-        seed,
-        exc_weight=0.02,
-        inh_weight=0.12,
-        stimulus_rate_hz=400.0,
-        stimulus_weight=0.04,
-        n_stimulus_sources=15,
+def describe(scale: float) -> Dict:
+    """Describe the Izhikevich network at the given scale."""
+    return ei_spec(
+        SPEC, scale, exc_weight=0.02, inh_weight=0.12,
+        stimulus_rate_hz=400.0, stimulus_weight=0.04, n_stimulus_sources=15,
     )

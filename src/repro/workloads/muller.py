@@ -9,8 +9,9 @@ hence the strong Poisson background here.
 
 from __future__ import annotations
 
-from repro.network.network import Network
-from repro.workloads.builders import build_ei_network
+from typing import Dict
+
+from repro.workloads.builders import ei_spec
 from repro.workloads.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(
@@ -24,15 +25,9 @@ SPEC = WorkloadSpec(
 )
 
 
-def build(scale: float = 1.0, seed: int = 0) -> Network:
-    """Build the Muller et al. network at the given scale."""
-    return build_ei_network(
-        SPEC,
-        scale,
-        seed,
-        exc_weight=0.015,
-        inh_weight=0.12,
-        stimulus_rate_hz=600.0,
-        stimulus_weight=0.02,
-        n_stimulus_sources=25,
+def describe(scale: float) -> Dict:
+    """Describe the Muller et al. network at the given scale."""
+    return ei_spec(
+        SPEC, scale, exc_weight=0.015, inh_weight=0.12,
+        stimulus_rate_hz=600.0, stimulus_weight=0.02, n_stimulus_sources=25,
     )

@@ -10,12 +10,8 @@ feed-forward divergence.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Dict
 
-from repro.models.registry import create_model
-from repro.network.network import Network
-from repro.network.stimulus import PoissonStimulus
-from repro.workloads.builders import DT
 from repro.workloads.spec import WorkloadSpec, scaled_probability
 
 SPEC = WorkloadSpec(
@@ -29,41 +25,38 @@ SPEC = WorkloadSpec(
 )
 
 
-def build(scale: float = 1.0, seed: int = 0) -> Network:
-    """Build the Nowotny et al. network at the given scale."""
-    rng = np.random.default_rng(seed)
-    network = Network(SPEC.name)
+def describe(scale: float) -> Dict:
+    """Describe the Nowotny et al. network at the given scale."""
     n_total = SPEC.scaled_neurons(scale)
     # ~1:5 projection-neuron : Kenyon-cell split, plus inhibition.
     n_pn = max(10, n_total // 6)
     n_kc = max(20, n_total - 2 * n_pn)
     n_ln = max(5, n_total - n_pn - n_kc)
-    pn = network.add_population("pn", n_pn, create_model(SPEC.model_name))
-    network.add_population("kc", n_kc, create_model(SPEC.model_name))
-    network.add_population("ln", n_ln, create_model(SPEC.model_name))
     p = scaled_probability(SPEC, scale)
-    # Dense feed-forward divergence PN -> KC carries most synapses.
-    network.connect(
-        "pn", "kc", probability=min(1.0, 4 * p), weight=0.03,
-        syn_type=0, delay_steps=5, delay_jitter=10, rng=rng,
-    )
-    network.connect(
-        "pn", "ln", probability=min(1.0, 2 * p), weight=0.03,
-        syn_type=0, delay_steps=5, delay_jitter=5, rng=rng,
-    )
-    # Lateral inhibition from LNs onto both PN and KC layers.
-    network.connect(
-        "ln", "pn", probability=min(1.0, 2 * p), weight=0.15,
-        syn_type=1, delay_steps=5, delay_jitter=5, rng=rng,
-    )
-    network.connect(
-        "ln", "kc", probability=min(1.0, 2 * p), weight=0.15,
-        syn_type=1, delay_steps=5, delay_jitter=5, rng=rng,
-    )
-    # Odour input drives the projection neurons.
-    network.add_stimulus(
-        PoissonStimulus(
-            pn, rate_hz=500.0, weight=0.05, dt=DT, syn_type=0, n_sources=15
-        )
-    )
-    return network
+
+    def projection(pre, post, fold, weight, syn_type, delay_jitter=5):
+        return {
+            "pre": pre, "post": post, "probability": min(1.0, fold * p),
+            "weight": weight, "syn_type": syn_type, "delay_steps": 5,
+            "delay_jitter": delay_jitter,
+        }
+
+    return {
+        "populations": [
+            {"name": name, "n": n, "model": SPEC.model_name}
+            for name, n in (("pn", n_pn), ("kc", n_kc), ("ln", n_ln))
+        ],
+        "projections": [
+            # Dense feed-forward divergence PN -> KC carries most synapses.
+            projection("pn", "kc", 4, 0.03, 0, delay_jitter=10),
+            projection("pn", "ln", 2, 0.03, 0),
+            # Lateral inhibition from LNs onto both PN and KC layers.
+            projection("ln", "pn", 2, 0.15, 1),
+            projection("ln", "kc", 2, 0.15, 1),
+        ],
+        # Odour input drives the projection neurons.
+        "stimuli": [
+            {"kind": "poisson", "target": "pn", "rate_hz": 500.0,
+             "weight": 0.05, "n_sources": 15, "syn_type": 0},
+        ],
+    }

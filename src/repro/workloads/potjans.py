@@ -13,12 +13,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
-from repro.models.registry import create_model
-from repro.network.network import Network
-from repro.network.stimulus import PoissonStimulus
-from repro.workloads.builders import DT
 from repro.workloads.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(
@@ -55,49 +49,40 @@ _P = {
 }
 
 
-def build(scale: float = 1.0, seed: int = 0) -> Network:
-    """Build the layered microcircuit at the given scale."""
-    rng = np.random.default_rng(seed)
-    network = Network(SPEC.name)
+def describe(scale: float) -> Dict:
+    """Describe the layered microcircuit at the given scale."""
     n_total = SPEC.scaled_neurons(scale)
     sizes = {
         layer: max(5, int(round(fraction * n_total)))
         for layer, fraction in LAYER_FRACTIONS.items()
     }
-    for layer, size in sizes.items():
-        network.add_population(layer, size, create_model(SPEC.model_name))
-
     # Rescale the probability map so total synapses match the spec.
     expected = sum(
         p * sizes[pre] * sizes[post] for (pre, post), p in _P.items()
     )
     target = SPEC.scaled_synapses(scale)
     rescale = min(4.0, target / max(1.0, expected))
-    for (pre, post), p in _P.items():
-        inhibitory = pre.endswith("i")
-        network.connect(
-            pre,
-            post,
-            probability=min(1.0, p * rescale),
-            # DSRM0 has no reversal voltages: inhibition is negative.
-            weight=-0.06 if inhibitory else 0.015,
-            syn_type=1 if inhibitory else 0,
-            delay_steps=8,
-            delay_jitter=10,
-            rng=rng,
-        )
-
-    # Layer-specific thalamic/background drive (L4 strongest).
-    for layer, rate in (("L4e", 900.0), ("L4i", 900.0), ("L23e", 500.0),
-                        ("L6e", 500.0)):
-        network.add_stimulus(
-            PoissonStimulus(
-                network.populations[layer],
-                rate_hz=rate,
-                weight=0.02,
-                dt=DT,
-                syn_type=0,
-                n_sources=20,
-            )
-        )
-    return network
+    return {
+        "populations": [
+            {"name": layer, "n": size, "model": SPEC.model_name}
+            for layer, size in sizes.items()
+        ],
+        "projections": [
+            {
+                "pre": pre, "post": post,
+                "probability": min(1.0, p * rescale),
+                # DSRM0 has no reversal voltages: inhibition is negative.
+                "weight": -0.06 if pre.endswith("i") else 0.015,
+                "syn_type": 1 if pre.endswith("i") else 0,
+                "delay_steps": 8, "delay_jitter": 10,
+            }
+            for (pre, post), p in _P.items()
+        ],
+        # Layer-specific thalamic/background drive (L4 strongest).
+        "stimuli": [
+            {"kind": "poisson", "target": layer, "rate_hz": rate,
+             "weight": 0.02, "n_sources": 20, "syn_type": 0}
+            for layer, rate in (("L4e", 900.0), ("L4i", 900.0),
+                                ("L23e", 500.0), ("L6e", 500.0))
+        ],
+    }

@@ -35,7 +35,6 @@ class WorkloadSpec:
     model_name: str
     solver: str  #: "Euler" or "RKF45" (the Notes column)
     framework: str  #: "NEST" (CPU) or "GeNN" (the two GPU rows)
-    n_synapse_types: int = 2
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -43,7 +42,7 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"workload name must be a non-empty string, got {self.name!r}"
             )
-        for key in ("paper_neurons", "paper_synapses", "n_synapse_types"):
+        for key in ("paper_neurons", "paper_synapses"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(
@@ -55,11 +54,6 @@ class WorkloadSpec:
                 f"workload {self.name!r}: paper neuron/synapse counts "
                 f"must be positive, got {self.paper_neurons} / "
                 f"{self.paper_synapses}"
-            )
-        if self.n_synapse_types < 1:
-            raise ConfigurationError(
-                f"workload {self.name!r}: n_synapse_types must be >= 1, "
-                f"got {self.n_synapse_types}"
             )
         if self.solver not in ("Euler", "RKF45"):
             raise ConfigurationError(
@@ -81,8 +75,11 @@ class WorkloadSpec:
         """Synapse count at the given scale.
 
         Synapses scale with the *square* of the neuron scale so the
-        connection probability — and hence per-neuron input statistics
-        and firing rates — stays constant across scales.
+        connection probability p stays constant across scales. That is
+        all constant p keeps: fan-in (p times the presynaptic count)
+        grows linearly with scale, and weights do not shrink with it,
+        so each neuron's summed input grows in variance. Mean firing
+        rates stay close; input statistics do not.
         """
         n_ratio = self.scaled_neurons(scale) / self.paper_neurons
         return max(10, int(round(self.paper_synapses * n_ratio * n_ratio)))

@@ -10,8 +10,9 @@
 
 from __future__ import annotations
 
-from repro.network.network import Network
-from repro.workloads.builders import build_ei_network
+from typing import Dict
+
+from repro.workloads.builders import ei_spec
 from repro.workloads.spec import WorkloadSpec
 
 VOGELS_SPEC = WorkloadSpec(
@@ -35,29 +36,17 @@ VOGELS_ABBOTT_SPEC = WorkloadSpec(
 )
 
 
-def build_vogels(scale: float = 1.0, seed: int = 0) -> Network:
+def describe_vogels(scale: float) -> Dict:
     """Vogels et al.: balanced E/I with strong tuned inhibition."""
-    return build_ei_network(
-        VOGELS_SPEC,
-        scale,
-        seed,
-        exc_weight=0.012,
-        inh_weight=0.15,
-        stimulus_rate_hz=350.0,
-        stimulus_weight=0.02,
-        n_stimulus_sources=15,
+    return ei_spec(
+        VOGELS_SPEC, scale, exc_weight=0.012, inh_weight=0.15,
+        stimulus_rate_hz=350.0, stimulus_weight=0.02, n_stimulus_sources=15,
     )
 
 
-def build_vogels_abbott(scale: float = 1.0, seed: int = 0) -> Network:
+def describe_vogels_abbott(scale: float) -> Dict:
     """Vogels-Abbott: sparse self-sustained irregular activity."""
-    return build_ei_network(
-        VOGELS_ABBOTT_SPEC,
-        scale,
-        seed,
-        exc_weight=0.02,
-        inh_weight=0.18,
-        stimulus_rate_hz=250.0,
-        stimulus_weight=0.03,
-        n_stimulus_sources=10,
+    return ei_spec(
+        VOGELS_ABBOTT_SPEC, scale, exc_weight=0.02, inh_weight=0.18,
+        stimulus_rate_hz=250.0, stimulus_weight=0.03, n_stimulus_sources=10,
     )

@@ -13,6 +13,7 @@ Two guarantees are pinned here:
 
 import pytest
 
+from repro.assembly import DT
 from repro.engine import CompiledRuntime, SolverRuntime
 from repro.hardware import (
     EventDrivenFlexonBackend,
@@ -24,7 +25,6 @@ from repro.network import ReferenceBackend, Simulator
 from repro.network.network import Network
 from repro.network.stimulus import PoissonStimulus
 from repro.workloads import build_workload
-from repro.workloads.builders import DT
 
 
 def _spikes(network, backend, steps=300, seed=7):

@@ -162,20 +162,33 @@ class TestCheckpointCli:
 
 
 class TestFrontendCommands:
-    def test_example_spec_is_valid_json(self, capsys):
+    def test_spec_is_valid_json(self, capsys):
         import json
 
-        assert main(["example-spec"]) == 0
+        from repro.workloads import spec_for
+
+        assert main(["spec", "Brunel"]) == 0
         spec = json.loads(capsys.readouterr().out)
-        assert spec["backend"] == "folded"
+        # run's defaults: backend folded, scale 0.05, seed 1.
+        assert spec == json.loads(json.dumps(
+            {**spec_for("Brunel", 0.05, 1), "backend": "folded"}
+        ))
+
+    def test_spec_refuses_a_bad_seed_before_printing(self, capsys):
+        assert main(["spec", "Brunel", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_simulate_spec_file(self, tmp_path, capsys):
         import json
 
-        from repro.frontend import example_spec
+        from repro.workloads import spec_for
 
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(example_spec()))
+        path.write_text(
+            json.dumps({**spec_for("Brunel", 0.02), "backend": "folded"})
+        )
         assert main(["simulate", str(path), "--steps", "200"]) == 0
         out = capsys.readouterr().out
         assert "folded-flexon" in out
@@ -184,9 +197,9 @@ class TestFrontendCommands:
     def test_simulate_reports_plastic_weights(self, tmp_path, capsys):
         import json
 
-        from repro.frontend import example_spec
+        from repro.workloads import spec_for
 
-        spec = example_spec()
+        spec = spec_for("Brunel", 0.02)
         spec["projections"][0]["plasticity"] = {
             "rule": "pair_stdp", "a_plus": 0.01,
         }
@@ -198,10 +211,12 @@ class TestFrontendCommands:
     def test_simulate_zero_steps_is_a_clean_zero_hz_run(self, tmp_path, capsys):
         import json
 
-        from repro.frontend import example_spec
+        from repro.workloads import spec_for
 
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(example_spec()))
+        path.write_text(
+            json.dumps({**spec_for("Brunel", 0.02), "backend": "folded"})
+        )
         # Used to die in the rate line: spikes / n / (0 steps * dt).
         assert main(["simulate", str(path), "--steps", "0"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """One assembly path behind run and sweep.
 
-``repro.assembly`` owns the backend table and the seed contract
+``repro.assembly`` owns the backend table and builds each run from the
+workload's front-end spec, whose seed contract ``spec_for`` writes
 (network seeds with ``seed``, stimulus RNG with ``seed + 1``);
 ``repro.runcontext.RunContext`` owns the plane bring-up and the
 write-out. These tests pin that as behaviour: every entry point reports
@@ -21,7 +22,9 @@ import repro
 from repro.assembly import BACKENDS, assemble, make_backend
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
+from repro.frontend import build_backend, build_simulation
 from repro.provenance import config_digest, load_ledger
+from repro.workloads import spec_for, workload_names
 
 SCALE, SEED, STEPS = 0.05, 3, 300
 
@@ -120,10 +123,62 @@ def test_one_digest_from_every_entry_point(
         } == PARENT_BRUNEL_DIGESTS
 
 
+@pytest.mark.parametrize("backend", ["reference", "folded"])
+@pytest.mark.parametrize("workload", workload_names())
+def test_a_registry_spec_through_json_runs_as_assembled(workload, backend):
+    spec = {**spec_for(workload, 0.05, SEED), "backend": backend}
+    simulator, _ = build_simulation(json.loads(json.dumps(spec)))
+    assembled = assemble(workload, backend, scale=0.05, seed=SEED)
+    assert simulator.run(100).spikes.digest() == (
+        assembled.simulator().run(100).spikes.digest()
+    )
+
+
+def test_dt_reaches_the_registry_poisson_drive():
+    # The stimuli used to keep the 0.1 ms step whatever --dt said.
+    network = assemble("Brunel", dt=2e-4).network
+    assert [stimulus.dt for stimulus in network.stimuli] == [2e-4]
+
+
+def test_spec_then_simulate_reports_the_run_digest(tmp_path, capsys):
+    flags = ["--backend", "reference", "--scale", "0.05", "--seed", "3"]
+    assert main(["spec", "Izhikevich", *flags]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(capsys.readouterr().out)
+    assert main(["simulate", str(spec), "--steps", "150"]) == 0
+    (digest,) = [
+        line.removeprefix("spike digest: ")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("spike digest: ")
+    ]
+    stats = tmp_path / "run.json"
+    assert main(
+        ["run", "Izhikevich", *flags, "--steps", "150", "--no-ledger",
+         "--stats-json", str(stats)]
+    ) == 0
+    assert json.loads(stats.read_text())["spike_digest"] == digest
+
+
 class TestBackendTable:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_every_name_builds(self, name):
         assert make_backend(name, 1e-4, "Euler").name
+
+    def test_every_backend_list_is_the_table(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        ).choices
+        for command in ("run", "sweep", "spec"):
+            (backend,) = [
+                action for action in subparsers[command]._actions
+                if action.dest == "backend"
+            ]
+            assert backend.choices is BACKENDS
+        for name in BACKENDS:
+            assert build_backend({"backend": name}).name
+        with pytest.raises(ConfigurationError, match=", ".join(BACKENDS)):
+            build_backend({"backend": "fpga"})
 
     def test_unknown_name_lists_the_table(self):
         with pytest.raises(ConfigurationError, match="event-driven"):
@@ -257,7 +312,7 @@ def test_plain_run_imports_no_server_and_no_multiprocessing():
 
 SUBCOMMANDS = [
     ["workloads"], ["models"], ["microcode"], ["run"], ["sweep"],
-    ["experiment"], ["simulate"], ["example-spec"],
+    ["experiment"], ["simulate"], ["spec"],
     ["runs"], ["runs", "list"], ["runs", "show"], ["runs", "diff"],
 ]
 

@@ -9,17 +9,29 @@ from repro.frontend import (
     build_backend,
     build_network,
     build_simulation,
-    example_spec,
     load_spec,
 )
+from repro.workloads import spec_for
 
 
 class TestBuildNetwork:
-    def test_example_spec_builds_and_runs(self):
-        simulator, network = build_simulation(example_spec())
+    def test_registry_spec_builds_and_runs(self):
+        simulator, network = build_simulation(spec_for("Brunel", 0.02, 7))
         assert network.n_neurons == 100
         result = simulator.run(300)
         assert result.total_spikes() > 0
+
+    def test_stimulus_seed_defaults_to_seed(self):
+        spec = spec_for("Brunel", 0.02, 7)
+        assert spec["stimulus_seed"] == 8
+        assert build_simulation(spec)[0].stimulus_plan.seed == 8
+        del spec["stimulus_seed"]
+        assert build_simulation(spec)[0].stimulus_plan.seed == 7
+
+    def test_negative_stimulus_seed_rejected(self):
+        spec = {**spec_for("Brunel", 0.02, 7), "stimulus_seed": -1}
+        with pytest.raises(ConfigurationError, match="'stimulus_seed'"):
+            build_simulation(spec)
 
     def test_population_parameters_applied(self):
         spec = {
@@ -69,7 +81,7 @@ class TestBuildNetwork:
         assert network.plasticity_rules[0].a_plus == 0.05
 
     def test_unknown_top_level_key_rejected(self):
-        spec = example_spec()
+        spec = spec_for("Brunel", 0.02)
         spec["populatoins"] = []  # typo
         with pytest.raises(ConfigurationError, match="populatoins"):
             build_network(spec)
@@ -147,10 +159,10 @@ class TestBackends:
 class TestLoadSpec:
     def test_round_trip_via_json(self, tmp_path):
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(example_spec()))
+        path.write_text(json.dumps(spec_for("Vogels-Abbott", 0.02)))
         spec = load_spec(path)
         simulator, network = build_simulation(spec)
-        assert network.name == "frontend-demo"
+        assert network.name == "Vogels-Abbott"
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -178,11 +178,11 @@ class TestPairSTDPRule:
         import json
 
         from repro.cli import main
-        from repro.frontend import example_spec
+        from repro.workloads import spec_for
 
         with pytest.raises(TypeError, match="deferred"):
             PairSTDP(deferred=False)
-        spec = example_spec()
+        spec = spec_for("Brunel", 0.02)
         spec["projections"][0]["plasticity"] = {
             "rule": "pair_stdp", "deferred": False,
         }

@@ -10,12 +10,16 @@ import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.frontend import build_network, build_simulation, load_spec
-from repro.frontend.spec import example_spec
-from repro.workloads import WorkloadSpec, build_workload, validate_scale
+from repro.workloads import (
+    WorkloadSpec,
+    build_workload,
+    spec_for,
+    validate_scale,
+)
 
 
 def _spec(**overrides):
-    spec = example_spec()
+    spec = spec_for("Brunel", scale=0.02)
     spec.update(overrides)
     return spec
 
@@ -190,7 +194,7 @@ class TestWorkloadSpecs:
             ({"name": ""}, "name"),
             ({"paper_neurons": "many"}, "paper_neurons"),
             ({"paper_neurons": -5}, "positive"),
-            ({"n_synapse_types": 0}, "n_synapse_types"),
+            ({"paper_synapses": 2.5}, "paper_synapses"),
             ({"solver": "Leapfrog"}, "solver"),
             ({"framework": "Brian2"}, "framework"),
         ],

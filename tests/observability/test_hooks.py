@@ -1,5 +1,6 @@
 """ServeHook: the simulation loop feeding the live plane (real tiny runs)."""
 
+from repro.assembly import DT
 from repro.engine.hooks import PhaseHook
 from repro.network.simulator import Simulator
 from repro.observability import hooks
@@ -7,7 +8,6 @@ from repro.observability.hooks import ServeHook
 from repro.observability.server import StatusBoard
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads import build_workload
-from repro.workloads.builders import DT
 
 
 def _simulator(scale=0.02, seed=7):

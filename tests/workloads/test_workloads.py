@@ -9,6 +9,7 @@ from repro.workloads import (
     WORKLOADS,
     build_workload,
     get_spec,
+    spec_for,
 )
 from repro.workloads.spec import WorkloadSpec, scaled_probability
 
@@ -44,8 +45,9 @@ class TestSpecs:
         assert spec.framework == framework
 
     def test_destexhe_uses_three_synapse_types(self):
-        assert get_spec("Destexhe-LTS").n_synapse_types == 3
-        assert get_spec("Destexhe-UpDown").n_synapse_types == 3
+        for name in ("Destexhe-LTS", "Destexhe-UpDown"):
+            for population in spec_for(name, 0.05)["populations"]:
+                assert population["parameters"]["n_synapse_types"] == 3
 
     def test_scaled_counts(self):
         spec = get_spec("Brunel")
@@ -53,6 +55,21 @@ class TestSpecs:
         assert spec.scaled_neurons(0.1) == 500
         # Synapses scale quadratically so probability stays constant.
         assert spec.scaled_synapses(0.1) == pytest.approx(25_000, rel=0.01)
+
+    def test_fan_in_grows_linearly_with_scale(self):
+        # Constant p is all scaled_synapses keeps: doubling the scale
+        # doubles every neuron's fan-in (Brunel's p = 0.1 is above the
+        # small-network floor at these sizes).
+        spec = get_spec("Brunel")
+        for scale in (0.2, 0.4, 0.8):
+            fan_in = spec.scaled_synapses(scale) / spec.scaled_neurons(scale)
+            assert fan_in == pytest.approx(spec.fan_in() * scale)
+        small, large = (
+            build_workload("Brunel", scale=scale, seed=1)
+            for scale in (0.2, 0.4)
+        )
+        assert small.n_synapses / small.n_neurons == pytest.approx(100, rel=0.02)
+        assert large.n_synapses / large.n_neurons == pytest.approx(200, rel=0.02)
 
     def test_scale_floor(self):
         spec = get_spec("Destexhe-LTS")
