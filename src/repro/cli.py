@@ -15,14 +15,14 @@ Subcommands:
     restorable checkpoint file every N steps; ``--resume-from PATH``
     continues a killed run bit-identically from its last checkpoint.
     Telemetry: ``--trace OUT.json`` writes a Perfetto/chrome://tracing
-    timeline, ``--stats-json PATH`` dumps the run's statistics as
-    JSON, ``--prometheus PATH`` writes the metrics registry in
-    Prometheus text exposition format. ``--serve SPEC`` (``PORT``,
-    ``:PORT`` or ``HOST:PORT``; port 0 picks an ephemeral port, written
-    to ``--serve-port-file`` for scripts) serves ``/metrics``,
-    ``/healthz``, ``/readyz``, ``/status`` and (with the ledger on)
-    ``/runs`` while the run (or ``sweep``) executes and for
-    ``--serve-linger`` seconds after (``inf`` = until Ctrl-C).
+    timeline, ``--stats-json PATH`` dumps the run's statistics (its
+    ``metrics`` block is the whole metrics registry) as JSON.
+    ``--serve SPEC`` (``PORT``, ``:PORT`` or ``HOST:PORT``; port 0
+    picks an ephemeral port, written to ``--serve-port-file`` for
+    scripts) serves ``/metrics``, ``/healthz``, ``/readyz``,
+    ``/status`` and (with the ledger on) ``/runs`` while the run (or
+    ``sweep``) executes and for ``--serve-linger`` seconds after
+    (``inf`` = until Ctrl-C).
     SIGINT/SIGTERM stop the run gracefully at the next step boundary:
     a final checkpoint is written, partial statistics land in
     ``--stats-json`` (marked ``"partial": true``), and the process
@@ -37,7 +37,7 @@ Subcommands:
 ``experiment NAME``
     Regenerate one paper artifact (``figure3``, ``figures4to8``,
     ``table3``, ``table5``, ``figure12``, ``table6``, ``figure13``,
-    ``validation``, ``resilience``) or ``all``.
+    ``validation``) or ``all``.
 ``simulate SPEC.json``
     Build a network from a declarative front-end spec (Section VII-B),
     simulate it on the backend the spec names, print its spike digest.
@@ -386,7 +386,6 @@ def _cmd_experiment(args) -> int:
         figure12,
         figure13,
         figures4to8,
-        resilience,
         table3,
         table5,
         table6,
@@ -429,10 +428,6 @@ def _cmd_experiment(args) -> int:
         rows = validation.run(scale=args.scale, steps=args.steps)
         return validation.format_validation(rows)
 
-    def run_resilience():
-        rows = resilience.run(scale=args.scale, steps=args.steps)
-        return resilience.format_resilience(rows)
-
     experiments = {
         "figure3": run_figure3,
         "figures4to8": run_figures4to8,
@@ -442,7 +437,6 @@ def _cmd_experiment(args) -> int:
         "table6": run_table6,
         "figure13": run_figure13,
         "validation": run_validation,
-        "resilience": run_resilience,
     }
     names = list(experiments) if args.name == "all" else [args.name]
     for name in names:
@@ -455,6 +449,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_simulate(args) -> int:
     from repro.frontend import build_simulation, load_spec
 
+    # Before the spec is built: a bad step count fails with no banner.
+    check_run_request(args.steps)
     spec = load_spec(args.spec)
     simulator, network = build_simulation(spec)
     print(
@@ -651,12 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="dump phase stats, counters, diagnostics and metrics as JSON",
     )
-    run.add_argument(
-        "--prometheus",
-        default=None,
-        metavar="PATH",
-        help="write run metrics in Prometheus text exposition format",
-    )
     _add_serve_flags(run)
     _add_ledger_flags(run)
 
@@ -690,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         choices=(
             "figure3", "figures4to8", "table3", "table5", "figure12",
-            "table6", "figure13", "validation", "resilience", "all",
+            "table6", "figure13", "validation", "all",
         ),
     )
     experiment.add_argument("--scale", type=float, default=0.03)

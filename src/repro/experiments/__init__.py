@@ -18,9 +18,6 @@ paper reports:
   improvements of both arrays over CPU and GPU per workload;
 * :mod:`repro.experiments.validation` — the Section VI-A output-spike
   verification against the software reference;
-* :mod:`repro.experiments.resilience` — spike-train drift under
-  injected faults (bit flips, dropped spikes, input noise), the
-  measured counterpart of the Section VI-A fault-free claim;
 * :mod:`repro.experiments.figures4to8` — the feature-behaviour sketch
   figures, regenerated as fixed-point hardware traces;
 * :mod:`repro.experiments.behaviors` — Izhikevich-style neuronal

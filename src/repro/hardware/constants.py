@@ -103,8 +103,8 @@ def prepare_constants(
     is rejected rather than silently mis-simulated, because the data
     paths hard-wire the zero resting voltage.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if parameters.n_synapse_types > 4:
         raise ConfigurationError(
             "Flexon supports at most 4 synapse types (the Table IV "

@@ -252,40 +252,13 @@ class ReferenceBackend(RuntimeBackend):
     (``model.step`` / ``model.derivatives`` on dicts of arrays); the
     two are bit-identical, and the flag exists so tests and benchmarks
     can use the dict-state path as the oracle.
-
-    ``fault_policy`` decides what happens when a compiled population's
-    state goes numerically bad mid-run: ``"propagate"`` (default) lets
-    the fault surface — attach a
-    :class:`~repro.reliability.guard.NumericsGuard` to turn it into a
-    structured error — while ``"fallback"`` wraps each compiled runtime
-    in a :class:`~repro.reliability.fallback.FallbackRuntime` that
-    re-seats the population onto the verbatim solver path and records
-    the event in ``SimulationResult.diagnostics``.
     """
 
-    FAULT_POLICIES = ("propagate", "fallback")
-
-    def __init__(
-        self,
-        solver: str = "Euler",
-        use_engine: bool = True,
-        fault_policy: str = "propagate",
-    ):
+    def __init__(self, solver: str = "Euler", use_engine: bool = True):
         super().__init__()
-        if fault_policy not in self.FAULT_POLICIES:
-            raise ConfigurationError(
-                f"unknown fault_policy {fault_policy!r} "
-                f"(choose from {', '.join(self.FAULT_POLICIES)})"
-            )
         self.solver_name = canonical_solver_name(solver)
         self.use_engine = use_engine
-        self.fault_policy = fault_policy
         self.name = f"reference-{self.solver_name.lower()}"
-
-    def _solver_runtime(self, population: Population) -> SolverRuntime:
-        return software_solver_runtime(
-            population, self.solver_name, lowered=self.use_engine
-        )
 
     def _compiles(self, model: NeuronModel) -> bool:
         return (
@@ -295,25 +268,17 @@ class ReferenceBackend(RuntimeBackend):
         )
 
     def block_key(self, population: Population) -> Optional[Hashable]:
-        # Only bare step plans fuse. An RKF45 stepper accepts or rejects
-        # a substep for all its columns at once, the dict-state solver
-        # is the oracle, and a FallbackRuntime re-seats one population.
-        if self._compiles(population.model) and self.fault_policy != "fallback":
+        # Only step plans fuse: an RKF45 stepper accepts or rejects a
+        # substep for all its columns at once, and the dict-state solver
+        # is the oracle.
+        if self._compiles(population.model):
             return model_key(population.model)
         return None
 
     def build_runtime(self, population: Population) -> PopulationRuntime:
         model = population.model
         if self._compiles(model):
-            compiled = CompiledRuntime(population.name, population.n, model)
-            if self.fault_policy == "fallback":
-                # Imported here: the reliability package reaches back
-                # into the network layer, so a module-level import
-                # would be a cycle at package init.
-                from repro.reliability.fallback import FallbackRuntime
-
-                return FallbackRuntime(
-                    compiled, lambda: self._solver_runtime(population)
-                )
-            return compiled
-        return self._solver_runtime(population)
+            return CompiledRuntime(population.name, population.n, model)
+        return software_solver_runtime(
+            population, self.solver_name, lowered=self.use_engine
+        )

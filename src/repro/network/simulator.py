@@ -44,7 +44,7 @@ Two observability seams ride on the loop without taxing it when off:
   :class:`~repro.telemetry.registry.MetricsRegistry`; the loop then
   observes each step's duration into a histogram, and at run end the
   phase totals, spike/queue counters, the backend's per-runtime
-  counters (advances, saturation, fallbacks, activity), and the
+  counters (advances, saturation, activity), and the
   reliability diagnostics are published as ordinary counters/gauges.
   The JSON snapshot lands on ``SimulationResult.metrics``.
 """
@@ -172,8 +172,8 @@ class SimulationResult:
     blocks: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: Wall-clock spent sampling state recorders; charged to no phase.
     recording_seconds: float = 0.0
-    #: What the reliability layer observed: solver fallbacks and
-    #: fixed-point saturation accounting (empty == fault-free run).
+    #: What the reliability layer observed: fixed-point saturation
+    #: accounting (empty == nothing clipped).
     diagnostics: RunDiagnostics = field(default_factory=RunDiagnostics)
     #: User hooks isolated mid-run (empty == every hook behaved).
     hook_errors: List[HookError] = field(default_factory=list)
@@ -702,15 +702,11 @@ class Simulator:
     def _collect_diagnostics(self) -> RunDiagnostics:
         """Gather reliability observations from the backend's runtimes.
 
-        Fallback events and saturation counters accumulate over the
-        simulator's lifetime, so a result reflects everything observed
-        up to its run's end.
+        Saturation counters accumulate over the simulator's lifetime,
+        so a result reflects everything observed up to its run's end.
         """
         diagnostics = RunDiagnostics()
         for name, runtime in self.backend.runtimes.items():
-            events = getattr(runtime, "fallback_events", None)
-            if events:
-                diagnostics.fallbacks.extend(events)
             stats = getattr(runtime, "saturation_stats", None)
             if stats is not None:
                 diagnostics.saturation[name] = stats

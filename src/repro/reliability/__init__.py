@@ -1,50 +1,37 @@
-"""Reliability layer: guardrails, degradation, checkpointing, faults.
+"""Reliability layer: guardrails, checkpointing, run diagnostics.
 
 Large-scale SNN stacks (NEST, GeNN) treat numeric trouble as something
-to detect, account for, and survive — not something to assume away.
-This package gives the reproduction the same discipline, wired through
-the engine layer's ``PopulationRuntime`` / ``PhaseHook`` seams:
+to detect and account for, not something to assume away. This package
+gives the reproduction the same discipline, wired through the engine
+layer's ``PopulationRuntime`` / ``PhaseHook`` seams:
 
 * :mod:`~repro.reliability.guard` — :class:`NumericsGuard`, a hook
   that screens every runtime's state and raises a structured
   :class:`~repro.errors.NumericsError` within one step of NaN/Inf or
   divergence appearing;
-* :mod:`~repro.reliability.fallback` — :class:`FallbackRuntime`, the
-  degrade policy: re-seat a faulting compiled population onto the
-  verbatim solver path mid-run and record the event;
 * :mod:`~repro.reliability.checkpoint` — :class:`Checkpoint` /
   :class:`CheckpointHook`: capture and bit-identically resume any
   simulation on any backend (``python -m repro run --checkpoint-every
   / --resume-from``);
-* :mod:`~repro.reliability.faults` — :class:`FaultInjector` and
-  sustained fault-process hooks, quantifying the robustness envelope
-  (:mod:`repro.experiments.resilience`);
 * :mod:`~repro.reliability.diagnostics` — the structured
-  :class:`RunDiagnostics` every ``SimulationResult`` now carries.
+  :class:`RunDiagnostics` every ``SimulationResult`` carries.
 
 Exports resolve lazily (PEP 562): the simulator imports the leaf
 :mod:`~repro.reliability.diagnostics` module so every result can carry
-diagnostics, while :mod:`~repro.reliability.checkpoint` and
-:mod:`~repro.reliability.faults` import the simulator. Eager package
-imports here would close that cycle; deferring them until first
-attribute access keeps both directions working.
+diagnostics, while :mod:`~repro.reliability.checkpoint` imports the
+simulator. An eager package import here would close that cycle;
+deferring it until first attribute access keeps both directions
+working.
 """
 
 import importlib
 
 _EXPORTS = {
-    "BitFlip": "repro.reliability.faults",
-    "BitFlipFault": "repro.reliability.faults",
     "CHECKPOINT_VERSION": "repro.reliability.checkpoint",
     "Checkpoint": "repro.reliability.checkpoint",
     "CheckpointHook": "repro.reliability.checkpoint",
-    "FallbackEvent": "repro.reliability.diagnostics",
-    "FallbackRuntime": "repro.reliability.fallback",
-    "FaultInjector": "repro.reliability.faults",
-    "InputPerturbFault": "repro.reliability.faults",
     "NumericsGuard": "repro.reliability.guard",
     "RunDiagnostics": "repro.reliability.diagnostics",
-    "SpikeDropFault": "repro.reliability.faults",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -13,8 +13,7 @@ where it stopped:
   counts, plus the ring head and lifetime enqueue counter),
 * every population runtime's state, via the runtime ``snapshot`` seam —
   SoA float blocks (compiled), dict state plus solver counters
-  (solver), raw fixed-point words (hardware), degradation status
-  (fallback),
+  (solver), raw fixed-point words (hardware),
 * every plasticity rule's lazy traces — per-neuron ``(value,
   last_update_step)`` pairs, the rule's step clock and counters — and
   the weights the rule mutates,

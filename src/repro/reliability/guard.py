@@ -17,9 +17,6 @@ with::
 
     guard = NumericsGuard(simulator.backend)
     simulator.run(n_steps, hooks=[guard])
-
-For the degrade-instead-of-die policy, see
-:class:`~repro.reliability.fallback.FallbackRuntime`.
 """
 
 from __future__ import annotations
@@ -30,9 +27,11 @@ from repro.engine.hooks import PhaseHook
 from repro.engine.runtime import DIVERGENCE_LIMIT
 from repro.errors import NumericsError, SimulationError
 from repro.network.backends import RuntimeBackend
-from repro.reliability.diagnostics import MAX_REPORTED_INDICES
 
 __all__ = ["MAX_REPORTED_INDICES", "NumericsGuard"]
+
+#: How many offending indices a :class:`NumericsError` carries at most.
+MAX_REPORTED_INDICES = 16
 
 
 class NumericsGuard(PhaseHook):

@@ -10,8 +10,8 @@ will read it) → ``StatusBoard`` (``--serve``) → ``ServeHook`` on each
 simulator → the HTTP plane.
 
 **Write-out** (:meth:`~RunContext.write_out`): ``--stats-json`` →
-``--prometheus`` → ``--trace`` → one ledger entry built from the
-command's config dict → linger, then stop the plane.
+``--trace`` → one ledger entry built from the command's config dict →
+linger, then stop the plane.
 
 **Interrupts** (``repro run``): :func:`graceful_signals` turns
 SIGINT/SIGTERM into :meth:`InterruptHook.request`; the hook stops the
@@ -55,7 +55,7 @@ class RunContext:
         self.metrics = self.status = self.server = self._simulator = None
         serve = self._flag("serve")
         self._check_serve_flags()
-        if serve or self._flag("stats_json") or self._flag("prometheus"):
+        if serve or self._flag("stats_json"):
             from repro.telemetry import MetricsRegistry
 
             self.metrics = MetricsRegistry()
@@ -162,7 +162,7 @@ class RunContext:
         short: only statistics and the ledger entry are written and the
         plane stops without lingering.
         """
-        from repro.io import atomic_write_json, atomic_write_text
+        from repro.io import atomic_write_json
 
         args = self.args
         written = {}
@@ -171,10 +171,6 @@ class RunContext:
             atomic_write_json(args.stats_json, stats)
             print(f"wrote {stats_label} {args.stats_json!r}")
             written["stats_json"] = args.stats_json
-        if self._flag("prometheus") and not partial:
-            atomic_write_text(args.prometheus, self.metrics.to_prometheus())
-            print(f"wrote Prometheus metrics {args.prometheus!r}")
-            written["prometheus"] = args.prometheus
         if trace is not None:
             document, description = trace
             atomic_write_json(args.trace, document, indent=None)

@@ -12,8 +12,8 @@ and the reliability layer, and exported two ways —
 * :meth:`MetricsRegistry.snapshot` — a plain-JSON dict, attached to
   ``SimulationResult.metrics`` and dumped by ``repro run --stats-json``;
 * :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
-  format (``repro run --prometheus``), so a run's counters can be
-  pushed into any existing scrape pipeline.
+  format, served at ``/metrics`` by ``repro run --serve`` so any
+  existing scrape pipeline can read a live run.
 
 Three metric kinds, mirroring the Prometheus data model:
 

@@ -30,9 +30,10 @@ from repro.network.network import Network
 from repro.network.simulator import Simulator, bind_blocks
 from repro.network.stimulus import PoissonStimulus
 from repro.engine.runtime import CompiledRuntime
-from repro.reliability import Checkpoint, FaultInjector, NumericsGuard
+from repro.reliability import Checkpoint, NumericsGuard
 from repro.telemetry import MetricsRegistry
 from repro.workloads import build_workload, workload_names
+from tests.oracles.faults import FaultInjector
 from tests.oracles.unfused import run_unfused, unfused
 
 DT = 1e-4
@@ -350,10 +351,9 @@ class TestSchedule:
         [
             ReferenceBackend("RKF45"),
             ReferenceBackend("Euler", use_engine=False),
-            ReferenceBackend("Euler", fault_policy="fallback"),
             EventDrivenFlexonBackend(DT),
         ],
-        ids=["rkf45", "dict-state", "fallback", "event-driven"],
+        ids=["rkf45", "dict-state", "event-driven"],
     )
     def test_excluded_runtimes_stay_blocks_of_one(self, backend):
         network = build_workload("Vogels et al.", scale=0.02, seed=3)

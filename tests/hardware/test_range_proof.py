@@ -38,9 +38,9 @@ from repro.hardware.microcode import assemble
 from repro.models import ModelParameters
 from repro.models.registry import create_model
 from repro.network.simulator import Simulator
-from repro.reliability.faults import FaultInjector
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads import build_workload, workload_names
+from tests.oracles.faults import FaultInjector
 from tests.oracles.folded_scan import (
     ScanningFoldedBackend,
     ScanningFoldedNeuron,

@@ -7,6 +7,9 @@ same bits and the same counters from the fast path:
   streaming);
 * :mod:`tests.oracles.delivery` — spike delivery as a per-synapse loop
   in the accumulation-order contract;
+* :mod:`tests.oracles.faults` — not an oracle but code that only
+  checks other code: :class:`FaultInjector` flips state bits and
+  poisons float state in a live simulation;
 * :mod:`tests.oracles.folded_scan` — the folded hardware step that
   scans every saturation point (no range proof);
 * :mod:`tests.oracles.pair_stdp` — the per-synapse pair-STDP step;

@@ -18,7 +18,6 @@ BACKENDS = {
     "engine": lambda: ReferenceBackend("Euler"),
     "solver": lambda: ReferenceBackend("Euler", use_engine=False),
     "rkf45": lambda: ReferenceBackend("RKF45"),
-    "fallback": lambda: ReferenceBackend("Euler", fault_policy="fallback"),
     "flexon": lambda: FlexonBackend(DT),
     "folded": lambda: FoldedFlexonBackend(DT),
 }

@@ -8,13 +8,8 @@ from repro.errors import SimulationError
 from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
 from repro.network.backends import ReferenceBackend
 from repro.network.simulator import Simulator
-from repro.reliability import (
-    BitFlipFault,
-    Checkpoint,
-    FaultInjector,
-    InputPerturbFault,
-    SpikeDropFault,
-)
+from repro.reliability import Checkpoint
+from tests.oracles.faults import FaultInjector
 
 DT = 1e-4
 
@@ -157,68 +152,3 @@ class TestFaultInjector:
         with pytest.raises(SimulationError, match="fixed point"):
             FaultInjector(simulator).inject_nan("exc")
 
-
-class TestSustainedFaults:
-    def test_bit_flip_fault_fires_on_schedule(self, small_network):
-        simulator = _simulator(small_network)
-        fault = BitFlipFault(simulator, "exc", every=10, seed=4)
-        simulator.run(35, hooks=[fault])
-        assert len(fault.log) == 3  # steps 10, 20, 30 (not 0)
-
-    def test_a_flip_every_step_keeps_the_hook_attached(self, small_network):
-        simulator = _simulator(small_network)
-        fault = BitFlipFault(simulator, "exc", every=1, seed=4)
-        result = simulator.run(300, hooks=[fault])
-        assert result.hook_errors == []
-        assert len(fault.log) == 299
-        assert any(flip.bit == 63 for flip in fault.log)
-
-    def test_bit_flip_fault_validates_interval(self, small_network):
-        simulator = _simulator(small_network)
-        with pytest.raises(SimulationError):
-            BitFlipFault(simulator, "exc", every=0)
-
-    def test_spike_drop_p1_silences_the_network(self, small_network):
-        clean = _simulator(small_network).run(100).total_spikes()
-        assert clean > 0
-        simulator = _simulator(small_network)
-        fault = SpikeDropFault(simulator, p_drop=1.0, seed=5)
-        result = simulator.run(100, hooks=[fault])
-        assert result.total_spikes() == 0
-        assert fault.dropped > 0
-
-    def test_spike_drop_p0_is_a_no_op(self, small_network):
-        clean = _simulator(small_network).run(100)
-        simulator = _simulator(small_network)
-        fault = SpikeDropFault(simulator, p_drop=0.0)
-        faulty = simulator.run(100, hooks=[fault])
-        assert fault.dropped == 0
-        assert (
-            clean.spikes.result("exc").spike_pairs()
-            == faulty.spikes.result("exc").spike_pairs()
-        )
-
-    def test_spike_drop_validates_probability(self, small_network):
-        with pytest.raises(SimulationError):
-            SpikeDropFault(_simulator(small_network), p_drop=1.5)
-
-    def test_input_perturb_touches_active_entries_only(self, small_network):
-        simulator = _simulator(small_network)
-        fault = InputPerturbFault(simulator, sigma=0.01, seed=6)
-        simulator.run(100, hooks=[fault])
-        assert fault.perturbed > 0
-
-    def test_input_perturb_sigma_zero_is_a_no_op(self, small_network):
-        clean = _simulator(small_network).run(100)
-        simulator = _simulator(small_network)
-        fault = InputPerturbFault(simulator, sigma=0.0)
-        faulty = simulator.run(100, hooks=[fault])
-        assert fault.perturbed == 0
-        assert (
-            clean.spikes.result("exc").spike_pairs()
-            == faulty.spikes.result("exc").spike_pairs()
-        )
-
-    def test_input_perturb_validates_sigma(self, small_network):
-        with pytest.raises(SimulationError):
-            InputPerturbFault(_simulator(small_network), sigma=-0.1)

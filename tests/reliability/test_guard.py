@@ -6,7 +6,8 @@ import pytest
 from repro.errors import NumericsError, ReliabilityError, SimulationError
 from repro.network.backends import ReferenceBackend
 from repro.network.simulator import Simulator
-from repro.reliability import FaultInjector, NumericsGuard
+from repro.reliability import NumericsGuard
+from tests.oracles.faults import FaultInjector
 
 DT = 1e-4
 

@@ -1,6 +1,7 @@
 """End-to-end metrics publication: simulator, backends, reliability."""
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.hardware.backend import FoldedFlexonBackend, HybridBackend
@@ -150,34 +151,23 @@ class TestBackendMetrics:
             ) == network.populations[name].n
 
 
-class TestFallbackMetrics:
-    def test_fallback_runtime_publishes_degrade_counters(self, small_network):
-        backend = ReferenceBackend("Euler", fault_policy="fallback")
-        sim = Simulator(small_network, backend, dt=DT, seed=3)
-        sim.run(5)
-        # Poison one population's compiled state mid-run.
-        runtime = backend.runtimes["exc"]
-        runtime.primary.v[0] = np.nan
+class TestDiagnosticsMetrics:
+    def test_diagnostics_to_dict_is_json_shaped(self):
+        # A small folded network whose fixed-point words clip.
+        network = build_workload("Nowotny et al.", scale=0.02, seed=5)
         metrics = MetricsRegistry()
-        result = sim.run(5, metrics=metrics)
-        assert result.diagnostics.fallbacks
-        assert (
-            value_of(result.metrics, "runtime_fallbacks_total", population="exc")
-            == len(result.diagnostics.fallbacks)
-        )
-        assert value_of(result.metrics, "runtime_degraded", population="exc") == 1.0
-        assert value_of(result.metrics, "runtime_degraded", population="inh") == 0.0
-
-    def test_diagnostics_to_dict_is_json_shaped(self, small_network):
-        backend = ReferenceBackend("Euler", fault_policy="fallback")
-        sim = Simulator(small_network, backend, dt=DT, seed=3)
-        sim.run(5)
-        backend.runtimes["exc"].primary.v[0] = np.nan
-        result = sim.run(5)
-        doc = result.diagnostics.to_dict()
+        result = Simulator(
+            network, FoldedFlexonBackend(DT), dt=DT, seed=6
+        ).run(200, metrics=metrics)
+        doc = json.loads(json.dumps(result.to_stats_dict()))["diagnostics"]
         assert doc["healthy"] is False
-        assert doc["fallbacks"][0]["population"] == "exc"
-        assert isinstance(doc["fallbacks"][0]["indices"], list)
-        import json
-
-        json.dumps(doc)
+        assert doc["total_saturations"] == result.diagnostics.total_saturations > 0
+        assert doc["total_saturations"] == sum(
+            entry["total_clipped"] for entry in doc["saturation"].values()
+        )
+        assert sum(
+            entry["value"]
+            for entry in result.metrics["fixedpoint_saturation_clipped_total"]["values"]
+        ) == doc["total_saturations"]
+        # The key the benchmark harness reads: always present, always empty.
+        assert doc["fallbacks"] == []

@@ -1,6 +1,7 @@
 """Tests: graceful interrupt = clean stop + checkpoint + partial stats.
 
-The interrupt lives beside ``RunContext`` (``repro.runcontext``).
+``InterruptHook`` and ``graceful_signals`` live beside ``RunContext``
+in ``repro.runcontext``.
 """
 
 import signal
