@@ -11,7 +11,7 @@ A specification is a plain dict (JSON-compatible)::
       "solver": "Euler",              # reference/solver/hybrid only
       "populations": [
         {"name": "exc", "n": 100, "model": "DLIF",
-         "parameters": {"tau": 0.02}}          # optional overrides
+         "parameters": {"tau": 0.02}}   # optional: overrides DLIF's defaults
       ],
       "projections": [
         {"pre": "exc", "post": "exc", "probability": 0.1,
@@ -39,7 +39,6 @@ import pathlib
 from typing import Dict, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.models.base import ModelParameters
 from repro.models.registry import create_model
 from repro.network.backends import RuntimeBackend
 from repro.network.network import Network
@@ -163,7 +162,7 @@ def build_network(spec: Dict) -> Network:
         n = _as_int(entry["n"], f"{where}: 'n'")
         if n < 1:
             raise ConfigurationError(f"{where}: 'n' must be >= 1, got {n}")
-        parameters = None
+        model = create_model(entry["model"])
         if entry.get("parameters"):
             if not isinstance(entry["parameters"], dict):
                 raise ConfigurationError(
@@ -181,16 +180,13 @@ def build_network(spec: Dict) -> Network:
                             f"numbers, got {overrides[tuple_key]!r}"
                         ) from None
             try:
-                parameters = ModelParameters(**overrides)
-            except TypeError as error:
+                parameters = model.parameters.with_overrides(**overrides)
+            except (TypeError, ConfigurationError) as error:
                 raise ConfigurationError(
                     f"{where}: invalid model parameters: {error}"
                 ) from None
-        network.add_population(
-            entry["name"],
-            n,
-            create_model(entry["model"], parameters=parameters),
-        )
+            model = create_model(entry["model"], parameters=parameters)
+        network.add_population(entry["name"], n, model)
 
     for entry in _spec_list(spec, "projections"):
         where = f"projection {entry.get('pre')}->{entry.get('post')}"

@@ -7,48 +7,29 @@ model in Tables I and III, in double-precision floating point.
 
 The workhorse is :class:`~repro.models.feature_model.FeatureModel`,
 which implements the paper's extended-LIF semantics (Equations 2-8)
-generically from a :class:`~repro.features.FeatureSet`. The named
-models (LIF, LLIF, ..., AdEx) are configured instances with literature
-parameter defaults. :mod:`repro.models.hh` adds the Hodgkin-Huxley
-model, which Flexon does *not* support — it exists to exercise the
-Section VII-A offloading path. :mod:`repro.models.izhikevich` also
-ships the native (v, u) Izhikevich formulation as an independent
-cross-check of the feature-based mapping.
+generically from a :class:`~repro.features.FeatureSet`. A named model
+(LIF, LLIF, ..., AdEx) is not a class: :func:`create_model` pairs its
+Table III feature combination with its row of
+:data:`~repro.models.registry.MODEL_DEFAULTS` (the parameter fields
+that differ from ``ModelParameters()``). :mod:`repro.models.hh` adds
+the Hodgkin-Huxley model, which Flexon does *not* support — it exists
+to exercise the Section VII-A offloading path. :mod:`repro.models.
+izhikevich` ships the native (v, u) Izhikevich formulation as an
+independent cross-check of the feature-based mapping.
 """
 
 from repro.models.base import ModelParameters, NeuronModel
 from repro.models.feature_model import FeatureModel
-from repro.models.registry import available_models, create_model
-from repro.models.lif import LIF
-from repro.models.llif import LLIF
-from repro.models.slif import SLIF
-from repro.models.dsrm0 import DSRM0
-from repro.models.dlif import DLIF
-from repro.models.qif import QIF
-from repro.models.eif import EIF
-from repro.models.izhikevich import Izhikevich, NativeIzhikevich
-from repro.models.adex import AdEx, AdExCOBA
-from repro.models.pynn import IFCondExpGsfaGrr, IFPscAlpha
 from repro.models.hh import HodgkinHuxley
+from repro.models.izhikevich import NativeIzhikevich
+from repro.models.registry import available_models, create_model
 
 __all__ = [
-    "AdEx",
-    "AdExCOBA",
-    "DLIF",
-    "DSRM0",
-    "EIF",
     "FeatureModel",
     "HodgkinHuxley",
-    "IFCondExpGsfaGrr",
-    "IFPscAlpha",
-    "Izhikevich",
-    "LIF",
-    "LLIF",
     "ModelParameters",
     "NativeIzhikevich",
     "NeuronModel",
-    "QIF",
-    "SLIF",
     "available_models",
     "create_model",
 ]

@@ -10,7 +10,8 @@ parameter set works for any time step.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -65,8 +66,21 @@ class ModelParameters:
     v_ar: float = -0.5  #: adaptation reversal voltage (Equation 8)
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
+        for item in fields(self):
+            value = getattr(self, item.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(v is None or math.isfinite(v) for v in values):
+                raise ConfigurationError(
+                    f"{item.name} must be finite, got {value}"
+                )
+        for name in ("tau", "tau_w", "tau_r", "delta_t"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
+        for name in ("t_ref", "leak_rate"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.n_synapse_types < 1:
             raise ConfigurationError("need at least one synapse type")
         if len(self.tau_g) < self.n_synapse_types:
@@ -80,7 +94,9 @@ class ModelParameters:
                 f"{self.n_synapse_types} synapse types"
             )
         if any(t <= 0 for t in self.tau_g[: self.n_synapse_types]):
-            raise ConfigurationError("conductance time constants must be > 0")
+            raise ConfigurationError(
+                f"tau_g must be positive, got {self.tau_g}"
+            )
         if self.theta <= self.v_rest:
             raise ConfigurationError("theta must exceed v_rest")
 

@@ -1,10 +1,9 @@
-"""Izhikevich's simple model, in two formulations.
+"""Izhikevich's simple model in its native (v, u) formulation.
 
-:class:`Izhikevich` is the paper's feature-based mapping (Table III):
-EXD + COBE + REV + QDI + ADT + AR. The quadratic initiation supplies
-the ``0.04 v^2``-style acceleration and the adaptation current plays the
-role of Izhikevich's recovery variable ``u``.
-
+The paper maps Izhikevich onto features (Table III: EXD + COBE + REV +
+QDI + ADT + AR; ``create_model("Izhikevich")``), with the quadratic
+initiation supplying the ``0.04 v^2``-style acceleration and the
+adaptation current playing the role of the recovery variable ``u``.
 :class:`NativeIzhikevich` is the original two-variable formulation
 (Izhikevich 2003)::
 
@@ -24,31 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.features import features_for_model
 from repro.models.base import ModelParameters, NeuronModel, State
-from repro.models.feature_model import FeatureModel
-
-
-class Izhikevich(FeatureModel):
-    """Feature-based Izhikevich model (EXD+COBE+REV+QDI+ADT+AR)."""
-
-    name = "Izhikevich"
-
-    def __init__(self, parameters: Optional[ModelParameters] = None):
-        if parameters is None:
-            parameters = ModelParameters(
-                tau=20e-3,
-                tau_g=(5e-3, 10e-3),
-                v_g=(4.33, -1.0),
-                v_c=0.5,
-                v_theta=2.0,
-                tau_w=100e-3,
-                b=0.1,
-                t_ref=1e-3,
-            )
-        super().__init__(
-            features_for_model("Izhikevich"), parameters, name=self.name
-        )
 
 
 class NativeIzhikevich(NeuronModel):

@@ -1,96 +1,90 @@
-"""Name-based neuron-model factory.
+"""Name-based neuron-model factory: Table III as one defaults table.
 
-The workloads of Table I and the experiment harnesses refer to models
-by name; this registry resolves those names (and a few PyNN-style
-aliases) to constructors. Custom models can be registered at runtime,
-which the Section VII-A hybrid-simulation example uses.
+A named feature model is its Table III feature combination
+(:data:`~repro.features.MODEL_FEATURES`) plus literature parameter
+defaults. :data:`MODEL_DEFAULTS` holds, per model, only the fields that
+differ from ``ModelParameters()``; :func:`create_model` builds a
+:class:`~repro.models.feature_model.FeatureModel` from the two. The
+models outside the feature family (Hodgkin-Huxley and the native
+Izhikevich formulation) keep their own classes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import UnknownModelError
-from repro.models.adex import AdEx, AdExCOBA
+from repro.features import MODEL_FEATURES
 from repro.models.base import ModelParameters, NeuronModel
-from repro.models.dlif import DLIF
-from repro.models.dsrm0 import DSRM0
-from repro.models.eif import EIF
+from repro.models.feature_model import FeatureModel
 from repro.models.hh import HodgkinHuxley
-from repro.models.izhikevich import Izhikevich, NativeIzhikevich
-from repro.models.lif import LIF
-from repro.models.llif import LLIF
-from repro.models.pynn import IFCondExpGsfaGrr, IFPscAlpha
-from repro.models.qif import QIF
-from repro.models.slif import SLIF
+from repro.models.izhikevich import NativeIzhikevich
 
-ModelFactory = Callable[..., NeuronModel]
+# AdEx (Brette & Gerstner): in our +w coupling convention the
+# subthreshold constant a is negative (the stored hardware constant
+# eps_m*a absorbs the sign), so w opposes deviations of v from v_w and
+# damps subthreshold oscillation instead of feeding it.
+_ADEX = {"tau_w": 144e-3, "a": -0.02, "v_w": 0.0, "b": 0.08}
 
-_REGISTRY: Dict[str, ModelFactory] = {
-    "LIF": LIF,
-    "LLIF": LLIF,
-    "SLIF": SLIF,
-    "DSRM0": DSRM0,
-    "DLIF": DLIF,
-    "QIF": QIF,
-    "EIF": EIF,
-    "Izhikevich": Izhikevich,
-    "NativeIzhikevich": NativeIzhikevich,
-    "AdEx": AdEx,
-    "AdEx_COBA": AdExCOBA,
-    "IF_psc_alpha": IFPscAlpha,
-    "IF_cond_exp_gsfa_grr": IFCondExpGsfaGrr,
-    "HH": HodgkinHuxley,
+#: Per-model parameter defaults, as changes to ``ModelParameters()``.
+MODEL_DEFAULTS: Dict[str, Dict[str, object]] = {
+    "LIF": {},
+    # A leak that drains one threshold unit in ~50 ms.
+    "LLIF": {"leak_rate": 20.0},
+    "SLIF": {},
+    "DSRM0": {},
+    # Vogels-Abbott style refractory period.
+    "DLIF": {"t_ref": 5e-3},
+    "QIF": {},
+    "EIF": {},
+    "Izhikevich": {"b": 0.1, "t_ref": 1e-3},
+    "AdEx": _ADEX,
+    "AdEx_COBA": _ADEX,
+    # PyNN IF_psc_alpha: fast alpha-shaped currents.
+    "IF_psc_alpha": {"tau_g": (2e-3, 2e-3)},
+    # PyNN IF_cond_exp_gsfa_grr: sfa (our w) and rr (our r) decays.
+    "IF_cond_exp_gsfa_grr": {"tau_w": 110e-3, "tau_r": 1.97e-3},
 }
 
+_OTHER_MODELS = {"HH": HodgkinHuxley, "NativeIzhikevich": NativeIzhikevich}
+
 _ALIASES: Dict[str, str] = {
-    # PyNN / Table I spellings
-    "if_psc_alpha": "IF_psc_alpha",
-    "if_cond_exp_gsfa_grr": "IF_cond_exp_gsfa_grr",
-    "izhikevich": "Izhikevich",
-    "adex": "AdEx",
     "adexcoba": "AdEx_COBA",
-    "adex_coba": "AdEx_COBA",
     "hodgkinhuxley": "HH",
     "hodgkin-huxley": "HH",
-    "lif": "LIF",
-    "llif": "LLIF",
-    "slif": "SLIF",
-    "dsrm0": "DSRM0",
-    "dlif": "DLIF",
-    "qif": "QIF",
-    "eif": "EIF",
-    "hh": "HH",
 }
 
 
 def canonical_name(name: str) -> str:
-    """Resolve an alias to the canonical registry key."""
-    if name in _REGISTRY:
+    """Resolve a case-folded name or an alias to its canonical key."""
+    known = available_models()
+    if name in known:
         return name
-    lowered = name.lower()
-    if lowered in _ALIASES:
-        return _ALIASES[lowered]
-    raise UnknownModelError(
-        f"unknown neuron model {name!r}; known: {', '.join(sorted(_REGISTRY))}"
-    )
+    folded = {model.lower(): model for model in known}
+    folded.update(_ALIASES)
+    try:
+        return folded[name.lower()]
+    except KeyError:
+        raise UnknownModelError(
+            f"unknown neuron model {name!r}; known: {', '.join(known)}"
+        ) from None
 
 
 def create_model(
     name: str, parameters: Optional[ModelParameters] = None, **kwargs
 ) -> NeuronModel:
-    """Instantiate a neuron model by (possibly aliased) name."""
-    factory = _REGISTRY[canonical_name(name)]
-    if parameters is not None:
-        return factory(parameters=parameters, **kwargs)
-    return factory(**kwargs)
+    """Instantiate a neuron model by (possibly aliased) name.
 
-
-def register_model(name: str, factory: ModelFactory) -> None:
-    """Register a custom model constructor under ``name``."""
-    _REGISTRY[name] = factory
+    ``parameters``, when given, replaces the model's defaults whole.
+    """
+    name = canonical_name(name)
+    if name in _OTHER_MODELS:
+        return _OTHER_MODELS[name](parameters=parameters, **kwargs)
+    if parameters is None:
+        parameters = ModelParameters(**MODEL_DEFAULTS[name])
+    return FeatureModel(MODEL_FEATURES[name], parameters, name=name, **kwargs)
 
 
 def available_models() -> List[str]:
     """Sorted canonical names of all registered models."""
-    return sorted(_REGISTRY)
+    return sorted([*MODEL_DEFAULTS, *_OTHER_MODELS])

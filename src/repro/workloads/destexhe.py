@@ -45,16 +45,13 @@ UPDOWN_SPEC = WorkloadSpec(
 
 
 def _adex_parameters(tau_w: float, a: float, b: float) -> Dict:
+    """Overrides of AdEx's defaults for a three-synapse-type variant."""
     return {
-        "tau": 20e-3,
         "n_synapse_types": 3,
         "tau_g": (5e-3, 100e-3, 10e-3),  # AMPA, NMDA, GABA
         "v_g": (4.33, 4.33, -1.0),
-        "delta_t": 0.133,
-        "v_theta": 2.0,
         "tau_w": tau_w,
         "a": a,
-        "v_w": 0.0,
         "b": b,
         "t_ref": 2.5e-3,
     }

@@ -19,7 +19,7 @@ from repro.engine import SolverRuntime
 from repro.engine.plan import compile_flow_plan, supports_flow_plan
 from repro.errors import SimulationError
 from repro.features import Feature, FeatureSet
-from repro.models import LLIF, ModelParameters
+from repro.models import ModelParameters
 from repro.models.feature_model import FeatureModel
 from repro.models.hh import HodgkinHuxley
 from repro.models.registry import create_model
@@ -147,10 +147,10 @@ class TestFlowPlanSelection:
         dlif = create_model("DLIF")
         assert supports_flow_plan(dlif)
         assert not supports_flow_plan(Tweaked(dlif.features))
-        assert not supports_flow_plan(LLIF())
+        assert not supports_flow_plan(create_model("LLIF"))
         assert not supports_flow_plan(HodgkinHuxley())
         with pytest.raises(ValueError, match="no flow plan"):
-            compile_flow_plan(LLIF())
+            compile_flow_plan(create_model("LLIF"))
 
     def test_lowering_needs_the_rkf45_solver(self):
         with pytest.raises(SimulationError, match="RKF45"):

@@ -332,6 +332,39 @@ class TestFrontendCommands:
         assert "'p' -> 'p'" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "parameters, needle",
+        [
+            ({"tau_w": 0}, "tau_w must be positive"),
+            ({"tau_r": 0}, "tau_r must be positive"),
+            ({"tau": float("nan")}, "tau must be finite"),
+            ({"theta": float("inf")}, "theta must be finite"),
+            ({"leak_rate": -5}, "leak_rate must be >= 0"),
+        ],
+    )
+    def test_simulate_bad_model_parameters_are_a_one_line_configuration_error(
+        self, tmp_path, capsys, parameters, needle
+    ):
+        # tau_w/tau_r = 0 used to die in a ZeroDivisionError traceback
+        # (exit 1); the others ran to completion, exit 0.
+        import json
+
+        spec = {
+            "backend": "reference",
+            "populations": [
+                {"name": "p", "n": 5, "model": "IF_cond_exp_gsfa_grr",
+                 "parameters": parameters}
+            ],
+        }
+        path = tmp_path / "parameters.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", str(path), "--steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the banner
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert "population 'p'" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestTelemetryCli:
     BASE = ["run", "Brunel", "--backend", "reference", "--solver", "Euler",

@@ -6,8 +6,6 @@ import pytest
 from repro.features import MODEL_FEATURES
 from repro.models import (
     HodgkinHuxley,
-    LIF,
-    LLIF,
     ModelParameters,
     NativeIzhikevich,
     create_model,
@@ -156,8 +154,8 @@ class TestLinearVsExponentialDecay:
                     return step
             return 20000
 
-        lif = LIF(ModelParameters(tau=20e-3))
-        llif = LLIF(ModelParameters(leak_rate=10.0))
+        lif = create_model("LIF", ModelParameters(tau=20e-3))
+        llif = create_model("LLIF", ModelParameters(leak_rate=10.0))
         assert settle_steps(llif, 0.5) < settle_steps(lif, 0.5)
 
     def test_llif_needs_no_multiplication(self):

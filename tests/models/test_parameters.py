@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.models import ModelParameters, create_model, available_models
-from repro.models.registry import canonical_name, register_model
-from repro.models.lif import LIF
+from repro.models.registry import canonical_name
 
 
 class TestModelParameters:
@@ -40,9 +39,34 @@ class TestModelParameters:
         p = ModelParameters().with_overrides(tau=10e-3)
         assert p.tau == 10e-3
 
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ConfigurationError):
-            ModelParameters(tau=0.0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau", 0.0),
+            ("tau", -1e-3),
+            ("tau_w", 0.0),
+            ("tau_r", 0.0),
+            ("delta_t", 0.0),
+            ("tau_g", (0.0, 10e-3)),
+            ("tau_g", (5e-3, -1e-3)),
+            ("t_ref", -1e-3),
+            ("leak_rate", -5.0),
+            ("tau", float("nan")),
+            ("tau", float("inf")),
+            ("theta", float("nan")),
+            ("v_reset", float("inf")),
+            ("tau_g", (float("nan"), 10e-3)),
+            ("v_g", (4.33, float("-inf"))),
+        ],
+        ids=lambda value: str(value).replace(" ", ""),
+    )
+    def test_rejects_nonpositive_tau(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ModelParameters(**{field: value})
+
+    def test_zero_refractory_and_leak_are_allowed(self):
+        p = ModelParameters(t_ref=0.0, leak_rate=0.0)
+        assert p.refractory_steps(1e-4) == 1
 
     def test_rejects_too_few_synapse_time_constants(self):
         with pytest.raises(ConfigurationError):
@@ -63,12 +87,12 @@ class TestModelParameters:
 
 class TestBaseModel:
     def test_initial_state_at_rest(self):
-        model = LIF()
+        model = create_model("LIF")
         state = model.initial_state(7)
         np.testing.assert_array_equal(state["v"], np.zeros(7))
 
     def test_initial_state_respects_custom_rest(self):
-        model = LIF(ModelParameters(v_rest=0.1, theta=1.0))
+        model = create_model("LIF", ModelParameters(v_rest=0.1, theta=1.0))
         assert np.all(model.initial_state(3)["v"] == 0.1)
 
 
@@ -95,10 +119,6 @@ class TestRegistry:
 
         with pytest.raises(UnknownModelError):
             create_model("nonexistent-model")
-
-    def test_register_custom_model(self):
-        register_model("CustomLIF", LIF)
-        assert create_model("CustomLIF").name == "LIF"
 
     def test_create_with_custom_parameters(self):
         p = ModelParameters(tau=5e-3)

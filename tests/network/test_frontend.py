@@ -33,15 +33,29 @@ class TestBuildNetwork:
         with pytest.raises(ConfigurationError, match="'stimulus_seed'"):
             build_simulation(spec)
 
-    def test_population_parameters_applied(self):
+    @pytest.mark.parametrize(
+        "model, overrides, expected",
+        [
+            ("LIF", {"tau": 0.05}, {"tau": 0.05}),
+            # Overrides keep the named model's own defaults.
+            ("LLIF", {"t_ref": 0.01}, {"t_ref": 0.01, "leak_rate": 20.0}),
+            ("AdEx", {"tau": 0.03},
+             {"tau": 0.03, "a": -0.02, "b": 0.08, "tau_w": 0.144,
+              "v_w": 0.0}),
+        ],
+        ids=["LIF", "LLIF", "AdEx"],
+    )
+    def test_population_parameters_applied(self, model, overrides, expected):
         spec = {
             "populations": [
-                {"name": "p", "n": 5, "model": "LIF",
-                 "parameters": {"tau": 0.05}},
+                {"name": "p", "n": 5, "model": model,
+                 "parameters": overrides},
             ],
         }
         network = build_network(spec)
-        assert network.populations["p"].model.parameters.tau == 0.05
+        parameters = network.populations["p"].model.parameters
+        for field, value in expected.items():
+            assert getattr(parameters, field) == value
 
     def test_tuple_parameters_coerced(self):
         spec = {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import (
     Network,
     PatternStimulus,
@@ -22,22 +22,22 @@ DT = 1e-4
 
 class TestPopulation:
     def test_basic_properties(self):
-        pop = Population("exc", 100, LIF())
+        pop = Population("exc", 100, create_model("LIF"))
         assert len(pop) == 100
         assert pop.n_synapse_types == 2
 
     def test_rejects_empty_name(self):
         with pytest.raises(ConfigurationError):
-            Population("", 10, LIF())
+            Population("", 10, create_model("LIF"))
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ConfigurationError):
-            Population("p", 0, LIF())
+            Population("p", 0, create_model("LIF"))
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
     def test_rejects_a_size_that_is_not_an_integer(self, n):
         with pytest.raises(ConfigurationError, match="size n must be an integer"):
-            Population("c", n, LIF())
+            Population("c", n, create_model("LIF"))
 
 
 class TestSpikeQueue:
@@ -75,8 +75,8 @@ class TestSpikeQueue:
         # The range check is a build-time one: a projection rejects
         # delays below one step and ring-target overflow, and binding
         # rejects a projection whose delays outrun the ring.
-        pre = Population("pre", 2, LIF())
-        post = Population("post", 3, LIF())
+        pre = Population("pre", 2, create_model("LIF"))
+        post = Population("post", 3, create_model("LIF"))
         one = np.array([0])
         with pytest.raises(ConfigurationError, match="at least one"):
             Projection(pre, post, one, one, np.array([1.0]), np.array([0]), 0)
@@ -123,7 +123,7 @@ class TestSpikeQueue:
 
 class TestStimuli:
     def test_poisson_rate_statistics(self):
-        pop = Population("p", 200, LIF())
+        pop = Population("p", 200, create_model("LIF"))
         stim = PoissonStimulus(pop, rate_hz=1000.0, weight=1.0, dt=DT)
         rows, events, _ = stimulus_rows(stim, 1000, seed=1)
         # Expected: 200 neurons x p=0.1 x 1000 steps = 20000.
@@ -131,13 +131,13 @@ class TestStimuli:
         assert np.count_nonzero(rows) == sum(events)
 
     def test_poisson_zero_rate_is_silent(self):
-        pop = Population("p", 10, LIF())
+        pop = Population("p", 10, create_model("LIF"))
         stim = PoissonStimulus(pop, rate_hz=0.0, weight=1.0, dt=DT)
         rows, events, _ = stimulus_rows(stim, 40, seed=2)
         assert sum(events) == 0 and not rows.any()
 
     def test_poisson_multiple_sources_stack_weight(self):
-        pop = Population("p", 50, LIF())
+        pop = Population("p", 50, create_model("LIF"))
         stim = PoissonStimulus(
             pop, rate_hz=5000.0, weight=0.5, dt=DT, n_sources=10
         )
@@ -146,7 +146,7 @@ class TestStimuli:
         assert set(np.unique(rows[0] / 0.5)) <= set(range(11))
 
     def test_poisson_slice_targets_subset(self):
-        pop = Population("p", 10, LIF())
+        pop = Population("p", 10, create_model("LIF"))
         stim = PoissonStimulus(
             pop, rate_hz=1e6, weight=1.0, dt=DT, neuron_slice=slice(0, 3)
         )
@@ -156,12 +156,12 @@ class TestStimuli:
         assert np.array_equal(np.nonzero(rows[0])[0], [0, 1, 2])
 
     def test_poisson_rejects_negative_rate(self):
-        pop = Population("p", 10, LIF())
+        pop = Population("p", 10, create_model("LIF"))
         with pytest.raises(ConfigurationError):
             PoissonStimulus(pop, rate_hz=-1.0, weight=1.0, dt=DT)
 
     def test_pattern_fires_at_steps(self):
-        pop = Population("p", 10, LIF())
+        pop = Population("p", 10, create_model("LIF"))
         stim = PatternStimulus(pop, {3: [1, 2]}, weight=0.5)
         assert stim.generate(0).size == 0
         assert stim.generate(3).tolist() == [1, 2]
@@ -171,18 +171,18 @@ class TestStimuli:
         assert np.count_nonzero(rows) == 2
 
     def test_pattern_repeats_with_period(self):
-        pop = Population("p", 10, LIF())
+        pop = Population("p", 10, create_model("LIF"))
         stim = PatternStimulus(pop, {1: [0]}, weight=1.0, period=4)
         assert stim.generate(5).size == 1
         assert stim.generate(6).size == 0
 
     def test_pattern_rejects_out_of_range_target(self):
-        pop = Population("p", 4, LIF())
+        pop = Population("p", 4, create_model("LIF"))
         with pytest.raises(ConfigurationError):
             PatternStimulus(pop, {0: [9]}, weight=1.0)
 
     def test_stimulus_rejects_bad_synapse_type(self):
-        pop = Population("p", 4, LIF())
+        pop = Population("p", 4, create_model("LIF"))
         with pytest.raises(ConfigurationError):
             PoissonStimulus(pop, 10.0, 1.0, DT, syn_type=7)
 
@@ -260,7 +260,7 @@ class TestNetwork:
     def test_stimulus_must_target_member_population(self):
         net = Network()
         net.add_population("a", 10, "LIF")
-        foreign = Population("x", 5, LIF())
+        foreign = Population("x", 5, create_model("LIF"))
         with pytest.raises(ConfigurationError):
             net.add_stimulus(PoissonStimulus(foreign, 10.0, 1.0, DT))
 

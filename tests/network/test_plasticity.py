@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointError, ConfigurationError, SimulationError
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import Network, PatternStimulus, Population, Projection, Simulator
 from repro.network.projection import SynapseIndex
 from repro.plasticity import PairSTDP
@@ -16,8 +16,8 @@ DT = 1e-4
 
 
 def _one_to_one(weight=0.5):
-    pre = Population("pre", 3, LIF())
-    post = Population("post", 3, LIF())
+    pre = Population("pre", 3, create_model("LIF"))
+    post = Population("post", 3, create_model("LIF"))
     projection = Projection(
         pre,
         post,
@@ -213,8 +213,8 @@ class TestProjectionIndexViews:
         assert projection.pre_of_synapses() is not projection.pre_of_synapses()
 
     def test_synapse_indices_into(self):
-        pre = Population("pre", 2, LIF())
-        post = Population("post", 2, LIF())
+        pre = Population("pre", 2, create_model("LIF"))
+        post = Population("post", 2, create_model("LIF"))
         projection = Projection(
             pre, post,
             pre_idx=np.array([0, 0, 1]),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import Population, Projection, Simulator, connect
 from repro.network import projection as projection_module
 from repro.network.projection import SynapseIndex
@@ -14,7 +14,7 @@ from repro.plasticity import PairSTDP
 
 
 def _pops(n_pre=10, n_post=20):
-    return Population("pre", n_pre, LIF()), Population("post", n_post, LIF())
+    return Population("pre", n_pre, create_model("LIF")), Population("post", n_post, create_model("LIF"))
 
 
 class TestProjection:
@@ -256,7 +256,7 @@ class TestConnect:
         assert proj.n_synapses == 20
 
     def test_self_connections_excluded_by_default(self):
-        pop = Population("p", 6, LIF())
+        pop = Population("p", 6, create_model("LIF"))
         proj = connect(pop, pop, probability=1.0)
         assert proj.n_synapses == 30
         assert not np.any(
@@ -272,8 +272,8 @@ class TestConnect:
 
     def test_sparse_path_for_large_pairs(self):
         # Above the 4M-pair threshold the binomial sampler kicks in.
-        pre = Population("pre", 2500, LIF())
-        post = Population("post", 2500, LIF())
+        pre = Population("pre", 2500, create_model("LIF"))
+        post = Population("post", 2500, create_model("LIF"))
         proj = connect(
             pre, post, probability=0.001, rng=np.random.default_rng(4)
         )
@@ -394,7 +394,7 @@ class TestBuildMemory:
 
     @staticmethod
     def _peak(n, probability, weight_std=0.04):
-        pre, post = Population("pre", n, LIF()), Population("post", n, LIF())
+        pre, post = Population("pre", n, create_model("LIF")), Population("post", n, create_model("LIF"))
         rng = np.random.default_rng(2)
         tracemalloc.start()
         try:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.hooks import PhaseHook
 from repro.errors import ConfigurationError
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import (
     Network,
     PatternStimulus,
@@ -174,7 +174,7 @@ class TestStreamAddressing:
         assert alone[0] != alone[1]
 
     def test_identical_stimuli_get_different_trains(self):
-        pop = Population("p", 50, LIF())
+        pop = Population("p", 50, create_model("LIF"))
         ring = DelayRing(pop.n, pop.n_synapse_types, max_delay=1)
         trains = []
         for keep in (0, 1):  # inject twins, give only one of them weight
@@ -227,7 +227,7 @@ class TestInjection:
         )
 
     def test_events_count_targets_not_source_spikes(self):
-        pop = Population("p", 8, LIF())
+        pop = Population("p", 8, create_model("LIF"))
         stimulus = PoissonStimulus(pop, 1e6, 0.5, dt=DT, n_sources=3)
         ring = DelayRing(pop.n, pop.n_synapse_types, max_delay=1)
         plan = StimulusPlan([stimulus], {"p": ring}, seed=0)
@@ -235,7 +235,7 @@ class TestInjection:
         assert np.all(ring.current()[0] == 1.5)
 
     def test_dense_add_lands_after_synaptic_arrivals(self):
-        pop = Population("p", 6, LIF())
+        pop = Population("p", 6, create_model("LIF"))
         stimulus = PoissonStimulus(
             pop, 1e6, 0.1, dt=DT, syn_type=1, neuron_slice=slice(1, 6, 2)
         )
@@ -247,7 +247,7 @@ class TestInjection:
         assert ring.current_events() == 5
 
     def test_pattern_duplicates_still_accumulate(self):
-        pop = Population("p", 5, LIF())
+        pop = Population("p", 5, create_model("LIF"))
         stimulus = PatternStimulus(pop, {2: [4, 1, 4, 4]}, weight=0.25)
         rows = stimulus_rows(stimulus, 4, seed=0)[0]
         assert rows[2].tolist() == [0.0, 0.25, 0.0, 0.0, 0.75]
@@ -313,7 +313,7 @@ class TestCheckpoint:
 
 
 class TestValidation:
-    POP = Population("p", 10, LIF())
+    POP = Population("p", 10, create_model("LIF"))
 
     @pytest.mark.parametrize(
         "kwargs, needle",

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import (
     Network, PoissonStimulus, Population, Projection, Simulator, connect,
 )
@@ -19,8 +19,8 @@ DT = 1e-4
 
 
 def _projection(pre_idx, post_idx, n_pre, n_post, shared=False, seed=0):
-    pre = Population("pre", n_pre, LIF())
-    post = pre if shared else Population("post", n_post, LIF())
+    pre = Population("pre", n_pre, create_model("LIF"))
+    post = pre if shared else Population("post", n_post, create_model("LIF"))
     rng = np.random.default_rng(seed)
     n = len(pre_idx)
     return Projection(
@@ -296,7 +296,7 @@ class TestConstantTable:
         return network, projection
 
     def test_attach_gives_the_rule_its_own_writable_weights(self):
-        pre, post = Population("pre", 30, LIF()), Population("post", 20, LIF())
+        pre, post = Population("pre", 30, create_model("LIF")), Population("post", 20, create_model("LIF"))
         projection = connect(pre, post, probability=0.3, weight=0.05)
         constant = projection.weights
         assert constant.strides == (0,) and not constant.flags.writeable

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import Population, Projection, connect
 from repro.network import projection as build
 from tests.oracles.coo_build import connect_coo, encode_coo
@@ -62,8 +62,8 @@ class TestStreamedBuild:
     @given(connections())
     @settings(max_examples=150, deadline=None)
     def test_connect_matches_the_whole_array_build(self, case):
-        pre = Population("pre", case["n_pre"], LIF())
-        post = pre if case["shared"] else Population("post", case["n_post"], LIF())
+        pre = Population("pre", case["n_pre"], create_model("LIF"))
+        post = pre if case["shared"] else Population("post", case["n_post"], create_model("LIF"))
         ours, theirs = (np.random.default_rng(case["seed"]) for _ in range(2))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(build, "BUILD_BLOCK", case["block"])
@@ -91,7 +91,7 @@ class TestStreamedBuild:
     def test_unsorted_coo_input_matches_the_whole_array_build(
         self, n_pre, n_post, synapses, block
     ):
-        pre, post = Population("pre", n_pre, LIF()), Population("post", n_post, LIF())
+        pre, post = Population("pre", n_pre, create_model("LIF")), Population("post", n_post, create_model("LIF"))
         pre_idx = np.array([s[0] % n_pre for s in synapses], dtype=np.int64)
         post_idx = np.array([s[1] % n_post for s in synapses], dtype=np.int64)
         delays = np.array([s[2] for s in synapses], dtype=np.int64)

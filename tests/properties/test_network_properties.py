@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import Network, PoissonStimulus, Population, Simulator
 from repro.network.projection import SynapseIndex, connect
 from repro.routing import DelayRing
@@ -59,8 +59,8 @@ class TestConnectivityProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_connect_respects_index_bounds(self, n_pre, n_post, p, seed):
-        pre = Population("pre", n_pre, LIF())
-        post = Population("post", n_post, LIF())
+        pre = Population("pre", n_pre, create_model("LIF"))
+        post = Population("post", n_post, create_model("LIF"))
         projection = connect(
             pre, post, probability=p, rng=np.random.default_rng(seed)
         )
@@ -73,8 +73,8 @@ class TestConnectivityProperties:
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=20, deadline=None)
     def test_csr_and_csc_views_agree(self, seed):
-        pre = Population("pre", 15, LIF())
-        post = Population("post", 12, LIF())
+        pre = Population("pre", 15, create_model("LIF"))
+        post = Population("post", 12, create_model("LIF"))
         projection = connect(
             pre, post, probability=0.3, rng=np.random.default_rng(seed)
         )

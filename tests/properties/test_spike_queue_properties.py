@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import Population, Projection
 from repro.routing import DelayRing, SpikeRouter
 from tests.conftest import enqueue_events
@@ -81,8 +81,8 @@ def test_out_of_range_delays_raise(delay):
     # The ring no longer looks at delays per event: a projection
     # rejects delays below one step when it is built, and the router
     # rejects a projection that outruns the ring when it is bound.
-    pre = Population("pre", 1, LIF())
-    post = Population("post", N, LIF())
+    pre = Population("pre", 1, create_model("LIF"))
+    post = Population("post", N, create_model("LIF"))
     assert post.n_synapse_types == N_TYPES
     queue = DelayRing(N, N_TYPES, MAX_DELAY)
     router = SpikeRouter({"post": queue})

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.models import LIF
+from repro.models import create_model
 from repro.network import Population, Projection
 from repro.plasticity import PairSTDP
 from tests.oracles.pair_stdp import ReferencePairSTDP
@@ -21,8 +21,8 @@ spike_patterns = st.lists(
 
 def _projection(rng_seed=0):
     rng = np.random.default_rng(rng_seed)
-    pre = Population("pre", 5, LIF())
-    post = Population("post", 4, LIF())
+    pre = Population("pre", 5, create_model("LIF"))
+    post = Population("post", 4, create_model("LIF"))
     n = 12
     return Projection(
         pre,

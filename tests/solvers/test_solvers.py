@@ -7,7 +7,7 @@ from repro.engine import SolverRuntime
 from repro.errors import ConfigurationError, NumericsError, SimulationError
 from repro.frontend import build_backend, build_simulation
 from repro.hardware.backend import HybridBackend
-from repro.models import LIF, AdEx, ModelParameters
+from repro.models import ModelParameters, create_model
 from repro.models.feature_model import FeatureModel
 from repro.features import Feature, FeatureSet
 from repro.network.backends import ReferenceBackend
@@ -51,7 +51,7 @@ class TestCreateSolver:
 class TestEulerSolver:
     def test_counts_one_evaluation_per_step(self):
         solver = EulerSolver()
-        model = LIF()
+        model = create_model("LIF")
         state = model.initial_state(3)
         for _ in range(10):
             solver.advance(model, state, np.zeros((2, 3)), DT)
@@ -59,7 +59,7 @@ class TestEulerSolver:
         assert solver.evaluations == 10
 
     def test_matches_model_step(self):
-        model = LIF()
+        model = create_model("LIF")
         solver = EulerSolver()
         state_a = model.initial_state(2)
         state_b = model.initial_state(2)
@@ -71,7 +71,7 @@ class TestEulerSolver:
 
     def test_reset_counters(self):
         solver = EulerSolver()
-        solver.advance(LIF(), LIF().initial_state(1), np.zeros((2, 1)), DT)
+        solver.advance(create_model("LIF"), create_model("LIF").initial_state(1), np.zeros((2, 1)), DT)
         solver.reset_counters()
         assert solver.evaluations == 0
         assert solver.evaluations_per_step() == 1.0
@@ -164,7 +164,7 @@ class TestRKF45Solver:
     def test_lif_cub_jumps_drive_firing(self):
         # In the continuous formulation CUB inputs are instantaneous
         # jumps: accumulating 0.4 per step crosses threshold quickly.
-        model = LIF(ModelParameters(tau=20e-3))
+        model = create_model("LIF", ModelParameters(tau=20e-3))
         state = model.initial_state(1)
         rkf = RKF45Solver()
         inputs = np.zeros((2, 1))
@@ -176,7 +176,7 @@ class TestRKF45Solver:
         assert fired_any
 
     def test_decay_only_agreement(self):
-        model = LIF(ModelParameters(tau=20e-3))
+        model = create_model("LIF", ModelParameters(tau=20e-3))
         euler_state = model.initial_state(1)
         rkf_state = model.initial_state(1)
         euler_state["v"][:] = 0.8
@@ -193,7 +193,7 @@ class TestRKF45Solver:
         assert euler_state["v"][0] == pytest.approx(exact, rel=1e-2)
 
     def test_counts_evaluations(self):
-        model = AdEx()
+        model = create_model("AdEx")
         solver = RKF45Solver()
         state = model.initial_state(2)
         for _ in range(5):
@@ -201,7 +201,7 @@ class TestRKF45Solver:
         assert solver.evaluations_per_step() >= 6.0
 
     def test_fires_and_resets(self):
-        model = LIF()
+        model = create_model("LIF")
         solver = RKF45Solver()
         state = model.initial_state(1)
         state["v"][:] = 1.5  # above threshold
@@ -210,10 +210,8 @@ class TestRKF45Solver:
         assert state["v"][0] == 0.0
 
     def test_lid_has_no_continuous_form(self):
-        from repro.models import LLIF
-
         # Solver level: the model refuses to produce derivatives.
-        model = LLIF()
+        model = create_model("LLIF")
         solver = RKF45Solver()
         with pytest.raises(NotImplementedError):
             solver.advance(model, model.initial_state(1), np.zeros((2, 1)), DT)
