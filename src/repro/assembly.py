@@ -47,6 +47,8 @@ DT = 1e-4
 BACKENDS = (
     "reference", "solver", "flexon", "folded", "event-driven", "hybrid",
 )
+#: The fixed-point backends: their datapaths have no software solver.
+NO_SOLVER_BACKENDS = ("flexon", "folded", "event-driven")
 
 
 def make_backend(name: str, dt: float = DT, solver: str = "Euler"):
@@ -126,11 +128,15 @@ def check_run_request(
     seed: int = 0,
     min_steps: int = 0,
     dt: float = DT,
+    backend: str = "reference",
+    solver: Optional[str] = None,
 ) -> None:
     """Reject out-of-range run arguments before anything is built.
 
     ``min_steps=1`` is for callers that divide by the step count (the
     experiments' per-step rates) or have nothing to report without one.
+    An explicit ``solver`` on a backend that has none is refused: the
+    run would record a solver it never used.
     """
     if steps < min_steps:
         raise ConfigurationError(
@@ -147,4 +153,9 @@ def check_run_request(
     if trace_max_events is not None and trace_max_events < 0:
         raise ConfigurationError(
             f"trace ring capacity must be >= 0, got {trace_max_events}"
+        )
+    if solver is not None and backend in NO_SOLVER_BACKENDS:
+        raise ConfigurationError(
+            f"--solver {solver} does not apply to backend {backend!r}: "
+            "its fixed-point datapaths have no software solver"
         )

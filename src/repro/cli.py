@@ -155,7 +155,7 @@ def _cmd_run(args) -> int:
 
     check_run_request(
         args.steps, args.checkpoint_every, args.trace_max_events, args.seed,
-        dt=args.dt,
+        dt=args.dt, backend=args.backend, solver=args.solver,
     )
     spec = get_spec(args.workload)
     config = {"workload": args.workload, **_job_fields(args), **_NO_SHARDS}
@@ -301,7 +301,10 @@ def _cmd_sweep(args) -> int:
     from repro.workloads import get_spec, workload_names
     from repro.workloads.spec import validate_scale
 
-    check_run_request(args.steps, seed=args.seed, min_steps=1, dt=args.dt)
+    check_run_request(
+        args.steps, seed=args.seed, min_steps=1, dt=args.dt,
+        backend=args.backend, solver=args.solver,
+    )
     validate_scale(args.scale)
     names = args.workloads or list(workload_names())
     for name in names:
@@ -480,7 +483,10 @@ def _cmd_spec(args) -> int:
 
     from repro.workloads import spec_for
 
-    check_run_request(0, seed=args.seed, dt=args.dt)
+    check_run_request(
+        0, seed=args.seed, dt=args.dt, backend=args.backend,
+        solver=args.solver,
+    )
     spec = spec_for(args.workload, args.scale, args.seed, args.dt)
     spec.update(backend=args.backend, solver=args.solver or spec["solver"])
     print(json.dumps(spec, indent=2))

@@ -110,20 +110,6 @@ class PopulationRuntime(abc.ABC):
         """Solver evaluations charged per step (cost-model input)."""
         return 1.0
 
-    # -- routing seam ------------------------------------------------------
-
-    def bind_ring(self, ring) -> None:
-        """Offer this population's :class:`~repro.routing.DelayRing`.
-
-        Called once per run setup by the simulator. Most runtimes
-        ignore it — they only ever see the dense input array — but
-        ring-aware runtimes (the event-driven monitors) keep the
-        reference to consult exact per-step event counts, e.g. to skip
-        scanning an input bucket that provably received no deliveries.
-        Binding must never change numerics, only let a runtime avoid
-        provably-redundant work.
-        """
-
     # -- telemetry seam ----------------------------------------------------
 
     def publish_metrics(self, metrics) -> None:

@@ -94,8 +94,8 @@ class FlexonCompiler:
             raise CompilationError(
                 f"model {model.name!r} is not expressible with the 12 "
                 "biologically common features; simulate it on the "
-                "general-purpose processor (Section VII-A) via "
-                "HybridBackend"
+                "general-purpose processor (Section VII-A) with "
+                '--backend hybrid ("backend": "hybrid" in a spec)'
             )
         assert isinstance(model, FeatureModel)
         constants = prepare_constants(

@@ -57,28 +57,17 @@ def _features_of(neuron: _HardwareNeuron) -> FeatureSet:
     return neuron.program.features
 
 
-def idle_mask(
-    neuron: _HardwareNeuron,
-    raw_inputs: np.ndarray,
-    known_silent: bool = False,
-) -> np.ndarray:
+def idle_mask(neuron: _HardwareNeuron, raw_inputs: np.ndarray) -> np.ndarray:
     """Neurons whose update this step is provably the identity.
 
     A neuron is idle when its model supports event-driven execution,
     it receives no input weight this step, and every architectural
     state variable sits exactly at its reset/rest value (raw zero; the
-    refractory counter at zero). ``known_silent`` asserts that the
-    routing layer delivered zero events into this step's input bucket,
-    so the dense input scan can be skipped outright (a delivered weight
-    of exactly zero only ever *widens* the idle set, so skipping the
-    scan is conservative in the safe direction).
+    refractory counter at zero).
     """
     if not supports_event_driven(_features_of(neuron)):
         return np.zeros(raw_inputs.shape[1], dtype=bool)
-    if known_silent:
-        idle = np.ones(raw_inputs.shape[1], dtype=bool)
-    else:
-        idle = ~raw_inputs.any(axis=0)
+    idle = ~raw_inputs.any(axis=0)
     if isinstance(neuron, FlexonNeuron):
         for name, values in neuron.state.items():
             idle &= values == 0
@@ -98,11 +87,9 @@ class EventDrivenMonitor:
     total_updates: int = 0
     _last_idle: np.ndarray = field(default=None, repr=False)
 
-    def step(
-        self, raw_inputs: np.ndarray, known_silent: bool = False
-    ) -> np.ndarray:
+    def step(self, raw_inputs: np.ndarray) -> np.ndarray:
         """Step the wrapped neuron, recording how many were active."""
-        idle = idle_mask(self.neuron, raw_inputs, known_silent=known_silent)
+        idle = idle_mask(self.neuron, raw_inputs)
         self._last_idle = idle
         self.active_updates += int((~idle).sum())
         self.total_updates += idle.size
@@ -132,19 +119,9 @@ class EventDrivenRuntime(HardwareRuntime):
     def __init__(self, name, n, compiled, dt, folded):
         super().__init__(name, n, compiled, dt, folded)
         self.monitor = EventDrivenMonitor(self.neuron)
-        self._ring = None
-
-    def bind_ring(self, ring) -> None:
-        # The routing seam: with the population's delay ring in hand,
-        # a step whose input bucket carries zero delivered events skips
-        # the dense input scan during idle classification. Faults that
-        # zero delivered weights leave counts > 0, so the short-circuit
-        # only ever fires when the bucket is provably untouched.
-        self._ring = ring
 
     def _step_neuron(self, raw: np.ndarray) -> np.ndarray:
-        silent = self._ring is not None and self._ring.current_events() == 0
-        return self.monitor.step(raw, known_silent=silent)
+        return self.monitor.step(raw)
 
     @property
     def activity_factor(self) -> float:
@@ -187,7 +164,7 @@ class EventDrivenFlexonBackend(_HardwareBackendBase):
         self.folded = folded
 
     def block_key(self, population):
-        # One monitor, one ring and one activity factor per population.
+        # One monitor and one activity factor per population.
         return None
 
     def build_runtime(self, population):

@@ -8,9 +8,7 @@ the offset, from the head of the post population's
 :class:`~repro.routing.ring.DelayRing`, of the cell it accumulates
 into. The synapse calculation phase — classify generated spikes by
 target and accumulate weights (Section II-C) — is then a contiguous row
-copy per fired neuron and one 1-D scatter; ``delay_counts[i, d]``
-(synapses of pre-neuron ``i`` with delay ``d``) gives a fired set's
-exact per-bucket event counts without touching its synapses.
+copy per fired neuron and one 1-D scatter.
 
 A **constant table** stores its weight once: ``weights`` is a read-only
 zero-stride view of one float64 (what :func:`connect` builds at
@@ -137,7 +135,7 @@ class Projection:
         if not self.pre_ptr[-1] == targets.size == weights.size == delays.size:
             raise ConfigurationError("synapse arrays must have equal length")
         #: Delay bounds in time steps (1 when the projection is empty);
-        #: the router sizes the post population's ring from them.
+        #: the router sizes the post population's ring from ``max_delay``.
         self.min_delay = int(delays.min()) if delays.size else 1
         self.max_delay = int(delays.max()) if delays.size else 1
         if self.min_delay < 1:
@@ -157,14 +155,8 @@ class Projection:
             )
         self.targets = targets
         self.weights = weights
-        self.delay_counts = np.empty((pre.n, depth), dtype=np.int64)
-        for first, last, synapses, row_of in _row_blocks(self.pre_ptr):
+        for _, _, synapses, _ in _row_blocks(self.pre_ptr):
             delay = delays[synapses].astype(np.int64)
-            row_of *= depth
-            row_of += delay
-            self.delay_counts[first:last] = np.bincount(
-                row_of, minlength=(last - first) * depth
-            ).reshape(last - first, depth)
             delay *= stride
             delay += targets[synapses]
             targets[synapses] = delay
@@ -184,11 +176,10 @@ class Projection:
     def synapses_of(self, fired_pre: np.ndarray):
         """Gather the synapses of the given fired presynaptic neurons.
 
-        Returns ``(targets, weights, counts)``: the fired rows' ring
-        targets and weights, concatenated in ``fired_pre`` order, and
-        the per-delay event histogram :meth:`DelayRing.enqueue` adds to
-        its count ring. A constant table's weights are its one weight
-        broadcast to the targets: only the targets are copied.
+        Returns ``(targets, weights)``: the fired rows' ring targets and
+        weights, concatenated in ``fired_pre`` order. A constant table's
+        weights are its one weight broadcast to the targets: only the
+        targets are copied.
         """
         rows = _rows(self.pre_ptr, fired_pre)
         targets = np.concatenate([self.targets[row] for row in rows])
@@ -197,7 +188,7 @@ class Projection:
             weights = np.broadcast_to(weights[:1], targets.shape)
         else:
             weights = np.concatenate([weights[row] for row in rows])
-        return targets, weights, self.delay_counts[fired_pre].sum(axis=0)
+        return targets, weights
 
     def pre_of_synapses(self) -> np.ndarray:
         """Presynaptic neuron of every synapse (CSR row expansion;

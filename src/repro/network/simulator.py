@@ -278,14 +278,8 @@ class Simulator:
         self.dt = dt
         self.backend.prepare(network)
         self._router = SpikeRouter.from_network(network)
-        self._queues: Dict[str, DelayRing] = self._router.rings
         #: Owns all stimulus state; ``seed`` is its whole random state.
-        self.stimulus_plan = StimulusPlan(network.stimuli, self._queues, seed)
-        # Runtimes that understand the routing layer (the event-driven
-        # monitors) get their population's ring bound once, so they can
-        # consult exact event counts instead of scanning dense input.
-        for name, runtime in self.backend.runtimes.items():
-            runtime.bind_ring(self._router.ring(name))
+        self.stimulus_plan = StimulusPlan(network.stimuli, self._router.rings, seed)
         self._step = 0
         self._live_spikes: Optional[SpikeRecorder] = None
 
@@ -293,11 +287,6 @@ class Simulator:
     def router(self) -> SpikeRouter:
         """The routing layer: every population's delay ring."""
         return self._router
-
-    @property
-    def queues(self) -> Dict[str, DelayRing]:
-        """The per-population delay rings (checkpointing, fault models)."""
-        return self._queues
 
     @property
     def live_spikes(self) -> Optional[SpikeRecorder]:
@@ -318,13 +307,13 @@ class Simulator:
         populations a plasticity rule reads — is bound here so the loop
         performs no dict lookups or attribute chasing of its own.
         """
-        network = self.network
-        blocks = bind_blocks(self.backend, self._queues)
+        network, rings = self.network, self._router.rings
+        blocks = bind_blocks(self.backend, rings)
         projections = [
             (
                 projection,
                 projection.pre.name,
-                self._queues[projection.post.name],
+                rings[projection.post.name],
                 projection.syn_type,
             )
             for projection in network.projections
@@ -579,10 +568,8 @@ class Simulator:
                     fired_pre = fired_index.get(pre_name)
                     if fired_pre is None or fired_pre.size == 0:
                         continue
-                    targets, weights, counts = projection.synapses_of(
-                        fired_pre
-                    )
-                    post_queue.enqueue(targets, weights, counts, syn_type)
+                    targets, weights = projection.synapses_of(fired_pre)
+                    post_queue.enqueue(targets, weights, syn_type)
                     events += targets.size
                 for rule, pre_name, post_name in plasticity:
                     rule.step(fired_index[pre_name], fired_index[post_name], dt)
@@ -640,7 +627,7 @@ class Simulator:
 
         Everything here is collect-time work — the hot loop's only
         registry interaction is the step-duration histogram. Lifetime
-        tallies (queue enqueues, runtime advances, saturation clips)
+        tallies (ring enqueues, runtime advances, saturation clips)
         are published with ``set_total``, so re-running the same
         simulator against the same registry keeps counters monotone;
         use one registry per simulator.
@@ -671,23 +658,6 @@ class Simulator:
             "sim_hook_errors_total",
             "User hooks isolated after raising an unexpected exception.",
         ).inc(len(hook_errors))
-        for name, queue in self._queues.items():
-            labels = {"population": name}
-            metrics.counter(
-                "spike_queue_enqueued_total",
-                "Spike deliveries accumulated into the delay ring.",
-                labels,
-            ).set_total(queue.enqueued_events)
-            metrics.gauge(
-                "spike_queue_pending_weight",
-                "Sum of in-flight synaptic weight awaiting delivery.",
-                labels,
-            ).set(queue.pending_weight())
-            metrics.gauge(
-                "spike_queue_pending_events",
-                "In-flight deliveries awaiting their arrival step.",
-                labels,
-            ).set(queue.pending_total())
         self._router.publish_metrics(metrics)
         for rule in self.network.plasticity_rules:
             rule.publish_metrics(metrics)

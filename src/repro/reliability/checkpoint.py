@@ -9,8 +9,8 @@ where it stopped:
 * the global step index,
 * the stimulus seed (with the step, the streams' whole state),
 * every population's :class:`~repro.routing.ring.DelayRing` (in-flight
-  delayed spikes: per-bucket accumulated weights *and* integral event
-  counts, plus the ring head and lifetime enqueue counter),
+  delayed spikes: the per-bucket accumulated weights, the ring head
+  and the lifetime enqueue counter),
 * every population runtime's state, via the runtime ``snapshot`` seam —
   SoA float blocks (compiled), dict state plus solver counters
   (solver), raw fixed-point words (hardware),
@@ -95,10 +95,7 @@ class Checkpoint:
             signature=_signature_of(simulator),
             step=simulator.current_step,
             stimulus_seed=simulator.stimulus_plan.seed,
-            queues={
-                name: queue.snapshot()
-                for name, queue in simulator.queues.items()
-            },
+            queues=simulator.router.snapshot(),
             runtimes={
                 name: runtime.snapshot()
                 for name, runtime in backend.runtimes.items()
@@ -142,8 +139,7 @@ class Checkpoint:
                 f"the network has {len(rules)}"
             )
         simulator.stimulus_plan.restore(self.stimulus_seed)
-        for name, payload in self.queues.items():
-            simulator.queues[name].restore(payload)
+        simulator.router.restore(self.queues)
         for name, payload in self.runtimes.items():
             backend.runtimes[name].restore(payload)
         for rule, payload in zip(rules, self.plasticity):
@@ -165,9 +161,17 @@ class Checkpoint:
 
     def save(self, path: str) -> None:
         """Write atomically (via :func:`repro.io.atomic_writer`) so a
-        crash mid-write never destroys the previous good checkpoint."""
-        with atomic_writer(path, "wb") as handle:
-            pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        crash mid-write never destroys the previous good checkpoint; an
+        I/O failure raises :class:`CheckpointError` (``"io-error"``)."""
+        try:
+            with atomic_writer(path, "wb") as handle:
+                pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        except OSError as error:
+            raise CheckpointError(
+                f"cannot write checkpoint {path!r}: {error}",
+                path=str(path),
+                reason="io-error",
+            ) from error
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":

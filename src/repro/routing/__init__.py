@@ -1,14 +1,12 @@
 """Delay-bucketed spike routing shared by every execution path.
 
 One delivery mechanism serves the three-phase
-:class:`~repro.network.simulator.Simulator` loop, the event-driven
-hardware runtimes (which bind their population's ring to short-circuit
-idle classification) and checkpoint capture/restore (the ring snapshot
-is the unit of in-flight-spike state).
+:class:`~repro.network.simulator.Simulator` loop and checkpoint
+capture/restore (the ring snapshot is the unit of in-flight-spike
+state).
 
-:class:`DelayRing` is the single-population ring of per-step
-accumulation buckets, with integral per-bucket event counts alongside
-the accumulated weights; its module states the accumulation-order
+:class:`DelayRing` is the single-population ring of per-step weight
+accumulation buckets; its module states the accumulation-order
 contract every spike digest rests on. :class:`SpikeRouter` owns one
 ring per population, sized from the network's actual incoming delays.
 """

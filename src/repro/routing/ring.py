@@ -2,9 +2,10 @@
 
 Output spikes propagate "after a certain number of time steps, or
 delay, associated to each synapse" (Section II-C). A :class:`DelayRing`
-holds one ``(n_synapse_types, n)`` accumulation bucket per future step,
-plus an exact ``int64`` event count per bucket; each step the simulator
-consumes the current bucket as that population's input.
+holds one ``(n_synapse_types, n)`` accumulation bucket per future step;
+each step the simulator consumes the current bucket as that
+population's input. The ring carries weights only: the neuron phase
+reads the accumulated weight and nothing else.
 
 **Layout.** The ring is *unwrapped*: one flat float64 buffer of
 ``2 * depth - 1`` buckets (``depth = max_delay + 1``) with the head in
@@ -34,35 +35,20 @@ from repro.errors import SimulationError
 class DelayRing:
     """Ring of per-step accumulation buckets for one population."""
 
-    def __init__(
-        self,
-        n: int,
-        n_synapse_types: int,
-        max_delay: int,
-        min_delay: int = 1,
-    ):
+    def __init__(self, n: int, n_synapse_types: int, max_delay: int):
         if max_delay < 1:
             raise SimulationError(f"max_delay must be >= 1, got {max_delay}")
-        if not 1 <= min_delay <= max_delay:
-            raise SimulationError(
-                f"min_delay must be in 1..{max_delay}, got {min_delay}"
-            )
         self.n = n
         self.n_synapse_types = n_synapse_types
-        #: Smallest incoming delay; recorded in :meth:`snapshot` only.
-        self.min_delay = min_delay
         self.depth = max_delay + 1
         #: Cells per bucket; ring targets are ``delay * stride + post``.
         self.stride = n_synapse_types * n
         buckets = 2 * self.depth - 1
         self._flat = np.zeros(buckets * self.stride, dtype=np.float64)
         self._buckets = self._flat.reshape(buckets, n_synapse_types, n)
-        #: Events accumulated per bucket (delivery multiplicity, exact).
-        self._counts = np.zeros(buckets, dtype=np.int64)
         self._head = 0
         #: Lifetime count of spike deliveries accumulated into the ring
-        #: (telemetry; published as ``ring_events_enqueued_total`` and,
-        #: under its legacy name, ``spike_queue_enqueued_total``).
+        #: (telemetry; published as ``ring_events_enqueued_total``).
         self.enqueued_events = 0
 
     # -- enqueue -----------------------------------------------------------
@@ -74,21 +60,15 @@ class DelayRing:
         self.enqueued_events += targets.size
 
     def enqueue(
-        self,
-        targets: np.ndarray,
-        weights: np.ndarray,
-        counts: np.ndarray,
-        syn_type: int,
+        self, targets: np.ndarray, weights: np.ndarray, syn_type: int
     ) -> None:
         """Accumulate ``weights`` at ring ``targets`` ahead of the head.
 
         ``targets`` are head-relative offsets ``delay * stride +
         post_idx`` with ``1 <= delay < depth`` (checked once, when the
-        router binds a projection — not per event); ``counts[d]`` is
-        the number of them with delay ``d``.
+        router binds a projection — not per event).
         """
         self._accumulate(targets, weights, syn_type)
-        self._counts[self._head:self._head + counts.size] += counts
 
     def enqueue_now(self, post, weights, syn_type: int, events: int = 0) -> None:
         """Accumulate weights into the bucket popped at the *current* step.
@@ -103,11 +83,8 @@ class DelayRing:
             cells = self._buckets[self._head, syn_type, post]
             np.add(cells, weights, out=cells)
             self.enqueued_events += events
-        else:
-            events = post.size
-            if events:
-                self._accumulate(post, weights, syn_type)
-        self._counts[self._head] += events
+        elif post.size:
+            self._accumulate(post, weights, syn_type)
 
     # -- consume -----------------------------------------------------------
 
@@ -118,34 +95,19 @@ class DelayRing:
         """
         return self._buckets[self._head]
 
-    def current_events(self) -> int:
-        """Deliveries accumulated into the current bucket (exact count).
-
-        Zero means the current input is provably all-silent — the
-        event-driven runtimes use this to skip scanning the dense
-        input array entirely.
-        """
-        return int(self._counts[self._head])
-
     def rotate(self) -> None:
         """Clear the consumed bucket and advance to the next step."""
         head, depth = self._head, self.depth
         self._buckets[head] = 0.0
-        self._counts[head] = 0
         head += 1
         if head == depth:
             # Compact: the live tail moves to the (all-zero) front.
-            for array in (self._buckets, self._counts):
-                array[:depth - 1] = array[depth:]
-                array[depth:] = 0
+            self._buckets[:depth - 1] = self._buckets[depth:]
+            self._buckets[depth:] = 0.0
             head = 0
         self._head = head
 
     # -- accounting --------------------------------------------------------
-
-    def pending_total(self) -> int:
-        """Number of enqueued deliveries not yet consumed (exact int)."""
-        return int(self._counts.sum())
 
     def pending_weight(self) -> float:
         """Sum of all queued weight (useful for conservation tests)."""
@@ -163,15 +125,14 @@ class DelayRing:
         live = slice(self._head, self._head + self.depth)
         return {
             "ring": np.roll(self._buckets[live], self._head, axis=0),
-            "counts": np.roll(self._counts[live], self._head),
             "head": self._head,
-            "min_delay": self.min_delay,
             "enqueued_events": self.enqueued_events,
         }
 
     def checked(self, snapshot: dict) -> tuple:
-        """``(ring, counts, head)`` of a payload, validated against this
-        ring's geometry; the error names the offending field."""
+        """``(ring, head)`` of a payload, validated against this ring's
+        geometry; the error names the offending field. The ``counts``
+        and ``min_delay`` keys of older payloads are ignored."""
         if not isinstance(snapshot, dict):
             raise SimulationError(
                 "ring snapshot must be a dict, got "
@@ -182,31 +143,24 @@ class DelayRing:
                 raise SimulationError(f"ring snapshot missing field {field!r}")
         shape = (self.depth, self.n_synapse_types, self.n)
         ring = np.asarray(snapshot["ring"], dtype=np.float64)
-        counts = np.asarray(
-            snapshot.get("counts", np.zeros(self.depth)), dtype=np.int64
-        )
         axes = zip(("depth", "synapse-type", "size"), ring.shape, shape)
         wrong = [axis for axis, got, want in axes if got != want]
-        if ring.ndim != 3 or wrong or counts.shape != shape[:1]:
+        if ring.ndim != 3 or wrong:
             raise SimulationError(
-                f"ring snapshot shape {ring.shape} (counts {counts.shape}) "
-                f"does not match this ring's {shape}"
-                + (f": {wrong[0]} mismatch" if wrong else "")
+                f"ring snapshot shape {ring.shape} does not match this "
+                f"ring's {shape}" + (f": {wrong[0]} mismatch" if wrong else "")
             )
         head = int(snapshot["head"])
         if not 0 <= head < self.depth:
             raise SimulationError(
                 f"snapshot head {head} out of range 0..{self.depth - 1}"
             )
-        return ring, counts, head
+        return ring, head
 
     def restore(self, snapshot: dict) -> None:
         """Overwrite the ring from a :meth:`snapshot`."""
-        ring, counts, head = self.checked(snapshot)
-        live = slice(head, head + self.depth)
+        ring, head = self.checked(snapshot)
         self._flat[:] = 0.0
-        self._counts[:] = 0
-        self._buckets[live] = np.roll(ring, -head, axis=0)
-        self._counts[live] = np.roll(counts, -head)
+        self._buckets[head:head + self.depth] = np.roll(ring, -head, axis=0)
         self._head = head
         self.enqueued_events = int(snapshot.get("enqueued_events", 0))

@@ -9,9 +9,7 @@ the ring it scatters into.
 
 Each ring's **depth** is the largest *incoming* delay of its population
 plus one (not the network-wide maximum), so a population fed only by
-short-delay projections does not carry dead buckets; its
-``min_delay``, the smallest incoming delay, is part of the ring
-snapshot.
+short-delay projections does not carry dead buckets.
 """
 
 from __future__ import annotations
@@ -38,24 +36,19 @@ class SpikeRouter:
         """Build per-population rings sized from actual incoming delays.
 
         Populations with no incoming projection still get a minimal
-        ring (depth 2, min_delay 1): stimuli inject into the current
-        bucket and the neuron phase always consumes one.
+        ring (depth 2): stimuli inject into the current bucket and the
+        neuron phase always consumes one.
         """
-        bounds: Dict[str, tuple] = {}
+        max_delay: Dict[str, int] = {}
         for projection in network.projections:
-            own = (projection.min_delay, projection.max_delay)
-            lo, hi = bounds.get(projection.post.name, own)
-            bounds[projection.post.name] = (min(lo, own[0]), max(hi, own[1]))
-        rings = {}
-        for name, population in network.populations.items():
-            min_delay, max_delay = bounds.get(name, (1, 1))
-            rings[name] = DelayRing(
-                population.n,
-                population.n_synapse_types,
-                max_delay,
-                min_delay=min_delay,
+            name = projection.post.name
+            max_delay[name] = max(max_delay.get(name, 1), projection.max_delay)
+        router = cls({
+            name: DelayRing(
+                population.n, population.n_synapse_types, max_delay.get(name, 1)
             )
-        router = cls(rings)
+            for name, population in network.populations.items()
+        })
         router.bind(network.projections)
         return router
 
@@ -96,16 +89,6 @@ class SpikeRouter:
         for ring in self.rings.values():
             ring.rotate()
 
-    # -- accounting --------------------------------------------------------
-
-    def pending_total(self) -> int:
-        """In-flight deliveries across all rings (exact int)."""
-        return sum(ring.pending_total() for ring in self.rings.values())
-
-    def enqueued_total(self) -> int:
-        """Lifetime deliveries accumulated across all rings."""
-        return sum(ring.enqueued_events for ring in self.rings.values())
-
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, dict]:
@@ -144,7 +127,7 @@ class SpikeRouter:
                 labels,
             ).set_total(ring.enqueued_events)
             metrics.gauge(
-                "ring_pending_events",
-                "In-flight deliveries awaiting their arrival step.",
+                "ring_pending_weight",
+                "Sum of in-flight synaptic weight awaiting delivery.",
                 labels,
-            ).set(ring.pending_total())
+            ).set(ring.pending_weight())

@@ -55,6 +55,7 @@ class RunContext:
         self.metrics = self.status = self.server = self._simulator = None
         serve = self._flag("serve")
         self._check_serve_flags()
+        self._check_output_dirs()
         if serve or self._flag("stats_json"):
             from repro.telemetry import MetricsRegistry
 
@@ -83,6 +84,22 @@ class RunContext:
                 f"{flag} only applies with --serve (there is no plane "
                 "to serve)"
             )
+
+    def _check_output_dirs(self) -> None:
+        """Refuse an output path whose directory is missing, before the
+        banner: the file would fail to write after the whole run."""
+        import os
+
+        from repro.errors import ConfigurationError
+
+        for flag in ("stats_json", "trace", "checkpoint_path"):
+            path = self._flag(flag)
+            directory = os.path.dirname(os.path.abspath(path or ""))
+            if path and not os.path.isdir(directory):
+                raise ConfigurationError(
+                    f"--{flag.replace('_', '-')} {path!r}: directory "
+                    f"{directory!r} does not exist"
+                )
 
     @property
     def ledger_path(self) -> Optional[str]:

@@ -75,15 +75,13 @@ def enqueue_events(ring, post_idx, weights, delays, syn_type=0):
     """Enqueue per-event ``(target neuron, weight, delay)`` triples.
 
     Encodes them the way a Projection does at build time — ring targets
-    ``delay * stride + post_idx`` plus the per-delay histogram — so ring
-    tests can speak in delays.
+    ``delay * stride + post_idx`` — so ring tests can speak in delays.
     """
     post_idx = np.asarray(post_idx, dtype=np.int64)
     delays = np.asarray(delays, dtype=np.int64)
     ring.enqueue(
         (delays * ring.stride + post_idx).astype(np.int32),
         np.asarray(weights, dtype=np.float64),
-        np.bincount(delays, minlength=ring.depth),
         syn_type,
     )
 

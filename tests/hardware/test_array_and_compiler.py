@@ -91,7 +91,7 @@ class TestCompiler:
 
     def test_unsupported_model_raises_with_guidance(self):
         compiler = FlexonCompiler()
-        with pytest.raises(CompilationError, match="HybridBackend"):
+        with pytest.raises(CompilationError, match="--backend hybrid"):
             compiler.compile(HodgkinHuxley(), DT)
 
     def test_compiled_model_carries_program_and_constants(self):

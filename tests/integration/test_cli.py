@@ -56,7 +56,7 @@ class TestCommands:
     def test_microcode_unsupported_model_fails_cleanly(self, capsys):
         assert main(["microcode", "HH"]) == 2
         err = capsys.readouterr().err
-        assert "HybridBackend" in err
+        assert "--backend hybrid" in err
 
     def test_run_workload(self, capsys):
         code = main(
@@ -157,6 +157,57 @@ class TestCheckpointCli:
         capsys.readouterr()
         assert main(base + ["--steps", "100", "--resume-from", path]) == 2
         assert "past the requested" in capsys.readouterr().err
+
+
+class TestRunRefusals:
+    """Flag combinations ``run``, ``sweep`` and ``spec`` refuse before
+    the banner: one ``error:`` line, exit 2, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "Brunel", "--stats-json", "{missing}/s.json"],
+            ["run", "Brunel", "--trace", "{missing}/t.json"],
+            ["run", "Brunel", "--checkpoint-every", "3",
+             "--checkpoint-path", "{missing}/x.pkl"],
+            ["sweep", "Brunel", "--stats-json", "{missing}/s.json"],
+        ],
+        ids=["run-stats-json", "run-trace", "run-checkpoint-path",
+             "sweep-stats-json"],
+    )
+    def test_an_output_path_in_a_missing_directory(
+        self, argv, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing")
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert main([*argv, "--steps", "10", "--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --")
+        assert f"directory {missing!r} does not exist" in captured.err
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("backend", ["flexon", "folded", "event-driven"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "spec"])
+    def test_a_solver_the_backend_ignores(self, command, backend, capsys):
+        argv = [command, "Brunel", "--backend", backend, "--solver", "RKF45"]
+        if command != "spec":
+            argv += ["--steps", "10", "--no-ledger"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --solver RKF45 does not apply to backend {backend!r}: "
+            "its fixed-point datapaths have no software solver\n"
+        )
+
+    def test_a_solver_the_backend_uses_is_recorded(self, capsys):
+        import json
+
+        assert main(["spec", "Brunel", "--backend", "hybrid",
+                     "--solver", "RKF45"]) == 0
+        assert json.loads(capsys.readouterr().out)["solver"] == "RKF45"
 
 
 class TestFrontendCommands:

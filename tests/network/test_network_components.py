@@ -69,7 +69,7 @@ class TestSpikeQueue:
         queue.rotate()
         for _ in range(3):
             queue.rotate()
-        assert queue.pending_total() == 0.0
+        assert queue.pending_weight() == 0.0
 
     def test_delay_out_of_range_raises(self):
         # The range check is a build-time one: a projection rejects
@@ -90,7 +90,7 @@ class TestSpikeQueue:
         router = SpikeRouter({"post": DelayRing(3, post.n_synapse_types, 2)})
         with pytest.raises(SimulationError, match="'pre->post'.*'post'"):
             router.bind([late])
-        assert router.pending_total() == 0
+        assert router.ring("post").enqueued_events == 0
 
     def test_weight_conservation(self):
         queue = DelayRing(10, 2, 5)
@@ -103,22 +103,6 @@ class TestSpikeQueue:
             enqueue_events(queue, idx, weights, delays, syn_type=0)
             total += weights.sum()
         assert queue.pending_weight() == pytest.approx(total)
-
-    def test_pending_total_counts_events_integrally(self):
-        queue = DelayRing(10, 2, 5)
-        rng = np.random.default_rng(0)
-        events = 0
-        for _ in range(20):
-            idx = rng.integers(0, 10, size=4)
-            enqueue_events(
-                queue, idx, rng.random(4), rng.integers(1, 6, size=4)
-            )
-            events += 4
-        assert queue.pending_total() == events
-        assert type(queue.pending_total()) is int
-        queue.rotate()
-        assert queue.pending_total() <= events
-        assert type(queue.pending_total()) is int
 
 
 class TestStimuli:

@@ -345,8 +345,6 @@ class TestSimulatorIntegration:
         applied = snapshot["plasticity_applied_updates_total"]["values"][0]
         assert applied["value"] == rule.applied_updates > 0
         assert type(applied["value"]) is int
-        pending = snapshot["spike_queue_pending_events"]["values"]
-        assert all(type(entry["value"]) is int for entry in pending)
         enqueued = snapshot["ring_events_enqueued_total"]["values"]
         assert all(type(entry["value"]) is int for entry in enqueued)
         assert sum(entry["value"] for entry in enqueued) > 0

@@ -45,15 +45,14 @@ class TestProjection:
             delays=np.array([1, 2, 3]),
             syn_type=0,
         )
-        targets, weights, counts = proj.synapses_of(np.array([0, 2]))
+        targets, weights = proj.synapses_of(np.array([0, 2]))
         # Ring targets are delay * (n_synapse_types * post.n) + post_idx,
-        # in CSR order; counts is the per-delay event histogram.
+        # in CSR order.
         stride = post.n_synapse_types * post.n
         assert targets.dtype == np.int32
         assert targets.tolist() == [stride + 1, 2 * stride + 2, 3 * stride + 3]
         assert weights.tolist() == [0.5, 0.6, 0.7]
-        assert counts.tolist() == [0, 1, 1, 1]
-        assert proj.synapses_of(np.array([2]))[2].tolist() == [0, 0, 0, 1]
+        assert proj.synapses_of(np.array([2]))[0].tolist() == [3 * stride + 3]
         assert proj.post_idx.tolist() == [1, 2, 3]
         assert proj.delays.tolist() == [1, 2, 3]
         assert proj.post_idx[[2, 0]].tolist() == [3, 1]
@@ -61,9 +60,8 @@ class TestProjection:
     def test_synapses_of_empty_fired(self):
         pre, post = _pops()
         proj = connect(pre, post, probability=0.5, rng=np.random.default_rng(0))
-        targets, weights, counts = proj.synapses_of(np.array([], dtype=np.int64))
+        targets, weights = proj.synapses_of(np.array([], dtype=np.int64))
         assert targets.size == 0 and weights.size == 0
-        assert not counts.any()
 
     def test_synapses_of_neuron_without_outgoing(self):
         pre, post = _pops()
@@ -76,9 +74,8 @@ class TestProjection:
             delays=np.array([1]),
             syn_type=0,
         )
-        targets, _, counts = proj.synapses_of(np.array([5]))
-        assert targets.size == 0
-        assert not counts.any()
+        targets, weights = proj.synapses_of(np.array([5]))
+        assert targets.size == 0 and weights.size == 0
 
     def test_max_delay(self):
         pre, post = _pops()
@@ -241,10 +238,6 @@ class TestDerivedViews:
         assert (proj.min_delay, proj.max_delay) == (
             proj.delays.min(), proj.delays.max(),
         )
-        assert np.array_equal(
-            proj.delay_counts.sum(axis=0),
-            np.bincount(proj.delays, minlength=proj.max_delay + 1),
-        )
         for attribute in ("n_synapses", "min_delay", "max_delay"):
             assert attribute in vars(proj)
 
@@ -372,13 +365,13 @@ class TestConstantTable:
     def test_the_gather_broadcasts_the_weight_over_the_targets(self):
         proj = self._constant(weight=0.015)
         fired = np.array([0, 3, 4, 17])
-        targets, weights, counts = proj.synapses_of(fired)
+        targets, weights = proj.synapses_of(fired)
         assert weights.strides == (0,) and weights.shape == targets.shape
         assert set(weights.tolist()) == {0.015}
         materialised = Projection.__new__(Projection)
         vars(materialised).update(vars(proj), weights=np.array(proj.weights))
         expected = materialised.synapses_of(fired)
-        for ours, theirs in zip((targets, weights, counts), expected):
+        for ours, theirs in zip((targets, weights), expected):
             assert ours.tobytes() == theirs.tobytes()
 
 

@@ -197,18 +197,19 @@ class TestStreamAddressing:
 
 
 class _RingEvents(PhaseHook):
-    """Sums what the stimulus phase added to the rings' event counts."""
+    """Sums what the stimulus phase added to the rings' lifetime
+    enqueue counts."""
 
     def __init__(self, simulator):
         self.rings = simulator.router.rings.values()
         self.before = self.added = 0
 
     def on_step_start(self, step):
-        self.before = sum(ring.current_events() for ring in self.rings)
+        self.before = sum(ring.enqueued_events for ring in self.rings)
 
     def on_phase(self, phase, step, seconds, operations):
         if phase == "stimulus":
-            now = sum(ring.current_events() for ring in self.rings)
+            now = sum(ring.enqueued_events for ring in self.rings)
             self.added += now - self.before
 
 
@@ -231,7 +232,7 @@ class TestInjection:
         stimulus = PoissonStimulus(pop, 1e6, 0.5, dt=DT, n_sources=3)
         ring = DelayRing(pop.n, pop.n_synapse_types, max_delay=1)
         plan = StimulusPlan([stimulus], {"p": ring}, seed=0)
-        assert plan.inject(0) == 8 == ring.current_events()
+        assert plan.inject(0) == 8 == ring.enqueued_events
         assert np.all(ring.current()[0] == 1.5)
 
     def test_dense_add_lands_after_synaptic_arrivals(self):
@@ -244,7 +245,7 @@ class TestInjection:
         StimulusPlan([stimulus], {"p": ring}, seed=0).inject(0)
         assert ring.current()[1].tolist() == [0.0, 0.2 + 0.1, 0.7, 0.1, 0.0, 0.1]
         assert not ring.current()[0].any()
-        assert ring.current_events() == 5
+        assert ring.enqueued_events == 5
 
     def test_pattern_duplicates_still_accumulate(self):
         pop = Population("p", 5, create_model("LIF"))

@@ -3,12 +3,11 @@
 ``connect`` used to materialise ``pre_idx`` with ``np.repeat``, copy
 both index arrays to drop self-connections and hand whole COO arrays to
 ``Projection.__init__``, which re-derived the CSR by ``searchsorted``
-and encoded ``targets`` / ``delay_counts`` through whole-table int64
-temporaries. :func:`connect_coo` makes the same generator calls that
-way again and :func:`encode_coo` is that encode, so the streamed build
-can be held to them: same ``pre_ptr`` / ``targets`` / ``weights`` /
-``delay_counts`` bytes and dtypes, same delay bounds, same generator
-end state.
+and encoded ``targets`` through whole-table int64 temporaries.
+:func:`connect_coo` makes the same generator calls that way again and
+:func:`encode_coo` is that encode, so the streamed build can be held to
+them: same ``pre_ptr`` / ``targets`` / ``weights`` bytes and dtypes,
+same delay bounds, same generator end state.
 """
 
 from types import SimpleNamespace
@@ -25,7 +24,6 @@ def encode_coo(pre, post, pre_idx, post_idx, weights, delays):
     min_delay = int(delays.min()) if delays.size else 1
     max_delay = int(delays.max()) if delays.size else 1
     stride = post.n_synapse_types * post.n
-    depth = max_delay + 1
     if np.any(pre_idx[1:] < pre_idx[:-1]):
         order = np.argsort(pre_idx, kind="stable")
         pre_idx, post_idx = pre_idx[order], post_idx[order]
@@ -37,9 +35,6 @@ def encode_coo(pre, post, pre_idx, post_idx, weights, delays):
         pre_ptr=np.searchsorted(pre_idx, np.arange(pre.n + 1)),
         targets=(delays * stride + post_idx).astype(np.int32),
         weights=weights,
-        delay_counts=np.bincount(
-            pre_idx * depth + delays, minlength=pre.n * depth
-        ).reshape(pre.n, depth),
     )
 
 

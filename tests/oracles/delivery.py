@@ -22,7 +22,8 @@ def csr_records(projection):
 
 
 class DeliveryLoop:
-    """The contract as nested loops: dense weights and counts per step.
+    """The contract as nested loops: dense weights per step, and the
+    lifetime number of arrivals (a ring's ``enqueued_events``).
 
     ``projections`` lists ``(syn_type, records)`` per projection, in
     network order, records in CSR order; steps run ``0 .. n_steps - 1``
@@ -34,13 +35,13 @@ class DeliveryLoop:
         self.projections = projections
         horizon = n_steps + depth
         self.dense = np.zeros((horizon, n_types, post_n))
-        self.counts = np.zeros(horizon, dtype=np.int64)
+        self.arrivals = 0
 
     def inject(self, step, events):
         """Stimulus arrivals ``(syn_type, post, weight)`` at ``step``."""
         for syn_type, post, weight in events:
             self.dense[step, syn_type, post] += weight
-            self.counts[step] += 1
+            self.arrivals += 1
 
     def deliver(self, step, fired):
         """``fired[k]``: the pre-neurons of projection ``k`` that fired
@@ -50,4 +51,4 @@ class DeliveryLoop:
                 for pre, post, weight, delay in records:
                     if pre == neuron:
                         self.dense[step + delay, syn_type, post] += weight
-                        self.counts[step + delay] += 1
+                        self.arrivals += 1

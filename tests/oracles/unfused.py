@@ -32,7 +32,7 @@ def run_unfused(
     network, dt = simulator.network, simulator.dt
     runtimes = simulator.backend.runtimes
     assert all(runtime.block is None for runtime in runtimes.values())
-    rings = simulator.queues
+    rings = simulator.router.rings
     for _ in range(n_steps):
         step = simulator.current_step
         simulator.stimulus_plan.inject(step)
@@ -44,9 +44,9 @@ def run_unfused(
         for projection in network.projections:
             fired_pre = fired[projection.pre.name]
             if fired_pre.size:
-                targets, weights, counts = projection.synapses_of(fired_pre)
+                targets, weights = projection.synapses_of(fired_pre)
                 rings[projection.post.name].enqueue(
-                    targets, weights, counts, projection.syn_type
+                    targets, weights, projection.syn_type
                 )
         for rule in network.plasticity_rules:
             rule.step(

@@ -17,7 +17,7 @@ from repro.network import Population, Projection, connect
 from repro.network import projection as build
 from tests.oracles.coo_build import connect_coo, encode_coo
 
-TABLES = ("pre_ptr", "targets", "weights", "delay_counts")
+TABLES = ("pre_ptr", "targets", "weights")
 BOUNDS = ("min_delay", "max_delay", "n_synapses")
 #: 1 and 7 cut inside rows and between them; the last is one block.
 BLOCKS = (1, 7, build.BUILD_BLOCK)

@@ -35,7 +35,7 @@ class TestSpikeQueueProperties:
             queue.rotate()
         assert delivered == np.float64(delivered)
         assert abs(delivered - total_in) < 1e-9
-        assert queue.pending_total() == 0.0
+        assert queue.pending_weight() == 0.0
 
     @given(st.integers(min_value=1, max_value=8))
     def test_delivery_happens_exactly_at_the_delay(self, delay):

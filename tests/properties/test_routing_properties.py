@@ -4,8 +4,8 @@ The routing layer's core promise is that its ``DelayRing`` delivers
 exactly what the original per-population ``SpikeQueue`` did: the same
 ``(step, syn_type, target, weight)`` deliveries come out, at the same
 steps, in the same accumulated buckets. ``_LegacySpikeQueue`` below is
-that original implementation (wrapped float ring, per-event delays, no
-event counts) kept verbatim as the reference; Hypothesis interleaves enqueues, stimulus injections, and
+that original implementation (wrapped float ring, per-event delays)
+kept verbatim as the reference; Hypothesis interleaves enqueues, stimulus injections, and
 rotations arbitrarily and compares every delivered bucket — and the
 multiset of deliveries — between the two.
 """
@@ -83,18 +83,17 @@ def _deliveries(step, bucket):
 @given(st.lists(_op, max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_ring_delivers_legacy_multiset(ops):
-    ring = DelayRing(N, N_TYPES, MAX_DELAY, min_delay=MIN_DELAY)
+    ring = DelayRing(N, N_TYPES, MAX_DELAY)
     legacy = _LegacySpikeQueue(N, N_TYPES, MAX_DELAY)
     ring_seen = set()
     legacy_seen = set()
     step = 0
-    events_in_flight = 0
+    events = 0
     for kind, target, weight, delay, syn_type in ops:
         if kind == "rotate":
             np.testing.assert_array_equal(ring.current(), legacy.current())
             ring_seen |= _deliveries(step, ring.current())
             legacy_seen |= _deliveries(step, legacy.current())
-            events_in_flight -= ring.current_events()
             ring.rotate()
             legacy.rotate()
             step += 1
@@ -104,14 +103,14 @@ def test_ring_delivers_legacy_multiset(ops):
             d = np.array([delay])
             enqueue_events(ring, idx, w, d, syn_type)
             legacy.enqueue(idx, w, d, syn_type)
-            events_in_flight += 1
+            events += 1
         else:
             idx = np.array([target])
             w = np.array([weight])
             ring.enqueue_now(idx, w, syn_type)
             legacy.enqueue_now(idx, w, syn_type)
-            events_in_flight += 1
-        assert ring.pending_total() == events_in_flight
+            events += 1
+        assert ring.enqueued_events == events
     # Drain both rings completely: every still-pending bucket agrees.
     for _ in range(ring.depth):
         np.testing.assert_array_equal(ring.current(), legacy.current())
@@ -121,14 +120,14 @@ def test_ring_delivers_legacy_multiset(ops):
         legacy.rotate()
         step += 1
     assert ring_seen == legacy_seen
-    assert ring.pending_total() == 0
-    assert type(ring.pending_total()) is int
+    assert ring.pending_weight() == 0.0
+    assert type(ring.enqueued_events) is int
 
 
 @given(st.lists(_op, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_snapshot_restore_preserves_future_deliveries(ops):
-    ring = DelayRing(N, N_TYPES, MAX_DELAY, min_delay=MIN_DELAY)
+    ring = DelayRing(N, N_TYPES, MAX_DELAY)
     for kind, target, weight, delay, syn_type in ops:
         if kind == "rotate":
             ring.rotate()
@@ -136,11 +135,10 @@ def test_snapshot_restore_preserves_future_deliveries(ops):
             enqueue_events(ring, [target], [weight], [delay], syn_type)
         else:
             ring.enqueue_now(np.array([target]), np.array([weight]), syn_type)
-    clone = DelayRing(N, N_TYPES, MAX_DELAY, min_delay=MIN_DELAY)
+    clone = DelayRing(N, N_TYPES, MAX_DELAY)
     clone.restore(ring.snapshot())
     assert clone.enqueued_events == ring.enqueued_events
     for _ in range(ring.depth):
         np.testing.assert_array_equal(clone.current(), ring.current())
-        assert clone.current_events() == ring.current_events()
         clone.rotate()
         ring.rotate()

@@ -72,7 +72,7 @@ def test_interleaved_ops_match_dense_model(ops):
     for offset in range(MAX_DELAY + 1):
         np.testing.assert_array_equal(queue.current(), dense[now + offset])
         queue.rotate()
-    assert queue.pending_total() == 0.0
+    assert queue.pending_weight() == 0.0
 
 
 @given(st.integers(min_value=-3, max_value=12))
@@ -93,8 +93,9 @@ def test_out_of_range_delays_raise(delay):
     except (ConfigurationError, SimulationError):
         assert not 1 <= delay <= MAX_DELAY, f"delay {delay} is in range"
         # A rejected projection never reached the ring.
-        assert queue.pending_total() == 0
+        assert queue.enqueued_events == 0
     else:
         assert 1 <= delay <= MAX_DELAY, f"delay {delay} accepted"
         queue.enqueue(*projection.synapses_of(np.array([0])), 0)
-        assert queue.pending_total() == 1
+        assert queue.enqueued_events == 1
+        assert queue.pending_weight() == 1.0

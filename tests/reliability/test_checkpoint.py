@@ -138,6 +138,18 @@ class TestCheckpointHook:
         with pytest.raises(CheckpointError):
             CheckpointHook(simulator, every=0, path="x.ckpt")
 
+    def test_an_unwritable_path_stops_the_run(self, tmp_path):
+        # A CheckpointError is a library error: it propagates out of the
+        # run instead of being isolated as a foreign hook failure.
+        simulator = Simulator(_network(), ReferenceBackend(), dt=DT, seed=11)
+        path = str(tmp_path / "missing" / "x.ckpt")
+        hook = CheckpointHook(simulator, every=3, path=path)
+        with pytest.raises(CheckpointError) as info:
+            simulator.run(10, hooks=[hook])
+        assert info.value.reason == "io-error"
+        assert simulator.current_step == 3
+        assert hook.captures == 0
+
 
 class TestSafetyChecks:
     def _checkpoint(self):
@@ -222,6 +234,16 @@ class TestSafetyChecks:
             Checkpoint.load(str(path))
         assert info.value.reason == "truncated"
         assert info.value.path == str(path)
+
+    def test_save_into_a_missing_directory_names_path_and_reason(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "missing" / "x.ckpt")
+        with pytest.raises(CheckpointError, match="cannot write") as info:
+            self._checkpoint().save(path)
+        assert info.value.path == path
+        assert info.value.reason == "io-error"
+        assert isinstance(info.value.__cause__, FileNotFoundError)
 
     def test_save_is_atomic_no_temp_residue(self, tmp_path):
         checkpoint = self._checkpoint()

@@ -17,39 +17,21 @@ class TestConstruction:
         with pytest.raises(SimulationError):
             DelayRing(4, 1, 0)
 
-    def test_rejects_min_delay_out_of_range(self):
-        with pytest.raises(SimulationError):
-            DelayRing(4, 1, 3, min_delay=0)
-        with pytest.raises(SimulationError):
-            DelayRing(4, 1, 3, min_delay=4)
-
-    def test_depth_and_min_delay(self):
-        ring = DelayRing(4, 2, 5, min_delay=3)
+    def test_depth(self):
+        ring = DelayRing(4, 2, 5)
         assert ring.depth == 6
-        assert ring.min_delay == ring.snapshot()["min_delay"] == 3
+        assert ring.snapshot()["ring"].shape == (6, 2, 4)
+        assert set(ring.snapshot()) == {"ring", "head", "enqueued_events"}
 
 
 class TestEventAccounting:
-    def test_pending_total_is_exact_int(self):
+    def test_pending_weight_sums_the_queued_weight(self):
         ring = DelayRing(8, 1, 4)
         _enqueue(ring, 0, 0.25, 2)
         _enqueue(ring, 3, -1.5, 4)
         ring.enqueue_now(np.array([1]), np.array([0.5]), 0)
-        assert ring.pending_total() == 3
-        assert type(ring.pending_total()) is int
         assert ring.pending_weight() == pytest.approx(0.25 - 1.5 + 0.5)
-
-    def test_current_events_tracks_head_bucket(self):
-        ring = DelayRing(8, 1, 4)
-        assert ring.current_events() == 0
-        _enqueue(ring, 0, 1.0, 1)
-        assert ring.current_events() == 0
-        ring.rotate()
-        assert ring.current_events() == 1
-        assert type(ring.current_events()) is int
-        ring.rotate()
-        assert ring.current_events() == 0
-        assert ring.pending_total() == 0
+        assert ring.enqueued_events == 3
 
     def test_enqueued_events_is_lifetime_monotone(self):
         ring = DelayRing(8, 1, 4)
@@ -58,34 +40,33 @@ class TestEventAccounting:
         ring.rotate()
         _enqueue(ring, 1, 1.0, 2)
         assert ring.enqueued_events == 2
+        assert type(ring.enqueued_events) is int
 
     def test_zero_weight_delivery_still_counts(self):
-        # The event count tracks deliveries, not magnitudes — a fault
-        # injector zeroing weights in place must not turn the bucket
-        # "provably silent" (current() stays a writable view).
+        # The lifetime count tracks deliveries, not magnitudes: a
+        # zero-weight arrival is one more enqueued event, and the bucket
+        # it lands in reads as silent input.
         ring = DelayRing(4, 1, 2)
-        _enqueue(ring, 0, 1.0, 1)
+        _enqueue(ring, 0, 0.0, 1)
         ring.rotate()
-        ring.current()[:] = 0.0
-        assert ring.current_events() == 1
+        assert ring.enqueued_events == 1
+        assert not ring.current().any()
 
 
 class TestSnapshotRestore:
     def test_round_trip(self):
-        ring = DelayRing(6, 2, 4, min_delay=2)
+        ring = DelayRing(6, 2, 4)
         _enqueue(ring, 2, 0.75, 3, syn_type=1)
         ring.rotate()
         _enqueue(ring, 4, -0.5, 1)
         payload = ring.snapshot()
 
-        other = DelayRing(6, 2, 4, min_delay=2)
+        other = DelayRing(6, 2, 4)
         other.restore(payload)
-        assert other.pending_total() == ring.pending_total()
         assert other.pending_weight() == ring.pending_weight()
         assert other.enqueued_events == ring.enqueued_events
         for _ in range(ring.depth):
             np.testing.assert_array_equal(other.current(), ring.current())
-            assert other.current_events() == ring.current_events()
             other.rotate()
             ring.rotate()
 
@@ -102,14 +83,44 @@ class TestSnapshotRestore:
         with pytest.raises(SimulationError):
             ring.restore(payload)
 
-    def test_restore_defaults_missing_counts(self):
-        # Pre-ring snapshots carried no event counts; restoring one
-        # must still work, with counts conservatively zeroed.
+    def test_restore_ignores_the_counts_of_an_older_payload(self):
+        # Payloads written before the ring carried weights only also
+        # hold per-bucket event counts and the smallest incoming delay.
+        # A restore ignores both keys: it takes the same buckets and
+        # head, and the ring resumes exactly as one restored without.
+        ring = DelayRing(6, 2, 4)
+        _enqueue(ring, 1, 1.0, 2)
+        ring.rotate()
+        ring.rotate()
+        ring.rotate()
+        _enqueue(ring, 5, -0.25, 4, syn_type=1)
+        payload = ring.snapshot()
+        older = dict(
+            payload,
+            counts=np.array([0, 0, 1, 0, 0], dtype=np.int64),
+            min_delay=2,
+        )
+        plain, restored = DelayRing(6, 2, 4), DelayRing(6, 2, 4)
+        plain.restore(payload)
+        restored.restore(older)
+        assert restored.snapshot()["head"] == payload["head"] == 3
+        for key, value in restored.snapshot().items():
+            np.testing.assert_array_equal(value, payload[key])
+        for _ in range(2 * ring.depth):
+            _enqueue(restored, 0, 0.5, 3)
+            _enqueue(plain, 0, 0.5, 3)
+            assert restored.current().tobytes() == plain.current().tobytes()
+            restored.rotate()
+            plain.rotate()
+        assert restored.snapshot()["ring"].tobytes() == (
+            plain.snapshot()["ring"].tobytes()
+        )
+
+    def test_restore_defaults_missing_enqueued_events(self):
         ring = DelayRing(6, 2, 4)
         _enqueue(ring, 1, 1.0, 2)
         payload = ring.snapshot()
-        del payload["counts"]
         del payload["enqueued_events"]
         ring.restore(payload)
-        assert ring.pending_total() == 0
+        assert ring.enqueued_events == 0
         assert ring.pending_weight() == pytest.approx(1.0)

@@ -28,16 +28,15 @@ class TestSizing:
         router = SpikeRouter.from_network(_network())
         # a receives only the delay-5 projection from b.
         assert router.ring("a").depth == 6
-        assert router.ring("a").min_delay == 5
         # b receives delays 3..7 (jittered) from a and fixed 2 from b.
-        assert router.ring("b").depth >= 4
-        assert router.ring("b").min_delay == 2
+        network = _network()
+        jittered = network.projections[0].max_delay
+        assert router.ring("b").depth == jittered + 1 >= 4
 
     def test_population_without_incoming_gets_minimal_ring(self):
         router = SpikeRouter.from_network(_network())
         ring = router.ring("isolated")
         assert ring.depth == 2
-        assert ring.min_delay == 1
 
     def test_unknown_population_raises_with_known_names(self):
         router = SpikeRouter.from_network(_network())
@@ -50,16 +49,17 @@ class TestStepping:
         router = SpikeRouter.from_network(_network())
         enqueue_events(router.ring("a"), [0], [1.0], [5])
         enqueue_events(router.ring("b"), [1], [2.0], [2])
-        assert router.pending_total() == 2
-        assert router.enqueued_total() == 2
         for _ in range(5):
             router.rotate_all()
         # The delay-5 event now sits in the current bucket, consumed
         # this step; the next rotation clears it.
-        assert router.ring("a").current_events() == 1
+        assert router.ring("a").current()[0, 0] == 1.0
         router.rotate_all()
-        assert router.pending_total() == 0
-        assert router.enqueued_total() == 2
+        for ring in router.rings.values():
+            assert ring.pending_weight() == 0.0
+        assert [ring.enqueued_events for ring in router.rings.values()] == [
+            1, 1, 0
+        ]
 
 
 class TestSnapshotRestore:
@@ -69,7 +69,6 @@ class TestSnapshotRestore:
         payload = router.snapshot()
         other = SpikeRouter.from_network(_network())
         other.restore(payload)
-        assert other.pending_total() == router.pending_total()
         for _ in range(router.ring("b").depth):
             np.testing.assert_array_equal(
                 other.ring("b").current(), router.ring("b").current()
@@ -140,7 +139,7 @@ class TestSnapshotRestore:
         with pytest.raises(SimulationError, match="'isolated'"):
             router.restore(payload)
         after = router.ring("a").snapshot()
-        for field in ("ring", "counts", "head"):
+        for field in ("ring", "head"):
             np.testing.assert_array_equal(after[field], before[field])
 
 
@@ -159,7 +158,6 @@ class TestTelemetry:
         assert type(enqueued[(("population", "a"),)]) is int
         pending = {
             entry["labels"]["population"]: entry["value"]
-            for entry in snapshot["ring_pending_events"]["values"]
+            for entry in snapshot["ring_pending_weight"]["values"]
         }
-        assert pending["a"] == 1
-        assert type(pending["a"]) is int
+        assert pending == {"a": 1.0, "b": 0.0, "isolated": 0.0}

@@ -49,11 +49,11 @@ class TestSimulatorMetrics:
         sim = Simulator(small_network, dt=DT, seed=3)
         result = sim.run(40, metrics=metrics)
         total_enqueued = sum(
-            value_of(result.metrics, "spike_queue_enqueued_total", population=name)
+            value_of(result.metrics, "ring_events_enqueued_total", population=name)
             for name in small_network.populations
         )
         assert total_enqueued == sum(
-            queue.enqueued_events for queue in sim.queues.values()
+            ring.enqueued_events for ring in sim.router.rings.values()
         )
         assert (
             total_enqueued
