@@ -15,9 +15,9 @@ per-population firing rate and ISI CV plus each stimulus's event rate
 (what may not). ``--compare`` prints old -> new digests and fails when
 a new 8-seed mean leaves the old 8-seed min-max widened by 10 %, or a
 stimulus's events per target-step are more than 1 % from
-``1 - (1 - p)^n_sources``. Runs are built by ``repro.assembly`` (what
-``repro run`` does); only the per-stimulus event probe has one branch
-per tree.
+``1 - (1 - p)^n_sources``. Runs are built from the workload's
+front-end spec by ``repro.frontend.build_simulation`` (what ``repro
+run`` does); only the per-stimulus event probe has one branch per tree.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ import sys
 import numpy as np
 
 from repro.analysis import cv_isi, population_rate_hz
-from repro.assembly import DT, assemble
+from repro.assembly import DT
+from repro.frontend import build_simulation
 from repro.routing import DelayRing
-from repro.workloads import workload_names
+from repro.workloads import spec_for, workload_names
 
 try:
     from repro.network.stimulus import StimulusPlan
@@ -47,8 +48,9 @@ BACKENDS = ("reference", "folded")
 
 
 def _run(name, backend, scale, steps, seed):
-    assembly = assemble(name, backend, scale=scale, seed=seed)
-    return assembly, assembly.simulator().run(steps)
+    spec = spec_for(name, scale, seed)
+    simulator, _ = build_simulation({**spec, "backend": backend})
+    return simulator, simulator.run(steps)
 
 
 def _stimulus_event_rates(network, steps, seed):
@@ -87,8 +89,8 @@ def collect() -> dict:
                 key = f"{name}|{backend}|scale {scale}|{steps} steps|seed {seed}"
                 document["digests"][key] = result.spikes.digest()
             for seed in SEEDS:
-                assembly, result = _run(name, backend, STAT_SCALE, STAT_STEPS, seed)
-                for pop, population in assembly.network.populations.items():
+                simulator, result = _run(name, backend, STAT_SCALE, STAT_STEPS, seed)
+                for pop, population in simulator.network.populations.items():
                     record = result.spikes.result(pop)
                     row = document["statistics"].setdefault(
                         f"{name}|{backend}|{pop}", {"rate_hz": [], "cv_isi": []}
@@ -100,7 +102,8 @@ def collect() -> dict:
                 if backend == "reference":
                     document["stimuli"][f"{name}|seed {seed}"] = (
                         _stimulus_event_rates(
-                            assembly.network, STAT_STEPS, assembly.stimulus_seed
+                            simulator.network, STAT_STEPS,
+                            simulator.stimulus_plan.seed,
                         )
                     )
             print(f"{name} / {backend} done", file=sys.stderr)

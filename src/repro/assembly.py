@@ -1,20 +1,17 @@
-"""Run assembly: how a run description becomes a simulator.
+"""The backend table and the checks every run request passes.
 
-Every path that executes a Table I workload — ``repro run``, each job
-of ``repro sweep``, the front-end and the experiment helpers —
-describes the run with the same six fields (``workload, backend,
-scale, seed, dt, solver``) and turns them into a network, a prepared
-backend and a stimulus seed *here*:
+A run is its front-end spec: ``repro run``, each job of ``repro
+sweep``, the experiment helpers and ``repro simulate`` all build their
+simulator with :func:`repro.frontend.build_simulation`, a registry
+workload from ``{**spec_for(workload, scale, seed, dt), "backend": ...,
+"solver": ...}`` (the spec also holds the seed contract: the network
+builds with ``seed``, the stimulus plan with ``stimulus_seed``).
 
-**The backend table.** :data:`BACKENDS` is the one list of backend
-names: every CLI ``--backend`` takes it as its ``choices``, and
-:func:`make_backend` (which the front-end's ``build_backend`` calls)
-maps a name to an instance.
-
-**The network.** :func:`assemble` builds the workload's front-end spec
-(:func:`repro.workloads.spec_for`), which also holds the seed
-contract: the network builds with ``seed``, the stimulus plan with the
-spec's ``stimulus_seed``.
+:data:`BACKENDS` is the one list of backend names: every CLI
+``--backend`` takes it as its ``choices``, and :func:`make_backend`
+(which the front-end's ``build_backend`` calls) maps a name to an
+instance. :func:`check_run_request` refuses bad arguments before
+anything is built.
 
 Heavy imports (the hardware model, the simulator) stay inside the
 functions: ``repro workloads`` imports this module without paying for
@@ -24,7 +21,6 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -32,8 +28,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "BACKENDS",
     "DT",
-    "RunAssembly",
-    "assemble",
     "check_run_request",
     "make_backend",
 ]
@@ -75,49 +69,6 @@ def make_backend(name: str, dt: float = DT, solver: str = "Euler"):
         return HybridBackend(dt, solver=solver)
     raise ConfigurationError(
         f"unknown backend {name!r}; choose from {', '.join(BACKENDS)}"
-    )
-
-
-@dataclass(frozen=True)
-class RunAssembly:
-    """A built network plus everything needed to step it."""
-
-    network: object
-    backend_name: str
-    solver: str
-    dt: float
-    #: Seed of the stimulus plan: the spec's ``stimulus_seed``.
-    stimulus_seed: int
-
-    def simulator(self):
-        """A new simulator, on a fresh backend, over the network."""
-        from repro.network.simulator import Simulator
-
-        backend = make_backend(self.backend_name, self.dt, self.solver)
-        return Simulator(
-            self.network, backend, dt=self.dt, seed=self.stimulus_seed
-        )
-
-
-def assemble(
-    workload: str,
-    backend: str = "reference",
-    scale: float = 0.05,
-    seed: int = 1,
-    dt: float = DT,
-    solver: Optional[str] = None,
-) -> RunAssembly:
-    """Build one registry workload; ``solver=None`` is its Table I solver."""
-    from repro.frontend import build_network
-    from repro.workloads import spec_for
-
-    spec = spec_for(workload, scale, seed, dt)
-    return RunAssembly(
-        network=build_network(spec),
-        backend_name=backend,
-        solver=solver or spec["solver"],
-        dt=dt,
-        stimulus_seed=spec["stimulus_seed"],
     )
 
 

@@ -54,9 +54,10 @@ Subcommands:
     unique prefixes. Opt out of recording with ``--no-ledger`` on any
     recording command.
 
-``run`` and ``sweep`` share their setup:
-:mod:`repro.assembly` turns ``(workload, backend, scale, seed, dt,
-solver)`` into a network and a seeded simulator, and
+``run`` and ``sweep`` share their setup: ``(workload, backend, scale,
+seed, dt, solver)`` becomes the workload's front-end spec, which
+:func:`repro.frontend.build_simulation` turns into a seeded simulator
+(the spec is also what a checkpoint is matched against), and
 :class:`repro.runcontext.RunContext` brings the observability plane up
 before the work and writes the artifacts and the ledger entry after it.
 Throughput, per-phase latency and telemetry overhead are measured by
@@ -133,6 +134,19 @@ def _job_fields(args) -> dict:
     }
 
 
+def _simulator(args, workload: str):
+    """``workload`` as ``args`` describe it, built from its spec."""
+    from repro.frontend import build_simulation
+    from repro.workloads import spec_for
+
+    spec = spec_for(workload, args.scale, args.seed, args.dt)
+    simulator, _ = build_simulation({
+        **spec, "backend": args.backend,
+        "solver": args.solver or spec["solver"],
+    })
+    return simulator
+
+
 #: ``repro-ledger/1`` keeps its key set: entries have always stated a
 #: shard count in their config, and the config digest covers every key,
 #: so runs (all single-process now) keep stating the 0 they always did.
@@ -143,7 +157,6 @@ def _cmd_run(args) -> int:
     """``repro run``: one workload on ``Simulator.run`` + hooks."""
     import time
 
-    from repro.assembly import assemble
     from repro.errors import CheckpointError, RunInterrupted
     from repro.runcontext import (
         EXIT_CODES,
@@ -160,10 +173,7 @@ def _cmd_run(args) -> int:
     spec = get_spec(args.workload)
     config = {"workload": args.workload, **_job_fields(args), **_NO_SHARDS}
     ctx = RunContext(args, "run")
-    simulator = assemble(
-        args.workload, args.backend, args.scale, args.seed, args.dt,
-        args.solver,
-    ).simulator()
+    simulator = _simulator(args, args.workload)
     network = simulator.network
     print(f"{spec}")
     print(f"run ID: {ctx.run_id}")
@@ -177,7 +187,7 @@ def _cmd_run(args) -> int:
         from repro.reliability import Checkpoint
 
         # The rebuilt simulator must match the checkpointed one; the
-        # structural signature check turns a mismatch into a clear
+        # signature check (spec included) turns a mismatch into a clear
         # error instead of a silently wrong resume.
         checkpoint = Checkpoint.load(args.resume_from)
         checkpoint.restore(simulator)
@@ -291,10 +301,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """``repro sweep``: ``run``'s assembly in a loop, one ledger entry."""
+    """``repro sweep``: ``run``'s setup in a loop, one ledger entry."""
     import time
 
-    from repro.assembly import assemble
     from repro.experiments.common import format_table
     from repro.reliability.guard import NumericsGuard
     from repro.runcontext import RunContext
@@ -319,10 +328,7 @@ def _cmd_sweep(args) -> int:
         job_start = time.monotonic()
         job = {"name": name, "backend": args.backend}
         try:
-            simulator = assemble(
-                name, args.backend, args.scale, args.seed, args.dt,
-                args.solver,
-            ).simulator()
+            simulator = _simulator(args, name)
             hooks = [NumericsGuard(simulator.backend), *ctx.attach(simulator)]
             # No ``metrics=``: the registry outlives this job, and the
             # next workload's smaller per-population totals would read
@@ -624,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--checkpoint-path",
-        default="repro-checkpoint.pkl",
+        default="repro-checkpoint.ckpt",
         help="file the periodic checkpoint is (atomically) written to",
     )
     run.add_argument(

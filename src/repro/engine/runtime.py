@@ -283,8 +283,6 @@ class CompiledRuntime(PopulationRuntime):
                 values = getattr(self, attribute)
                 if values is not None:
                     setattr(view, attribute, values[..., lo:hi])
-            # Named afresh, as a population of its own would be: shared
-            # key strings would change what a checkpoint's pickle memoises.
             view._views = view._named_views()
             views.append(view)
         return views

@@ -95,13 +95,15 @@ class NumericsError(ReliabilityError):
 class CheckpointError(ReliabilityError):
     """Raised when a checkpoint cannot be captured, read, or restored.
 
-    Restoring verifies a structural signature (network name, population
-    sizes, backend name, dt) so a checkpoint from one simulation cannot
-    silently corrupt another. Load failures carry the offending
-    ``path`` and a machine-readable ``reason`` (``"not-found"``,
-    ``"truncated"``, ``"not-a-pickle"``, ``"corrupt"``,
-    ``"wrong-type"``, ``"io-error"``) so callers can distinguish a
-    missing file from a torn or poisoned one without parsing prose.
+    Restoring verifies a signature (network name, population sizes,
+    backend name, dt and the front-end spec the network was built
+    from) so a checkpoint from one simulation cannot silently corrupt
+    another. Load and save failures carry the offending ``path`` and a
+    machine-readable ``reason`` (``"not-found"``, ``"io-error"``,
+    ``"truncated"`` for an empty file, ``"corrupt"`` for one that is
+    no readable ``.npz``, ``"wrong-type"`` for a readable file that
+    holds no current-version checkpoint) so callers can distinguish a
+    missing file from a torn or foreign one without parsing prose.
     """
 
     def __init__(self, message: str, path: str = "", reason: str = ""):

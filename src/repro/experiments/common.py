@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.assembly import DT, assemble
-from repro.workloads import get_spec
+from repro.assembly import DT
+from repro.workloads import get_spec, spec_for
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,14 @@ def profile_workload(
     of the compiled step-plan path; the measured activity is identical
     (the two are spike-identical), only wall-clock differs.
     """
-    assembly = assemble(
-        name, "reference" if use_engine else "solver",
-        scale=scale, seed=seed, solver=solver,
-    )
-    network = assembly.network
-    result = assembly.simulator().run(steps)
+    from repro.frontend import build_simulation
+
+    spec = spec_for(name, scale, seed)
+    simulator, network = build_simulation({
+        **spec, "backend": "reference" if use_engine else "solver",
+        "solver": solver or spec["solver"],
+    })
+    result = simulator.run(steps)
     duration = steps * DT
     n = network.n_neurons
     synapses = max(1, network.n_synapses)

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.assembly import assemble
 from repro.experiments.common import format_table
+from repro.frontend import build_simulation
 from repro.network.simulator import Simulator
-from repro.workloads import workload_names
+from repro.workloads import spec_for, workload_names
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,11 @@ def validate_workload(
     is measured on the full (step, neuron) spike sets).
     """
     runs = {}
+    spec = spec_for(name, scale, seed)
     for key in ("reference", "flexon", "folded"):
-        simulator = assemble(
-            name, key, scale=scale, seed=seed, solver="Euler"
-        ).simulator()
+        simulator, _ = build_simulation(
+            {**spec, "backend": key, "solver": "Euler"}
+        )
         runs[key] = _spike_sets(simulator, steps)
 
     reference_set = set().union(*runs["reference"][1].values())

@@ -274,6 +274,11 @@ def build_network(spec: Dict) -> Network:
             raise ConfigurationError(
                 f"unknown stimulus kind {kind!r}; use 'poisson' or 'pattern'"
             )
+    # Kept as its JSON round trip (numpy values as plain ones): the form
+    # a checkpoint header holds, compared as is on restore.
+    network.spec = json.loads(
+        json.dumps(spec, default=lambda value: np.asarray(value).tolist())
+    )
     return network
 
 

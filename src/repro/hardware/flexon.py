@@ -180,8 +180,6 @@ class FlexonNeuron:
         over the same state words."""
         view = copy.copy(self)
         view.n = hi - lo
-        # Fresh name strings per view, as a separate array would have
-        # (shared keys would change a checkpoint's pickle memo).
         view.state = {name: self.state[name][lo:hi] for name in self._variables()}
         return view
 

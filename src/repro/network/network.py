@@ -30,6 +30,10 @@ class Network:
         self.projections: List[Projection] = []
         self.stimuli: List[Stimulus] = []
         self.plasticity_rules: List = []
+        #: The front-end spec this network was built from (its JSON
+        #: round trip), or ``None`` for one assembled in Python; a
+        #: checkpoint's signature carries it.
+        self.spec: Optional[dict] = None
 
     # -- builders -----------------------------------------------------------
 

@@ -1,41 +1,25 @@
-"""Checkpoint/resume: make any simulation killable and bit-identically
-resumable.
+"""Checkpoint/resume: any simulation, killed, resumes bit-identically.
 
-A multi-hour paper-scale run must survive a crash. A
-:class:`Checkpoint` captures *everything* a
-:class:`~repro.network.simulator.Simulator` needs to continue exactly
-where it stopped:
-
-* the global step index,
-* the stimulus seed (with the step, the streams' whole state),
-* every population's :class:`~repro.routing.ring.DelayRing` (in-flight
-  delayed spikes: the per-bucket accumulated weights, the ring head
-  and the lifetime enqueue counter),
-* every population runtime's state, via the runtime ``snapshot`` seam —
-  SoA float blocks (compiled), dict state plus solver counters
-  (solver), raw fixed-point words (hardware),
-* every plasticity rule's lazy traces — per-neuron ``(value,
-  last_update_step)`` pairs, the rule's step clock and counters — and
-  the weights the rule mutates,
-* optionally the spikes recorded so far, so a resumed run's recorder
-  carries the full train.
-
-Restoring verifies a structural signature (network name, backend name,
-dt, population sizes) and raises
-:class:`~repro.errors.CheckpointError` on any mismatch, so a
-checkpoint can never be silently applied to the wrong simulation. The
-resumed run is bit-identical to an uninterrupted one on every backend —
-pinned by tests on the reference, engine, and hardware paths.
-
-Files are written with :mod:`pickle` (trusted local artifacts, like
-numpy's ``allow_pickle`` files): only load checkpoints you produced.
+A :class:`Checkpoint` holds the step, the stimulus seed, every delay
+ring, every runtime's and plasticity rule's ``snapshot`` and optionally
+the spikes so far. Restoring checks a signature — network name,
+backend, dt, sizes and, for a network built from a front-end spec, that
+spec — and a :class:`~repro.errors.CheckpointError` names each
+top-level key that differs. A file is data, never code: one ``.npz``
+whose ``header`` member is UTF-8 JSON (version, signature, step, seed
+and every non-array leaf) and whose other members are the payloads'
+arrays, named by path (``runtimes/exc/state/v``, ``queues/exc/ring``,
+``plasticity/0/x_val``, ``spikes/exc/0``); no object arrays.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.engine.hooks import PhaseHook
 from repro.errors import CheckpointError
@@ -43,9 +27,13 @@ from repro.io import atomic_writer
 from repro.network.recorder import SpikeRecorder
 from repro.network.simulator import Simulator
 
-#: Bumped whenever the on-disk payload layout changes (3: the stimulus
-#: seed replaced the generator state); ``restore`` refuses any other.
-CHECKPOINT_VERSION = 3
+#: Bumped whenever the on-disk layout changes (4: a JSON header plus
+#: named arrays); ``restore`` refuses any other.
+CHECKPOINT_VERSION = 4
+
+#: The payload fields whose arrays are stored under their path.
+_PAYLOADS = ("queues", "runtimes", "plasticity", "spikes")
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
 def _signature_of(simulator: Simulator) -> Dict[str, object]:
@@ -57,7 +45,48 @@ def _signature_of(simulator: Simulator) -> Dict[str, object]:
             name: population.n
             for name, population in simulator.network.populations.items()
         },
+        "spec": simulator.network.spec,
     }
+
+
+def _mismatch(saved: Dict, current: Dict) -> str:
+    """``key: a (checkpoint) vs b (this run)`` (``key differs`` for
+    lists and objects) for each top-level key that differs; two specs
+    are compared by their own top-level keys."""
+    if all(isinstance(s.get("spec"), dict) for s in (saved, current)):
+        saved = {**saved, "spec": None, **saved["spec"]}
+        current = {**current, "spec": None, **current["spec"]}
+    rows = []
+    for key in {**saved, **current}:
+        a, b = saved.get(key), current.get(key)
+        if a != b:
+            nested = isinstance(a, (dict, list)) or isinstance(b, (dict, list))
+            rows.append(f"{key} differs" if nested else
+                        f"{key}: {a!r} (checkpoint) vs {b!r} (this run)")
+    return "; ".join(rows)
+
+
+def _flatten(tree, at: str, arrays: Dict[str, np.ndarray]):
+    """``tree``'s JSON skeleton; each array moves to ``arrays[at]``."""
+    if isinstance(tree, np.ndarray):
+        if tree.dtype.hasobject:
+            raise CheckpointError(f"{at} is an object array")
+        arrays[at] = tree
+        return None
+    if isinstance(tree, dict):
+        return {k: _flatten(v, f"{at}/{k}", arrays) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_flatten(v, f"{at}/{i}", arrays) for i, v in enumerate(tree)]
+    return tree
+
+
+def _unflatten(tree, at: str, arrays: Dict[str, np.ndarray]):
+    """The inverse of :func:`_flatten`."""
+    if isinstance(tree, dict):
+        return {k: _unflatten(v, f"{at}/{k}", arrays) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_unflatten(v, f"{at}/{i}", arrays) for i, v in enumerate(tree)]
+    return arrays.get(at) if tree is None else tree
 
 
 @dataclass
@@ -73,20 +102,12 @@ class Checkpoint:
     plasticity: List[dict]
     spikes: Optional[Dict[str, tuple]] = field(default=None)
 
-    # -- capture -----------------------------------------------------------
-
     @classmethod
     def capture(
-        cls,
-        simulator: Simulator,
-        spikes: Optional[SpikeRecorder] = None,
+        cls, simulator: Simulator, spikes: Optional[SpikeRecorder] = None
     ) -> "Checkpoint":
-        """Snapshot a simulator between steps.
-
-        ``spikes`` optionally includes a recorder's accumulated spike
-        train so a resumed run can report the full history; pass
-        ``simulator.live_spikes`` when capturing mid-run.
-        """
+        """Snapshot a simulator between steps, with the spike train of
+        ``spikes`` if given (``simulator.live_spikes`` mid-run)."""
         backend = simulator.backend
         if not backend.runtimes:
             raise CheckpointError("backend not prepared; nothing to capture")
@@ -96,24 +117,18 @@ class Checkpoint:
             step=simulator.current_step,
             stimulus_seed=simulator.stimulus_plan.seed,
             queues=simulator.router.snapshot(),
-            runtimes={
-                name: runtime.snapshot()
-                for name, runtime in backend.runtimes.items()
-            },
+            runtimes={n: r.snapshot() for n, r in backend.runtimes.items()},
             plasticity=[
-                rule.snapshot()
-                for rule in simulator.network.plasticity_rules
+                rule.snapshot() for rule in simulator.network.plasticity_rules
             ],
             spikes=None if spikes is None else spikes.snapshot(),
         )
 
-    # -- restore -----------------------------------------------------------
-
     def restore(self, simulator: Simulator) -> None:
         """Overwrite a freshly built simulator with this snapshot.
 
-        The simulator must have been constructed over the same network
-        shape, backend kind and dt the checkpoint was captured from.
+        The simulator must have been built from the same spec (or
+        network shape), backend kind and dt the checkpoint came from.
         """
         if self.version != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -124,8 +139,8 @@ class Checkpoint:
         expected = _signature_of(simulator)
         if self.signature != expected:
             raise CheckpointError(
-                f"checkpoint signature {self.signature} does not match "
-                f"this simulator {expected}"
+                "checkpoint signature does not match this simulator: "
+                + _mismatch(self.signature, expected)
             )
         backend = simulator.backend
         if set(self.runtimes) != set(backend.runtimes):
@@ -147,94 +162,79 @@ class Checkpoint:
         simulator._step = self.step
 
     def seed_recorder(self) -> SpikeRecorder:
-        """A recorder pre-loaded with the captured spike history.
-
-        Pass it to ``Simulator.run(..., spikes=...)`` so the resumed
-        run appends to the history and reports the full train.
-        """
+        """The captured spikes, for a resumed ``run(spikes=...)``."""
         recorder = SpikeRecorder()
         if self.spikes is not None:
             recorder.load(self.spikes)
         return recorder
 
-    # -- file round trip ---------------------------------------------------
-
     def save(self, path: str) -> None:
         """Write atomically (via :func:`repro.io.atomic_writer`) so a
         crash mid-write never destroys the previous good checkpoint; an
         I/O failure raises :class:`CheckpointError` (``"io-error"``)."""
+        arrays: Dict[str, np.ndarray] = {}
+        header = {
+            "version": self.version, "signature": self.signature,
+            "step": self.step, "stimulus_seed": self.stimulus_seed,
+            **{name: _flatten(getattr(self, name), name, arrays)
+               for name in _PAYLOADS},
+        }
+        text = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         try:
             with atomic_writer(path, "wb") as handle:
-                pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                np.savez(handle, header=text, **arrays)
         except OSError as error:
             raise CheckpointError(
                 f"cannot write checkpoint {path!r}: {error}",
-                path=str(path),
-                reason="io-error",
+                path=str(path), reason="io-error",
             ) from error
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
-        """Read a checkpoint written by :meth:`save` (trusted input).
+        """Read a :meth:`save` file; nothing in it is ever executed.
 
-        Every failure mode raises :class:`CheckpointError` carrying the
-        ``path`` and a machine-readable ``reason`` — a truncated file
-        (torn copy), a non-pickle file, a pickle of the wrong type, or
-        a plain I/O error — never a bare ``EOFError`` or
-        ``UnpicklingError`` from the pickle internals.
+        A failure is a :class:`CheckpointError` with ``path`` and
+        ``reason``: ``"not-found"``, ``"io-error"``, ``"truncated"``
+        (empty), ``"corrupt"`` (no readable archive) or ``"wrong-type"``
+        (no version-4 checkpoint inside, e.g. an older version's file).
         """
+        def refuse(reason: str, why: str) -> CheckpointError:
+            return CheckpointError(
+                f"checkpoint {path!r} {why}", path=str(path), reason=reason
+            )
+
+        arrays: Dict[str, np.ndarray] = {}
         try:
             with open(path, "rb") as handle:
-                checkpoint = pickle.load(handle)
+                magic = handle.read(len(_ZIP_MAGIC))
+                if magic == _ZIP_MAGIC:
+                    handle.seek(0)
+                    with np.load(handle) as archive:  # no object arrays
+                        arrays = {key: archive[key] for key in archive.files}
         except FileNotFoundError as error:
-            raise CheckpointError(
-                f"checkpoint {path!r} does not exist",
-                path=str(path),
-                reason="not-found",
-            ) from error
-        except EOFError as error:
-            raise CheckpointError(
-                f"checkpoint {path!r} is truncated: {error}",
-                path=str(path),
-                reason="truncated",
-            ) from error
-        except pickle.UnpicklingError as error:
-            raise CheckpointError(
-                f"checkpoint {path!r} is not a valid pickle: {error}",
-                path=str(path),
-                reason="not-a-pickle",
-            ) from error
+            raise refuse("not-found", "does not exist") from error
         except OSError as error:
-            raise CheckpointError(
-                f"cannot read checkpoint {path!r}: {error}",
-                path=str(path),
-                reason="io-error",
+            raise refuse("io-error", f"cannot be read: {error}") from error
+        except (zipfile.BadZipFile, EOFError) as error:
+            raise refuse("corrupt", f"is corrupt: {error}") from error
+        except ValueError:
+            pass  # an object array: not a version-4 checkpoint
+        if not magic:
+            raise refuse("truncated", "is empty")
+        # 0x80 opens the files versions before 4 wrote.
+        if magic != _ZIP_MAGIC and magic[:1] != b"\x80":
+            raise refuse("corrupt", "is not an .npz archive")
+        try:
+            header = json.loads(arrays.pop("header").tobytes())
+            for name in _PAYLOADS:
+                header[name] = _unflatten(header[name], name, arrays)
+            return cls(**header)
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise refuse(
+                "wrong-type",
+                f"does not contain a version-{CHECKPOINT_VERSION} "
+                "checkpoint; re-capture from a fresh run",
             ) from error
-        except (
-            # A corrupt or alien pickle stream can surface as almost
-            # anything while object graphs rebuild: bad opcodes decode
-            # to missing names, wrong argument counts, stray indices…
-            AttributeError,
-            ImportError,
-            IndexError,
-            KeyError,
-            TypeError,
-            ValueError,
-        ) as error:
-            raise CheckpointError(
-                f"checkpoint {path!r} is corrupt: "
-                f"{type(error).__name__}: {error}",
-                path=str(path),
-                reason="corrupt",
-            ) from error
-        if not isinstance(checkpoint, cls):
-            raise CheckpointError(
-                f"{path!r} does not contain a checkpoint "
-                f"(got {type(checkpoint).__name__})",
-                path=str(path),
-                reason="wrong-type",
-            )
-        return checkpoint
 
 
 class CheckpointHook(PhaseHook):

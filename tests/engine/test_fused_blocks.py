@@ -9,7 +9,8 @@ what one runtime per population produces, which is what
 """
 
 import hashlib
-import pickle
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -104,7 +105,15 @@ def _assert_same(fused, oracle, spikes, oracle_spikes):
     captured = Checkpoint.capture(fused, spikes=spikes)
     expected = Checkpoint.capture(oracle, spikes=oracle_spikes)
     # Same file, byte for byte: what a resume reads cannot tell them apart.
-    assert pickle.dumps(captured, protocol=5) == pickle.dumps(expected, protocol=5)
+    assert _saved_bytes(captured) == _saved_bytes(expected)
+
+
+def _saved_bytes(checkpoint):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "c.ckpt")
+        checkpoint.save(path)
+        with open(path, "rb") as handle:
+            return handle.read()
 
 
 class TestRegistryWorkloads:

@@ -132,9 +132,12 @@ PINNED_UPDATES = {
 
 @pytest.mark.parametrize("workload", sorted(PINNED_UPDATES))
 def test_workload_update_counts_are_pinned(workload):
-    from repro.assembly import assemble
+    from repro.frontend import build_simulation
+    from repro.workloads import spec_for
 
-    simulator = assemble(workload, "event-driven", 0.05, 1).simulator()
+    simulator, _ = build_simulation(
+        {**spec_for(workload, 0.05, 1), "backend": "event-driven"}
+    )
     simulator.run(400)
     updates = {
         name: (runtime.monitor.active_updates, runtime.monitor.total_updates)

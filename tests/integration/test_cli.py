@@ -158,6 +158,31 @@ class TestCheckpointCli:
         assert main(base + ["--steps", "100", "--resume-from", path]) == 2
         assert "past the requested" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, names",
+        [
+            (["--seed", "6"], ["seed: 5 (checkpoint) vs 6 (this run)"]),
+            (["--seed", "5", "--scale", "0.1"], ["populations"]),
+        ],
+        ids=["seed", "scale"],
+    )
+    def test_resume_into_another_run_is_refused(
+        self, flags, names, tmp_path, capsys
+    ):
+        # The checkpoint carries the spec it was built from: a seed-5
+        # checkpoint used to resume into seed-6 connectivity, exit 0.
+        path = str(tmp_path / "run.ckpt")
+        base = ["run", "Brunel", "--steps", "100", "--no-ledger"]
+        assert main(base + ["--seed", "5", "--scale", "0.05",
+                            "--checkpoint-every", "50",
+                            "--checkpoint-path", path]) == 0
+        capsys.readouterr()
+        assert main(base + flags + ["--resume-from", path]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: checkpoint signature does not match")
+        for name in names:
+            assert name in line
+
 
 class TestRunRefusals:
     """Flag combinations ``run``, ``sweep`` and ``spec`` refuse before

@@ -18,7 +18,8 @@ import sys
 import time
 import urllib.request
 
-from repro.assembly import assemble
+from repro.frontend import build_simulation
+from repro.workloads import spec_for
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -128,8 +129,8 @@ class TestServeFlag:
         assert code == 0, output
         assert "observability plane at" in output
         # Serving leaves the spikes untouched.
-        bare = assemble("Brunel", "reference", scale=0.02, seed=3)
-        digest = bare.simulator().run(300).spikes.digest()
+        bare, _ = build_simulation(spec_for("Brunel", scale=0.02, seed=3))
+        digest = bare.run(300).spikes.digest()
         assert json.loads(stats_path.read_text())["spike_digest"] == digest
 
     def test_sweep_serves_every_job(self, tmp_path):

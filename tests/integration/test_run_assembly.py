@@ -1,8 +1,9 @@
-"""One assembly path behind run and sweep.
+"""One spec-to-simulator path behind run and sweep.
 
-``repro.assembly`` owns the backend table and builds each run from the
-workload's front-end spec, whose seed contract ``spec_for`` writes
-(network seeds with ``seed``, stimulus RNG with ``seed + 1``);
+``repro.assembly`` owns the backend table; every run is built from the
+workload's front-end spec by ``build_simulation``, and ``spec_for``
+writes the seed contract (network seeds with ``seed``, stimulus RNG
+with ``seed + 1``);
 ``repro.runcontext.RunContext`` owns the plane bring-up and the
 write-out. These tests pin that as behaviour: every entry point reports
 the same spike digest for the same ``(workload, scale, seed, steps)``,
@@ -19,10 +20,10 @@ import sys
 import pytest
 
 import repro
-from repro.assembly import BACKENDS, assemble, make_backend
+from repro.assembly import BACKENDS, make_backend
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
-from repro.frontend import build_backend, build_simulation
+from repro.frontend import build_backend, build_network, build_simulation
 from repro.provenance import config_digest, load_ledger
 from repro.workloads import spec_for, workload_names
 
@@ -68,8 +69,10 @@ def _run_config(workload, backend):
 def test_one_digest_from_every_entry_point(
     workload, backend, tmp_path, capsys
 ):
-    assembly = assemble(workload, backend, scale=SCALE, seed=SEED)
-    result = assembly.simulator().run(STEPS)
+    simulator, _ = build_simulation(
+        {**spec_for(workload, SCALE, SEED), "backend": backend}
+    )
+    result = simulator.run(STEPS)
     assert result.total_spikes() > 0
     expected = result.spikes.digest()
 
@@ -126,17 +129,20 @@ def test_one_digest_from_every_entry_point(
 @pytest.mark.parametrize("backend", ["reference", "folded"])
 @pytest.mark.parametrize("workload", workload_names())
 def test_a_registry_spec_through_json_runs_as_assembled(workload, backend):
+    # A spec read back from a file (``repro simulate``) runs as the
+    # dict ``repro run`` builds, and keeps the same identity.
     spec = {**spec_for(workload, 0.05, SEED), "backend": backend}
-    simulator, _ = build_simulation(json.loads(json.dumps(spec)))
-    assembled = assemble(workload, backend, scale=0.05, seed=SEED)
+    simulator, network = build_simulation(json.loads(json.dumps(spec)))
+    direct, direct_network = build_simulation(spec)
+    assert network.spec == direct_network.spec
     assert simulator.run(100).spikes.digest() == (
-        assembled.simulator().run(100).spikes.digest()
+        direct.run(100).spikes.digest()
     )
 
 
 def test_dt_reaches_the_registry_poisson_drive():
     # The stimuli used to keep the 0.1 ms step whatever --dt said.
-    network = assemble("Brunel", dt=2e-4).network
+    network = build_network(spec_for("Brunel", 0.05, 1, dt=2e-4))
     assert [stimulus.dt for stimulus in network.stimuli] == [2e-4]
 
 

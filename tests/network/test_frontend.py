@@ -28,6 +28,20 @@ class TestBuildNetwork:
         del spec["stimulus_seed"]
         assert build_simulation(spec)[0].stimulus_plan.seed == 7
 
+    def test_the_network_keeps_its_spec_as_json(self):
+        # What a checkpoint header holds and ``restore`` compares.
+        import numpy as np
+
+        from repro.network.network import Network
+
+        expected = json.loads(json.dumps(spec_for("Brunel", 0.02, 7)))
+        spec = {**spec_for("Brunel", 0.02, 7), "seed": np.int64(7)}
+        network = build_network(spec)
+        assert network.spec == expected
+        spec["stimulus_seed"] = 9  # the caller's dict is not the network's
+        assert network.spec == expected
+        assert Network("hand-built").spec is None
+
     def test_negative_stimulus_seed_rejected(self):
         spec = {**spec_for("Brunel", 0.02, 7), "stimulus_seed": -1}
         with pytest.raises(ConfigurationError, match="'stimulus_seed'"):

@@ -316,17 +316,20 @@ class TestSimulatorIntegration:
         spiking at this scale): the compiled step must defer work and
         still reproduce the per-synapse reference bit for bit — every
         step, through volleys that take the once-per-neuron branch."""
-        from repro.assembly import assemble
+        from repro.frontend import build_simulation
+        from repro.workloads import spec_for
 
-        assembly = assemble("Vogels et al.", scale=0.05, seed=5)
+        simulator, network = build_simulation(
+            spec_for("Vogels et al.", scale=0.05, seed=5)
+        )
         rule = PairSTDP()
         recurrent = next(
-            projection for projection in assembly.network.projections
+            projection for projection in network.projections
             if projection.pre.name == projection.post.name == "exc"
         )
-        assembly.network.add_plasticity(recurrent, rule)
+        network.add_plasticity(recurrent, rule)
         reference = shadowed(rule)
-        result = assembly.simulator().run(300)
+        result = simulator.run(300)
         assert result.total_spikes() > 0
         assert rule.deferred_updates > 0
         assert rule.applied_updates == reference.state["applied_updates"] > 0

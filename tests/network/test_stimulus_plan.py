@@ -10,7 +10,8 @@ the events the phase reports.
 """
 
 import math
-import pickle
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -288,9 +289,10 @@ class TestCheckpoint:
             _stimulus_network(seed), ReferenceBackend(), dt=DT, seed=seed
         )
         spikes = first.run(kill_at).spikes
-        checkpoint = pickle.loads(
-            pickle.dumps(Checkpoint.capture(first, spikes=spikes))
-        )
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "c.ckpt")
+            Checkpoint.capture(first, spikes=spikes).save(path)
+            checkpoint = Checkpoint.load(path)
         # The checkpoint's seed wins over the fresh simulator's.
         resumed = Simulator(
             _stimulus_network(seed), ReferenceBackend(), dt=DT, seed=fresh_seed

@@ -286,17 +286,17 @@ def _pre_change_network():
 def test_checkpoint_written_before_the_flat_ring_still_resumes():
     # fixtures/pre_flat_ring.ckpt holds step 151 of this network (seed
     # 5, spikes included), a committed file rather than one captured by
-    # the test. Regenerated 2026-10-02 at PR 17 (checkpoint version 3:
-    # the stimulus seed replaced the bit-generator state, so the file
-    # the commit before the unwrapped ring wrote can no longer load).
+    # the test. Its payload was captured at checkpoint version 3 (the
+    # stimulus seed replaced the bit-generator state) and converted to
+    # version 4 (JSON header plus named arrays) as is: every array and
+    # key kept, the signature gained ``"spec": null``.
     # What it still pins: the *wrapped* ``(depth, types, n)`` ring
     # payload with heads 7 and 3 and deliveries in flight — the layout
     # checkpoints have carried since before the ring was unwrapped —
     # restores into the unwrapped ring and resumes to the digest of an
     # uninterrupted 301-step run. What it no longer can: that a stream
     # drawn by an earlier commit continues (old literals: 5 in flight,
-    # 176 spikes, digest 30975c65...). To regenerate: run 151 steps,
-    # ``Checkpoint.capture(simulator, spikes=result.spikes).save(...)``.
+    # 176 spikes, digest 30975c65...).
     checkpoint = Checkpoint.load(FIXTURE)
     simulator = Simulator(_pre_change_network(), ReferenceBackend(), seed=5)
     # The payload is an older-format one: it still carries the event

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
+from repro.frontend import build_simulation
 from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
 from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
@@ -11,6 +12,7 @@ from repro.network.simulator import Simulator
 from repro.network.stimulus import PoissonStimulus
 from repro.plasticity import PairSTDP
 from repro.reliability import Checkpoint, CheckpointHook
+from repro.workloads import spec_for, workload_names
 
 DT = 1e-4
 
@@ -85,6 +87,16 @@ def _run_resumed(make_backend, kill_at, steps, tmp_path, plastic=False):
         steps - kill_at, spikes=checkpoint.seed_recorder()
     )
     return _spike_sets(result, network2), _final_state(simulator2)
+
+
+class _Payload:
+    """Unpickling this creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 class TestBitIdenticalResume:
@@ -245,9 +257,57 @@ class TestSafetyChecks:
         assert info.value.reason == "io-error"
         assert isinstance(info.value.__cause__, FileNotFoundError)
 
+    def test_a_pickle_is_refused_without_being_run(self, tmp_path):
+        # Versions <= 3 were pickles; loading one ran whatever its
+        # __reduce__ named.
+        import pickle
+
+        marker = tmp_path / "marker"
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps(_Payload(str(marker))))
+        with pytest.raises(CheckpointError, match="version-4") as info:
+            Checkpoint.load(str(path))
+        assert info.value.reason == "wrong-type"
+        assert "re-capture" in str(info.value)
+        assert not marker.exists()
+
+    def test_an_object_array_is_refused_without_being_run(self, tmp_path):
+        marker = tmp_path / "marker"
+        path = tmp_path / "poisoned.ckpt"
+        self._checkpoint().save(str(path))
+        with np.load(str(path)) as archive:
+            members = {key: archive[key] for key in archive.files}
+        members["spikes/exc/0"] = np.array(
+            [_Payload(str(marker))], dtype=object
+        )
+        with open(path, "wb") as handle:
+            np.savez(handle, **members)
+        with pytest.raises(CheckpointError, match="version-4") as info:
+            Checkpoint.load(str(path))
+        assert info.value.reason == "wrong-type"
+        assert not marker.exists()
+
     def test_save_is_atomic_no_temp_residue(self, tmp_path):
         checkpoint = self._checkpoint()
         path = tmp_path / "atomic.ckpt"
         checkpoint.save(str(path))
         checkpoint.save(str(path))  # overwrite in place
         assert [p.name for p in tmp_path.iterdir()] == ["atomic.ckpt"]
+
+
+@pytest.mark.parametrize("backend", ["reference", "folded"])
+@pytest.mark.parametrize("workload", workload_names())
+def test_every_registry_workload_resumes_through_the_file(
+    workload, backend, tmp_path
+):
+    spec = {**spec_for(workload, 0.03, 5), "backend": backend}
+    whole, _ = build_simulation(spec)
+    expected = whole.run(400).spikes.digest()
+    first, _ = build_simulation(spec)
+    path = str(tmp_path / "c.ckpt")
+    Checkpoint.capture(first, spikes=first.run(300).spikes).save(path)
+    checkpoint = Checkpoint.load(path)
+    resumed, _ = build_simulation(spec)
+    checkpoint.restore(resumed)
+    result = resumed.run(100, spikes=checkpoint.seed_recorder())
+    assert result.spikes.digest() == expected

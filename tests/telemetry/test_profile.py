@@ -3,8 +3,10 @@
 import gc
 import time
 
-from repro.assembly import assemble
+from repro.frontend import build_backend, build_network
+from repro.network.simulator import Simulator
 from repro.telemetry import MetricsRegistry, TraceHook
+from repro.workloads import spec_for
 
 STEPS = 240
 REPS = 16
@@ -18,11 +20,11 @@ def _steps_per_second(simulator, telemetry):
     return STEPS / (time.perf_counter() - start)
 
 
-def _attempt(assembly, bare_samples, instrumented_samples):
-    """One attempt: two fresh simulators from ``assembly``, warmed up,
-    then ``REPS`` ABBA-ordered reps of each (GC paused, as ``timeit``
-    does)."""
-    bare, instrumented = assembly.simulator(), assembly.simulator()
+def _attempt(simulator, bare_samples, instrumented_samples):
+    """One attempt: two fresh simulators from ``simulator()``, warmed
+    up, then ``REPS`` ABBA-ordered reps of each (GC paused, as
+    ``timeit`` does)."""
+    bare, instrumented = simulator(), simulator()
     # The trace ring holds one rep (three phases and one span per block
     # per step), and the warm-up fills it: timed reps pay the
     # steady-state append a long traced run pays, not heap growth.
@@ -59,9 +61,10 @@ class TestOverheadBudget:
         0.3, 3000 neurons); at toy scales the same fixed cost is
         measured against a nearly empty step.
 
-        Both simulators of an attempt come from one assembly and step
-        through identical spike dynamics, and ABBA order makes host
-        drift and position-in-pair bias hit both series alike. The
+        Both simulators of an attempt run over one network built from
+        the workload's spec and step through identical spike dynamics,
+        and ABBA order makes host drift and position-in-pair bias hit
+        both series alike. The
         estimator is fastest bare vs fastest instrumented, which only
         sharpens with samples, so attempts pool their reps instead of
         starting over: on a contended host a single best-of-16 estimate
@@ -69,10 +72,18 @@ class TestOverheadBudget:
         restarts both simulators at step 0, so every attempt replays the
         same stretch of dynamics; six pooled attempts are allowed.
         """
-        assembly = assemble("Izhikevich", "reference", scale=0.3, seed=7)
+        spec = spec_for("Izhikevich", scale=0.3, seed=7)
+        network = build_network(spec)
+
+        def simulator():
+            return Simulator(
+                network, build_backend(spec), dt=spec["dt"],
+                seed=spec["stimulus_seed"],
+            )
+
         bare, instrumented = [], []
         for attempt in range(ATTEMPTS):
-            _attempt(assembly, bare, instrumented)
+            _attempt(simulator, bare, instrumented)
             delta = 1.0 - max(instrumented) / max(bare)
             if delta < BUDGET:
                 break
