@@ -14,70 +14,27 @@ neuron computation. This example runs exactly that split:
   depresses the noise channels — after training the readout is
   selective to the pattern.
 
+The network is the ``stdp_learning`` paper artefact's
+(:func:`repro.experiments.stdp_learning.build`), trained here for 4 s
+instead of 1.5 s.
+
 Run:  python examples/stdp_pattern_learning.py
 """
 
 
+from repro.experiments.stdp_learning import DT, SEED, build, channel_means
 from repro.hardware import FoldedFlexonBackend
-from repro.network import Network, PatternStimulus, PoissonStimulus, Simulator
-from repro.plasticity import PairSTDP
+from repro.network import Simulator
 
-DT = 1e-4
 TRAIN_STEPS = 40_000  # 4 s
-N_PATTERN = 20
-N_NOISE = 40
-N_INPUT = N_PATTERN + N_NOISE
-
-
-def build() -> tuple:
-    net = Network("stdp-learning")
-    inputs = net.add_population("inputs", N_INPUT, "LIF")
-    net.add_population("readout", 4, "LIF")
-    projection = net.connect(
-        "inputs", "readout", probability=1.0, weight=4.0, delay_steps=1
-    )
-    # The pattern: channels 0..19 burst together every 300 steps.
-    pattern_channels = list(range(N_PATTERN))
-    net.add_stimulus(
-        PatternStimulus(
-            inputs,
-            {0: pattern_channels, 2: pattern_channels},
-            weight=300.0,
-            period=300,
-        )
-    )
-    # Matched-rate independent noise on channels 20..59 (two pattern
-    # events per 300 steps ~ 66 Hz equivalent drive).
-    net.add_stimulus(
-        PoissonStimulus(
-            inputs,
-            rate_hz=66.0,
-            weight=300.0,
-            dt=DT,
-            neuron_slice=slice(N_PATTERN, N_INPUT),
-        )
-    )
-    rule = PairSTDP(
-        a_plus=0.10, a_minus=0.055, tau_plus=10e-3, tau_minus=30e-3,
-        w_min=0.0, w_max=12.0,
-    )
-    net.add_plasticity(projection, rule)
-    return net, projection, rule
-
-
-def channel_means(projection) -> tuple:
-    pre_of = projection.pre_of_synapses()
-    pattern = projection.weights[pre_of < N_PATTERN].mean()
-    noise = projection.weights[pre_of >= N_PATTERN].mean()
-    return pattern, noise
 
 
 def main() -> None:
-    net, projection, rule = build()
+    net, projection, _ = build()
     before = channel_means(projection)
     print(f"initial weights: pattern {before[0]:.2f}, noise {before[1]:.2f}")
 
-    simulator = Simulator(net, FoldedFlexonBackend(DT), dt=DT, seed=21)
+    simulator = Simulator(net, FoldedFlexonBackend(DT), dt=DT, seed=SEED)
     result = simulator.run(TRAIN_STEPS)
     readout_rate = (
         result.spikes.result("readout").n_spikes / 4 / (TRAIN_STEPS * DT)

@@ -35,9 +35,10 @@ Subcommands:
     reported failed and the loop goes on; the sweep exits 1 if any job
     failed. One ledger entry covers the whole sweep.
 ``experiment NAME``
-    Regenerate one paper artifact (``figure3``, ``figures4to8``,
-    ``table3``, ``table5``, ``figure12``, ``table6``, ``figure13``,
-    ``validation``) or ``all``.
+    Print one paper artefact (a name in
+    :data:`repro.experiments.ARTEFACTS`) exactly as its committed file
+    ``tests/experiments/artefacts/NAME.txt`` holds it, or ``all`` of
+    them under ``== NAME`` banners.
 ``simulate SPEC.json``
     Build a network from a declarative front-end spec (Section VII-B),
     simulate it on the backend the spec names, print its spike digest.
@@ -72,6 +73,7 @@ from typing import List, Optional
 
 from repro.assembly import BACKENDS, DT, check_run_request
 from repro.errors import ReproError
+from repro.experiments import ARTEFACTS
 
 
 def _cmd_workloads(_args) -> int:
@@ -390,67 +392,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from repro.experiments import (
-        figure3,
-        figure12,
-        figure13,
-        figures4to8,
-        table3,
-        table5,
-        table6,
-        validation,
-    )
+    from repro.experiments import render, takes
     from repro.workloads.spec import validate_scale
 
-    # Before the banner: the experiments divide by the step count.
-    check_run_request(args.steps, min_steps=1)
-    validate_scale(args.scale)
-
-    def run_figure3():
-        rows = figure3.run(scale=args.scale, steps=args.steps)
-        return figure3.table1_inventory() + "\n\n" + figure3.format_figure3(rows)
-
-    def run_table3():
-        return (
-            table3.format_matrix()
-            + "\n\n"
-            + table3.format_verification(table3.run(steps=args.steps))
-        )
-
-    def run_table5():
-        return table5.format_table5(table5.run())
-
-    def run_figures4to8():
-        return figures4to8.format_figures(figures4to8.run())
-
-    def run_figure12():
-        return figure12.format_figure12(figure12.run())
-
-    def run_table6():
-        return table6.format_table6(table6.run())
-
-    def run_figure13():
-        rows = figure13.run(scale=args.scale, steps=args.steps)
-        return figure13.format_figure13(rows)
-
-    def run_validation():
-        rows = validation.run(scale=args.scale, steps=args.steps)
-        return validation.format_validation(rows)
-
-    experiments = {
-        "figure3": run_figure3,
-        "figures4to8": run_figures4to8,
-        "table3": run_table3,
-        "table5": run_table5,
-        "figure12": run_figure12,
-        "table6": run_table6,
-        "figure13": run_figure13,
-        "validation": run_validation,
-    }
-    names = list(experiments) if args.name == "all" else [args.name]
-    for name in names:
+    # Before any output: the experiments divide by the step count.
+    params = {}
+    if args.steps is not None:
+        check_run_request(args.steps, min_steps=1)
+        params["steps"] = args.steps
+    if args.scale is not None:
+        validate_scale(args.scale)
+        params["scale"] = args.scale
+    if args.name != "all":
+        print(render(args.name, **params))
+        return 0
+    for name in ARTEFACTS:
         print(f"== {name} " + "=" * max(1, 60 - len(name)))
-        print(experiments[name]())
+        print(render(name, **{k: params[k] for k in takes(name) if k in params}))
         print()
     return 0
 
@@ -686,17 +644,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ledger_flags(sweep)
 
     experiment = sub.add_parser(
-        "experiment", help="regenerate a paper table/figure"
+        "experiment", help="print a paper table/figure exactly as committed"
     )
-    experiment.add_argument(
-        "name",
-        choices=(
-            "figure3", "figures4to8", "table3", "table5", "figure12",
-            "table6", "figure13", "validation", "all",
-        ),
-    )
-    experiment.add_argument("--scale", type=float, default=0.03)
-    experiment.add_argument("--steps", type=int, default=400)
+    experiment.add_argument("name", choices=(*ARTEFACTS, "all"))
+    # Unset leaves each artefact's own default, the committed file's.
+    experiment.add_argument("--scale", type=float, default=None)
+    experiment.add_argument("--steps", type=int, default=None)
 
     simulate = sub.add_parser(
         "simulate", help="run a declarative front-end spec (JSON)"

@@ -16,15 +16,21 @@ end to end than Euler workloads (synapse-bound on the CPU).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.costmodel.cpu_gpu import CPU_SPEC
 from repro.costmodel.energy import geomean, improvement
-from repro.experiments.common import WorkloadProfile, format_table, profile_workload
+from repro.experiments.common import (
+    PROFILE_SCALE,
+    PROFILE_STEPS,
+    WorkloadProfile,
+    format_table,
+    profile_all,
+)
 from repro.experiments.figure3 import breakdown_for
 from repro.experiments.figure13 import _folded_signals
 from repro.hardware.array import FoldedFlexonArray
-from repro.workloads import get_spec, workload_names
+from repro.workloads import get_spec
 
 
 @dataclass(frozen=True)
@@ -76,18 +82,18 @@ def evaluate(profile: WorkloadProfile) -> AmdahlRow:
 
 
 def run(
-    scale: float = 0.03,
-    steps: int = 200,
-    names: Optional[List[str]] = None,
+    scale: float = PROFILE_SCALE,
+    steps: int = PROFILE_STEPS,
+    names: Optional[Sequence[str]] = None,
 ) -> List[AmdahlRow]:
     """Analyse all (or the given) workloads."""
+    names = tuple(names) if names is not None else None
     return [
-        evaluate(profile_workload(name, scale=scale, steps=steps))
-        for name in (names if names is not None else workload_names())
+        evaluate(profile) for profile in profile_all(scale, steps, 1, names)
     ]
 
 
-def format_amdahl(rows: List[AmdahlRow]) -> str:
+def render(rows: List[AmdahlRow]) -> str:
     """Render the end-to-end analysis."""
     table = []
     for row in rows:

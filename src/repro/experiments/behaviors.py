@@ -142,3 +142,32 @@ def rate_curve(
     return [
         len(run_behavior(preset, drive=d)) / duration for d in drives
     ]
+
+
+def run() -> Dict[str, List[int]]:
+    """Spike steps of every preset run at its own drive.
+
+    Class-1 excitability has no single drive; ``rate_curve`` sweeps it.
+    """
+    return {
+        name: run_behavior(preset)
+        for name, preset in PRESETS.items()
+        if name != "class-1 excitability"
+    }
+
+
+def _raster(spikes: List[int], steps: int, width: int = 90) -> str:
+    bins = np.zeros(width, dtype=bool)
+    for step in spikes:
+        bins[min(width - 1, step * width // steps)] = True
+    return "".join("|" if hit else "." for hit in bins)
+
+
+def render(trains: Dict[str, List[int]]) -> str:
+    """One ASCII raster per behaviour, with its spike count."""
+    lines = []
+    for name, train in trains.items():
+        steps = PRESETS[name].steps
+        lines.append(f"{name:28s} {_raster(train, steps)}  "
+                     f"{len(train)} spikes / {steps * DT:.1f} s")
+    return "\n".join(lines)

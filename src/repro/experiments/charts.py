@@ -1,8 +1,9 @@
 """ASCII chart rendering for the figure-shaped experiment outputs.
 
 The paper's Figures 3, 12 and 13 are bar charts; these helpers render
-the same series as fixed-width text so terminal output and the files
-under ``benchmarks/output/`` read like the figures, not just tables.
+the same series as fixed-width text so ``repro experiment`` and the
+files under ``tests/experiments/artefacts/`` read like the figures, not
+just tables.
 """
 
 from __future__ import annotations

@@ -11,10 +11,17 @@ for the authors' physical testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.assembly import DT
-from repro.workloads import get_spec, spec_for
+from repro.workloads import get_spec, spec_for, workload_names
+
+#: The profile Figures 3 and 13 and the Amdahl analysis are made from:
+#: all ten workloads profile in about a second, and the rates are
+#: per-unit, so they carry to the full Table I scale.
+PROFILE_SCALE = 0.03
+PROFILE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,26 @@ def profile_workload(
         stimulus_event_rate=result.stimulus_events / steps / max(1, n),
         evaluations_per_step=mean_evals,
         ops_per_update=model.ops_per_update(),
+    )
+
+
+@lru_cache(maxsize=8)
+def profile_all(
+    scale: float = PROFILE_SCALE,
+    steps: int = PROFILE_STEPS,
+    seed: int = 1,
+    names: Optional[Tuple[str, ...]] = None,
+) -> Tuple[WorkloadProfile, ...]:
+    """Profile every (or the named) workload, once per parameter set.
+
+    Cached: Figures 3 and 13 and the Amdahl analysis share one profile,
+    in ``repro experiment all`` and in the tests alike. Callers share
+    the returned profiles, so they must not mutate them
+    (``ops_per_update`` is a plain dict).
+    """
+    return tuple(
+        profile_workload(name, scale=scale, steps=steps, seed=seed)
+        for name in (names if names is not None else workload_names())
     )
 
 

@@ -52,7 +52,7 @@ def run() -> Figure12Result:
     )
 
 
-def format_figure12(result: Figure12Result) -> str:
+def render(result: Figure12Result) -> str:
     """Render Figure 12 as a table plus the headline ratios."""
     rows: List[tuple] = []
     for name, cost in result.datapaths.items():

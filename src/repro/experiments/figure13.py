@@ -18,7 +18,7 @@ Flexon array. Reported shapes this reproduction must preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.assembly import DT
 from repro.costmodel.cpu_gpu import (
@@ -29,13 +29,15 @@ from repro.costmodel.cpu_gpu import (
 from repro.costmodel.energy import energy_joules, geomean, improvement
 from repro.costmodel.synthesis import flexon_array_cost, folded_array_cost
 from repro.experiments.common import (
+    PROFILE_SCALE,
+    PROFILE_STEPS,
     WorkloadProfile,
     format_table,
-    profile_workload,
+    profile_all,
 )
 from repro.hardware.array import FlexonArray, FoldedFlexonArray
 from repro.hardware.compiler import FlexonCompiler
-from repro.workloads import build_workload, get_spec, workload_names
+from repro.workloads import build_workload, get_spec
 
 
 @dataclass(frozen=True)
@@ -126,18 +128,16 @@ def evaluate_workload(
 
 
 def run(
-    scale: float = 0.05,
-    steps: int = 300,
+    scale: float = PROFILE_SCALE,
+    steps: int = PROFILE_STEPS,
     seed: int = 1,
-    names: Optional[List[str]] = None,
+    names: Optional[Sequence[str]] = None,
 ) -> List[Figure13Row]:
     """Regenerate Figure 13 for all (or the given) workloads."""
-    names = list(names) if names is not None else workload_names()
+    names = tuple(names) if names is not None else None
     return [
-        evaluate_workload(
-            profile_workload(name, scale=scale, steps=steps, seed=seed)
-        )
-        for name in names
+        evaluate_workload(profile)
+        for profile in profile_all(scale, steps, seed, names)
     ]
 
 
@@ -158,7 +158,7 @@ def geomean_efficiency(rows: List[Figure13Row]) -> Dict[str, float]:
     }
 
 
-def format_figure13(rows: List[Figure13Row]) -> str:
+def render(rows: List[Figure13Row]) -> str:
     """Render both panels of Figure 13 as tables."""
     latency_rows = []
     energy_rows = []

@@ -18,7 +18,7 @@ Table I scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.costmodel.cpu_gpu import (
     CPU_SPEC,
@@ -28,9 +28,11 @@ from repro.costmodel.cpu_gpu import (
     phase_latencies,
 )
 from repro.experiments.common import (
+    PROFILE_SCALE,
+    PROFILE_STEPS,
     WorkloadProfile,
     format_table,
-    profile_workload,
+    profile_all,
 )
 from repro.workloads import get_spec, workload_names
 
@@ -70,30 +72,28 @@ def breakdown_for(
 
 
 def run(
-    scale: float = 0.05,
-    steps: int = 300,
+    scale: float = PROFILE_SCALE,
+    steps: int = PROFILE_STEPS,
     seed: int = 1,
-    names: Optional[List[str]] = None,
+    names: Optional[Sequence[str]] = None,
 ) -> List[BreakdownRow]:
     """Regenerate Figure 3: every workload on CPU and GPU."""
-    names = list(names) if names is not None else workload_names()
-    profiles = [
-        profile_workload(name, scale=scale, steps=steps, seed=seed)
-        for name in names
-    ]
+    names = tuple(names) if names is not None else None
     rows: List[BreakdownRow] = []
-    for name, profile in zip(names, profiles):
+    for profile in profile_all(scale, steps, seed, names):
         rows.append(
-            BreakdownRow(name, "CPU", breakdown_for(profile, CPU_SPEC))
+            BreakdownRow(profile.name, "CPU", breakdown_for(profile, CPU_SPEC))
         )
         rows.append(
-            BreakdownRow(name, "GPU", breakdown_for(profile, GPU_SPEC, gpu=True))
+            BreakdownRow(
+                profile.name, "GPU", breakdown_for(profile, GPU_SPEC, gpu=True)
+            )
         )
     return rows
 
 
-def format_figure3(rows: List[BreakdownRow]) -> str:
-    """Render the Figure 3 series: percentage table + stacked bars."""
+def render(rows: List[BreakdownRow]) -> str:
+    """Table I, then the Figure 3 series: percentage table + stacked bars."""
     from repro.experiments.charts import stacked_fraction_chart
 
     table = []
@@ -127,7 +127,7 @@ def format_figure3(rows: List[BreakdownRow]) -> str:
         ["Workload", "Platform", "us/step", "Stimulus", "Neuron", "Synapse"],
         table,
     )
-    return text + "\n\n" + chart
+    return table1_inventory() + "\n\n" + text + "\n\n" + chart
 
 
 def table1_inventory() -> str:

@@ -180,7 +180,7 @@ def run() -> Dict[str, Dict[str, List[float]]]:
     return {name: builder() for name, (builder, _) in ALL_FIGURES.items()}
 
 
-def format_figures(traces: Dict[str, Dict[str, List[float]]]) -> str:
+def render(traces: Dict[str, Dict[str, List[float]]]) -> str:
     """Render all five figures as ASCII line plots."""
     sections = []
     for name, series in traces.items():

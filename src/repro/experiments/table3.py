@@ -86,11 +86,16 @@ def verify_model(
     )
 
 
-def run(steps: int = 800, n: int = 32) -> List[Table3Row]:
+def run(steps: int = 400, n: int = 16) -> List[Table3Row]:
     """Verify every Table III model (LIF baseline included)."""
     return [
         verify_model(name, n=n, steps=steps) for name in MODEL_FEATURES
     ]
+
+
+def render(rows: List[Table3Row]) -> str:
+    """The matrix, then its executable verification."""
+    return format_matrix() + "\n\n" + format_verification(rows)
 
 
 def format_matrix() -> str:

@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.features import Feature, FeatureSet
+from repro.features import MODEL_FEATURES, Feature, FeatureSet
 from repro.experiments.common import format_table
+from repro.hardware.compiler import FlexonCompiler
 from repro.hardware.constants import prepare_constants
 from repro.hardware.microcode import Microprogram, assemble
 from repro.models.base import ModelParameters
+from repro.models.registry import create_model
 
 #: Representative feature combinations, mirroring Table V's rows.
 TABLE5_COMBINATIONS: List[Tuple[str, FeatureSet]] = [
@@ -56,9 +58,16 @@ class Table5Row:
         return self.program.cycles_per_neuron
 
 
-def run(
-    dt: float = 1e-4, n_synapse_types: int = 1
-) -> List[Table5Row]:
+@dataclass(frozen=True)
+class Table5Result:
+    """Table V's listings plus each Table III model's program length."""
+
+    combinations: List[Table5Row]
+    #: model name -> control signals, with two synapse types
+    signals: Dict[str, int]
+
+
+def run(dt: float = 1e-4, n_synapse_types: int = 1) -> Table5Result:
     """Assemble the Table V programs (single synapse type, as printed)."""
     parameters = ModelParameters(
         n_synapse_types=n_synapse_types,
@@ -69,14 +78,14 @@ def run(
     for label, features in TABLE5_COMBINATIONS:
         constants = prepare_constants(parameters, features, dt)
         rows.append(Table5Row(label, assemble(features, constants)))
-    return rows
+    return Table5Result(rows, signals_per_model(dt))
 
 
-def format_table5(rows: List[Table5Row]) -> str:
-    """Render the control-signal listings plus cycle summary."""
+def render(result: Table5Result) -> str:
+    """The control-signal listings, the cycle summary, the model lengths."""
     sections = []
     summary = []
-    for row in rows:
+    for row in result.combinations:
         lines = [f"{row.label} ({row.n_signals} signals)"]
         for i, signal in enumerate(row.program.signals):
             fields = (
@@ -92,15 +101,21 @@ def format_table5(rows: List[Table5Row]) -> str:
     summary_table = format_table(
         ["Feature(s)", "Control signals", "Single-neuron cycles"], summary
     )
-    return "\n\n".join(sections) + "\n\n" + summary_table
+    model_lines = "\n".join(
+        f"{name:24s} {count:2d} signals"
+        for name, count in result.signals.items()
+    )
+    return (
+        "\n\n".join(sections)
+        + "\n\n"
+        + summary_table
+        + "\n\nSignals per Table III model (2 synapse types):\n"
+        + model_lines
+    )
 
 
 def signals_per_model(dt: float = 1e-4) -> Dict[str, int]:
     """Signal counts for the full Table III models (2 synapse types)."""
-    from repro.features import MODEL_FEATURES
-    from repro.models.registry import create_model
-    from repro.hardware.compiler import FlexonCompiler
-
     compiler = FlexonCompiler()
     out = {}
     for name in MODEL_FEATURES:

@@ -55,7 +55,7 @@ def run() -> Table6Result:
     return Table6Result(flexon=flexon_array_cost(), folded=folded_array_cost())
 
 
-def format_table6(result: Table6Result) -> str:
+def render(result: Table6Result) -> str:
     """Render Table VI with measured-vs-paper columns."""
     rows: List[tuple] = []
     for array in (result.flexon, result.folded):

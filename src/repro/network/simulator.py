@@ -20,11 +20,12 @@ input/fired buffers are reused rather than reallocated. Per-phase
 wall-clock time and abstract operation counts are emitted through the
 :class:`~repro.engine.hooks.PhaseHook` API; the built-in
 :class:`~repro.engine.hooks.PhaseTimer` feeds the Figure 3 / Figure 13
-cost models and the pytest benchmarks, and callers can attach their own
-hooks for tracing or profiling. Each op count has exactly one counting
-path: the phase stats are the source of truth, and the result's
-convenience counters are derived from them, so "neuron updates" can
-never drift from the neuron phase's operation count. State-recorder
+cost models and ``bench/run.py``'s per-phase rows, and callers can
+attach their own hooks for tracing or profiling. Each op count has
+exactly one counting path: the phase stats are the source of truth,
+and the result's convenience counters are derived from them, so
+"neuron updates" can never drift from the neuron phase's operation
+count. State-recorder
 sampling is timed separately (``SimulationResult.recording_seconds``)
 and deliberately charged to *no* phase — it is measurement overhead,
 not simulation work — so phase fractions both sum to one and reflect

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.amdahl import AmdahlRow, evaluate, format_amdahl, run
+from repro.experiments.amdahl import AmdahlRow, evaluate, render, run
 from repro.experiments.common import profile_workload
 
 
@@ -56,7 +56,7 @@ class TestEvaluateAndRun:
     def test_run_subset_and_format(self):
         rows = run(scale=0.02, steps=100, names=["Brunel", "Vogels-Abbott"])
         assert len(rows) == 2
-        text = format_amdahl(rows)
+        text = render(rows)
         assert "Amdahl bound" in text
         assert "geomean end-to-end speedup" in text
 

@@ -7,17 +7,14 @@ from repro.experiments.behaviors import (
     PRESETS,
     burstiness,
     rate_curve,
-    run_behavior,
 )
 
 
 @pytest.fixture(scope="module")
-def spikes():
-    return {
-        name: run_behavior(preset)
-        for name, preset in PRESETS.items()
-        if name != "class-1 excitability"  # swept separately
-    }
+def spikes(artefact_rows):
+    # The behaviors artefact's trains; class-1 excitability is swept
+    # separately.
+    return artefact_rows("behaviors")
 
 
 class TestRegimes:

@@ -8,7 +8,7 @@ from repro.experiments.figures4to8 import (
     figure5_input_accumulation,
     figure6_spike_initiation,
     figure8_refractory,
-    format_figures,
+    render,
     spike_count,
 )
 
@@ -72,6 +72,6 @@ class TestTraces:
             name: builder()
             for name, (builder, _) in list(ALL_FIGURES.items())[:1]
         }
-        text = format_figures(traces)
+        text = render(traces)
         assert "legend:" in text
         assert "Figure4" in text

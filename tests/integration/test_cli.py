@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "9.258" in out
 
+    def test_experiment_prints_exactly_the_committed_artefact(self, capsys):
+        # No banner and no trailing blank line: redirecting the output
+        # is how a file under tests/experiments/artefacts/ is refreshed.
+        assert main(["experiment", "figure12"]) == 0
+        out = capsys.readouterr().out
+        committed = Path(__file__).parents[1] / "experiments" / "artefacts"
+        assert out == (committed / "figure12.txt").read_text(encoding="utf-8")
+
     def test_experiment_figure13_small(self, capsys):
         code = main(
             ["experiment", "figure13", "--scale", "0.02", "--steps", "80"]
@@ -103,10 +112,20 @@ class TestCommands:
             ("figure3", ["--scale", "0"], "scale must be positive"),
             ("validation", ["--scale", "nan"], "scale must be positive"),
             ("all", ["--scale", "-1"], "scale must be positive"),
+            # A flag the artefact's run() does not take would otherwise
+            # print the default artefact as if it had been applied.
+            ("stdp_learning", ["--steps", "100000"],
+             "experiment stdp_learning takes no --steps"),
+            ("behaviors", ["--scale", "0.1"],
+             "experiment behaviors takes no --scale"),
+            ("table5", ["--steps", "5"], "experiment table5 takes no --steps"),
+            ("table3", ["--scale", "0.1"], "experiment table3 takes no --scale"),
         ],
         ids=[
             "figure3-steps0", "table3-steps0", "figure13-steps<0",
             "figure3-scale0", "validation-scale-nan", "all-scale<0",
+            "stdp_learning-steps", "behaviors-scale", "table5-steps",
+            "table3-scale",
         ],
     )
     def test_experiment_refuses_before_any_output(
