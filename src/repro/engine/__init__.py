@@ -1,18 +1,16 @@
 """The engine layer: compile-once/step-many simulation machinery.
 
 This package is the seam between the network description and the code
-that actually advances neuron state. It has three parts:
+that actually advances neuron state. It has two parts:
 
-* :mod:`repro.engine.plan` — ``StepPlan``: a population's
-  ``FeatureSet`` + ``ModelParameters`` + ``dt`` lowered, at prepare
-  time, into a flat update recipe with every per-step scalar
-  precomputed; and ``FlowPlan``, the same lowering of the
-  continuous-time dynamics for adaptive (RKF45) integration;
 * :mod:`repro.engine.runtime` — ``PopulationRuntime``: the common
   execution interface every backend (reference, Flexon, folded,
-  event-driven, hybrid) steps populations through, with the
-  plan-driven ``CompiledRuntime`` fast path and the ``SolverRuntime``
-  (dict-state fallback, or lowered onto a ``FlowPlan`` under RKF45);
+  event-driven, hybrid) steps populations through. ``CompiledRuntime``
+  lowers a feature model's ``FeatureSet`` + ``ModelParameters`` +
+  ``dt`` into a flat Euler kernel; ``SolverRuntime`` is the dict-state
+  fallback, or, under RKF45, the same lowering of the continuous-time
+  dynamics (``supports_step_plan`` / ``supports_flow_plan`` say which
+  models lower);
 * :mod:`repro.engine.hooks` — ``PhaseHook``: pluggable per-phase
   instrumentation for the simulator loop.
 """
@@ -24,29 +22,23 @@ from repro.engine.hooks import (
     PhaseStats,
     PhaseTimer,
 )
-from repro.engine.plan import (
-    FlowPlan,
-    StepPlan,
-    compile_flow_plan,
-    compile_step_plan,
+from repro.engine.runtime import (
+    CompiledRuntime,
+    PopulationRuntime,
+    SolverRuntime,
     supports_flow_plan,
     supports_step_plan,
 )
-from repro.engine.runtime import CompiledRuntime, PopulationRuntime, SolverRuntime
 
 __all__ = [
     "PHASES",
     "CompiledRuntime",
-    "FlowPlan",
     "HookError",
     "PhaseHook",
     "PhaseStats",
     "PhaseTimer",
     "PopulationRuntime",
     "SolverRuntime",
-    "StepPlan",
-    "compile_flow_plan",
-    "compile_step_plan",
     "supports_flow_plan",
     "supports_step_plan",
 ]

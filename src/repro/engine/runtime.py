@@ -6,26 +6,30 @@ ever talks to this interface, so the reference float path, the
 fixed-point hardware models, and any future executor plug in behind the
 same contract:
 
-* :class:`CompiledRuntime` — the engine fast path: a precompiled
-  :class:`~repro.engine.plan.StepPlan` executed over preallocated
+* :class:`CompiledRuntime` — the engine fast path: a feature model
+  lowered, once per ``dt``, into a flat kernel over preallocated
   structure-of-arrays state with reusable scratch buffers. This is the
   compile-once/step-many discipline of GeNN-style simulators, and it is
   bit-identical to ``FeatureModel.step``.
 * :class:`SolverRuntime` — the general path: named state advanced by
   a :class:`~repro.solvers.Solver` (forward Euler calling
   ``model.step``, or RKF45 keeping its smooth/jump split). Models the
-  plan compilers cannot express (Hodgkin-Huxley, native Izhikevich) run
+  lowerings cannot express (Hodgkin-Huxley, native Izhikevich) run
   here on dict-of-arrays state, and so does every population under
   ``ReferenceBackend(use_engine=False)``. Under RKF45,
   :meth:`SolverRuntime.lowered` is the adaptive fast path: the same
   runtime and solver, with the state re-seated onto the stepper's SoA
-  block and a compiled :class:`~repro.engine.plan.FlowPlan` evaluated
-  in place — bit-identical to ``model.derivatives``.
+  block and the model's continuous dynamics lowered into in-place
+  kernels — bit-identical to ``model.derivatives``.
 * ``HardwareRuntime`` (in :mod:`repro.hardware.backend`) — quantises
   inputs and steps a Flexon / folded-Flexon array model.
 
 Registering a new backend therefore means implementing one
 ``build_runtime(population)`` hook; see DESIGN.md's "Engine layer".
+
+Both lowerings read the model's ``ModelParameters``, their
+``derived(dt)`` constants and its ``FeatureSet`` (``accumulation_kernel``,
+``w_owner``, ``threshold``) directly.
 """
 
 from __future__ import annotations
@@ -41,13 +45,6 @@ from repro.errors import CheckpointError, NumericsError, SimulationError
 from repro.features import Feature
 from repro.models.base import NeuronModel, State
 from repro.models.feature_model import FeatureModel
-from repro.engine.plan import (
-    FlowPlan,
-    StepPlan,
-    compile_flow_plan,
-    compile_step_plan,
-    supports_step_plan,
-)
 from repro.solvers.base import Solver
 from repro.solvers.rkf45 import RKF45Solver, RKF45Stepper
 
@@ -57,6 +54,37 @@ from repro.solvers.rkf45 import RKF45Solver, RKF45Stepper
 #: this, so the bound trips only on genuine blow-ups, never on
 #: legitimate dynamics.
 DIVERGENCE_LIMIT = 1e6
+
+
+def supports_step_plan(model: NeuronModel) -> bool:
+    """Whether ``model``'s semantics are exactly the feature lowering.
+
+    Only models that inherit the canonical ``FeatureModel.step`` (and
+    the stock zero-initialised state) can be compiled — a subclass that
+    overrides either has private semantics the kernel would silently
+    diverge from, so it falls back to the solver path.
+    """
+    return (
+        isinstance(model, FeatureModel)
+        and type(model).step is FeatureModel.step
+        and type(model).initial_state is NeuronModel.initial_state
+    )
+
+
+def supports_flow_plan(model: NeuronModel) -> bool:
+    """Whether ``model``'s adaptive semantics are exactly the feature
+    lowering: the canonical ``derivatives`` / ``apply_input_jumps`` /
+    ``fire_and_reset`` over the stock initial state, and a continuous
+    form to integrate (LID has none).
+    """
+    return (
+        isinstance(model, FeatureModel)
+        and type(model).derivatives is FeatureModel.derivatives
+        and type(model).apply_input_jumps is FeatureModel.apply_input_jumps
+        and type(model).fire_and_reset is FeatureModel.fire_and_reset
+        and type(model).initial_state is NeuronModel.initial_state
+        and Feature.LID not in model.features
+    )
 
 
 class PopulationRuntime(abc.ABC):
@@ -181,32 +209,26 @@ class PopulationRuntime(abc.ABC):
 
 
 class CompiledRuntime(PopulationRuntime):
-    """Executes a precompiled :class:`StepPlan` over SoA state.
+    """Executes a feature model's step as a compiled kernel over SoA state.
 
     State lives in flat float64 blocks — ``v`` as ``(n,)``, the
     per-synapse-type conductances as one contiguous ``(types, n)``
     block — so the per-type Python loop of the dict-state path becomes
     a single broadcast numpy operation, and every scratch array is
-    allocated once and reused. The plan is compiled on construction
-    when ``dt`` is known, else lazily on the first ``advance`` (and
-    recompiled if the caller ever changes ``dt``).
+    allocated once and reused. The kernel is built on the first
+    ``advance`` and rebuilt whenever the caller changes ``dt``.
     """
 
-    def __init__(
-        self,
-        name: str,
-        n: int,
-        model: FeatureModel,
-        dt: Optional[float] = None,
-    ) -> None:
+    def __init__(self, name: str, n: int, model: FeatureModel) -> None:
         super().__init__(name, n)
         if not supports_step_plan(model):
             raise SimulationError(
-                f"model {model.name!r} cannot be compiled to a step plan"
+                f"model {model.name!r} cannot be compiled to a step kernel"
             )
         self.model = model
         self._advances = 0
-        self._plan: Optional[StepPlan] = None
+        #: The ``dt`` the kernel was built for (None before the first step).
+        self._dt: Optional[float] = None
         self._kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
         p = model.parameters
@@ -231,8 +253,6 @@ class CompiledRuntime(PopulationRuntime):
         self.r = np.zeros(n, dtype=np.float64) if Feature.RR in f else None
         self.cnt = np.zeros(n, dtype=np.float64) if Feature.AR in f else None
         self._views = self._named_views()
-        if dt is not None:
-            self._bind(dt)
 
     def _named_views(self) -> State:
         """Live float views of the SoA blocks under the canonical
@@ -252,16 +272,11 @@ class CompiledRuntime(PopulationRuntime):
             views["cnt"] = self.cnt
         return views
 
-    # -- plan compilation ------------------------------------------------
+    # -- kernel compilation ----------------------------------------------
 
     def _stepped(self) -> "CompiledRuntime":
         """The runtime whose ``advance`` moves this one's state."""
         return self if self.block is None else self.block
-
-    @property
-    def plan(self) -> Optional[StepPlan]:
-        """The currently bound step plan (None before first advance)."""
-        return self._stepped()._plan
 
     @property
     def advances(self) -> int:
@@ -287,40 +302,42 @@ class CompiledRuntime(PopulationRuntime):
             views.append(view)
         return views
 
-    def _bind(self, dt: float) -> None:
-        self._plan = compile_step_plan(self.model, dt)
-        self._kernel = self._build_kernel(self._plan)
-
-    def _build_kernel(self, plan: StepPlan) -> Callable[[np.ndarray], np.ndarray]:
-        """Close the plan's constants and this runtime's arrays over a
-        flat update function; all feature dispatch happens here, once.
+    def _build_kernel(self, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Close the model's constants at ``dt`` and this runtime's
+        arrays over a flat update function; all feature dispatch
+        happens here, once. Per-type constants become ``(types, 1)``
+        columns that broadcast over the ``(types, n)`` blocks.
         """
+        p, f = self.model.parameters, self.model.features
+        d = p.derived(dt)
         n = self.n
         n_types = self._n_types
         v, g, y, w, r, cnt = self.v, self.g, self.y, self.w, self.r, self.cnt
+        kernel_kind, owner = f.accumulation_kernel, f.w_owner
+        use_ar, use_rev = Feature.AR in f, Feature.REV in f
+        use_lid, use_qdi, use_exi = Feature.LID in f, Feature.QDI in f, Feature.EXI in f
 
         # Preallocated scratch, reused every step.
-        gated = np.empty((n_types, n)) if plan.use_ar else None
-        ar_gate = np.empty(n, dtype=bool) if plan.use_ar else None
-        ts = np.empty((n_types, n)) if (plan.kernel == "COBA" or plan.use_rev) else None
+        gated = np.empty((n_types, n)) if use_ar else None
+        ar_gate = np.empty(n, dtype=bool) if use_ar else None
+        ts = np.empty((n_types, n)) if (kernel_kind is Feature.COBA or use_rev) else None
         syn = np.empty(n)
         tmp = np.empty(n)
-        tmp2 = np.empty(n) if plan.use_qdi else None
+        tmp2 = np.empty(n) if use_qdi else None
         v_new = np.empty(n)
         fired = np.empty(n, dtype=bool)
 
-        kernel_kind = plan.kernel
-        adaptation = plan.adaptation
-        use_ar, use_rev = plan.use_ar, plan.use_rev
-        use_lid, use_qdi, use_exi = plan.use_lid, plan.use_qdi, plan.use_exi
-        one_minus_eps_g, e_eps_g, v_g = plan.one_minus_eps_g, plan.e_eps_g, plan.v_g
-        eps_m, v_rest, theta = plan.eps_m, plan.v_rest, plan.theta
-        v_c, delta_t, leak_max = plan.v_c, plan.delta_t, plan.leak_max
-        threshold, reset_voltage = plan.threshold, plan.reset_voltage
-        one_minus_eps_w, one_minus_eps_r = plan.one_minus_eps_w, plan.one_minus_eps_r
-        sbt_gain, v_w_target = plan.sbt_gain, plan.v_w
-        v_rr, v_ar, b, q_r = plan.v_rr, plan.v_ar, plan.b, plan.q_r
-        cnt_reload = plan.cnt_reload
+        one_minus_eps_g, e_eps_g, v_g = (
+            np.array(values, dtype=np.float64).reshape(n_types, 1)
+            for values in (d.one_minus_eps_g, d.e_eps_g, p.v_g[:n_types])
+        )
+        eps_m, v_rest, theta = d.eps_m, p.v_rest, p.theta
+        v_c, delta_t, leak_max = p.v_c, p.delta_t, d.leak_max
+        threshold, reset_voltage = f.threshold(p), p.reset_voltage
+        one_minus_eps_w, one_minus_eps_r = d.one_minus_eps_w, d.one_minus_eps_r
+        sbt_gain, v_w_target = d.sbt_gain, p.v_w
+        v_rr, v_ar, b, q_r = p.v_rr, p.v_ar, p.b, p.q_r
+        cnt_reload = float(d.cnt_reload)
 
         def kernel(inputs: np.ndarray) -> np.ndarray:
             # In-place augmented assignments below would otherwise make
@@ -335,14 +352,14 @@ class CompiledRuntime(PopulationRuntime):
                 x = inputs
 
             # 2-3. synaptic kernels and reversal scaling (old v)
-            if kernel_kind == "COBA":
+            if kernel_kind is Feature.COBA:
                 y *= one_minus_eps_g
                 y += x
                 g *= one_minus_eps_g
                 np.multiply(y, e_eps_g, out=ts)
                 g += ts
                 contribution = g
-            elif kernel_kind == "COBE":
+            elif kernel_kind is Feature.COBE:
                 g *= one_minus_eps_g
                 g += x
                 contribution = g
@@ -379,7 +396,7 @@ class CompiledRuntime(PopulationRuntime):
                 np.add(v, syn, out=v_new)
 
             # 6. spike-triggered current / relative refractory (old v)
-            if adaptation == "RR":
+            if owner is Feature.RR:
                 w *= one_minus_eps_w
                 r *= one_minus_eps_r
                 np.subtract(v_rr, v, out=tmp)
@@ -388,23 +405,23 @@ class CompiledRuntime(PopulationRuntime):
                 np.subtract(v_ar, v, out=tmp)
                 tmp *= w
                 v_new += tmp
-            elif adaptation == "SBT":
+            elif owner is Feature.SBT:
                 w *= one_minus_eps_w
                 np.subtract(v, v_w_target, out=tmp)
                 tmp *= sbt_gain
                 w += tmp
                 v_new += w
-            elif adaptation == "ADT":
+            elif owner is Feature.ADT:
                 w *= one_minus_eps_w
                 v_new += w
 
             # 7. fire & reset
             np.greater(v_new, threshold, out=fired)
             v_new[fired] = reset_voltage
-            if adaptation == "RR":
+            if owner is Feature.RR:
                 w[fired] += b
                 r[fired] += q_r
-            elif adaptation is not None:
+            elif owner is not None:
                 w[fired] -= b
             if use_ar:
                 np.subtract(cnt, 1.0, out=cnt)
@@ -420,8 +437,8 @@ class CompiledRuntime(PopulationRuntime):
     def advance(self, inputs: np.ndarray, dt: float) -> np.ndarray:
         if self.block is not None:
             raise self._refuse_member_advance()
-        if self._plan is None or dt != self._plan.dt:
-            self._bind(dt)
+        if dt != self._dt:
+            self._kernel, self._dt = self._build_kernel(dt), dt
         if inputs.shape != (self._n_types, self.n):
             raise SimulationError(
                 f"expected inputs of shape {(self._n_types, self.n)}, "
@@ -475,12 +492,12 @@ class SolverRuntime(PopulationRuntime):
     (Hodgkin-Huxley, native Izhikevich), and for feature models this is
     the oracle: ``ReferenceBackend(use_engine=False)`` selects it.
 
-    :meth:`lowered` builds the same runtime on a compiled
-    :class:`~repro.engine.plan.FlowPlan` instead: the integrated
-    variables become rows of the RKF45 stepper's own ``(n_vars, n)``
-    block and the jump / derivative / fire-reset kernels run in place
-    over preallocated scratch. Spikes, state bytes, evaluation counts
-    and checkpoints are bit-identical between the two.
+    :meth:`lowered` builds the same runtime on the model's lowered
+    continuous dynamics instead: the integrated variables become rows
+    of the RKF45 stepper's own ``(n_vars, n)`` block and the jump /
+    derivative / fire-reset kernels run in place over preallocated
+    scratch. Spikes, state bytes, evaluation counts and checkpoints are
+    bit-identical between the two.
     """
 
     def __init__(self, name: str, n: int, model: NeuronModel, solver: Solver):
@@ -488,25 +505,30 @@ class SolverRuntime(PopulationRuntime):
         self.model = model
         self.solver = solver
         self._state = model.initial_state(n)
-        #: The compiled flow plan (None on the dict-state path).
-        self.flow_plan: Optional[FlowPlan] = None
+        #: Whether the steps run the lowered kernels (see :meth:`lowered`).
+        self.flow_plan = False
         self._flow_step: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     @classmethod
     def lowered(
         cls, name: str, n: int, model: FeatureModel, solver: RKF45Solver
     ) -> "SolverRuntime":
-        """A runtime whose RKF45 steps execute ``model``'s flow plan."""
+        """A runtime whose RKF45 steps run ``model``'s lowered kernels."""
         if not isinstance(solver, RKF45Solver):
             raise SimulationError(
-                f"a flow plan needs the RKF45 solver, got {solver.name!r}"
+                f"lowering needs the RKF45 solver, got {solver.name!r}"
+            )
+        if not supports_flow_plan(model):
+            raise SimulationError(
+                f"model {model.name!r} does not use the canonical feature-model "
+                "continuous dynamics; it cannot be lowered"
             )
         runtime = cls(name, n, model, solver)
-        runtime._lower(compile_flow_plan(model))
+        runtime._lower()
         return runtime
 
-    def _lower(self, plan: FlowPlan) -> None:
-        """Re-seat the state onto a stepper block and close the plan's
+    def _lower(self) -> None:
+        """Re-seat the state onto a stepper block and close the model's
         constants over in-place kernels; all feature dispatch happens
         here, once. Each kernel mirrors its ``FeatureModel`` method
         operation for operation (that is the bit-identity contract),
@@ -516,54 +538,60 @@ class SolverRuntime(PopulationRuntime):
         a broadcast or mixed-dtype call would make numpy allocate
         iterator buffers on every evaluation.
         """
+        p, f = self.model.parameters, self.model.features
         n = self.n
-        n_types = plan.n_synapse_types
+        n_types = p.n_synapse_types
         types = range(n_types)
         solver = self.solver
-        stepper = RKF45Stepper((len(plan.flow_names), n), plan.flow_names)
+        # ``cnt`` is state but does not flow: it never enters the error
+        # norm or the stage arithmetic, so it is no row of the block.
+        state_names = self.model.state_variable_names()
+        flow_names = tuple(name for name in state_names if name != "cnt")
+        stepper = RKF45Stepper((len(flow_names), n), flow_names)
         block = stepper.y
         rows = iter(block)
         state: State = {
             name: np.zeros(n) if name == "cnt" else next(rows)
-            for name in plan.state_names
+            for name in state_names
         }
         for name, values in self._state.items():
             state[name][:] = values
         self._state = state
-        self.flow_plan = plan
+        self.flow_plan = True
 
         # Row layout of the block (FeatureSet.state_variables order):
         # v, then g per type, then (COBA) y per type, then w, then r.
-        kernel_kind, adaptation = plan.kernel, plan.adaptation
-        conductance = kernel_kind != "CUB"
+        kernel_kind, owner = f.accumulation_kernel, f.w_owner
+        conductance = f.uses_conductance
         g_row = 1
         y_row = 1 + n_types
-        w_row = plan.flow_names.index("w") if adaptation else None
-        r_row = plan.flow_names.index("r") if adaptation == "RR" else None
+        w_row = flow_names.index("w") if owner is not None else None
+        r_row = flow_names.index("r") if owner is Feature.RR else None
         v = block[0]
         g = block[g_row:g_row + n_types] if conductance else None
-        ys = block[y_row:y_row + n_types] if kernel_kind == "COBA" else None
+        ys = block[y_row:y_row + n_types] if kernel_kind is Feature.COBA else None
         w = block[w_row] if w_row is not None else None
         r = block[r_row] if r_row is not None else None
         cnt = state.get("cnt")
 
         # Preallocated scratch, reused by every evaluation.
-        use_ar = plan.use_ar
+        use_ar, use_rev = Feature.AR in f, Feature.REV in f
+        use_qdi, use_exi = Feature.QDI in f, Feature.EXI in f
         refractory = np.empty(n, dtype=bool) if use_ar else None
         gate = np.empty(n) if use_ar else None
         gated = np.empty((n_types, n)) if use_ar else None
         tmp = np.empty(n)
-        tmp2 = np.empty(n) if plan.use_qdi else None
+        tmp2 = np.empty(n) if use_qdi else None
         fired = np.empty(n, dtype=bool)
 
-        use_rev, use_qdi, use_exi = plan.use_rev, plan.use_qdi, plan.use_exi
-        tau, v_rest, theta, v_c = plan.tau, plan.v_rest, plan.theta, plan.v_c
-        delta_t, exi_cap = plan.delta_t, plan.exi_cap
-        threshold, reset_voltage = plan.threshold, plan.reset_voltage
-        tau_w, tau_r, a, v_w = plan.tau_w, plan.tau_r, plan.a, plan.v_w
-        v_rr, v_ar, b, q_r = plan.v_rr, plan.v_ar, plan.b, plan.q_r
-        tau_g, v_g = plan.tau_g, plan.v_g
-        refractory_steps = self.model.parameters.refractory_steps
+        tau, v_rest, theta, v_c = p.tau, p.v_rest, p.theta, p.v_c
+        delta_t, exi_cap = p.delta_t, p.exi_cap
+        threshold, reset_voltage = f.threshold(p), p.reset_voltage
+        tau_w, tau_r, a, v_w = p.tau_w, p.tau_r, p.a, p.v_w
+        v_rr, v_ar, b, q_r = p.v_rr, p.v_ar, p.b, p.q_r
+        tau_g = tuple(float(t) for t in p.tau_g[:n_types])
+        v_g = tuple(float(x) for x in p.v_g[:n_types])
+        refractory_steps = p.refractory_steps
 
         def jump(inputs: np.ndarray) -> None:
             """``FeatureModel.apply_input_jumps``."""
@@ -574,9 +602,9 @@ class SolverRuntime(PopulationRuntime):
                 for i in types:
                     np.multiply(inputs[i], gate, out=gated[i])
                 inputs = gated
-            if kernel_kind == "COBA":
+            if kernel_kind is Feature.COBA:
                 ys += inputs
-            elif kernel_kind == "COBE":
+            elif kernel_kind is Feature.COBE:
                 g += inputs
             else:
                 for i in types:
@@ -590,7 +618,7 @@ class SolverRuntime(PopulationRuntime):
             drive = out[0]  # accumulates syn, then the drive, then dv/dt
             for i in types if conductance else ():
                 yg = y[g_row + i]
-                if kernel_kind == "COBA":
+                if kernel_kind is Feature.COBA:
                     yy = y[y_row + i]
                     np.divide(yy, -tau_g[i], out=out[y_row + i])
                     out_g = out[g_row + i]
@@ -626,7 +654,7 @@ class SolverRuntime(PopulationRuntime):
                 np.exp(tmp, out=tmp)
                 tmp *= delta_t
                 drive += tmp
-            if adaptation == "RR":
+            if owner is Feature.RR:
                 yw, yr = y[w_row], y[r_row]
                 np.subtract(v_rr, yv, out=tmp)
                 tmp *= yr
@@ -636,7 +664,7 @@ class SolverRuntime(PopulationRuntime):
                 drive += tmp
                 np.divide(yw, -tau_w, out=out[w_row])
                 np.divide(yr, -tau_r, out=out[r_row])
-            elif adaptation == "SBT":
+            elif owner is Feature.SBT:
                 yw = y[w_row]
                 drive += yw
                 out_w = out[w_row]
@@ -644,7 +672,7 @@ class SolverRuntime(PopulationRuntime):
                 out_w *= a
                 out_w -= yw
                 out_w /= tau_w
-            elif adaptation == "ADT":
+            elif owner is Feature.ADT:
                 yw = y[w_row]
                 drive += yw
                 np.divide(yw, -tau_w, out=out[w_row])
@@ -654,10 +682,10 @@ class SolverRuntime(PopulationRuntime):
             """``FeatureModel.fire_and_reset``."""
             np.greater(v, threshold, out=fired)
             v[fired] = reset_voltage
-            if adaptation == "RR":
+            if owner is Feature.RR:
                 w[fired] += b
                 r[fired] += q_r
-            elif adaptation is not None:
+            elif owner is not None:
                 w[fired] -= b
             if use_ar:
                 np.subtract(cnt, 1.0, out=cnt)

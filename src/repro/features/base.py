@@ -75,7 +75,9 @@ FEATURE_DESCRIPTIONS = {
 #: Pairs of features that can never be enabled together. EXD/LID are the
 #: two mutually exclusive membrane decays; CUB/COBE/COBA are the three
 #: mutually exclusive accumulation kernels; QDI/EXI the two spike
-#: initiations; and REV "cannot be used w/ CUB" (Equation 4).
+#: initiations; REV "cannot be used w/ CUB" (Equation 4); and RR, whose
+#: reversal-coupled ``w`` (Equation 8) replaces ADT's direct one, so RR
+#: with ADT (and hence with SBT) has no single ``w`` update.
 CONFLICTS = frozenset(
     {
         frozenset({Feature.EXD, Feature.LID}),
@@ -84,6 +86,7 @@ CONFLICTS = frozenset(
         frozenset({Feature.COBE, Feature.COBA}),
         frozenset({Feature.QDI, Feature.EXI}),
         frozenset({Feature.REV, Feature.CUB}),
+        frozenset({Feature.RR, Feature.ADT}),
     }
 )
 

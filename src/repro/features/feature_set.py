@@ -7,7 +7,8 @@ members that has passed the combination rules of Section IV-A:
 * at most one input-accumulation kernel (CUB, COBE, or COBA);
 * REV requires a conductance-based kernel (it "cannot be used w/ CUB");
 * at most one spike initiation (QDI or EXI);
-* SBT requires ADT (its update embeds the adaptation decay).
+* SBT requires ADT (its update embeds the adaptation decay);
+* RR excludes ADT (each owns ``w``, under different couplings).
 
 Feature sets are hashable and iterate in canonical Table II order, so
 they can key caches (e.g. compiled microprograms) deterministically.
@@ -15,7 +16,7 @@ they can key caches (e.g. compiled microprograms) deterministically.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Union
+from typing import FrozenSet, Iterable, Iterator, Optional, Union
 
 from repro.errors import FeatureConflictError
 from repro.features.base import CONFLICTS, REQUIRES, CATEGORY_OF, Feature, FeatureCategory
@@ -141,10 +142,27 @@ class FeatureSet:
             return initiation
         return None
 
+    def threshold(self, parameters) -> float:
+        """The firing voltage of ``parameters``: ``v_theta`` under a
+        non-instant spike initiation (QDI/EXI), ``theta`` otherwise."""
+        if self.spike_initiation is not None:
+            return parameters.v_theta
+        return parameters.theta
+
+    @property
+    def w_owner(self) -> Optional[Feature]:
+        """The feature whose update owns ``w``: RR (reversal-coupled,
+        Equation 8), SBT (which embeds ADT's decay, Equation 6), ADT,
+        or None. RR excludes ADT, so at most one update applies."""
+        for feature in (Feature.RR, Feature.SBT, Feature.ADT):
+            if feature in self._features:
+                return feature
+        return None
+
     @property
     def has_adaptation_state(self) -> bool:
         """Whether a ``w`` state variable exists (ADT, SBT, or RR)."""
-        return bool(self._features & {Feature.ADT, Feature.SBT, Feature.RR})
+        return self.w_owner is not None
 
     def state_variables(self, n_synapse_types: int = 2):
         """Names of per-neuron state variables this combination needs.

@@ -116,13 +116,8 @@ def prepare_constants(
             f"(got v_rest = {parameters.v_rest})"
         )
     p = parameters
-    n_types = p.n_synapse_types
-    eps_m = dt / p.tau
-    eps_g = p.eps_g(dt)
-    eps_w = p.eps_w(dt)
-    eps_r = p.eps_r(dt)
-    uses_initiation = features.spike_initiation is not None
-    threshold = p.v_theta if uses_initiation else p.theta
+    d = p.derived(dt)
+    eps_m = d.eps_m
     # LID adds inputs at full scale (Equation 3); EXD-family models
     # absorb the eps_m factor into the weights (Table V convention).
     weight_scale = 1.0 if Feature.LID in features else eps_m
@@ -133,28 +128,28 @@ def prepare_constants(
     return NeuronConstants(
         fmt=fmt,
         dt=dt,
-        n_synapse_types=n_types,
+        n_synapse_types=p.n_synapse_types,
         eps_m_c=q(1.0 - eps_m),
         eps_m=q(eps_m),
-        v_leak=q(p.leak_rate * dt),
-        eps_g_c=tuple(q(1.0 - e) for e in eps_g),
-        e_eps_g=tuple(q(math.e * e) for e in eps_g),
-        v_g=tuple(q(v) for v in p.v_g[:n_types]),
+        v_leak=q(d.leak_max),
+        eps_g_c=tuple(q(x) for x in d.one_minus_eps_g),
+        e_eps_g=tuple(q(x) for x in d.e_eps_g),
+        v_g=tuple(q(v) for v in p.v_g[: p.n_synapse_types]),
         neg_eps_m_v_c=q(-eps_m * p.v_c),
         inv_delta_t=q(1.0 / p.delta_t),
         neg_theta_inv_delta_t=q(-p.theta / p.delta_t),
         delta_t_eps_m=q(p.delta_t * eps_m),
-        eps_w_c=q(1.0 - eps_w),
-        eps_m_a=q(eps_m * p.a),
-        neg_eps_m_a_v_w=q(-eps_m * p.a * p.v_w),
-        eps_r_c=q(1.0 - eps_r),
+        eps_w_c=q(d.one_minus_eps_w),
+        eps_m_a=q(d.sbt_gain),
+        neg_eps_m_a_v_w=q(-d.sbt_gain * p.v_w),
+        eps_r_c=q(d.one_minus_eps_r),
         v_ar=q(p.v_ar),
         v_rr=q(p.v_rr),
         b=q(p.b),
         q_r=q(p.q_r),
-        threshold=q(threshold),
+        threshold=q(features.threshold(p)),
         v_reset=q(p.reset_voltage),
-        cnt_max=p.refractory_steps(dt),
+        cnt_max=d.cnt_reload,
         weight_scale=weight_scale,
         one=q(1.0),
         neg_one=q(-1.0),

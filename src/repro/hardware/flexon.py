@@ -20,7 +20,7 @@ synapses legitimately pull below rest, and document the delta).
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -57,26 +57,9 @@ class FlexonNeuron:
         self.n = n
         self.membrane_format = membrane_format
         self.state: Dict[str, np.ndarray] = {
-            name: np.zeros(n, dtype=np.int64) for name in self._variables()
+            name: np.zeros(n, dtype=np.int64)
+            for name in features.state_variables(constants.n_synapse_types)
         }
-
-    def _variables(self) -> Iterator[str]:
-        """The state words this feature set keeps, in storage order."""
-        features = self.features
-        n_types = self.constants.n_synapse_types
-        yield "v"
-        if features.uses_conductance:
-            for i in range(n_types):
-                yield f"g{i}"
-        if Feature.COBA in features:
-            for i in range(n_types):
-                yield f"y{i}"
-        if features.has_adaptation_state:
-            yield "w"
-        if Feature.RR in features:
-            yield "r"
-        if Feature.AR in features:
-            yield "cnt"
 
     # -- one hardware cycle -----------------------------------------------
 
@@ -133,18 +116,19 @@ class FlexonNeuron:
                 acc = fx_add(acc, g_new, fmt)
 
         # 3. spike-triggered current
-        if Feature.RR in f:
+        owner = f.w_owner
+        if owner is Feature.RR:
             w_new, r_new, contribution = dp.RrPath.update(
                 self.state["w"], self.state["r"], v, c
             )
             self.state["w"][...] = w_new
             self.state["r"][...] = r_new
             acc = fx_add(acc, contribution, fmt)
-        elif Feature.SBT in f:
+        elif owner is Feature.SBT:
             w_new = dp.SbtPath.update(self.state["w"], v, c)
             self.state["w"][...] = w_new
             acc = fx_add(acc, w_new, fmt)
-        elif Feature.ADT in f:
+        elif owner is Feature.ADT:
             w_new = dp.AdtPath.decay(self.state["w"], c)
             self.state["w"][...] = w_new
             acc = fx_add(acc, w_new, fmt)
@@ -164,10 +148,10 @@ class FlexonNeuron:
         v[...] = v_next
         # RR-mode jumps grow the reversal-coupled w/r conductances (see
         # the FeatureModel.step commentary); direct-coupled w shrinks.
-        if Feature.RR in f:
+        if owner is Feature.RR:
             self.state["w"] += np.where(fired, c.b, 0)
             self.state["r"] += np.where(fired, c.q_r, 0)
-        elif f.has_adaptation_state:
+        elif owner is not None:
             self.state["w"] -= np.where(fired, c.b, 0)
         if Feature.AR in f:
             cnt = self.state["cnt"]
@@ -180,7 +164,7 @@ class FlexonNeuron:
         over the same state words."""
         view = copy.copy(self)
         view.n = hi - lo
-        view.state = {name: self.state[name][lo:hi] for name in self._variables()}
+        view.state = {name: words[lo:hi] for name, words in self.state.items()}
         return view
 
     # -- host-side views -------------------------------------------------------

@@ -42,11 +42,10 @@ from repro.hardware.control import (
     AOperand,
     BOperand,
     N_STATE_REGISTERS,
-    STATE_G,
+    STATE_NAMES,
     STATE_R,
     STATE_V,
     STATE_W,
-    STATE_Y,
 )
 from repro.hardware.microcode import Microprogram
 
@@ -100,9 +99,10 @@ class FoldedFlexonNeuron:
         # Spike-triggered jumps as (register row, raw increment); signs
         # mirror FlexonNeuron (RR conductances grow on fire).
         c = program.constants
-        if Feature.RR in program.features:
+        owner = program.features.w_owner
+        if owner is Feature.RR:
             jumps = ((STATE_W, c.b), (STATE_R, c.q_r))
-        elif program.features.has_adaptation_state:
+        elif owner is not None:
             jumps = ((STATE_W, -c.b),)
         else:
             jumps = ()
@@ -293,22 +293,14 @@ class FoldedFlexonNeuron:
 
     def float_state(self) -> Dict[str, np.ndarray]:
         """The architectural state as floats, named like the models'."""
-        fmt = self.program.constants.fmt
         c = self.program.constants
-        out = {"v": self.regs[STATE_V].astype(np.float64) / fmt.scale}
-        features = self.program.features
-        if features.uses_conductance:
-            for i in range(c.n_synapse_types):
-                out[f"g{i}"] = self.regs[STATE_G[i]].astype(np.float64) / fmt.scale
-        if Feature.COBA in features:
-            for i in range(c.n_synapse_types):
-                out[f"y{i}"] = self.regs[STATE_Y[i]].astype(np.float64) / fmt.scale
-        if features.has_adaptation_state:
-            out["w"] = self.regs[STATE_W].astype(np.float64) / fmt.scale
-        if Feature.RR in features:
-            out["r"] = self.regs[STATE_R].astype(np.float64) / fmt.scale
-        if self.cnt is not None:
-            out["cnt"] = self.cnt.astype(np.float64)
+        register = {name: row for row, name in STATE_NAMES.items()}
+        out = {}
+        for name in self.program.features.state_variables(c.n_synapse_types):
+            if name == "cnt":
+                out[name] = self.cnt.astype(np.float64)
+            else:
+                out[name] = self.regs[register[name]].astype(np.float64) / c.fmt.scale
         return out
 
     def snapshot(self) -> Dict[str, object]:

@@ -228,7 +228,8 @@ def assemble(features: FeatureSet, constants: NeuronConstants) -> Microprogram:
             )
 
     # -- 3. spike-triggered current -----------------------------------------
-    if Feature.RR in features:
+    owner = features.w_owner
+    if owner is Feature.RR:
         signals.append(
             ControlSignal(
                 a=AOperand.CONSTANT,
@@ -277,7 +278,7 @@ def assemble(features: FeatureSet, constants: NeuronConstants) -> Microprogram:
                 a=AOperand.TMP, s=STATE_R, v_acc=True, note="v' += tmp * r"
             )
         )
-    elif Feature.SBT in features:
+    elif owner is Feature.SBT:
         signals.append(
             ControlSignal(
                 a=AOperand.CONSTANT,
@@ -299,7 +300,7 @@ def assemble(features: FeatureSet, constants: NeuronConstants) -> Microprogram:
                 note="w = eps_w' * w + tmp; v' += w",
             )
         )
-    elif Feature.ADT in features:
+    elif owner is Feature.ADT:
         signals.append(
             ControlSignal(
                 a=AOperand.CONSTANT,

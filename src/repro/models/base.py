@@ -105,6 +105,14 @@ class ModelParameters:
         """Post-spike voltage (v_reset, defaulting to v_rest)."""
         return self.v_rest if self.v_reset is None else self.v_reset
 
+    @property
+    def exi_cap(self) -> float:
+        """Ceiling of the continuous EXI exponent ``(v - theta) / delta_t``:
+        a little above the firing point, since beyond ``v_theta`` a spike
+        is emitted at the step boundary anyway, and resolving the
+        divergence more finely only wastes adaptive-solver substeps."""
+        return (self.v_theta - self.theta) / self.delta_t + 2.0
+
     def with_overrides(self, **changes) -> "ModelParameters":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
@@ -134,11 +142,10 @@ class ModelParameters:
 
         This is the feature-lowering entry point: everything a per-step
         update kernel needs that does not depend on the population state
-        is folded into one cached bundle, so neither the float models
-        nor the compiled engine plans recompute ``dt / tau`` (and
-        friends) on every step. The arithmetic matches the historical
-        inline expressions exactly, so cached and uncached paths are
-        bit-identical.
+        is folded into one cached bundle, which the float model, the
+        compiled engine kernel and the fixed-point constants
+        (``hardware.constants``) all read, so none of them recomputes
+        ``dt / tau`` (and friends).
         """
         return _derive_constants(self, dt)
 
@@ -150,7 +157,7 @@ class DerivedConstants:
     Products such as ``one_minus_eps_g`` are precomputed in the exact
     float64 expression order used by
     :meth:`~repro.models.feature_model.FeatureModel.step`, which is what
-    lets the compiled engine kernels stay bit-identical to the
+    lets the compiled engine kernel stay bit-identical to the
     dict-state reference path.
     """
 
@@ -158,6 +165,8 @@ class DerivedConstants:
     eps_m: float
     eps_g: Tuple[float, ...]
     one_minus_eps_g: Tuple[float, ...]
+    #: COBA cascade gain per synapse type (``e * eps_g``).
+    e_eps_g: Tuple[float, ...]
     eps_w: float
     one_minus_eps_w: float
     eps_r: float
@@ -181,6 +190,7 @@ def _derive_constants(parameters: ModelParameters, dt: float) -> DerivedConstant
         eps_m=eps_m,
         eps_g=eps_g,
         one_minus_eps_g=tuple(1.0 - e for e in eps_g),
+        e_eps_g=tuple(math.e * e for e in eps_g),
         eps_w=eps_w,
         one_minus_eps_w=1.0 - eps_w,
         eps_r=eps_r,

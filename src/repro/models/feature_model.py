@@ -43,8 +43,6 @@ from repro.errors import SimulationError
 from repro.features import Feature, FeatureSet
 from repro.models.base import ModelParameters, NeuronModel, State
 
-_E = math.e
-
 
 class FeatureModel(NeuronModel):
     """A neuron model assembled from biologically common features."""
@@ -105,7 +103,7 @@ class FeatureModel(NeuronModel):
                 y += gated[i]
                 g = state[f"g{i}"]
                 g *= 1.0 - eps_g[i]
-                g += (_E * eps_g[i]) * y
+                g += d.e_eps_g[i] * y
                 contribution = g
             elif Feature.COBE in f:
                 g = state[f"g{i}"]
@@ -151,8 +149,7 @@ class FeatureModel(NeuronModel):
             v_new = v_new + w
 
         # 7. fire & reset
-        threshold = p.v_theta if f.spike_initiation is not None else p.theta
-        fired = v_new > threshold
+        fired = v_new > f.threshold(p)
         v_new[fired] = p.reset_voltage
         # Spike-triggered jumps. In RR mode the w/r "conductances" are
         # reversal-coupled (Equation 8), so they must *grow* on a spike
@@ -196,7 +193,7 @@ class FeatureModel(NeuronModel):
                 y = state[f"y{i}"]
                 g = state[f"g{i}"]
                 out[f"y{i}"] = -y / p.tau_g[i]
-                out[f"g{i}"] = (_E * y - g) / p.tau_g[i]
+                out[f"g{i}"] = (math.e * y - g) / p.tau_g[i]
                 contribution = g
             elif Feature.COBE in f:
                 g = state[f"g{i}"]
@@ -212,13 +209,8 @@ class FeatureModel(NeuronModel):
         if Feature.QDI in f:
             drive = drive + (p.v_rest - v) * (p.v_c - v)
         if Feature.EXI in f:
-            # The exponent is capped a little above the firing point:
-            # beyond v_theta a spike is emitted at the step boundary
-            # anyway, so resolving the divergence more finely only
-            # wastes adaptive-solver substeps.
-            cap = (p.v_theta - p.theta) / p.delta_t + 2.0
             drive = drive + p.delta_t * np.exp(
-                np.minimum((v - p.theta) / p.delta_t, cap)
+                np.minimum((v - p.theta) / p.delta_t, p.exi_cap)
             )
         if Feature.RR in f:
             w = state["w"]
@@ -265,9 +257,8 @@ class FeatureModel(NeuronModel):
         """Threshold check, resets, and refractory bookkeeping."""
         p = self.parameters
         f = self.features
-        threshold = p.v_theta if f.spike_initiation is not None else p.theta
         v = state["v"]
-        fired = v > threshold
+        fired = v > f.threshold(p)
         v[fired] = p.reset_voltage
         if Feature.RR in f:
             state["w"][fired] += p.b

@@ -24,12 +24,12 @@ one and is its own runtime. See DESIGN.md, "Blocks".
 :class:`ReferenceBackend` is the float64 software backend — our
 stand-in for Brian/NEST. With the Euler solver it compiles each
 supported population into a
-:class:`~repro.engine.runtime.CompiledRuntime` step plan (the
+:class:`~repro.engine.runtime.CompiledRuntime` kernel (the
 compile-once/step-many fast path, bit-identical to ``model.step``);
 with RKF45 it lowers each supported population's continuous dynamics
-into a flow plan run in place on the one RKF45 stepper
+into kernels run in place on the one RKF45 stepper
 (:meth:`~repro.engine.runtime.SolverRuntime.lowered`, bit-identical to
-``model.derivatives``). Models without a plan, and every population
+``model.derivatives``). Models that do not lower, and every population
 under ``use_engine=False``, run on the dict-state
 :class:`~repro.engine.runtime.SolverRuntime`.
 """
@@ -47,8 +47,9 @@ from repro.engine.runtime import (
     CompiledRuntime,
     PopulationRuntime,
     SolverRuntime,
+    supports_flow_plan,
+    supports_step_plan,
 )
-from repro.engine.plan import supports_flow_plan, supports_step_plan
 from repro.errors import ConfigurationError, SimulationError
 from repro.features import Feature
 from repro.models.base import NeuronModel, State
@@ -67,7 +68,7 @@ def software_solver_runtime(
     so a model without one (LID's linear decay is inherently discrete;
     a model may define no ``derivatives`` or no separate fire/reset
     phase) is rejected here rather than by a ``NotImplementedError``
-    on step 0. ``lowered`` asks for the flow-plan path where the model
+    on step 0. ``lowered`` asks for the lowered path where the model
     supports it.
     """
     model = population.model
@@ -242,14 +243,15 @@ class RuntimeBackend(abc.ABC):
 class ReferenceBackend(RuntimeBackend):
     """Float64 software backend — our stand-in for Brian/NEST.
 
-    Populations with equal models that compile to a step plan run as
+    Populations with equal models that compile to a step kernel run as
     one :class:`~repro.engine.runtime.CompiledRuntime` block; every
     other population has a runtime (and evaluation counters) of its
     own. The solver kind applies network-wide, which matches how
     Table I labels each workload "Euler" or "RKF45". ``use_engine``
-    selects between the compiled fast path (default: a step plan under
-    Euler, a flow plan under RKF45) and the dict-state solver path
-    (``model.step`` / ``model.derivatives`` on dicts of arrays); the
+    selects between the compiled fast path (default: a step kernel
+    under Euler, lowered flow kernels under RKF45) and the dict-state
+    solver path (``model.step`` / ``model.derivatives`` on dicts of
+    arrays); the
     two are bit-identical, and the flag exists so tests and benchmarks
     can use the dict-state path as the oracle.
     """
@@ -268,7 +270,7 @@ class ReferenceBackend(RuntimeBackend):
         )
 
     def block_key(self, population: Population) -> Optional[Hashable]:
-        # Only step plans fuse: an RKF45 stepper accepts or rejects a
+        # Only step kernels fuse: an RKF45 stepper accepts or rejects a
         # substep for all its columns at once, and the dict-state solver
         # is the oracle.
         if self._compiles(population.model):

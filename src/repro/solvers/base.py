@@ -9,15 +9,16 @@ evaluation count, which is how Euler-vs-RKF45 shows up in Figure 3.
 Solvers run inside the engine layer's
 :class:`~repro.engine.runtime.SolverRuntime`: one solver instance per
 population. Euler-integrated feature models usually bypass the solver
-entirely via a compiled :class:`~repro.engine.plan.StepPlan`
-(bit-identical, faster). RKF45-integrated feature models keep their
-solver — it owns the tolerances and the evaluation counters — but run
-its stepper over a compiled :class:`~repro.engine.plan.FlowPlan`
-instead of calling :meth:`Solver.advance`. ``advance`` itself, driving
+entirely via :class:`~repro.engine.runtime.CompiledRuntime`'s compiled
+kernel (bit-identical, faster). RKF45-integrated feature models keep
+their solver — it owns the tolerances and the evaluation counters — but
+run its stepper over the kernels of
+:meth:`~repro.engine.runtime.SolverRuntime.lowered` instead of calling
+:meth:`Solver.advance`. ``advance`` itself, driving
 dict-of-arrays state through ``model.step`` / ``model.derivatives``,
 is what models with private semantics run on, and what
 ``ReferenceBackend(use_engine=False)`` selects for every population
-under either solver: the oracle both plans are pinned against.
+under either solver: the oracle both lowerings are pinned against.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ shares in Figure 3.
 There is one integrator: :class:`RKF45Stepper`, an in-place stepper
 over a workspace allocated once. :func:`rkf45_integrate` (the
 functional form), :meth:`RKF45Solver.advance` (dict state, the oracle)
-and the engine's flow-plan path
+and the engine's lowered path
 (:meth:`repro.engine.runtime.SolverRuntime.lowered`) all drive it, so
 the Fehlberg tableau and the step-size controller exist once.
 """
@@ -66,7 +66,7 @@ class RKF45Stepper:
     with the problem size.
 
     The floating-point operations and their order are a contract (see
-    DESIGN.md §3b "Adaptive flow plan"): stage states accumulate
+    DESIGN.md §3b "Adaptive lowering"): stage states accumulate
     ``y + (h*a_0)*k_0 + (h*a_1)*k_1 + ...`` term by term, left to
     right, the error is one max-norm over the whole block, and a
     substep is accepted or rejected for the whole block at once.
@@ -219,7 +219,7 @@ class RKF45Solver(Solver):
     :meth:`advance` is the dict-state form — it copies the state into a
     stepper workspace, evaluates ``model.derivatives`` on dict
     snapshots, and copies the result back. It works for any model with
-    a continuous form and is the oracle the engine's flow plan is
+    a continuous form and is the oracle the engine's lowering is
     pinned against; both count their work through :meth:`integrate`.
     """
 

@@ -1,7 +1,8 @@
-"""The RKF45 flow plan is bit-identical to the dict-state oracle.
+"""The lowered RKF45 flow is bit-identical to the dict-state oracle.
 
 ``SolverRuntime.lowered`` (what ``ReferenceBackend("RKF45")`` builds)
-runs a compiled ``FlowPlan`` in place on the RKF45 stepper;
+runs the model's continuous dynamics as in-place kernels on the RKF45
+stepper;
 ``SolverRuntime(...)`` (what ``use_engine=False`` builds) evaluates
 ``FeatureModel.derivatives`` on dict snapshots through the same
 stepper. These tests pin state bytes, fired masks, evaluation counts
@@ -15,8 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import SolverRuntime
-from repro.engine.plan import compile_flow_plan, supports_flow_plan
+from repro.engine import SolverRuntime, supports_flow_plan
 from repro.errors import SimulationError
 from repro.features import Feature, FeatureSet
 from repro.models import ModelParameters
@@ -39,8 +39,8 @@ RKF45_WORKLOADS = [
 
 @st.composite
 def continuous_feature_sets(draw):
-    """The valid feature lattice minus LID (EXD/LID, QDI/EXI, CUB/REV
-    and SBT=>ADT respected by construction)."""
+    """The valid feature lattice minus LID (EXD/LID, QDI/EXI, CUB/REV,
+    SBT=>ADT and RR/ADT respected by construction)."""
     features = {Feature.EXD}
     kernel = draw(st.sampled_from([None, Feature.CUB, Feature.COBE, Feature.COBA]))
     if kernel is not None:
@@ -58,7 +58,6 @@ def continuous_feature_sets(draw):
                     (Feature.ADT,),
                     (Feature.ADT, Feature.SBT),
                     (Feature.RR,),
-                    (Feature.RR, Feature.ADT, Feature.SBT),
                 ]
             )
         )
@@ -129,7 +128,7 @@ class TestFlowPlanSelection:
         backend.prepare(network)
         for runtime in backend.runtimes.values():
             assert isinstance(runtime, SolverRuntime)
-            assert runtime.flow_plan is not None
+            assert runtime.flow_plan is True
             assert runtime.snapshot()["kind"] == "solver"
 
     def test_use_engine_false_keeps_the_dict_state_oracle(self):
@@ -137,7 +136,7 @@ class TestFlowPlanSelection:
         network.add_population("dlif", 5, "DLIF")
         backend = ReferenceBackend("RKF45", use_engine=False)
         backend.prepare(network)
-        assert backend.runtimes["dlif"].flow_plan is None
+        assert backend.runtimes["dlif"].flow_plan is False
 
     def test_models_without_the_canonical_flow_are_not_lowered(self):
         class Tweaked(FeatureModel):
@@ -149,19 +148,22 @@ class TestFlowPlanSelection:
         assert not supports_flow_plan(Tweaked(dlif.features))
         assert not supports_flow_plan(create_model("LLIF"))
         assert not supports_flow_plan(HodgkinHuxley())
-        with pytest.raises(ValueError, match="no flow plan"):
-            compile_flow_plan(create_model("LLIF"))
+        with pytest.raises(SimulationError, match="cannot be lowered"):
+            SolverRuntime.lowered("p", 3, create_model("LLIF"), RKF45Solver())
+        with pytest.raises(SimulationError, match="cannot be lowered"):
+            SolverRuntime.lowered("p", 3, Tweaked(dlif.features), RKF45Solver())
 
     def test_lowering_needs_the_rkf45_solver(self):
         with pytest.raises(SimulationError, match="RKF45"):
             SolverRuntime.lowered("p", 3, create_model("DLIF"), EulerSolver())
 
     def test_cnt_is_state_but_not_integrated(self):
-        plan = compile_flow_plan(create_model("DLIF"))
-        assert plan.state_names == ("v", "g0", "g1", "cnt")
-        assert plan.flow_names == ("v", "g0", "g1")
         runtime = SolverRuntime.lowered("p", 4, create_model("DLIF"), RKF45Solver())
-        assert list(runtime.state()) == ["v", "g0", "g1", "cnt"]
+        state = runtime.state()
+        assert list(state) == ["v", "g0", "g1", "cnt"]
+        # v, g0 and g1 are rows of one stepper block; cnt is not.
+        assert state["v"].base is state["g1"].base is not None
+        assert state["cnt"].base is not state["v"].base
 
     def test_wrong_input_shape_is_rejected(self):
         runtime = SolverRuntime.lowered("p", 4, create_model("DLIF"), RKF45Solver())

@@ -1,10 +1,14 @@
-"""Tests for StepPlan compilation (the models → engine lowering)."""
+"""What the models → engine lowering reads: which models lower, and the
+per-step constants ``ModelParameters.derived(dt)`` states once for the
+float model, the compiled kernel and the fixed-point constants."""
 
-import numpy as np
+import math
+
 import pytest
 
-from repro.engine import StepPlan, compile_step_plan, supports_step_plan
-from repro.features import Feature
+from repro.engine import supports_step_plan
+from repro.fixedpoint import FLEXON_FORMAT, fx_from_float
+from repro.hardware.constants import prepare_constants
 from repro.models.registry import available_models, create_model
 
 DT = 1e-4
@@ -26,70 +30,6 @@ class TestSupportsStepPlan:
     def test_custom_step_models_are_not(self, name):
         assert not supports_step_plan(create_model(name))
 
-    def test_compile_rejects_unsupported(self):
-        with pytest.raises(ValueError):
-            compile_step_plan(create_model("HH"), DT)
-
-
-class TestCompiledPlan:
-    @pytest.mark.parametrize("name", PLANNABLE)
-    def test_plan_matches_derived_constants(self, name):
-        model = create_model(name)
-        plan = compile_step_plan(model, DT)
-        d = model.parameters.derived(DT)
-        assert isinstance(plan, StepPlan)
-        assert plan.dt == DT
-        assert plan.model_name == model.name
-        assert plan.eps_m == d.eps_m
-        assert plan.leak_max == d.leak_max
-        assert plan.cnt_reload == float(d.cnt_reload)
-        np.testing.assert_array_equal(
-            plan.one_minus_eps_g[:, 0], d.one_minus_eps_g
-        )
-
-    def test_eps_columns_are_readonly_column_vectors(self):
-        plan = compile_step_plan(create_model("AdEx_COBA"), DT)
-        assert plan.one_minus_eps_g.shape == (plan.n_synapse_types, 1)
-        assert plan.e_eps_g.shape == (plan.n_synapse_types, 1)
-        assert not plan.one_minus_eps_g.flags.writeable
-        assert not plan.e_eps_g.flags.writeable
-
-    def test_kernel_classification(self):
-        assert compile_step_plan(create_model("LIF"), DT).kernel == "CUB"
-        assert compile_step_plan(create_model("AdEx"), DT).kernel == "COBE"
-        assert (
-            compile_step_plan(create_model("AdEx_COBA"), DT).kernel == "COBA"
-        )
-
-    def test_adaptation_classification(self):
-        assert compile_step_plan(create_model("LIF"), DT).adaptation is None
-        assert compile_step_plan(create_model("AdEx"), DT).adaptation == "SBT"
-        assert (
-            compile_step_plan(
-                create_model("IF_cond_exp_gsfa_grr"), DT
-            ).adaptation
-            == "RR"
-        )
-
-    def test_threshold_uses_v_theta_with_spike_initiation(self):
-        model = create_model("AdEx")  # EXI: fires at v_theta, not theta
-        plan = compile_step_plan(model, DT)
-        assert model.features.spike_initiation is not None
-        assert plan.threshold == model.parameters.v_theta
-
-    def test_threshold_uses_theta_without_spike_initiation(self):
-        model = create_model("LIF")
-        plan = compile_step_plan(model, DT)
-        assert plan.threshold == model.parameters.theta
-
-    def test_feature_flags_mirror_feature_set(self):
-        model = create_model("IF_cond_exp_gsfa_grr")
-        plan = compile_step_plan(model, DT)
-        f = model.features
-        assert plan.use_ar == (Feature.AR in f)
-        assert plan.use_rev == (Feature.REV in f)
-        assert plan.use_lid == (Feature.LID in f)
-
 
 class TestDerivedConstants:
     def test_cached_per_parameters_and_dt(self):
@@ -105,3 +45,28 @@ class TestDerivedConstants:
         for i, tau in enumerate(p.tau_g):
             assert d.eps_g[i] == DT / tau
             assert d.one_minus_eps_g[i] == 1.0 - DT / tau
+            assert d.e_eps_g[i] == math.e * (DT / tau)
+
+    @pytest.mark.parametrize("name", PLANNABLE)
+    def test_hardware_quantises_derived(self, name):
+        """``prepare_constants`` quantises ``derived(dt)``: each word is
+        the quantised per-step expression of the model's parameters."""
+        model = create_model(name)
+        p = model.parameters
+        c = prepare_constants(p, model.features, DT)
+
+        def q(value):
+            return fx_from_float(value, FLEXON_FORMAT)
+
+        eps_m = DT / p.tau
+        taus = p.tau_g[: p.n_synapse_types]
+        assert (c.eps_m, c.eps_m_c) == (q(eps_m), q(1.0 - eps_m))
+        assert c.v_leak == q(p.leak_rate * DT)
+        assert c.eps_g_c == tuple(q(1.0 - DT / t) for t in taus)
+        assert c.e_eps_g == tuple(q(math.e * (DT / t)) for t in taus)
+        assert c.eps_w_c == q(1.0 - DT / p.tau_w)
+        assert c.eps_r_c == q(1.0 - DT / p.tau_r)
+        assert c.eps_m_a == q(eps_m * p.a)
+        assert c.neg_eps_m_a_v_w == q(-eps_m * p.a * p.v_w)
+        assert c.cnt_max == max(1, round(p.t_ref / DT))
+        assert c.threshold == q(model.features.threshold(p))

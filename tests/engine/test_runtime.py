@@ -69,20 +69,36 @@ class TestCompiledRuntimeContract:
         with pytest.raises(SimulationError):
             CompiledRuntime("p", 4, create_model("HH"))
 
-    def test_plan_bound_lazily_on_first_advance(self):
-        runtime = CompiledRuntime("p", 4, create_model("LIF"))
-        assert runtime.plan is None
-        runtime.advance(np.zeros((2, 4)), DT)
-        assert runtime.plan is not None
-        assert runtime.plan.dt == DT
+    @staticmethod
+    def _assert_tracks_euler(dts, rng):
+        """Every plannable model's ``CompiledRuntime``, stepped through
+        ``dts``, stays bit-equal to the Euler ``SolverRuntime``, which
+        reads ``dt`` on every step."""
+        for name in PLANNABLE:
+            model = create_model(name)
+            inputs = _drive(model, rng, steps=len(dts))
+            compiled_rt = CompiledRuntime("p", N, model)
+            solver_rt = SolverRuntime("p", N, model, create_solver("Euler"))
+            for step, dt in enumerate(dts):
+                fired_ref = solver_rt.advance(inputs[step], dt)
+                fired_eng = compiled_rt.advance(inputs[step], dt)
+                assert np.array_equal(fired_ref, fired_eng), (name, step)
+                for var, values in solver_rt.state().items():
+                    assert compiled_rt.state()[var].tobytes() == values.tobytes(), (
+                        name,
+                        step,
+                        var,
+                    )
 
-    def test_rebinds_when_dt_changes(self):
-        runtime = CompiledRuntime("p", 4, create_model("LIF"))
-        runtime.advance(np.zeros((2, 4)), DT)
-        first = runtime.plan
-        runtime.advance(np.zeros((2, 4)), 2 * DT)
-        assert runtime.plan is not first
-        assert runtime.plan.dt == 2 * DT
+    def test_plan_bound_lazily_on_first_advance(self, rng):
+        """The kernel takes its constants from the first ``advance``'s
+        ``dt``: a runtime first stepped at 2·DT matches Euler at 2·DT."""
+        self._assert_tracks_euler([2 * DT] * 30, rng)
+
+    def test_rebinds_when_dt_changes(self, rng):
+        """Stepped at DT, then 2·DT, then DT again, every dt-dependent
+        constant follows the change."""
+        self._assert_tracks_euler([DT] * 30 + [2 * DT] * 30 + [DT] * 30, rng)
 
     def test_shape_mismatch_raises(self):
         runtime = CompiledRuntime("p", 4, create_model("LIF"))

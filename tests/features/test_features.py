@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FeatureConflictError, UnknownModelError
+from repro.models import ModelParameters
 from repro.features import (
     CATEGORY_OF,
     Feature,
@@ -73,6 +74,17 @@ class TestFeatureSetValidation:
         with pytest.raises(FeatureConflictError):
             FeatureSet([Feature.EXD, Feature.CUB, Feature.SBT])
 
+    @pytest.mark.parametrize(
+        "current", [(Feature.ADT,), (Feature.ADT, Feature.SBT), (Feature.SBT,)]
+    )
+    def test_rr_refuses_adt_and_sbt(self, current):
+        # RR's reversal-coupled w (Equation 8) and ADT/SBT's direct one
+        # would share one state word; no single update owns it.
+        with pytest.raises(FeatureConflictError):
+            FeatureSet([Feature.EXD, Feature.COBE, Feature.RR, *current])
+        with pytest.raises(FeatureConflictError):
+            FeatureSet([Feature.EXD, Feature.RR]).with_features(*current)
+
     def test_valid_minimal_lif(self):
         fs = FeatureSet([Feature.EXD, Feature.CUB])
         assert Feature.EXD in fs
@@ -136,6 +148,29 @@ class TestFeatureSetQueries:
     def test_state_variables_rr(self):
         names = MODEL_FEATURES["IF_cond_exp_gsfa_grr"].state_variables(2)
         assert "r" in names and "w" in names
+
+    def test_accumulation_kernel_of_registry_models(self):
+        assert MODEL_FEATURES["LIF"].accumulation_kernel is Feature.CUB
+        assert MODEL_FEATURES["AdEx"].accumulation_kernel is Feature.COBE
+        assert MODEL_FEATURES["AdEx_COBA"].accumulation_kernel is Feature.COBA
+
+    def test_w_owner(self):
+        assert MODEL_FEATURES["LIF"].w_owner is None
+        assert MODEL_FEATURES["AdEx"].w_owner is Feature.SBT
+        assert MODEL_FEATURES["IF_cond_exp_gsfa_grr"].w_owner is Feature.RR
+        assert FeatureSet([Feature.EXD, Feature.ADT]).w_owner is Feature.ADT
+        for fs in MODEL_FEATURES.values():
+            assert fs.has_adaptation_state == (fs.w_owner is not None)
+
+    def test_threshold_with_spike_initiation(self):
+        parameters = ModelParameters(theta=1.0, v_theta=2.5)
+        assert MODEL_FEATURES["AdEx"].spike_initiation is Feature.EXI
+        assert MODEL_FEATURES["AdEx"].threshold(parameters) == 2.5
+        assert MODEL_FEATURES["QIF"].threshold(parameters) == 2.5
+
+    def test_threshold_without_spike_initiation(self):
+        parameters = ModelParameters(theta=1.0, v_theta=2.5)
+        assert MODEL_FEATURES["LIF"].threshold(parameters) == 1.0
 
 
 class TestCatalog:
