@@ -12,6 +12,10 @@ Prints min / quartiles of the chunk times per tree in ms: equal
 ``q3 - q1`` means the change adds no variation of its own, whatever an
 inter-quartile range over ten separate ``bench/run.py`` runs reads
 (EXPERIMENTS.md, PR 17 re-check).
+
+Last comes the paired verdict: the median of the per-pair change/parent
+time ratios, and in how many pairs the change's chunk was the faster
+(a sign count).
 """
 
 from __future__ import annotations
@@ -88,6 +92,10 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {len(samples[0])} pairs of {args.chunk}-step chunks")
     describe("parent", samples[0])
     describe("change", samples[1])
+    ratios = [change / parent for parent, change in zip(*samples)]
+    won = sum(ratio < 1.0 for ratio in ratios)
+    print(f"paired  median change/parent {statistics.median(ratios):.3f}  "
+          f"change faster in {won}/{len(ratios)} pairs")
     return 0
 
 

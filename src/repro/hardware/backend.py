@@ -33,6 +33,7 @@ from repro.fixedpoint import (
     SaturationStats,
     SegmentedStats,
     fx_from_float,
+    fx_record_proved,
     observe_saturation,
 )
 from repro.hardware.compiler import CompiledModel, FlexonCompiler
@@ -52,7 +53,9 @@ class HardwareRuntime(PopulationRuntime):
 
     Owns the compiled model and the (baseline or folded) functional
     array; ``advance`` pre-scales and quantises the host-side float
-    inputs exactly as the seed backends did, then runs one hardware
+    inputs exactly as the seed backends did, into preallocated scratch
+    (an input whose extremes quantise inside the format needs no clip
+    scan; any other takes ``fx_from_float``), then runs one hardware
     step. The dt the constants were baked for is enforced per call.
 
     Every step runs under saturation accounting: any value the
@@ -84,6 +87,10 @@ class HardwareRuntime(PopulationRuntime):
         )
         #: Per-format clip counts accumulated across every step so far.
         self.saturation_stats = SaturationStats()
+        # Quantisation scratch: the scaled float inputs, the raw words.
+        shape = (compiled.constants.n_synapse_types, n)
+        self._scaled = np.empty(shape)
+        self._raw = np.empty(shape, dtype=np.int64)
 
     def split(
         self, members: Sequence[Tuple[str, int, int]]
@@ -111,10 +118,22 @@ class HardwareRuntime(PopulationRuntime):
                 f"backend compiled for dt={self.dt}, asked to step dt={dt}; "
                 "constants are baked per time step"
             )
+        fmt, scaled = self.compiled.constants.fmt, self._scaled
         with observe_saturation(self.saturation_stats):
-            raw = fx_from_float(
-                inputs * self.compiled.weight_scale, self.compiled.constants.fmt
-            )
+            if inputs.shape == scaled.shape and scaled.size:
+                np.multiply(inputs, self.compiled.weight_scale, out=scaled)
+                # ``floor(x * scale + 0.5)`` is monotone, so the extremes'
+                # raw words bound the array's; NaN and inf fail the test.
+                lo = np.floor(scaled.min() * fmt.scale + 0.5)
+                hi = np.floor(scaled.max() * fmt.scale + 0.5)
+                if fmt.raw_min <= lo and hi <= fmt.raw_max:
+                    np.multiply(scaled, fmt.scale, out=scaled)
+                    np.add(scaled, 0.5, out=scaled)
+                    np.floor(scaled, out=scaled)
+                    np.copyto(self._raw, scaled, casting="unsafe")
+                    fx_record_proved(fmt, scaled.size)
+                    return self._step_neuron(self._raw)
+            raw = fx_from_float(inputs * self.compiled.weight_scale, fmt)
             return self._step_neuron(raw)
 
     def _step_neuron(self, raw: np.ndarray) -> np.ndarray:

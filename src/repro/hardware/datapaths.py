@@ -240,14 +240,15 @@ class ArPath(DataPath):
     name = "AR"
 
     @staticmethod
-    def gate(inputs: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    def gate(inputs: np.ndarray, cnt: np.ndarray, out=None) -> np.ndarray:
         """Zero the input rows of neurons still in their window."""
-        return inputs * (cnt <= 0)
+        return np.multiply(inputs, cnt <= 0, out=out)
 
     @staticmethod
-    def tick(cnt: np.ndarray) -> np.ndarray:
+    def tick(cnt: np.ndarray, out=None) -> np.ndarray:
         """One saturating decrement of the counters."""
-        return np.maximum(cnt - 1, 0)
+        out = np.subtract(cnt, 1, out=out)
+        return np.maximum(out, 0, out=out)
 
     @classmethod
     def unit_inventory(cls) -> Inventory:

@@ -83,15 +83,16 @@ class FoldedFlexonNeuron:
         #: Diagnostics only: not part of :meth:`snapshot`.
         self.points_proved = 0
         self.points_scanned = 0
-        # Scratch rows: the MUL output, the tmp latch, the accumulator v'.
+        # Scratch rows: the MUL output, the tmp latch, the accumulator v',
+        # and the AR-gated inputs.
         self._prod, self._tmp, self._acc = np.empty((3, n), dtype=np.int64)
+        self._gated = np.empty((program.constants.n_synapse_types, n), np.int64)
         self._plan = self._lower(program)
-        # Registers the plan reads (their ranges are scanned every step)
-        # and stage 1's saturation points per step: one per MUL, per ADD
-        # and per v' accumulation.
-        self._rows_read = tuple(
-            (s, self.regs[s]) for s in sorted({signal.s for signal in program.signals})
-        )
+        # Registers the plan reads (their ranges are scanned every step,
+        # from one copy into ``_read``) and stage 1's saturation points
+        # per step: one per MUL, per ADD and per v' accumulation.
+        self._rows_read = tuple(sorted({signal.s for signal in program.signals}))
+        self._read = np.empty((len(self._rows_read), n), dtype=np.int64)
         self._stage1_points = sum(
             1 + (signal.b != BOperand.ZERO) + bool(signal.v_acc)
             for signal in program.signals
@@ -178,7 +179,7 @@ class FoldedFlexonNeuron:
             )
         cnt = self.cnt
         if cnt is not None:
-            gated = dp.ArPath.gate(raw_inputs, cnt)
+            gated = dp.ArPath.gate(raw_inputs, cnt, out=self._gated)
         else:
             gated = raw_inputs
 
@@ -192,10 +193,15 @@ class FoldedFlexonNeuron:
         # step: ``restore`` and fault injection write ``regs`` through
         # views, so a range carried over would be stale.
         if self.n:
-            span = {s: (int(row.min()), int(row.max())) for s, row in self._rows_read}
+            # ``mode="clip"`` lets ``take`` write ``out`` unbuffered.
+            read = self.regs.take(
+                self._rows_read, axis=0, out=self._read, mode="clip"
+            )
+            lows, highs = read.min(axis=1).tolist(), read.max(axis=1).tolist()
+            span = dict(zip(self._rows_read, zip(lows, highs)))
             in_lo, in_hi = int(gated.min()), int(gated.max())
         else:  # no values: any enclosure holds
-            span = {s: (0, 0) for s, _ in self._rows_read}
+            span = dict.fromkeys(self._rows_read, (0, 0))
             in_lo = in_hi = 0
         fmt_min, fmt_max = fmt.raw_min, fmt.raw_max
         scanned = 0
@@ -284,7 +290,7 @@ class FoldedFlexonNeuron:
         for row, jump in self._jumps:
             np.add(row, jump, out=row, where=fired)
         if cnt is not None:
-            cnt[...] = dp.ArPath.tick(cnt)
+            dp.ArPath.tick(cnt, out=cnt)
             cnt[fired] = c.cnt_max
         self.steps += 1
         return fired

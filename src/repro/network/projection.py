@@ -7,13 +7,16 @@ leaving pre-neuron ``i``. Each synapse is a ``weight`` and one int32
 the offset, from the head of the post population's
 :class:`~repro.routing.ring.DelayRing`, of the cell it accumulates
 into. The synapse calculation phase — classify generated spikes by
-target and accumulate weights (Section II-C) — is then a contiguous row
-copy per fired neuron and one 1-D scatter.
+target and accumulate weights (Section II-C) — is then one row gather
+and one 1-D scatter per projection. The gather's fixed cost is one
+``take`` pair and one slice per fired row; a single fired row is
+returned as a view, with no copy.
 
 A **constant table** stores its weight once: ``weights`` is a read-only
 zero-stride view of one float64 (what :func:`connect` builds at
 ``weight_std=0``), 4 B/synapse resident instead of 12, and the gather
-copies only ring targets.
+returns ring targets and that weight as a scalar, which the scatter
+adds once per arrival.
 """
 
 from __future__ import annotations
@@ -177,18 +180,18 @@ class Projection:
         """Gather the synapses of the given fired presynaptic neurons.
 
         Returns ``(targets, weights)``: the fired rows' ring targets and
-        weights, concatenated in ``fired_pre`` order. A constant table's
-        weights are its one weight broadcast to the targets: only the
-        targets are copied.
+        weights, concatenated in ``fired_pre`` order. When one row fired
+        they are views of that row, and may alias the table: callers
+        only read them. A constant table's weights are its one weight,
+        a float64 scalar: only the targets are gathered. With nothing
+        fired both are zero-length arrays.
         """
         rows = _rows(self.pre_ptr, fired_pre)
-        targets = np.concatenate([self.targets[row] for row in rows])
+        targets = _gather(self.targets, rows)
         weights = self.weights
-        if weights.strides[0] == 0:
-            weights = np.broadcast_to(weights[:1], targets.shape)
-        else:
-            weights = np.concatenate([weights[row] for row in rows])
-        return targets, weights
+        if weights.strides[0] == 0 and targets.size:
+            return targets, weights[0]
+        return targets, _gather(weights, rows)
 
     def pre_of_synapses(self) -> np.ndarray:
         """Presynaptic neuron of every synapse (CSR row expansion;
@@ -204,11 +207,15 @@ class Projection:
 
 def _rows(ptr: np.ndarray, groups: np.ndarray) -> list:
     """The ``ptr``-delimited rows of ``groups``, as slices."""
-    # The leading empty row keeps concatenate defined when nothing fired.
-    return [slice(0, 0)] + [
-        slice(lo, hi)
-        for lo, hi in zip(ptr[groups].tolist(), ptr[groups + 1].tolist())
-    ]
+    return list(map(slice, ptr.take(groups).tolist(), ptr[1:].take(groups).tolist()))
+
+
+def _gather(table: np.ndarray, rows: list) -> np.ndarray:
+    """``table``'s ``rows`` end to end: a view of the row when there is
+    one, a zero-length view when there is none."""
+    if len(rows) == 1:
+        return table[rows[0]]
+    return np.concatenate([table[row] for row in rows]) if rows else table[:0]
 
 
 #: Populations up to this size are indexed by uint16 neuron numbers,
@@ -271,14 +278,15 @@ class SynapseIndex:
 
     def outgoing(self, fired_pre: np.ndarray):
         """``(rows, post)``: the fired CSR rows as slices, their targets."""
-        rows = _rows(self.pre_ptr, fired_pre)
+        # The leading empty row keeps concatenate defined when nothing fired.
+        rows = [slice(0, 0), *_rows(self.pre_ptr, fired_pre)]
         return rows, np.concatenate(
             [self.post[row] for row in rows], dtype=np.intp
         )
 
     def incoming(self, fired_post: np.ndarray):
         """``(synapses, pre)`` of the synapses into the fired neurons."""
-        rows = _rows(self.post_ptr, fired_post)
+        rows = [slice(0, 0), *_rows(self.post_ptr, fired_post)]
         return (
             np.concatenate([self.order[row] for row in rows], dtype=np.intp),
             np.concatenate([self.pre[row] for row in rows], dtype=np.intp),

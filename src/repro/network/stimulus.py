@@ -268,8 +268,9 @@ class _PatternFeed:
     def inject(self, step: int) -> int:
         idx = self.stimulus.generate(step)
         if idx.size:
-            weights = np.full(idx.size, float(self.stimulus.weight))
-            self.ring.enqueue_now(idx, weights, self.stimulus.syn_type)
+            # One scalar weight, added once per mention of a neuron.
+            weight = np.float64(self.stimulus.weight)
+            self.ring.enqueue_now(idx, weight, self.stimulus.syn_type)
         return idx.size
 
 

@@ -12,9 +12,16 @@ reads the accumulated weight and nothing else.
 ``[0, depth)``, so a write ``delay`` buckets ahead never wraps and a
 synapse's cell is a fixed offset from the head — the int32 ring target
 ``delay * stride + post_idx`` (``stride = n_synapse_types * n``) that a
-:class:`~repro.network.projection.Projection` precomputes. Every
-``depth`` rotations the live tail is copied back to the front; buckets
-outside ``[head, head + depth)`` are always zero.
+:class:`~repro.network.projection.Projection` precomputes. A rotation
+only advances the head: consumed buckets (before the head) keep their
+stale sums, which nothing reads. Every ``depth`` rotations the live
+tail is copied back over the front and buckets ``[depth - 1, 2 * depth
+- 1)`` are cleared, so buckets from ``head + depth`` on are always zero
+and a bucket is zero when it enters the live window ``[head, head +
+depth)``::
+
+    depth 4, head 2:    0  1 | 2  3  4  5 | 6
+                    consumed |    live    | zero
 
 **Accumulation-order contract.** Arrivals are added one at a time
 (``np.add.at`` on the flat buffer, the 1-D indexed loop) in the order
@@ -59,14 +66,13 @@ class DelayRing:
         np.add.at(self._flat[base:], targets, weights)
         self.enqueued_events += targets.size
 
-    def enqueue(
-        self, targets: np.ndarray, weights: np.ndarray, syn_type: int
-    ) -> None:
+    def enqueue(self, targets: np.ndarray, weights, syn_type: int) -> None:
         """Accumulate ``weights`` at ring ``targets`` ahead of the head.
 
         ``targets`` are head-relative offsets ``delay * stride +
         post_idx`` with ``1 <= delay < depth`` (checked once, when the
-        router binds a projection — not per event).
+        router binds a projection — not per event). ``weights`` is one
+        per target, or a float64 scalar added once per target.
         """
         self._accumulate(targets, weights, syn_type)
 
@@ -76,8 +82,9 @@ class DelayRing:
         Used by stimulus generation, which injects into the present
         time step before the neuron-computation phase runs. ``post`` is
         an index array (one arrival each, added one at a time, so a
-        repeated index accumulates) or a slice of neurons with one of
-        ``weights`` each: ``events`` arrivals, zero elsewhere, one add.
+        repeated index accumulates; ``weights`` one each or a scalar) or
+        a slice of neurons with one of ``weights`` each: ``events``
+        arrivals, zero elsewhere, one add.
         """
         if isinstance(post, slice):
             cells = self._buckets[self._head, syn_type, post]
@@ -96,22 +103,24 @@ class DelayRing:
         return self._buckets[self._head]
 
     def rotate(self) -> None:
-        """Clear the consumed bucket and advance to the next step."""
-        head, depth = self._head, self.depth
-        self._buckets[head] = 0.0
-        head += 1
+        """Advance to the next step; the consumed bucket is left as is."""
+        head, depth = self._head + 1, self.depth
         if head == depth:
-            # Compact: the live tail moves to the (all-zero) front.
+            # Compact: the live tail moves over the consumed front, and
+            # the buckets behind it (the last consumed one and the old
+            # tail) are cleared for the window to enter.
             self._buckets[:depth - 1] = self._buckets[depth:]
-            self._buckets[depth:] = 0.0
+            self._buckets[depth - 1:] = 0.0
             head = 0
         self._head = head
 
     # -- accounting --------------------------------------------------------
 
     def pending_weight(self) -> float:
-        """Sum of all queued weight (useful for conservation tests)."""
-        return float(self._flat.sum())
+        """Sum of the queued weight in the live buckets (useful for
+        conservation tests)."""
+        head = self._head
+        return float(self._buckets[head:head + self.depth].sum())
 
     # -- checkpointing -----------------------------------------------------
 

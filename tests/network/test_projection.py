@@ -362,17 +362,17 @@ class TestConstantTable:
         drawn = self._constant(weight_std=0.01).weights
         assert drawn.strides == (8,) and drawn.flags.writeable
 
-    def test_the_gather_broadcasts_the_weight_over_the_targets(self):
+    def test_the_gather_returns_the_weight_as_a_scalar(self):
         proj = self._constant(weight=0.015)
-        fired = np.array([0, 3, 4, 17])
-        targets, weights = proj.synapses_of(fired)
-        assert weights.strides == (0,) and weights.shape == targets.shape
-        assert set(weights.tolist()) == {0.015}
         materialised = Projection.__new__(Projection)
         vars(materialised).update(vars(proj), weights=np.array(proj.weights))
-        expected = materialised.synapses_of(fired)
-        for ours, theirs in zip((targets, weights), expected):
-            assert ours.tobytes() == theirs.tobytes()
+        for fired in (np.array([0, 3, 4, 17]), np.array([4])):
+            targets, weights = proj.synapses_of(fired)
+            assert type(weights) is np.float64 and weights == 0.015
+            expected = materialised.synapses_of(fired)
+            ours = (targets, np.full(targets.shape, weights))
+            for mine, theirs in zip(ours, expected):
+                assert mine.tobytes() == theirs.tobytes()
 
 
 class TestBuildMemory:

@@ -7,6 +7,8 @@ same bits and the same counters from the fast path:
   streaming);
 * :mod:`tests.oracles.delivery` — spike delivery as a per-synapse loop
   in the accumulation-order contract;
+* :mod:`tests.oracles.eager_ring` — a delay ring that zeroes every
+  consumed bucket (no clearing deferred to compaction);
 * :mod:`tests.oracles.faults` — not an oracle but code that only
   checks other code: :class:`FaultInjector` flips state bits and
   poisons float state in a live simulation;

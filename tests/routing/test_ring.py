@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.routing import DelayRing
 from tests.conftest import enqueue_events
+from tests.oracles.eager_ring import EagerRing
 
 
 def _enqueue(ring, target, weight, delay, syn_type=0):
@@ -124,3 +125,63 @@ class TestSnapshotRestore:
         ring.restore(payload)
         assert ring.enqueued_events == 0
         assert ring.pending_weight() == pytest.approx(1.0)
+
+
+class TestLazyClearing:
+    """A rotation only advances the head; consumed buckets are cleared
+    when the ring compacts. Driven beside :class:`EagerRing`, which
+    zeroes each consumed bucket, everything a caller reads agrees bit
+    for bit, before and after a restore in mid-cycle."""
+
+    @staticmethod
+    def _drive(rng, rings, n, n_types, depth):
+        stride = n_types * n
+        for _ in range(rng.integers(0, 4)):
+            size = int(rng.integers(0, 12))
+            targets = (
+                rng.integers(1, depth, size) * stride + rng.integers(0, n, size)
+            ).astype(np.int32)
+            weights = rng.normal(size=size)
+            if rng.random() < 0.3:  # a constant table's scalar weight
+                weights = np.float64(rng.normal())
+            syn_type = int(rng.integers(0, n_types))
+            for ring in rings:
+                ring.enqueue(targets, weights, syn_type)
+        if rng.random() < 0.5:
+            post = rng.integers(0, n, int(rng.integers(1, 6)))  # repeats
+            weight = np.float64(rng.normal())
+            for ring in rings:
+                ring.enqueue_now(post, weight, 0)
+        if rng.random() < 0.5:
+            weights = rng.normal(size=2)
+            for ring in rings:
+                ring.enqueue_now(slice(1, 3), weights, n_types - 1, events=2)
+
+    @staticmethod
+    def _assert_same(ring, eager):
+        assert ring.current().tobytes() == eager.current().tobytes()
+        ours, theirs = ring.snapshot(), eager.snapshot()
+        assert ours["ring"].tobytes() == theirs["ring"].tobytes()
+        assert ours["head"] == theirs["head"]
+        assert ring.pending_weight() == eager.pending_weight()
+        assert ring.enqueued_events == eager.enqueued_events
+
+    @pytest.mark.parametrize("seed, n, n_types, max_delay", [
+        (1, 5, 2, 4), (2, 7, 1, 1), (3, 3, 3, 9),
+    ])
+    def test_every_read_equals_a_ring_that_clears_every_step(
+        self, seed, n, n_types, max_delay
+    ):
+        rng = np.random.default_rng(seed)
+        ring, eager = DelayRing(n, n_types, max_delay), EagerRing(n, n_types, max_delay)
+        depth = ring.depth
+        restore_at = 2 * depth + depth // 2  # head mid-cycle, stale buckets behind it
+        for step in range(4 * depth):
+            self._drive(rng, (ring, eager), n, n_types, depth)
+            self._assert_same(ring, eager)
+            if step == restore_at:
+                ring.restore(eager.snapshot())
+                self._assert_same(ring, eager)
+            ring.rotate()
+            eager.rotate()
+            self._assert_same(ring, eager)
