@@ -10,12 +10,14 @@ parent tree and once on its own, then compares the two files:
 
 It records, for the ten registry workloads on ``reference`` and
 ``folded``: the spike digest at the scales the tests use (what may
-change), and at scale 0.1 over 3,000 steps and seeds 1-8 the
+change) and, beside each, the sha256 of the checkpoint file saved
+after that run, and at scale 0.1 over 3,000 steps and seeds 1-8 the
 per-population firing rate and ISI CV plus each stimulus's event rate
 (what may not). ``--compare`` prints old -> new digests and fails when
 a new 8-seed mean leaves the old 8-seed min-max widened by 10 %, or a
 stimulus's events per target-step are more than 1 % from
-``1 - (1 - p)^n_sources``. Runs are built from the workload's
+``1 - (1 - p)^n_sources``; it lists every checkpoint sha that moves
+(none, for a change that must keep checkpoint bytes). Runs are built from the workload's
 front-end spec by ``repro.frontend.build_simulation`` (what ``repro
 run`` does); only the per-stimulus event probe has one branch per tree.
 """
@@ -23,15 +25,19 @@ run`` does); only the per-stimulus event probe has one branch per tree.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 from repro.analysis import cv_isi, population_rate_hz
 from repro.assembly import DT
 from repro.frontend import build_simulation
+from repro.reliability import Checkpoint
 from repro.routing import DelayRing
 from repro.workloads import spec_for, workload_names
 
@@ -51,6 +57,15 @@ def _run(name, backend, scale, steps, seed):
     spec = spec_for(name, scale, seed)
     simulator, _ = build_simulation({**spec, "backend": backend})
     return simulator, simulator.run(steps)
+
+
+def _checkpoint_sha(simulator, result):
+    """sha256 of the checkpoint file saved after ``result``'s run."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "run.ckpt")
+        Checkpoint.capture(simulator, spikes=result.spikes).save(path)
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _stimulus_event_rates(network, steps, seed):
@@ -81,13 +96,16 @@ def _stimulus_event_rates(network, steps, seed):
 
 
 def collect() -> dict:
-    document = {"digests": {}, "statistics": {}, "stimuli": {}}
+    document = {
+        "digests": {}, "checkpoints": {}, "statistics": {}, "stimuli": {},
+    }
     for name in workload_names():
         for backend in BACKENDS:
             for scale, steps, seed in DIGEST_RUNS:
-                _, result = _run(name, backend, scale, steps, seed)
+                simulator, result = _run(name, backend, scale, steps, seed)
                 key = f"{name}|{backend}|scale {scale}|{steps} steps|seed {seed}"
                 document["digests"][key] = result.spikes.digest()
+                document["checkpoints"][key] = _checkpoint_sha(simulator, result)
             for seed in SEEDS:
                 simulator, result = _run(name, backend, STAT_SCALE, STAT_STEPS, seed)
                 for pop, population in simulator.network.populations.items():
@@ -120,6 +138,16 @@ def compare(old: dict, new: dict) -> int:
     print("## spike digests, old -> new")
     for key, digest in old["digests"].items():
         print(f"{key}: {digest[:12]} -> {new['digests'][key][:12]}")
+    print("## checkpoint sha256 that moved, old -> new")
+    old_shas, new_shas = old.get("checkpoints"), new.get("checkpoints")
+    if old_shas is None or new_shas is None:
+        print("(a document has no checkpoint shas: written before they were "
+              "recorded)")
+    else:
+        moved = [key for key, sha in old_shas.items() if new_shas[key] != sha]
+        for key in moved:
+            print(f"{key}: {old_shas[key][:12]} -> {new_shas[key][:12]}")
+        print(f"{len(moved)} of {len(old_shas)} checkpoint shas moved")
     print("## statistics: new 8-seed mean vs old 8-seed min-max (+-10 %)")
     for key, row in old["statistics"].items():
         for what in ("rate_hz", "cv_isi"):

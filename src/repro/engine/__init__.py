@@ -7,10 +7,10 @@ that actually advances neuron state. It has two parts:
   execution interface every backend (reference, Flexon, folded,
   event-driven, hybrid) steps populations through. ``CompiledRuntime``
   lowers a feature model's ``FeatureSet`` + ``ModelParameters`` +
-  ``dt`` into a flat Euler kernel; ``SolverRuntime`` is the dict-state
-  fallback, or, under RKF45, the same lowering of the continuous-time
-  dynamics (``supports_step_plan`` / ``supports_flow_plan`` say which
-  models lower);
+  ``dt`` into in-place kernels over one state block, under Euler or
+  RKF45 (``supports_lowering`` says which models lower);
+  ``SolverRuntime`` is the dict-state oracle and the fallback for
+  every other model;
 * :mod:`repro.engine.hooks` — ``PhaseHook``: pluggable per-phase
   instrumentation for the simulator loop.
 """
@@ -26,8 +26,7 @@ from repro.engine.runtime import (
     CompiledRuntime,
     PopulationRuntime,
     SolverRuntime,
-    supports_flow_plan,
-    supports_step_plan,
+    supports_lowering,
 )
 
 __all__ = [
@@ -39,6 +38,5 @@ __all__ = [
     "PhaseTimer",
     "PopulationRuntime",
     "SolverRuntime",
-    "supports_flow_plan",
-    "supports_step_plan",
+    "supports_lowering",
 ]

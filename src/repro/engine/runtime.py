@@ -4,30 +4,28 @@ A :class:`PopulationRuntime` owns one population's state and advances
 it one step per call. The simulator's neuron-computation phase only
 ever talks to this interface, so the reference float path, the
 fixed-point hardware models, and any future executor plug in behind the
-same contract:
+same contract. There are three runtimes, one role each:
 
-* :class:`CompiledRuntime` — the engine fast path: a feature model
-  lowered, once per ``dt``, into a flat kernel over preallocated
-  structure-of-arrays state with reusable scratch buffers. This is the
-  compile-once/step-many discipline of GeNN-style simulators, and it is
-  bit-identical to ``FeatureModel.step``.
-* :class:`SolverRuntime` — the general path: named state advanced by
-  a :class:`~repro.solvers.Solver` (forward Euler calling
-  ``model.step``, or RKF45 keeping its smooth/jump split). Models the
-  lowerings cannot express (Hodgkin-Huxley, native Izhikevich) run
-  here on dict-of-arrays state, and so does every population under
-  ``ReferenceBackend(use_engine=False)``. Under RKF45,
-  :meth:`SolverRuntime.lowered` is the adaptive fast path: the same
-  runtime and solver, with the state re-seated onto the stepper's SoA
-  block and the model's continuous dynamics lowered into in-place
-  kernels — bit-identical to ``model.derivatives``.
+* :class:`CompiledRuntime` — a feature model lowered, once per ``dt``,
+  into in-place kernels over one preallocated float64 state block, under
+  either solver: Euler's discrete step (bit-identical to
+  ``FeatureModel.step``) or RKF45's input jumps and continuous flow on
+  the stepper's own block (bit-identical to ``apply_input_jumps`` /
+  ``derivatives``). This is the compile-once/step-many discipline of
+  GeNN-style simulators.
+* :class:`SolverRuntime` — the dict-state oracle: named state advanced
+  by ``solver.advance`` (forward Euler calling ``model.step``, or RKF45
+  evaluating ``model.derivatives`` on dict snapshots). Models the
+  lowering cannot express (Hodgkin-Huxley, native Izhikevich) run here,
+  and so does every population under
+  ``ReferenceBackend(use_engine=False)``.
 * ``HardwareRuntime`` (in :mod:`repro.hardware.backend`) — quantises
   inputs and steps a Flexon / folded-Flexon array model.
 
 Registering a new backend therefore means implementing one
 ``build_runtime(population)`` hook; see DESIGN.md's "Engine layer".
 
-Both lowerings read the model's ``ModelParameters``, their
+The lowering reads the model's ``ModelParameters``, their
 ``derived(dt)`` constants and its ``FeatureSet`` (``accumulation_kernel``,
 ``w_owner``, ``threshold``) directly.
 """
@@ -56,34 +54,33 @@ from repro.solvers.rkf45 import RKF45Solver, RKF45Stepper
 DIVERGENCE_LIMIT = 1e6
 
 
-def supports_step_plan(model: NeuronModel) -> bool:
-    """Whether ``model``'s semantics are exactly the feature lowering.
+#: The model methods each solver's lowering stands in for.
+_LOWERED_METHODS = {
+    "Euler": ("step",),
+    "RKF45": ("apply_input_jumps", "derivatives", "fire_and_reset"),
+}
 
-    Only models that inherit the canonical ``FeatureModel.step`` (and
-    the stock zero-initialised state) can be compiled — a subclass that
-    overrides either has private semantics the kernel would silently
-    diverge from, so it falls back to the solver path.
+
+def supports_lowering(model: NeuronModel, solver: str) -> bool:
+    """Whether ``model``'s semantics under ``solver`` (``"Euler"`` or
+    ``"RKF45"``) are exactly the feature lowering.
+
+    Only a :class:`FeatureModel` with the stock zero-initialised state
+    and the canonical methods the solver calls lowers: ``step`` under
+    Euler; ``apply_input_jumps``, ``derivatives`` and
+    ``fire_and_reset`` under RKF45, which also needs a continuous form
+    to integrate (LID has none). A subclass that overrides one has
+    private semantics the kernels would silently diverge from, so it
+    stays on :class:`SolverRuntime`.
     """
     return (
         isinstance(model, FeatureModel)
-        and type(model).step is FeatureModel.step
         and type(model).initial_state is NeuronModel.initial_state
-    )
-
-
-def supports_flow_plan(model: NeuronModel) -> bool:
-    """Whether ``model``'s adaptive semantics are exactly the feature
-    lowering: the canonical ``derivatives`` / ``apply_input_jumps`` /
-    ``fire_and_reset`` over the stock initial state, and a continuous
-    form to integrate (LID has none).
-    """
-    return (
-        isinstance(model, FeatureModel)
-        and type(model).derivatives is FeatureModel.derivatives
-        and type(model).apply_input_jumps is FeatureModel.apply_input_jumps
-        and type(model).fire_and_reset is FeatureModel.fire_and_reset
-        and type(model).initial_state is NeuronModel.initial_state
-        and Feature.LID not in model.features
+        and all(
+            getattr(type(model), method) is getattr(FeatureModel, method)
+            for method in _LOWERED_METHODS[solver]
+        )
+        and not (solver == "RKF45" and Feature.LID in model.features)
     )
 
 
@@ -208,149 +205,269 @@ class PopulationRuntime(abc.ABC):
                 )
 
 
-class CompiledRuntime(PopulationRuntime):
-    """Executes a feature model's step as a compiled kernel over SoA state.
+class _SoftwareRuntime(PopulationRuntime):
+    """A float64 population advanced by a software solver: the named
+    state, the solver's counters, the checkpoint payload and the
+    ``NumericsError`` wrapping both software runtimes share.
 
-    State lives in flat float64 blocks — ``v`` as ``(n,)``, the
-    per-synapse-type conductances as one contiguous ``(types, n)``
-    block — so the per-type Python loop of the dict-state path becomes
-    a single broadcast numpy operation, and every scratch array is
-    allocated once and reused. The kernel is built on the first
-    ``advance`` and rebuilt whenever the caller changes ``dt``.
+    ``kind`` names the snapshot payload and is the ``runtime`` label of
+    the metrics: ``"solver"`` carries evaluation and advance counts,
+    ``"compiled"`` (the Euler lowering, one evaluation per advance)
+    only the advance count.
     """
 
-    def __init__(self, name: str, n: int, model: FeatureModel) -> None:
+    kind = "solver"
+
+    def __init__(self, name: str, n: int, model: NeuronModel, solver: Solver):
         super().__init__(name, n)
-        if not supports_step_plan(model):
-            raise SimulationError(
-                f"model {model.name!r} cannot be compiled to a step kernel"
-            )
         self.model = model
-        self._advances = 0
-        #: The ``dt`` the kernel was built for (None before the first step).
+        self.solver = solver
+        self._state: State = {}
+
+    @abc.abstractmethod
+    def _step(self, inputs: np.ndarray, dt: float) -> np.ndarray:
+        """One step of :meth:`advance`, unwrapped."""
+
+    def advance(self, inputs: np.ndarray, dt: float) -> np.ndarray:
+        try:
+            return self._step(inputs, dt)
+        except NumericsError as error:
+            if error.population:
+                raise
+            step = self.solver.advances
+            raise NumericsError(
+                f"population {self.name!r}, step {step}: {error}",
+                population=self.name,
+                step=step,
+                variable=error.variable,
+                indices=error.indices,
+            ) from error
+
+    def state(self) -> State:
+        return self._state
+
+    def evaluations_per_step(self) -> float:
+        return self.solver.evaluations_per_step()
+
+    def publish_metrics(self, metrics) -> None:
+        super().publish_metrics(metrics)
+        labels = {"population": self.name, "runtime": self.kind}
+        metrics.counter(
+            "runtime_advances_total",
+            "Population steps executed by each runtime.",
+            labels,
+        ).set_total(self.solver.advances)
+        if self.kind == "solver":
+            metrics.counter(
+                "runtime_solver_evaluations_total",
+                "Derivative/step evaluations performed by the solver.",
+                labels,
+            ).set_total(self.solver.evaluations)
+
+    def load_state(self, state: State) -> None:
+        """Overwrite the state in place (keeps recorder views live)."""
+        for name, values in state.items():
+            self._state[name][:] = values
+
+    def snapshot(self) -> Dict[str, object]:
+        payload: Dict[str, object] = {
+            "kind": self.kind,
+            "state": {name: values.copy() for name, values in self._state.items()},
+        }
+        if self.kind == "solver":
+            payload["evaluations"] = self.solver.evaluations
+        payload["advances"] = self.solver.advances
+        return payload
+
+    def restore(self, payload: Dict[str, object]) -> None:
+        state = payload["state"]
+        if set(state) != set(self._state):
+            raise CheckpointError(
+                f"checkpoint variables {sorted(state)} do not match "
+                f"{self.name!r}'s state {sorted(self._state)}"
+            )
+        self._check_restore_sizes(state)
+        self.load_state(state)
+        self.solver.advances = int(payload["advances"])
+        # A compiled payload leaves out what Euler's one evaluation per
+        # advance implies.
+        self.solver.evaluations = int(
+            payload.get("evaluations", self.solver.advances)
+        )
+
+
+class CompiledRuntime(_SoftwareRuntime):
+    """A feature model lowered, once per ``dt``, into in-place kernels
+    over one float64 state block.
+
+    The block is ``(n_flow, n)``: a row per variable of
+    ``FeatureSet.state_variables`` (``v``, ``g`` per synapse type,
+    COBA's ``y`` per type, ``w``, ``r``) but ``cnt``, the AR counter,
+    which never flows (it enters no RKF45 stage or error norm) and is a
+    row of its own. Under RKF45 the block is the stepper's ``y``,
+    integrated in place; under Euler it is a plain array. Only the
+    kernel between the AR input gate and fire/reset differs: Euler's
+    mirrors ``FeatureModel.step``, RKF45's ``apply_input_jumps`` then
+    ``derivatives`` (DESIGN.md §3b, "Adaptive lowering"). No ufunc call
+    mixes dtypes or broadcasts one operand against a full block (numpy
+    allocates iterator buffers for those on every call), and every
+    scratch array is allocated when the kernels are built: on the first
+    ``advance`` and whenever ``dt`` changes.
+
+    The RKF45 lowering snapshots the dict-state oracle's payload, so a
+    checkpoint restores into either runtime.
+    """
+
+    def __init__(self, name: str, n: int, model: FeatureModel, solver: Solver):
+        super().__init__(name, n, model, solver)
+        if not supports_lowering(model, solver.name):
+            raise SimulationError(
+                f"model {model.name!r} cannot be lowered under {solver.name}"
+            )
+        self._n_types = model.parameters.n_synapse_types
+        names = model.state_variable_names()
+        flows = tuple(name for name in names if name != "cnt")
+        self._stepper: Optional[RKF45Stepper] = None
+        if isinstance(solver, RKF45Solver):
+            self._stepper = RKF45Stepper((len(flows), n), flows)
+            self._block = self._stepper.y
+        else:
+            self.kind = "compiled"
+            self._block = np.zeros((len(flows), n))
+        self._cnt = np.zeros(n) if "cnt" in names else None
+        self._bind_views()
+        self.load_state(model.initial_state(n))
+        #: The ``dt`` the kernels were built for (None before the first step).
         self._dt: Optional[float] = None
         self._kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-        p = model.parameters
-        f = model.features
-        n_types = p.n_synapse_types
-        self._n_types = n_types
-        # -- structure-of-arrays state ----------------------------------
-        self.v = np.full(n, p.v_rest, dtype=np.float64)
-        self.g = (
-            np.zeros((n_types, n), dtype=np.float64)
-            if f.uses_conductance
-            else None
-        )
-        self.y = (
-            np.zeros((n_types, n), dtype=np.float64)
-            if Feature.COBA in f
-            else None
-        )
-        self.w = (
-            np.zeros(n, dtype=np.float64) if f.has_adaptation_state else None
-        )
-        self.r = np.zeros(n, dtype=np.float64) if Feature.RR in f else None
-        self.cnt = np.zeros(n, dtype=np.float64) if Feature.AR in f else None
-        self._views = self._named_views()
-
-    def _named_views(self) -> State:
-        """Live float views of the SoA blocks under the canonical
-        dict-state names."""
-        views: State = {"v": self.v}
-        if self.g is not None:
-            for i in range(self._n_types):
-                views[f"g{i}"] = self.g[i]
-        if self.y is not None:
-            for i in range(self._n_types):
-                views[f"y{i}"] = self.y[i]
-        if self.w is not None:
-            views["w"] = self.w
-        if self.r is not None:
-            views["r"] = self.r
-        if self.cnt is not None:
-            views["cnt"] = self.cnt
-        return views
-
-    # -- kernel compilation ----------------------------------------------
-
-    def _stepped(self) -> "CompiledRuntime":
-        """The runtime whose ``advance`` moves this one's state."""
-        return self if self.block is None else self.block
-
-    @property
-    def advances(self) -> int:
-        """Steps executed so far (a member's are its block's)."""
-        return self._stepped()._advances
-
-    @advances.setter
-    def advances(self, value: int) -> None:
-        self._stepped()._advances = value
+    def _bind_views(self) -> None:
+        """Name the block's rows (and ``cnt``) in state-variable order."""
+        rows = iter(self._block)
+        self._state = {
+            name: self._cnt if name == "cnt" else next(rows)
+            for name in self.model.state_variable_names()
+        }
 
     def split(
         self, members: Sequence[Tuple[str, int, int]]
     ) -> List["CompiledRuntime"]:
+        if self._stepper is not None:
+            # One step size is accepted or rejected for every column.
+            return super().split(members)
         views = []
         for name, lo, hi in members:
             view = copy.copy(self)
             view.name, view.n, view.block = name, hi - lo, self
-            for attribute in ("v", "g", "y", "w", "r", "cnt"):
-                values = getattr(self, attribute)
-                if values is not None:
-                    setattr(view, attribute, values[..., lo:hi])
-            view._views = view._named_views()
+            view._block = self._block[:, lo:hi]
+            if self._cnt is not None:
+                view._cnt = self._cnt[lo:hi]
+            view._bind_views()
             views.append(view)
         return views
 
-    def _build_kernel(self, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Close the model's constants at ``dt`` and this runtime's
-        arrays over a flat update function; all feature dispatch
-        happens here, once. Per-type constants become ``(types, 1)``
-        columns that broadcast over the ``(types, n)`` blocks.
+    def _step(self, inputs: np.ndarray, dt: float) -> np.ndarray:
+        if self.block is not None:
+            raise self._refuse_member_advance()
+        if inputs.shape != (self._n_types, self.n):
+            raise SimulationError(
+                f"expected inputs of shape {(self._n_types, self.n)}, "
+                f"got {inputs.shape}"
+            )
+        if dt != self._dt:
+            self._kernel, self._dt = self._build(dt), dt
+        return self._kernel(inputs)
+
+    # -- lowering -----------------------------------------------------------
+
+    def _build(self, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Close the model's constants at ``dt`` and this runtime's rows
+        over one step function; all feature dispatch happens here, once.
         """
         p, f = self.model.parameters, self.model.features
-        d = p.derived(dt)
-        n = self.n
-        n_types = self._n_types
-        v, g, y, w, r, cnt = self.v, self.g, self.y, self.w, self.r, self.cnt
-        kernel_kind, owner = f.accumulation_kernel, f.w_owner
-        use_ar, use_rev = Feature.AR in f, Feature.REV in f
-        use_lid, use_qdi, use_exi = Feature.LID in f, Feature.QDI in f, Feature.EXI in f
+        n, n_types = self.n, p.n_synapse_types
+        owner = f.w_owner
+        state, cnt = self._state, self._cnt
+        v, w, r = state["v"], state.get("w"), state.get("r")
+        if self._stepper is None:
+            integrate = self._euler_kernel(dt)
+        else:
+            integrate = self._rkf45_kernel(dt)
 
         # Preallocated scratch, reused every step.
-        gated = np.empty((n_types, n)) if use_ar else None
-        ar_gate = np.empty(n, dtype=bool) if use_ar else None
+        admitted = np.empty(n, dtype=bool) if cnt is not None else None
+        gate = np.empty(n) if cnt is not None else None
+        gated = np.empty((n_types, n)) if cnt is not None else None
+        fired = np.empty(n, dtype=bool)
+        threshold, reset_voltage = f.threshold(p), p.reset_voltage
+        b, q_r = p.b, p.q_r
+        cnt_reload = float(p.refractory_steps(dt))
+
+        def step(inputs: np.ndarray) -> np.ndarray:
+            # 1. absolute refractory gates the inputs of silenced neurons
+            if cnt is not None:
+                np.less_equal(cnt, 0.0, out=admitted)
+                np.copyto(gate, admitted)  # 1.0 where input is let in
+                for i in range(n_types):
+                    np.multiply(inputs[i], gate, out=gated[i])
+                inputs = gated
+            integrate(inputs)
+            # 7. fire & reset
+            np.greater(v, threshold, out=fired)
+            v[fired] = reset_voltage
+            if owner is Feature.RR:
+                w[fired] += b
+                r[fired] += q_r
+            elif owner is not None:
+                w[fired] -= b
+            if cnt is not None:
+                np.subtract(cnt, 1.0, out=cnt)
+                np.maximum(cnt, 0.0, out=cnt)
+                cnt[fired] = cnt_reload
+            return fired
+
+        return step
+
+    def _euler_kernel(self, dt: float) -> Callable[[np.ndarray], None]:
+        """``FeatureModel.step`` up to fire/reset, on the block."""
+        p, f = self.model.parameters, self.model.features
+        d = p.derived(dt)
+        n, n_types = self.n, p.n_synapse_types
+        solver, block, state = self.solver, self._block, self._state
+        v, w, r = state["v"], state.get("w"), state.get("r")
+        g = block[1:1 + n_types]
+        y = block[1 + n_types:1 + 2 * n_types]
+        kernel_kind, owner = f.accumulation_kernel, f.w_owner
+        use_rev = Feature.REV in f
+        use_lid, use_qdi, use_exi = Feature.LID in f, Feature.QDI in f, Feature.EXI in f
+
         ts = np.empty((n_types, n)) if (kernel_kind is Feature.COBA or use_rev) else None
         syn = np.empty(n)
         tmp = np.empty(n)
         tmp2 = np.empty(n) if use_qdi else None
         v_new = np.empty(n)
-        fired = np.empty(n, dtype=bool)
 
         one_minus_eps_g, e_eps_g, v_g = (
-            np.array(values, dtype=np.float64).reshape(n_types, 1)
-            for values in (d.one_minus_eps_g, d.e_eps_g, p.v_g[:n_types])
+            np.array(values[:n_types], dtype=np.float64).reshape(n_types, 1)
+            for values in (d.one_minus_eps_g, d.e_eps_g, p.v_g)
         )
+        # The decay and gain columns multiply whole (types, n) blocks: as
+        # full blocks they broadcast nothing (see the class docstring).
+        # (v_g - v) broadcasts both operands and needs no buffer.
+        one_minus_eps_g = one_minus_eps_g.repeat(n, axis=1)
+        e_eps_g = e_eps_g.repeat(n, axis=1)
         eps_m, v_rest, theta = d.eps_m, p.v_rest, p.theta
         v_c, delta_t, leak_max = p.v_c, p.delta_t, d.leak_max
-        threshold, reset_voltage = f.threshold(p), p.reset_voltage
         one_minus_eps_w, one_minus_eps_r = d.one_minus_eps_w, d.one_minus_eps_r
         sbt_gain, v_w_target = d.sbt_gain, p.v_w
-        v_rr, v_ar, b, q_r = p.v_rr, p.v_ar, p.b, p.q_r
-        cnt_reload = float(d.cnt_reload)
+        v_rr, v_ar = p.v_rr, p.v_ar
 
-        def kernel(inputs: np.ndarray) -> np.ndarray:
+        def kernel(x: np.ndarray) -> None:
             # In-place augmented assignments below would otherwise make
             # these closure names local (and unbound) inside the kernel.
             nonlocal g, y, w, r, syn, tmp, ts, v_new
-            # 1. absolute refractory gates the inputs of silenced neurons
-            if use_ar:
-                np.less_equal(cnt, 0.0, out=ar_gate)
-                np.multiply(inputs, ar_gate, out=gated)
-                x = gated
-            else:
-                x = inputs
-
+            solver.evaluations += 1
+            solver.advances += 1
             # 2-3. synaptic kernels and reversal scaling (old v)
             if kernel_kind is Feature.COBA:
                 y *= one_minus_eps_g
@@ -414,205 +531,45 @@ class CompiledRuntime(PopulationRuntime):
             elif owner is Feature.ADT:
                 w *= one_minus_eps_w
                 v_new += w
-
-            # 7. fire & reset
-            np.greater(v_new, threshold, out=fired)
-            v_new[fired] = reset_voltage
-            if owner is Feature.RR:
-                w[fired] += b
-                r[fired] += q_r
-            elif owner is not None:
-                w[fired] -= b
-            if use_ar:
-                np.subtract(cnt, 1.0, out=cnt)
-                np.maximum(cnt, 0.0, out=cnt)
-                cnt[fired] = cnt_reload
-            v[:] = v_new
-            return fired
+            np.copyto(v, v_new)
 
         return kernel
 
-    # -- PopulationRuntime interface --------------------------------------
-
-    def advance(self, inputs: np.ndarray, dt: float) -> np.ndarray:
-        if self.block is not None:
-            raise self._refuse_member_advance()
-        if dt != self._dt:
-            self._kernel, self._dt = self._build_kernel(dt), dt
-        if inputs.shape != (self._n_types, self.n):
-            raise SimulationError(
-                f"expected inputs of shape {(self._n_types, self.n)}, "
-                f"got {inputs.shape}"
-            )
-        self._advances += 1
-        return self._kernel(inputs)
-
-    def publish_metrics(self, metrics) -> None:
-        super().publish_metrics(metrics)
-        metrics.counter(
-            "runtime_advances_total",
-            "Population steps executed by each runtime.",
-            {"population": self.name, "runtime": "compiled"},
-        ).set_total(self.advances)
-
-    def state(self) -> State:
-        return self._views
-
-    def load_state(self, state: State) -> None:
-        """Overwrite the SoA blocks from a dict-state snapshot."""
-        for name, values in state.items():
-            self._views[name][:] = values
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "kind": "compiled",
-            "state": {name: view.copy() for name, view in self._views.items()},
-            "advances": self.advances,
-        }
-
-    def restore(self, payload: Dict[str, object]) -> None:
-        state = payload["state"]
-        if set(state) != set(self._views):
-            raise CheckpointError(
-                f"checkpoint variables {sorted(state)} do not match "
-                f"{self.name!r}'s state {sorted(self._views)}"
-            )
-        self._check_restore_sizes(state)
-        self.load_state(state)
-        self.advances = int(payload["advances"])
-
-
-class SolverRuntime(PopulationRuntime):
-    """A software solver advancing one population's named state.
-
-    Built plainly, the state is the model's dict of arrays and every
-    step is ``solver.advance(model, state, ...)`` — forward Euler
-    calling ``model.step``, or RKF45's smooth/jump split evaluating
-    ``model.derivatives`` on dict snapshots. Any model runs here
-    (Hodgkin-Huxley, native Izhikevich), and for feature models this is
-    the oracle: ``ReferenceBackend(use_engine=False)`` selects it.
-
-    :meth:`lowered` builds the same runtime on the model's lowered
-    continuous dynamics instead: the integrated variables become rows
-    of the RKF45 stepper's own ``(n_vars, n)`` block and the jump /
-    derivative / fire-reset kernels run in place over preallocated
-    scratch. Spikes, state bytes, evaluation counts and checkpoints are
-    bit-identical between the two.
-    """
-
-    def __init__(self, name: str, n: int, model: NeuronModel, solver: Solver):
-        super().__init__(name, n)
-        self.model = model
-        self.solver = solver
-        self._state = model.initial_state(n)
-        #: Whether the steps run the lowered kernels (see :meth:`lowered`).
-        self.flow_plan = False
-        self._flow_step: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-
-    @classmethod
-    def lowered(
-        cls, name: str, n: int, model: FeatureModel, solver: RKF45Solver
-    ) -> "SolverRuntime":
-        """A runtime whose RKF45 steps run ``model``'s lowered kernels."""
-        if not isinstance(solver, RKF45Solver):
-            raise SimulationError(
-                f"lowering needs the RKF45 solver, got {solver.name!r}"
-            )
-        if not supports_flow_plan(model):
-            raise SimulationError(
-                f"model {model.name!r} does not use the canonical feature-model "
-                "continuous dynamics; it cannot be lowered"
-            )
-        runtime = cls(name, n, model, solver)
-        runtime._lower()
-        return runtime
-
-    def _lower(self) -> None:
-        """Re-seat the state onto a stepper block and close the model's
-        constants over in-place kernels; all feature dispatch happens
-        here, once. Each kernel mirrors its ``FeatureModel`` method
-        operation for operation (that is the bit-identity contract),
-        with two exact rewrites: ``-x / tau`` is computed as
-        ``x / -tau`` (IEEE division is sign-symmetric) and ``0 + x`` as
-        ``x + 0``. Every ufunc call is same-shape or array-with-scalar:
-        a broadcast or mixed-dtype call would make numpy allocate
-        iterator buffers on every evaluation.
-        """
+    def _rkf45_kernel(self, dt: float) -> Callable[[np.ndarray], None]:
+        """``FeatureModel.apply_input_jumps``, then ``derivatives``
+        integrated over ``dt`` on the stepper's block. Each mirrors its
+        method operation for operation, with two exact rewrites:
+        ``-x / tau`` is computed as ``x / -tau`` (IEEE division is
+        sign-symmetric) and ``0 + x`` as ``x + 0``."""
         p, f = self.model.parameters, self.model.features
-        n = self.n
-        n_types = p.n_synapse_types
+        n, n_types = self.n, p.n_synapse_types
         types = range(n_types)
-        solver = self.solver
-        # ``cnt`` is state but does not flow: it never enters the error
-        # norm or the stage arithmetic, so it is no row of the block.
-        state_names = self.model.state_variable_names()
-        flow_names = tuple(name for name in state_names if name != "cnt")
-        stepper = RKF45Stepper((len(flow_names), n), flow_names)
-        block = stepper.y
-        rows = iter(block)
-        state: State = {
-            name: np.zeros(n) if name == "cnt" else next(rows)
-            for name in state_names
-        }
-        for name, values in self._state.items():
-            state[name][:] = values
-        self._state = state
-        self.flow_plan = True
-
-        # Row layout of the block (FeatureSet.state_variables order):
-        # v, then g per type, then (COBA) y per type, then w, then r.
+        solver, stepper, block = self.solver, self._stepper, self._block
+        flows = stepper.names
         kernel_kind, owner = f.accumulation_kernel, f.w_owner
         conductance = f.uses_conductance
-        g_row = 1
-        y_row = 1 + n_types
-        w_row = flow_names.index("w") if owner is not None else None
-        r_row = flow_names.index("r") if owner is Feature.RR else None
+        g_row, y_row = 1, 1 + n_types
+        w_row = flows.index("w") if owner is not None else None
+        r_row = flows.index("r") if owner is Feature.RR else None
         v = block[0]
-        g = block[g_row:g_row + n_types] if conductance else None
-        ys = block[y_row:y_row + n_types] if kernel_kind is Feature.COBA else None
-        w = block[w_row] if w_row is not None else None
-        r = block[r_row] if r_row is not None else None
-        cnt = state.get("cnt")
+        g = block[g_row:g_row + n_types]
+        ys = block[y_row:y_row + n_types]
 
-        # Preallocated scratch, reused by every evaluation.
-        use_ar, use_rev = Feature.AR in f, Feature.REV in f
+        use_rev = Feature.REV in f
         use_qdi, use_exi = Feature.QDI in f, Feature.EXI in f
-        refractory = np.empty(n, dtype=bool) if use_ar else None
-        gate = np.empty(n) if use_ar else None
-        gated = np.empty((n_types, n)) if use_ar else None
         tmp = np.empty(n)
         tmp2 = np.empty(n) if use_qdi else None
-        fired = np.empty(n, dtype=bool)
 
         tau, v_rest, theta, v_c = p.tau, p.v_rest, p.theta, p.v_c
         delta_t, exi_cap = p.delta_t, p.exi_cap
-        threshold, reset_voltage = f.threshold(p), p.reset_voltage
         tau_w, tau_r, a, v_w = p.tau_w, p.tau_r, p.a, p.v_w
-        v_rr, v_ar, b, q_r = p.v_rr, p.v_ar, p.b, p.q_r
+        v_rr, v_ar = p.v_rr, p.v_ar
         tau_g = tuple(float(t) for t in p.tau_g[:n_types])
         v_g = tuple(float(x) for x in p.v_g[:n_types])
-        refractory_steps = p.refractory_steps
-
-        def jump(inputs: np.ndarray) -> None:
-            """``FeatureModel.apply_input_jumps``."""
-            nonlocal g, ys, v
-            if use_ar:
-                np.less_equal(cnt, 0.0, out=refractory)
-                np.copyto(gate, refractory)  # 1.0 where input is let in
-                for i in types:
-                    np.multiply(inputs[i], gate, out=gated[i])
-                inputs = gated
-            if kernel_kind is Feature.COBA:
-                ys += inputs
-            elif kernel_kind is Feature.COBE:
-                g += inputs
-            else:
-                for i in types:
-                    v += inputs[i]
 
         def flow(_t: float, y: np.ndarray, out: np.ndarray) -> None:
             """``FeatureModel.derivatives``: ``y`` -> ``out``, both
-            ``(n_vars, n)`` blocks of the stepper (never the same)."""
+            ``(n_flow, n)`` blocks of the stepper (never the same)."""
             nonlocal tmp
             yv = y[0]
             drive = out[0]  # accumulates syn, then the drive, then dv/dt
@@ -678,91 +635,36 @@ class SolverRuntime(PopulationRuntime):
                 np.divide(yw, -tau_w, out=out[w_row])
             drive /= tau
 
-        def fire(dt: float) -> np.ndarray:
-            """``FeatureModel.fire_and_reset``."""
-            np.greater(v, threshold, out=fired)
-            v[fired] = reset_voltage
-            if owner is Feature.RR:
-                w[fired] += b
-                r[fired] += q_r
-            elif owner is not None:
-                w[fired] -= b
-            if use_ar:
-                np.subtract(cnt, 1.0, out=cnt)
-                np.maximum(cnt, 0.0, out=cnt)
-                cnt[fired] = float(refractory_steps(dt))
-            return fired
-
-        def step(inputs: np.ndarray, dt: float) -> np.ndarray:
-            if inputs.shape != (n_types, n):
-                raise SimulationError(
-                    f"expected inputs of shape {(n_types, n)}, "
-                    f"got {inputs.shape}"
-                )
-            jump(inputs)
+        def kernel(x: np.ndarray) -> None:
+            nonlocal g, ys, v
+            if kernel_kind is Feature.COBA:
+                ys += x
+            elif kernel_kind is Feature.COBE:
+                g += x
+            else:
+                for i in types:
+                    v += x[i]
             solver.integrate(stepper, flow, dt)
-            return fire(dt)
 
-        self._flow_step = step
+        return kernel
 
-    def advance(self, inputs: np.ndarray, dt: float) -> np.ndarray:
-        try:
-            if self._flow_step is not None:
-                return self._flow_step(inputs, dt)
-            return self.solver.advance(self.model, self._state, inputs, dt)
-        except NumericsError as error:
-            if error.population:
-                raise
-            step = self.solver.advances
-            raise NumericsError(
-                f"population {self.name!r}, step {step}: {error}",
-                population=self.name,
-                step=step,
-                variable=error.variable,
-                indices=error.indices,
-            ) from error
 
-    def state(self) -> State:
-        return self._state
+class SolverRuntime(_SoftwareRuntime):
+    """The dict-state oracle: a software solver advancing one
+    population's named state.
 
-    def evaluations_per_step(self) -> float:
-        return self.solver.evaluations_per_step()
+    The state is the model's dict of arrays and every step is
+    ``solver.advance(model, state, ...)`` — forward Euler calling
+    ``model.step``, or RKF45's smooth/jump split evaluating
+    ``model.derivatives`` on dict snapshots. Any model runs here
+    (Hodgkin-Huxley, native Izhikevich), and for feature models this is
+    what :class:`CompiledRuntime` is pinned against:
+    ``ReferenceBackend(use_engine=False)`` selects it.
+    """
 
-    def publish_metrics(self, metrics) -> None:
-        super().publish_metrics(metrics)
-        labels = {"population": self.name, "runtime": "solver"}
-        metrics.counter(
-            "runtime_advances_total",
-            "Population steps executed by each runtime.",
-            labels,
-        ).set_total(self.solver.advances)
-        metrics.counter(
-            "runtime_solver_evaluations_total",
-            "Derivative/step evaluations performed by the solver.",
-            labels,
-        ).set_total(self.solver.evaluations)
+    def __init__(self, name: str, n: int, model: NeuronModel, solver: Solver):
+        super().__init__(name, n, model, solver)
+        self._state = model.initial_state(n)
 
-    def load_state(self, state: State) -> None:
-        """Overwrite the dict state in place (keeps recorder views live)."""
-        for name, values in state.items():
-            self._state[name][:] = values
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "kind": "solver",
-            "state": {name: values.copy() for name, values in self._state.items()},
-            "evaluations": self.solver.evaluations,
-            "advances": self.solver.advances,
-        }
-
-    def restore(self, payload: Dict[str, object]) -> None:
-        state = payload["state"]
-        if set(state) != set(self._state):
-            raise CheckpointError(
-                f"checkpoint variables {sorted(state)} do not match "
-                f"{self.name!r}'s state {sorted(self._state)}"
-            )
-        self._check_restore_sizes(state)
-        self.load_state(state)
-        self.solver.evaluations = int(payload["evaluations"])
-        self.solver.advances = int(payload["advances"])
+    def _step(self, inputs: np.ndarray, dt: float) -> np.ndarray:
+        return self.solver.advance(self.model, self._state, inputs, dt)

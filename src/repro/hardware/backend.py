@@ -23,7 +23,7 @@ offloaded to Flexon — the paper's mixed AdEx + HH scenario.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -201,11 +201,11 @@ class _HardwareBackendBase(RuntimeBackend):
     """Shared compile/advance plumbing of the two hardware backends."""
 
     folded = False
+    compiler = FlexonCompiler()
 
-    def __init__(self, dt: float = 1e-4, compiler: Optional[FlexonCompiler] = None):
+    def __init__(self, dt: float = 1e-4):
         super().__init__()
         self.dt = dt
-        self.compiler = compiler if compiler is not None else FlexonCompiler()
 
     def block_key(self, population: Population):
         return model_key(population.model)
@@ -245,24 +245,23 @@ class HybridBackend(RuntimeBackend):
     AdEx and HH), we can still accelerate SNN simulations by offloading
     the supported neuron models to Flexon." With the runtime seam the
     split is per population: supported ones get a
-    :class:`HardwareRuntime`, the rest a software
+    :class:`HardwareRuntime`, the rest the dict-state
     :class:`~repro.engine.runtime.SolverRuntime`.
     """
 
     name = "hybrid"
+    compiler = FlexonCompiler()
 
     def __init__(
         self,
         dt: float = 1e-4,
         solver: str = "Euler",
         folded: bool = True,
-        compiler: Optional[FlexonCompiler] = None,
     ):
         super().__init__()
         self.dt = dt
         self.solver_name = canonical_solver_name(solver)
         self.folded = folded
-        self.compiler = compiler if compiler is not None else FlexonCompiler()
         #: population -> whether it runs on the digital-neuron array.
         self.offloaded: Dict[str, bool] = {}
 

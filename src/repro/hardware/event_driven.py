@@ -159,8 +159,8 @@ class EventDrivenFlexonBackend(_HardwareBackendBase):
 
     name = "event-driven-flexon"
 
-    def __init__(self, dt: float = 1e-4, folded: bool = False, compiler=None):
-        super().__init__(dt, compiler)
+    def __init__(self, dt: float = 1e-4, folded: bool = False):
+        super().__init__(dt)
         self.folded = folded
 
     def block_key(self, population):

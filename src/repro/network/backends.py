@@ -22,16 +22,14 @@ no equal, or on a runtime whose step is not column-wise, is a block of
 one and is its own runtime. See DESIGN.md, "Blocks".
 
 :class:`ReferenceBackend` is the float64 software backend — our
-stand-in for Brian/NEST. With the Euler solver it compiles each
-supported population into a
-:class:`~repro.engine.runtime.CompiledRuntime` kernel (the
-compile-once/step-many fast path, bit-identical to ``model.step``);
-with RKF45 it lowers each supported population's continuous dynamics
-into kernels run in place on the one RKF45 stepper
-(:meth:`~repro.engine.runtime.SolverRuntime.lowered`, bit-identical to
-``model.derivatives``). Models that do not lower, and every population
-under ``use_engine=False``, run on the dict-state
-:class:`~repro.engine.runtime.SolverRuntime`.
+stand-in for Brian/NEST. Each population whose model lowers
+(:func:`~repro.engine.runtime.supports_lowering`) runs on a
+:class:`~repro.engine.runtime.CompiledRuntime` under the network's
+solver: a step kernel under Euler (bit-identical to ``model.step``),
+input jumps and a continuous flow on the RKF45 stepper's block under
+RKF45 (bit-identical to ``model.derivatives``). Models that do not
+lower, and every population under ``use_engine=False``, run on the
+dict-state :class:`~repro.engine.runtime.SolverRuntime`.
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ from repro.engine.runtime import (
     CompiledRuntime,
     PopulationRuntime,
     SolverRuntime,
-    supports_flow_plan,
-    supports_step_plan,
+    supports_lowering,
 )
 from repro.errors import ConfigurationError, SimulationError
 from repro.features import Feature
@@ -60,16 +57,15 @@ from repro.solvers import canonical_solver_name, create_solver
 
 
 def software_solver_runtime(
-    population: Population, solver_name: str, lowered: bool = False
+    population: Population, solver_name: str
 ) -> SolverRuntime:
-    """One population on a software solver, checked at build time.
+    """One population on the dict-state solver, checked at build time.
 
     RKF45 integrates a model's continuous form between step boundaries,
     so a model without one (LID's linear decay is inherently discrete;
     a model may define no ``derivatives`` or no separate fire/reset
     phase) is rejected here rather than by a ``NotImplementedError``
-    on step 0. ``lowered`` asks for the lowered path where the model
-    supports it.
+    on step 0.
     """
     model = population.model
     solver = create_solver(solver_name)
@@ -86,10 +82,6 @@ def software_solver_runtime(
                 f"population {population.name!r}: model {model.name!r} "
                 f"cannot be integrated with RKF45 — {reason}; "
                 'use solver: "Euler"'
-            )
-        if lowered and supports_flow_plan(model):
-            return SolverRuntime.lowered(
-                population.name, population.n, model, solver
             )
     return SolverRuntime(population.name, population.n, model, solver)
 
@@ -243,17 +235,16 @@ class RuntimeBackend(abc.ABC):
 class ReferenceBackend(RuntimeBackend):
     """Float64 software backend — our stand-in for Brian/NEST.
 
-    Populations with equal models that compile to a step kernel run as
-    one :class:`~repro.engine.runtime.CompiledRuntime` block; every
-    other population has a runtime (and evaluation counters) of its
-    own. The solver kind applies network-wide, which matches how
-    Table I labels each workload "Euler" or "RKF45". ``use_engine``
-    selects between the compiled fast path (default: a step kernel
-    under Euler, lowered flow kernels under RKF45) and the dict-state
-    solver path (``model.step`` / ``model.derivatives`` on dicts of
-    arrays); the
-    two are bit-identical, and the flag exists so tests and benchmarks
-    can use the dict-state path as the oracle.
+    The solver kind applies network-wide, which matches how Table I
+    labels each workload "Euler" or "RKF45". ``use_engine`` selects
+    between the lowered :class:`~repro.engine.runtime.CompiledRuntime`
+    (default, for every model that lowers) and the dict-state
+    :class:`~repro.engine.runtime.SolverRuntime` (``model.step`` /
+    ``model.derivatives`` on dicts of arrays); the two are
+    bit-identical, and the flag exists so tests and benchmarks can use
+    the dict-state path as the oracle. Populations with equal models
+    step as one block under Euler; every other population has a runtime
+    (and solver counters) of its own.
     """
 
     def __init__(self, solver: str = "Euler", use_engine: bool = True):
@@ -262,25 +253,23 @@ class ReferenceBackend(RuntimeBackend):
         self.use_engine = use_engine
         self.name = f"reference-{self.solver_name.lower()}"
 
-    def _compiles(self, model: NeuronModel) -> bool:
-        return (
-            self.use_engine
-            and self.solver_name == "Euler"
-            and supports_step_plan(model)
-        )
+    def _lowers(self, model: NeuronModel) -> bool:
+        return self.use_engine and supports_lowering(model, self.solver_name)
 
     def block_key(self, population: Population) -> Optional[Hashable]:
         # Only step kernels fuse: an RKF45 stepper accepts or rejects a
         # substep for all its columns at once, and the dict-state solver
         # is the oracle.
-        if self._compiles(population.model):
+        if self.solver_name == "Euler" and self._lowers(population.model):
             return model_key(population.model)
         return None
 
     def build_runtime(self, population: Population) -> PopulationRuntime:
-        model = population.model
-        if self._compiles(model):
-            return CompiledRuntime(population.name, population.n, model)
-        return software_solver_runtime(
-            population, self.solver_name, lowered=self.use_engine
-        )
+        if self._lowers(population.model):
+            return CompiledRuntime(
+                population.name,
+                population.n,
+                population.model,
+                create_solver(self.solver_name),
+            )
+        return software_solver_runtime(population, self.solver_name)

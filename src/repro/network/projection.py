@@ -277,20 +277,16 @@ class SynapseIndex:
             filled += counts
 
     def outgoing(self, fired_pre: np.ndarray):
-        """``(rows, post)``: the fired CSR rows as slices, their targets."""
-        # The leading empty row keeps concatenate defined when nothing fired.
-        rows = [slice(0, 0), *_rows(self.pre_ptr, fired_pre)]
-        return rows, np.concatenate(
-            [self.post[row] for row in rows], dtype=np.intp
-        )
+        """``(rows, post)``: the fired CSR rows as slices, their targets
+        (read-only: a view of the index when one row fired)."""
+        rows = _rows(self.pre_ptr, fired_pre)
+        return rows, _gather(self.post, rows)
 
     def incoming(self, fired_post: np.ndarray):
-        """``(synapses, pre)`` of the synapses into the fired neurons."""
-        rows = [slice(0, 0), *_rows(self.post_ptr, fired_post)]
-        return (
-            np.concatenate([self.order[row] for row in rows], dtype=np.intp),
-            np.concatenate([self.pre[row] for row in rows], dtype=np.intp),
-        )
+        """``(synapses, pre)`` of the synapses into the fired neurons
+        (read-only, as :meth:`outgoing`)."""
+        rows = _rows(self.post_ptr, fired_post)
+        return _gather(self.order, rows), _gather(self.pre, rows)
 
 
 def connect(

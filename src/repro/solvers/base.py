@@ -6,19 +6,17 @@ neurons fired. It also tracks how many derivative evaluations it has
 performed — the CPU/GPU cost models charge neuron computation by
 evaluation count, which is how Euler-vs-RKF45 shows up in Figure 3.
 
-Solvers run inside the engine layer's
-:class:`~repro.engine.runtime.SolverRuntime`: one solver instance per
-population. Euler-integrated feature models usually bypass the solver
-entirely via :class:`~repro.engine.runtime.CompiledRuntime`'s compiled
-kernel (bit-identical, faster). RKF45-integrated feature models keep
-their solver — it owns the tolerances and the evaluation counters — but
-run its stepper over the kernels of
-:meth:`~repro.engine.runtime.SolverRuntime.lowered` instead of calling
-:meth:`Solver.advance`. ``advance`` itself, driving
-dict-of-arrays state through ``model.step`` / ``model.derivatives``,
-is what models with private semantics run on, and what
-``ReferenceBackend(use_engine=False)`` selects for every population
-under either solver: the oracle both lowerings are pinned against.
+Solvers run inside the engine layer, one instance per population
+runtime, and keep its evaluation and advance counters. Feature models
+that lower run on :class:`~repro.engine.runtime.CompiledRuntime`, which
+under Euler replaces :meth:`Solver.advance` with its compiled kernel
+and under RKF45 drives the solver's stepper over the lowered flow
+(bit-identical, faster). ``advance`` itself, driving dict-of-arrays
+state through ``model.step`` / ``model.derivatives``, is what
+:class:`~repro.engine.runtime.SolverRuntime` runs: models with private
+semantics, and every population under
+``ReferenceBackend(use_engine=False)`` under either solver — the oracle
+both lowerings are pinned against.
 """
 
 from __future__ import annotations

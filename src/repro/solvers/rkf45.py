@@ -15,8 +15,8 @@ There is one integrator: :class:`RKF45Stepper`, an in-place stepper
 over a workspace allocated once. :func:`rkf45_integrate` (the
 functional form), :meth:`RKF45Solver.advance` (dict state, the oracle)
 and the engine's lowered path
-(:meth:`repro.engine.runtime.SolverRuntime.lowered`) all drive it, so
-the Fehlberg tableau and the step-size controller exist once.
+(:class:`~repro.engine.runtime.CompiledRuntime` under RKF45) all drive
+it, so the Fehlberg tableau and the step-size controller exist once.
 """
 
 from __future__ import annotations

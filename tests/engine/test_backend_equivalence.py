@@ -70,12 +70,13 @@ def test_engine_disabled_builds_solver_runtimes():
     )
 
 
-def test_rkf45_stays_on_solver_runtime():
+def test_rkf45_lowers_to_compiled_runtime():
     network = build_workload("Brette et al.", scale=0.02, seed=1)
     backend = ReferenceBackend("RKF45")
     backend.prepare(network)
     assert all(
-        isinstance(rt, SolverRuntime) for rt in backend.runtimes.values()
+        isinstance(rt, CompiledRuntime) and rt.solver.name == "RKF45"
+        for rt in backend.runtimes.values()
     )
 
 

@@ -1,8 +1,8 @@
 """The lowered RKF45 flow is bit-identical to the dict-state oracle.
 
-``SolverRuntime.lowered`` (what ``ReferenceBackend("RKF45")`` builds)
-runs the model's continuous dynamics as in-place kernels on the RKF45
-stepper;
+``CompiledRuntime`` under RKF45 (what ``ReferenceBackend("RKF45")``
+builds) runs the model's continuous dynamics as in-place kernels on the
+RKF45 stepper;
 ``SolverRuntime(...)`` (what ``use_engine=False`` builds) evaluates
 ``FeatureModel.derivatives`` on dict snapshots through the same
 stepper. These tests pin state bytes, fired masks, evaluation counts
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import SolverRuntime, supports_flow_plan
+from repro.engine import CompiledRuntime, SolverRuntime, supports_lowering
 from repro.errors import SimulationError
 from repro.features import Feature, FeatureSet
 from repro.models import ModelParameters
@@ -27,7 +27,7 @@ from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.reliability import Checkpoint
-from repro.solvers import EulerSolver, RKF45Solver
+from repro.solvers import EulerSolver, RKF45Solver, create_solver
 from repro.workloads import build_workload, get_spec, workload_names
 
 DT = 1e-4
@@ -38,10 +38,12 @@ RKF45_WORKLOADS = [
 
 
 @st.composite
-def continuous_feature_sets(draw):
-    """The valid feature lattice minus LID (EXD/LID, QDI/EXI, CUB/REV,
-    SBT=>ADT and RR/ADT respected by construction)."""
-    features = {Feature.EXD}
+def feature_sets(draw, decays=(Feature.EXD,)):
+    """The valid feature lattice over the membrane ``decays`` given
+    (EXD/LID, QDI/EXI, CUB/REV, SBT=>ADT and RR/ADT respected by
+    construction). The default leaves LID out: it has no continuous
+    form."""
+    features = {draw(st.sampled_from(decays))}
     kernel = draw(st.sampled_from([None, Feature.CUB, Feature.COBE, Feature.COBA]))
     if kernel is not None:
         features.add(kernel)
@@ -67,7 +69,7 @@ def continuous_feature_sets(draw):
     return FeatureSet(features)
 
 
-def _parameters(n_types):
+def parameters(n_types):
     return ModelParameters(
         n_synapse_types=n_types,
         tau_g=(5e-3, 10e-3, 2e-3)[:n_types],
@@ -75,34 +77,39 @@ def _parameters(n_types):
     )
 
 
+def spread_start(model, n, rng):
+    """A spread-out start, including neurons already refractory."""
+    start = {}
+    for name in model.state_variable_names():
+        if name == "cnt":
+            start[name] = rng.integers(0, 4, n).astype(np.float64)
+        elif name == "v":
+            start[name] = rng.uniform(-0.2, 1.1, n)
+        else:
+            start[name] = rng.uniform(0.0, 0.3, n)
+    return start
+
+
 def _runtime_pair(model, n):
     return (
-        SolverRuntime.lowered("p", n, model, RKF45Solver()),
+        CompiledRuntime("p", n, model, RKF45Solver()),
         SolverRuntime("p", n, model, RKF45Solver()),
     )
 
 
 class TestFlowPlanProperty:
     @given(
-        continuous_feature_sets(),
+        feature_sets(),
         st.integers(min_value=1, max_value=3),
         st.sampled_from([0, 1, 7, 300]),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
     def test_plan_equals_dict_state_path(self, features, n_types, n, seed):
-        model = FeatureModel(features, _parameters(n_types))
+        model = FeatureModel(features, parameters(n_types))
         planned, oracle = _runtime_pair(model, n)
         rng = np.random.default_rng(seed)
-        # A spread-out start, including neurons already refractory.
-        start = {}
-        for name in model.state_variable_names():
-            if name == "cnt":
-                start[name] = rng.integers(0, 4, n).astype(np.float64)
-            elif name == "v":
-                start[name] = rng.uniform(-0.2, 1.1, n)
-            else:
-                start[name] = rng.uniform(0.0, 0.3, n)
+        start = spread_start(model, n, rng)
         planned.load_state(start)
         oracle.load_state(start)
         for _ in range(50):
@@ -127,8 +134,7 @@ class TestFlowPlanSelection:
         backend = ReferenceBackend("RKF45")
         backend.prepare(network)
         for runtime in backend.runtimes.values():
-            assert isinstance(runtime, SolverRuntime)
-            assert runtime.flow_plan is True
+            assert isinstance(runtime, CompiledRuntime)
             assert runtime.snapshot()["kind"] == "solver"
 
     def test_use_engine_false_keeps_the_dict_state_oracle(self):
@@ -136,7 +142,7 @@ class TestFlowPlanSelection:
         network.add_population("dlif", 5, "DLIF")
         backend = ReferenceBackend("RKF45", use_engine=False)
         backend.prepare(network)
-        assert backend.runtimes["dlif"].flow_plan is False
+        assert type(backend.runtimes["dlif"]) is SolverRuntime
 
     def test_models_without_the_canonical_flow_are_not_lowered(self):
         class Tweaked(FeatureModel):
@@ -144,21 +150,31 @@ class TestFlowPlanSelection:
                 return super().derivatives(state)
 
         dlif = create_model("DLIF")
-        assert supports_flow_plan(dlif)
-        assert not supports_flow_plan(Tweaked(dlif.features))
-        assert not supports_flow_plan(create_model("LLIF"))
-        assert not supports_flow_plan(HodgkinHuxley())
+        assert supports_lowering(dlif, "RKF45")
+        assert not supports_lowering(Tweaked(dlif.features), "RKF45")
+        assert not supports_lowering(create_model("LLIF"), "RKF45")
+        assert not supports_lowering(HodgkinHuxley(), "RKF45")
         with pytest.raises(SimulationError, match="cannot be lowered"):
-            SolverRuntime.lowered("p", 3, create_model("LLIF"), RKF45Solver())
+            CompiledRuntime("p", 3, create_model("LLIF"), RKF45Solver())
         with pytest.raises(SimulationError, match="cannot be lowered"):
-            SolverRuntime.lowered("p", 3, Tweaked(dlif.features), RKF45Solver())
+            CompiledRuntime("p", 3, Tweaked(dlif.features), RKF45Solver())
 
-    def test_lowering_needs_the_rkf45_solver(self):
-        with pytest.raises(SimulationError, match="RKF45"):
-            SolverRuntime.lowered("p", 3, create_model("DLIF"), EulerSolver())
+    def test_lowering_follows_the_solver(self):
+        """LID lowers under Euler only; an overridden ``derivatives``
+        is no obstacle to Euler, which never calls it."""
+        class Tweaked(FeatureModel):
+            def derivatives(self, state):
+                return super().derivatives(state)
+
+        llif = create_model("LLIF")
+        assert supports_lowering(llif, "Euler")
+        assert supports_lowering(Tweaked(llif.features), "Euler")
+        assert CompiledRuntime("p", 3, llif, EulerSolver()).kind == "compiled"
+        with pytest.raises(SimulationError, match="cannot be lowered under RKF45"):
+            CompiledRuntime("p", 3, llif, RKF45Solver())
 
     def test_cnt_is_state_but_not_integrated(self):
-        runtime = SolverRuntime.lowered("p", 4, create_model("DLIF"), RKF45Solver())
+        runtime = CompiledRuntime("p", 4, create_model("DLIF"), RKF45Solver())
         state = runtime.state()
         assert list(state) == ["v", "g0", "g1", "cnt"]
         # v, g0 and g1 are rows of one stepper block; cnt is not.
@@ -166,7 +182,7 @@ class TestFlowPlanSelection:
         assert state["cnt"].base is not state["v"].base
 
     def test_wrong_input_shape_is_rejected(self):
-        runtime = SolverRuntime.lowered("p", 4, create_model("DLIF"), RKF45Solver())
+        runtime = CompiledRuntime("p", 4, create_model("DLIF"), RKF45Solver())
         with pytest.raises(SimulationError, match="shape"):
             runtime.advance(np.zeros((2, 5)), DT)
 
@@ -261,11 +277,14 @@ class TestCheckpointAcrossPaths:
         assert files[0] == files[1]
 
 
-def test_steady_state_advance_allocates_less_than_one_state_row():
+@pytest.mark.parametrize("solver", ["Euler", "RKF45"])
+def test_steady_state_advance_allocates_less_than_one_state_row(solver):
     """A reintroduced per-step temporary (one ``(n,)`` float row is
     32 kB at n = 4,000) fails here rather than in a benchmark."""
     n = 4000
-    runtime = SolverRuntime.lowered("p", n, create_model("AdEx_COBA"), RKF45Solver())
+    runtime = CompiledRuntime(
+        "p", n, create_model("AdEx_COBA"), create_solver(solver)
+    )
     rng = np.random.default_rng(5)
     inputs = (rng.random((2, n)) < 0.1) * 0.05
     runtime.advance(inputs, DT)

@@ -32,6 +32,7 @@ from repro.network.simulator import Simulator, bind_blocks
 from repro.network.stimulus import PoissonStimulus
 from repro.engine.runtime import CompiledRuntime
 from repro.reliability import Checkpoint, NumericsGuard
+from repro.solvers import EulerSolver
 from repro.telemetry import MetricsRegistry
 from repro.workloads import build_workload, workload_names
 from tests.oracles.faults import FaultInjector
@@ -78,7 +79,7 @@ def _observed(simulator, saturation=True):
             "payload": _payload_bytes(runtime.snapshot()),
         }
         if isinstance(runtime, CompiledRuntime):
-            entry["advances"] = runtime.advances
+            entry["advances"] = runtime.solver.advances
         if isinstance(runtime, HardwareRuntime):
             entry["cycles"] = getattr(runtime.neuron, "total_cycles", None)
             if saturation:
@@ -339,7 +340,10 @@ class TestSchedule:
 
             def build_runtime(self, population):
                 return CompiledRuntime(
-                    population.name, population.n, population.model
+                    population.name,
+                    population.n,
+                    population.model,
+                    EulerSolver(),
                 )
 
         backend = PerPopulation()

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.engine import supports_step_plan
+from repro.engine import supports_lowering
 from repro.fixedpoint import FLEXON_FORMAT, fx_from_float
 from repro.hardware.constants import prepare_constants
 from repro.models.registry import available_models, create_model
@@ -24,11 +24,11 @@ PLANNABLE = [
 class TestSupportsStepPlan:
     @pytest.mark.parametrize("name", PLANNABLE)
     def test_feature_models_are_plannable(self, name):
-        assert supports_step_plan(create_model(name))
+        assert supports_lowering(create_model(name), "Euler")
 
     @pytest.mark.parametrize("name", ["HH", "NativeIzhikevich"])
     def test_custom_step_models_are_not(self, name):
-        assert not supports_step_plan(create_model(name))
+        assert not supports_lowering(create_model(name), "Euler")
 
 
 class TestDerivedConstants:

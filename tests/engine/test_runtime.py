@@ -1,4 +1,5 @@
-"""CompiledRuntime must be bit-identical to the dict-state reference.
+"""CompiledRuntime under Euler must be bit-identical to the dict-state
+reference.
 
 The engine's whole value proposition is "same numbers, faster": every
 registry feature model stepped through a compiled plan must produce
@@ -8,11 +9,15 @@ exactly the same fired masks and state trajectories as
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import CompiledRuntime, SolverRuntime
 from repro.errors import SimulationError
+from repro.features import Feature
+from repro.models.feature_model import FeatureModel
 from repro.models.registry import available_models, create_model
-from repro.solvers import create_solver
+from repro.solvers import EulerSolver, create_solver
+from tests.engine.test_flow_plan import feature_sets, parameters, spread_start
 
 DT = 1e-4
 N = 64
@@ -38,7 +43,7 @@ class TestBitIdentity:
         model = create_model(name)
         inputs = _drive(model, rng)
         reference_state = model.initial_state(N)
-        runtime = CompiledRuntime("p", N, model)
+        runtime = CompiledRuntime("p", N, model, EulerSolver())
         for step in range(STEPS):
             fired_ref = model.step(reference_state, inputs[step], DT)
             fired_eng = runtime.advance(inputs[step], DT)
@@ -57,17 +62,51 @@ class TestBitIdentity:
         model = create_model(name)
         inputs = _drive(model, rng, steps=100)
         solver_rt = SolverRuntime("p", N, model, create_solver("Euler"))
-        compiled_rt = CompiledRuntime("p", N, model)
+        compiled_rt = CompiledRuntime("p", N, model, EulerSolver())
         for step in range(100):
             fired_ref = solver_rt.advance(inputs[step], DT)
             fired_eng = compiled_rt.advance(inputs[step], DT)
             assert np.array_equal(fired_ref, fired_eng), (name, step)
 
 
+class TestEulerKernelProperty:
+    @given(
+        feature_sets(decays=(Feature.EXD, Feature.LID)),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([0, 1, 7, 300]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_equals_feature_model_step(self, features, n_types, n, seed):
+        """The whole feature lattice, LID included, against
+        ``FeatureModel.step`` on dict state: every fired mask and state
+        byte, from a spread-out start and across one ``dt`` change."""
+        model = FeatureModel(features, parameters(n_types))
+        compiled = CompiledRuntime("p", n, model, EulerSolver())
+        oracle = SolverRuntime("p", n, model, create_solver("Euler"))
+        rng = np.random.default_rng(seed)
+        start = spread_start(model, n, rng)
+        compiled.load_state(start)
+        oracle.load_state(start)
+        for step in range(50):
+            dt = DT if step < 25 else 2 * DT
+            inputs = (rng.random((n_types, n)) < 0.15) * rng.uniform(
+                0.0, 0.4, (n_types, n)
+            )
+            fired = compiled.advance(inputs.copy(), dt)
+            np.testing.assert_array_equal(fired, oracle.advance(inputs, dt))
+            assert list(compiled.state()) == list(oracle.state())
+            for name, values in oracle.state().items():
+                assert compiled.state()[name].tobytes() == values.tobytes(), (
+                    step,
+                    name,
+                )
+
+
 class TestCompiledRuntimeContract:
     def test_rejects_unplannable_model(self):
         with pytest.raises(SimulationError):
-            CompiledRuntime("p", 4, create_model("HH"))
+            CompiledRuntime("p", 4, create_model("HH"), EulerSolver())
 
     @staticmethod
     def _assert_tracks_euler(dts, rng):
@@ -77,7 +116,7 @@ class TestCompiledRuntimeContract:
         for name in PLANNABLE:
             model = create_model(name)
             inputs = _drive(model, rng, steps=len(dts))
-            compiled_rt = CompiledRuntime("p", N, model)
+            compiled_rt = CompiledRuntime("p", N, model, EulerSolver())
             solver_rt = SolverRuntime("p", N, model, create_solver("Euler"))
             for step, dt in enumerate(dts):
                 fired_ref = solver_rt.advance(inputs[step], dt)
@@ -101,13 +140,13 @@ class TestCompiledRuntimeContract:
         self._assert_tracks_euler([DT] * 30 + [2 * DT] * 30 + [DT] * 30, rng)
 
     def test_shape_mismatch_raises(self):
-        runtime = CompiledRuntime("p", 4, create_model("LIF"))
+        runtime = CompiledRuntime("p", 4, create_model("LIF"), EulerSolver())
         with pytest.raises(SimulationError):
             runtime.advance(np.zeros((2, 5)), DT)
 
     def test_state_views_are_live(self):
         model = create_model("AdEx_COBA")
-        runtime = CompiledRuntime("p", 8, model)
+        runtime = CompiledRuntime("p", 8, model, EulerSolver())
         state = runtime.state()
         rng = np.random.default_rng(0)
         inputs = _drive(model, rng, steps=20, n=8)
@@ -119,7 +158,7 @@ class TestCompiledRuntimeContract:
 
     def test_load_state_round_trips(self):
         model = create_model("IF_cond_exp_gsfa_grr")
-        runtime = CompiledRuntime("p", 8, model)
+        runtime = CompiledRuntime("p", 8, model, EulerSolver())
         snapshot = {
             name: np.random.default_rng(1).normal(size=8)
             for name in runtime.state()
@@ -129,8 +168,8 @@ class TestCompiledRuntimeContract:
             assert np.array_equal(runtime.state()[name], values)
 
     def test_counts_advances(self):
-        runtime = CompiledRuntime("p", 4, create_model("LIF"))
+        runtime = CompiledRuntime("p", 4, create_model("LIF"), EulerSolver())
         for _ in range(7):
             runtime.advance(np.zeros((2, 4)), DT)
-        assert runtime.advances == 7
+        assert runtime.solver.advances == 7
         assert runtime.evaluations_per_step() == 1.0

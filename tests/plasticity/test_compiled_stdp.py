@@ -118,7 +118,7 @@ class TestSynapseIndex:
         projection = SHAPES["gaps"]()
         index = SynapseIndex(projection)
         rows, posts = index.outgoing(np.array([3, 0, 1]))
-        assert [(row.start, row.stop) for row in rows] == [(0, 0), (3, 5), (0, 0), (0, 2)]
+        assert [(row.start, row.stop) for row in rows] == [(3, 5), (0, 0), (0, 2)]
         assert posts.tolist() == [3, 5, 0, 2]
         synapses, pres = index.incoming(np.array([2, 1, 0]))
         assert synapses.tolist() == [1, 2, 0, 5]

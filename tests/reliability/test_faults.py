@@ -42,10 +42,10 @@ class TestFaultInjector:
         "backend, runtime_type",
         [
             (lambda: ReferenceBackend("Euler"), CompiledRuntime),
-            (lambda: ReferenceBackend("RKF45"), SolverRuntime),
+            (lambda: ReferenceBackend("RKF45"), CompiledRuntime),
             (lambda: ReferenceBackend("Euler", use_engine=False), SolverRuntime),
         ],
-        ids=["compiled", "solver-lowered", "solver-dict"],
+        ids=["compiled", "compiled-rkf45", "solver-dict"],
     )
     def test_float_flip_toggles_exactly_the_drawn_bit(
         self, small_network, backend, runtime_type

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import SolverRuntime
+from repro.engine import CompiledRuntime, SolverRuntime
 from repro.errors import ConfigurationError, NumericsError, SimulationError
 from repro.frontend import build_backend, build_simulation
 from repro.hardware.backend import HybridBackend
@@ -264,7 +264,7 @@ class TestRKF45Solver:
         assert error.indices == (7, 31)
         assert "'pop'" in str(error) and "step 3" in str(error)
         assert runtime.solver.evaluations == before  # nothing charged
-        assert isinstance(runtime, SolverRuntime)
+        assert type(runtime) is (CompiledRuntime if use_engine else SolverRuntime)
 
     def test_conductance_jump_goes_to_g(self):
         model = FeatureModel(
