@@ -2,10 +2,10 @@
 """Step two trees in lockstep to compare their spread on a noisy host.
 
     python3 benchmarks/lockstep.py PARENT_TREE CHANGE_TREE
-        [--workload muller-folded] [--chunk 100] [--seconds 90]
+        [--workload muller-folded] [--chunk 100] [--seconds 90] [--seed 5]
 
-Each tree gets one process that builds the ``bench/`` workload once,
-runs its warm-up and then times ``--chunk`` steps whenever the
+Each tree gets one process that builds the ``bench/`` workload once
+with ``--seed``, runs its warm-up and then times ``--chunk`` steps whenever the
 controller hands it the token; the two alternate (order swapped every
 pair), so their samples are milliseconds apart and see the same host.
 Prints min / quartiles of the chunk times per tree in ms: equal
@@ -15,7 +15,8 @@ inter-quartile range over ten separate ``bench/run.py`` runs reads
 
 Last comes the paired verdict: the median of the per-pair change/parent
 time ratios, and in how many pairs the change's chunk was the faster
-(a sign count).
+(a sign count). The header names the seed; a claim should also hold on
+a seed it was not tuned on.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import sys
 import time
 
 
-def child(tree: str, workload: str, chunk: int) -> None:
+def child(tree: str, workload: str, chunk: int, seed: int) -> None:
     sys.path[:0] = [tree, os.path.join(tree, "src")]
     from bench import measure
     from bench.workloads import WORKLOADS
     from repro.network.recorder import SpikeRecorder
 
     spec = WORKLOADS[workload]
-    simulator, _network = measure.build(spec, 5)
+    simulator, _network = measure.build(spec, seed)
     simulator.run(spec.warmup_steps, spikes=SpikeRecorder())
     print("ready", flush=True)
     for _token in sys.stdin:
@@ -58,15 +59,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="muller-folded")
     parser.add_argument("--chunk", type=int, default=100)
     parser.add_argument("--seconds", type=float, default=90.0)
+    parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.trees[0], args.workload, args.chunk)
+        child(args.trees[0], args.workload, args.chunk, args.seed)
         return 0
     kids = [
         subprocess.Popen(
             [sys.executable, __file__, tree, tree, "--child",
-             "--workload", args.workload, "--chunk", str(args.chunk)],
+             "--workload", args.workload, "--chunk", str(args.chunk),
+             "--seed", str(args.seed)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         for tree in args.trees
@@ -89,7 +92,8 @@ def main(argv=None) -> int:
         for kid in kids:
             kid.stdin.close()
             kid.wait()
-    print(f"{args.workload}: {len(samples[0])} pairs of {args.chunk}-step chunks")
+    print(f"{args.workload} seed {args.seed}: {len(samples[0])} pairs of "
+          f"{args.chunk}-step chunks")
     describe("parent", samples[0])
     describe("change", samples[1])
     ratios = [change / parent for parent, change in zip(*samples)]

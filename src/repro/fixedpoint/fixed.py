@@ -14,10 +14,9 @@ evaluated workloads.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -211,21 +210,29 @@ class SegmentedStats:
 _ACTIVE_SINK: Optional[SaturationStats] = None
 
 
-@contextmanager
-def observe_saturation(stats: SaturationStats) -> Iterator[SaturationStats]:
+class observe_saturation:
     """Route all non-strict saturation accounting into ``stats``.
 
     Hardware runtimes wrap each step in this context so a whole run's
     clip counts accumulate in one :class:`SaturationStats`; helpers may
     also be given an explicit ``stats=`` sink, which takes precedence.
+    A class rather than a generator: it is entered once per step.
     """
-    global _ACTIVE_SINK
-    previous = _ACTIVE_SINK
-    _ACTIVE_SINK = stats
-    try:
-        yield stats
-    finally:
-        _ACTIVE_SINK = previous
+
+    __slots__ = ("stats", "previous")
+
+    def __init__(self, stats: SaturationStats):
+        self.stats = stats
+
+    def __enter__(self) -> SaturationStats:
+        global _ACTIVE_SINK
+        self.previous = _ACTIVE_SINK
+        _ACTIVE_SINK = self.stats
+        return self.stats
+
+    def __exit__(self, *exc_info) -> None:
+        global _ACTIVE_SINK
+        _ACTIVE_SINK = self.previous
 
 
 def _saturate_scalar(

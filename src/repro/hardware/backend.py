@@ -91,6 +91,10 @@ class HardwareRuntime(PopulationRuntime):
         shape = (compiled.constants.n_synapse_types, n)
         self._scaled = np.empty(shape)
         self._raw = np.empty(shape, dtype=np.int64)
+        # The format's scale is a power of two, so multiplying by the
+        # product of the two factors rounds exactly as multiplying by
+        # one and then the other did.
+        self._input_scale = compiled.weight_scale * compiled.constants.fmt.scale
 
     def split(
         self, members: Sequence[Tuple[str, int, int]]
@@ -121,13 +125,16 @@ class HardwareRuntime(PopulationRuntime):
         fmt, scaled = self.compiled.constants.fmt, self._scaled
         with observe_saturation(self.saturation_stats):
             if inputs.shape == scaled.shape and scaled.size:
-                np.multiply(inputs, self.compiled.weight_scale, out=scaled)
-                # ``floor(x * scale + 0.5)`` is monotone, so the extremes'
-                # raw words bound the array's; NaN and inf fail the test.
-                lo = np.floor(scaled.min() * fmt.scale + 0.5)
-                hi = np.floor(scaled.max() * fmt.scale + 0.5)
-                if fmt.raw_min <= lo and hi <= fmt.raw_max:
-                    np.multiply(scaled, fmt.scale, out=scaled)
+                np.multiply(inputs, self._input_scale, out=scaled)
+                # ``floor(x + 0.5)`` is monotone, so the extremes' raw
+                # words bound the array's: for an integer bound,
+                # ``floor(y) >= raw_min`` iff ``y >= raw_min`` and
+                # ``floor(y) <= raw_max`` iff ``y < raw_max + 1``. NaN and
+                # inf fail both tests.
+                if (
+                    fmt.raw_min <= scaled.min() + 0.5
+                    and scaled.max() + 0.5 < fmt.raw_max + 1
+                ):
                     np.add(scaled, 0.5, out=scaled)
                     np.floor(scaled, out=scaled)
                     np.copyto(self._raw, scaled, casting="unsafe")

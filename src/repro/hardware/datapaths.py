@@ -242,7 +242,12 @@ class ArPath(DataPath):
     @staticmethod
     def gate(inputs: np.ndarray, cnt: np.ndarray, out=None) -> np.ndarray:
         """Zero the input rows of neurons still in their window."""
-        return np.multiply(inputs, cnt <= 0, out=out)
+        if out is None:
+            out = inputs.copy()
+        else:
+            np.copyto(out, inputs)
+        np.copyto(out, 0, where=cnt > 0)
+        return out
 
     @staticmethod
     def tick(cnt: np.ndarray, out=None) -> np.ndarray:

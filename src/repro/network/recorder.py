@@ -85,9 +85,9 @@ class SpikeRecorder:
     def counts(self) -> Dict[str, int]:
         """Cumulative spike count per population (O(populations) reads).
 
-        Maintained incrementally so mid-run consumers — the health
-        layer's spike-rate detector polls this every evaluation — never
-        touch the chunk lists the hot loop is appending to.
+        Maintained incrementally, so a reader between two runs of one
+        simulator (the benchmark reads it after its warm-up prefix and
+        again at the end) never concatenates the chunk lists.
         """
         return dict(self._counts)
 

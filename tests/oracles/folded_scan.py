@@ -1,29 +1,51 @@
 """The folded step that scans every saturation point, kept as the oracle.
 
 This is the body :meth:`repro.hardware.folded.FoldedFlexonNeuron.step`
-ran before it carried enclosures: every MUL, ADD, v' accumulation and
-the membrane write-back goes through ``fx_saturate``, which reads the
-array's two extremes each time. Nothing is proved, so nothing can be
-proved wrongly; the range-proving step must reproduce it bit for bit —
-registers, counter, fired mask, cycles — and record the same ``checked``
-and per-format ``clipped`` counts.
+ran before it carried enclosures or grouped signals into waves: one
+control signal at a time, in program order, and every MUL, ADD, v'
+accumulation and the membrane write-back goes through ``fx_saturate``,
+which reads the array's two extremes each time. Nothing is proved, so
+nothing can be proved wrongly; the range-proving step must reproduce it
+bit for bit — registers, counter, fired mask, cycles — and record the
+same ``checked`` and per-format ``clipped`` counts.
+
+It reads only the program (``signals`` and the constant buffers) and
+the register file, over scratch rows of its own, so it shares nothing
+with the executor it checks.
 """
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.fixedpoint import fx_exp, fx_saturate
+from repro.features import Feature
+from repro.fixedpoint import MEMBRANE_FORMAT, fx_exp, fx_saturate
 from repro.hardware import datapaths as dp
 from repro.hardware.backend import FoldedFlexonBackend
-from repro.hardware.control import STATE_V, BOperand
+from repro.hardware.control import STATE_R, STATE_V, STATE_W, AOperand, BOperand
 from repro.hardware.folded import FoldedFlexonNeuron
 
 
 class ScanningFoldedNeuron(FoldedFlexonNeuron):
-    """Same plan, same scratch rows; every point scanned."""
+    """Same registers, its own scratch rows; every point scanned."""
+
+    def __init__(self, program, n, membrane_format=MEMBRANE_FORMAT):
+        super().__init__(program, n, membrane_format)
+        # The MUL output, the tmp latch and the accumulator v'.
+        self._scan_rows = np.empty((3, n), dtype=np.int64)
+
+    def _jump_list(self):
+        """Spike-triggered jumps as (register, raw increment)."""
+        c = self.program.constants
+        owner = self.program.features.w_owner
+        if owner is Feature.RR:
+            return ((STATE_W, c.b), (STATE_R, c.q_r))
+        if owner is not None:
+            return ((STATE_W, -c.b),)
+        return ()
 
     def step(self, raw_inputs: np.ndarray) -> np.ndarray:
-        c = self.program.constants
+        program = self.program
+        c = program.constants
         fmt = c.fmt
         if raw_inputs.shape != (c.n_synapse_types, self.n):
             raise SimulationError(f"bad input shape {raw_inputs.shape}")
@@ -31,20 +53,25 @@ class ScanningFoldedNeuron(FoldedFlexonNeuron):
         gated = dp.ArPath.gate(raw_inputs, cnt) if cnt is not None else raw_inputs
 
         frac_bits = fmt.frac_bits
-        prod_row, tmp_row, acc_row = self._prod, self._tmp, self._acc
+        prod_row, tmp_row, acc_row = self._scan_rows
         tmp_row.fill(0)
         acc_row.fill(0)
         tmp, acc = tmp_row, acc_row
-        for mul_constant, _, state, b, b_arg, exp, s_wr, v_acc in self._plan:
+        for signal in program.signals:
+            state = self.regs[signal.s]
+            b = BOperand(signal.b)
             row = tmp_row if b is BOperand.ZERO else prod_row
-            np.multiply(tmp if mul_constant is None else mul_constant, state, out=row)
+            if signal.a == AOperand.TMP:
+                np.multiply(tmp, state, out=row)
+            else:
+                np.multiply(int(program.mul_constants[signal.ca]), state, out=row)
             np.right_shift(row, frac_bits, out=row)
             out = fx_saturate(row, fmt)
             if b is not BOperand.ZERO:
                 if b is BOperand.CONSTANT:
-                    np.add(out, b_arg, out=tmp_row)
+                    np.add(out, int(program.add_constants[signal.cb]), out=tmp_row)
                 elif b is BOperand.INPUT:
-                    np.add(out, gated[b_arg], out=tmp_row)
+                    np.add(out, gated[signal.syn_type], out=tmp_row)
                 elif b is BOperand.TMP:
                     np.add(out, tmp, out=tmp_row)
                 else:  # LEAK
@@ -52,12 +79,12 @@ class ScanningFoldedNeuron(FoldedFlexonNeuron):
                     np.minimum(tmp_row, c.v_leak, out=tmp_row)
                     np.subtract(out, tmp_row, out=tmp_row)
                 out = fx_saturate(tmp_row, fmt)
-            if exp:
+            if signal.exp:
                 out = fx_exp(out, fmt)
             tmp = out
-            if s_wr:
+            if signal.s_wr:
                 state[...] = out
-            if v_acc:
+            if signal.v_acc:
                 np.add(acc, out, out=acc_row)
                 acc = fx_saturate(acc_row, fmt)
 
@@ -66,8 +93,8 @@ class ScanningFoldedNeuron(FoldedFlexonNeuron):
         if self.membrane_format is not None:
             acc = fx_saturate(acc, self.membrane_format)
         self.regs[STATE_V] = acc
-        for row, jump in self._jumps:
-            np.add(row, jump, out=row, where=fired)
+        for s, jump in self._jump_list():
+            np.add(self.regs[s], jump, out=self.regs[s], where=fired)
         if cnt is not None:
             cnt[...] = dp.ArPath.tick(cnt)
             cnt[fired] = c.cnt_max
