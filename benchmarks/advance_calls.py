@@ -7,7 +7,8 @@
 --out RESULT.json`` wrote. ``network.backends.advance_calls`` counts the
 ``RuntimeBackend.advance`` calls of the workload's timed steps; divided
 by those steps it is the number of blocks the backend steps, which CI
-holds at one per model (``muller-folded`` 1, ``potjans-layered`` <= 2).
+holds at one per model (``muller-folded`` 1, ``vogels-solver`` 1,
+``potjans-layered`` <= 2).
 """
 
 from __future__ import annotations

@@ -223,6 +223,8 @@ class _SoftwareRuntime(PopulationRuntime):
         self.model = model
         self.solver = solver
         self._state: State = {}
+        #: A fused block's member views by name (see :meth:`advance`).
+        self._views: Dict[str, "_SoftwareRuntime"] = {}
 
     @abc.abstractmethod
     def _step(self, inputs: np.ndarray, dt: float) -> np.ndarray:
@@ -232,12 +234,14 @@ class _SoftwareRuntime(PopulationRuntime):
         try:
             return self._step(inputs, dt)
         except NumericsError as error:
-            if error.population:
+            if error.step >= 0:
                 raise
-            step = self.solver.advances
+            # A fused block's stepper names the member whose columns failed.
+            runtime = self._views.get(error.population, self)
+            step = runtime.solver.advances
             raise NumericsError(
-                f"population {self.name!r}, step {step}: {error}",
-                population=self.name,
+                f"population {runtime.name!r}, step {step}: {error}",
+                population=runtime.name,
                 step=step,
                 variable=error.variable,
                 indices=error.indices,
@@ -305,7 +309,9 @@ class CompiledRuntime(_SoftwareRuntime):
     COBA's ``y`` per type, ``w``, ``r``) but ``cnt``, the AR counter,
     which never flows (it enters no RKF45 stage or error norm) and is a
     row of its own. Under RKF45 the block is the stepper's ``y``,
-    integrated in place; under Euler it is a plain array. Only the
+    integrated in place, and every member of a fused block (see
+    :meth:`split`) is its own step-size-controlled range of columns;
+    under Euler it is a plain array. Only the
     kernel between the AR input gate and fire/reset differs: Euler's
     mirrors ``FeatureModel.step``, RKF45's ``apply_input_jumps`` then
     ``derivatives`` (DESIGN.md §3b, "Adaptive lowering"). No ufunc call
@@ -335,6 +341,8 @@ class CompiledRuntime(_SoftwareRuntime):
             self.kind = "compiled"
             self._block = np.zeros((len(flows), n))
         self._cnt = np.zeros(n) if "cnt" in names else None
+        #: The stepper's members: this runtime's columns, or its views'.
+        self._members: Tuple[Tuple[str, int, int], ...] = ((name, 0, n),)
         self._bind_views()
         self.load_state(model.initial_state(n))
         #: The ``dt`` the kernels were built for (None before the first step).
@@ -352,9 +360,13 @@ class CompiledRuntime(_SoftwareRuntime):
     def split(
         self, members: Sequence[Tuple[str, int, int]]
     ) -> List["CompiledRuntime"]:
-        if self._stepper is not None:
-            # One step size is accepted or rejected for every column.
-            return super().split(members)
+        """Member views over column ranges of the block. Under Euler
+        the views share the block's solver (one evaluation per advance
+        for every column). Under RKF45 each view gets a solver of its
+        own: the stepper accepts or rejects each member's substeps on
+        its own columns and charges its evaluations to that solver, so
+        ``evaluations``, ``advances`` and a ``NumericsError`` stay per
+        population."""
         views = []
         for name, lo, hi in members:
             view = copy.copy(self)
@@ -362,8 +374,13 @@ class CompiledRuntime(_SoftwareRuntime):
             view._block = self._block[:, lo:hi]
             if self._cnt is not None:
                 view._cnt = self._cnt[lo:hi]
+            if self._stepper is not None:
+                view.solver = copy.copy(self.solver)
             view._bind_views()
             views.append(view)
+        if self._stepper is not None:
+            self._members = tuple(members)
+            self._views = {view.name: view for view in views}
         return views
 
     def _step(self, inputs: np.ndarray, dt: float) -> np.ndarray:
@@ -557,8 +574,10 @@ class CompiledRuntime(_SoftwareRuntime):
 
         use_rev = Feature.REV in f
         use_qdi, use_exi = Feature.QDI in f, Feature.EXI in f
-        tmp = np.empty(n)
-        tmp2 = np.empty(n) if use_qdi else None
+        # Row scratch for the widest block the stepper hands the flow (a
+        # member's columns are a prefix of it).
+        buffer = np.empty(n)
+        buffer2 = np.empty(n) if use_qdi else None
 
         tau, v_rest, theta, v_c = p.tau, p.v_rest, p.theta, p.v_c
         delta_t, exi_cap = p.delta_t, p.exi_cap
@@ -569,8 +588,11 @@ class CompiledRuntime(_SoftwareRuntime):
 
         def flow(_t: float, y: np.ndarray, out: np.ndarray) -> None:
             """``FeatureModel.derivatives``: ``y`` -> ``out``, both
-            ``(n_flow, n)`` blocks of the stepper (never the same)."""
-            nonlocal tmp
+            ``(n_flow, m)`` blocks of the stepper (never the same): all
+            ``n`` columns, or one member's."""
+            m = y.shape[1]
+            tmp = buffer[:m]
+            tmp2 = buffer2[:m] if use_qdi else None
             yv = y[0]
             drive = out[0]  # accumulates syn, then the drive, then dv/dt
             for i in types if conductance else ():
@@ -635,6 +657,10 @@ class CompiledRuntime(_SoftwareRuntime):
                 np.divide(yw, -tau_w, out=out[w_row])
             drive /= tau
 
+        members = self._members
+        solvers = tuple(self._views.get(name, self).solver for name, _, _ in members)
+        rtol, atol = solver.rtol, solver.atol
+
         def kernel(x: np.ndarray) -> None:
             nonlocal g, ys, v
             if kernel_kind is Feature.COBA:
@@ -644,7 +670,12 @@ class CompiledRuntime(_SoftwareRuntime):
             else:
                 for i in types:
                     v += x[i]
-            solver.integrate(stepper, flow, dt)
+            evaluations = stepper.integrate(
+                flow, 0.0, dt, rtol=rtol, atol=atol, h0=dt, members=members
+            )
+            for member_solver, count in zip(solvers, evaluations):
+                member_solver.evaluations += count
+                member_solver.advances += 1
 
         return kernel
 

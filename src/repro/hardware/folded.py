@@ -177,12 +177,11 @@ class FoldedFlexonNeuron:
         self.points_proved = 0
         self.points_scanned = 0
         self._gated = np.empty((program.constants.n_synapse_types, n), np.int64)
+        # Sets ``_rows_read`` / ``_read``: the registers the program
+        # reads, copied once per step (see :meth:`_lower`).
         self._waves = self._lower(program)
-        # Registers the program reads (their ranges are scanned every
-        # step, from one copy into ``_read``) and stage 1's saturation
-        # points per step: one per MUL, per ADD and per v' accumulation.
-        self._rows_read = tuple(sorted({signal.s for signal in program.signals}))
-        self._read = np.empty((len(self._rows_read), n), dtype=np.int64)
+        # Stage 1's saturation points per step: one per MUL, per ADD and
+        # per v' accumulation.
         self._stage1_points = sum(
             1 + (signal.b != BOperand.ZERO) + bool(signal.v_acc)
             for signal in program.signals
@@ -232,6 +231,12 @@ class FoldedFlexonNeuron:
         step's first signal. ``_enc`` holds a Python-int enclosure per
         row, then one per ADD operand that has no row.
 
+        Every register the program reads is copied once per step into
+        ``_read`` (rows ``_rows_read``): first wave 0's MUL operands, in
+        the order they multiply, so wave 0 reads them as one slice, then
+        the other registers read. The step scans the enclosure spans
+        from the same block.
+
         A wave is ``(const_mul, tmp_mul, prod, products, adds, exps,
         writes, spans)``: the MUL calls by operand kind, the product rows
         to shift, each product's enclosure recipe ``(row, constant, s,
@@ -262,8 +267,10 @@ class FoldedFlexonNeuron:
         def tmp_of(i: int) -> int:
             return out[i - 1] if i else 0
 
+        self._rows_read: Tuple[int, ...] = ()
+        self._read = np.empty((0, n), dtype=np.int64)
         bound = []
-        for members in waves(signals):
+        for number, members in enumerate(waves(signals)):
             groups = []
             for kind in _ADD_KINDS:
                 group = [i for i in members if signals[i].b == kind]
@@ -298,6 +305,15 @@ class FoldedFlexonNeuron:
             const_keys = [key for key in keys if not isinstance(key, int)]
             tmp_keys = [key for key in keys if isinstance(key, int)]
             split = first + len(const_keys)
+            mul_regs = [s for _, s in const_keys] + [signals[i].s for i in tmp_keys]
+            if number == 0:
+                read = {signal.s for signal in signals} - set(mul_regs)
+                self._rows_read = tuple(mul_regs + sorted(read))
+                self._read = np.empty((len(self._rows_read), n), dtype=np.int64)
+                # ``_read``'s first rows are this wave's MUL operands.
+                source, mul_regs = self._read, range(len(mul_regs))
+            else:
+                source = regs
             const_mul = tmp_mul = None
             if const_keys:
                 into = vals[first:split]
@@ -306,14 +322,14 @@ class FoldedFlexonNeuron:
                 constants = np.array([k for k, _ in const_keys], dtype=np.int64)
                 const_mul = (
                     np.repeat(constants[:, None], n, axis=1),
-                    _Rows(regs, [s for _, s in const_keys], into),
+                    _Rows(source, mul_regs[: len(const_keys)], into),
                     into,
                 )
             if tmp_keys:
                 into = vals[split:free]
                 tmp_mul = (
                     _Rows(vals, [tmp_of(i) for i in tmp_keys]),
-                    _Rows(regs, [signals[i].s for i in tmp_keys], into),
+                    _Rows(source, mul_regs[len(const_keys) :], into),
                     into,
                 )
             products = tuple(
@@ -415,7 +431,8 @@ class FoldedFlexonNeuron:
         # point scans its row on its own (``_saturate_row``).
         # The rows and inputs this step reads are scanned here, every
         # step: ``restore`` and fault injection write ``regs`` through
-        # views, so a range carried over would be stale.
+        # views, so a range carried over would be stale. Wave 0
+        # multiplies the same copy.
         if self.n:
             # ``mode="clip"`` lets ``take`` write ``out`` unbuffered.
             read = self.regs.take(

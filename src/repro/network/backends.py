@@ -242,9 +242,10 @@ class ReferenceBackend(RuntimeBackend):
     :class:`~repro.engine.runtime.SolverRuntime` (``model.step`` /
     ``model.derivatives`` on dicts of arrays); the two are
     bit-identical, and the flag exists so tests and benchmarks can use
-    the dict-state path as the oracle. Populations with equal models
-    step as one block under Euler; every other population has a runtime
-    (and solver counters) of its own.
+    the dict-state path as the oracle. Lowered populations with equal
+    models step as one block under either solver (under RKF45 the
+    stepper still accepts or rejects each member's substeps on its own
+    columns); each population's solver counters read as its own.
     """
 
     def __init__(self, solver: str = "Euler", use_engine: bool = True):
@@ -257,10 +258,9 @@ class ReferenceBackend(RuntimeBackend):
         return self.use_engine and supports_lowering(model, self.solver_name)
 
     def block_key(self, population: Population) -> Optional[Hashable]:
-        # Only step kernels fuse: an RKF45 stepper accepts or rejects a
-        # substep for all its columns at once, and the dict-state solver
-        # is the oracle.
-        if self.solver_name == "Euler" and self._lowers(population.model):
+        # Lowered populations fuse under both solvers; the dict-state
+        # solver is the oracle and keeps a runtime per population.
+        if self._lowers(population.model):
             return model_key(population.model)
         return None
 

@@ -3,9 +3,11 @@
 ``RuntimeBackend.prepare`` groups populations with equal models into
 one runtime over all their columns; ``runtimes[name]`` is then a member
 view. Everything observable per population — spikes, state bytes,
-saturation counts, cycles, ``advances``, checkpoint payloads — must be
-what one runtime per population produces, which is what
-:mod:`tests.oracles.unfused` still does.
+saturation counts, cycles, ``advances`` and ``evaluations``, checkpoint
+payloads — must be what one runtime per population produces, which is
+what :mod:`tests.oracles.unfused` still does. That holds under RKF45
+too, where the stepper accepts or rejects each member's substeps on its
+own columns.
 """
 
 import hashlib
@@ -31,10 +33,11 @@ from repro.network.network import Network
 from repro.network.simulator import Simulator, bind_blocks
 from repro.network.stimulus import PoissonStimulus
 from repro.engine.runtime import CompiledRuntime
+from repro.frontend import build_simulation
 from repro.reliability import Checkpoint, NumericsGuard
 from repro.solvers import EulerSolver
 from repro.telemetry import MetricsRegistry
-from repro.workloads import build_workload, workload_names
+from repro.workloads import build_workload, get_spec, spec_for, workload_names
 from tests.oracles.faults import FaultInjector
 from tests.oracles.unfused import run_unfused, unfused
 
@@ -45,6 +48,13 @@ BACKENDS = {
     "flexon": lambda: FlexonBackend(DT),
     "folded": lambda: FoldedFlexonBackend(DT),
 }
+
+#: The adaptive path fuses too, but only the workloads Table I runs on
+#: RKF45 lower under it (the others' models are not all continuous).
+RKF45_BACKENDS = {"rkf45": lambda: ReferenceBackend("RKF45")}
+RKF45_WORKLOADS = [
+    name for name in workload_names() if get_spec(name).solver == "RKF45"
+]
 
 
 def _payload_bytes(payload) -> bytes:
@@ -80,6 +90,7 @@ def _observed(simulator, saturation=True):
         }
         if isinstance(runtime, CompiledRuntime):
             entry["advances"] = runtime.solver.advances
+            entry["evaluations"] = runtime.solver.evaluations
         if isinstance(runtime, HardwareRuntime):
             entry["cycles"] = getattr(runtime.neuron, "total_cycles", None)
             if saturation:
@@ -92,10 +103,9 @@ def _observed(simulator, saturation=True):
 
 def _pair(network_factory, backend, seed=4):
     """The same network on a fused simulator and on the oracle."""
-    fused = Simulator(network_factory(), BACKENDS[backend](), dt=DT, seed=seed)
-    oracle = Simulator(
-        network_factory(), unfused(BACKENDS[backend]()), dt=DT, seed=seed
-    )
+    factory = {**BACKENDS, **RKF45_BACKENDS}[backend]
+    fused = Simulator(network_factory(), factory(), dt=DT, seed=seed)
+    oracle = Simulator(network_factory(), unfused(factory()), dt=DT, seed=seed)
     return fused, oracle
 
 
@@ -361,11 +371,10 @@ class TestSchedule:
     @pytest.mark.parametrize(
         "backend",
         [
-            ReferenceBackend("RKF45"),
             ReferenceBackend("Euler", use_engine=False),
             EventDrivenFlexonBackend(DT),
         ],
-        ids=["rkf45", "dict-state", "event-driven"],
+        ids=["dict-state", "event-driven"],
     )
     def test_excluded_runtimes_stay_blocks_of_one(self, backend):
         network = build_workload("Vogels et al.", scale=0.02, seed=3)
@@ -391,6 +400,126 @@ class TestSchedule:
         assert result.spikes.digest() == (
             "21348621b6e9432491d0b76c02bb974a1a4877dbe8b2a7c3aca6074d9da41a81"
         )
+
+
+class TestAdaptiveBlocks:
+    """RKF45 populations step as one block: one first trial over every
+    column, then each member accepted, or continued alone, on its own."""
+
+    @pytest.mark.parametrize("scale", [0.03, 0.2])
+    @pytest.mark.parametrize("workload", RKF45_WORKLOADS)
+    def test_fused_equals_one_stepper_per_population(self, workload, scale):
+        steps = 300
+        fused, oracle = _pair(
+            lambda: build_workload(workload, scale=scale, seed=3), "rkf45"
+        )
+        assert [block.name for block in fused.backend.blocks] == ["exc+inh"]
+        result = fused.run(steps)
+        oracle_spikes = run_unfused(oracle, steps)
+        _assert_same(fused, oracle, result.spikes, oracle_spikes)
+        assert result.evaluations_per_step == {
+            name: runtime.evaluations_per_step()
+            for name, runtime in oracle.backend.runtimes.items()
+        }
+
+    @pytest.mark.parametrize(
+        "workload, expected",
+        [
+            ("Destexhe-LTS", {"exc": 39.06, "inh": 6.0}),
+            ("Destexhe-UpDown", {"exc": 56.445, "inh": 6.0}),
+        ],
+    )
+    def test_destexhe_rejects_only_where_its_own_stepper_did(
+        self, workload, expected
+    ):
+        # A block-wide accept/reject makes inh retry whenever exc does
+        # (UpDown's inh read 56.45 per step that way) with the same
+        # spikes: only the counts and state bytes show it.
+        simulator, _ = build_simulation(
+            {**spec_for(workload, 0.03, 5), "backend": "reference"}
+        )
+        result = simulator.run(400)
+        assert result.blocks == {"exc+inh": ("exc", "inh")}
+        assert result.evaluations_per_step == expected
+
+    def test_solver_metrics_stay_per_population(self):
+        fused, oracle = _pair(
+            lambda: build_workload("Destexhe-LTS", scale=0.03, seed=3), "rkf45"
+        )
+        fused.run(60)
+        run_unfused(oracle, 60)
+        snapshots = []
+        for simulator in (fused, oracle):
+            metrics = MetricsRegistry()
+            simulator.backend.publish_metrics(metrics)
+            snapshots.append(metrics.snapshot())
+        fused_metrics, oracle_metrics = snapshots
+        for family in (
+            "runtime_advances_total",
+            "runtime_solver_evaluations_total",
+        ):
+            assert fused_metrics[family] == oracle_metrics[family]
+        evaluations = {
+            entry["labels"]["population"]: entry["value"]
+            for entry in fused_metrics["runtime_solver_evaluations_total"]["values"]
+        }
+        assert evaluations["exc"] > evaluations["inh"] == 6 * 60
+
+    @pytest.mark.parametrize("member, index", [("exc", 3), ("inh", 4)])
+    def test_a_nan_in_one_member_raises_what_its_own_stepper_raises(
+        self, member, index
+    ):
+        fused, oracle = _pair(
+            lambda: build_workload("Destexhe-UpDown", scale=0.03, seed=3), "rkf45"
+        )
+        spikes = fused.run(20).spikes
+        oracle_spikes = run_unfused(oracle, 20)
+        raised = []
+        for simulator, run in (
+            (fused, lambda: fused.run(5, spikes=spikes)),
+            (oracle, lambda: run_unfused(oracle, 5, spikes=oracle_spikes)),
+        ):
+            FaultInjector(simulator).inject_nan(member, "v", index=index)
+            with pytest.raises(NumericsError) as error:
+                run()
+            raised.append(error.value)
+        got, expected = raised
+        assert (got.population, got.step, got.variable, got.indices) == (
+            member, 20, "v", (index,)
+        )
+        assert str(got) == str(expected)
+        assert (got.population, got.step, got.variable, got.indices) == (
+            expected.population,
+            expected.step,
+            expected.variable,
+            expected.indices,
+        )
+
+    @pytest.mark.parametrize("writer", ["unfused", "fused"])
+    def test_checkpoints_cross_between_fused_and_unfused(self, writer):
+        steps, kill_at = 200, 70
+
+        def simulator(fused):
+            backend = ReferenceBackend("RKF45")
+            return Simulator(
+                build_workload("Destexhe-LTS", scale=0.03, seed=3),
+                backend if fused else unfused(backend),
+                dt=DT,
+                seed=4,
+            )
+
+        uninterrupted = simulator(True).run(steps).spikes.digest()
+        first = simulator(writer == "fused")
+        spikes = first.run(kill_at).spikes
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "c.ckpt")
+            Checkpoint.capture(first, spikes=spikes).save(path)
+            checkpoint = Checkpoint.load(path)
+        resumed = simulator(writer != "fused")
+        checkpoint.restore(resumed)
+        tail = resumed.run(steps - kill_at, spikes=checkpoint.seed_recorder())
+        assert tail.spikes.digest() == uninterrupted
+        assert len(resumed.backend.blocks) == (1 if writer == "unfused" else 2)
 
 
 class TestFaultSeams:

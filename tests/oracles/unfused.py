@@ -6,7 +6,10 @@ each its own ring bucket. :func:`unfused` makes a backend prepare that
 way again and :func:`run_unfused` steps a simulator that way — no block
 schedule, no gathered input, no mask slicing — so a fused run can be
 held to it: same spikes, same state bytes, same per-population
-saturation counts, cycles, ``advances`` and checkpoint payloads.
+saturation counts, cycles, ``advances`` and checkpoint payloads. Under
+RKF45 that is one stepper per population, each accepting or rejecting
+its own substeps: the per-population ``evaluations`` a fused block's
+per-member step control must reproduce.
 """
 
 import numpy as np

@@ -123,7 +123,7 @@ class TestRKF45Integrate:
         def flow(_t, y, out):
             np.negative(y, out=out)
 
-        evaluations = stepper.integrate(flow, 0.0, 0.1, rtol=1e-9, atol=1e-12)
+        (evaluations,) = stepper.integrate(flow, 0.0, 0.1, rtol=1e-9, atol=1e-12)
         assert stepper.y is block
         assert evaluations % 6 == 0
         np.testing.assert_allclose(block[0], np.exp(-0.1) * np.arange(1, 4), rtol=1e-8)
@@ -145,6 +145,51 @@ class TestRKF45Integrate:
             rkf45_integrate(rhs, np.array([1.0, np.nan, 2.0]), 0.0, 1.0)
         assert len(calls) == 6  # one attempted substep, not 10,000
         assert info.value.variable == "y"
+        assert info.value.indices == (1,)
+
+    @pytest.mark.parametrize("h0", [0.0, 0.02])
+    def test_members_step_as_their_own_steppers_would(self, h0):
+        # Row 0 decays at the rate held in row 1. Columns 0:3 decay
+        # gently, 3:5 stiffly, 5:6 not at all: the first member accepts
+        # the first trial, the second rejects it and continues alone.
+        start = np.array(
+            [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 300.0, 500.0, 0.0]]
+        )
+        members = (("a", 0, 3), ("b", 3, 5), ("c", 5, 6))
+
+        def flow(_t, y, out):
+            np.multiply(y[1], y[0], out=out[0])
+            np.negative(out[0], out=out[0])
+            out[1].fill(0.0)
+
+        alone = []
+        for _, lo, hi in members:
+            stepper = RKF45Stepper((2, hi - lo))
+            stepper.y[:] = start[:, lo:hi]
+            (count,) = stepper.integrate(flow, 0.0, 0.1, h0=h0)
+            alone.append((stepper.y.tobytes(), count))
+        block = RKF45Stepper(start.shape)
+        block.y[:] = start
+        counts = block.integrate(flow, 0.0, 0.1, h0=h0, members=members)
+        together = [
+            (np.ascontiguousarray(block.y[:, lo:hi]).tobytes(), count)
+            for (_, lo, hi), count in zip(members, counts)
+        ]
+        assert together == alone
+        assert counts[0] < counts[1]
+
+    def test_a_member_fails_under_its_own_name_and_indices(self):
+        stepper = RKF45Stepper((2, 6), names=("v", "g"))
+        stepper.y[1, 4] = np.nan
+        with pytest.raises(NumericsError) as info:
+            stepper.integrate(
+                lambda _t, y, out: np.negative(y, out=out),
+                0.0,
+                0.1,
+                members=(("exc", 0, 3), ("inh", 3, 6)),
+            )
+        assert info.value.population == "inh"
+        assert info.value.variable == "g"
         assert info.value.indices == (1,)
 
     def test_max_steps_exceeded_raises(self):
