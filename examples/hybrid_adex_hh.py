@@ -48,7 +48,7 @@ def main() -> None:
         print(f"  CompilationError: {error}\n")
 
     network = build_mixed_network()
-    backend = HybridBackend(DT, folded=True)
+    backend = HybridBackend(DT)
     simulator = Simulator(network, backend, dt=DT, seed=12)
     result = simulator.run(STEPS)
 

@@ -61,22 +61,13 @@ def profile_workload(
     scale: float = 0.05,
     steps: int = 400,
     seed: int = 1,
-    solver: Optional[str] = None,
-    use_engine: bool = True,
 ) -> WorkloadProfile:
-    """Run one workload briefly and extract its per-unit activity.
-
-    ``use_engine=False`` profiles on the dict-state solver path instead
-    of the compiled step-plan path; the measured activity is identical
-    (the two are spike-identical), only wall-clock differs.
-    """
+    """Run one workload briefly and extract its per-unit activity."""
     from repro.frontend import build_simulation
 
-    spec = spec_for(name, scale, seed)
-    simulator, network = build_simulation({
-        **spec, "backend": "reference" if use_engine else "solver",
-        "solver": solver or spec["solver"],
-    })
+    simulator, network = build_simulation(
+        {**spec_for(name, scale, seed), "backend": "reference"}
+    )
     result = simulator.run(steps)
     duration = steps * DT
     n = network.n_neurons

@@ -4,8 +4,10 @@ These backends plug the fixed-point digital-neuron models into the
 three-phase simulator: the synapse-calculation and stimulus phases stay
 on the host (as in the paper's system model, where Flexon accelerates
 neuron computation only), while each population's neuron updates run on
-a :class:`~repro.hardware.flexon.FlexonNeuron` or
-:class:`~repro.hardware.folded.FoldedFlexonNeuron` array model.
+a baseline (:class:`~repro.hardware.flexon.FlexonNeuron`) or folded
+(:class:`~repro.hardware.folded.FoldedFlexonNeuron`) array model. The
+two share one register file, so a runtime's read-out, checkpoint
+payload and cycle count are written once, whichever array it holds.
 
 All of them execute through the engine layer's
 :class:`~repro.engine.runtime.PopulationRuntime` seam:
@@ -37,7 +39,6 @@ from repro.fixedpoint import (
     observe_saturation,
 )
 from repro.hardware.compiler import CompiledModel, FlexonCompiler
-from repro.hardware.flexon import FlexonNeuron
 from repro.models.base import State
 from repro.network.backends import (
     RuntimeBackend,
@@ -51,8 +52,8 @@ from repro.solvers import canonical_solver_name
 class HardwareRuntime(PopulationRuntime):
     """One population on a digital-neuron array model.
 
-    Owns the compiled model and the (baseline or folded) functional
-    array; ``advance`` pre-scales and quantises the host-side float
+    Owns the compiled model and the baseline (``folded=False``) or
+    folded functional array; ``advance`` pre-scales and quantises the host-side float
     inputs exactly as the seed backends did, into preallocated scratch
     (an input whose extremes quantise inside the format needs no clip
     scan; any other takes ``fx_from_float``), then runs one hardware
@@ -80,11 +81,8 @@ class HardwareRuntime(PopulationRuntime):
         self.compiled = compiled
         self.dt = dt
         self.folded = folded
-        self.neuron = (
-            compiled.instantiate_folded(n)
-            if folded
-            else compiled.instantiate_flexon(n)
-        )
+        make = compiled.instantiate_folded if folded else compiled.instantiate_flexon
+        self.neuron = make(n)
         #: Per-format clip counts accumulated across every step so far.
         self.saturation_stats = SaturationStats()
         # Quantisation scratch: the scaled float inputs, the raw words.
@@ -190,7 +188,7 @@ class HardwareRuntime(PopulationRuntime):
 
     def restore(self, payload: Dict[str, object]) -> None:
         try:
-            self.neuron.restore(payload["neuron"])
+            self.neuron.restore(payload.get("neuron"))
         except SimulationError as error:
             raise CheckpointError(
                 f"cannot restore {self.name!r}: {error}"
@@ -199,16 +197,15 @@ class HardwareRuntime(PopulationRuntime):
     @property
     def cycles_per_neuron(self) -> int:
         """Pipeline occupancy per logical neuron for one step."""
-        if self.folded:
-            return self.compiled.cycles_per_neuron_folded
-        return FlexonNeuron.CYCLES_PER_NEURON
+        return self.neuron.cycles_per_neuron
 
 
 class _HardwareBackendBase(RuntimeBackend):
-    """Shared compile/advance plumbing of the two hardware backends."""
+    """Shared compile/advance plumbing of the hardware backends."""
 
     folded = False
     compiler = FlexonCompiler()
+    runtime_class = HardwareRuntime
 
     def __init__(self, dt: float = 1e-4):
         super().__init__()
@@ -219,7 +216,7 @@ class _HardwareBackendBase(RuntimeBackend):
 
     def build_runtime(self, population: Population) -> PopulationRuntime:
         compiled = self.compiler.compile(population.model, self.dt)
-        return HardwareRuntime(
+        return self.runtime_class(
             population.name, population.n, compiled, self.dt, self.folded
         )
 
@@ -244,31 +241,25 @@ class FoldedFlexonBackend(_HardwareBackendBase):
     name = "folded-flexon"
 
 
-class HybridBackend(RuntimeBackend):
+class HybridBackend(_HardwareBackendBase):
     """Flexon for supported models, reference solver for the rest.
 
     The Section VII-A scenario: "when an SNN consists of both the
     supported and the unsupported neuron models (e.g., a mixture of
     AdEx and HH), we can still accelerate SNN simulations by offloading
     the supported neuron models to Flexon." With the runtime seam the
-    split is per population: supported ones get a
-    :class:`HardwareRuntime`, the rest the dict-state
-    :class:`~repro.engine.runtime.SolverRuntime`.
+    split is per population: supported ones get a folded
+    :class:`HardwareRuntime` (and fuse as on the folded backend; an
+    unsupported model has no :func:`model_key`, so it never does), the
+    rest the dict-state :class:`~repro.engine.runtime.SolverRuntime`.
     """
 
+    folded = True
     name = "hybrid"
-    compiler = FlexonCompiler()
 
-    def __init__(
-        self,
-        dt: float = 1e-4,
-        solver: str = "Euler",
-        folded: bool = True,
-    ):
-        super().__init__()
-        self.dt = dt
+    def __init__(self, dt: float = 1e-4, solver: str = "Euler"):
+        super().__init__(dt)
         self.solver_name = canonical_solver_name(solver)
-        self.folded = folded
         #: population -> whether it runs on the digital-neuron array.
         self.offloaded: Dict[str, bool] = {}
 
@@ -279,21 +270,16 @@ class HybridBackend(RuntimeBackend):
             for name, runtime in self.runtimes.items()
         }
 
-    def block_key(self, population: Population):
-        # Offloaded populations share the array; the rest stay on their
-        # own software solver.
-        if self.compiler.supports(population.model):
-            return model_key(population.model)
-        return None
-
     def build_runtime(self, population: Population) -> PopulationRuntime:
-        model = population.model
-        if self.compiler.supports(model):
-            compiled = self.compiler.compile(model, self.dt)
-            return HardwareRuntime(
-                population.name, population.n, compiled, self.dt, self.folded
-            )
+        if self.compiler.supports(population.model):
+            return super().build_runtime(population)
         return software_solver_runtime(population, self.solver_name)
+
+    def cycles_per_neuron(self, population: str) -> int:
+        """Pipeline occupancy per neuron; none on the software solver."""
+        if self.offloaded.get(population, True):
+            return super().cycles_per_neuron(population)
+        return 0
 
     def offloaded_fraction(self) -> float:
         """Fraction of neurons running on the digital-neuron array."""

@@ -48,11 +48,6 @@ class CompiledModel:
         """Host-side synaptic-weight pre-scale factor."""
         return self.constants.weight_scale
 
-    @property
-    def cycles_per_neuron_folded(self) -> int:
-        """Folded-pipeline occupancy of one neuron update."""
-        return self.program.cycles_per_neuron
-
     def instantiate_flexon(self, n: int) -> FlexonNeuron:
         """A baseline-Flexon functional model for ``n`` neurons."""
         return FlexonNeuron(

@@ -11,8 +11,9 @@ asymptotically approaches rest, quantised decay reaches raw zero in
 finitely many steps, so the skippable set is non-empty for every
 Table III model, and immediately so for LLIF's clamped linear decay).
 
-:class:`EventDrivenMonitor` wraps a hardware neuron, classifies each
-neuron as active/idle per step, and accumulates the activity factor;
+:class:`EventDrivenMonitor` wraps a hardware neuron (either array: both
+name their state rows alike), classifies each neuron as active/idle per
+step, and accumulates the activity factor;
 :func:`event_driven_power` scales a design's dynamic power by it. The
 skip-is-identity invariant is verified by tests, so counting (rather
 than literally skipping) is a sound energy model.
@@ -25,16 +26,12 @@ three-phase simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from repro.features import Feature, FeatureSet
 from repro.hardware.backend import HardwareRuntime, _HardwareBackendBase
 from repro.hardware.flexon import FlexonNeuron
-from repro.hardware.folded import FoldedFlexonNeuron
-
-_HardwareNeuron = Union[FlexonNeuron, FoldedFlexonNeuron]
 
 
 def supports_event_driven(features: FeatureSet) -> bool:
@@ -51,13 +48,7 @@ def supports_event_driven(features: FeatureSet) -> bool:
     return not features.features & {Feature.EXI, Feature.SBT}
 
 
-def _features_of(neuron: _HardwareNeuron) -> FeatureSet:
-    if isinstance(neuron, FlexonNeuron):
-        return neuron.features
-    return neuron.program.features
-
-
-def idle_mask(neuron: _HardwareNeuron, raw_inputs: np.ndarray) -> np.ndarray:
+def idle_mask(neuron: FlexonNeuron, raw_inputs: np.ndarray) -> np.ndarray:
     """Neurons whose update this step is provably the identity.
 
     A neuron is idle when its model supports event-driven execution,
@@ -65,16 +56,11 @@ def idle_mask(neuron: _HardwareNeuron, raw_inputs: np.ndarray) -> np.ndarray:
     state variable sits exactly at its reset/rest value (raw zero; the
     refractory counter at zero).
     """
-    if not supports_event_driven(_features_of(neuron)):
+    if not supports_event_driven(neuron.features):
         return np.zeros(raw_inputs.shape[1], dtype=bool)
     idle = ~raw_inputs.any(axis=0)
-    if isinstance(neuron, FlexonNeuron):
-        for name, values in neuron.state.items():
-            idle &= values == 0
-    else:
-        idle &= ~neuron.regs.any(axis=0)
-        if neuron.cnt is not None:
-            idle &= neuron.cnt == 0
+    for values in neuron.state.values():
+        idle &= values == 0
     return idle
 
 
@@ -82,7 +68,7 @@ def idle_mask(neuron: _HardwareNeuron, raw_inputs: np.ndarray) -> np.ndarray:
 class EventDrivenMonitor:
     """Wraps a hardware neuron and tracks the activity factor."""
 
-    neuron: _HardwareNeuron
+    neuron: FlexonNeuron
     active_updates: int = 0
     total_updates: int = 0
     _last_idle: np.ndarray = field(default=None, repr=False)
@@ -158,20 +144,11 @@ class EventDrivenFlexonBackend(_HardwareBackendBase):
     """
 
     name = "event-driven-flexon"
-
-    def __init__(self, dt: float = 1e-4, folded: bool = False):
-        super().__init__(dt)
-        self.folded = folded
+    runtime_class = EventDrivenRuntime
 
     def block_key(self, population):
         # One monitor and one activity factor per population.
         return None
-
-    def build_runtime(self, population):
-        compiled = self.compiler.compile(population.model, self.dt)
-        return EventDrivenRuntime(
-            population.name, population.n, compiled, self.dt, self.folded
-        )
 
     def activity_factor(self, population: str) -> float:
         """Fraction of one population's updates that were active."""

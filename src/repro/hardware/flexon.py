@@ -8,13 +8,17 @@ microcode (see :mod:`repro.hardware.microcode`), making the two designs
 bit-identical — the property Section V-B's control signals must
 guarantee.
 
-State lives in raw fixed point. Between steps the membrane potential is
-written back through the *truncate* optimisation (Section IV-B1): with
-``theta = 1.0`` the integer portion is mostly redundant, so storage
-narrows from the 32-bit datapath format to a 24-bit membrane format
-(sign + 1 integer bit + 22 fraction bits; the paper quotes 22 bits
-assuming non-negative potentials — we keep a sign bit because reversal
-synapses legitimately pull below rest, and document the delta).
+State lives in raw fixed point, in the register file both designs
+share (:class:`FlexonNeuron` owns it; the folded array subclasses it and
+brings only its own step), so views, read-out and checkpoints are one
+implementation and a payload of either design has one layout. Between
+steps the membrane potential is written back through the *truncate*
+optimisation (Section IV-B1): with ``theta = 1.0`` the integer portion
+is mostly redundant, so storage narrows from the 32-bit datapath
+format to a 24-bit membrane format (sign + 1 integer bit + 22 fraction
+bits; the paper quotes 22 bits assuming non-negative potentials — we
+keep a sign bit because reversal synapses legitimately pull below rest,
+and document the delta).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.features import Feature, FeatureSet
 from repro.fixedpoint import MEMBRANE_FORMAT, FixedFormat, fx_add, fx_saturate
 from repro.hardware import datapaths as dp
 from repro.hardware.constants import NeuronConstants
+from repro.hardware.control import N_STATE_REGISTERS, STATE_NAMES
 
 
 class FlexonNeuron:
@@ -36,14 +41,18 @@ class FlexonNeuron:
 
     ``step`` performs what one hardware cycle performs for each neuron:
     consume the accumulated (already weight-pre-scaled, quantised)
-    input, update all state, and report fired neurons. The state words
-    are allocated once and only ever written in place, so a
-    :meth:`view` of some columns, a restored snapshot and an injected
-    fault all land in the arrays the next step reads.
+    input, update all state, and report fired neurons.
+
+    The array owns the register file both designs share: ``regs``, the
+    state registers Table IV's ``s`` selects (:mod:`~repro.hardware.
+    control`'s layout), and ``cnt`` (``None`` without AR); ``state``
+    names their rows in :meth:`FeatureSet.state_variables` order. They
+    are only ever written in place, so a :meth:`view`, a restore and an
+    injected fault all land in the rows the next step reads.
     """
 
     #: Cycles one neuron update occupies (the single-cycle design).
-    CYCLES_PER_NEURON = 1
+    cycles_per_neuron = 1
 
     def __init__(
         self,
@@ -56,10 +65,34 @@ class FlexonNeuron:
         self.constants = constants
         self.n = n
         self.membrane_format = membrane_format
-        self.state: Dict[str, np.ndarray] = {
-            name: np.zeros(n, dtype=np.int64)
-            for name in features.state_variables(constants.n_synapse_types)
+        self.regs = np.zeros((N_STATE_REGISTERS, n), dtype=np.int64)
+        self.cnt = np.zeros(n, dtype=np.int64) if Feature.AR in features else None
+        self.state = self._name_rows()
+        #: Time steps executed so far (a view reads its block's).
+        self.steps = 0
+        #: The array a :meth:`view` is cut from; ``None`` for an array.
+        self.block: Optional["FlexonNeuron"] = None
+        # What ``step`` accepts; a view accepts nothing.
+        self._input_shape = (constants.n_synapse_types, n)
+
+    def _name_rows(self) -> Dict[str, np.ndarray]:
+        row = {name: s for s, name in STATE_NAMES.items()}
+        return {
+            name: self.cnt if name == "cnt" else self.regs[row[name]]
+            for name in self.features.state_variables(
+                self.constants.n_synapse_types
+            )
         }
+
+    def _refuse(self, raw_inputs: np.ndarray) -> SimulationError:
+        if self.block is not None:
+            return SimulationError(
+                "these neurons are columns of a larger array; step the array"
+            )
+        return SimulationError(
+            f"expected inputs of shape {self._input_shape}, "
+            f"got {raw_inputs.shape}"
+        )
 
     # -- one hardware cycle -----------------------------------------------
 
@@ -70,19 +103,16 @@ class FlexonNeuron:
         the accumulated synaptic weights as raw fixed-point integers,
         already pre-scaled by the back-end's weight scale.
         """
+        if raw_inputs.shape != self._input_shape:
+            raise self._refuse(raw_inputs)
         c = self.constants
         f = self.features
         fmt = c.fmt
-        if raw_inputs.shape != (c.n_synapse_types, self.n):
-            raise SimulationError(
-                f"expected inputs of shape {(c.n_synapse_types, self.n)}, "
-                f"got {raw_inputs.shape}"
-            )
         v = self.state["v"]
 
         # AR input gating (Figure 9i)
         if Feature.AR in f:
-            gated = dp.ArPath.gate(raw_inputs, self.state["cnt"])
+            gated = dp.ArPath.gate(raw_inputs, self.cnt)
         else:
             gated = raw_inputs
 
@@ -154,47 +184,72 @@ class FlexonNeuron:
         elif owner is not None:
             self.state["w"] -= np.where(fired, c.b, 0)
         if Feature.AR in f:
-            cnt = self.state["cnt"]
+            cnt = self.cnt
             cnt[...] = dp.ArPath.tick(cnt)
             cnt[fired] = c.cnt_max
+        self.steps += 1
         return fired
 
+    # -- the register file, shared with the folded design ----------------------
+
+    @property
+    def total_cycles(self) -> int:
+        """Cycles consumed so far by these neurons."""
+        return (self.block or self).steps * self.n * self.cycles_per_neuron
+
     def view(self, lo: int, hi: int) -> "FlexonNeuron":
-        """The neurons ``lo:hi`` of this array as an array of their own,
-        over the same state words."""
+        """Neurons ``lo:hi`` as an array of their own over the same
+        registers: read-out, checkpoints and faults see exactly these
+        neurons, the step count reads through, only the array steps."""
         view = copy.copy(self)
-        view.n = hi - lo
-        view.state = {name: words[lo:hi] for name, words in self.state.items()}
+        del view.steps
+        view.block, view.n, view._input_shape = self, hi - lo, None
+        view.regs = self.regs[:, lo:hi]
+        view.cnt = None if self.cnt is None else self.cnt[lo:hi]
+        view.state = view._name_rows()
         return view
 
-    # -- host-side views -------------------------------------------------------
-
     def float_state(self) -> Dict[str, np.ndarray]:
-        """The state converted to floats (for recording/validation)."""
-        fmt = self.constants.fmt
-        out = {}
-        for name, raw in self.state.items():
-            if name == "cnt":
-                out[name] = raw.astype(np.float64)
-            else:
-                out[name] = raw.astype(np.float64) / fmt.scale
-        return out
+        """The state as floats, named like the models' (for recording)."""
+        scale = self.constants.fmt.scale
+        return {
+            name: raw.astype(np.float64) / (1 if name == "cnt" else scale)
+            for name, raw in self.state.items()
+        }
 
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        """Copies of every raw fixed-point state word (checkpointing)."""
-        return {name: raw.copy() for name, raw in self.state.items()}
+    def snapshot(self) -> Dict[str, object]:
+        """Copies of the register file (checkpointing)."""
+        return {
+            "regs": self.regs.copy(),
+            "cnt": None if self.cnt is None else self.cnt.copy(),
+            "total_cycles": self.total_cycles,
+        }
 
-    def restore(self, snapshot: Dict[str, np.ndarray]) -> None:
-        """Overwrite the raw state from a :meth:`snapshot`."""
-        if set(snapshot) != set(self.state):
+    def restore(self, snapshot: Dict[str, object]) -> None:
+        """Overwrite the register file from a :meth:`snapshot`."""
+        keys = sorted(snapshot) if isinstance(snapshot, dict) else snapshot
+        if keys != ["cnt", "regs", "total_cycles"]:
             raise SimulationError(
-                f"snapshot variables {sorted(snapshot)} do not match "
-                f"neuron state {sorted(self.state)}"
+                f"snapshot {keys!r} is not a Flexon register file "
+                "(expected keys ['cnt', 'regs', 'total_cycles'])"
             )
-        for name, raw in snapshot.items():
-            if np.shape(raw) != self.state[name].shape:
-                raise SimulationError(
-                    f"snapshot of {name!r} has shape {np.shape(raw)}, "
-                    f"expected {self.state[name].shape}"
-                )
-            self.state[name][...] = raw
+        regs = np.asarray(snapshot["regs"], dtype=np.int64)
+        if regs.shape != self.regs.shape:
+            raise SimulationError(
+                f"snapshot register shape {regs.shape} does not match "
+                f"{self.regs.shape}"
+            )
+        cnt = snapshot["cnt"]
+        if (cnt is None) != (self.cnt is None) or (
+            cnt is not None and np.shape(cnt) != self.cnt.shape
+        ):
+            raise SimulationError(
+                "snapshot refractory counter does not match this model"
+            )
+        # In place: steps and views hold these rows.
+        self.regs[...] = regs
+        if cnt is not None:
+            self.cnt[...] = cnt
+        (self.block or self).steps = int(snapshot["total_cycles"]) // max(
+            1, self.n * self.cycles_per_neuron
+        )

@@ -19,11 +19,13 @@ signals with no hazard among them — and a wave runs as one numpy call
 per pipeline stage over stacked rows (compile once, step many). What a
 signal computes, and where it saturates, is its own either way.
 
-Functional correctness is verified against the baseline Flexon bit for
-bit (the equivalence the paper's Table V schedules must guarantee), and
-the per-neuron cycle occupancy (``signals + 1``) feeds the Figure 13
-latency model — e.g. QDI's structural hazard on the single multiplier
-makes its simulation take an extra cycle, exactly as Section V-B notes.
+Folding moves no state: the array is a
+:class:`~repro.hardware.flexon.FlexonNeuron` (its register file, views,
+read-out and checkpoints) with its own step, which the baseline's step
+checks bit for bit (the equivalence Table V's schedules must
+guarantee). The per-neuron occupancy (``signals + 1`` cycles) feeds the
+Figure 13 latency model — QDI's structural hazard on the single
+multiplier costs it an extra cycle, as Section V-B notes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.features import Feature
 from repro.fixedpoint import (
     MEMBRANE_FORMAT,
@@ -47,11 +48,10 @@ from repro.hardware.control import (
     AOperand,
     BOperand,
     ControlSignal,
-    N_STATE_REGISTERS,
-    STATE_NAMES,
     STATE_V,
     STATE_W,
 )
+from repro.hardware.flexon import FlexonNeuron
 from repro.hardware.microcode import Microprogram
 
 
@@ -144,15 +144,14 @@ def _saturate_row(row: np.ndarray, fmt: FixedFormat, lo: int, hi: int, points=1)
     return new_lo, new_hi
 
 
-class FoldedFlexonNeuron:
+class FoldedFlexonNeuron(FlexonNeuron):
     """A vectorised array of folded Flexon neurons running one program.
 
-    The program is lowered **once**, at construction, into :func:`waves`
-    of stacked numpy calls over preallocated int64 rows (see
-    :meth:`_lower`). The register file ``regs`` and the refractory
-    counter ``cnt`` are only ever written in place, so the row views the
-    waves hold stay bound across :meth:`restore` and fault injection —
-    and so does a :meth:`view` of some of the array's columns.
+    The register file, its column views, read-out and checkpoints are
+    :class:`~repro.hardware.flexon.FlexonNeuron`'s; this array brings
+    its own step. The program is lowered **once**, at construction, into
+    :func:`waves` of stacked numpy calls over preallocated int64 rows
+    (see :meth:`_lower`) that hold views of ``regs``.
     """
 
     def __init__(
@@ -161,24 +160,14 @@ class FoldedFlexonNeuron:
         n: int,
         membrane_format: Optional[FixedFormat] = MEMBRANE_FORMAT,
     ):
+        super().__init__(program.features, program.constants, n, membrane_format)
         self.program = program
-        self.n = n
-        self.membrane_format = membrane_format
-        self.regs = np.zeros((N_STATE_REGISTERS, n), dtype=np.int64)
-        if Feature.AR in program.features:
-            self.cnt = np.zeros(n, dtype=np.int64)
-        else:
-            self.cnt = None
-        #: Time steps executed so far.
-        self.steps = 0
         #: Saturation points an enclosure proved in range / had to scan,
-        #: over the whole array (the enclosure is array-wide).
-        #: Diagnostics only: not part of :meth:`snapshot`.
+        #: array-wide; diagnostics, not part of :meth:`snapshot`.
         self.points_proved = 0
         self.points_scanned = 0
         self._gated = np.empty((program.constants.n_synapse_types, n), np.int64)
-        # Sets ``_rows_read`` / ``_read``: the registers the program
-        # reads, copied once per step (see :meth:`_lower`).
+        # Sets ``_rows_read`` / ``_read`` / ``_spans`` (see :meth:`_lower`).
         self._waves = self._lower(program)
         # Stage 1's saturation points per step: one per MUL, per ADD and
         # per v' accumulation.
@@ -206,16 +195,6 @@ class FoldedFlexonNeuron:
         return self.program.cycles_per_neuron
 
     @property
-    def total_cycles(self) -> int:
-        """Pipeline cycles consumed so far by this array's neurons."""
-        return self.steps * self.n * self.cycles_per_neuron
-
-    def view(self, lo: int, hi: int) -> "FoldedFlexonNeuron":
-        """The neurons ``lo:hi`` of this array as an array of their own,
-        over the same registers (see :class:`_FoldedColumns`)."""
-        return _FoldedColumns(self, lo, hi)
-
-    @property
     def points_per_step(self) -> int:
         """Saturation points of one step: stage 1's plus the write-back."""
         return self._stage1_points + (self.membrane_format is not None)
@@ -235,7 +214,8 @@ class FoldedFlexonNeuron:
         ``_read`` (rows ``_rows_read``): first wave 0's MUL operands, in
         the order they multiply, so wave 0 reads them as one slice, then
         the other registers read. The step scans the enclosure spans
-        from the same block.
+        from the same block, each register once (``_spans``: the runs of
+        rows holding a register's first copy, of ``_span_regs``).
 
         A wave is ``(const_mul, tmp_mul, prod, products, adds, exps,
         writes, spans)``: the MUL calls by operand kind, the product rows
@@ -269,6 +249,8 @@ class FoldedFlexonNeuron:
 
         self._rows_read: Tuple[int, ...] = ()
         self._read = np.empty((0, n), dtype=np.int64)
+        self._spans: Tuple[np.ndarray, ...] = ()
+        self._span_regs: Tuple[int, ...] = ()
         bound = []
         for number, members in enumerate(waves(signals)):
             groups = []
@@ -308,8 +290,17 @@ class FoldedFlexonNeuron:
             mul_regs = [s for _, s in const_keys] + [signals[i].s for i in tmp_keys]
             if number == 0:
                 read = {signal.s for signal in signals} - set(mul_regs)
-                self._rows_read = tuple(mul_regs + sorted(read))
-                self._read = np.empty((len(self._rows_read), n), dtype=np.int64)
+                self._rows_read = rows = tuple(mul_regs + sorted(read))
+                self._read = np.empty((len(rows), n), dtype=np.int64)
+                firsts = [j for j, s in enumerate(rows) if s not in rows[:j]]
+                runs: List[List[int]] = []
+                for j in firsts:
+                    if runs and runs[-1][1] == j:
+                        runs[-1][1] = j + 1
+                    else:
+                        runs.append([j, j + 1])
+                self._spans = tuple(self._read[a:b] for a, b in runs)
+                self._span_regs = tuple(rows[j] for j in firsts)
                 # ``_read``'s first rows are this wave's MUL operands.
                 source, mul_regs = self._read, range(len(mul_regs))
             else:
@@ -410,13 +401,10 @@ class FoldedFlexonNeuron:
 
     def step(self, raw_inputs: np.ndarray) -> np.ndarray:
         """Advance every neuron one time step; return the fired mask."""
+        if raw_inputs.shape != self._input_shape:
+            raise self._refuse(raw_inputs)
         c = self.program.constants
         fmt = c.fmt
-        if raw_inputs.shape != (c.n_synapse_types, self.n):
-            raise SimulationError(
-                f"expected inputs of shape {(c.n_synapse_types, self.n)}, "
-                f"got {raw_inputs.shape}"
-            )
         cnt = self.cnt
         if cnt is not None:
             gated = dp.ArPath.gate(raw_inputs, cnt, out=self._gated)
@@ -435,14 +423,15 @@ class FoldedFlexonNeuron:
         # multiplies the same copy.
         if self.n:
             # ``mode="clip"`` lets ``take`` write ``out`` unbuffered.
-            read = self.regs.take(
-                self._rows_read, axis=0, out=self._read, mode="clip"
-            )
-            lows, highs = read.min(axis=1).tolist(), read.max(axis=1).tolist()
-            span = dict(zip(self._rows_read, zip(lows, highs)))
+            self.regs.take(self._rows_read, axis=0, out=self._read, mode="clip")
+            lows, highs = [], []
+            for rows in self._spans:
+                lows += rows.min(axis=1).tolist()
+                highs += rows.max(axis=1).tolist()
+            span = dict(zip(self._span_regs, zip(lows, highs)))
             inputs = (int(gated.min()), int(gated.max()))
         else:  # no values: any enclosure holds
-            span = dict.fromkeys(self._rows_read, (0, 0))
+            span = dict.fromkeys(self._span_regs, (0, 0))
             inputs = (0, 0)
         enc, vals = self._enc, self._vals
         enc[self._input_enc] = inputs
@@ -563,84 +552,3 @@ class FoldedFlexonNeuron:
             np.copyto(cnt, c.cnt_max, where=fired)
         self.steps += 1
         return fired
-
-    # -- host-side views -------------------------------------------------------
-
-    def float_state(self) -> Dict[str, np.ndarray]:
-        """The architectural state as floats, named like the models'."""
-        c = self.program.constants
-        register = {name: row for row, name in STATE_NAMES.items()}
-        out = {}
-        for name in self.program.features.state_variables(c.n_synapse_types):
-            if name == "cnt":
-                out[name] = self.cnt.astype(np.float64)
-            else:
-                out[name] = self.regs[register[name]].astype(np.float64) / c.fmt.scale
-        return out
-
-    def snapshot(self) -> Dict[str, object]:
-        """Copies of the architectural registers (checkpointing)."""
-        return {
-            "regs": self.regs.copy(),
-            "cnt": None if self.cnt is None else self.cnt.copy(),
-            "total_cycles": self.total_cycles,
-        }
-
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        """Overwrite the register file from a :meth:`snapshot`."""
-        regs = np.asarray(snapshot["regs"], dtype=np.int64)
-        if regs.shape != self.regs.shape:
-            raise SimulationError(
-                f"snapshot register shape {regs.shape} does not match "
-                f"{self.regs.shape}"
-            )
-        cnt = snapshot["cnt"]
-        if (cnt is None) != (self.cnt is None) or (
-            cnt is not None and np.shape(cnt) != self.cnt.shape
-        ):
-            raise SimulationError(
-                "snapshot refractory counter does not match this program"
-            )
-        # In place: the waves hold views of these rows.
-        self.regs[...] = regs
-        if cnt is not None:
-            self.cnt[...] = cnt
-        self.steps = int(snapshot["total_cycles"]) // max(
-            1, self.n * self.cycles_per_neuron
-        )
-
-
-class _FoldedColumns(FoldedFlexonNeuron):
-    """Neurons ``lo:hi`` of a :class:`FoldedFlexonNeuron` array.
-
-    State, not a pipeline: ``regs`` and ``cnt`` are column views of the
-    array's, so ``float_state`` / ``snapshot`` / ``restore`` and fault
-    injection see exactly these neurons; the step count (and with it
-    ``total_cycles``) and the array-wide proof counters read through;
-    only the array steps.
-    """
-
-    def __init__(self, array: FoldedFlexonNeuron, lo: int, hi: int):
-        self.array = array
-        self.program = array.program
-        self.membrane_format = array.membrane_format
-        self.n = hi - lo
-        self.regs = array.regs[:, lo:hi]
-        self.cnt = None if array.cnt is None else array.cnt[lo:hi]
-
-    @property
-    def steps(self) -> int:
-        return self.array.steps
-
-    @steps.setter
-    def steps(self, value: int) -> None:
-        self.array.steps = value
-
-    points_proved = property(lambda self: self.array.points_proved)
-    points_scanned = property(lambda self: self.array.points_scanned)
-    points_per_step = property(lambda self: self.array.points_per_step)
-
-    def step(self, raw_inputs: np.ndarray) -> np.ndarray:
-        raise SimulationError(
-            "these neurons are columns of a larger array; step the array"
-        )

@@ -98,7 +98,7 @@ class TestCompiler:
         compiled = FlexonCompiler().compile(create_model("DLIF"), DT)
         assert compiled.model_name == "DLIF"
         assert compiled.program.n_signals == 7
-        assert compiled.cycles_per_neuron_folded == 8
+        assert compiled.program.cycles_per_neuron == 8
         assert compiled.weight_scale == pytest.approx(0.005)
 
     def test_instantiate_both_designs(self):

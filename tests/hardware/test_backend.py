@@ -100,6 +100,11 @@ class TestHybridBackend:
         backend.prepare(self._mixed_net())
         assert backend.offloaded == {"adex": True, "hh": False}
         assert backend.offloaded_fraction() == pytest.approx(0.8)
+        # The array spends cycles on the offloaded population only.
+        assert backend.cycles_per_neuron("adex") == (
+            backend.runtime("adex").compiled.program.cycles_per_neuron
+        )
+        assert backend.cycles_per_neuron("hh") == 0
 
     def test_mixed_network_simulates(self):
         sim = Simulator(self._mixed_net(), HybridBackend(DT), dt=DT, seed=2)
@@ -119,7 +124,7 @@ class TestHybridBackend:
 
     def test_hybrid_matches_folded_for_supported_populations(self):
         hybrid = Simulator(
-            _net(seed=7), HybridBackend(DT, folded=True), dt=DT, seed=8
+            _net(seed=7), HybridBackend(DT), dt=DT, seed=8
         ).run(200)
         folded = Simulator(
             _net(seed=7), FoldedFlexonBackend(DT), dt=DT, seed=8

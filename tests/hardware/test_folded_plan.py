@@ -92,16 +92,21 @@ class TestTmpLatch:
             assert neuron.regs[STATE_V].tolist() == [v, v, v]
 
 
+#: Both arrays own the same register file.
+ARRAYS = ["instantiate_flexon", "instantiate_folded"]
+
+
 class TestStateReplacement:
+    @pytest.mark.parametrize("array", ARRAYS)
     @pytest.mark.parametrize("model", ["DLIF", "Izhikevich", "LIF"])
-    def test_restore_writes_through_the_bound_rows(self, model):
+    def test_restore_writes_through_the_bound_rows(self, model, array):
         compiled = _compiled(model)
         rng = np.random.default_rng(5)
-        donor = compiled.instantiate_folded(7)
+        donor = getattr(compiled, array)(7)
         for _ in range(60):
             donor.step(_inputs(compiled, 7, rng))
 
-        fresh = compiled.instantiate_folded(7)
+        fresh = getattr(compiled, array)(7)
         regs, cnt = fresh.regs, fresh.cnt
         fresh.restore(donor.snapshot())
         # Same buffers, new contents: the plan's row views stay live.
@@ -116,24 +121,53 @@ class TestStateReplacement:
             assert np.array_equal(fresh.cnt, donor.cnt)
 
     def test_restore_rejects_a_mismatched_counter(self):
-        neuron = _compiled("DLIF").instantiate_folded(4)
-        snapshot = neuron.snapshot()
-        snapshot["cnt"] = np.zeros(1, dtype=np.int64)  # would broadcast
-        with pytest.raises(SimulationError, match="refractory counter"):
-            neuron.restore(snapshot)
-        snapshot["cnt"] = None
-        with pytest.raises(SimulationError, match="refractory counter"):
-            neuron.restore(snapshot)
+        for array in ARRAYS:
+            neuron = getattr(_compiled("DLIF"), array)(4)
+            snapshot = neuron.snapshot()
+            snapshot["cnt"] = np.zeros(1, dtype=np.int64)  # would broadcast
+            with pytest.raises(SimulationError, match="refractory counter"):
+                neuron.restore(snapshot)
+            snapshot["cnt"] = None
+            with pytest.raises(SimulationError, match="refractory counter"):
+                neuron.restore(snapshot)
 
     def test_step_keeps_the_counter_in_place(self):
         compiled = _compiled("DLIF")
-        neuron = compiled.instantiate_folded(5)
-        cnt = neuron.cnt
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            neuron.step(_inputs(compiled, 5, rng, rate=0.6))
-        assert neuron.cnt is cnt
-        assert neuron.total_cycles == 200 * 5 * neuron.cycles_per_neuron
+        for array in ARRAYS:
+            neuron = getattr(compiled, array)(5)
+            cnt = neuron.cnt
+            rng = np.random.default_rng(2)
+            for _ in range(200):
+                neuron.step(_inputs(compiled, 5, rng, rate=0.6))
+            assert neuron.cnt is cnt
+            assert neuron.total_cycles == 200 * 5 * neuron.cycles_per_neuron
+
+    @pytest.mark.parametrize("array", ARRAYS)
+    def test_restore_refuses_a_payload_that_is_not_a_register_file(self, array):
+        neuron = getattr(_compiled("DLIF"), array)(4)
+        # Baseline Flexon's payload before both arrays shared registers.
+        words = {name: np.zeros(4, np.int64) for name in neuron.state}
+        for payload in (words, None, {**neuron.snapshot(), "v": words["v"]}):
+            with pytest.raises(SimulationError, match="not a Flexon register file"):
+                neuron.restore(payload)
+
+    @pytest.mark.parametrize("array", ARRAYS)
+    def test_a_view_shares_the_registers_and_refuses_to_step(self, array):
+        compiled = _compiled("DLIF")
+        neuron = getattr(compiled, array)(7)
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            neuron.step(_inputs(compiled, 7, rng, rate=0.6))
+        view = neuron.view(2, 5)
+        assert list(view.state) == list(neuron.state)
+        for name, rows in view.state.items():
+            assert np.shares_memory(rows, neuron.state[name])
+            assert np.array_equal(rows, neuron.state[name][2:5])
+        assert view.total_cycles == 30 * 3 * neuron.cycles_per_neuron
+        with pytest.raises(SimulationError, match="columns of a larger array"):
+            view.step(_inputs(compiled, 3, rng))
+        view.restore({**view.snapshot(), "total_cycles": 0})
+        assert neuron.steps == 0
 
 
 class TestDegenerateSizes:

@@ -5,15 +5,13 @@ flips in fixed-point words (hardware runtimes) or IEEE-754 payloads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.engine.runtime import CompiledRuntime, SolverRuntime
 from repro.errors import SimulationError
 from repro.hardware.backend import HardwareRuntime
-from repro.hardware.control import STATE_G, STATE_R, STATE_V, STATE_W, STATE_Y
-from repro.hardware.flexon import FlexonNeuron
 from repro.network.simulator import Simulator
 
 
@@ -27,29 +25,6 @@ class BitFlip:
     bit: int
     #: "fixed" for raw fixed-point words, "float" for IEEE-754 payloads.
     domain: str
-
-
-def _raw_state_words(runtime: HardwareRuntime) -> Dict[str, np.ndarray]:
-    """Live int64 state words of a hardware runtime, by variable name."""
-    neuron = runtime.neuron
-    if isinstance(neuron, FlexonNeuron):
-        return dict(neuron.state)
-    # Folded: map the architectural float_state names onto register rows.
-    out: Dict[str, np.ndarray] = {}
-    for name in neuron.float_state():
-        if name == "v":
-            out[name] = neuron.regs[STATE_V]
-        elif name == "w":
-            out[name] = neuron.regs[STATE_W]
-        elif name == "r":
-            out[name] = neuron.regs[STATE_R]
-        elif name == "cnt":
-            out[name] = neuron.cnt
-        elif name.startswith("g"):
-            out[name] = neuron.regs[STATE_G[int(name[1:])]]
-        elif name.startswith("y"):
-            out[name] = neuron.regs[STATE_Y[int(name[1:])]]
-    return out
 
 
 class FaultInjector:
@@ -76,7 +51,7 @@ class FaultInjector:
         runtime = self.backend.runtime(population)
         flips: List[BitFlip] = []
         if isinstance(runtime, HardwareRuntime):
-            words = _raw_state_words(runtime)
+            words = dict(runtime.neuron.state)
             n_bits = runtime.compiled.constants.fmt.total_bits
             domain = "fixed"
         elif isinstance(runtime, (CompiledRuntime, SolverRuntime)):

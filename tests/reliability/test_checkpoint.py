@@ -5,7 +5,13 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.frontend import build_simulation
-from repro.hardware.backend import FlexonBackend, FoldedFlexonBackend
+from repro.hardware.backend import (
+    FlexonBackend,
+    FoldedFlexonBackend,
+    HardwareRuntime,
+    HybridBackend,
+)
+from repro.hardware.event_driven import EventDrivenFlexonBackend
 from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
@@ -22,6 +28,8 @@ BACKENDS = {
     "rkf45": lambda: ReferenceBackend("RKF45"),
     "flexon": lambda: FlexonBackend(DT),
     "folded": lambda: FoldedFlexonBackend(DT),
+    "event-driven": lambda: EventDrivenFlexonBackend(DT),
+    "hybrid": lambda: HybridBackend(DT),
 }
 
 
@@ -49,10 +57,13 @@ def _network(plastic=False):
 
 
 def _final_state(simulator):
-    return {
-        name: {k: v.copy() for k, v in runtime.state().items()}
-        for name, runtime in simulator.backend.runtimes.items()
-    }
+    """Every population's state, and a hardware array's cycle count."""
+    state = {}
+    for name, runtime in simulator.backend.runtimes.items():
+        state[name] = {k: v.copy() for k, v in runtime.state().items()}
+        if isinstance(runtime, HardwareRuntime):
+            state[name]["total_cycles"] = runtime.neuron.total_cycles
+    return state
 
 
 def _spike_sets(result, network):
@@ -286,6 +297,28 @@ class TestSafetyChecks:
             Checkpoint.load(str(path))
         assert info.value.reason == "wrong-type"
         assert not marker.exists()
+
+    def test_a_named_word_hardware_payload_is_refused(self, tmp_path):
+        # Baseline Flexon's payload before both arrays shared one
+        # register file: a word per state variable, no ``regs``.
+        simulator = Simulator(_network(), FlexonBackend(DT), dt=DT, seed=11)
+        simulator.run(5)
+        checkpoint = Checkpoint.capture(simulator)
+        for name, payload in checkpoint.runtimes.items():
+            runtime = simulator.backend.runtimes[name]
+            payload["neuron"] = {
+                variable: words.copy()
+                for variable, words in runtime.neuron.state.items()
+            }
+        path = str(tmp_path / "named.ckpt")
+        checkpoint.save(path)
+        fresh = Simulator(_network(), FlexonBackend(DT), dt=DT, seed=11)
+        with pytest.raises(CheckpointError) as info:
+            Checkpoint.load(path).restore(fresh)
+        message = str(info.value)
+        assert "cannot restore 'exc'" in message
+        assert "not a Flexon register file" in message
+        assert "['cnt', 'regs', 'total_cycles']" in message
 
     def test_save_is_atomic_no_temp_residue(self, tmp_path):
         checkpoint = self._checkpoint()
