@@ -19,9 +19,10 @@ The second form builds the ``brunel-stdp`` benchmark spec
 (``bench.workloads.brunel_stdp_spec(0)``) in a fresh child, runs one
 step and reports what that step added to ``ru_maxrss``, per plastic
 synapse: the first step compiles the rule's ``SynapseIndex``, which
-rests at 8 B/synapse and is built a row block at a time (DESIGN.md,
-"Lazy plasticity"). CI holds it under 14; it reads 11-12, and about 20
-with a whole-table decode and row expansion.
+rests at 4 B/synapse and is built a row block at a time (DESIGN.md,
+"Lazy plasticity"). CI holds it under 10; it reads about 8, about 12
+with the index's own copies of targets and sources, and about 20 with
+a whole-table decode and row expansion.
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ three-phase simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
 import numpy as np
 
+from repro.errors import CheckpointError
 from repro.features import Feature, FeatureSet
 from repro.hardware.backend import HardwareRuntime, _HardwareBackendBase
 from repro.hardware.flexon import FlexonNeuron
@@ -112,6 +114,27 @@ class EventDrivenRuntime(HardwareRuntime):
     @property
     def activity_factor(self) -> float:
         return self.monitor.activity_factor
+
+    #: The monitor's counters, checkpointed beside the register file so
+    #: a resumed run reports the activity factor of the whole run.
+    COUNTERS = ("active_updates", "total_updates")
+
+    def snapshot(self) -> Dict[str, object]:
+        payload = super().snapshot()
+        for counter in self.COUNTERS:
+            payload[counter] = getattr(self.monitor, counter)
+        return payload
+
+    def restore(self, payload: Dict[str, object]) -> None:
+        missing = [counter for counter in self.COUNTERS if counter not in payload]
+        if missing:
+            raise CheckpointError(
+                f"cannot restore {self.name!r}: the event-driven payload "
+                f"has no {' or '.join(missing)} count"
+            )
+        super().restore(payload)
+        for counter in self.COUNTERS:
+            setattr(self.monitor, counter, int(payload[counter]))
 
     def publish_metrics(self, metrics) -> None:
         super().publish_metrics(metrics)

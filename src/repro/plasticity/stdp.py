@@ -26,15 +26,17 @@ silent step costs *nothing* and plasticity work scales with spike
 traffic, not with neuron or synapse count.
 
 Events run on a :class:`~repro.network.projection.SynapseIndex` the
-rule compiles at its first ``step`` (DESIGN.md, "Lazy plasticity"; 8 B
-per synapse between populations of up to 65,536 neurons, built a row
-block at a time, so the first step adds only the index and one block's
-scratch to the peak): fired rows are contiguous in CSR order
-(depression) and in the post-sorted view (potentiation), and a trace is
-decayed once per *neuron* whenever a step's reads outnumber the
-neurons. Each touched weight is written once, clipped to ``[w_min,
-w_max]``; a synapse depressed *and* potentiated in one step is clipped
-once, on its net value.
+rule compiles at its first ``step`` (DESIGN.md, "Lazy plasticity"; 4 B
+per synapse, built a row block at a time, so the first step adds only
+the index and one block's scratch to the peak): fired rows are
+contiguous in CSR order (depression), their targets decoded from the
+ring targets; the synapses into fired neurons come back with their
+sources read off the CSR row bounds, sorted into CSR order on a volley
+(potentiation, a gather and scatter in memory order where order pays).
+Every per-synapse index is ``intp``, and a trace is decayed once per
+*neuron* whenever a step's reads outnumber the neurons. Each touched
+weight ends clipped to ``[w_min, w_max]`` once; a synapse depressed
+*and* potentiated in one step is clipped on its net value.
 """
 
 from __future__ import annotations
@@ -47,7 +49,19 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, SimulationError
-from repro.network.projection import Projection, SynapseIndex
+from repro.network.projection import Projection, SynapseIndex, _gather
+
+
+def _scatter(table: np.ndarray, rows: list, values: np.ndarray) -> None:
+    """Write ``values``, gathered from ``table``'s ``rows``, back (a
+    no-op when they are the one row's view)."""
+    if len(rows) == 1:
+        return
+    start = 0
+    for row in rows:
+        stop = start + row.stop - row.start
+        table[row] = values[start:stop]
+        start = stop
 
 
 class PlasticityRule(abc.ABC):
@@ -218,38 +232,38 @@ class PairSTDP(PlasticityRule):
         applied = 0
 
         # 1. depression: pre spikes read the post traces at this step.
-        #    A synapse whose post neuron also fired is left unclipped:
-        #    the potentiation write clips it once, on its net value.
+        #    The fired rows are depressed in a gathered copy, or in
+        #    place when one row fired (``_gather`` returns a view).
         if fired_pre.size:
             rows, posts = index.outgoing(fired_pre)
-            new = np.concatenate([weights[row] for row in rows])
-            new -= self._scaled_traces(
+            depressed = _gather(weights, rows)
+            depressed -= self._scaled_traces(
                 self.a_minus, self._y_val, self._y_last, self.tau_minus, posts
             )
-            unfired = True
-            if fired_post.size:
-                mask = np.ones(self._y_val.size, dtype=bool)
-                mask[fired_post] = False
-                unfired = mask.take(posts)
-            np.clip(new, low, high, out=new, where=unfired)
-            start = 0
-            for row in rows:
-                stop = start + row.stop - row.start
-                weights[row] = new[start:stop]
-                start = stop
+            if fired_post.size:  # potentiation reads the net value
+                _scatter(weights, rows, depressed)
             applied += posts.size
 
         # 2. potentiation: post spikes read the pre traces
         if fired_post.size:
             synapses, pres = index.incoming(fired_post)
-            new = weights.take(synapses)
-            new += self._scaled_traces(
+            potentiated = weights.take(synapses)
+            potentiated += self._scaled_traces(
                 self.a_plus, self._x_val, self._x_last, self.tau_plus, pres
             )
-            weights[synapses] = np.clip(new, low, high, out=new)
             applied += pres.size
 
-        # 3. bump the traces of the neurons that fired *this* step
+        # 3. write back, each touched weight clipped once: the depressed
+        #    rows first, the potentiated synapses last, so a synapse in
+        #    both sets ends on its clipped net value.
+        if fired_pre.size:
+            depressed.clip(low, high, out=depressed)
+            _scatter(weights, rows, depressed)
+        if fired_post.size:
+            potentiated.clip(low, high, out=potentiated)
+            weights[synapses] = potentiated
+
+        # 4. bump the traces of the neurons that fired *this* step
         #    (after the updates: simultaneous pre/post pairs at zero
         #    time difference contribute nothing, the standard choice).
         #    A bump is the one moment a lazy trace is brought current.
@@ -258,7 +272,7 @@ class PairSTDP(PlasticityRule):
         if fired_post.size:
             self._bump(self._y_val, self._y_last, self.tau_minus, fired_post)
 
-        # 4. accounting: a schedule that decays every trace every step
+        # 5. accounting: a schedule that decays every trace every step
         #    would have done ``n_dense`` evaluations; whatever was not
         #    read or bumped was deferred.
         refreshes = applied + fired_pre.size + fired_post.size

@@ -65,6 +65,36 @@ def _spike_pattern(projection, steps, seed):
         )
 
 
+def _sorted_reads(synapses, projection) -> bool:
+    """Whether ``incoming`` sorts this many reads (a volley)."""
+    return synapses.size * projection_module.SORT_SPACING > projection.n_synapses
+
+
+def _queries_match_the_tables(index, projection, seed):
+    """``outgoing`` and ``incoming`` against the decoded tables, on
+    every neuron and on random fired sets of every size."""
+    pre_of, post_of = projection.pre_of_synapses(), projection.post_idx
+    rng = np.random.default_rng(seed)
+    for fraction in (0.0, 0.2, 0.6, 1.0):
+        fired_pre = np.flatnonzero(rng.random(projection.pre.n) < fraction)
+        fired_post = np.flatnonzero(rng.random(projection.post.n) < fraction)
+        rows, posts = index.outgoing(fired_pre)
+        assert [row.start for row in rows] == projection.pre_ptr[fired_pre].tolist()
+        flat = [s for row in rows for s in range(row.start, row.stop)]
+        assert posts.dtype == np.intp and posts.tolist() == post_of[flat].tolist()
+        synapses, pres = index.incoming(fired_post)
+        assert synapses.dtype == pres.dtype == np.intp
+        into = np.flatnonzero(np.isin(post_of, fired_post))  # CSR order
+        if _sorted_reads(synapses, projection):  # a volley comes back sorted
+            assert synapses.tolist() == into.tolist()
+        else:  # by fired neuron, each one's synapses ascending
+            slots = [s for j in fired_post for s in index.order[
+                index.post_ptr[j]:index.post_ptr[j + 1]]]
+            assert synapses.tolist() == slots
+            assert sorted(slots) == into.tolist()
+        assert pres.tolist() == pre_of[synapses].tolist()
+
+
 class TestSynapseIndex:
     # The build walks whole rows: at a block of 1, shorter than most
     # SHAPES rows, every row is a block of its own.
@@ -81,15 +111,12 @@ class TestSynapseIndex:
         index = SynapseIndex(projection)
         post_idx = projection.post_idx
         order = np.argsort(post_idx, kind="stable")
-        assert index.post.tolist() == post_idx.tolist()
         assert index.order.tolist() == order.tolist()
-        assert index.pre.tolist() == projection.pre_of_synapses()[order].tolist()
         assert index.post_ptr.tolist() == [0] + np.cumsum(
             np.bincount(post_idx, minlength=projection.post.n)
         ).tolist()
         assert index.order.dtype == np.int32
-        narrow = np.uint16 if radix else np.int32
-        assert index.post.dtype == index.pre.dtype == narrow
+        _queries_match_the_tables(index, projection, seed=block)
 
     def test_radix_keys_cover_the_largest_16_bit_population(self):
         # post.n == 65,536: neuron 65,535 is the largest uint16 key.
@@ -100,34 +127,78 @@ class TestSynapseIndex:
         assert index.order.tolist() == [1, 3, 0, 2]
         assert index.post_ptr[-1] == 4 and index.post_ptr[65_535] == 2
 
-    @pytest.mark.parametrize("n_pre, dtype", [
-        (projection_module.RADIX_KEY_LIMIT, np.uint16),
-        (projection_module.RADIX_KEY_LIMIT + 1, np.int32),
+    @pytest.mark.parametrize("n", [
+        projection_module.RADIX_KEY_LIMIT, projection_module.RADIX_KEY_LIMIT + 1,
     ])
-    def test_pre_is_uint16_up_to_the_radix_limit(self, n_pre, dtype):
-        # The last neuron is the largest source number either type holds.
+    def test_queries_reach_the_last_neuron(self, n):
+        # Both sides hold n neurons: uint16 sort keys at the radix
+        # limit, int32 past it; the last neuron is the largest number.
         projection = _projection(
-            [0, 1, n_pre - 1, n_pre - 1], [2, 0, 1, 0], n_pre, 3
+            [0, 1, n - 1, n - 1], [2, n - 1, 1, n - 1], n, n
         )
         index = SynapseIndex(projection)
-        assert index.pre.dtype == dtype
-        assert index.pre.tolist() == [1, n_pre - 1, n_pre - 1, 0]
-        assert index.post.dtype == np.uint16
+        assert index.order.tolist() == [2, 0, 1, 3]
+        rows, posts = index.outgoing(np.array([n - 1, 1]))
+        assert posts.tolist() == [1, n - 1, n - 1]
+        synapses, pres = index.incoming(np.array([n - 1, 1]))
+        assert synapses.tolist() == [1, 2, 3]  # a volley of 4 synapses
+        assert pres.tolist() == [1, n - 1, n - 1]
 
-    def test_queries_return_rows_in_fired_order(self):
+    def test_queries_return_rows_in_fired_order(self, monkeypatch):
+        """``outgoing`` keeps the fired order (a rule writes its rows
+        back by it), and so does ``incoming`` short of a volley, which
+        it sorts into CSR order."""
         projection = SHAPES["gaps"]()
         index = SynapseIndex(projection)
         rows, posts = index.outgoing(np.array([3, 0, 1]))
         assert [(row.start, row.stop) for row in rows] == [(3, 5), (0, 0), (0, 2)]
         assert posts.tolist() == [3, 5, 0, 2]
         synapses, pres = index.incoming(np.array([2, 1, 0]))
+        assert synapses.tolist() == [0, 1, 2, 5]  # 4 reads of 6 synapses
+        assert pres.tolist() == [1, 1, 2, 4]
+        monkeypatch.setattr(projection_module, "SORT_SPACING", 1)
+        synapses, pres = index.incoming(np.array([2, 1, 0]))
         assert synapses.tolist() == [1, 2, 0, 5]
         assert pres.tolist() == [1, 2, 1, 4]
 
+    @pytest.mark.parametrize("lookup", [True, False])
+    @pytest.mark.parametrize("fraction", [0.001, 0.02, 0.6])
+    def test_both_source_rules_agree_with_the_csr_rows(
+        self, fraction, lookup, monkeypatch
+    ):
+        """With a row lookup, a bucket and one row end; without, one
+        search of ``pre_ptr`` per read; each on a few reads and on a
+        volley (sorted into CSR order)."""
+        if not lookup:
+            monkeypatch.setattr(projection_module, "ROW_LOOKUP_BUCKETS", 0)
+        projection = _random_projection(300, 200, 20_000, seed=9)
+        index = SynapseIndex(projection)
+        assert (index.first_row is not None) == lookup
+        rng = np.random.default_rng(10)
+        fired = np.flatnonzero(rng.random(200) < fraction)
+        fired = fired if fired.size else np.array([7])
+        synapses, pres = index.incoming(fired)
+        assert _sorted_reads(synapses, projection) == (fraction > 0.5)
+        into = np.flatnonzero(np.isin(projection.post_idx, fired))
+        assert sorted(synapses.tolist()) == into.tolist()
+        assert pres.tolist() == projection.pre_of_synapses()[synapses].tolist()
+
+    def test_a_row_lookup_needs_rows_of_a_bucket_or_more(self):
+        """Its buckets are no longer than the shortest row and at most
+        ``ROW_LOOKUP_BUCKETS`` per row: an empty row, or one row much
+        shorter than the rest, leaves the table without one."""
+        regular = _projection(np.repeat([0, 1, 2], [5, 6, 9]), np.zeros(20), 3, 1)
+        index = SynapseIndex(regular)
+        assert index.shift == 2 and index.first_row.tolist() == [0, 0, 1, 2, 2]
+        assert SynapseIndex(SHAPES["gaps"]()).first_row is None
+        short = _projection(np.repeat([0, 1], [1, 40]), np.zeros(41), 2, 1)
+        assert SynapseIndex(short).first_row is None  # 41 buckets, 2 rows
+
     def test_memory_budget(self, monkeypatch):
-        """Resident: 8 B per synapse + O(neurons). Building: the index
-        plus one block's scratch and O(neurons) — no per-synapse
-        temporary (a 4 B one would break the bound)."""
+        """Resident: 4 B per synapse + O(neurons) (``post_ptr`` and the
+        row lookup, 8 B per entry). Building: the index plus one block's
+        scratch and O(neurons) — no per-synapse temporary (a 4 B one
+        would break the bound)."""
         n, n_synapses = 2_000, 200_000
         projection = _random_projection(n, n, n_synapses, seed=4)
         # A sixteenth of the table per block: the scratch term (eight
@@ -142,12 +213,16 @@ class TestSynapseIndex:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        shared = {"pre_ptr", "targets"}  # the projection's own tables
+        assert index.targets is projection.targets
         resident = sum(
             value.nbytes for name, value in vars(index).items()
-            if isinstance(value, np.ndarray) and name != "pre_ptr"  # shared
+            if isinstance(value, np.ndarray) and name not in shared
         )
-        assert resident <= 8 * n_synapses + 16 * n
-        assert peak - before <= 8 * n_synapses + 64 * block + 64 * n
+        assert index.first_row is not None
+        per_neuron = 8 * (1 + projection_module.ROW_LOOKUP_BUCKETS)
+        assert resident <= 4 * n_synapses + per_neuron * (n + 1)
+        assert peak - before <= 4 * n_synapses + 64 * block + 64 * n
 
 
 class TestCompiledStep:
@@ -164,6 +239,50 @@ class TestCompiledStep:
         assert rule.steps_seen == 60
         if projection.n_synapses:
             assert rule.applied_updates > 0
+
+    @pytest.mark.parametrize("lookup", [True, False])
+    @pytest.mark.parametrize("regime", ["few", "many"])
+    def test_equals_the_reference_in_both_incoming_regimes(
+        self, regime, lookup, monkeypatch
+    ):
+        """One or two fired neurons, and fired fractions of at least a
+        half on both sides (a volley: sorted into CSR order), with
+        sources from the row lookup and from ``searchsorted``; pre and
+        post are one population, so the sets overlap."""
+        if not lookup:
+            monkeypatch.setattr(projection_module, "ROW_LOOKUP_BUCKETS", 0)
+        reads = []
+        incoming = SynapseIndex.incoming
+
+        def spy(index, fired_post):
+            assert (index.first_row is not None) == lookup
+            synapses, pres = incoming(index, fired_post)
+            reads.append(_sorted_reads(synapses, projection))
+            return synapses, pres
+
+        monkeypatch.setattr(SynapseIndex, "incoming", spy)
+        # A hundred synapses per row: a row lookup of 64-synapse buckets,
+        # and two fired neurons read well short of a volley.
+        targets = np.random.default_rng(11).integers(0, 40, 4_000)
+        projection = _projection(
+            np.repeat(np.arange(40), 100), targets, 40, 40, shared=True
+        )
+        rule = PairSTDP(a_plus=0.3, a_minus=0.35, w_min=0.1, w_max=0.9)
+        rule.attach(projection)
+        reference = ReferencePairSTDP(rule)
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            if regime == "few":
+                fired_pre = np.sort(rng.choice(40, rng.integers(1, 3), replace=False))
+                fired_post = fired_pre if rng.random() < 0.5 else np.array([3])
+            else:
+                fired_pre = np.flatnonzero(rng.random(40) < 0.7)
+                fired_post = np.flatnonzero(rng.random(40) < 0.7)
+                assert np.intersect1d(fired_pre, fired_post).size
+            rule.step(fired_pre, fired_post, DT)
+            reference.step(fired_pre, fired_post, DT)
+            reference.assert_matches()
+        assert set(reads) == {regime == "many"}
 
     def test_both_trace_evaluation_branches_run_and_agree(self, monkeypatch):
         """Once per neuron when the reads outnumber the neurons, once
