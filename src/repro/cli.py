@@ -160,12 +160,8 @@ def _cmd_run(args) -> int:
     import time
 
     from repro.errors import CheckpointError, RunInterrupted
-    from repro.runcontext import (
-        EXIT_CODES,
-        InterruptHook,
-        RunContext,
-        graceful_signals,
-    )
+    from repro.reliability import CheckpointHook
+    from repro.runcontext import EXIT_CODES, RunContext, graceful_signals
     from repro.workloads import get_spec
 
     check_run_request(
@@ -205,14 +201,6 @@ def _cmd_run(args) -> int:
             f"requested {args.steps} steps"
         )
     hooks = []
-    if args.checkpoint_every:
-        from repro.reliability import CheckpointHook
-
-        hooks.append(
-            CheckpointHook(
-                simulator, args.checkpoint_every, args.checkpoint_path
-            )
-        )
     trace_hook = None
     if args.trace:
         from repro.telemetry import DEFAULT_MAX_EVENTS, TraceHook
@@ -228,11 +216,13 @@ def _cmd_run(args) -> int:
         hooks.append(trace_hook)
     hooks.extend(ctx.attach(simulator))
     ctx.serve("run")
-    interrupt = InterruptHook(simulator, checkpoint_path=args.checkpoint_path)
-    hooks.append(interrupt)
+    checkpoints = CheckpointHook(
+        simulator, args.checkpoint_path, every=args.checkpoint_every
+    )
+    hooks.append(checkpoints)
     wall_start = time.monotonic()
     try:
-        with graceful_signals(interrupt):
+        with graceful_signals(checkpoints):
             result = simulator.run(
                 remaining, hooks=hooks, spikes=spikes, metrics=ctx.metrics
             )
@@ -241,20 +231,17 @@ def _cmd_run(args) -> int:
             f"\ninterrupted by {stop.signal_name} at step {stop.step}; "
             "stopping gracefully"
         )
-        if interrupt.checkpoint_written:
+        if stop.checkpoint:
             print(
-                f"final checkpoint written to "
-                f"{interrupt.checkpoint_written!r}; resume with "
-                f"--resume-from {interrupt.checkpoint_written!r}"
+                f"final checkpoint written to {stop.checkpoint!r}; resume "
+                f"with --resume-from {stop.checkpoint!r}"
             )
         ctx.write_out(
             config,
             outcome=f"interrupted ({stop.signal_name})",
             duration=time.monotonic() - wall_start,
-            partial=True,
-            stats=interrupt.partial_stats(stop) if args.stats_json else None,
-            stats_label="partial run statistics",
-            artifacts={"checkpoint": interrupt.checkpoint_written},
+            interrupted=stop,
+            artifacts={"checkpoint": stop.checkpoint},
             steps=stop.step,
         )
         return EXIT_CODES.get(stop.signal_name, 130)

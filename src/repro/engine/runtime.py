@@ -160,21 +160,17 @@ class PopulationRuntime(abc.ABC):
 
     # -- reliability seam --------------------------------------------------
 
-    def health(
-        self, limit: Optional[float] = DIVERGENCE_LIMIT
-    ) -> Optional[Tuple[str, np.ndarray]]:
+    def health(self) -> Optional[Tuple[str, np.ndarray]]:
         """Cheap numeric screen of the live state.
 
-        Returns ``None`` while every state variable is finite (and
-        within ``±limit`` when a limit is given); otherwise the name of
-        the first bad variable and the indices of the offending
-        neurons. Fixed-point runtimes are bounded by construction, so
-        this default only ever trips on the float paths.
+        Returns ``None`` while every state variable is finite and within
+        ``±DIVERGENCE_LIMIT``; otherwise the name of the first bad
+        variable and the indices of the offending neurons. Fixed-point
+        runtimes are bounded by construction, so this default only ever
+        trips on the float paths.
         """
         for variable, values in self.state().items():
-            bad = ~np.isfinite(values)
-            if limit is not None:
-                bad |= np.abs(values) > limit
+            bad = ~np.isfinite(values) | (np.abs(values) > DIVERGENCE_LIMIT)
             if bad.any():
                 return variable, np.nonzero(bad)[0]
         return None

@@ -7,6 +7,8 @@ parameters) from runtime failures (simulation errors, numeric
 overflow in strict mode).
 """
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -115,16 +117,24 @@ class CheckpointError(ReliabilityError):
 class RunInterrupted(ReproError):
     """Raised at a step boundary after SIGINT/SIGTERM requested a stop.
 
-    The graceful-interrupt hook writes a final checkpoint *before*
-    raising; ``Simulator.run`` attaches the ``SimulationResult`` of the
-    steps it finished as ``result``, and the CLI translates the
-    exception into the documented exit code (130 for SIGINT, 143 for
-    SIGTERM) instead of a raw traceback. ``step`` is the absolute step
-    the run stopped at.
+    ``CheckpointHook`` writes a final checkpoint *before* raising and
+    names its file as ``checkpoint`` (None = not written);
+    ``Simulator.run`` attaches the ``SimulationResult`` of the steps it
+    finished as ``result``, and the CLI translates the exception into
+    the documented exit code (130 for SIGINT, 143 for SIGTERM) instead
+    of a raw traceback. ``step`` is the absolute step the run stopped
+    at.
     """
 
-    def __init__(self, message: str, signal_name: str = "", step: int = -1):
+    def __init__(
+        self,
+        message: str,
+        signal_name: str = "",
+        step: int = -1,
+        checkpoint: Optional[str] = None,
+    ):
         super().__init__(message)
         self.signal_name = signal_name
         self.step = step
+        self.checkpoint = checkpoint
         self.result = None

@@ -11,13 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.common import format_table
-from repro.fixedpoint import FLEXON_FORMAT, fast_exp, fx_from_float
+from repro.experiments.common import fired_mask_agreement, format_table
+from repro.fixedpoint import fast_exp
 from repro.fixedpoint.fastexp import max_relative_error
 from repro.hardware.compiler import FlexonCompiler
-from repro.models.registry import create_model
-
-DT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -29,31 +26,14 @@ class FastExpResult:
     agreement: float  #: per-step fired-mask agreement, hardware vs float
 
 
-def eif_spike_agreement(steps: int = 800, n: int = 16) -> float:
-    """Spike agreement between fast-exp hardware and exact-exp floats."""
-    model = create_model("EIF")
-    compiled = FlexonCompiler().compile(model, DT)
-    hardware = compiled.instantiate_flexon(n)
-    reference = model.initial_state(n)  # float reference uses np.exp
-    rng = np.random.default_rng(5)
-    agree = 0
-    for _ in range(steps):
-        weights = (rng.random((2, n)) < 0.08) * 1.5
-        weights[1] *= 0.2
-        raw = fx_from_float(weights * compiled.weight_scale, FLEXON_FORMAT)
-        fired_hw = hardware.step(raw)
-        fired_ref = model.step(reference, weights.copy(), DT)
-        agree += int((fired_hw == fired_ref).sum())
-    return agree / (steps * n)
-
-
 def run() -> FastExpResult:
     ys = np.linspace(-8.0, 8.0, 200_000)
     exact = np.exp(ys)
     return FastExpResult(
         worst=float(np.max(np.abs(fast_exp(ys) - exact) / exact)),
         worst_unit=max_relative_error(-1, 1),
-        agreement=eif_spike_agreement(),
+        # The float reference steps with the exact np.exp.
+        agreement=fired_mask_agreement("EIF", FlexonCompiler(), 5, 800),
     )
 
 

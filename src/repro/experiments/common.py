@@ -1,4 +1,5 @@
-"""Shared experiment plumbing: profiling and table rendering.
+"""Shared experiment plumbing: profiling, table rendering and the
+fixed-point-vs-float spike agreement loop of the ablations.
 
 The evaluation methodology mirrors the paper's: workloads are *run* (at
 a reduced scale so CI stays fast) to measure per-unit activity — firing
@@ -14,7 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.assembly import DT
+from repro.fixedpoint import fx_from_float
+from repro.models.registry import create_model
 from repro.workloads import get_spec, spec_for, workload_names
 
 #: The profile Figures 3 and 13 and the Amdahl analysis are made from:
@@ -131,3 +136,29 @@ def format_table(
         if i == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
+
+
+def fired_mask_agreement(
+    model_name: str, compiler, seed: int, steps: int, n: int = 16
+) -> float:
+    """Per-step fired-mask agreement of a baseline-Flexon array against
+    its float model, both driven by the same sparse random input.
+
+    ``compiler`` (a :class:`~repro.hardware.compiler.FlexonCompiler`)
+    sets the fixed-point format the hardware side quantises its input
+    to; the float side is the model's own ``step``.
+    """
+    model = create_model(model_name)
+    compiled = compiler.compile(model, DT)
+    hardware = compiled.instantiate_flexon(n)
+    reference = model.initial_state(n)
+    rng = np.random.default_rng(seed)
+    agree = 0
+    for _ in range(steps):
+        weights = (rng.random((2, n)) < 0.08) * 1.5
+        weights[1] *= 0.2
+        raw = fx_from_float(weights * compiled.weight_scale, compiler.fmt)
+        fired_hw = hardware.step(raw)
+        fired_ref = model.step(reference, weights.copy(), DT)
+        agree += int((fired_hw == fired_ref).sum())
+    return agree / (steps * n)

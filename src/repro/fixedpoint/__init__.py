@@ -12,16 +12,15 @@ modeled here:
   per-neuron state from 32 to 22 bits.
 
 This package provides :class:`~repro.fixedpoint.fixed.FixedFormat`
-(a Q-format descriptor), :class:`~repro.fixedpoint.fixed.Fixed`
-(a scalar fixed-point value), vectorised raw-integer helpers used by the
-array-level hardware models, and the Schraudolph fast exponential
-(:mod:`repro.fixedpoint.fastexp`) the paper uses for its exp unit.
+(a Q-format descriptor), the raw-integer helpers (scalar and
+vectorised) the array-level hardware models compute with, and the
+Schraudolph fast exponential (:mod:`repro.fixedpoint.fastexp`) the
+paper uses for its exp unit.
 """
 
 from repro.fixedpoint.fixed import (
     FLEXON_FORMAT,
     MEMBRANE_FORMAT,
-    Fixed,
     FixedFormat,
     SaturationStats,
     SegmentedStats,
@@ -41,7 +40,6 @@ from repro.fixedpoint.fastexp import fast_exp, fx_exp, fx_exp_enclosure
 __all__ = [
     "FLEXON_FORMAT",
     "MEMBRANE_FORMAT",
-    "Fixed",
     "FixedFormat",
     "SaturationStats",
     "SegmentedStats",

@@ -443,86 +443,3 @@ def fx_mul(a: RawLike, b: RawLike, fmt: FixedFormat, strict: bool = False) -> Ra
     raw = (int(a) * int(b)) >> fmt.frac_bits
     return _saturate_scalar(raw, fmt, strict)
 
-
-class Fixed:
-    """A scalar fixed-point value: a raw integer plus its format.
-
-    ``Fixed`` supports ``+``, ``-``, ``*`` and comparisons against other
-    ``Fixed`` values of the *same* format; mixing formats is an error so
-    that datapath models cannot silently mix precisions. Use
-    :meth:`Fixed.from_float` / :attr:`Fixed.value` at the boundaries.
-    """
-
-    __slots__ = ("raw", "fmt")
-
-    def __init__(self, raw: int, fmt: FixedFormat):
-        self.raw = int(raw)
-        self.fmt = fmt
-
-    @classmethod
-    def from_float(cls, value: float, fmt: FixedFormat = FLEXON_FORMAT) -> "Fixed":
-        """Quantise ``value`` into the given format."""
-        return cls(fx_from_float(value, fmt), fmt)
-
-    @classmethod
-    def zero(cls, fmt: FixedFormat = FLEXON_FORMAT) -> "Fixed":
-        """The zero value in the given format."""
-        return cls(0, fmt)
-
-    @classmethod
-    def one(cls, fmt: FixedFormat = FLEXON_FORMAT) -> "Fixed":
-        """The value 1.0 in the given format (saturated if out of range)."""
-        return cls(fx_from_float(1.0, fmt), fmt)
-
-    @property
-    def value(self) -> float:
-        """The real value this fixed-point number represents."""
-        return fx_to_float(self.raw, self.fmt)
-
-    def _check_fmt(self, other: "Fixed") -> None:
-        if self.fmt != other.fmt:
-            raise FixedPointFormatError(
-                f"format mismatch: {self.fmt} vs {other.fmt}"
-            )
-
-    def __add__(self, other: "Fixed") -> "Fixed":
-        self._check_fmt(other)
-        return Fixed(fx_add(self.raw, other.raw, self.fmt), self.fmt)
-
-    def __sub__(self, other: "Fixed") -> "Fixed":
-        self._check_fmt(other)
-        return Fixed(fx_sub(self.raw, other.raw, self.fmt), self.fmt)
-
-    def __mul__(self, other: "Fixed") -> "Fixed":
-        self._check_fmt(other)
-        return Fixed(fx_mul(self.raw, other.raw, self.fmt), self.fmt)
-
-    def __neg__(self) -> "Fixed":
-        return Fixed(fx_neg(self.raw, self.fmt), self.fmt)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Fixed):
-            return NotImplemented
-        return self.fmt == other.fmt and self.raw == other.raw
-
-    def __lt__(self, other: "Fixed") -> bool:
-        self._check_fmt(other)
-        return self.raw < other.raw
-
-    def __le__(self, other: "Fixed") -> bool:
-        self._check_fmt(other)
-        return self.raw <= other.raw
-
-    def __gt__(self, other: "Fixed") -> bool:
-        self._check_fmt(other)
-        return self.raw > other.raw
-
-    def __ge__(self, other: "Fixed") -> bool:
-        self._check_fmt(other)
-        return self.raw >= other.raw
-
-    def __hash__(self) -> int:
-        return hash((self.raw, self.fmt))
-
-    def __repr__(self) -> str:
-        return f"Fixed({self.value:.9g}, {self.fmt.describe()})"

@@ -33,14 +33,14 @@ only the three real phases.
 
 Two observability seams ride on the loop without taxing it when off:
 
-* ``hooks`` are dispatched through per-callback lists built once per
-  run from which callbacks each hook actually overrides, so a hook
-  that only implements ``on_run_end`` costs nothing per step.
-  Kernel spans (``on_population``, one per block per step) are only
-  timed while a span-consuming hook is attached. Hook failures follow the
-  semantics pinned in :mod:`repro.engine.hooks`: structured
-  ``ReproError``\\ s propagate after the phase is closed, anything else
-  is isolated into ``SimulationResult.hook_errors``.
+* ``hooks`` are delivered by a
+  :class:`~repro.engine.hooks.HookDispatcher`, whose per-callback lists
+  hold only the hooks that override each callback, so a hook that only
+  implements ``on_run_end`` costs nothing per step. Kernel spans
+  (``on_population``, one per block per step) are only timed while a
+  hook overriding it is attached. The dispatcher holds the failure
+  contract of :mod:`repro.engine.hooks`, so the loop has none of its
+  own.
 * ``metrics`` accepts a
   :class:`~repro.telemetry.registry.MetricsRegistry`; the loop then
   observes each step's duration into a histogram, and at run end the
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,12 +61,13 @@ import numpy as np
 
 from repro.engine.hooks import (
     PHASES,
+    HookDispatcher,
     HookError,
     PhaseHook,
     PhaseStats,
     PhaseTimer,
 )
-from repro.errors import ReproError, RunInterrupted, SimulationError
+from repro.errors import RunInterrupted, SimulationError
 from repro.network.backends import ReferenceBackend, RuntimeBackend
 from repro.network.network import Network
 from repro.network.recorder import SpikeRecorder, StateRecorder
@@ -325,34 +325,6 @@ class Simulator:
         ]
         return blocks, projections, plasticity
 
-    @staticmethod
-    def _hook_dispatch(hooks: Sequence[PhaseHook]):
-        """Per-callback dispatch lists: only hooks that override a
-        callback are called for it, so an attached hook costs exactly
-        the callbacks it implements.
-        """
-
-        def overriding(callback: str) -> List[PhaseHook]:
-            base = getattr(PhaseHook, callback)
-            return [
-                hook
-                for hook in hooks
-                if getattr(type(hook), callback) is not base
-            ]
-
-        span_hooks = [
-            hook
-            for hook in overriding("on_population")
-            if getattr(hook, "wants_population_spans", True)
-        ]
-        return {
-            "on_run_start": overriding("on_run_start"),
-            "on_step_start": overriding("on_step_start"),
-            "on_phase": overriding("on_phase"),
-            "on_population": span_hooks,
-            "on_run_end": overriding("on_run_end"),
-        }
-
     # -- main loop ------------------------------------------------------------
 
     def run(
@@ -384,51 +356,14 @@ class Simulator:
         spikes_before = recorder.total_spikes()
         timer = PhaseTimer()
         timer_on_phase = timer.on_phase
-        dispatch = self._hook_dispatch(tuple(hooks))
-        # Hot-path dispatch tables pre-bind each hook's callback so the
-        # step loop never pays per-event method binding; they are
-        # rebuilt by ``isolate_failures`` whenever a hook is detached.
-        step_dispatch = [(h, h.on_step_start) for h in dispatch["on_step_start"]]
-        phase_dispatch = [(h, h.on_phase) for h in dispatch["on_phase"]]
-        span_dispatch = [(h, h.on_population) for h in dispatch["on_population"]]
-        hook_errors: List[HookError] = []
-        failures: List[Tuple[PhaseHook, str, Exception]] = []
-
-        def isolate_failures(step: int) -> None:
-            """Detach every just-failed hook and record why (see
-            repro.engine.hooks for the pinned semantics). A hook that
-            raised from several callbacks before this end-of-step sweep
-            is recorded once, for its first failure."""
-            nonlocal step_dispatch, phase_dispatch, span_dispatch
-            seen = set()
-            for hook, callback, error in failures:
-                if id(hook) in seen:
-                    continue
-                seen.add(id(hook))
-                for lst in dispatch.values():
-                    while hook in lst:
-                        lst.remove(hook)
-                record = HookError(
-                    hook=type(hook).__name__,
-                    callback=callback,
-                    step=step,
-                    error=repr(error),
-                )
-                hook_errors.append(record)
-                warnings.warn(
-                    f"simulation hook isolated: {record.describe()}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            failures.clear()
-            step_dispatch = [
-                (h, h.on_step_start) for h in dispatch["on_step_start"]
-            ]
-            phase_dispatch = [(h, h.on_phase) for h in dispatch["on_phase"]]
-            span_dispatch = [
-                (h, h.on_population) for h in dispatch["on_population"]
-            ]
-
+        # Detaching a hook edits these lists in place: bound once per run.
+        dispatcher = HookDispatcher(hooks)
+        emit = dispatcher.emit
+        failures = dispatcher.failures
+        listeners = dispatcher.listeners
+        step_hooks = listeners["on_step_start"]
+        phase_hooks = listeners["on_phase"]
+        span_hooks = listeners["on_population"]
         observe_step = (
             metrics.histogram(
                 "sim_step_seconds",
@@ -452,13 +387,7 @@ class Simulator:
         backend_advance = self.backend.advance
 
         def emit_span(block: str, seconds: float, updates: int) -> None:
-            for hook, callback in span_dispatch:
-                try:
-                    callback(block, step, seconds, updates)
-                except ReproError:
-                    raise
-                except Exception as error:
-                    failures.append((hook, "on_population", error))
+            emit(span_hooks, block, step, seconds, updates)
 
         def finish(steps_done: int) -> SimulationResult:
             """The result of the steps run so far: what a finished run
@@ -476,7 +405,7 @@ class Simulator:
                     run_spikes=recorder.total_spikes() - spikes_before,
                     recording_seconds=recording_seconds,
                     evaluations=evaluations,
-                    hook_errors=hook_errors,
+                    hook_errors=dispatcher.errors,
                 )
             return SimulationResult(
                 network_name=self.network.name,
@@ -492,44 +421,28 @@ class Simulator:
                 },
                 recording_seconds=recording_seconds,
                 diagnostics=diagnostics,
-                hook_errors=hook_errors,
+                hook_errors=dispatcher.errors,
                 metrics=metrics.snapshot() if metrics is not None else None,
             )
 
-        for hook in dispatch["on_run_start"]:
-            try:
-                hook.on_run_start(self.network, n_steps)
-            except ReproError:
-                raise
-            except Exception as error:
-                failures.append((hook, "on_run_start", error))
+        emit(listeners["on_run_start"], self.network, n_steps)
         if failures:
-            isolate_failures(self._step)
+            dispatcher.detach_failed(self._step)
 
         first_step = self._step
         try:
             for _ in range(n_steps):
                 step = self._step
-                for hook, callback in step_dispatch:
-                    try:
-                        callback(step)
-                    except ReproError:
-                        raise
-                    except Exception as error:
-                        failures.append((hook, "on_step_start", error))
+                if step_hooks:
+                    emit(step_hooks, step)
 
                 # Phase 1: stimulus generation
                 start = perf_counter()
                 events = inject_stimuli(step)
                 stimulus_elapsed = perf_counter() - start
                 timer_on_phase("stimulus", step, stimulus_elapsed, events)
-                for hook, callback in phase_dispatch:
-                    try:
-                        callback("stimulus", step, stimulus_elapsed, events)
-                    except ReproError:
-                        raise
-                    except Exception as error:
-                        failures.append((hook, "on_phase", error))
+                if phase_hooks:
+                    emit(phase_hooks, "stimulus", step, stimulus_elapsed, events)
 
                 # Phase 2: neuron computation, one kernel call per block.
                 start = perf_counter()
@@ -538,20 +451,15 @@ class Simulator:
                     blocks,
                     dt,
                     fired_index,
-                    emit_span if span_dispatch else None,
+                    emit_span if span_hooks else None,
                 )
                 if record_spikes:
                     for name in populations:
                         recorder.record_indices(name, step, fired_index[name])
                 neuron_elapsed = perf_counter() - start
                 timer_on_phase("neuron", step, neuron_elapsed, n_neurons)
-                for hook, callback in phase_dispatch:
-                    try:
-                        callback("neuron", step, neuron_elapsed, n_neurons)
-                    except ReproError:
-                        raise
-                    except Exception as error:
-                        failures.append((hook, "on_phase", error))
+                if phase_hooks:
+                    emit(phase_hooks, "neuron", step, neuron_elapsed, n_neurons)
 
                 # State-recorder sampling: measurement overhead, charged
                 # to no phase (it used to be silently billed as neuron
@@ -576,20 +484,15 @@ class Simulator:
                     rule.step(fired_index[pre_name], fired_index[post_name], dt)
                 synapse_elapsed = perf_counter() - start
                 timer_on_phase("synapse", step, synapse_elapsed, events)
-                for hook, callback in phase_dispatch:
-                    try:
-                        callback("synapse", step, synapse_elapsed, events)
-                    except ReproError:
-                        raise
-                    except Exception as error:
-                        failures.append((hook, "on_phase", error))
+                if phase_hooks:
+                    emit(phase_hooks, "synapse", step, synapse_elapsed, events)
 
                 if observe_step is not None:
                     observe_step(
                         stimulus_elapsed + neuron_elapsed + synapse_elapsed
                     )
                 if failures:
-                    isolate_failures(step)
+                    dispatcher.detach_failed(step)
 
                 self._router.rotate_all()
                 self._step += 1
@@ -601,15 +504,9 @@ class Simulator:
             self._live_spikes = None
 
         result = finish(n_steps)
-        for hook in dispatch["on_run_end"]:
-            try:
-                hook.on_run_end(result)
-            except ReproError:
-                raise
-            except Exception as error:
-                failures.append((hook, "on_run_end", error))
+        emit(listeners["on_run_end"], result)
         if failures:
-            isolate_failures(self._step)
+            dispatcher.detach_failed(self._step)
         return result
 
     # -- telemetry ------------------------------------------------------------

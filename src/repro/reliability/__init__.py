@@ -11,8 +11,9 @@ layer's ``PopulationRuntime`` / ``PhaseHook`` seams:
   divergence appearing;
 * :mod:`~repro.reliability.checkpoint` — :class:`Checkpoint` /
   :class:`CheckpointHook`: capture and bit-identically resume any
-  simulation on any backend (``python -m repro run --checkpoint-every
-  / --resume-from``);
+  simulation on any backend, every N steps and at a graceful
+  interrupt (``python -m repro run --checkpoint-every /
+  --resume-from``);
 * :mod:`~repro.reliability.diagnostics` — the structured
   :class:`RunDiagnostics` every ``SimulationResult`` carries.
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.engine.hooks import PhaseHook
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, RunInterrupted
 from repro.io import atomic_writer
 from repro.network.recorder import SpikeRecorder
 from repro.network.simulator import Simulator
@@ -238,26 +238,53 @@ class Checkpoint:
 
 
 class CheckpointHook(PhaseHook):
-    """Writes a checkpoint file every N steps during a run.
+    """Writes checkpoints at step boundaries: every ``every`` steps, and
+    once more when a run is interrupted.
 
-    Captures at step boundaries (``on_step_start``), where all state —
-    queues, runtimes — is mutually consistent, with the spike train
-    recorded so far. The file at ``path`` is atomically replaced each
-    time, so it always holds the latest complete checkpoint.
+    Captures happen in ``on_step_start``, where queues, runtimes and the
+    stimulus plan are mutually consistent, with the spike train recorded
+    so far. The file at ``path`` is atomically replaced each time, so it
+    always holds the latest complete checkpoint. ``every=0`` writes only
+    the interrupt capture. After :meth:`request` (a signal handler calls
+    it) the next boundary captures — when ``path`` is set — and raises
+    :class:`~repro.errors.RunInterrupted`.
     """
 
-    def __init__(self, simulator: Simulator, every: int, path: str) -> None:
-        if every < 1:
-            raise CheckpointError(f"every must be >= 1, got {every}")
+    def __init__(
+        self, simulator: Simulator, path: Optional[str], every: int = 0
+    ) -> None:
+        if every < 0:
+            raise CheckpointError(f"every must be >= 0, got {every}")
+        if every and path is None:
+            raise CheckpointError("periodic checkpoints need a path")
         self.simulator = simulator
-        self.every = every
         self.path = path
+        self.every = every
         #: Checkpoints written so far.
         self.captures = 0
+        #: Signal name once an interrupt was requested (handler-set).
+        self.requested: Optional[str] = None
+
+    def request(self, signal_name: str) -> None:
+        """Ask the run to stop at the next step boundary (async-safe)."""
+        self.requested = signal_name
 
     def on_step_start(self, step: int) -> None:
-        if step == 0 or step % self.every:
+        if self.requested is None:
+            if self.every and step and not step % self.every:
+                self._capture()
             return
+        if self.path is not None:
+            self._capture()
+        raise RunInterrupted(
+            f"run interrupted by {self.requested} at step {step} "
+            f"(checkpoint: {self.path or 'not written'})",
+            signal_name=self.requested,
+            step=step,
+            checkpoint=self.path,
+        )
+
+    def _capture(self) -> None:
         Checkpoint.capture(
             self.simulator, spikes=self.simulator.live_spikes
         ).save(self.path)

@@ -5,10 +5,10 @@ datapaths reproduce the float reference's spikes exactly — a claim
 that silently dies the moment any float path starts propagating
 NaN/Inf or diverges. :class:`NumericsGuard` is a
 :class:`~repro.engine.hooks.PhaseHook` that screens every population
-runtime's live state after each neuron-computation phase (or every
-``check_every`` steps for long runs) and raises a structured
-:class:`~repro.errors.NumericsError` — population, step, variable and
-offending indices included — within one step of the state going bad.
+runtime's live state after each neuron-computation phase and raises a
+structured :class:`~repro.errors.NumericsError` — population, step,
+variable and offending indices included — within one step of the state
+going bad.
 
 The screen itself is the per-runtime
 :meth:`~repro.engine.runtime.PopulationRuntime.health` check, so any
@@ -21,11 +21,8 @@ with::
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.engine.hooks import PhaseHook
-from repro.engine.runtime import DIVERGENCE_LIMIT
-from repro.errors import NumericsError, SimulationError
+from repro.errors import NumericsError
 from repro.network.backends import RuntimeBackend
 
 __all__ = ["MAX_REPORTED_INDICES", "NumericsGuard"]
@@ -35,44 +32,23 @@ MAX_REPORTED_INDICES = 16
 
 
 class NumericsGuard(PhaseHook):
-    """Raises :class:`NumericsError` when any runtime's state goes bad.
+    """Raises :class:`NumericsError` when any runtime of ``backend``
+    holds a non-finite value or one beyond
+    :data:`~repro.engine.runtime.DIVERGENCE_LIMIT`."""
 
-    Parameters
-    ----------
-    backend:
-        The simulator's backend.
-    check_every:
-        Screen only every N-th step (1 = every step). Detection latency
-        grows to N steps; the per-step cost shrinks accordingly.
-    limit:
-        Absolute state value treated as divergence, or ``None`` to
-        check finiteness only.
-    """
-
-    def __init__(
-        self,
-        backend: RuntimeBackend,
-        check_every: int = 1,
-        limit: Optional[float] = DIVERGENCE_LIMIT,
-    ) -> None:
-        if check_every < 1:
-            raise SimulationError(
-                f"check_every must be >= 1, got {check_every}"
-            )
+    def __init__(self, backend: RuntimeBackend) -> None:
         self.backend = backend
-        self.check_every = check_every
-        self.limit = limit
         #: Health screens performed so far (tests/monitoring).
         self.checks = 0
 
     def on_phase(
         self, phase: str, step: int, seconds: float, operations: int
     ) -> None:
-        if phase != "neuron" or step % self.check_every:
+        if phase != "neuron":
             return
         for name, runtime in self.backend.runtimes.items():
             self.checks += 1
-            report = runtime.health(self.limit)
+            report = runtime.health()
             if report is None:
                 continue
             variable, indices = report

@@ -14,10 +14,10 @@ simulator → the HTTP plane.
 linger, then stop the plane.
 
 **Interrupts** (``repro run``): :func:`graceful_signals` turns
-SIGINT/SIGTERM into :meth:`InterruptHook.request`; the hook stops the
-run at the next step boundary with a final checkpoint, and the partial
-``--stats-json`` is the finished steps' statistics
-(:meth:`InterruptHook.partial_stats`). The process exits with
+SIGINT/SIGTERM into ``CheckpointHook.request``; the hook stops the run
+at the next step boundary with a final checkpoint, and
+:meth:`~RunContext.write_out` writes the finished steps' statistics as
+the partial ``--stats-json``. The process exits with
 :data:`EXIT_CODES`.
 
 What the flags do not ask for stays unimported.
@@ -30,10 +30,9 @@ import signal
 import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.engine.hooks import PhaseHook
 from repro.errors import RunInterrupted
 
-__all__ = ["EXIT_CODES", "InterruptHook", "RunContext", "graceful_signals"]
+__all__ = ["EXIT_CODES", "RunContext", "graceful_signals"]
 
 #: Documented process exit codes for a gracefully interrupted run.
 EXIT_CODES: Dict[str, int] = {"SIGINT": 130, "SIGTERM": 143}
@@ -162,7 +161,7 @@ class RunContext:
         *,
         outcome: str = "completed",
         duration: float = 0.0,
-        partial: bool = False,
+        interrupted: Optional[RunInterrupted] = None,
         stats: Optional[dict] = None,
         stats_label: str = "run statistics",
         trace: Optional[Tuple[dict, str]] = None,
@@ -175,14 +174,27 @@ class RunContext:
         stamped in here), ``trace`` the ``--trace`` document
         plus the description printed after its path, ``artifacts`` files
         the command wrote itself; ``entry_fields`` reach ``make_entry``
-        beside what ``config`` already says. ``partial`` marks a run cut
-        short: only statistics and the ledger entry are written and the
-        plane stops without lingering.
+        beside what ``config`` already says. ``interrupted`` is the
+        exception that cut a run short: the statistics are then its
+        finished steps', marked partial, and the plane stops without
+        lingering.
         """
         from repro.io import atomic_write_json
 
         args = self.args
         written = {}
+        if interrupted is not None:
+            stats = {
+                **interrupted.result.to_stats_dict(),
+                "partial": True,
+                "interrupted": {
+                    "signal": interrupted.signal_name,
+                    "step": interrupted.step,
+                    "exit_code": EXIT_CODES.get(interrupted.signal_name, 130),
+                    "checkpoint": interrupted.checkpoint,
+                },
+            }
+            stats_label = "partial run statistics"
         if self._flag("stats_json") and stats is not None:
             stats["run_id"] = self.run_id
             atomic_write_json(args.stats_json, stats)
@@ -218,66 +230,13 @@ class RunContext:
         if self.server is not None:
             from repro.observability.plane import linger_plane
 
-            linger_plane(self.server, 0.0 if partial else args.serve_linger)
-
-
-class InterruptHook(PhaseHook):
-    """Stops a run cleanly once a signal handler calls :meth:`request`.
-
-    It acts at the next ``on_step_start``, the one point where queues,
-    runtimes and the stimulus plan are mutually consistent: it writes a
-    final checkpoint carrying the live spike train to
-    ``checkpoint_path`` (``None`` skips it), so a later
-    ``--resume-from`` reports the full run, and raises
-    :class:`~repro.errors.RunInterrupted`.
-    """
-
-    def __init__(self, simulator, checkpoint_path: Optional[str] = None) -> None:
-        self.simulator = simulator
-        self.checkpoint_path = checkpoint_path
-        #: Signal name once an interrupt was requested (handler-set).
-        self.requested: Optional[str] = None
-        #: Where the final checkpoint was written (None = not written).
-        self.checkpoint_written: Optional[str] = None
-
-    def request(self, signal_name: str) -> None:
-        """Ask the run to stop at the next step boundary (async-safe)."""
-        self.requested = signal_name
-
-    def on_step_start(self, step: int) -> None:
-        if self.requested is None:
-            return
-        if self.checkpoint_path is not None:
-            from repro.reliability.checkpoint import Checkpoint
-
-            Checkpoint.capture(
-                self.simulator, spikes=self.simulator.live_spikes
-            ).save(self.checkpoint_path)
-            self.checkpoint_written = self.checkpoint_path
-        raise RunInterrupted(
-            f"run interrupted by {self.requested} at step {step} "
-            f"(checkpoint: {self.checkpoint_written or 'not written'})",
-            signal_name=self.requested,
-            step=step,
-        )
-
-    def partial_stats(self, stop: RunInterrupted) -> dict:
-        """The ``--stats-json`` document of the run ``stop`` ended: the
-        finished steps' statistics, marked partial."""
-        return {
-            **stop.result.to_stats_dict(),
-            "partial": True,
-            "interrupted": {
-                "signal": stop.signal_name,
-                "step": stop.step,
-                "exit_code": EXIT_CODES.get(stop.signal_name, 130),
-                "checkpoint": self.checkpoint_written,
-            },
-        }
+            linger_plane(
+                self.server, 0.0 if interrupted else args.serve_linger
+            )
 
 
 @contextlib.contextmanager
-def graceful_signals(hook: InterruptHook) -> Iterator[InterruptHook]:
+def graceful_signals(hook) -> Iterator:
     """Route SIGINT/SIGTERM into ``hook.request`` for the body's duration.
 
     The first signal requests a graceful stop; a second signal of

@@ -2,12 +2,13 @@
 
 The :class:`~repro.engine.hooks.PhaseHook` stream already carries every
 per-phase duration; this hook turns it — plus the kernel spans the
-simulator emits, one per block per step, when a hook asks for them —
-into Trace Event Format JSON that loads directly in ``chrome://tracing``
-or Perfetto (https://ui.perfetto.dev). One run becomes a timeline: the
-three phases on the "simulator" track, each block's neuron-kernel spans
-(``exc+inh`` for populations stepped as one, a lone population under
-its own name) on its own named track underneath.
+simulator emits, one per block per step, to hooks that override
+``on_population`` — into Trace Event Format JSON that loads directly
+in ``chrome://tracing`` or Perfetto (https://ui.perfetto.dev). One run
+becomes a timeline: the three phases on the "simulator" track, each
+block's neuron-kernel spans (``exc+inh`` for populations stepped as
+one, a lone population under its own name) on its own named track
+underneath.
 
 The hot path stores only what the event stream hands it — a compact
 ``(kind, name, seconds, step, operations)`` tuple per span, no clock
@@ -59,16 +60,11 @@ _KERNEL = 1
 class TraceHook(PhaseHook):
     """Records phase and per-block kernel spans as Trace Event JSON.
 
-    ``max_events`` bounds the ring buffer (``None`` = unbounded);
-    ``populations`` controls whether kernel spans are requested from
-    the simulator (they add two clock reads per block per step).
+    ``max_events`` bounds the ring buffer (``None`` = unbounded).
     """
 
     def __init__(
-        self,
-        max_events: Optional[int] = DEFAULT_MAX_EVENTS,
-        populations: bool = True,
-        run_id: str = "",
+        self, max_events: Optional[int] = DEFAULT_MAX_EVENTS, run_id: str = ""
     ) -> None:
         #: (kind, name, seconds, step, operations) compact records.
         self._events: Deque[Tuple[int, str, float, int, int]] = deque(
@@ -82,9 +78,6 @@ class TraceHook(PhaseHook):
         #: Provenance correlation id stamped into ``otherData`` (ties
         #: the trace artifact to its ledger entry; "" when untracked).
         self.run_id = run_id
-        #: The simulator skips per-population timing when no attached
-        #: hook wants spans, so ``populations=False`` costs nothing.
-        self.wants_population_spans = populations
 
     # -- PhaseHook interface ----------------------------------------------
 
@@ -104,9 +97,7 @@ class TraceHook(PhaseHook):
     def on_run_end(self, result) -> None:
         # Lifetime accounting happens here, once per run, so the
         # per-event callbacks stay a single bounded append.
-        self.total_events += result.n_steps * (
-            3 + (len(result.blocks) if self.wants_population_spans else 0)
-        )
+        self.total_events += result.n_steps * (3 + len(result.blocks))
 
     # -- export ------------------------------------------------------------
 

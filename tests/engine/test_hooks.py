@@ -8,10 +8,9 @@ from repro.telemetry import TraceHook
 
 DT = 1e-4
 
-
-def _phase_trace(max_events=None):
-    """The phase-only event ring: no per-population kernel spans."""
-    return TraceHook(max_events=max_events, populations=False)
+#: Events a TraceHook records per step of ``small_network``: three
+#: phases and one kernel span (exc and inh share a block).
+EVENTS_PER_STEP = len(PHASES) + 1
 
 
 def _steps(trace):
@@ -63,11 +62,11 @@ class TestPhaseHookStream:
         assert hook.steps == list(range(15))
 
     def test_phase_trace_counts_steps(self, small_network):
-        trace = _phase_trace()
+        trace = TraceHook(max_events=None)
         Simulator(small_network, dt=DT, seed=3).run(12, hooks=[trace])
         steps = _steps(trace)
         assert len(set(steps)) == 12
-        assert len(steps) == 12 * len(PHASES)
+        assert len(steps) == 12 * EVENTS_PER_STEP
 
     def test_phase_timer_standalone_accumulates(self):
         timer = PhaseTimer()
@@ -130,28 +129,28 @@ class TestPhaseAccounting:
 
 class TestPhaseTraceRingBuffer:
     def test_unbounded_by_default(self, small_network):
-        trace = _phase_trace()
+        trace = TraceHook(max_events=None)
         Simulator(small_network, dt=DT, seed=3).run(40, hooks=[trace])
-        assert len(_steps(trace)) == 40 * len(PHASES)
-        assert trace.total_events == 40 * len(PHASES)
+        assert len(_steps(trace)) == 40 * EVENTS_PER_STEP
+        assert trace.total_events == 40 * EVENTS_PER_STEP
         assert trace.dropped_events == 0
 
     def test_ring_keeps_most_recent_events(self, small_network):
-        trace = _phase_trace(max_events=9)
+        trace = TraceHook(max_events=12)
         Simulator(small_network, dt=DT, seed=3).run(40, hooks=[trace])
-        assert trace.total_events == 120
-        assert trace.dropped_events == 111
-        # The survivors are the last three steps' phase events.
-        assert _steps(trace) == [37, 37, 37, 38, 38, 38, 39, 39, 39]
+        assert trace.total_events == 160
+        assert trace.dropped_events == 148
+        # The survivors are the last three steps' events.
+        assert _steps(trace) == [37] * 4 + [38] * 4 + [39] * 4
 
     def test_durations_of_reads_only_the_buffer(self, small_network):
-        trace = _phase_trace(max_events=6)
-        Simulator(small_network, dt=DT, seed=3).run(10, hooks=[trace])
+        trace = TraceHook(max_events=8)
+        result = Simulator(small_network, dt=DT, seed=3).run(10, hooks=[trace])
         durations = {}
         for event in trace.trace_json()["traceEvents"]:
             if event["ph"] == "X":
                 durations.setdefault(event["name"], []).append(event["dur"])
-        assert set(durations) == set(PHASES)
+        assert set(durations) == set(PHASES) | set(result.blocks)
         assert len(durations["neuron"]) == 2
         assert all(value >= 0.0 for value in durations["neuron"])
 
@@ -170,11 +169,17 @@ class _FailingHook(PhaseHook):
         if name == self.callback and step >= self.fail_step:
             raise self.error
 
+    def on_run_start(self, network, n_steps):
+        self._maybe_fail("on_run_start", 0)
+
     def on_step_start(self, step):
         self._maybe_fail("on_step_start", step)
 
     def on_phase(self, phase, step, seconds, operations):
         self._maybe_fail("on_phase", step)
+
+    def on_population(self, population, step, seconds, operations):
+        self._maybe_fail("on_population", step)
 
     def on_run_end(self, result):
         self._maybe_fail("on_run_end", result.n_steps)
@@ -235,6 +240,31 @@ class TestHookFailureSemantics:
             result = Simulator(small_network, dt=DT, seed=3).run(5, hooks=[hook])
         assert result.hook_errors[0].callback == "on_run_end"
 
+    @pytest.mark.parametrize(
+        "callback",
+        ["on_run_start", "on_step_start", "on_phase", "on_population",
+         "on_run_end"],
+    )
+    def test_every_callback_is_isolated_once(self, small_network, callback):
+        failing = _FailingHook(callback, fail_step=0)
+        healthy = _RecordingHook()
+        with pytest.warns(RuntimeWarning, match=callback) as caught:
+            result = Simulator(small_network, dt=DT, seed=3).run(
+                10, hooks=[failing, healthy]
+            )
+        assert len(caught) == 1
+        assert [(e.hook, e.callback) for e in result.hook_errors] == [
+            ("_FailingHook", callback)
+        ]
+        # Detached at the end of the step it failed in: no later events.
+        failed_at = result.hook_errors[0].step
+        assert all(step <= failed_at for _, step in failing.calls)
+        assert healthy.steps == list(range(10))
+        assert len(healthy.phases) == 10 * len(PHASES)
+        assert healthy.results == [result]
+        bare = Simulator(small_network, dt=DT, seed=3).run(10)
+        assert result.spikes.digest() == bare.spikes.digest()
+
     def test_repro_error_propagates(self, small_network):
         from repro.errors import NumericsError
 
@@ -281,12 +311,6 @@ class TestPopulationSpans:
             operations == sum(populations[m].n for m in result.blocks[name])
             for name, _, _, operations in hook.spans
         )
-
-    def test_opt_out_attribute_suppresses_spans(self, small_network):
-        hook = _SpanHook()
-        hook.wants_population_spans = False
-        Simulator(small_network, dt=DT, seed=3).run(10, hooks=[hook])
-        assert hook.spans == []
 
     def test_span_seconds_fit_inside_neuron_phase(self, small_network):
         hook = _SpanHook()

@@ -7,7 +7,6 @@ from repro.errors import FixedPointFormatError, FixedPointOverflowError
 from repro.fixedpoint import (
     FLEXON_FORMAT,
     MEMBRANE_FORMAT,
-    Fixed,
     FixedFormat,
     SaturationStats,
     fx_add,
@@ -233,43 +232,3 @@ class TestArithmetic:
         assert out[0] == fmt.raw_max
         assert out[1] == fmt.raw_min
 
-
-class TestFixedScalar:
-    def test_construction_and_value(self):
-        x = Fixed.from_float(1.25)
-        assert x.value == 1.25
-
-    def test_arithmetic_operators(self):
-        a = Fixed.from_float(2.0)
-        b = Fixed.from_float(0.5)
-        assert (a + b).value == 2.5
-        assert (a - b).value == 1.5
-        assert (a * b).value == 1.0
-        assert (-a).value == -2.0
-
-    def test_comparisons(self):
-        a = Fixed.from_float(1.0)
-        b = Fixed.from_float(2.0)
-        assert a < b
-        assert b > a
-        assert a <= a
-        assert a >= a
-        assert a == Fixed.from_float(1.0)
-
-    def test_format_mismatch_raises(self):
-        a = Fixed.from_float(1.0, FixedFormat(16, 8))
-        b = Fixed.from_float(1.0, FixedFormat(32, 22))
-        with pytest.raises(FixedPointFormatError):
-            _ = a + b
-
-    def test_zero_and_one_constructors(self):
-        assert Fixed.zero().value == 0.0
-        assert Fixed.one().value == 1.0
-
-    def test_hash_consistent_with_eq(self):
-        a = Fixed.from_float(0.5)
-        b = Fixed.from_float(0.5)
-        assert hash(a) == hash(b)
-
-    def test_repr_mentions_format(self):
-        assert "Q9.22" in repr(Fixed.from_float(0.5))

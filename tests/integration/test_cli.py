@@ -8,6 +8,13 @@ import pytest
 from repro.cli import build_parser, main
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    """Run every command from a scratch directory, so the runs that keep
+    the default ledger write it there, not into the working tree."""
+    monkeypatch.chdir(tmp_path)
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError
+from repro.engine.hooks import PhaseHook
+from repro.errors import CheckpointError, RunInterrupted
 from repro.frontend import build_simulation
 from repro.hardware.backend import (
     FlexonBackend,
@@ -168,7 +169,27 @@ class TestCheckpointHook:
     def test_hook_validates_interval(self, small_network):
         simulator = Simulator(small_network, dt=DT, seed=1)
         with pytest.raises(CheckpointError):
-            CheckpointHook(simulator, every=0, path="x.ckpt")
+            CheckpointHook(simulator, every=-1, path="x.ckpt")
+        with pytest.raises(CheckpointError):
+            CheckpointHook(simulator, every=5, path=None)
+
+    def test_an_interrupt_on_a_periodic_boundary_captures_once(
+        self, tmp_path
+    ):
+        simulator = Simulator(_network(), ReferenceBackend(), dt=DT, seed=11)
+        path = str(tmp_path / "both.ckpt")
+        hook = CheckpointHook(simulator, path, every=5)
+
+        class RequestAtTen(PhaseHook):
+            def on_step_start(self, step):
+                if step == 10:
+                    hook.request("SIGTERM")
+
+        with pytest.raises(RunInterrupted) as info:
+            simulator.run(20, hooks=[RequestAtTen(), hook])
+        assert (info.value.step, info.value.checkpoint) == (10, path)
+        assert hook.captures == 2  # step 5, then step 10 once
+        assert Checkpoint.load(path).step == 10
 
     def test_an_unwritable_path_stops_the_run(self, tmp_path):
         # A CheckpointError is a library error: it propagates out of the

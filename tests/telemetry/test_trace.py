@@ -111,26 +111,20 @@ class TestTraceStructure:
 
 class TestRingBuffer:
     def test_ring_keeps_most_recent_events(self, small_network):
-        trace = TraceHook(max_events=30, populations=False)
+        # Four events a step: three phases and the one block's span.
+        trace = TraceHook(max_events=40)
         Simulator(small_network, dt=DT, seed=3).run(50, hooks=[trace])
-        assert trace.total_events == 150
-        assert trace.dropped_events == 120
+        assert trace.total_events == 200
+        assert trace.dropped_events == 160
         spans = [e for e in trace.to_trace_events() if e["ph"] == "X"]
-        assert len(spans) == 30
+        assert len(spans) == 40
         # The survivors are the last 10 steps' worth of events.
         assert min(e["args"]["step"] for e in spans) == 40
 
     def test_dropped_count_in_document_metadata(self, small_network):
-        trace = TraceHook(max_events=30, populations=False)
+        trace = TraceHook(max_events=40)
         Simulator(small_network, dt=DT, seed=3).run(50, hooks=[trace])
-        assert trace.trace_json()["otherData"]["dropped_events"] == 120
-
-    def test_populations_false_skips_kernel_spans(self, small_network):
-        trace = TraceHook(populations=False)
-        Simulator(small_network, dt=DT, seed=3).run(10, hooks=[trace])
-        spans = _spans_by_name(trace)
-        assert set(spans) == {"stimulus", "neuron", "synapse"}
-        assert sum(len(durations) for durations in spans.values()) == 30
+        assert trace.trace_json()["otherData"]["dropped_events"] == 160
 
     def test_duration_helpers_group_by_name(self, small_network):
         trace = TraceHook()

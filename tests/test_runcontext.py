@@ -1,9 +1,12 @@
 """Tests: graceful interrupt = clean stop + checkpoint + partial stats.
 
-``InterruptHook`` and ``graceful_signals`` live beside ``RunContext``
-in ``repro.runcontext``.
+``CheckpointHook`` stops the run and writes the final checkpoint;
+``graceful_signals`` and the partial ``--stats-json`` document live
+beside ``RunContext`` in ``repro.runcontext``.
 """
 
+import argparse
+import json
 import signal
 
 import numpy as np
@@ -15,8 +18,8 @@ from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.stimulus import PoissonStimulus
-from repro.reliability import Checkpoint
-from repro.runcontext import EXIT_CODES, InterruptHook, graceful_signals
+from repro.reliability import Checkpoint, CheckpointHook
+from repro.runcontext import EXIT_CODES, RunContext, graceful_signals
 
 DT = 1e-4
 STEPS = 120
@@ -40,6 +43,16 @@ def _simulator():
     return Simulator(_network(), ReferenceBackend("Euler"), dt=DT, seed=5)
 
 
+def _partial_stats(tmp_path, stop):
+    """The ``--stats-json`` document ``repro run`` writes for ``stop``."""
+    path = tmp_path / "partial.json"
+    args = argparse.Namespace(stats_json=str(path), no_ledger=True)
+    RunContext(args, "run").write_out({}, interrupted=stop)
+    stats = json.loads(path.read_text())
+    stats.pop("run_id")
+    return stats
+
+
 class _RequestAt(PhaseHook):
     """Calls ``hook.request`` at a chosen step (a signal stand-in)."""
 
@@ -54,10 +67,12 @@ class _RequestAt(PhaseHook):
 
 
 class TestInterruptHook:
+    """``CheckpointHook``'s interrupt capture."""
+
     def _interrupt_run(self, tmp_path, signal_name="SIGINT"):
         simulator = _simulator()
         path = str(tmp_path / "final.ckpt")
-        hook = InterruptHook(simulator, checkpoint_path=path)
+        hook = CheckpointHook(simulator, path)
         requester = _RequestAt(hook, STOP_AT, signal_name)
         with pytest.raises(RunInterrupted) as excinfo:
             simulator.run(STEPS, hooks=[requester, hook])
@@ -70,7 +85,7 @@ class TestInterruptHook:
 
     def test_partial_stats_document(self, tmp_path):
         hook, error, path = self._interrupt_run(tmp_path, "SIGTERM")
-        stats = hook.partial_stats(error)
+        stats = _partial_stats(tmp_path, error)
         assert stats.pop("partial") is True
         assert stats.pop("interrupted") == {
             "signal": "SIGTERM",
@@ -93,14 +108,14 @@ class TestInterruptHook:
         resumed = _simulator()
         checkpoint = Checkpoint.load(path)
         checkpoint.restore(resumed)
-        hook = InterruptHook(resumed)
+        hook = CheckpointHook(resumed, None)
         with pytest.raises(RunInterrupted) as excinfo:
             resumed.run(
                 STEPS - STOP_AT,
                 hooks=[_RequestAt(hook, STOP_AT + 30), hook],
                 spikes=checkpoint.seed_recorder(),
             )
-        stats = hook.partial_stats(excinfo.value)
+        stats = _partial_stats(tmp_path, excinfo.value)
         assert stats["interrupted"]["step"] == STOP_AT + 30
         assert stats["n_steps"] == 30
         # The recorder carries the checkpointed prefix too.
@@ -121,25 +136,26 @@ class TestInterruptHook:
         baseline = _simulator().run(STEPS)
         assert result.spikes.digest() == baseline.spikes.digest()
 
-    def test_no_checkpoint_path_skips_checkpoint(self):
+    def test_no_checkpoint_path_skips_checkpoint(self, tmp_path):
         simulator = _simulator()
-        hook = InterruptHook(simulator, checkpoint_path=None)
+        hook = CheckpointHook(simulator, None)
         with pytest.raises(RunInterrupted) as excinfo:
             simulator.run(STEPS, hooks=[_RequestAt(hook, STOP_AT), hook])
-        assert hook.checkpoint_written is None
-        stats = hook.partial_stats(excinfo.value)
+        assert hook.captures == 0
+        assert excinfo.value.checkpoint is None
+        stats = _partial_stats(tmp_path, excinfo.value)
         assert stats["interrupted"]["checkpoint"] is None
 
 
 class TestGracefulSignals:
     def test_first_signal_requests_graceful_stop(self):
-        hook = InterruptHook(_simulator())
+        hook = CheckpointHook(_simulator(), None)
         with graceful_signals(hook):
             signal.raise_signal(signal.SIGINT)
             assert hook.requested == "SIGINT"
 
     def test_second_signal_forces_exit(self):
-        hook = InterruptHook(_simulator())
+        hook = CheckpointHook(_simulator(), None)
         try:
             with graceful_signals(hook):
                 signal.raise_signal(signal.SIGINT)
@@ -154,7 +170,7 @@ class TestGracefulSignals:
     def test_previous_handlers_restored(self):
         before_int = signal.getsignal(signal.SIGINT)
         before_term = signal.getsignal(signal.SIGTERM)
-        with graceful_signals(InterruptHook(_simulator())):
+        with graceful_signals(CheckpointHook(_simulator(), None)):
             assert signal.getsignal(signal.SIGINT) is not before_int
         assert signal.getsignal(signal.SIGINT) is before_int
         assert signal.getsignal(signal.SIGTERM) is before_term
