@@ -13,8 +13,7 @@ Run:  python examples/single_neuron_zoo.py
 import numpy as np
 
 from repro.features import MODEL_FEATURES
-from repro.fixedpoint import FLEXON_FORMAT, fx_from_float
-from repro.hardware import FlexonCompiler
+from repro.hardware import FlexonCompiler, HardwareRuntime
 from repro.models import create_model
 
 DT = 1e-4
@@ -31,7 +30,7 @@ DEFAULT_DRIVE = 1.2
 def run_model(name: str):
     model = create_model(name)
     compiled = FlexonCompiler().compile(model, DT)
-    neuron = compiled.instantiate_flexon(1)
+    runtime = HardwareRuntime(name, 1, compiled, DT, folded=False)
     drive = DRIVE.get(name, DEFAULT_DRIVE)
     n_types = model.parameters.n_synapse_types
     spikes = []
@@ -40,8 +39,7 @@ def run_model(name: str):
         weights = np.zeros((n_types, 1))
         if in_burst and step % 2 == 0:
             weights[0, 0] = drive
-        raw = fx_from_float(weights * compiled.weight_scale, FLEXON_FORMAT)
-        if neuron.step(raw)[0]:
+        if runtime.advance(weights, DT)[0]:
             spikes.append(step)
     return spikes, compiled
 

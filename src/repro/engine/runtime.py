@@ -56,7 +56,7 @@ DIVERGENCE_LIMIT = 1e6
 
 #: The model methods each solver's lowering stands in for.
 _LOWERED_METHODS = {
-    "Euler": ("step",),
+    "Euler": ("step", "fire_and_reset"),
     "RKF45": ("apply_input_jumps", "derivatives", "fire_and_reset"),
 }
 
@@ -66,10 +66,10 @@ def supports_lowering(model: NeuronModel, solver: str) -> bool:
     ``"RKF45"``) are exactly the feature lowering.
 
     Only a :class:`FeatureModel` with the stock zero-initialised state
-    and the canonical methods the solver calls lowers: ``step`` under
-    Euler; ``apply_input_jumps``, ``derivatives`` and
-    ``fire_and_reset`` under RKF45, which also needs a continuous form
-    to integrate (LID has none). A subclass that overrides one has
+    and the canonical methods the solver calls lowers: ``step`` and the
+    ``fire_and_reset`` it ends with under Euler; ``apply_input_jumps``,
+    ``derivatives`` and ``fire_and_reset`` under RKF45, which also needs
+    a continuous form to integrate (LID has none). A subclass that overrides one has
     private semantics the kernels would silently diverge from, so it
     stays on :class:`SolverRuntime`.
     """

@@ -3,8 +3,8 @@
 All exceptions raised intentionally by this library derive from
 :class:`ReproError`, so callers can catch one base type. Subclasses
 separate configuration mistakes (bad feature combinations, bad
-parameters) from runtime failures (simulation errors, numeric
-overflow in strict mode).
+parameters, constants outside the datapath format) from runtime
+failures (simulation errors, untrustworthy numerics).
 """
 
 from typing import Optional
@@ -37,15 +37,6 @@ class FixedPointError(ReproError):
 
 class FixedPointFormatError(FixedPointError, ValueError):
     """Raised when a fixed-point format specification is invalid."""
-
-
-class FixedPointOverflowError(FixedPointError, OverflowError):
-    """Raised in strict mode when a value exceeds the representable range.
-
-    The default hardware behaviour is saturation (as in the RTL); the
-    strict mode exists so tests can assert that chosen formats never
-    saturate on realistic workloads.
-    """
 
 
 class CompilationError(ReproError):

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.features import Feature, FeatureSet
-from repro.fixedpoint import FLEXON_FORMAT, fx_from_float
+from repro.hardware.backend import HardwareRuntime
 from repro.hardware.compiler import FlexonCompiler
 from repro.models import ModelParameters
 from repro.models.feature_model import FeatureModel
@@ -109,14 +109,13 @@ def run_behavior(
     """Spike steps of one hardware neuron under the preset."""
     model = FeatureModel(preset.features, preset.parameters)
     compiled = FlexonCompiler().compile(model, DT)
-    neuron = compiled.instantiate_flexon(1)
+    runtime = HardwareRuntime(preset.name, 1, compiled, DT, folded=False)
     n_types = preset.parameters.n_synapse_types
     spikes = []
     for step in range(preset.steps):
         weights = np.zeros((n_types, 1))
         weights[0, 0] = preset.drive(step) if drive is None else drive
-        raw = fx_from_float(weights * compiled.weight_scale, FLEXON_FORMAT)
-        if neuron.step(raw)[0]:
+        if runtime.advance(weights, DT)[0]:
             spikes.append(step)
     return spikes
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.assembly import DT
-from repro.fixedpoint import fx_from_float
+from repro.hardware.backend import HardwareRuntime
 from repro.models.registry import create_model
 from repro.workloads import get_spec, spec_for, workload_names
 
@@ -149,16 +149,16 @@ def fired_mask_agreement(
     to; the float side is the model's own ``step``.
     """
     model = create_model(model_name)
-    compiled = compiler.compile(model, DT)
-    hardware = compiled.instantiate_flexon(n)
+    hardware = HardwareRuntime(
+        model_name, n, compiler.compile(model, DT), DT, folded=False
+    )
     reference = model.initial_state(n)
     rng = np.random.default_rng(seed)
     agree = 0
     for _ in range(steps):
         weights = (rng.random((2, n)) < 0.08) * 1.5
         weights[1] *= 0.2
-        raw = fx_from_float(weights * compiled.weight_scale, compiler.fmt)
-        fired_hw = hardware.step(raw)
+        fired_hw = hardware.advance(weights, DT)
         fired_ref = model.step(reference, weights.copy(), DT)
         agree += int((fired_hw == fired_ref).sum())
     return agree / (steps * n)

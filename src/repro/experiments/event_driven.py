@@ -14,9 +14,8 @@ import numpy as np
 
 from repro.costmodel.synthesis import flexon_array_cost
 from repro.experiments.common import format_table
-from repro.fixedpoint import FLEXON_FORMAT, fx_from_float
 from repro.hardware.compiler import FlexonCompiler
-from repro.hardware.event_driven import EventDrivenMonitor, event_driven_power
+from repro.hardware.event_driven import EventDrivenRuntime, event_driven_power
 from repro.models.registry import create_model
 
 DT = 1e-4
@@ -29,13 +28,12 @@ STATIC_FRACTION = 0.35
 def activity_factor(spike_probability: float) -> float:
     """Activity factor of an LLIF population under sparse drive."""
     compiled = FlexonCompiler().compile(create_model("LLIF"), DT)
-    monitor = EventDrivenMonitor(compiled.instantiate_flexon(N))
+    runtime = EventDrivenRuntime("LLIF", N, compiled, DT, folded=False)
     rng = np.random.default_rng(9)
     for _ in range(STEPS):
         weights = (rng.random((2, N)) < spike_probability) * 30.0
-        raw = fx_from_float(weights * compiled.weight_scale, FLEXON_FORMAT)
-        monitor.step(raw)
-    return monitor.activity_factor
+        runtime.advance(weights, DT)
+    return runtime.activity_factor
 
 
 def run() -> Dict[float, float]:

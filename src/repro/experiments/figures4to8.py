@@ -23,6 +23,7 @@ import numpy as np
 from repro.experiments.charts import line_plot
 from repro.features import Feature, FeatureSet
 from repro.fixedpoint import FLEXON_FORMAT, fx_from_float
+from repro.hardware.backend import HardwareRuntime
 from repro.hardware.compiler import FlexonCompiler
 from repro.models import ModelParameters
 from repro.models.feature_model import FeatureModel
@@ -41,16 +42,15 @@ def _trace(
     """Membrane (or other state) trace of one hardware neuron."""
     model = FeatureModel(FeatureSet(features), ModelParameters(**overrides))
     compiled = FlexonCompiler().compile(model, DT)
-    neuron = compiled.instantiate_flexon(1)
-    neuron.state["v"][:] = fx_from_float(v0, FLEXON_FORMAT)
+    runtime = HardwareRuntime(model.name, 1, compiled, DT, folded=False)
+    runtime.neuron.state["v"][:] = fx_from_float(v0, FLEXON_FORMAT)
     n_types = model.parameters.n_synapse_types
     out = []
     for step in range(steps):
         weights = np.zeros((n_types, 1))
         weights[0, 0] = input_fn(step)
-        raw = fx_from_float(weights * compiled.weight_scale, FLEXON_FORMAT)
-        neuron.step(raw)
-        out.append(float(neuron.float_state()[variable][0]))
+        runtime.advance(weights, DT)
+        out.append(float(runtime.state()[variable][0]))
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.features import Feature, MODEL_FEATURES, combination_matrix
 from repro.experiments.common import format_table
-from repro.fixedpoint import fx_from_float
+from repro.hardware.backend import HardwareRuntime
 from repro.hardware.compiler import FlexonCompiler
 from repro.models.registry import create_model
 
@@ -53,8 +53,8 @@ def verify_model(
     """Run one model's feature combination against the reference."""
     model = create_model(name)
     compiled = FlexonCompiler().compile(model, dt)
-    flexon = compiled.instantiate_flexon(n)
-    folded = compiled.instantiate_folded(n)
+    flexon = HardwareRuntime(name, n, compiled, dt, folded=False)
+    folded = HardwareRuntime(name, n, compiled, dt, folded=True)
     reference = model.initial_state(n)
     rng = np.random.default_rng(seed)
     base = 40.0 if name in _CURRENT_MODELS else 1.5
@@ -65,11 +65,8 @@ def verify_model(
         weights = (rng.random((n_types, n)) < 0.08) * base
         if n_types > 1:
             weights[1] *= 0.2
-        raw = fx_from_float(
-            weights * compiled.weight_scale, compiled.constants.fmt
-        )
-        fired_fx = flexon.step(raw.copy())
-        fired_fd = folded.step(raw.copy())
+        fired_fx = flexon.advance(weights, dt)
+        fired_fd = folded.advance(weights, dt)
         bit_exact = bit_exact and bool(np.array_equal(fired_fx, fired_fd))
         fired_ref = model.step(reference, weights.copy(), dt)
         hardware_spikes += int(fired_fx.sum())

@@ -52,7 +52,7 @@ def fast_exp(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return out
 
 
-def fx_exp(raw, fmt: FixedFormat, strict: bool = False):
+def fx_exp(raw, fmt: FixedFormat):
     """Exponential of a raw fixed-point value, returned in the same format.
 
     Models the Flexon exp unit: the operand is interpreted in ``fmt``,
@@ -63,7 +63,7 @@ def fx_exp(raw, fmt: FixedFormat, strict: bool = False):
     so an in-range result takes the quantiser's copy-free path.
     """
     y = fx_to_float(raw, fmt)
-    return fx_from_float(fast_exp(y), fmt, strict=strict)
+    return fx_from_float(fast_exp(y), fmt)
 
 
 def fx_exp_enclosure(lo: int, hi: int, fmt: FixedFormat) -> Tuple[int, int]:

@@ -5,11 +5,11 @@ A :class:`FixedFormat` describes a two's-complement Q-format:
 Raw values are plain Python ints (scalar path) or ``numpy.int64``
 arrays (vector path); the format object interprets them.
 
-The hardware models default to *saturating* arithmetic, which is what
-the RTL implements. A ``strict=True`` flag on the helpers raises
-:class:`~repro.errors.FixedPointOverflowError` instead, which the test
-suite uses to prove the paper's chosen formats never saturate on the
-evaluated workloads.
+Every helper *saturates*, as the RTL does, and counts what it clips:
+under :class:`observe_saturation` each clip is recorded per format in a
+:class:`SaturationStats`. Hardware runs report those counts, and tests
+assert the paper's "chosen formats never saturate" the same way, as
+``total_clipped == 0``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import (
-    FixedPointError,
-    FixedPointFormatError,
-    FixedPointOverflowError,
-)
+from repro.errors import FixedPointError, FixedPointFormatError
 
 #: Scalar or numpy array of raw fixed-point integers.
 RawLike = Union[int, np.ndarray]
@@ -128,13 +124,12 @@ MEMBRANE_FORMAT = FixedFormat(total_bits=24, frac_bits=22, signed=True)
 
 @dataclass
 class SaturationStats:
-    """Per-format accounting of non-strict saturation events.
+    """Per-format accounting of saturation events.
 
     The RTL saturates silently; the paper's correctness argument rests
     on the chosen formats *never* saturating on the evaluated workloads
-    (Section VI-A). These counters make that claim observable at run
-    time instead of only assertable in strict mode: each time a
-    non-strict saturate actually clips, the clipped element count is
+    (Section VI-A). These counters make that claim observable: each
+    time a saturate actually clips, the clipped element count is
     recorded against the format that clipped it.
     """
 
@@ -184,7 +179,7 @@ class SegmentedStats:
     :class:`SaturationStats`. Every array a block step screens spans
     all ``width`` columns, so a record of ``checked`` values is
     ``checked // width`` per column and splits by member size exactly;
-    the scan that finds a clip (:func:`_saturate_array`, still the only
+    the scan that finds a clip (:func:`fx_saturate`, still the only
     clip counter) counts it once per entry of :attr:`segments`.
     """
 
@@ -211,12 +206,11 @@ _ACTIVE_SINK: Optional[SaturationStats] = None
 
 
 class observe_saturation:
-    """Route all non-strict saturation accounting into ``stats``.
+    """Route all saturation accounting into ``stats``.
 
     Hardware runtimes wrap each step in this context so a whole run's
-    clip counts accumulate in one :class:`SaturationStats`; helpers may
-    also be given an explicit ``stats=`` sink, which takes precedence.
-    A class rather than a generator: it is entered once per step.
+    clip counts accumulate in one :class:`SaturationStats`. A class
+    rather than a generator: it is entered once per step.
     """
 
     __slots__ = ("stats", "previous")
@@ -235,60 +229,32 @@ class observe_saturation:
         _ACTIVE_SINK = self.previous
 
 
-def _saturate_scalar(
-    raw: int,
-    fmt: FixedFormat,
-    strict: bool,
-    stats: Optional[SaturationStats] = None,
-) -> int:
-    sink = stats if stats is not None else _ACTIVE_SINK
-    if raw > fmt.raw_max:
-        if strict:
-            raise FixedPointOverflowError(
-                f"raw value {raw} exceeds max {fmt.raw_max} of {fmt}"
-            )
-        if sink is not None:
-            sink.record(fmt, 1, 1)
-        return fmt.raw_max
-    if raw < fmt.raw_min:
-        if strict:
-            raise FixedPointOverflowError(
-                f"raw value {raw} below min {fmt.raw_min} of {fmt}"
-            )
-        if sink is not None:
-            sink.record(fmt, 1, 1)
-        return fmt.raw_min
-    if sink is not None:
-        sink.record(fmt, 1, 0)
-    return raw
+def fx_saturate(raw: RawLike, fmt: FixedFormat) -> RawLike:
+    """Saturate raw values to a format's range, with accounting: the one
+    saturation routine, scalar and vector, that every helper and the
+    membrane truncation write-back (Section IV-B1) go through.
 
-
-def _saturate_array(
-    raw: np.ndarray,
-    fmt: FixedFormat,
-    strict: bool,
-    stats: Optional[SaturationStats] = None,
-) -> np.ndarray:
-    """The one vector saturation routine.
-
-    Counts are exact: every call records ``raw.size`` checked values
-    and the number actually clipped, per format. An array already
-    inside ``[raw_min, raw_max]`` — all but a handful of calls on the
-    registry workloads — is screened by its two extremes and **returned
-    itself, not copied**; a caller that stores the result must own
-    ``raw`` (every ``fx_*`` helper passes a fresh or scratch array).
-    Only an out-of-range array pays the compare/count/clip passes, and
-    gets a clipped copy back; under a :class:`SegmentedStats` sink that
-    count is taken per column segment, one record per member.
+    Counts are exact: every call records the values checked and the
+    number actually clipped, per format. An array already inside
+    ``[raw_min, raw_max]`` — all but a handful of calls on the registry
+    workloads — is screened by its two extremes and **returned itself,
+    not copied**; a caller that stores the result must own ``raw``
+    (every ``fx_*`` helper passes a fresh or scratch array). Only an
+    out-of-range array pays the compare/count/clip passes, and gets a
+    clipped copy back; under a :class:`SegmentedStats` sink that count
+    is taken per column segment, one record per member.
     """
     lo, hi = fmt.raw_min, fmt.raw_max
-    sink = None if strict else (stats if stats is not None else _ACTIVE_SINK)
+    sink = _ACTIVE_SINK
+    if not isinstance(raw, np.ndarray):
+        clipped = min(max(int(raw), lo), hi)
+        if sink is not None:
+            sink.record(fmt, 1, int(clipped != raw))
+        return clipped
     if raw.size == 0 or (raw.min() >= lo and raw.max() <= hi):
         if sink is not None:
             sink.record(fmt, raw.size, 0)
         return raw
-    if strict:
-        raise FixedPointOverflowError(f"array value saturates format {fmt}")
     if sink is not None:
         outside = (raw > hi) | (raw < lo)
         if sink.segments:
@@ -298,24 +264,6 @@ def _saturate_array(
         else:
             sink.record(fmt, raw.size, int(np.count_nonzero(outside)))
     return np.clip(raw, lo, hi)
-
-
-def fx_saturate(
-    raw: RawLike,
-    fmt: FixedFormat,
-    strict: bool = False,
-    stats: Optional[SaturationStats] = None,
-) -> RawLike:
-    """Saturate raw values to a format's range, with accounting.
-
-    The public face of the internal saturation helpers: the membrane
-    truncation write-back (Section IV-B1) uses this so clamps against
-    the narrow 24-bit store are counted like every other saturation.
-    An in-range array is returned as is, not copied.
-    """
-    if isinstance(raw, np.ndarray):
-        return _saturate_array(raw, fmt, strict, stats)
-    return _saturate_scalar(int(raw), fmt, strict, stats)
 
 
 def fx_saturate_enclosed(
@@ -329,7 +277,7 @@ def fx_saturate_enclosed(
     ``raw.size`` checked, none clipped — and such a point need not come
     here at all: the caller keeps its array and reports the count
     through :func:`fx_record_proved`. This is the door for every other
-    point. It goes through :func:`_saturate_array`, so counts stay
+    point. It goes through :func:`fx_saturate`, so counts stay
     exact and that routine stays the only one that scans an array or
     counts a clip.
 
@@ -347,7 +295,7 @@ def fx_saturate_enclosed(
     else:
         lo = min(max(lo, raw_min), raw_max)
         hi = max(min(hi, raw_max), raw_min)
-    return _saturate_array(raw, fmt, False), lo, hi
+    return fx_saturate(raw, fmt), lo, hi
 
 
 def fx_record_proved(fmt: FixedFormat, count: int) -> None:
@@ -360,12 +308,12 @@ def fx_record_proved(fmt: FixedFormat, count: int) -> None:
         _ACTIVE_SINK.record(fmt, count, 0)
 
 
-def fx_from_float(value, fmt: FixedFormat, strict: bool = False) -> RawLike:
+def fx_from_float(value, fmt: FixedFormat) -> RawLike:
     """Quantise a float (or float array) to raw fixed-point integers.
 
-    Rounds to nearest and saturates to the format range unless
-    ``strict``. The two paths break ``k + 0.5`` ties differently, and
-    both rules are pinned (``tests/fixedpoint/test_fixed.py``):
+    Rounds to nearest and saturates to the format range. The two paths
+    break ``k + 0.5`` ties differently, and both rules are pinned
+    (``tests/fixedpoint/test_fixed.py``):
 
     * a **scalar** rounds ties *away from zero* (a hardware rounder on
       sign-magnitude constants): ``-0.625`` in Q13.2 is raw ``-3``;
@@ -375,7 +323,7 @@ def fx_from_float(value, fmt: FixedFormat, strict: bool = False) -> RawLike:
     """
     # Pre-clamp to twice the representable range so the float->int cast
     # cannot overflow int64 for huge inputs (e.g. a saturating exp);
-    # the clamped value still trips strict-mode overflow detection.
+    # the clamped value still counts as a clip.
     lo, hi = 2.0 * fmt.min_value - 1.0, 2.0 * fmt.max_value + 1.0
     if isinstance(value, np.ndarray):
         arr = np.asarray(value, dtype=np.float64)
@@ -386,13 +334,13 @@ def fx_from_float(value, fmt: FixedFormat, strict: bool = False) -> RawLike:
                 np.nan_to_num(arr, nan=0.0, posinf=hi, neginf=lo), lo, hi
             )
         raw = np.floor(arr * fmt.scale + 0.5).astype(np.int64)
-        return _saturate_array(raw, fmt, strict)
+        return fx_saturate(raw, fmt)
     clamped = min(max(float(value), lo), hi)
     if clamped != clamped:  # NaN
         clamped = 0.0
     scaled = clamped * fmt.scale
     raw = int(np.floor(scaled + 0.5)) if scaled >= 0 else -int(np.floor(-scaled + 0.5))
-    return _saturate_scalar(raw, fmt, strict)
+    return fx_saturate(raw, fmt)
 
 
 def fx_to_float(raw: RawLike, fmt: FixedFormat):
@@ -402,30 +350,30 @@ def fx_to_float(raw: RawLike, fmt: FixedFormat):
     return float(raw) / fmt.scale
 
 
-def fx_add(a: RawLike, b: RawLike, fmt: FixedFormat, strict: bool = False) -> RawLike:
+def fx_add(a: RawLike, b: RawLike, fmt: FixedFormat) -> RawLike:
     """Saturating fixed-point addition of two raw values."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         raw = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-        return _saturate_array(raw, fmt, strict)
-    return _saturate_scalar(int(a) + int(b), fmt, strict)
+        return fx_saturate(raw, fmt)
+    return fx_saturate(int(a) + int(b), fmt)
 
 
-def fx_sub(a: RawLike, b: RawLike, fmt: FixedFormat, strict: bool = False) -> RawLike:
+def fx_sub(a: RawLike, b: RawLike, fmt: FixedFormat) -> RawLike:
     """Saturating fixed-point subtraction ``a - b``."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         raw = np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)
-        return _saturate_array(raw, fmt, strict)
-    return _saturate_scalar(int(a) - int(b), fmt, strict)
+        return fx_saturate(raw, fmt)
+    return fx_saturate(int(a) - int(b), fmt)
 
 
-def fx_neg(a: RawLike, fmt: FixedFormat, strict: bool = False) -> RawLike:
+def fx_neg(a: RawLike, fmt: FixedFormat) -> RawLike:
     """Saturating fixed-point negation."""
     if isinstance(a, np.ndarray):
-        return _saturate_array(-np.asarray(a, dtype=np.int64), fmt, strict)
-    return _saturate_scalar(-int(a), fmt, strict)
+        return fx_saturate(-np.asarray(a, dtype=np.int64), fmt)
+    return fx_saturate(-int(a), fmt)
 
 
-def fx_mul(a: RawLike, b: RawLike, fmt: FixedFormat, strict: bool = False) -> RawLike:
+def fx_mul(a: RawLike, b: RawLike, fmt: FixedFormat) -> RawLike:
     """Saturating fixed-point multiply with truncation toward -inf.
 
     The full-precision product has ``2 * frac_bits`` fractional bits;
@@ -439,7 +387,7 @@ def fx_mul(a: RawLike, b: RawLike, fmt: FixedFormat, strict: bool = False) -> Ra
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         prod = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
         raw = prod >> fmt.frac_bits
-        return _saturate_array(raw, fmt, strict)
+        return fx_saturate(raw, fmt)
     raw = (int(a) * int(b)) >> fmt.frac_bits
-    return _saturate_scalar(raw, fmt, strict)
+    return fx_saturate(raw, fmt)
 

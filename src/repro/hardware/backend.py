@@ -53,11 +53,12 @@ class HardwareRuntime(PopulationRuntime):
     """One population on a digital-neuron array model.
 
     Owns the compiled model and the baseline (``folded=False``) or
-    folded functional array; ``advance`` pre-scales and quantises the host-side float
-    inputs exactly as the seed backends did, into preallocated scratch
-    (an input whose extremes quantise inside the format needs no clip
-    scan; any other takes ``fx_from_float``), then runs one hardware
-    step. The dt the constants were baked for is enforced per call.
+    folded functional array. ``advance`` is the one way float input
+    enters an array: it pre-scales and quantises the input into
+    preallocated scratch (an input whose extremes quantise inside the
+    format needs no clip scan; any other takes ``fx_from_float``), then
+    runs one hardware step. The dt the constants were baked for is
+    enforced per call.
 
     Every step runs under saturation accounting: any value the
     fixed-point datapaths clip (rather than represent) is counted per

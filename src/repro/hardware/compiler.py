@@ -19,7 +19,6 @@ with a constant operand so no synapse type needs dedicating).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.errors import CompilationError
 from repro.features import FeatureSet
@@ -41,7 +40,7 @@ class CompiledModel:
     features: FeatureSet
     constants: NeuronConstants
     program: Microprogram
-    membrane_format: Optional[FixedFormat]
+    membrane_format: FixedFormat
 
     @property
     def weight_scale(self) -> float:
@@ -65,7 +64,7 @@ class FlexonCompiler:
     def __init__(
         self,
         fmt: FixedFormat = FLEXON_FORMAT,
-        membrane_format: Optional[FixedFormat] = MEMBRANE_FORMAT,
+        membrane_format: FixedFormat = MEMBRANE_FORMAT,
     ):
         self.fmt = fmt
         self.membrane_format = membrane_format

@@ -90,6 +90,22 @@ class NeuronConstants:
     neg_one: int
 
 
+#: The constants each feature's datapaths read besides ``threshold`` and
+#: ``v_reset``, which every model reads (SBT requires ADT, so reads both).
+FEATURE_CONSTANTS = {
+    Feature.EXD: ("eps_m_c",),
+    Feature.LID: ("one", "v_leak"),
+    Feature.COBE: ("eps_g_c",),
+    Feature.COBA: ("eps_g_c", "e_eps_g"),
+    Feature.REV: ("neg_one", "v_g"),
+    Feature.QDI: ("eps_m", "neg_eps_m_v_c"),
+    Feature.EXI: ("inv_delta_t", "neg_theta_inv_delta_t", "delta_t_eps_m"),
+    Feature.ADT: ("eps_w_c", "b"),
+    Feature.SBT: ("eps_m_a", "neg_eps_m_a_v_w"),
+    Feature.RR: ("eps_w_c", "eps_r_c", "neg_one", "v_ar", "v_rr", "b", "q_r"),
+}
+
+
 def prepare_constants(
     parameters: ModelParameters,
     features: FeatureSet,
@@ -101,7 +117,9 @@ def prepare_constants(
     The reference parameters are assumed to already be in shifted &
     scaled units (``v_rest = 0``, ``theta = 1.0``); a non-trivial shift
     is rejected rather than silently mis-simulated, because the data
-    paths hard-wire the zero resting voltage.
+    paths hard-wire the zero resting voltage. So is a constant the
+    model's features read that falls outside ``fmt`` (it would saturate
+    silently): the error names each, with its value and the format.
     """
     if not 0 < dt < math.inf:  # NaN fails too
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
@@ -122,35 +140,54 @@ def prepare_constants(
     # absorb the eps_m factor into the weights (Table V convention).
     weight_scale = 1.0 if Feature.LID in features else eps_m
 
-    def q(value: float) -> int:
-        return fx_from_float(value, fmt)
-
+    values = {
+        "eps_m_c": 1.0 - eps_m,
+        "eps_m": eps_m,
+        "v_leak": d.leak_max,
+        "eps_g_c": d.one_minus_eps_g,
+        "e_eps_g": d.e_eps_g,
+        "v_g": tuple(p.v_g[: p.n_synapse_types]),
+        "neg_eps_m_v_c": -eps_m * p.v_c,
+        "inv_delta_t": 1.0 / p.delta_t,
+        "neg_theta_inv_delta_t": -p.theta / p.delta_t,
+        "delta_t_eps_m": p.delta_t * eps_m,
+        "eps_w_c": d.one_minus_eps_w,
+        "eps_m_a": d.sbt_gain,
+        "neg_eps_m_a_v_w": -d.sbt_gain * p.v_w,
+        "eps_r_c": d.one_minus_eps_r,
+        "v_ar": p.v_ar,
+        "v_rr": p.v_rr,
+        "b": p.b,
+        "q_r": p.q_r,
+        "threshold": features.threshold(p),
+        "v_reset": p.reset_voltage,
+        "one": 1.0,
+        "neg_one": -1.0,
+    }
+    read = {"threshold", "v_reset"}.union(
+        *(FEATURE_CONSTANTS.get(feature, ()) for feature in features)
+    )
+    raw, outside = {}, []
+    for name, value in values.items():
+        scalars = value if isinstance(value, tuple) else (value,)
+        if name in read:
+            outside += [
+                f"{name} = {x:g}"
+                for x in scalars
+                if not fmt.min_value <= x <= fmt.max_value
+            ]
+        quantised = tuple(fx_from_float(x, fmt) for x in scalars)
+        raw[name] = quantised if isinstance(value, tuple) else quantised[0]
+    if outside:
+        raise ConfigurationError(
+            f"constants outside {fmt.describe()} ({fmt.min_value:g} to "
+            f"{fmt.max_value:g}) at dt = {dt:g}: {', '.join(outside)}"
+        )
     return NeuronConstants(
         fmt=fmt,
         dt=dt,
         n_synapse_types=p.n_synapse_types,
-        eps_m_c=q(1.0 - eps_m),
-        eps_m=q(eps_m),
-        v_leak=q(d.leak_max),
-        eps_g_c=tuple(q(x) for x in d.one_minus_eps_g),
-        e_eps_g=tuple(q(x) for x in d.e_eps_g),
-        v_g=tuple(q(v) for v in p.v_g[: p.n_synapse_types]),
-        neg_eps_m_v_c=q(-eps_m * p.v_c),
-        inv_delta_t=q(1.0 / p.delta_t),
-        neg_theta_inv_delta_t=q(-p.theta / p.delta_t),
-        delta_t_eps_m=q(p.delta_t * eps_m),
-        eps_w_c=q(d.one_minus_eps_w),
-        eps_m_a=q(d.sbt_gain),
-        neg_eps_m_a_v_w=q(-d.sbt_gain * p.v_w),
-        eps_r_c=q(d.one_minus_eps_r),
-        v_ar=q(p.v_ar),
-        v_rr=q(p.v_rr),
-        b=q(p.b),
-        q_r=q(p.q_r),
-        threshold=q(features.threshold(p)),
-        v_reset=q(p.reset_voltage),
         cnt_max=d.cnt_reload,
         weight_scale=weight_scale,
-        one=q(1.0),
-        neg_one=q(-1.0),
+        **raw,
     )

@@ -11,21 +11,19 @@ asymptotically approaches rest, quantised decay reaches raw zero in
 finitely many steps, so the skippable set is non-empty for every
 Table III model, and immediately so for LLIF's clamped linear decay).
 
-:class:`EventDrivenMonitor` wraps a hardware neuron (either array: both
-name their state rows alike), classifies each neuron as active/idle per
-step, and accumulates the activity factor;
+:class:`EventDrivenRuntime` is a hardware runtime (either array: both
+name their state rows alike) that classifies each neuron as active or
+idle per step and accumulates the activity factor;
 :func:`event_driven_power` scales a design's dynamic power by it. The
 skip-is-identity invariant is verified by tests, so counting (rather
 than literally skipping) is a sound energy model.
-:class:`EventDrivenFlexonBackend` lifts the monitor to a full network
-backend through the engine layer's ``PopulationRuntime`` seam, so
-whole-workload activity factors can be measured with the ordinary
-three-phase simulator.
+:class:`EventDrivenFlexonBackend` runs every population on such a
+runtime, so whole-workload activity factors can be measured with the
+ordinary three-phase simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
@@ -66,22 +64,26 @@ def idle_mask(neuron: FlexonNeuron, raw_inputs: np.ndarray) -> np.ndarray:
     return idle
 
 
-@dataclass
-class EventDrivenMonitor:
-    """Wraps a hardware neuron and tracks the activity factor."""
+class EventDrivenRuntime(HardwareRuntime):
+    """A hardware runtime whose every step is activity-classified.
 
-    neuron: FlexonNeuron
-    active_updates: int = 0
-    total_updates: int = 0
-    _last_idle: np.ndarray = field(default=None, repr=False)
+    Identical numerics to :class:`HardwareRuntime` (classifying only
+    observes), with the population's activity factor accumulated across
+    the run — the quantity :func:`event_driven_power` consumes.
+    """
 
-    def step(self, raw_inputs: np.ndarray) -> np.ndarray:
-        """Step the wrapped neuron, recording how many were active."""
-        idle = idle_mask(self.neuron, raw_inputs)
-        self._last_idle = idle
+    #: Updates classified active, and in all, over the run: checkpointed
+    #: beside the register file so a resumed run reports the activity
+    #: factor of the whole run.
+    active_updates = 0
+    total_updates = 0
+    COUNTERS = ("active_updates", "total_updates")
+
+    def _step_neuron(self, raw: np.ndarray) -> np.ndarray:
+        idle = idle_mask(self.neuron, raw)
         self.active_updates += int((~idle).sum())
         self.total_updates += idle.size
-        return self.neuron.step(raw_inputs)
+        return self.neuron.step(raw)
 
     @property
     def activity_factor(self) -> float:
@@ -90,39 +92,10 @@ class EventDrivenMonitor:
             return 1.0
         return self.active_updates / self.total_updates
 
-    @property
-    def last_idle_mask(self) -> np.ndarray:
-        """The idle classification of the most recent step."""
-        return self._last_idle
-
-
-class EventDrivenRuntime(HardwareRuntime):
-    """A hardware runtime whose every step is activity-classified.
-
-    Identical numerics to :class:`HardwareRuntime` (the monitor only
-    observes), with the population's activity factor accumulated across
-    the run — the quantity :func:`event_driven_power` consumes.
-    """
-
-    def __init__(self, name, n, compiled, dt, folded):
-        super().__init__(name, n, compiled, dt, folded)
-        self.monitor = EventDrivenMonitor(self.neuron)
-
-    def _step_neuron(self, raw: np.ndarray) -> np.ndarray:
-        return self.monitor.step(raw)
-
-    @property
-    def activity_factor(self) -> float:
-        return self.monitor.activity_factor
-
-    #: The monitor's counters, checkpointed beside the register file so
-    #: a resumed run reports the activity factor of the whole run.
-    COUNTERS = ("active_updates", "total_updates")
-
     def snapshot(self) -> Dict[str, object]:
         payload = super().snapshot()
         for counter in self.COUNTERS:
-            payload[counter] = getattr(self.monitor, counter)
+            payload[counter] = getattr(self, counter)
         return payload
 
     def restore(self, payload: Dict[str, object]) -> None:
@@ -134,7 +107,7 @@ class EventDrivenRuntime(HardwareRuntime):
             )
         super().restore(payload)
         for counter in self.COUNTERS:
-            setattr(self.monitor, counter, int(payload[counter]))
+            setattr(self, counter, int(payload[counter]))
 
     def publish_metrics(self, metrics) -> None:
         super().publish_metrics(metrics)
@@ -143,17 +116,17 @@ class EventDrivenRuntime(HardwareRuntime):
             "event_driven_activity_factor",
             "Fraction of neuron updates that actually needed computing.",
             labels,
-        ).set(self.monitor.activity_factor)
+        ).set(self.activity_factor)
         metrics.counter(
             "event_driven_active_updates_total",
             "Neuron updates classified as active (not skippable).",
             labels,
-        ).set_total(self.monitor.active_updates)
+        ).set_total(self.active_updates)
         metrics.counter(
             "event_driven_total_updates_total",
-            "Neuron updates classified by the event-driven monitor.",
+            "Neuron updates classified as active or idle.",
             labels,
-        ).set_total(self.monitor.total_updates)
+        ).set_total(self.total_updates)
 
 
 class EventDrivenFlexonBackend(_HardwareBackendBase):
@@ -170,21 +143,8 @@ class EventDrivenFlexonBackend(_HardwareBackendBase):
     runtime_class = EventDrivenRuntime
 
     def block_key(self, population):
-        # One monitor and one activity factor per population.
+        # One activity factor per population.
         return None
-
-    def activity_factor(self, population: str) -> float:
-        """Fraction of one population's updates that were active."""
-        runtime = self.runtime(population)
-        assert isinstance(runtime, EventDrivenRuntime)
-        return runtime.activity_factor
-
-    def activity_factors(self) -> dict:
-        """Activity factor of every prepared population."""
-        return {
-            name: runtime.activity_factor
-            for name, runtime in self.runtimes.items()
-        }
 
 
 def event_driven_power(

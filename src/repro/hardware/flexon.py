@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.features import Feature, FeatureSet
 from repro.fixedpoint import MEMBRANE_FORMAT, FixedFormat, fx_add, fx_saturate
 from repro.hardware import datapaths as dp
@@ -59,8 +59,12 @@ class FlexonNeuron:
         features: FeatureSet,
         constants: NeuronConstants,
         n: int,
-        membrane_format: Optional[FixedFormat] = MEMBRANE_FORMAT,
+        membrane_format: FixedFormat = MEMBRANE_FORMAT,
     ):
+        if not isinstance(membrane_format, FixedFormat):
+            raise ConfigurationError(
+                f"membrane_format must be a FixedFormat, got {membrane_format!r}"
+            )
         self.features = features
         self.constants = constants
         self.n = n
@@ -173,11 +177,9 @@ class FlexonNeuron:
         # 5. fire, reset, write back
         fired = acc > c.threshold
         v_next = np.where(fired, np.int64(c.v_reset), acc)
-        if self.membrane_format is not None:
-            v_next = fx_saturate(v_next, self.membrane_format)
-        v[...] = v_next
+        v[...] = fx_saturate(v_next, self.membrane_format)
         # RR-mode jumps grow the reversal-coupled w/r conductances (see
-        # the FeatureModel.step commentary); direct-coupled w shrinks.
+        # FeatureModel.fire_and_reset); direct-coupled w shrinks.
         if owner is Feature.RR:
             self.state["w"] += np.where(fired, c.b, 0)
             self.state["r"] += np.where(fired, c.q_r, 0)

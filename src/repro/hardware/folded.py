@@ -30,7 +30,7 @@ multiplier costs it an extra cycle, as Section V-B notes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -158,7 +158,7 @@ class FoldedFlexonNeuron(FlexonNeuron):
         self,
         program: Microprogram,
         n: int,
-        membrane_format: Optional[FixedFormat] = MEMBRANE_FORMAT,
+        membrane_format: FixedFormat = MEMBRANE_FORMAT,
     ):
         super().__init__(program.features, program.constants, n, membrane_format)
         self.program = program
@@ -197,7 +197,7 @@ class FoldedFlexonNeuron(FlexonNeuron):
     @property
     def points_per_step(self) -> int:
         """Saturation points of one step: stage 1's plus the write-back."""
-        return self._stage1_points + (self.membrane_format is not None)
+        return self._stage1_points + 1
 
     def _lower(self, program: Microprogram) -> tuple:
         """Lay each wave's values out as rows of one int64 block, ``_vals``,
@@ -531,15 +531,14 @@ class FoldedFlexonNeuron(FlexonNeuron):
         membrane = self.membrane_format
         fired = acc > c.threshold
         np.copyto(acc, c.v_reset, where=fired)
-        if membrane is not None:
-            # What is left is at most the threshold, or is the reset value.
-            lo = min(acc_lo, c.v_reset)
-            hi = max(min(acc_hi, c.threshold), c.v_reset)
-            if lo < membrane.raw_min or hi > membrane.raw_max:
-                acc, _, _ = fx_saturate_enclosed(acc, membrane, lo, hi)
-                scanned += 1
-            else:
-                fx_record_proved(membrane, self.n)
+        # What is left is at most the threshold, or is the reset value.
+        lo = min(acc_lo, c.v_reset)
+        hi = max(min(acc_hi, c.threshold), c.v_reset)
+        if lo < membrane.raw_min or hi > membrane.raw_max:
+            acc, _, _ = fx_saturate_enclosed(acc, membrane, lo, hi)
+            scanned += 1
+        else:
+            fx_record_proved(membrane, self.n)
         self.points_scanned += scanned
         self.points_proved += self.points_per_step - scanned
         if acc is not v_row:

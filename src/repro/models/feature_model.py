@@ -88,10 +88,7 @@ class FeatureModel(NeuronModel):
         eps_g = d.eps_g
 
         # 1. absolute refractory gates the inputs of silenced neurons
-        if Feature.AR in f:
-            gated = inputs * (state["cnt"] <= 0.0)
-        else:
-            gated = inputs
+        gated = self._gate(state, inputs)
 
         # 2-3. synaptic kernels and reversal scaling
         syn = np.zeros_like(v)
@@ -149,26 +146,8 @@ class FeatureModel(NeuronModel):
             v_new = v_new + w
 
         # 7. fire & reset
-        fired = v_new > f.threshold(p)
-        v_new[fired] = p.reset_voltage
-        # Spike-triggered jumps. In RR mode the w/r "conductances" are
-        # reversal-coupled (Equation 8), so they must *grow* on a spike
-        # for the coupling toward the sub-rest reversal voltages to
-        # inhibit — the PyNN gsfa/grr semantics. (The paper writes the
-        # jumps with a minus sign, absorbing it into the constants.)
-        # In direct-coupling mode (ADT/SBT) the current itself is added
-        # to v, so the jump is negative.
-        if Feature.RR in f:
-            state["w"][fired] += p.b
-            state["r"][fired] += p.q_r
-        elif f.has_adaptation_state:
-            state["w"][fired] -= p.b
-        if Feature.AR in f:
-            cnt = state["cnt"]
-            np.maximum(cnt - 1.0, 0.0, out=cnt)
-            cnt[fired] = float(d.cnt_reload)
         state["v"] = v_new
-        return fired
+        return self.fire_and_reset(state, dt)
 
     # -- continuous dynamics (for RKF45 ground truth) -----------------------
 
@@ -241,10 +220,7 @@ class FeatureModel(NeuronModel):
         AR gating applies exactly as in :meth:`step`.
         """
         f = self.features
-        if Feature.AR in f:
-            gated = inputs * (state["cnt"] <= 0.0)
-        else:
-            gated = inputs
+        gated = self._gate(state, inputs)
         for i in range(self.parameters.n_synapse_types):
             if Feature.COBA in f:
                 state[f"y{i}"] += gated[i]
@@ -253,6 +229,12 @@ class FeatureModel(NeuronModel):
             else:
                 state["v"] += gated[i]
 
+    def _gate(self, state: State, inputs: np.ndarray) -> np.ndarray:
+        """The inputs absolute refractory lets through (all without AR)."""
+        if Feature.AR in self.features:
+            return inputs * (state["cnt"] <= 0.0)
+        return inputs
+
     def fire_and_reset(self, state: State, dt: float) -> np.ndarray:
         """Threshold check, resets, and refractory bookkeeping."""
         p = self.parameters
@@ -260,6 +242,13 @@ class FeatureModel(NeuronModel):
         v = state["v"]
         fired = v > f.threshold(p)
         v[fired] = p.reset_voltage
+        # Spike-triggered jumps. In RR mode the w/r "conductances" are
+        # reversal-coupled (Equation 8), so they must *grow* on a spike
+        # for the coupling toward the sub-rest reversal voltages to
+        # inhibit — the PyNN gsfa/grr semantics. (The paper writes the
+        # jumps with a minus sign, absorbing it into the constants.)
+        # In direct-coupling mode (ADT/SBT) the current itself is added
+        # to v, so the jump is negative.
         if Feature.RR in f:
             state["w"][fired] += p.b
             state["r"][fired] += p.q_r

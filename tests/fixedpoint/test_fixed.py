@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import FixedPointFormatError, FixedPointOverflowError
+from repro.errors import FixedPointFormatError
 from repro.fixedpoint import (
     FLEXON_FORMAT,
     MEMBRANE_FORMAT,
@@ -15,6 +15,7 @@ from repro.fixedpoint import (
     fx_mul,
     fx_neg,
     fx_saturate,
+    fx_saturate_enclosed,
     fx_sub,
     fx_to_float,
     observe_saturation,
@@ -95,11 +96,6 @@ class TestConversion:
         assert fx_from_float(100.0, fmt) == fmt.raw_max
         assert fx_from_float(-100.0, fmt) == fmt.raw_min
 
-    def test_strict_mode_raises_on_overflow(self):
-        fmt = FixedFormat(8, 4)
-        with pytest.raises(FixedPointOverflowError):
-            fx_from_float(100.0, fmt, strict=True)
-
     def test_array_conversion(self):
         values = np.array([0.5, -0.5, 2.0])
         raw = fx_from_float(values, FLEXON_FORMAT)
@@ -145,7 +141,7 @@ class TestEmptyArrays:
         "op",
         [
             lambda e, fmt: fx_saturate(e, fmt),
-            lambda e, fmt: fx_saturate(e, fmt, strict=True),
+            lambda e, fmt: fx_saturate_enclosed(e, fmt, 0, 0)[0],
             lambda e, fmt: fx_from_float(e.astype(np.float64), fmt),
             lambda e, fmt: fx_add(e, e, fmt),
             lambda e, fmt: fx_add(e, 3, fmt),
@@ -209,11 +205,6 @@ class TestArithmetic:
         fmt = FixedFormat(8, 4)
         assert fx_add(fmt.raw_max, 1, fmt) == fmt.raw_max
         assert fx_sub(fmt.raw_min, 1, fmt) == fmt.raw_min
-
-    def test_add_strict_raises(self):
-        fmt = FixedFormat(8, 4)
-        with pytest.raises(FixedPointOverflowError):
-            fx_add(fmt.raw_max, 1, fmt, strict=True)
 
     def test_array_ops_match_scalar_ops(self):
         fmt = FLEXON_FORMAT

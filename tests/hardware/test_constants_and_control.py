@@ -1,13 +1,20 @@
 """Tests for constant preparation (shift & scale) and control encoding."""
 
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, MicrocodeError
-from repro.features import features_for_model
-from repro.fixedpoint import FLEXON_FORMAT, fx_to_float
-from repro.hardware.constants import prepare_constants
+from repro.features import MODEL_FEATURES, features_for_model
+from repro.fixedpoint import FLEXON_FORMAT, fx_from_float, fx_to_float
+from repro.hardware.compiler import FlexonCompiler
+from repro.hardware.constants import (
+    FEATURE_CONSTANTS,
+    NeuronConstants,
+    prepare_constants,
+)
 from repro.hardware.control import (
     AOperand,
     BOperand,
@@ -16,7 +23,11 @@ from repro.hardware.control import (
     STATE_V,
     STATE_W,
 )
+from repro.hardware.flexon import FlexonNeuron
+from repro.hardware.folded import FoldedFlexonNeuron
+from repro.hardware.microcode import assemble
 from repro.models import ModelParameters
+from repro.models.registry import create_model
 
 DT = 1e-4
 
@@ -104,6 +115,36 @@ class TestPrepareConstants:
         )
         assert _value(constants.one) == 1.0
         assert _value(constants.neg_one) == -1.0
+
+
+class _Recording(NeuronConstants):
+    """Constants that note the name of every field read."""
+
+    def __getattribute__(self, name):
+        if name in object.__getattribute__(self, "__dataclass_fields__"):
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("model", list(MODEL_FEATURES))
+def test_feature_constants_are_exactly_what_the_arrays_read(model):
+    """``FEATURE_CONSTANTS`` decides which constants may not saturate,
+    so it must list every quantised constant a Flexon array reads."""
+    compiled = FlexonCompiler().compile(create_model(model), DT)
+    constants = compiled.constants
+    recording = _Recording(
+        **{f.name: getattr(constants, f.name) for f in fields(constants)}
+    )
+    object.__setattr__(recording, "read", set())
+    n_types = constants.n_synapse_types
+    inputs = np.full((n_types, 4), fx_from_float(0.5, FLEXON_FORMAT))
+    FlexonNeuron(compiled.features, recording, 4).step(inputs)
+    FoldedFlexonNeuron(assemble(compiled.features, recording), 4).step(inputs)
+    unquantised = {"fmt", "dt", "n_synapse_types", "cnt_max", "weight_scale"}
+    expected = {"threshold", "v_reset"}.union(
+        *(FEATURE_CONSTANTS.get(feature, ()) for feature in compiled.features)
+    )
+    assert recording.read - unquantised == expected
 
 
 class TestControlSignal:

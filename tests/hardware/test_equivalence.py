@@ -8,9 +8,10 @@ Three properties, checked for every Table III model:
 2. **Reference agreement** — the fixed-point hardware matches the
    float Euler reference to a high per-step spike agreement (the
    Section VI-A verification).
-3. **No saturation** — on these stimuli, the chosen Q9.22 format never
-   saturates (checked in strict mode at the datapath level via value
-   range assertions).
+3. **Bounded membrane** — on these stimuli the stored membrane never
+   leaves the truncated Q1.22 range (checked by value range
+   assertions; the per-format clip counts every hardware run keeps are
+   pinned in ``test_limits.py``).
 """
 
 import numpy as np

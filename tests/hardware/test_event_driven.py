@@ -6,7 +6,7 @@ import pytest
 from repro.fixedpoint import FLEXON_FORMAT, fx_from_float
 from repro.hardware.compiler import FlexonCompiler
 from repro.hardware.event_driven import (
-    EventDrivenMonitor,
+    EventDrivenRuntime,
     event_driven_power,
     idle_mask,
     supports_event_driven,
@@ -68,14 +68,14 @@ def test_idle_mask_folded_design():
 
 def test_monitor_tracks_activity_factor():
     compiled = FlexonCompiler().compile(create_model("LLIF"), DT)
-    monitor = EventDrivenMonitor(compiled.instantiate_flexon(10))
-    zeros = np.zeros((2, 10), dtype=np.int64)
+    runtime = EventDrivenRuntime("LLIF", 10, compiled, DT, folded=False)
+    zeros = np.zeros((2, 10))
     driven = zeros.copy()
-    driven[0, :5] = fx_from_float(0.5, FLEXON_FORMAT)
-    monitor.step(driven)  # 5 of 10 active
-    monitor.step(zeros)  # the 5 still hold charge: active
-    assert monitor.total_updates == 20
-    assert 0.0 < monitor.activity_factor < 1.0
+    driven[0, :5] = 0.5
+    runtime.advance(driven, DT)  # 5 of 10 active
+    runtime.advance(zeros, DT)  # the 5 still hold charge: active
+    assert (runtime.active_updates, runtime.total_updates) == (10, 20)
+    assert runtime.activity_factor == 0.5
 
 
 def test_quantised_exponential_decay_eventually_goes_idle():
@@ -117,7 +117,7 @@ class TestEventDrivenPower:
 
 #: ``(active, total)`` neuron updates per population on the
 #: ``event-driven`` backend at scale 0.05, seed 1, 400 steps: the
-#: activity factors the monitor reports, classified from the input
+#: activity factors each runtime reports, classified from the input
 #: bucket each step.
 PINNED_UPDATES = {
     "Brunel": {"exc": (75834, 80000), "inh": (9448, 20000)},
@@ -140,7 +140,7 @@ def test_workload_update_counts_are_pinned(workload):
     )
     simulator.run(400)
     updates = {
-        name: (runtime.monitor.active_updates, runtime.monitor.total_updates)
+        name: (runtime.active_updates, runtime.total_updates)
         for name, runtime in simulator.backend.runtimes.items()
     }
     assert updates == PINNED_UPDATES[workload]

@@ -52,7 +52,7 @@ class TestTmpLatch:
             mul_constants=tuple(mul_constants),
             add_constants=tuple(add_constants),
         )
-        return FoldedFlexonNeuron(program, 3, membrane_format=None)
+        return FoldedFlexonNeuron(program, 3)
 
     def test_first_signal_multiplying_by_tmp_sees_zero_every_step(self):
         k = fx_from_float(0.25, FLEXON_FORMAT)

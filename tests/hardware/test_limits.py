@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    FixedPointOverflowError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, SimulationError
 from repro.features import features_for_model
 from repro.fixedpoint import (
     FLEXON_FORMAT,
@@ -17,6 +13,8 @@ from repro.fixedpoint import (
 )
 from repro.hardware.backend import FlexonBackend
 from repro.hardware.compiler import FlexonCompiler
+from repro.hardware.flexon import FlexonNeuron
+from repro.hardware.folded import FoldedFlexonNeuron
 from repro.hardware.constants import prepare_constants
 from repro.models import ModelParameters
 from repro.models.registry import create_model
@@ -84,6 +82,14 @@ class TestShapeErrors:
             neuron.step(np.zeros((2, 3), dtype=np.int64))
 
 
+def test_arrays_refuse_to_store_an_untruncated_membrane():
+    compiled = FlexonCompiler().compile(create_model("LIF"), DT)
+    with pytest.raises(ConfigurationError, match="membrane_format"):
+        FlexonNeuron(compiled.features, compiled.constants, 4, None)
+    with pytest.raises(ConfigurationError, match="membrane_format"):
+        FoldedFlexonNeuron(compiled.program, 4, membrane_format=None)
+
+
 class TestSaturationBehaviour:
     def test_oversized_weights_saturate_not_wrap(self):
         # A pathological weight saturates the 32-bit format and the
@@ -98,9 +104,22 @@ class TestSaturationBehaviour:
         assert fired[0]
         assert neuron.state["v"][0] == compiled.constants.v_reset
 
-    def test_strict_quantisation_flags_out_of_range_constants(self):
-        with pytest.raises(FixedPointOverflowError):
-            fx_from_float(1e9, FLEXON_FORMAT, strict=True)
+    def test_constants_outside_the_format_are_refused(self):
+        # 1 / delta_T = 1000 would saturate to 511.99... in Q9.22, and
+        # -theta / delta_T with it: the model would silently change.
+        model = create_model("EIF", ModelParameters(delta_t=0.001))
+        with pytest.raises(ConfigurationError) as refused:
+            FlexonCompiler().compile(model, DT)
+        message = str(refused.value)
+        assert "inv_delta_t = 1000" in message
+        assert "neg_theta_inv_delta_t = -1000" in message
+        assert FLEXON_FORMAT.describe() in message
+
+    def test_a_constant_the_model_never_reads_may_saturate(self):
+        # At dt = 1 s COBA's e * eps_g leaves the format, but LIF (CUB)
+        # never reads it.
+        compiled = FlexonCompiler().compile(create_model("LIF"), 1.0)
+        assert compiled.constants.e_eps_g[0] == FLEXON_FORMAT.raw_max
 
     def test_membrane_clamp_engages_under_extreme_inhibition(self):
         # Inject absurd inhibitory conductance: the truncated membrane
@@ -206,3 +225,24 @@ class TestSaturationAccounting:
         a.merge(b)
         assert a.total_clipped == 3
         assert a.checked == 3
+
+    def test_flexon_and_folded_clip_the_same_values(self):
+        # Inhibition pushes some Izhikevich membranes onto the -2 rail
+        # of the Q1.22 store. Each design counts those clips its own
+        # way (baseline scans the write-back, folded proves or scans
+        # it), and the counts must agree.
+        from repro.frontend import build_simulation
+        from repro.workloads import spec_for
+
+        clipped = {}
+        for backend in ("flexon", "folded"):
+            simulator, _ = build_simulation(
+                {**spec_for("Izhikevich", 0.03, 5), "backend": backend}
+            )
+            saturation = simulator.run(200).diagnostics.saturation
+            clipped[backend] = {
+                population: {fmt.describe(): n for fmt, n in stats.clipped.items()}
+                for population, stats in saturation.items()
+            }
+        assert clipped["flexon"] == clipped["folded"]
+        assert clipped["flexon"]["exc"] == {"Q1.22": 1345}

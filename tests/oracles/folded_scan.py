@@ -90,9 +90,7 @@ class ScanningFoldedNeuron(FoldedFlexonNeuron):
 
         fired = acc > c.threshold
         np.copyto(acc, c.v_reset, where=fired)
-        if self.membrane_format is not None:
-            acc = fx_saturate(acc, self.membrane_format)
-        self.regs[STATE_V] = acc
+        self.regs[STATE_V] = fx_saturate(acc, self.membrane_format)
         for s, jump in self._jump_list():
             np.add(self.regs[s], jump, out=self.regs[s], where=fired)
         if cnt is not None:

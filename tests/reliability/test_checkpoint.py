@@ -62,17 +62,16 @@ def _network(plastic=False):
 
 def _final_state(simulator):
     """Every population's state, a hardware array's cycle count and an
-    event-driven monitor's counts and activity factor."""
+    event-driven runtime's counts and activity factor."""
     state = {}
     for name, runtime in simulator.backend.runtimes.items():
         state[name] = {k: v.copy() for k, v in runtime.state().items()}
         if isinstance(runtime, HardwareRuntime):
             state[name]["total_cycles"] = runtime.neuron.total_cycles
         if isinstance(runtime, EventDrivenRuntime):
-            monitor = runtime.monitor
-            state[name]["active_updates"] = monitor.active_updates
-            state[name]["total_updates"] = monitor.total_updates
-            state[name]["activity_factor"] = monitor.activity_factor
+            state[name]["active_updates"] = runtime.active_updates
+            state[name]["total_updates"] = runtime.total_updates
+            state[name]["activity_factor"] = runtime.activity_factor
     return state
 
 
