@@ -14,8 +14,8 @@ same contract. There are three runtimes, one role each:
   ``derivatives``). This is the compile-once/step-many discipline of
   GeNN-style simulators.
 * :class:`SolverRuntime` — the dict-state oracle: named state advanced
-  by ``solver.advance`` (forward Euler calling ``model.step``, or RKF45
-  evaluating ``model.derivatives`` on dict snapshots). Models the
+  by ``model.step`` under Euler, or under RKF45 by the stepper
+  evaluating ``model.derivatives`` on dict snapshots. Models the
   lowering cannot express (Hodgkin-Huxley, native Izhikevich) run here,
   and so does every population under
   ``ReferenceBackend(use_engine=False)``.
@@ -39,12 +39,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointError, NumericsError, SimulationError
+from repro.errors import (
+    CheckpointError, ConfigurationError, NumericsError, SimulationError,
+)
 from repro.features import Feature
 from repro.models.base import NeuronModel, State
 from repro.models.feature_model import FeatureModel
-from repro.solvers.base import Solver
-from repro.solvers.rkf45 import RKF45Solver, RKF45Stepper
+from repro.solvers import canonical_solver_name
+from repro.solvers.rkf45 import RKF45Stepper
 
 #: Absolute state value beyond which a float runtime is considered
 #: divergent. The shift-and-scale normalisation keeps healthy membrane
@@ -52,6 +54,9 @@ from repro.solvers.rkf45 import RKF45Solver, RKF45Stepper
 #: this, so the bound trips only on genuine blow-ups, never on
 #: legitimate dynamics.
 DIVERGENCE_LIMIT = 1e6
+
+#: The largest argument float64 ``exp`` takes without overflowing.
+EXP_LIMIT = math.log(np.finfo(np.float64).max)
 
 
 #: The model methods each solver's lowering stands in for.
@@ -201,10 +206,34 @@ class PopulationRuntime(abc.ABC):
                 )
 
 
+def _refuse_exi_overflow(name: str, model: NeuronModel) -> None:
+    """Refuse an EXI model whose exponent ceiling ``exi_cap`` is past
+    float64's ``exp``: its spike times would follow where the
+    exponential overflows, not the model."""
+    if Feature.EXI not in getattr(model, "features", ()):
+        return
+    p = model.parameters
+    if p.exi_cap <= EXP_LIMIT:
+        return
+    # exi_cap = (v_theta - theta) / delta_t + 2; round up to 3 digits.
+    smallest = (p.v_theta - p.theta) / (EXP_LIMIT - 2.0)
+    unit = 10.0 ** (math.floor(math.log10(smallest)) - 2)
+    smallest = math.ceil(smallest / unit) * unit
+    raise ConfigurationError(
+        f"population {name!r}: model {model.name!r} with delta_t = "
+        f"{p.delta_t:g} takes exp of up to {p.exi_cap:g}, past float64's "
+        f"{EXP_LIMIT:.2f}; use delta_t >= {smallest:.3g}"
+    )
+
+
 class _SoftwareRuntime(PopulationRuntime):
-    """A float64 population advanced by a software solver: the named
+    """A float64 population advanced under a software solver: the named
     state, the solver's counters, the checkpoint payload and the
     ``NumericsError`` wrapping both software runtimes share.
+
+    ``solver`` is the solver's name; ``evaluations`` (what the cost
+    models charge neuron computation by) and ``advances`` count its
+    work. A fused block's kernel charges each member view its own.
 
     ``kind`` names the snapshot payload and is the ``runtime`` label of
     the metrics: ``"solver"`` carries evaluation and advance counts,
@@ -214,10 +243,13 @@ class _SoftwareRuntime(PopulationRuntime):
 
     kind = "solver"
 
-    def __init__(self, name: str, n: int, model: NeuronModel, solver: Solver):
+    def __init__(self, name: str, n: int, model: NeuronModel, solver: str):
         super().__init__(name, n)
+        _refuse_exi_overflow(name, model)
         self.model = model
-        self.solver = solver
+        self.solver = canonical_solver_name(solver)
+        self.evaluations = 0
+        self.advances = 0
         self._state: State = {}
         #: A fused block's member views by name (see :meth:`advance`).
         self._views: Dict[str, "_SoftwareRuntime"] = {}
@@ -234,7 +266,7 @@ class _SoftwareRuntime(PopulationRuntime):
                 raise
             # A fused block's stepper names the member whose columns failed.
             runtime = self._views.get(error.population, self)
-            step = runtime.solver.advances
+            step = runtime.advances
             raise NumericsError(
                 f"population {runtime.name!r}, step {step}: {error}",
                 population=runtime.name,
@@ -247,7 +279,9 @@ class _SoftwareRuntime(PopulationRuntime):
         return self._state
 
     def evaluations_per_step(self) -> float:
-        return self.solver.evaluations_per_step()
+        if self.advances == 0:  # one step's minimum
+            return 6.0 if self.solver == "RKF45" else 1.0
+        return self.evaluations / self.advances
 
     def publish_metrics(self, metrics) -> None:
         super().publish_metrics(metrics)
@@ -256,13 +290,13 @@ class _SoftwareRuntime(PopulationRuntime):
             "runtime_advances_total",
             "Population steps executed by each runtime.",
             labels,
-        ).set_total(self.solver.advances)
+        ).set_total(self.advances)
         if self.kind == "solver":
             metrics.counter(
                 "runtime_solver_evaluations_total",
                 "Derivative/step evaluations performed by the solver.",
                 labels,
-            ).set_total(self.solver.evaluations)
+            ).set_total(self.evaluations)
 
     def load_state(self, state: State) -> None:
         """Overwrite the state in place (keeps recorder views live)."""
@@ -275,8 +309,8 @@ class _SoftwareRuntime(PopulationRuntime):
             "state": {name: values.copy() for name, values in self._state.items()},
         }
         if self.kind == "solver":
-            payload["evaluations"] = self.solver.evaluations
-        payload["advances"] = self.solver.advances
+            payload["evaluations"] = self.evaluations
+        payload["advances"] = self.advances
         return payload
 
     def restore(self, payload: Dict[str, object]) -> None:
@@ -288,12 +322,10 @@ class _SoftwareRuntime(PopulationRuntime):
             )
         self._check_restore_sizes(state)
         self.load_state(state)
-        self.solver.advances = int(payload["advances"])
+        self.advances = int(payload["advances"])
         # A compiled payload leaves out what Euler's one evaluation per
         # advance implies.
-        self.solver.evaluations = int(
-            payload.get("evaluations", self.solver.advances)
-        )
+        self.evaluations = int(payload.get("evaluations", self.advances))
 
 
 class CompiledRuntime(_SoftwareRuntime):
@@ -320,24 +352,24 @@ class CompiledRuntime(_SoftwareRuntime):
     checkpoint restores into either runtime.
     """
 
-    def __init__(self, name: str, n: int, model: FeatureModel, solver: Solver):
+    def __init__(self, name: str, n: int, model: FeatureModel, solver: str):
         super().__init__(name, n, model, solver)
-        if not supports_lowering(model, solver.name):
+        if not supports_lowering(model, self.solver):
             raise SimulationError(
-                f"model {model.name!r} cannot be lowered under {solver.name}"
+                f"model {model.name!r} cannot be lowered under {self.solver}"
             )
         self._n_types = model.parameters.n_synapse_types
         names = model.state_variable_names()
         flows = tuple(name for name in names if name != "cnt")
         self._stepper: Optional[RKF45Stepper] = None
-        if isinstance(solver, RKF45Solver):
+        if self.solver == "RKF45":
             self._stepper = RKF45Stepper((len(flows), n), flows)
             self._block = self._stepper.y
         else:
             self.kind = "compiled"
             self._block = np.zeros((len(flows), n))
         self._cnt = np.zeros(n) if "cnt" in names else None
-        #: The stepper's members: this runtime's columns, or its views'.
+        #: The block's members: this runtime's columns, or its views'.
         self._members: Tuple[Tuple[str, int, int], ...] = ((name, 0, n),)
         self._bind_views()
         self.load_state(model.initial_state(n))
@@ -356,13 +388,12 @@ class CompiledRuntime(_SoftwareRuntime):
     def split(
         self, members: Sequence[Tuple[str, int, int]]
     ) -> List["CompiledRuntime"]:
-        """Member views over column ranges of the block. Under Euler
-        the views share the block's solver (one evaluation per advance
-        for every column). Under RKF45 each view gets a solver of its
-        own: the stepper accepts or rejects each member's substeps on
-        its own columns and charges its evaluations to that solver, so
-        ``evaluations``, ``advances`` and a ``NumericsError`` stay per
-        population."""
+        """Member views over column ranges of the block. The block's
+        kernel charges each view its own counters: one evaluation per
+        advance under Euler; under RKF45 the evaluations the stepper
+        spent on the view's columns, accepting or rejecting each
+        member's substeps on its own. ``evaluations``, ``advances`` and
+        a ``NumericsError`` therefore stay per population."""
         views = []
         for name, lo, hi in members:
             view = copy.copy(self)
@@ -370,13 +401,10 @@ class CompiledRuntime(_SoftwareRuntime):
             view._block = self._block[:, lo:hi]
             if self._cnt is not None:
                 view._cnt = self._cnt[lo:hi]
-            if self._stepper is not None:
-                view.solver = copy.copy(self.solver)
             view._bind_views()
             views.append(view)
-        if self._stepper is not None:
-            self._members = tuple(members)
-            self._views = {view.name: view for view in views}
+        self._members = tuple(members)
+        self._views = {view.name: view for view in views}
         return views
 
     def _step(self, inputs: np.ndarray, dt: float) -> np.ndarray:
@@ -446,7 +474,8 @@ class CompiledRuntime(_SoftwareRuntime):
         p, f = self.model.parameters, self.model.features
         d = p.derived(dt)
         n, n_types = self.n, p.n_synapse_types
-        solver, block, state = self.solver, self._block, self._state
+        block, state = self._block, self._state
+        charged = tuple(self._views.values()) or (self,)  # views, in order
         v, w, r = state["v"], state.get("w"), state.get("r")
         g = block[1:1 + n_types]
         y = block[1 + n_types:1 + 2 * n_types]
@@ -479,8 +508,9 @@ class CompiledRuntime(_SoftwareRuntime):
             # In-place augmented assignments below would otherwise make
             # these closure names local (and unbound) inside the kernel.
             nonlocal g, y, w, r, syn, tmp, ts, v_new
-            solver.evaluations += 1
-            solver.advances += 1
+            for runtime in charged:
+                runtime.evaluations += 1
+                runtime.advances += 1
             # 2-3. synaptic kernels and reversal scaling (old v)
             if kernel_kind is Feature.COBA:
                 y *= one_minus_eps_g
@@ -557,7 +587,7 @@ class CompiledRuntime(_SoftwareRuntime):
         p, f = self.model.parameters, self.model.features
         n, n_types = self.n, p.n_synapse_types
         types = range(n_types)
-        solver, stepper, block = self.solver, self._stepper, self._block
+        stepper, block = self._stepper, self._block
         flows = stepper.names
         kernel_kind, owner = f.accumulation_kernel, f.w_owner
         conductance = f.uses_conductance
@@ -654,8 +684,7 @@ class CompiledRuntime(_SoftwareRuntime):
             drive /= tau
 
         members = self._members
-        solvers = tuple(self._views.get(name, self).solver for name, _, _ in members)
-        rtol, atol = solver.rtol, solver.atol
+        charged = tuple(self._views.values()) or (self,)
 
         def kernel(x: np.ndarray) -> None:
             nonlocal g, ys, v
@@ -666,32 +695,76 @@ class CompiledRuntime(_SoftwareRuntime):
             else:
                 for i in types:
                     v += x[i]
-            evaluations = stepper.integrate(
-                flow, 0.0, dt, rtol=rtol, atol=atol, h0=dt, members=members
-            )
-            for member_solver, count in zip(solvers, evaluations):
-                member_solver.evaluations += count
-                member_solver.advances += 1
+            evaluations = stepper.integrate(flow, 0.0, dt, h0=dt, members=members)
+            for runtime, count in zip(charged, evaluations):
+                runtime.evaluations += count
+                runtime.advances += 1
 
         return kernel
 
 
 class SolverRuntime(_SoftwareRuntime):
-    """The dict-state oracle: a software solver advancing one
-    population's named state.
+    """The dict-state oracle: one population's named state, advanced
+    through the model's own methods.
 
-    The state is the model's dict of arrays and every step is
-    ``solver.advance(model, state, ...)`` — forward Euler calling
-    ``model.step``, or RKF45's smooth/jump split evaluating
-    ``model.derivatives`` on dict snapshots. Any model runs here
-    (Hodgkin-Huxley, native Izhikevich), and for feature models this is
-    what :class:`CompiledRuntime` is pinned against:
+    Under Euler a step is ``model.step``. Under RKF45 it applies
+    ``model.apply_input_jumps``, copies the state into a stepper
+    workspace, integrates ``model.derivatives`` (evaluated on dict
+    snapshots) over ``dt`` with one stepper call (``h0 = dt``), copies
+    the result back and runs ``model.fire_and_reset``. Any model runs
+    here (Hodgkin-Huxley, native Izhikevich), and for feature models
+    this is what :class:`CompiledRuntime` is pinned against:
     ``ReferenceBackend(use_engine=False)`` selects it.
+
+    RKF45 integrates a model's continuous form between step boundaries,
+    so a model without one (LID's linear decay is inherently discrete;
+    a model may define no ``derivatives`` or no separate fire/reset
+    phase) is refused here rather than by a ``NotImplementedError`` on
+    step 0.
     """
 
-    def __init__(self, name: str, n: int, model: NeuronModel, solver: Solver):
+    def __init__(self, name: str, n: int, model: NeuronModel, solver: str):
         super().__init__(name, n, model, solver)
         self._state = model.initial_state(n)
+        self._stepper: Optional[RKF45Stepper] = None
+        if self.solver == "Euler":
+            return
+        reason = None
+        if Feature.LID in getattr(model, "features", ()):
+            reason = "its LID feature (linear decay) has no continuous form"
+        elif type(model).derivatives is NeuronModel.derivatives:
+            reason = "it defines no continuous dynamics"
+        elif type(model).fire_and_reset is NeuronModel.fire_and_reset:
+            reason = "it defines no separate fire/reset phase"
+        if reason is not None:
+            raise ConfigurationError(
+                f"population {name!r}: model {model.name!r} cannot be "
+                f'integrated with RKF45 — {reason}; use solver: "Euler"'
+            )
+        names = tuple(self._state)
+        self._stepper = RKF45Stepper((len(names), n), names)
 
     def _step(self, inputs: np.ndarray, dt: float) -> np.ndarray:
-        return self.solver.advance(self.model, self._state, inputs, dt)
+        model, state, stepper = self.model, self._state, self._stepper
+        if stepper is None:  # Euler
+            self.evaluations += 1
+            self.advances += 1
+            return model.step(state, inputs, dt)
+        model.apply_input_jumps(state, inputs)
+        names = stepper.names
+        for i, name in enumerate(names):
+            stepper.y[i] = state[name]
+
+        def rhs(_t: float, y: np.ndarray, out: np.ndarray) -> None:
+            deriv = model.derivatives(
+                {name: y[i] for i, name in enumerate(names)}
+            )
+            for i, name in enumerate(names):
+                out[i] = deriv.get(name, 0.0)
+
+        (evaluations,) = stepper.integrate(rhs, 0.0, dt, h0=dt)
+        self.evaluations += evaluations
+        self.advances += 1
+        for i, name in enumerate(names):
+            state[name][:] = stepper.y[i]
+        return model.fire_and_reset(state, dt)

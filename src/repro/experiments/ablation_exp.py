@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.assembly import DT
 from repro.experiments.common import fired_mask_agreement, format_table
 from repro.fixedpoint import fast_exp
 from repro.fixedpoint.fastexp import max_relative_error
 from repro.hardware.compiler import FlexonCompiler
+from repro.models.registry import create_model
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,9 @@ def run() -> FastExpResult:
         worst=float(np.max(np.abs(fast_exp(ys) - exact) / exact)),
         worst_unit=max_relative_error(-1, 1),
         # The float reference steps with the exact np.exp.
-        agreement=fired_mask_agreement("EIF", FlexonCompiler(), 5, 800),
+        agreement=fired_mask_agreement(
+            "EIF", FlexonCompiler().compile(create_model("EIF"), DT), 5, 800
+        ).spike_match,
     )
 
 

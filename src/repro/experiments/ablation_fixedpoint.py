@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.assembly import DT
 from repro.experiments.common import fired_mask_agreement, format_table
 from repro.fixedpoint import FixedFormat
 from repro.hardware.compiler import FlexonCompiler
+from repro.models.registry import create_model
 
 
 def agreement(frac_bits: int, steps: int = 600, n: int = 16) -> float:
@@ -20,7 +22,8 @@ def agreement(frac_bits: int, steps: int = 600, n: int = 16) -> float:
     fmt = FixedFormat(total_bits=frac_bits + 10, frac_bits=frac_bits)
     membrane = FixedFormat(total_bits=frac_bits + 2, frac_bits=frac_bits)
     compiler = FlexonCompiler(fmt=fmt, membrane_format=membrane)
-    return fired_mask_agreement("AdEx", compiler, 3, steps, n)
+    compiled = compiler.compile(create_model("AdEx"), DT)
+    return fired_mask_agreement("AdEx", compiled, 3, steps, n).spike_match
 
 
 def run() -> Dict[int, float]:

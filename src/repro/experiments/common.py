@@ -1,5 +1,6 @@
 """Shared experiment plumbing: profiling, table rendering and the
-fixed-point-vs-float spike agreement loop of the ablations.
+fixed-point-vs-float spike agreement loop of Table III and the
+ablations.
 
 The evaluation methodology mirrors the paper's: workloads are *run* (at
 a reduced scale so CI stays fast) to measure per-unit activity — firing
@@ -19,6 +20,7 @@ import numpy as np
 
 from repro.assembly import DT
 from repro.hardware.backend import HardwareRuntime
+from repro.hardware.compiler import CompiledModel
 from repro.models.registry import create_model
 from repro.workloads import get_spec, spec_for, workload_names
 
@@ -138,27 +140,56 @@ def format_table(
     return "\n".join(lines)
 
 
-def fired_mask_agreement(
-    model_name: str, compiler, seed: int, steps: int, n: int = 16
-) -> float:
-    """Per-step fired-mask agreement of a baseline-Flexon array against
-    its float model, both driven by the same sparse random input.
+@dataclass(frozen=True)
+class SpikeAgreement:
+    """Baseline Flexon against its float model over one stimulus."""
 
-    ``compiler`` (a :class:`~repro.hardware.compiler.FlexonCompiler`)
-    sets the fixed-point format the hardware side quantises its input
-    to; the float side is the model's own ``step``.
+    spike_match: float  #: per-step agreement of fired masks
+    hardware_spikes: int
+    reference_spikes: int
+    bit_exact: bool  #: baseline Flexon == its folded twin (if one ran)
+
+
+def fired_mask_agreement(
+    model_name: str,
+    compiled: CompiledModel,
+    seed: int,
+    steps: int,
+    n: int = 16,
+    drive: float = 1.5,
+    folded: bool = False,
+) -> SpikeAgreement:
+    """Step a baseline-Flexon array of ``compiled`` beside its float
+    model (the model's own ``step``), both driven by the same sparse
+    random input: each synapse type of each neuron receives ``drive``
+    with probability 0.08 per step, type 1 at a fifth of it.
+
+    ``compiled`` sets the fixed-point format the hardware side
+    quantises its input to. ``folded`` steps a folded-Flexon twin of it
+    on the same input and compares their fired masks.
     """
     model = create_model(model_name)
-    hardware = HardwareRuntime(
-        model_name, n, compiler.compile(model, DT), DT, folded=False
-    )
+    hardware = HardwareRuntime(model_name, n, compiled, DT, folded=False)
+    twin = HardwareRuntime(model_name, n, compiled, DT, folded=True) if folded else None
     reference = model.initial_state(n)
     rng = np.random.default_rng(seed)
-    agree = 0
+    n_types = model.parameters.n_synapse_types
+    agree = hardware_spikes = reference_spikes = 0
+    bit_exact = True
     for _ in range(steps):
-        weights = (rng.random((2, n)) < 0.08) * 1.5
-        weights[1] *= 0.2
+        weights = (rng.random((n_types, n)) < 0.08) * drive
+        if n_types > 1:
+            weights[1] *= 0.2
         fired_hw = hardware.advance(weights, DT)
+        if twin is not None:
+            bit_exact &= bool(np.array_equal(fired_hw, twin.advance(weights, DT)))
         fired_ref = model.step(reference, weights.copy(), DT)
+        hardware_spikes += int(fired_hw.sum())
+        reference_spikes += int(fired_ref.sum())
         agree += int((fired_hw == fired_ref).sum())
-    return agree / (steps * n)
+    return SpikeAgreement(
+        spike_match=agree / (steps * n),
+        hardware_spikes=hardware_spikes,
+        reference_spikes=reference_spikes,
+        bit_exact=bit_exact,
+    )

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
+from repro.assembly import DT
 from repro.features import Feature, MODEL_FEATURES, combination_matrix
-from repro.experiments.common import format_table
-from repro.hardware.backend import HardwareRuntime
+from repro.experiments.common import (
+    SpikeAgreement, fired_mask_agreement, format_table,
+)
 from repro.hardware.compiler import FlexonCompiler
 from repro.models.registry import create_model
 
@@ -31,55 +31,26 @@ _CURRENT_MODELS = {"LIF", "LLIF", "SLIF"}
 
 
 @dataclass(frozen=True)
-class Table3Row:
+class Table3Row(SpikeAgreement):
     """Verification outcome for one neuron model."""
 
     model: str
     features: List[str]
     n_signals: int
-    hardware_spikes: int
-    reference_spikes: int
-    spike_match: float  #: per-step agreement of fired masks
-    bit_exact: bool  #: baseline Flexon == folded Flexon
 
 
 def verify_model(
-    name: str,
-    n: int = 32,
-    steps: int = 800,
-    dt: float = 1e-4,
-    seed: int = 7,
+    name: str, n: int = 32, steps: int = 800, seed: int = 7
 ) -> Table3Row:
     """Run one model's feature combination against the reference."""
-    model = create_model(name)
-    compiled = FlexonCompiler().compile(model, dt)
-    flexon = HardwareRuntime(name, n, compiled, dt, folded=False)
-    folded = HardwareRuntime(name, n, compiled, dt, folded=True)
-    reference = model.initial_state(n)
-    rng = np.random.default_rng(seed)
-    base = 40.0 if name in _CURRENT_MODELS else 1.5
-    n_types = model.parameters.n_synapse_types
-    hardware_spikes = reference_spikes = agreement = 0
-    bit_exact = True
-    for _ in range(steps):
-        weights = (rng.random((n_types, n)) < 0.08) * base
-        if n_types > 1:
-            weights[1] *= 0.2
-        fired_fx = flexon.advance(weights, dt)
-        fired_fd = folded.advance(weights, dt)
-        bit_exact = bit_exact and bool(np.array_equal(fired_fx, fired_fd))
-        fired_ref = model.step(reference, weights.copy(), dt)
-        hardware_spikes += int(fired_fx.sum())
-        reference_spikes += int(fired_ref.sum())
-        agreement += int((fired_fx == fired_ref).sum())
+    compiled = FlexonCompiler().compile(create_model(name), DT)
+    drive = 40.0 if name in _CURRENT_MODELS else 1.5
+    result = fired_mask_agreement(name, compiled, seed, steps, n, drive, folded=True)
     return Table3Row(
+        **vars(result),
         model=name,
         features=[f.value for f in MODEL_FEATURES[name]],
         n_signals=compiled.program.n_signals,
-        hardware_spikes=hardware_spikes,
-        reference_spikes=reference_spikes,
-        spike_match=agreement / (steps * n),
-        bit_exact=bit_exact,
     )
 
 

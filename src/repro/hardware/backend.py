@@ -29,8 +29,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.runtime import PopulationRuntime
-from repro.errors import CheckpointError, SimulationError
+from repro.engine.runtime import PopulationRuntime, SolverRuntime
+from repro.errors import CheckpointError, ConfigurationError, SimulationError
 from repro.fixedpoint import (
     SaturationStats,
     SegmentedStats,
@@ -40,11 +40,7 @@ from repro.fixedpoint import (
 )
 from repro.hardware.compiler import CompiledModel, FlexonCompiler
 from repro.models.base import State
-from repro.network.backends import (
-    RuntimeBackend,
-    model_key,
-    software_solver_runtime,
-)
+from repro.network.backends import RuntimeBackend, model_key
 from repro.network.population import Population
 from repro.solvers import canonical_solver_name
 
@@ -216,7 +212,13 @@ class _HardwareBackendBase(RuntimeBackend):
         return model_key(population.model)
 
     def build_runtime(self, population: Population) -> PopulationRuntime:
-        compiled = self.compiler.compile(population.model, self.dt)
+        model = population.model
+        try:
+            compiled = self.compiler.compile(model, self.dt)
+        except ConfigurationError as error:
+            raise ConfigurationError(
+                f"population {population.name!r}: model {model.name!r}: {error}"
+            ) from error
         return self.runtime_class(
             population.name, population.n, compiled, self.dt, self.folded
         )
@@ -274,7 +276,9 @@ class HybridBackend(_HardwareBackendBase):
     def build_runtime(self, population: Population) -> PopulationRuntime:
         if self.compiler.supports(population.model):
             return super().build_runtime(population)
-        return software_solver_runtime(population, self.solver_name)
+        return SolverRuntime(
+            population.name, population.n, population.model, self.solver_name
+        )
 
     def cycles_per_neuron(self, population: str) -> int:
         """Pipeline occupancy per neuron; none on the software solver."""

@@ -47,43 +47,12 @@ from repro.engine.runtime import (
     SolverRuntime,
     supports_lowering,
 )
-from repro.errors import ConfigurationError, SimulationError
-from repro.features import Feature
+from repro.errors import SimulationError
 from repro.models.base import NeuronModel, State
 from repro.models.feature_model import FeatureModel
 from repro.network.network import Network
 from repro.network.population import Population
-from repro.solvers import canonical_solver_name, create_solver
-
-
-def software_solver_runtime(
-    population: Population, solver_name: str
-) -> SolverRuntime:
-    """One population on the dict-state solver, checked at build time.
-
-    RKF45 integrates a model's continuous form between step boundaries,
-    so a model without one (LID's linear decay is inherently discrete;
-    a model may define no ``derivatives`` or no separate fire/reset
-    phase) is rejected here rather than by a ``NotImplementedError``
-    on step 0.
-    """
-    model = population.model
-    solver = create_solver(solver_name)
-    if solver.name == "RKF45":
-        reason = None
-        if Feature.LID in getattr(model, "features", ()):
-            reason = "its LID feature (linear decay) has no continuous form"
-        elif type(model).derivatives is NeuronModel.derivatives:
-            reason = "it defines no continuous dynamics"
-        elif type(model).fire_and_reset is NeuronModel.fire_and_reset:
-            reason = "it defines no separate fire/reset phase"
-        if reason is not None:
-            raise ConfigurationError(
-                f"population {population.name!r}: model {model.name!r} "
-                f"cannot be integrated with RKF45 — {reason}; "
-                'use solver: "Euler"'
-            )
-    return SolverRuntime(population.name, population.n, model, solver)
+from repro.solvers import canonical_solver_name
 
 
 @dataclass(frozen=True)
@@ -245,7 +214,7 @@ class ReferenceBackend(RuntimeBackend):
     the dict-state path as the oracle. Lowered populations with equal
     models step as one block under either solver (under RKF45 the
     stepper still accepts or rejects each member's substeps on its own
-    columns); each population's solver counters read as its own.
+    columns); each population's runtime keeps its own solver counters.
     """
 
     def __init__(self, solver: str = "Euler", use_engine: bool = True):
@@ -266,10 +235,9 @@ class ReferenceBackend(RuntimeBackend):
 
     def build_runtime(self, population: Population) -> PopulationRuntime:
         if self._lowers(population.model):
-            return CompiledRuntime(
-                population.name,
-                population.n,
-                population.model,
-                create_solver(self.solver_name),
-            )
-        return software_solver_runtime(population, self.solver_name)
+            runtime_class = CompiledRuntime
+        else:
+            runtime_class = SolverRuntime
+        return runtime_class(
+            population.name, population.n, population.model, self.solver_name
+        )

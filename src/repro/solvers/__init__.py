@@ -5,26 +5,21 @@ forward Euler method (cheap; the method the hardware discretisation
 mirrors) or the adaptive Runge-Kutta-Fehlberg 4(5) method (RKF45;
 expensive, high accuracy). The choice matters for the Figure 3 latency
 breakdown — RKF45 multiplies the neuron-computation cost by its stage
-evaluations — so both are implemented here.
+evaluations.
+
+A solver is a name. The population runtimes that step under it
+(:mod:`repro.engine.runtime`) keep its evaluation and advance counters:
+Euler is the model's own discrete ``step``, one evaluation per advance;
+RKF45 is the one integrator here, :class:`~repro.solvers.rkf45.RKF45Stepper`.
 """
 
 from repro.errors import ConfigurationError
-from repro.solvers.base import Solver
-from repro.solvers.euler import EulerSolver
-from repro.solvers.rkf45 import RKF45Solver, rkf45_integrate
+from repro.solvers.rkf45 import rkf45_integrate
 
-__all__ = [
-    "SOLVER_NAMES",
-    "EulerSolver",
-    "RKF45Solver",
-    "Solver",
-    "canonical_solver_name",
-    "create_solver",
-    "rkf45_integrate",
-]
+__all__ = ["SOLVER_NAMES", "canonical_solver_name", "rkf45_integrate"]
 
 #: The Table I solver names, as spelled there.
-SOLVER_NAMES = (EulerSolver.name, RKF45Solver.name)
+SOLVER_NAMES = ("Euler", "RKF45")
 
 
 def canonical_solver_name(solver: str) -> str:
@@ -38,13 +33,3 @@ def canonical_solver_name(solver: str) -> str:
     raise ConfigurationError(
         f"unknown solver {solver!r} (choose from {', '.join(SOLVER_NAMES)})"
     )
-
-
-def create_solver(name: str) -> Solver:
-    """Instantiate a solver by its Table I name ('Euler' or 'RKF45')."""
-    lowered = name.lower()
-    if lowered == "euler":
-        return EulerSolver()
-    if lowered == "rkf45":
-        return RKF45Solver()
-    raise ValueError(f"unknown solver {name!r}; use 'Euler' or 'RKF45'")

@@ -13,10 +13,11 @@ shares in Figure 3.
 
 There is one integrator: :class:`RKF45Stepper`, an in-place stepper
 over a workspace allocated once. :func:`rkf45_integrate` (the
-functional form), :meth:`RKF45Solver.advance` (dict state, the oracle)
-and the engine's lowered path
-(:class:`~repro.engine.runtime.CompiledRuntime` under RKF45) all drive
-it, so the Fehlberg tableau and the step-size controller exist once.
+functional form) and both population runtimes under RKF45
+(:class:`~repro.engine.runtime.SolverRuntime`, dict state, the oracle;
+:class:`~repro.engine.runtime.CompiledRuntime`, the lowered path) all
+drive it, so the Fehlberg tableau and the step-size controller exist
+once.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import NumericsError, SimulationError
-from repro.models.base import NeuronModel, State
-from repro.solvers.base import Solver
 
 # Fehlberg's classic coefficients.
 _A = (
@@ -45,6 +44,11 @@ _C = tuple(sum(row) for row in _A)
 _B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 #: 4th-order weights (for the error estimate).
 _B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+
+#: The tolerances of a population step (:meth:`RKF45Stepper.integrate`'s
+#: defaults): both software runtimes integrate one ``dt`` per step.
+RTOL = 1e-5
+ATOL = 1e-8
 
 _SAFETY = 0.9
 _MIN_SCALE = 0.2
@@ -104,8 +108,8 @@ class RKF45Stepper:
         f: FlowFunction,
         t0: float,
         t1: float,
-        rtol: float = 1e-6,
-        atol: float = 1e-9,
+        rtol: float = RTOL,
+        atol: float = ATOL,
         h0: float = 0.0,
         max_steps: int = 10_000,
         members: Optional[Sequence[Tuple[str, int, int]]] = None,
@@ -291,63 +295,3 @@ def rkf45_integrate(
         flow, t0, t1, rtol=rtol, atol=atol, h0=h0, max_steps=max_steps
     )
     return stepper.y, evaluations
-
-
-class RKF45Solver(Solver):
-    """Adaptive RKF45 integration of a model's smooth dynamics.
-
-    Per simulation step: apply input jumps, integrate the continuous
-    part over ``dt`` adaptively, then run the fire/reset phase.
-    :meth:`advance` is the dict-state form — it copies the state into a
-    stepper workspace, evaluates ``model.derivatives`` on dict
-    snapshots, and copies the result back. It works for any model with
-    a continuous form and is the oracle the engine's lowering is
-    pinned against. Both drive one :class:`RKF45Stepper` step per
-    ``dt`` (``h0 = dt``) and count its evaluations into a solver; the
-    lowering charges each member of a fused block to its own.
-    """
-
-    name = "RKF45"
-
-    def __init__(self, rtol: float = 1e-5, atol: float = 1e-8):
-        super().__init__()
-        self.rtol = rtol
-        self.atol = atol
-        self._stepper: Optional[RKF45Stepper] = None
-
-    def advance(
-        self,
-        model: NeuronModel,
-        state: State,
-        inputs: np.ndarray,
-        dt: float,
-    ) -> np.ndarray:
-        model.apply_input_jumps(state, inputs)
-        names = tuple(state)
-        shape = (len(names),) + state[names[0]].shape
-        stepper = self._stepper
-        if stepper is None or stepper.y.shape != shape or stepper.names != names:
-            stepper = self._stepper = RKF45Stepper(shape, names)
-        for i, name in enumerate(names):
-            stepper.y[i] = state[name]
-
-        def rhs(_t: float, y: np.ndarray, out: np.ndarray) -> None:
-            deriv = model.derivatives(
-                {name: y[i] for i, name in enumerate(names)}
-            )
-            for i, name in enumerate(names):
-                out[i] = deriv.get(name, 0.0)
-
-        (evaluations,) = stepper.integrate(
-            rhs, 0.0, dt, rtol=self.rtol, atol=self.atol, h0=dt
-        )
-        self.evaluations += evaluations
-        self.advances += 1
-        for i, name in enumerate(names):
-            state[name][:] = stepper.y[i]
-        return model.fire_and_reset(state, dt)
-
-    def evaluations_per_step(self) -> float:
-        if self.advances == 0:
-            return 6.0  # one accepted substep minimum
-        return self.evaluations / self.advances

@@ -75,7 +75,7 @@ def test_rkf45_lowers_to_compiled_runtime():
     backend = ReferenceBackend("RKF45")
     backend.prepare(network)
     assert all(
-        isinstance(rt, CompiledRuntime) and rt.solver.name == "RKF45"
+        isinstance(rt, CompiledRuntime) and rt.solver == "RKF45"
         for rt in backend.runtimes.values()
     )
 

@@ -27,7 +27,6 @@ from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.reliability import Checkpoint
-from repro.solvers import EulerSolver, RKF45Solver, create_solver
 from repro.workloads import build_workload, get_spec, workload_names
 
 DT = 1e-4
@@ -92,8 +91,8 @@ def spread_start(model, n, rng):
 
 def _runtime_pair(model, n):
     return (
-        CompiledRuntime("p", n, model, RKF45Solver()),
-        SolverRuntime("p", n, model, RKF45Solver()),
+        CompiledRuntime("p", n, model, "RKF45"),
+        SolverRuntime("p", n, model, "RKF45"),
     )
 
 
@@ -122,8 +121,8 @@ class TestFlowPlanProperty:
         assert list(planned.state()) == list(oracle.state())
         for name, values in oracle.state().items():
             assert planned.state()[name].tobytes() == values.tobytes(), name
-        assert planned.solver.evaluations == oracle.solver.evaluations
-        assert planned.solver.advances == oracle.solver.advances == 50
+        assert planned.evaluations == oracle.evaluations
+        assert planned.advances == oracle.advances == 50
 
 
 class TestFlowPlanSelection:
@@ -155,9 +154,9 @@ class TestFlowPlanSelection:
         assert not supports_lowering(create_model("LLIF"), "RKF45")
         assert not supports_lowering(HodgkinHuxley(), "RKF45")
         with pytest.raises(SimulationError, match="cannot be lowered"):
-            CompiledRuntime("p", 3, create_model("LLIF"), RKF45Solver())
+            CompiledRuntime("p", 3, create_model("LLIF"), "RKF45")
         with pytest.raises(SimulationError, match="cannot be lowered"):
-            CompiledRuntime("p", 3, Tweaked(dlif.features), RKF45Solver())
+            CompiledRuntime("p", 3, Tweaked(dlif.features), "RKF45")
 
     def test_lowering_follows_the_solver(self):
         """LID lowers under Euler only; an overridden ``derivatives``
@@ -169,12 +168,12 @@ class TestFlowPlanSelection:
         llif = create_model("LLIF")
         assert supports_lowering(llif, "Euler")
         assert supports_lowering(Tweaked(llif.features), "Euler")
-        assert CompiledRuntime("p", 3, llif, EulerSolver()).kind == "compiled"
+        assert CompiledRuntime("p", 3, llif, "Euler").kind == "compiled"
         with pytest.raises(SimulationError, match="cannot be lowered under RKF45"):
-            CompiledRuntime("p", 3, llif, RKF45Solver())
+            CompiledRuntime("p", 3, llif, "RKF45")
 
     def test_cnt_is_state_but_not_integrated(self):
-        runtime = CompiledRuntime("p", 4, create_model("DLIF"), RKF45Solver())
+        runtime = CompiledRuntime("p", 4, create_model("DLIF"), "RKF45")
         state = runtime.state()
         assert list(state) == ["v", "g0", "g1", "cnt"]
         # v, g0 and g1 are rows of one stepper block; cnt is not.
@@ -182,7 +181,7 @@ class TestFlowPlanSelection:
         assert state["cnt"].base is not state["v"].base
 
     def test_wrong_input_shape_is_rejected(self):
-        runtime = CompiledRuntime("p", 4, create_model("DLIF"), RKF45Solver())
+        runtime = CompiledRuntime("p", 4, create_model("DLIF"), "RKF45")
         with pytest.raises(SimulationError, match="shape"):
             runtime.advance(np.zeros((2, 5)), DT)
 
@@ -262,7 +261,7 @@ class TestCheckpointAcrossPaths:
         assert tail.spikes.digest() == expected.spikes.digest()
         for name, runtime in uninterrupted.backend.runtimes.items():
             other = resumed.backend.runtimes[name]
-            assert other.solver.evaluations == runtime.solver.evaluations
+            assert other.evaluations == runtime.evaluations
             for variable, values in runtime.state().items():
                 assert other.state()[variable].tobytes() == values.tobytes()
 
@@ -283,7 +282,7 @@ def test_steady_state_advance_allocates_less_than_one_state_row(solver):
     32 kB at n = 4,000) fails here rather than in a benchmark."""
     n = 4000
     runtime = CompiledRuntime(
-        "p", n, create_model("AdEx_COBA"), create_solver(solver)
+        "p", n, create_model("AdEx_COBA"), solver
     )
     rng = np.random.default_rng(5)
     inputs = (rng.random((2, n)) < 0.1) * 0.05

@@ -35,7 +35,6 @@ from repro.network.stimulus import PoissonStimulus
 from repro.engine.runtime import CompiledRuntime
 from repro.frontend import build_simulation
 from repro.reliability import Checkpoint, NumericsGuard
-from repro.solvers import EulerSolver
 from repro.telemetry import MetricsRegistry
 from repro.workloads import build_workload, get_spec, spec_for, workload_names
 from tests.oracles.faults import FaultInjector
@@ -89,8 +88,8 @@ def _observed(simulator, saturation=True):
             "payload": _payload_bytes(runtime.snapshot()),
         }
         if isinstance(runtime, CompiledRuntime):
-            entry["advances"] = runtime.solver.advances
-            entry["evaluations"] = runtime.solver.evaluations
+            entry["advances"] = runtime.advances
+            entry["evaluations"] = runtime.evaluations
         if isinstance(runtime, HardwareRuntime):
             entry["cycles"] = getattr(runtime.neuron, "total_cycles", None)
             if saturation:
@@ -353,7 +352,7 @@ class TestSchedule:
                     population.name,
                     population.n,
                     population.model,
-                    EulerSolver(),
+                    "Euler",
                 )
 
         backend = PerPopulation()

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import CompiledRuntime, SolverRuntime
-from repro.errors import SimulationError
+from repro.engine.runtime import EXP_LIMIT
+from repro.errors import ConfigurationError, SimulationError
 from repro.features import Feature
+from repro.models import ModelParameters
 from repro.models.feature_model import FeatureModel
 from repro.models.registry import available_models, create_model
-from repro.solvers import EulerSolver, create_solver
 from tests.engine.test_flow_plan import feature_sets, parameters, spread_start
 
 DT = 1e-4
@@ -43,7 +44,7 @@ class TestBitIdentity:
         model = create_model(name)
         inputs = _drive(model, rng)
         reference_state = model.initial_state(N)
-        runtime = CompiledRuntime("p", N, model, EulerSolver())
+        runtime = CompiledRuntime("p", N, model, "Euler")
         for step in range(STEPS):
             fired_ref = model.step(reference_state, inputs[step], DT)
             fired_eng = runtime.advance(inputs[step], DT)
@@ -61,8 +62,8 @@ class TestBitIdentity:
     def test_matches_euler_solver_runtime(self, name, rng):
         model = create_model(name)
         inputs = _drive(model, rng, steps=100)
-        solver_rt = SolverRuntime("p", N, model, create_solver("Euler"))
-        compiled_rt = CompiledRuntime("p", N, model, EulerSolver())
+        solver_rt = SolverRuntime("p", N, model, "Euler")
+        compiled_rt = CompiledRuntime("p", N, model, "Euler")
         for step in range(100):
             fired_ref = solver_rt.advance(inputs[step], DT)
             fired_eng = compiled_rt.advance(inputs[step], DT)
@@ -82,8 +83,8 @@ class TestEulerKernelProperty:
         ``FeatureModel.step`` on dict state: every fired mask and state
         byte, from a spread-out start and across one ``dt`` change."""
         model = FeatureModel(features, parameters(n_types))
-        compiled = CompiledRuntime("p", n, model, EulerSolver())
-        oracle = SolverRuntime("p", n, model, create_solver("Euler"))
+        compiled = CompiledRuntime("p", n, model, "Euler")
+        oracle = SolverRuntime("p", n, model, "Euler")
         rng = np.random.default_rng(seed)
         start = spread_start(model, n, rng)
         compiled.load_state(start)
@@ -106,7 +107,7 @@ class TestEulerKernelProperty:
 class TestCompiledRuntimeContract:
     def test_rejects_unplannable_model(self):
         with pytest.raises(SimulationError):
-            CompiledRuntime("p", 4, create_model("HH"), EulerSolver())
+            CompiledRuntime("p", 4, create_model("HH"), "Euler")
 
     @staticmethod
     def _assert_tracks_euler(dts, rng):
@@ -116,8 +117,8 @@ class TestCompiledRuntimeContract:
         for name in PLANNABLE:
             model = create_model(name)
             inputs = _drive(model, rng, steps=len(dts))
-            compiled_rt = CompiledRuntime("p", N, model, EulerSolver())
-            solver_rt = SolverRuntime("p", N, model, create_solver("Euler"))
+            compiled_rt = CompiledRuntime("p", N, model, "Euler")
+            solver_rt = SolverRuntime("p", N, model, "Euler")
             for step, dt in enumerate(dts):
                 fired_ref = solver_rt.advance(inputs[step], dt)
                 fired_eng = compiled_rt.advance(inputs[step], dt)
@@ -140,13 +141,13 @@ class TestCompiledRuntimeContract:
         self._assert_tracks_euler([DT] * 30 + [2 * DT] * 30 + [DT] * 30, rng)
 
     def test_shape_mismatch_raises(self):
-        runtime = CompiledRuntime("p", 4, create_model("LIF"), EulerSolver())
+        runtime = CompiledRuntime("p", 4, create_model("LIF"), "Euler")
         with pytest.raises(SimulationError):
             runtime.advance(np.zeros((2, 5)), DT)
 
     def test_state_views_are_live(self):
         model = create_model("AdEx_COBA")
-        runtime = CompiledRuntime("p", 8, model, EulerSolver())
+        runtime = CompiledRuntime("p", 8, model, "Euler")
         state = runtime.state()
         rng = np.random.default_rng(0)
         inputs = _drive(model, rng, steps=20, n=8)
@@ -158,7 +159,7 @@ class TestCompiledRuntimeContract:
 
     def test_load_state_round_trips(self):
         model = create_model("IF_cond_exp_gsfa_grr")
-        runtime = CompiledRuntime("p", 8, model, EulerSolver())
+        runtime = CompiledRuntime("p", 8, model, "Euler")
         snapshot = {
             name: np.random.default_rng(1).normal(size=8)
             for name in runtime.state()
@@ -168,8 +169,21 @@ class TestCompiledRuntimeContract:
             assert np.array_equal(runtime.state()[name], values)
 
     def test_counts_advances(self):
-        runtime = CompiledRuntime("p", 4, create_model("LIF"), EulerSolver())
+        runtime = CompiledRuntime("p", 4, create_model("LIF"), "Euler")
         for _ in range(7):
             runtime.advance(np.zeros((2, 4)), DT)
-        assert runtime.solver.advances == 7
+        assert runtime.advances == 7
         assert runtime.evaluations_per_step() == 1.0
+
+    @pytest.mark.parametrize("runtime_class", [CompiledRuntime, SolverRuntime])
+    @pytest.mark.parametrize("solver", ["Euler", "RKF45"])
+    def test_an_exi_exponent_past_float64_is_refused(self, runtime_class, solver):
+        # exi_cap = (v_theta - theta) / delta_t + 2 must stay within
+        # float64's exp; the error offers the smallest delta_t that does.
+        narrow = create_model("EIF", ModelParameters(delta_t=0.001))
+        with pytest.raises(ConfigurationError, match=r"delta_t >= 0\.00142"):
+            runtime_class("eif", 2, narrow, solver)
+        for delta_t in (0.00142, 0.133):
+            model = create_model("EIF", ModelParameters(delta_t=delta_t))
+            assert model.parameters.exi_cap <= EXP_LIMIT
+            runtime_class("eif", 2, model, solver)

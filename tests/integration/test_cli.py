@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,62 @@ class TestFrontendCommands:
         assert captured.err.startswith("error: ") and needle in captured.err
         assert "population 'p'" in captured.err
         assert captured.err.count("\n") == 1
+
+
+    @staticmethod
+    def _narrow_eif_spec(backend, **extra):
+        """An LIF population beside an EIF one whose ``delta_t`` is too
+        narrow for its constants (``1 / delta_t = 1000``)."""
+        return {
+            "backend": backend,
+            **extra,
+            "populations": [
+                {"name": "lif", "n": 10, "model": "LIF"},
+                {"name": "eif", "n": 10, "model": "EIF",
+                 "parameters": {"delta_t": 0.001}},
+            ],
+            "stimuli": [
+                {"kind": "poisson", "target": target, "rate_hz": 100.0,
+                 "weight": 0.4, "n_sources": 50, "syn_type": 0}
+                for target in ("lif", "eif")
+            ],
+        }
+
+    @pytest.mark.parametrize("backend", ["flexon", "folded", "event-driven", "hybrid"])
+    def test_a_constant_outside_the_format_names_its_population(
+        self, tmp_path, capsys, backend
+    ):
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(self._narrow_eif_spec(backend)))
+        assert main(["simulate", str(path), "--steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: population 'eif': model 'EIF': constants outside Q9.22"
+        )
+        assert "inv_delta_t = 1000" in captured.err
+        assert "'lif'" not in captured.err
+
+    @pytest.mark.parametrize("backend", ["reference", "solver"])
+    @pytest.mark.parametrize("solver", ["Euler", "RKF45"])
+    def test_an_exi_exponent_past_float64_is_refused(
+        self, tmp_path, capsys, backend, solver
+    ):
+        # exi_cap = 1 / 0.001 + 2 = 1002 > log(float64 max) = 709.78: Euler
+        # overflowed exp (a RuntimeWarning, then spikes placed by the
+        # overflow), RKF45 a NumericsError mid-run.
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(self._narrow_eif_spec(backend, solver=solver)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path), "--steps", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: population 'eif': model 'EIF'")
+        assert "delta_t = 0.001" in captured.err
+        assert "delta_t >= 0.00142" in captured.err
 
 
 class TestTelemetryCli:

@@ -1,4 +1,6 @@
-"""Tests for the Euler and RKF45 solvers."""
+"""Tests for the Euler and RKF45 solvers: their names, the RKF45
+integrator, and the dict-state runtime that steps a population under
+either (``SolverRuntime(name, n, model, "Euler" | "RKF45")``)."""
 
 import numpy as np
 import pytest
@@ -12,21 +14,32 @@ from repro.models.feature_model import FeatureModel
 from repro.features import Feature, FeatureSet
 from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
-from repro.solvers import EulerSolver, RKF45Solver, create_solver
+from repro.solvers import SOLVER_NAMES, canonical_solver_name
 from repro.solvers.rkf45 import RKF45Stepper, rkf45_integrate
 
 DT = 1e-4
 
 
+def _runtime(model, n, solver):
+    """One population of ``model`` on the dict-state runtime."""
+    return SolverRuntime("p", n, model, solver)
+
+
 class TestCreateSolver:
+    """A solver is chosen by its Table I name."""
+
     def test_names(self):
-        assert create_solver("Euler").name == "Euler"
-        assert create_solver("RKF45").name == "RKF45"
-        assert create_solver("euler").name == "Euler"
+        assert SOLVER_NAMES == ("Euler", "RKF45")
+        assert canonical_solver_name("Euler") == "Euler"
+        assert canonical_solver_name("RKF45") == "RKF45"
+        assert canonical_solver_name("euler") == "Euler"
+        assert _runtime(create_model("LIF"), 1, "rkf45").solver == "RKF45"
 
     def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            create_solver("RK4")
+        with pytest.raises(ConfigurationError, match="Euler, RKF45"):
+            canonical_solver_name("RK4")
+        with pytest.raises(ConfigurationError, match="'RK4'"):
+            _runtime(create_model("LIF"), 1, "RK4")
 
     @pytest.mark.parametrize(
         "construct",
@@ -48,33 +61,35 @@ class TestCreateSolver:
         assert HybridBackend(solver="EULER").solver_name == "Euler"
 
 
+@pytest.mark.parametrize("solver, default", [("Euler", 1.0), ("RKF45", 6.0)])
+def test_evaluations_per_step_before_the_first_step(solver, default):
+    # One step's minimum, for the cost models, before any step is taken.
+    for model in ("LIF", "AdEx"):
+        runtime = _runtime(create_model(model), 2, solver)
+        assert runtime.evaluations_per_step() == default
+        compiled = CompiledRuntime("p", 2, create_model(model), solver)
+        assert compiled.evaluations_per_step() == default
+
+
 class TestEulerSolver:
+    """Euler on the dict-state runtime is the model's own ``step``."""
+
     def test_counts_one_evaluation_per_step(self):
-        solver = EulerSolver()
-        model = create_model("LIF")
-        state = model.initial_state(3)
+        runtime = _runtime(create_model("LIF"), 3, "Euler")
         for _ in range(10):
-            solver.advance(model, state, np.zeros((2, 3)), DT)
-        assert solver.evaluations_per_step() == 1.0
-        assert solver.evaluations == 10
+            runtime.advance(np.zeros((2, 3)), DT)
+        assert runtime.evaluations_per_step() == 1.0
+        assert (runtime.evaluations, runtime.advances) == (10, 10)
 
     def test_matches_model_step(self):
         model = create_model("LIF")
-        solver = EulerSolver()
-        state_a = model.initial_state(2)
+        runtime = _runtime(model, 2, "Euler")
         state_b = model.initial_state(2)
         inputs = np.full((2, 2), 10.0)
-        fired_a = solver.advance(model, state_a, inputs.copy(), DT)
+        fired_a = runtime.advance(inputs.copy(), DT)
         fired_b = model.step(state_b, inputs.copy(), DT)
         np.testing.assert_array_equal(fired_a, fired_b)
-        np.testing.assert_array_equal(state_a["v"], state_b["v"])
-
-    def test_reset_counters(self):
-        solver = EulerSolver()
-        solver.advance(create_model("LIF"), create_model("LIF").initial_state(1), np.zeros((2, 1)), DT)
-        solver.reset_counters()
-        assert solver.evaluations == 0
-        assert solver.evaluations_per_step() == 1.0
+        np.testing.assert_array_equal(runtime.state()["v"], state_b["v"])
 
 
 class TestRKF45Integrate:
@@ -206,60 +221,56 @@ class TestRKF45Integrate:
 
 
 class TestRKF45Solver:
+    """RKF45 on the dict-state runtime: input jumps, the stepper over
+    ``model.derivatives``, then ``model.fire_and_reset``."""
+
     def test_lif_cub_jumps_drive_firing(self):
         # In the continuous formulation CUB inputs are instantaneous
         # jumps: accumulating 0.4 per step crosses threshold quickly.
-        model = create_model("LIF", ModelParameters(tau=20e-3))
-        state = model.initial_state(1)
-        rkf = RKF45Solver()
+        runtime = _runtime(create_model("LIF", ModelParameters(tau=20e-3)), 1, "RKF45")
         inputs = np.zeros((2, 1))
         inputs[0, 0] = 0.4
-        fired_any = any(
-            rkf.advance(model, state, inputs.copy(), DT)[0]
-            for _ in range(30)
-        )
+        fired_any = any(runtime.advance(inputs.copy(), DT)[0] for _ in range(30))
         assert fired_any
 
     def test_decay_only_agreement(self):
         model = create_model("LIF", ModelParameters(tau=20e-3))
-        euler_state = model.initial_state(1)
-        rkf_state = model.initial_state(1)
-        euler_state["v"][:] = 0.8
-        rkf_state["v"][:] = 0.8
-        euler = EulerSolver()
-        rkf = RKF45Solver()
+        euler = _runtime(model, 1, "Euler")
+        rkf = _runtime(model, 1, "RKF45")
+        euler.state()["v"][:] = 0.8
+        rkf.state()["v"][:] = 0.8
         zeros = np.zeros((2, 1))
         for _ in range(100):
-            euler.advance(model, euler_state, zeros.copy(), DT)
-            rkf.advance(model, rkf_state, zeros.copy(), DT)
+            euler.advance(zeros.copy(), DT)
+            rkf.advance(zeros.copy(), DT)
         # Both approximate 0.8 exp(-t/tau); Euler carries O(dt) error.
         exact = 0.8 * np.exp(-100 * DT / 20e-3)
-        assert rkf_state["v"][0] == pytest.approx(exact, rel=1e-5)
-        assert euler_state["v"][0] == pytest.approx(exact, rel=1e-2)
+        assert rkf.state()["v"][0] == pytest.approx(exact, rel=1e-5)
+        assert euler.state()["v"][0] == pytest.approx(exact, rel=1e-2)
 
     def test_counts_evaluations(self):
-        model = create_model("AdEx")
-        solver = RKF45Solver()
-        state = model.initial_state(2)
+        runtime = _runtime(create_model("AdEx"), 2, "RKF45")
         for _ in range(5):
-            solver.advance(model, state, np.zeros((2, 2)), DT)
-        assert solver.evaluations_per_step() >= 6.0
+            runtime.advance(np.zeros((2, 2)), DT)
+        assert runtime.advances == 5
+        assert runtime.evaluations % 6 == 0
+        assert runtime.evaluations_per_step() >= 6.0
 
     def test_fires_and_resets(self):
-        model = create_model("LIF")
-        solver = RKF45Solver()
-        state = model.initial_state(1)
-        state["v"][:] = 1.5  # above threshold
-        fired = solver.advance(model, state, np.zeros((2, 1)), DT)
+        runtime = _runtime(create_model("LIF"), 1, "RKF45")
+        runtime.state()["v"][:] = 1.5  # above threshold
+        fired = runtime.advance(np.zeros((2, 1)), DT)
         assert fired[0]
-        assert state["v"][0] == 0.0
+        assert runtime.state()["v"][0] == 0.0
 
     def test_lid_has_no_continuous_form(self):
-        # Solver level: the model refuses to produce derivatives.
+        # Model level: LLIF refuses to produce derivatives.
         model = create_model("LLIF")
-        solver = RKF45Solver()
         with pytest.raises(NotImplementedError):
-            solver.advance(model, model.initial_state(1), np.zeros((2, 1)), DT)
+            model.derivatives(model.initial_state(1))
+        # Runtime level: refused when built, before step 0.
+        with pytest.raises(ConfigurationError, match="'p': model 'LLIF'"):
+            _runtime(model, 1, "RKF45")
         # Backend level: rejected at prepare(), naming what to change.
         network = Network("lid")
         network.add_population("leaky", 4, "LLIF")
@@ -301,23 +312,22 @@ class TestRKF45Solver:
             backend.advance("pop", inputs, DT)
         backend.state_of("pop")["g1"][[7, 31]] = np.nan
         runtime = backend.runtimes["pop"]
-        before = runtime.solver.evaluations
+        before = runtime.evaluations
         with pytest.raises(NumericsError) as info:
             backend.advance("pop", inputs, DT)
         error = info.value
         assert (error.population, error.step, error.variable) == ("pop", 3, "g1")
         assert error.indices == (7, 31)
         assert "'pop'" in str(error) and "step 3" in str(error)
-        assert runtime.solver.evaluations == before  # nothing charged
+        assert runtime.evaluations == before  # nothing charged
         assert type(runtime) is (CompiledRuntime if use_engine else SolverRuntime)
 
     def test_conductance_jump_goes_to_g(self):
         model = FeatureModel(
             FeatureSet([Feature.EXD, Feature.COBE]), ModelParameters()
         )
-        solver = RKF45Solver()
-        state = model.initial_state(1)
+        runtime = _runtime(model, 1, "RKF45")
         inputs = np.zeros((2, 1))
         inputs[0, 0] = 0.5
-        solver.advance(model, state, inputs, DT)
-        assert state["g0"][0] > 0.4  # jumped then decayed slightly
+        runtime.advance(inputs, DT)
+        assert runtime.state()["g0"][0] > 0.4  # jumped then decayed slightly
