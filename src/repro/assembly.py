@@ -38,11 +38,9 @@ DT = 1e-4
 #: Every backend name the repo knows. ``solver`` is the dict-state
 #: reference path (``ReferenceBackend(use_engine=False)``), the oracle
 #: the engine is pinned against.
-BACKENDS = (
-    "reference", "solver", "flexon", "folded", "event-driven", "hybrid",
-)
+BACKENDS = ("reference", "solver", "flexon", "folded", "hybrid")
 #: The fixed-point backends: their datapaths have no software solver.
-NO_SOLVER_BACKENDS = ("flexon", "folded", "event-driven")
+NO_SOLVER_BACKENDS = ("flexon", "folded")
 
 
 def make_backend(name: str, dt: float = DT, solver: str = "Euler"):
@@ -59,10 +57,6 @@ def make_backend(name: str, dt: float = DT, solver: str = "Euler"):
         from repro.hardware.backend import FoldedFlexonBackend
 
         return FoldedFlexonBackend(dt)
-    if name == "event-driven":
-        from repro.hardware.event_driven import EventDrivenFlexonBackend
-
-        return EventDrivenFlexonBackend(dt)
     if name == "hybrid":
         from repro.hardware.backend import HybridBackend
 

@@ -17,12 +17,6 @@ Subcommands:
     Telemetry: ``--trace OUT.json`` writes a Perfetto/chrome://tracing
     timeline, ``--stats-json PATH`` dumps the run's statistics (its
     ``metrics`` block is the whole metrics registry) as JSON.
-    ``--serve SPEC`` (``PORT``, ``:PORT`` or ``HOST:PORT``; port 0
-    picks an ephemeral port, written to ``--serve-port-file`` for
-    scripts) serves ``/metrics``, ``/healthz``, ``/readyz``,
-    ``/status`` and (with the ledger on) ``/runs`` while the run (or
-    ``sweep``) executes and for ``--serve-linger`` seconds after
-    (``inf`` = until Ctrl-C).
     SIGINT/SIGTERM stop the run gracefully at the next step boundary:
     a final checkpoint is written, partial statistics land in
     ``--stats-json`` (marked ``"partial": true``), and the process
@@ -59,8 +53,8 @@ Subcommands:
 seed, dt, solver)`` becomes the workload's front-end spec, which
 :func:`repro.frontend.build_simulation` turns into a seeded simulator
 (the spec is also what a checkpoint is matched against), and
-:class:`repro.runcontext.RunContext` brings the observability plane up
-before the work and writes the artifacts and the ledger entry after it.
+:class:`repro.runcontext.RunContext` checks the output paths before the
+work and writes the artifacts and the ledger entry after it.
 Throughput, per-phase latency and telemetry overhead are measured by
 ``python3 bench/run.py`` (``BENCHMARK.json``), not by a subcommand.
 """
@@ -214,8 +208,11 @@ def _cmd_run(args) -> int:
             run_id=ctx.run_id,
         )
         hooks.append(trace_hook)
-    hooks.extend(ctx.attach(simulator))
-    ctx.serve("run")
+    metrics = None
+    if args.stats_json:
+        from repro.telemetry import MetricsRegistry
+
+        metrics = MetricsRegistry()
     checkpoints = CheckpointHook(
         simulator, args.checkpoint_path, every=args.checkpoint_every
     )
@@ -224,7 +221,7 @@ def _cmd_run(args) -> int:
     try:
         with graceful_signals(checkpoints):
             result = simulator.run(
-                remaining, hooks=hooks, spikes=spikes, metrics=ctx.metrics
+                remaining, hooks=hooks, spikes=spikes, metrics=metrics
             )
     except RunInterrupted as stop:
         print(
@@ -308,7 +305,6 @@ def _cmd_sweep(args) -> int:
     for name in names:
         get_spec(name)  # fail fast on unknown workloads, before any build
     ctx = RunContext(args, "sweep")
-    ctx.serve("sweep")
     print(f"sweep run ID: {ctx.run_id}")
     print(f"running {len(names)} job(s) on backend {args.backend!r}")
     jobs = []
@@ -318,11 +314,9 @@ def _cmd_sweep(args) -> int:
         job = {"name": name, "backend": args.backend}
         try:
             simulator = _simulator(args, name)
-            hooks = [NumericsGuard(simulator.backend), *ctx.attach(simulator)]
-            # No ``metrics=``: the registry outlives this job, and the
-            # next workload's smaller per-population totals would read
-            # as a counter going backwards.
-            result = simulator.run(args.steps, hooks=hooks)
+            result = simulator.run(
+                args.steps, hooks=[NumericsGuard(simulator.backend)]
+            )
         except ReproError as error:
             print(f"job {name!r} failed: {error}")
             job.update(outcome="failed", error=str(error))
@@ -604,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="dump phase stats, counters, diagnostics and metrics as JSON",
     )
-    _add_serve_flags(run)
     _add_ledger_flags(run)
 
     sweep = sub.add_parser(
@@ -627,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the sweep report (repro-sweep/2: per-job outcome, "
         "spike digest and run statistics) as JSON",
     )
-    _add_serve_flags(sweep)
     _add_ledger_flags(sweep)
 
     experiment = sub.add_parser(
@@ -726,29 +718,6 @@ def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
         "--no-ledger",
         action="store_true",
         help="do not record this invocation in the run ledger",
-    )
-
-
-def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--serve",
-        default=None,
-        metavar="SPEC",
-        help="serve the live observability plane while running: PORT, "
-        ":PORT or HOST:PORT (port 0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--serve-port-file",
-        default=None,
-        metavar="PATH",
-        help="write the bound port here once serving (for scripts)",
-    )
-    parser.add_argument(
-        "--serve-linger",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="keep the plane serving this long after the work finishes",
     )
 
 

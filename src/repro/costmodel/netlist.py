@@ -28,19 +28,12 @@ from repro.hardware.datapaths import (
     QdiPath,
     RevPath,
     SbtPath,
+    merge_inventories,
 )
 
 
 def _scale(inventory: Inventory, factor: int) -> Inventory:
     return {unit: count * factor for unit, count in inventory.items()}
-
-
-def _merge(*inventories: Inventory) -> Inventory:
-    total: Inventory = {}
-    for inventory in inventories:
-        for unit, count in inventory.items():
-            total[unit] = total.get(unit, 0) + count
-    return total
 
 
 def datapath_inventories() -> Dict[str, Inventory]:
@@ -51,29 +44,29 @@ def datapath_inventories() -> Dict[str, Inventory]:
     """
     out: Dict[str, Inventory] = {}
     for path in ALL_DATAPATHS:
-        inventory = _merge(path.unit_inventory(), {"reg": 1})
+        inventory = merge_inventories(path.unit_inventory(), {"reg": 1})
         if path is ArPath:
-            inventory = _merge(inventory, {"cnt": 1})
+            inventory = merge_inventories(inventory, {"cnt": 1})
         out[path.name] = inventory
     return out
 
 
 def flexon_inventory(n_synapse_types: int = 2) -> Inventory:
     """The complete baseline Flexon neuron (Figure 10)."""
-    per_type = _merge(
+    per_type = merge_inventories(
         # COBA embeds COBE, so one COBA instance provides both kernels.
         CobaPath.unit_inventory(),
         RevPath.unit_inventory(),
         {"mux": 1, "reg": 1},  # kernel-select MUX + gating latch
     )
-    spike_triggered = _merge(
+    spike_triggered = merge_inventories(
         # SBT embeds the ADT decay sub-path; RR reuses it and adds the
         # r decay plus the two reversal couplings (Section IV-B2).
         SbtPath.unit_inventory(),
         {"mul": 3, "add": 2},  # RR's additions beyond the shared sub-path
         {"mux": 1, "reg": 2},
     )
-    spike_initiation = _merge(
+    spike_initiation = merge_inventories(
         QdiPath.unit_inventory(),
         ExiPath.unit_inventory(),
         {"mux": 1, "reg": 2},  # QDI/EXI select; EXI critical-path latch
@@ -84,7 +77,7 @@ def flexon_inventory(n_synapse_types: int = 2) -> Inventory:
         "mux": 3,  # reset MUX, decay select, accumulation select
         "reg": 6,  # input/output latches
     }
-    return _merge(
+    return merge_inventories(
         CubExdLidPath.unit_inventory(),
         _scale(per_type, n_synapse_types),
         spike_triggered,

@@ -5,7 +5,7 @@ that actually advances neuron state. It has two parts:
 
 * :mod:`repro.engine.runtime` — ``PopulationRuntime``: the common
   execution interface every backend (reference, Flexon, folded,
-  event-driven, hybrid) steps populations through. ``CompiledRuntime``
+  hybrid) steps populations through. ``CompiledRuntime``
   lowers a feature model's ``FeatureSet`` + ``ModelParameters`` +
   ``dt`` into in-place kernels over one state block, under Euler or
   RKF45 (``supports_lowering`` says which models lower);

@@ -442,7 +442,7 @@ class CompiledRuntime(_SoftwareRuntime):
         fired = np.empty(n, dtype=bool)
         threshold, reset_voltage = f.threshold(p), p.reset_voltage
         b, q_r = p.b, p.q_r
-        cnt_reload = float(p.refractory_steps(dt))
+        cnt_reload = float(p.derived(dt).cnt_reload)
 
         def step(inputs: np.ndarray) -> np.ndarray:
             # 1. absolute refractory gates the inputs of silenced neurons

@@ -39,14 +39,12 @@ from repro.hardware.backend import (
     HardwareRuntime,
     HybridBackend,
 )
-from repro.hardware.event_driven import EventDrivenFlexonBackend
 
 __all__ = [
     "AOperand",
     "BOperand",
     "CompiledModel",
     "ControlSignal",
-    "EventDrivenFlexonBackend",
     "FlexonArray",
     "FlexonBackend",
     "FlexonCompiler",

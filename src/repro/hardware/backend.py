@@ -202,7 +202,6 @@ class _HardwareBackendBase(RuntimeBackend):
 
     folded = False
     compiler = FlexonCompiler()
-    runtime_class = HardwareRuntime
 
     def __init__(self, dt: float = 1e-4):
         super().__init__()
@@ -219,7 +218,7 @@ class _HardwareBackendBase(RuntimeBackend):
             raise ConfigurationError(
                 f"population {population.name!r}: model {model.name!r}: {error}"
             ) from error
-        return self.runtime_class(
+        return HardwareRuntime(
             population.name, population.n, compiled, self.dt, self.folded
         )
 

@@ -25,7 +25,8 @@ from repro.hardware.constants import NeuronConstants
 Inventory = Dict[str, int]
 
 
-def _merge(*inventories: Inventory) -> Inventory:
+def merge_inventories(*inventories: Inventory) -> Inventory:
+    """The unit-by-unit sum of ``inventories``."""
     total: Inventory = {}
     for inventory in inventories:
         for unit, count in inventory.items():
@@ -124,7 +125,9 @@ class CobaPath(DataPath):
     @classmethod
     def unit_inventory(cls) -> Inventory:
         # The embedded COBE path plus the y update and the ramp multiply.
-        return _merge(CobePath.unit_inventory(), {"mul": 2, "add": 1})
+        return merge_inventories(
+            CobePath.unit_inventory(), {"mul": 2, "add": 1}
+        )
 
 
 class RevPath(DataPath):
@@ -227,7 +230,9 @@ class SbtPath(DataPath):
 
     @classmethod
     def unit_inventory(cls) -> Inventory:
-        return _merge(AdtPath.unit_inventory(), {"mul": 1, "add": 1})
+        return merge_inventories(
+            AdtPath.unit_inventory(), {"mul": 1, "add": 1}
+        )
 
 
 class ArPath(DataPath):

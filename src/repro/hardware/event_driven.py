@@ -16,21 +16,17 @@ name their state rows alike) that classifies each neuron as active or
 idle per step and accumulates the activity factor;
 :func:`event_driven_power` scales a design's dynamic power by it. The
 skip-is-identity invariant is verified by tests, so counting (rather
-than literally skipping) is a sound energy model.
-:class:`EventDrivenFlexonBackend` runs every population on such a
-runtime, so whole-workload activity factors can be measured with the
-ordinary three-phase simulator.
+than literally skipping) is a sound energy model. The ``event_driven``
+artefact (:mod:`repro.experiments.event_driven`) drives one such
+runtime directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
-from repro.errors import CheckpointError
 from repro.features import Feature, FeatureSet
-from repro.hardware.backend import HardwareRuntime, _HardwareBackendBase
+from repro.hardware.backend import HardwareRuntime
 from repro.hardware.flexon import FlexonNeuron
 
 
@@ -72,12 +68,9 @@ class EventDrivenRuntime(HardwareRuntime):
     the run — the quantity :func:`event_driven_power` consumes.
     """
 
-    #: Updates classified active, and in all, over the run: checkpointed
-    #: beside the register file so a resumed run reports the activity
-    #: factor of the whole run.
+    #: Updates classified active, and in all, over the run.
     active_updates = 0
     total_updates = 0
-    COUNTERS = ("active_updates", "total_updates")
 
     def _step_neuron(self, raw: np.ndarray) -> np.ndarray:
         idle = idle_mask(self.neuron, raw)
@@ -91,60 +84,6 @@ class EventDrivenRuntime(HardwareRuntime):
         if self.total_updates == 0:
             return 1.0
         return self.active_updates / self.total_updates
-
-    def snapshot(self) -> Dict[str, object]:
-        payload = super().snapshot()
-        for counter in self.COUNTERS:
-            payload[counter] = getattr(self, counter)
-        return payload
-
-    def restore(self, payload: Dict[str, object]) -> None:
-        missing = [counter for counter in self.COUNTERS if counter not in payload]
-        if missing:
-            raise CheckpointError(
-                f"cannot restore {self.name!r}: the event-driven payload "
-                f"has no {' or '.join(missing)} count"
-            )
-        super().restore(payload)
-        for counter in self.COUNTERS:
-            setattr(self, counter, int(payload[counter]))
-
-    def publish_metrics(self, metrics) -> None:
-        super().publish_metrics(metrics)
-        labels = {"population": self.name}
-        metrics.gauge(
-            "event_driven_activity_factor",
-            "Fraction of neuron updates that actually needed computing.",
-            labels,
-        ).set(self.activity_factor)
-        metrics.counter(
-            "event_driven_active_updates_total",
-            "Neuron updates classified as active (not skippable).",
-            labels,
-        ).set_total(self.active_updates)
-        metrics.counter(
-            "event_driven_total_updates_total",
-            "Neuron updates classified as active or idle.",
-            labels,
-        ).set_total(self.total_updates)
-
-
-class EventDrivenFlexonBackend(_HardwareBackendBase):
-    """Flexon backend that tracks per-population activity factors.
-
-    Spike trains are bit-identical to :class:`~repro.hardware.backend.
-    FlexonBackend` / :class:`~repro.hardware.backend.FoldedFlexonBackend`
-    (classification is observation-only); on top it reports which
-    fraction of neuron updates actually needed computing — the
-    event-driven energy model of the paper's LLIF discussion.
-    """
-
-    name = "event-driven-flexon"
-    runtime_class = EventDrivenRuntime
-
-    def block_key(self, population):
-        # One activity factor per population.
-        return None
 
 
 def event_driven_power(

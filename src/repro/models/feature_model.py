@@ -257,7 +257,7 @@ class FeatureModel(NeuronModel):
         if Feature.AR in f:
             cnt = state["cnt"]
             np.maximum(cnt - 1.0, 0.0, out=cnt)
-            cnt[fired] = float(p.refractory_steps(dt))
+            cnt[fired] = float(p.derived(dt).cnt_reload)
         return fired
 
     # -- cost-model introspection -------------------------------------------

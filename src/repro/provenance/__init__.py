@@ -4,8 +4,7 @@
 torn-line-tolerant record of every ``repro run`` / ``sweep`` (and of
 the retired ``profile``): run id, config digest, seed, backend, spike digest,
 outcome, duration, metrics snapshot and artifact paths. Queried by
-``repro runs list|show|diff`` and served as ``GET /runs`` on the
-observability plane.
+``repro runs list|show|diff``.
 """
 
 from repro.provenance.ledger import (

@@ -196,7 +196,7 @@ def diff_entries(a: dict, b: dict) -> List[Tuple[str, object, object]]:
 
 
 def summarize_entry(entry: dict) -> dict:
-    """Compact row for ``repro runs list`` and ``GET /runs``."""
+    """Compact row for ``repro runs list``."""
     digest = entry.get("spike_digest")
     return {
         "run_id": entry.get("run_id"),
@@ -227,7 +227,7 @@ def newest_first(
 def runs_document(
     entries: Sequence[dict], limit: Optional[int] = None
 ) -> dict:
-    """The ``GET /runs`` payload: newest first, summaries only."""
+    """The ``repro runs list`` table: newest first, summaries only."""
     return {
         "schema": LEDGER_SCHEMA,
         "n_runs": len(entries),

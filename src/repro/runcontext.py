@@ -1,17 +1,14 @@
-"""RunContext: one command invocation's plane, brought up and written out.
+"""RunContext: one command invocation's artifacts, checked and written.
 
 ``repro run`` and ``repro sweep`` differ in *what steps* — one
 ``Simulator.run`` or a loop of them — and share everything around it,
 in this order:
 
-**Bring-up** (construction, :meth:`~RunContext.attach` per simulator,
-:meth:`~RunContext.serve`): run id → metrics registry (only when a flag
-will read it) → ``StatusBoard`` (``--serve``) → ``ServeHook`` on each
-simulator → the HTTP plane.
+**Bring-up** (construction): a run id, and every output path's
+directory checked before the banner.
 
 **Write-out** (:meth:`~RunContext.write_out`): ``--stats-json`` →
-``--trace`` → one ledger entry built from the command's config dict →
-linger, then stop the plane.
+``--trace`` → one ledger entry built from the command's config dict.
 
 **Interrupts** (``repro run``): :func:`graceful_signals` turns
 SIGINT/SIGTERM into ``CheckpointHook.request``; the hook stops the run
@@ -28,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import signal
 import sys
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import RunInterrupted
 
@@ -39,7 +36,7 @@ EXIT_CODES: Dict[str, int] = {"SIGINT": 130, "SIGTERM": 143}
 
 
 class RunContext:
-    """The observability plane and artifact writers of one invocation.
+    """The artifact writers of one invocation.
 
     ``args`` is the parsed command line; flags a command does not define
     read as unset.
@@ -51,38 +48,10 @@ class RunContext:
         self.args = args
         self.kind = kind
         self.run_id = new_run_id()
-        self.metrics = self.status = self.server = self._simulator = None
-        serve = self._flag("serve")
-        self._check_serve_flags()
         self._check_output_dirs()
-        if serve or self._flag("stats_json"):
-            from repro.telemetry import MetricsRegistry
-
-            self.metrics = MetricsRegistry()
-        if serve:
-            from repro.observability.server import StatusBoard
-
-            self.status = StatusBoard(state="starting")
 
     def _flag(self, name: str):
         return getattr(self.args, name, None)
-
-    def _check_serve_flags(self) -> None:
-        """Refuse serve flags the run would ignore, before the banner."""
-        from repro.errors import ConfigurationError
-
-        linger = self._flag("serve_linger") or 0.0
-        if not linger >= 0:
-            raise ConfigurationError(
-                f"--serve-linger must be >= 0 seconds, got {linger:g}"
-            )
-        port_file = self._flag("serve_port_file")
-        if not self._flag("serve") and (port_file or linger):
-            flag = "--serve-port-file" if port_file else "--serve-linger"
-            raise ConfigurationError(
-                f"{flag} only applies with --serve (there is no plane "
-                "to serve)"
-            )
 
     def _check_output_dirs(self) -> None:
         """Refuse an output path whose directory is missing, before the
@@ -104,54 +73,6 @@ class RunContext:
     def ledger_path(self) -> Optional[str]:
         """The ledger file this invocation records to (None = disabled)."""
         return None if self._flag("no_ledger") else self._flag("ledger")
-
-    # -- bring-up ----------------------------------------------------------
-
-    def attach(self, simulator) -> List:
-        """The plane's hooks for a ``Simulator.run`` (may be empty)."""
-        self._simulator = simulator
-        if self.status is None:
-            return []
-        from repro.observability.hooks import ServeHook
-
-        return [ServeHook(self.status, metrics=self.metrics)]
-
-    def _runtime_health(self) -> Tuple[bool, str]:
-        """``/healthz``: every runtime of the latest attached simulator
-        finite (healthy before the first one is attached)."""
-        backend = getattr(self._simulator, "backend", None)
-        for name, runtime in getattr(backend, "runtimes", {}).items():
-            bad = runtime.health()
-            if bad is not None:
-                variable, indices = bad
-                return False, (
-                    f"population {name!r}: {variable} non-finite or "
-                    f"divergent in {len(indices)} neuron(s)"
-                )
-        return True, ""
-
-    def serve(self, what) -> None:
-        """Start the HTTP plane behind ``--serve`` (no-op without it).
-
-        ``what`` names the work in the ``/readyz`` message; ``/healthz``
-        probes the attached simulator's runtimes.
-        """
-        if self.status is None:
-            return
-        from repro.observability.plane import start_plane
-
-        def ready_check() -> Tuple[bool, str]:
-            state = self.status.snapshot().get("state")
-            return (
-                state in ("running", "finished"),
-                f"{what} state is {state!r}",
-            )
-
-        self.server = start_plane(
-            self.args.serve, self.args.serve_port_file, self.metrics,
-            self.status, self._runtime_health, ready_check,
-            ledger_path=self.ledger_path,
-        )
 
     # -- write-out ---------------------------------------------------------
 
@@ -176,8 +97,7 @@ class RunContext:
         the command wrote itself; ``entry_fields`` reach ``make_entry``
         beside what ``config`` already says. ``interrupted`` is the
         exception that cut a run short: the statistics are then its
-        finished steps', marked partial, and the plane stops without
-        lingering.
+        finished steps', marked partial.
         """
         from repro.io import atomic_write_json
 
@@ -227,12 +147,6 @@ class RunContext:
                 )
             else:
                 print(f"recorded {self.run_id} in ledger {path!r}")
-        if self.server is not None:
-            from repro.observability.plane import linger_plane
-
-            linger_plane(
-                self.server, 0.0 if interrupted else args.serve_linger
-            )
 
 
 @contextlib.contextmanager

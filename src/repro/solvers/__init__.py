@@ -14,9 +14,8 @@ RKF45 is the one integrator here, :class:`~repro.solvers.rkf45.RKF45Stepper`.
 """
 
 from repro.errors import ConfigurationError
-from repro.solvers.rkf45 import rkf45_integrate
 
-__all__ = ["SOLVER_NAMES", "canonical_solver_name", "rkf45_integrate"]
+__all__ = ["SOLVER_NAMES", "canonical_solver_name"]
 
 #: The Table I solver names, as spelled there.
 SOLVER_NAMES = ("Euler", "RKF45")

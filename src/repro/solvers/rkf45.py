@@ -12,10 +12,9 @@ mechanism by which RKF45 workloads show larger neuron-computation
 shares in Figure 3.
 
 There is one integrator: :class:`RKF45Stepper`, an in-place stepper
-over a workspace allocated once. :func:`rkf45_integrate` (the
-functional form) and both population runtimes under RKF45
+over a workspace allocated once. Both population runtimes under RKF45
 (:class:`~repro.engine.runtime.SolverRuntime`, dict state, the oracle;
-:class:`~repro.engine.runtime.CompiledRuntime`, the lowered path) all
+:class:`~repro.engine.runtime.CompiledRuntime`, the lowered path)
 drive it, so the Fehlberg tableau and the step-size controller exist
 once.
 """
@@ -266,32 +265,3 @@ class RKF45Stepper:
 
 def _max_norm(ratio: np.ndarray) -> float:
     return float(ratio.max()) if ratio.size else 0.0
-
-
-def rkf45_integrate(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    t0: float,
-    t1: float,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    h0: float = 0.0,
-    max_steps: int = 10_000,
-) -> Tuple[np.ndarray, int]:
-    """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1`` adaptively.
-
-    Returns ``(y(t1), n_evaluations)``. A thin wrapper over
-    :class:`RKF45Stepper` for a value-returning ``f``; raises as
-    :meth:`RKF45Stepper.integrate` does.
-    """
-    y0 = np.asarray(y0, dtype=np.float64)
-    stepper = RKF45Stepper(y0.shape)
-    stepper.y[...] = y0
-
-    def flow(t: float, y: np.ndarray, out: np.ndarray) -> None:
-        out[...] = f(t, y)
-
-    (evaluations,) = stepper.integrate(
-        flow, t0, t1, rtol=rtol, atol=atol, h0=h0, max_steps=max_steps
-    )
-    return stepper.y, evaluations

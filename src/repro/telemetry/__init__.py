@@ -4,8 +4,8 @@ Two pieces (see DESIGN.md's "Telemetry layer"):
 
 * :mod:`repro.telemetry.registry` — ``MetricsRegistry``: named
   counter/gauge/histogram families every layer publishes into,
-  exported as a JSON snapshot (``SimulationResult.metrics``) and
-  Prometheus text exposition format;
+  exported as a JSON snapshot (``SimulationResult.metrics``, the
+  ``metrics`` block of ``repro run --stats-json``);
 * :mod:`repro.telemetry.trace` — ``TraceHook``: the per-phase event
   stream plus per-population kernel spans as Chrome
   ``chrome://tracing`` / Perfetto Trace Event JSON, ring-buffered so

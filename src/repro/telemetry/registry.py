@@ -7,13 +7,9 @@ places: ``SimulationResult.phases``, the reliability diagnostics, and
 ad-hoc attributes on individual runtimes. The registry gives them one
 address space: named metric families with optional labels, collected
 from the simulator loop, every population runtime, the spike queues,
-and the reliability layer, and exported two ways —
-
-* :meth:`MetricsRegistry.snapshot` — a plain-JSON dict, attached to
-  ``SimulationResult.metrics`` and dumped by ``repro run --stats-json``;
-* :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
-  format, served at ``/metrics`` by ``repro run --serve`` so any
-  existing scrape pipeline can read a live run.
+and the reliability layer, and exported once a run ends as
+:meth:`MetricsRegistry.snapshot`, a plain-JSON dict attached to
+``SimulationResult.metrics`` and dumped by ``repro run --stats-json``.
 
 Three metric kinds, mirroring the Prometheus data model:
 
@@ -22,8 +18,8 @@ Three metric kinds, mirroring the Prometheus data model:
   pattern: a runtime that already keeps a lifetime tally (e.g. clip
   counts) sets the cumulative value at collection time instead of
   paying per-event increments on the hot path.
-* :class:`Gauge` — point-in-time values (activity factors, queue
-  depth).
+* :class:`Gauge` — point-in-time values (evaluations per step, a
+  ring's pending weight).
 * :class:`Histogram` — fixed, immutable bucket bounds chosen at
   creation; ``observe`` is O(log buckets) via :func:`bisect.bisect_left`
   over a tuple that never reallocates, so the hot path does no
@@ -64,8 +60,7 @@ _KNOWN_NAMES: set = set()
 
 
 def _check_name(name: str) -> None:
-    # The Prometheus exposition grammar: [a-zA-Z_][a-zA-Z0-9_]* — a
-    # leading digit would parse as a sample value, not a name.
+    # The Prometheus metric-name grammar: [a-zA-Z_][a-zA-Z0-9_]*.
     if name in _KNOWN_NAMES:
         return
     if (
@@ -84,29 +79,6 @@ def _labels_key(labels: Optional[Mapping[str, str]]) -> Tuple[Tuple[str, str], .
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _escape_label_value(value: str) -> str:
-    # Exposition format: backslash, double-quote and newline must be
-    # escaped inside label values.
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _escape_help(text: str) -> str:
-    # HELP lines are newline-delimited: a literal newline or backslash
-    # in help text must be escaped or the line after it parses as junk.
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _format_labels(key: Tuple[Tuple[str, str], ...]) -> str:
-    if not key:
-        return ""
-    escaped = ",".join(
-        '{}="{}"'.format(k, _escape_label_value(v)) for k, v in key
-    )
-    return "{" + escaped + "}"
 
 
 def _format_value(value: float) -> str:
@@ -334,37 +306,3 @@ class MetricsRegistry:
                 "values": values,
             }
         return out
-
-    def to_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        lines: List[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
-            if family.help:
-                lines.append(f"# HELP {name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for key in sorted(family.children):
-                child = family.children[key]
-                if family.kind == "histogram":
-                    for bound, cumulative in zip(
-                        (*child.bounds, float("inf")),
-                        child.cumulative_counts(),
-                    ):
-                        bucket_key = key + (("le", _format_value(bound)),)
-                        lines.append(
-                            f"{name}_bucket{_format_labels(bucket_key)} "
-                            f"{cumulative}"
-                        )
-                    lines.append(
-                        f"{name}_sum{_format_labels(key)} "
-                        f"{_format_value(child.sum)}"
-                    )
-                    lines.append(
-                        f"{name}_count{_format_labels(key)} {child.count}"
-                    )
-                else:
-                    lines.append(
-                        f"{name}{_format_labels(key)} "
-                        f"{_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")

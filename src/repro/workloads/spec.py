@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.solvers import SOLVER_NAMES
 
 
 def validate_scale(scale) -> float:
@@ -55,10 +56,11 @@ class WorkloadSpec:
                 f"must be positive, got {self.paper_neurons} / "
                 f"{self.paper_synapses}"
             )
-        if self.solver not in ("Euler", "RKF45"):
+        if self.solver not in SOLVER_NAMES:
+            choices = " or ".join(repr(name) for name in SOLVER_NAMES)
             raise ConfigurationError(
                 f"workload {self.name!r}: unknown solver {self.solver!r} "
-                "(choose 'Euler' or 'RKF45')"
+                f"(choose {choices})"
             )
         if self.framework not in ("NEST", "GeNN"):
             raise ConfigurationError(

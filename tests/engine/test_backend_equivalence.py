@@ -15,12 +15,7 @@ import pytest
 
 from repro.assembly import DT
 from repro.engine import CompiledRuntime, SolverRuntime
-from repro.hardware import (
-    EventDrivenFlexonBackend,
-    FlexonBackend,
-    HardwareRuntime,
-    HybridBackend,
-)
+from repro.hardware import FlexonBackend, HardwareRuntime, HybridBackend
 from repro.network import ReferenceBackend, Simulator
 from repro.network.network import Network
 from repro.network.stimulus import PoissonStimulus
@@ -91,12 +86,11 @@ def test_unplannable_model_falls_back_to_solver_runtime():
 
 def test_hardware_backends_route_through_hardware_runtime():
     network = build_workload("Brunel", scale=0.02, seed=1)
-    for backend in (FlexonBackend(dt=DT), EventDrivenFlexonBackend(dt=DT)):
-        backend.prepare(network)
-        assert all(
-            isinstance(rt, HardwareRuntime)
-            for rt in backend.runtimes.values()
-        )
+    backend = FlexonBackend(dt=DT)
+    backend.prepare(network)
+    assert all(
+        isinstance(rt, HardwareRuntime) for rt in backend.runtimes.values()
+    )
 
 
 def test_hybrid_backend_splits_runtimes_per_population():

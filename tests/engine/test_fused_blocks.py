@@ -25,7 +25,6 @@ from repro.hardware.backend import (
     HardwareRuntime,
     HybridBackend,
 )
-from repro.hardware.event_driven import EventDrivenFlexonBackend
 from repro.models import create_model
 from repro.models.base import ModelParameters
 from repro.network.backends import Block, ReferenceBackend, RuntimeBackend
@@ -369,11 +368,8 @@ class TestSchedule:
 
     @pytest.mark.parametrize(
         "backend",
-        [
-            ReferenceBackend("Euler", use_engine=False),
-            EventDrivenFlexonBackend(DT),
-        ],
-        ids=["dict-state", "event-driven"],
+        [ReferenceBackend("Euler", use_engine=False)],
+        ids=["dict-state"],
     )
     def test_excluded_runtimes_stay_blocks_of_one(self, backend):
         network = build_workload("Vogels et al.", scale=0.02, seed=3)

@@ -113,34 +113,3 @@ class TestEventDrivenPower:
 
     def test_scales_linearly_between(self):
         assert event_driven_power(2.0, 0.5, 0.5) == pytest.approx(1.5)
-
-
-#: ``(active, total)`` neuron updates per population on the
-#: ``event-driven`` backend at scale 0.05, seed 1, 400 steps: the
-#: activity factors each runtime reports, classified from the input
-#: bucket each step.
-PINNED_UPDATES = {
-    "Brunel": {"exc": (75834, 80000), "inh": (9448, 20000)},
-    "Potjans-Diesmann": {
-        "L23e": (42721, 42800), "L23i": (0, 12000),
-        "L4e": (45176, 45200), "L4i": (11196, 11200),
-        "L5e": (4602, 10000), "L5i": (0, 2400),
-        "L6e": (29556, 29600), "L6i": (0, 6400),
-    },
-}
-
-
-@pytest.mark.parametrize("workload", sorted(PINNED_UPDATES))
-def test_workload_update_counts_are_pinned(workload):
-    from repro.frontend import build_simulation
-    from repro.workloads import spec_for
-
-    simulator, _ = build_simulation(
-        {**spec_for(workload, 0.05, 1), "backend": "event-driven"}
-    )
-    simulator.run(400)
-    updates = {
-        name: (runtime.active_updates, runtime.total_updates)
-        for name, runtime in simulator.backend.runtimes.items()
-    }
-    assert updates == PINNED_UPDATES[workload]

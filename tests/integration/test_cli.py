@@ -240,7 +240,7 @@ class TestRunRefusals:
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("backend", ["flexon", "folded", "event-driven"])
+    @pytest.mark.parametrize("backend", ["flexon", "folded"])
     @pytest.mark.parametrize("command", ["run", "sweep", "spec"])
     def test_a_solver_the_backend_ignores(self, command, backend, capsys):
         argv = [command, "Brunel", "--backend", backend, "--solver", "RKF45"]
@@ -488,7 +488,7 @@ class TestFrontendCommands:
             ],
         }
 
-    @pytest.mark.parametrize("backend", ["flexon", "folded", "event-driven", "hybrid"])
+    @pytest.mark.parametrize("backend", ["flexon", "folded", "hybrid"])
     def test_a_constant_outside_the_format_names_its_population(
         self, tmp_path, capsys, backend
     ):
@@ -647,23 +647,3 @@ class TestSweepCli:
         assert entry["outcome"] == "failed"
         assert entry["metrics"] == {"jobs": 2, "completed": 1, "failed": 1}
         assert list(entry["job_digests"]) == ["Izhikevich"]
-
-    @pytest.mark.parametrize(
-        "names", [["Brunel", "Vogels et al."], ["Vogels et al.", "Brunel"]],
-        ids=["brunel-first", "vogels-first"],
-    )
-    def test_jobs_share_one_plane_without_tripping_its_counters(
-        self, names, tmp_path, capsys
-    ):
-        # Vogels publishes larger per-population totals under the same
-        # labels (exc, inh) than Brunel; one registry fed by both runs
-        # would refuse the second as a counter going backwards.
-        stats = tmp_path / "sweep.json"
-        code = main(
-            ["sweep", *names, "--scale", "0.05", "--steps", "300",
-             "--no-ledger", "--serve", ":0", "--stats-json", str(stats)]
-        )
-        assert code == 0, capsys.readouterr()
-        doc = json.loads(stats.read_text())
-        assert [job["outcome"] for job in doc["jobs"]] == ["completed"] * 2
-        assert "alerts" not in doc

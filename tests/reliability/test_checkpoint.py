@@ -12,10 +12,6 @@ from repro.hardware.backend import (
     HardwareRuntime,
     HybridBackend,
 )
-from repro.hardware.event_driven import (
-    EventDrivenFlexonBackend,
-    EventDrivenRuntime,
-)
 from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
 from repro.network.simulator import Simulator
@@ -32,7 +28,6 @@ BACKENDS = {
     "rkf45": lambda: ReferenceBackend("RKF45"),
     "flexon": lambda: FlexonBackend(DT),
     "folded": lambda: FoldedFlexonBackend(DT),
-    "event-driven": lambda: EventDrivenFlexonBackend(DT),
     "hybrid": lambda: HybridBackend(DT),
 }
 
@@ -61,17 +56,12 @@ def _network(plastic=False):
 
 
 def _final_state(simulator):
-    """Every population's state, a hardware array's cycle count and an
-    event-driven runtime's counts and activity factor."""
+    """Every population's state and a hardware array's cycle count."""
     state = {}
     for name, runtime in simulator.backend.runtimes.items():
         state[name] = {k: v.copy() for k, v in runtime.state().items()}
         if isinstance(runtime, HardwareRuntime):
             state[name]["total_cycles"] = runtime.neuron.total_cycles
-        if isinstance(runtime, EventDrivenRuntime):
-            state[name]["active_updates"] = runtime.active_updates
-            state[name]["total_updates"] = runtime.total_updates
-            state[name]["activity_factor"] = runtime.activity_factor
     return state
 
 
@@ -348,28 +338,6 @@ class TestSafetyChecks:
         assert "cannot restore 'exc'" in message
         assert "not a Flexon register file" in message
         assert "['cnt', 'regs', 'total_cycles']" in message
-
-    def test_an_event_driven_payload_without_its_counts_is_refused(
-        self, tmp_path
-    ):
-        # Event-driven payloads before the monitor's counts rode along:
-        # resuming one would restart the activity factor at the resume.
-        simulator = Simulator(
-            _network(), EventDrivenFlexonBackend(DT), dt=DT, seed=11
-        )
-        simulator.run(5)
-        checkpoint = Checkpoint.capture(simulator)
-        for payload in checkpoint.runtimes.values():
-            del payload["active_updates"], payload["total_updates"]
-        path = str(tmp_path / "uncounted.ckpt")
-        checkpoint.save(path)
-        fresh = Simulator(
-            _network(), EventDrivenFlexonBackend(DT), dt=DT, seed=11
-        )
-        with pytest.raises(CheckpointError) as info:
-            Checkpoint.load(path).restore(fresh)
-        assert "cannot restore 'exc'" in str(info.value)
-        assert "active_updates or total_updates" in str(info.value)
 
     def test_save_is_atomic_no_temp_residue(self, tmp_path):
         checkpoint = self._checkpoint()

@@ -15,7 +15,7 @@ from repro.features import Feature, FeatureSet
 from repro.network.backends import ReferenceBackend
 from repro.network.network import Network
 from repro.solvers import SOLVER_NAMES, canonical_solver_name
-from repro.solvers.rkf45 import RKF45Stepper, rkf45_integrate
+from repro.solvers.rkf45 import RKF45Stepper
 
 DT = 1e-4
 
@@ -23,6 +23,14 @@ DT = 1e-4
 def _runtime(model, n, solver):
     """One population of ``model`` on the dict-state runtime."""
     return SolverRuntime("p", n, model, solver)
+
+
+def _loaded(y0):
+    """An RKF45 stepper whose ``y`` starts at ``y0``."""
+    y0 = np.asarray(y0, dtype=np.float64)
+    stepper = RKF45Stepper(y0.shape)
+    stepper.y[...] = y0
+    return stepper
 
 
 class TestCreateSolver:
@@ -95,38 +103,51 @@ class TestEulerSolver:
 class TestRKF45Integrate:
     def test_exponential_decay_accuracy(self):
         # dy/dt = -10 y; exact: y0 * exp(-10 t)
-        y0 = np.array([1.0])
-        y1, evaluations = rkf45_integrate(
-            lambda t, y: -10.0 * y, y0, 0.0, 0.5, rtol=1e-8, atol=1e-12
+        stepper = _loaded([1.0])
+        (evaluations,) = stepper.integrate(
+            lambda _t, y, out: np.multiply(y, -10.0, out=out),
+            0.0, 0.5, rtol=1e-8, atol=1e-12,
         )
-        assert y1[0] == pytest.approx(np.exp(-5.0), rel=1e-6)
+        assert stepper.y[0] == pytest.approx(np.exp(-5.0), rel=1e-6)
         assert evaluations % 6 == 0
 
     def test_harmonic_oscillator_conserves_energy(self):
-        def rhs(_t, y):
-            return np.array([y[1], -y[0]])
+        def flow(_t, y, out):
+            out[0], out[1] = y[1], -y[0]
 
         y0 = np.array([1.0, 0.0])
-        y1, _ = rkf45_integrate(rhs, y0, 0.0, 2 * np.pi, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(y1, y0, atol=1e-5)
+        stepper = _loaded(y0)
+        stepper.integrate(flow, 0.0, 2 * np.pi, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(stepper.y, y0, atol=1e-5)
 
     def test_adaptive_takes_fewer_steps_for_smooth_problems(self):
-        _, easy = rkf45_integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0)
-        _, hard = rkf45_integrate(
-            lambda t, y: -200.0 * y, np.array([1.0]), 0.0, 1.0
+        (easy,) = _loaded([1.0]).integrate(
+            lambda _t, y, out: np.negative(y, out=out),
+            0.0, 1.0, rtol=1e-6, atol=1e-9,
+        )
+        (hard,) = _loaded([1.0]).integrate(
+            lambda _t, y, out: np.multiply(y, -200.0, out=out),
+            0.0, 1.0, rtol=1e-6, atol=1e-9,
         )
         assert easy < hard
 
     def test_zero_span_is_identity(self):
-        y0 = np.array([3.0])
-        y1, evaluations = rkf45_integrate(lambda t, y: y, y0, 1.0, 1.0)
-        assert y1[0] == 3.0
+        stepper = _loaded([3.0])
+        (evaluations,) = stepper.integrate(
+            lambda _t, y, out: np.copyto(out, y),
+            1.0, 1.0, rtol=1e-6, atol=1e-9,
+        )
+        assert stepper.y[0] == 3.0
         assert evaluations == 0
 
     def test_does_not_write_into_y0(self):
         y0 = np.array([1.0, 2.0])
-        y1, _ = rkf45_integrate(lambda t, y: -y, y0, 0.0, 0.1)
-        assert y1 is not y0
+        stepper = _loaded(y0)
+        stepper.integrate(
+            lambda _t, y, out: np.negative(y, out=out),
+            0.0, 0.1, rtol=1e-6, atol=1e-9,
+        )
+        assert stepper.y is not y0
         np.testing.assert_array_equal(y0, [1.0, 2.0])
 
     def test_stepper_advances_its_own_block_in_place(self):
@@ -142,22 +163,23 @@ class TestRKF45Integrate:
         assert stepper.y is block
         assert evaluations % 6 == 0
         np.testing.assert_allclose(block[0], np.exp(-0.1) * np.arange(1, 4), rtol=1e-8)
-        # ... and is the integrator behind the functional form.
-        expected, count = rkf45_integrate(
-            lambda t, y: -y, start, 0.0, 0.1, rtol=1e-9, atol=1e-12
-        )
+        # ... and a fresh stepper from the same start repeats it.
+        again = _loaded(start)
+        (count,) = again.integrate(flow, 0.0, 0.1, rtol=1e-9, atol=1e-12)
         assert count == evaluations
-        assert expected.tobytes() == block.tobytes()
+        assert again.y.tobytes() == block.tobytes()
 
     def test_non_finite_state_fails_on_the_first_attempt(self):
         calls = []
 
-        def rhs(_t, y):
+        def flow(_t, y, out):
             calls.append(1)
-            return -y
+            np.negative(y, out=out)
 
         with pytest.raises(NumericsError, match="not finite") as info:
-            rkf45_integrate(rhs, np.array([1.0, np.nan, 2.0]), 0.0, 1.0)
+            _loaded([1.0, np.nan, 2.0]).integrate(
+                flow, 0.0, 1.0, rtol=1e-6, atol=1e-9
+            )
         assert len(calls) == 6  # one attempted substep, not 10,000
         assert info.value.variable == "y"
         assert info.value.indices == (1,)
@@ -209,9 +231,8 @@ class TestRKF45Integrate:
 
     def test_max_steps_exceeded_raises(self):
         with pytest.raises(SimulationError, match="within 3 substeps"):
-            rkf45_integrate(
-                lambda t, y: -1e9 * y,
-                np.array([1.0]),
+            _loaded([1.0]).integrate(
+                lambda _t, y, out: np.multiply(y, -1e9, out=out),
                 0.0,
                 1.0,
                 rtol=1e-13,

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.hardware.backend import FoldedFlexonBackend, HybridBackend
-from repro.hardware.event_driven import EventDrivenFlexonBackend
 from repro.network import ReferenceBackend, Simulator
 from repro.telemetry import MetricsRegistry
 from repro.workloads import build_workload
@@ -119,25 +118,6 @@ class TestBackendMetrics:
         assert checked > 0
         # A healthy run has the checked counter but no clipped series.
         assert "fixedpoint_saturation_clipped_total" not in result.metrics
-
-    def test_event_driven_backend_publishes_activity_factor(self):
-        network = build_workload("Brunel", scale=0.02, seed=5)
-        metrics = MetricsRegistry()
-        sim = Simulator(network, EventDrivenFlexonBackend(DT), dt=DT, seed=6)
-        result = sim.run(30, metrics=metrics)
-        for name in network.populations:
-            factor = value_of(
-                result.metrics, "event_driven_activity_factor", population=name
-            )
-            assert 0.0 <= factor <= 1.0
-            assert (
-                value_of(
-                    result.metrics,
-                    "event_driven_total_updates_total",
-                    population=name,
-                )
-                == 30 * network.populations[name].n
-            )
 
     def test_hybrid_backend_publishes_per_population(self):
         network = build_workload("Brunel", scale=0.02, seed=5)

@@ -128,25 +128,25 @@ class TestExports:
         }
         assert snapshot["step_seconds"]["values"][0]["buckets"]["+Inf"] == 2
 
-    def test_prometheus_exposition_format(self):
-        text = self.make_registry().to_prometheus()
-        lines = text.splitlines()
-        assert "# TYPE steps_total counter" in lines
-        assert 'steps_total{workload="brunel"} 100' in lines
-        assert "# HELP activity Activity factor." in lines
-        assert "activity 0.25" in lines
-        # Histogram explodes into _bucket/_sum/_count series.
-        assert 'step_seconds_bucket{le="0.1"} 1' in lines
-        assert 'step_seconds_bucket{le="+Inf"} 2' in lines
-        assert "step_seconds_count 2" in lines
-        assert text.endswith("\n")
-
-    def test_prometheus_escapes_label_values(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total", labels={"k": 'a"b\\c'}).inc()
-        assert 'c_total{k="a\\"b\\\\c"} 1' in registry.to_prometheus()
-
     def test_empty_registry_exports_empty(self):
         registry = MetricsRegistry()
         assert registry.snapshot() == {}
-        assert registry.to_prometheus() == ""
+
+
+class TestNameValidation:
+    """Family names follow the Prometheus metric-name grammar."""
+
+    def test_leading_digit_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MetricsRegistry().counter("9starts_with_digit")
+
+    def test_punctuation_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MetricsRegistry().gauge("has-dash")
+
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MetricsRegistry().gauge("")
+
+    def test_underscore_prefix_allowed(self):
+        MetricsRegistry().gauge("_private_ok")
